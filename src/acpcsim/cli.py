@@ -260,8 +260,6 @@ def build_settings(raw: dict) -> BenchSettings:
             dev_over[name] = _to_float(key, value)
     if dev_over:
         device_params = replace(device_params, **dev_over)
-    device_params = replace(device_params, gate_on_v=cfg.gate_on_v,
-                            gate_off_v=cfg.gate_off_v)
 
     sense_numeric = _numeric_fields(sns.SenseCircuitParams)
     sense_over = {}
@@ -464,10 +462,10 @@ def run(scenario_path, out_dir, seed: Optional[int] = None,
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 
+    bench = TestBench(settings)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    bench = TestBench(settings)
     bench.collect_waveforms = emit in ("waveforms", "both")
     result = bench.run_campaign()
 

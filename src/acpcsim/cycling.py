@@ -26,7 +26,7 @@ from . import sense as sns
 from . import thermal as th
 from .core import (SWITCHED_SUBSTEPS, TWO_PI, BenchConfig, Fidelity,
                    Technique, validate_scenario, wrap_angle)
-from .device import AgingTrajectory, DeviceParams, DeviceState, KELVIN, _piecewise
+from .device import AgingTrajectory, DeviceParams, DeviceState, _piecewise
 from .electrical import (PlantState, PlantStepResult, control_step,
                          dq_phase_deg, inverse_park, make_controller, park,
                          plant_step, svpwm_duties)
@@ -184,8 +184,10 @@ def energy_audit(tally: EnergyTally) -> EnergyAudit:
 class DeviceBank:
     """All twelve switches evaluated together with per-device aging state.
 
-    Formulas mirror the scalar device operations exactly (property-tested);
-    temperatures may be passed per device, per device-and-sample, or shared.
+    On-resistance comes from device.on_resistance, the law the scalar device
+    operations use, so bank and scalar results agree element-wise
+    (property-tested); temperatures may be passed per device, per
+    device-and-sample, or shared.
     """
 
     def __init__(self, params: DeviceParams, ambient: float):
@@ -222,15 +224,12 @@ class DeviceBank:
         p = self.params
         t = self.t_j if t_j is None else t_j
         i = np.asarray(i, dtype=float)
-        d_vth = self._shaped(self.delta_vth, t)
-        d_pkg = self._shaped(self.delta_pkg, t)
-        d_vsd = self._shaped(self.delta_vsd, t)
-        ov = p.gate_on_v - (p.v_th0 + p.rho_vth * (t - p.t0) + d_vth)
-        drift = p.r_drift0 * (1.0 + d_pkg) * ((t + KELVIN) / (p.t0 + KELVIN)) ** p.alpha_drift
         mag = np.abs(i)
         safe = np.where(mag > 0.0, mag, 1.0)
-        r_ch = drift + p.k_ch / ov + p.r_i_slope * (safe - p.i_nominal)
-        knee = p.v_j0 + p.rho_sd_lo * (t - p.t0) + d_vsd
+        r_ch = dev_mod.on_resistance(p, t, safe, p.gate_on_v,
+                                     self._shaped(self.delta_pkg, t),
+                                     self._shaped(self.delta_vth, t))
+        knee = p.v_j0 + p.rho_sd_lo * (t - p.t0) + self._shaped(self.delta_vsd, t)
         v_lin = safe * r_ch
         v_par = (safe + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
         v_mag = np.where(i >= 0.0, v_lin, np.where(v_lin <= knee, v_lin, v_par))
@@ -239,14 +238,6 @@ class DeviceBank:
             sh = self._shaped(self.shorted.astype(float), t) > 0
             v = np.where(sh, self.desat_fault_v, v)
         return v
-
-    def r_on_single(self, k: int, i, t_j: float):
-        """First-quadrant on-resistance of device k (i may be an array)."""
-        p = self.params
-        ov = p.gate_on_v - (p.v_th0 + p.rho_vth * (t_j - p.t0) + self.delta_vth[k])
-        drift = p.r_drift0 * (1.0 + self.delta_pkg[k]) \
-            * ((t_j + KELVIN) / (p.t0 + KELVIN)) ** p.alpha_drift
-        return drift + p.k_ch / ov + p.r_i_slope * (i - p.i_nominal)
 
     def apply_trajectories(self, trajectory: AgingTrajectory, r_th_points,
                            cycle: int, device_mask: np.ndarray):
@@ -371,7 +362,10 @@ class TestBench:
         rng_ed = np.random.default_rng(k_ed)        # one-time per-device draws
         self.rng = np.random.default_rng(k_noise)   # shared measurement noise
 
-        self.bank = DeviceBank(s.device_params, self.ambient)
+        # the scenario's gate drive is the one every device model sees
+        params = replace(s.device_params, gate_on_v=cfg.gate_on_v,
+                         gate_off_v=cfg.gate_off_v)
+        self.bank = DeviceBank(params, self.ambient)
         self.channels = [
             sns.SenseChannel(replace(s.sense_params,
                                      e_d=float(rng_ed.uniform(*sns.E_D_RANGE))),
@@ -380,7 +374,10 @@ class TestBench:
         ]
         self.e_d = np.array([c.params.e_d for c in self.channels])
 
-        self.thermal = th.ThermalBank(N_DEVICES, s.network)
+        # Foster stages per device; _thermal_step advances them
+        self._stage_r = np.array([st.r_th for st in s.network.stages])
+        self._stage_c = np.array([st.c_th for st in s.network.stages])
+        self._stage_temps = np.zeros((N_DEVICES, len(s.network.stages)))
         self.cool_test = _bind_cooling(s.cooling_test, self.ambient)
         self.cool_load = _bind_cooling(s.cooling_load, self.ambient)
         self.ntc_readings = np.full(N_DEVICES, self.ambient, dtype=float)
@@ -398,15 +395,14 @@ class TestBench:
             smp.build_trigger_set(c, s.sampler_n, s.sampler_window),
             budget_per_cycle=s.budget_per_cycle) for c in centers]
 
-        self._base_lut = smp.build_ron_lut(s.device_params, s.lut_t_axis,
-                                           s.lut_i_axis, v_gs=cfg.gate_on_v)
+        self._base_lut = smp.build_ron_lut(params, s.lut_t_axis, s.lut_i_axis)
         self.luts = [self._base_lut] * N_DEVICES
 
         self.desat_base = s.desat
         if s.desat_calibrated:
-            fresh = DeviceState(params=s.device_params, t_j=self.ambient)
-            v_fresh = dev_mod.conduction_voltage(fresh, s.device_params.i_nominal,
-                                                 self.ambient, cfg.gate_on_v)
+            fresh = DeviceState(params=params, t_j=self.ambient)
+            v_fresh = dev_mod.conduction_voltage(fresh, params.i_nominal,
+                                                 self.ambient, params.gate_on_v)
             thr = sns.desat_voltage(s.sense_params, v_fresh + s.desat_margin_v)
             self.desat_base = replace(s.desat, threshold=thr)
         self.desat_cfg = [self.desat_base] * N_DEVICES
@@ -725,6 +721,7 @@ class TestBench:
             self._envelope_fill_batched(slot_i)
         else:
             sigma = self.s.sense_params.noise_sigma
+            bank = self.bank
             for k, sstate in enumerate(self.samplers):
                 sstate.start_cycle()
                 unfilled = sstate.unfilled_indices()
@@ -733,15 +730,13 @@ class TestBench:
                 if len(take) == 0:
                     continue
                 i_slot = slot_i[k][take]
-                r_slot = self.bank.r_on_single(k, i_slot, float(self.bank.t_j[k]))
+                r_slot = dev_mod.on_resistance(
+                    p, float(bank.t_j[k]), i_slot, p.gate_on_v,
+                    bank.delta_pkg[k], bank.delta_vth[k])
                 noise = self.rng.normal(0.0, sigma, size=len(take)) \
                     if sigma > 0 else 0.0
-                sstate.v_on[take] = i_slot * r_slot + self.e_d[k] + noise
-                sstate.i[take] = i_slot
-                sstate.truth[take] = r_slot
-                sstate.filled_mask[take] = True
-                sstate.filled += len(take)
-                sstate.budget_used += len(take)
+                smp.store_slots(sstate, take, i_slot * r_slot + self.e_d[k] + noise,
+                                i_slot, r_slot)
                 if sstate.complete:
                     self._finish_window(k)
 
@@ -784,11 +779,9 @@ class TestBench:
         bank = self.bank
         p = bank.params
         t = bank.t_j
-        ov = p.gate_on_v - (p.v_th0 + p.rho_vth * (t - p.t0) + bank.delta_vth)
-        drift = p.r_drift0 * (1.0 + bank.delta_pkg) \
-            * ((t + KELVIN) / (p.t0 + KELVIN)) ** p.alpha_drift
-        r_true = (drift + p.k_ch / ov)[:, None] \
-            + p.r_i_slope * (slot_i - p.i_nominal)      # (12, n)
+        r_true = dev_mod.on_resistance(p, t[:, None], slot_i, p.gate_on_v,
+                                       bank.delta_pkg[:, None],
+                                       bank.delta_vth[:, None])  # (12, n)
         v = slot_i * r_true + self.e_d[:, None]
         sigma = self.s.sense_params.noise_sigma
         if sigma > 0:
@@ -851,34 +844,40 @@ class TestBench:
         self._trace_point()
 
     def _thermal_step(self, p_dev: np.ndarray, dt: float, pump_test: bool):
+        """Advance every device's Foster stages, the two cooling boundaries
+        and the case sensors by dt under the constant losses p_dev.
+
+        The exact update holds for any dt under piecewise-constant loss, so
+        foster_step's step-size guard is not applied; envelope steps of a
+        whole fundamental period rely on that.
+        """
         t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test)
         t_ref_l, r_b_l = th.cooling_step(self.cool_load, True)
-        bank = self.thermal
         key = (dt, r_b_t, r_b_l, self.bank.aging_version)
         cached = self._thermal_cache.get(key)
         if cached is None:
-            r = np.tile(bank.base_r, (bank.n, 1))
+            r = np.tile(self._stage_r, (N_DEVICES, 1))
             r[:, 0] *= self.bank.r_th_factor
             r[:6, -1] = r_b_t
             r[6:, -1] = r_b_l
-            a = np.exp(-dt / (r * bank.c))
+            a = np.exp(-dt / (r * self._stage_c))
             cached = (a, r * (1.0 - a))
             if len(self._thermal_cache) > 16:
                 self._thermal_cache.clear()
             self._thermal_cache[key] = cached
         a, gain = cached
-        bank.temps = bank.temps * a + p_dev[:, None] * gain
-        tsum = bank.temps.sum(axis=1)
+        temps = self._stage_temps = self._stage_temps * a + p_dev[:, None] * gain
+        tsum = temps.sum(axis=1)
         t_j = np.empty(N_DEVICES)
         t_j[:6] = t_ref_t + tsum[:6]
         t_j[6:] = t_ref_l + tsum[6:]
         self.bank.t_j = t_j
         t_case = np.empty(N_DEVICES)
-        t_case[:6] = t_ref_t + bank.temps[:6, -1]
-        t_case[6:] = t_ref_l + bank.temps[6:, -1]
+        t_case[:6] = t_ref_t + temps[:6, -1]
+        t_case[6:] = t_ref_l + temps[6:, -1]
         self._t_case = t_case
-        th.cooling_absorb(self.cool_test, float((bank.temps[:6, -1] / r_b_t).sum()), dt)
-        th.cooling_absorb(self.cool_load, float((bank.temps[6:, -1] / r_b_l).sum()), dt)
+        th.cooling_absorb(self.cool_test, float((temps[:6, -1] / r_b_t).sum()), dt)
+        th.cooling_absorb(self.cool_load, float((temps[6:, -1] / r_b_l).sum()), dt)
         # vectorized case sensors (shared model)
         m = self.s.ntc
         target = self._t_case + m.bias
@@ -963,8 +962,8 @@ class TestBench:
         only junction information available; the case comes from the NTC with
         its calibrated lag compensated.
         """
-        r = self.thermal.base_r[:-1]
-        tau = r * self.thermal.c[:-1]
+        r = self._stage_r[:-1]
+        tau = r * self._stage_c[:-1]
         w = r / r.sum()
         est0 = self.tj_est[:6]
         hot = np.where(np.isfinite(est0), est0, self.bank.t_j[:6])
@@ -1069,7 +1068,7 @@ class TestBench:
                 self.baseline_vth[k] = v_th_m[k]
             d_hat[k] = max(0.0, v_th_m[k] - self.baseline_vth[k])
             v = dev_mod.conduction_voltage(state, i_cal, self.ambient,
-                                           self.cfg.gate_on_v)
+                                           state.params.gate_on_v)
             noise = self.rng.normal(0.0, sigma / math.sqrt(s.sampler_n)) \
                 if sigma > 0 else 0.0
             r_amb[k] = (v + self.e_d[k] + noise) / i_cal

@@ -81,25 +81,40 @@ class DeviceState:
     aging: AgingState = field(default_factory=AgingState)
     t_j: float = 25.0  # owned by the thermal model, mirrored here
 
-    def fresh_copy(self) -> "DeviceState":
-        return DeviceState(params=self.params, aging=AgingState(), t_j=self.params.t0)
+
+def threshold_voltage(p: DeviceParams, t_j, delta_vth=0.0):
+    """Threshold at t_j, shifted by gate-oxide aging (array-safe)."""
+    return p.v_th0 + p.rho_vth * (t_j - p.t0) + delta_vth
 
 
 def v_th(dev: DeviceState, t_j: float):
     """Threshold voltage at the given junction temperature (array-safe)."""
-    p = dev.params
-    return p.v_th0 + p.rho_vth * (t_j - p.t0) + dev.aging.delta_vth
+    return threshold_voltage(dev.params, t_j, dev.aging.delta_vth)
+
+
+def drift_resistance(p: DeviceParams, t_j, delta_pkg=0.0):
+    """Drift/package term of R(T, i), scaled by package aging."""
+    return p.r_drift0 * (1.0 + delta_pkg) * \
+        ((t_j + KELVIN) / (p.t0 + KELVIN)) ** p.alpha_drift
+
+
+def on_resistance(p: DeviceParams, t_j, i_d, v_gs, delta_pkg=0.0, delta_vth=0.0):
+    """R(T, i) with aging deltas, the one implementation of the law.
+
+    Operators only, so scalars and broadcasting arrays both work; no check
+    that the channel is on (see r_on).
+    """
+    overdrive = v_gs - threshold_voltage(p, t_j, delta_vth)
+    return drift_resistance(p, t_j, delta_pkg) + p.k_ch / overdrive \
+        + p.r_i_slope * (i_d - p.i_nominal)
 
 
 def r_on(dev: DeviceState, t_j, i_d, v_gs: float):
     """First-quadrant on-resistance. Raises ChannelOff below threshold."""
-    p = dev.params
-    overdrive = v_gs - v_th(dev, t_j)
-    if np.any(np.asarray(overdrive) <= 0.0):
+    if np.any(np.asarray(v_gs - v_th(dev, t_j)) <= 0.0):
         raise ChannelOff(f"v_gs={v_gs} does not exceed threshold")
-    drift = p.r_drift0 * (1.0 + dev.aging.delta_pkg) * \
-        ((t_j + KELVIN) / (p.t0 + KELVIN)) ** p.alpha_drift
-    return drift + p.k_ch / overdrive + p.r_i_slope * (i_d - p.i_nominal)
+    return on_resistance(dev.params, t_j, i_d, v_gs, dev.aging.delta_pkg,
+                         dev.aging.delta_vth)
 
 
 def v_sd(dev: DeviceState, i, t_j):
@@ -148,26 +163,6 @@ def conduction_voltage(dev: DeviceState, i: float, t_j: float, v_gs: float) -> f
     p = dev.params
     v = (mag + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
     return -v
-
-
-def conduction_voltage_array(dev: DeviceState, i: np.ndarray, t_j, v_gs: float
-                             ) -> np.ndarray:
-    """Vectorized twin of conduction_voltage with the channel held on.
-
-    Used by the bench loop where the bridges run synchronous rectification;
-    matches the scalar function element-wise (property-tested).
-    """
-    p = dev.params
-    i = np.asarray(i, dtype=float)
-    mag = np.abs(i)
-    safe = np.where(mag > 0.0, mag, 1.0)
-    r_ch = r_on(dev, t_j, safe, v_gs)
-    v_lin = safe * r_ch
-    knee = diode_knee(dev, t_j)
-    v_par = (safe + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
-    v_mag = np.where(v_lin <= knee, v_lin, v_par)
-    v_mag = np.where(i >= 0.0, safe * r_ch, v_mag)
-    return np.where(mag > 0.0, np.sign(i) * v_mag, 0.0)
 
 
 def losses(dev: DeviceState, i: float, t_j: float, v_dc: float,

@@ -71,26 +71,16 @@ def build_trigger_set(theta_peak: float, n: int, window: float) -> TriggerSet:
                       center_index=int(dists.argmin()))
 
 
-def _bisect_recursive(angles: np.ndarray, x: float, lo: int, hi: int) -> int:
-    """Insertion index of x in the sorted angle array, found recursively."""
-    if lo >= hi:
-        return lo
-    mid = (lo + hi) // 2
-    if angles[mid] < x:
-        return _bisect_recursive(angles, x, mid + 1, hi)
-    return _bisect_recursive(angles, x, lo, mid)
-
-
 def match_trigger(theta_now: float, tset: TriggerSet) -> Optional[int]:
     """Index of the trigger within tolerance of theta_now, wrap-aware.
 
-    Recursive binary search plus neighbor checks; result is identical to a
-    linear scan for the nearest trigger (ties resolve to the lower index).
+    Binary search plus neighbor checks; result is identical to a linear
+    scan for the nearest trigger (ties resolve to the lower index).
     """
     theta = wrap_angle(theta_now)
     a = tset.angles
     n = len(a)
-    j = _bisect_recursive(a, theta, 0, n)
+    j = int(np.searchsorted(a, theta, side="left"))
     best_idx, best_d = None, math.inf
     for k in sorted({(j - 1) % n, j % n, 0, n - 1}):
         d = angle_distance(theta, float(a[k]))
@@ -172,19 +162,36 @@ class SamplerState:
         return np.flatnonzero(~self.filled_mask)
 
 
-def _store(s: SamplerState, idx: int, v_on: float, i_meas: float,
-           truth: float) -> bool:
-    if s.budget_used >= s.budget_per_cycle or s.filled_mask[idx]:
-        return False
-    if s.in_order and idx != s.filled:
-        return False
+def store_slots(s: SamplerState, idx, v_on, i_meas, truth) -> int:
+    """Store readings into the distinct slots idx, taken in arrival order.
+
+    Each value is a scalar shared by every slot or an ndarray aligned with
+    idx. Filled slots are skipped; in_order accepts the next sequential
+    slot, then the one after it if it arrives later, and so on; the rest of
+    the cycle budget caps the count. Returns the number of slots stored.
+    """
+    idx = np.asarray(idx, dtype=int)
+    room = s.budget_per_cycle - s.budget_used
+    if s.in_order or len(idx) > room or s.filled_mask[idx].nonzero()[0].size:
+        # drop what may not be stored, keeping the values aligned
+        sel = (~s.filled_mask[idx]).nonzero()[0]
+        if s.in_order and len(sel):
+            # row j: where slot filled + j arrives; accept while arrivals ascend
+            hit = idx[sel] == s.filled + np.arange(len(sel))[:, None]
+            pos = hit.argmax(axis=1)
+            ok = hit.any(axis=1) & (np.diff(pos, prepend=-1) > 0)
+            sel = sel[pos[:int(np.cumprod(ok).sum())]]
+        sel = sel[:max(room, 0)]
+        idx = idx[sel]
+        v_on, i_meas, truth = (x[sel] if isinstance(x, np.ndarray) else x
+                               for x in (v_on, i_meas, truth))
     s.v_on[idx] = v_on
     s.i[idx] = i_meas
     s.truth[idx] = truth
     s.filled_mask[idx] = True
-    s.filled += 1
-    s.budget_used += 1
-    return True
+    s.filled += len(idx)
+    s.budget_used += len(idx)
+    return len(idx)
 
 
 def sampler_update(s: SamplerState, theta_now: float, reading, i_meas: float,
@@ -196,7 +203,7 @@ def sampler_update(s: SamplerState, theta_now: float, reading, i_meas: float,
     idx = match_trigger(theta_now, s.triggers)
     if idx is None:
         return False
-    return _store(s, idx, reading.v_op1, i_meas, truth)
+    return store_slots(s, [idx], reading.v_op1, i_meas, truth) > 0
 
 
 def sampler_update_interval(s: SamplerState, theta_prev: float,
@@ -210,13 +217,8 @@ def sampler_update_interval(s: SamplerState, theta_prev: float,
     """
     if not reading.valid:
         return 0
-    stored = 0
-    for idx in triggers_in_interval(s.triggers, theta_prev, theta_now):
-        if _store(s, int(idx), reading.v_op1, i_meas, truth):
-            stored += 1
-        if s.budget_used >= s.budget_per_cycle:
-            break
-    return stored
+    return store_slots(s, triggers_in_interval(s.triggers, theta_prev, theta_now),
+                       reading.v_op1, i_meas, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +299,16 @@ def estimate_ron(s: SamplerState, taps: Sequence[float],
     return RonEstimate(r_on=r_f, i_at_peak=float(s.i[c]))
 
 
-def filtered_ratio_trace(s: SamplerState, taps: Sequence[float],
-                         i_floor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(raw, filtered) per-slot resistance traces for a completed window."""
-    if not s.complete:
-        raise IncompleteWindow(f"{s.filled}/{s.triggers.n} slots filled")
-    valid = np.abs(s.i) >= i_floor
-    safe_i = np.where(valid, s.i, 1.0)
-    raw = np.where(valid, s.v_on / safe_i, np.nan)
-    filt = fir_filter(np.where(valid, raw, 0.0), taps)
-    return raw, filt
-
-
 # ---------------------------------------------------------------------------
 # R_on(T_j, I_d) lookup table
 # ---------------------------------------------------------------------------
+
+def _channel_shift(ch: dict, t, delta_vth: float):
+    """Channel-term growth under a threshold shift, from a table's snapshot
+    of the channel law."""
+    ov = ch["v_gs"] - (ch["v_th0"] + ch["rho_vth"] * (t - ch["t0"]))
+    return ch["k_ch"] / (ov - delta_vth) - ch["k_ch"] / ov
+
 
 class TjEstimate(NamedTuple):
     t_j: float
@@ -358,9 +355,7 @@ class RonLut:
     def _oxide_shift(self, t: np.ndarray) -> np.ndarray:
         if self.channel is None or self.delta_vth_hat == 0.0:
             return np.zeros_like(t)
-        ch = self.channel
-        ov = ch["v_gs"] - (ch["v_th0"] + ch["rho_vth"] * (t - ch["t0"]))
-        return ch["k_ch"] / (ov - self.delta_vth_hat) - ch["k_ch"] / ov
+        return _channel_shift(self.channel, t, self.delta_vth_hat)
 
     def _pkg_shift(self, t: np.ndarray) -> np.ndarray:
         if self.offset_pkg == 0.0:
@@ -421,8 +416,7 @@ def build_ron_lut(params: dev_mod.DeviceParams,
     t = np.asarray(t_axis, dtype=float)
     i = np.asarray(i_axis, dtype=float)
     grid = np.array([[dev_mod.r_on(fresh, tj, ii, v_gs) for ii in i] for tj in t])
-    drift = params.r_drift0 * ((t + dev_mod.KELVIN) / (params.t0 + dev_mod.KELVIN)) \
-        ** params.alpha_drift
+    drift = dev_mod.drift_resistance(params, t)
     channel = {"k_ch": params.k_ch, "v_gs": v_gs, "v_th0": params.v_th0,
                "rho_vth": params.rho_vth, "t0": params.t0}
     return RonLut(t_axis=t, i_axis=i, grid=grid, drift_profile=drift,
@@ -461,12 +455,8 @@ def recalibrate_lut(lut: RonLut, r_on_measured_ambient: float, t_ambient: float,
         raise AmbientMismatch(
             f"measured {r_on_measured_ambient:.4g} ohm is below the fresh "
             f"table value {fresh_val:.4g} ohm")
-    if delta_vth > 0 and lut.channel is not None:
-        ch = lut.channel
-        ov = ch["v_gs"] - (ch["v_th0"] + ch["rho_vth"] * (t_ambient - ch["t0"]))
-        oxide_at_cal = ch["k_ch"] / (ov - delta_vth) - ch["k_ch"] / ov
-    else:
-        oxide_at_cal = 0.0
+    oxide_at_cal = _channel_shift(lut.channel, t_ambient, delta_vth) \
+        if delta_vth > 0 and lut.channel is not None else 0.0
     return RonLut(t_axis=lut.t_axis, i_axis=lut.i_axis, grid=lut.grid,
                   drift_profile=lut.drift_profile, channel=lut.channel,
                   offset=offset, offset_pkg=offset - oxide_at_cal,

@@ -120,9 +120,6 @@ class SenseChannel:
             return 0.0
         return float(self.rng.normal(0.0, self.params.noise_sigma))
 
-    def reset_filter(self, v: float = 0.0):
-        self._v_filt = v
-
 
 def sense_vds(ch: SenseChannel, v_ds_true: float, sw_on: bool, dt: float
               ) -> SenseReading:

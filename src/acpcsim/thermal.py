@@ -1,17 +1,21 @@
 """Per-device Foster thermal network from junction to coolant/ambient, an
-on/off liquid-cooling boundary with finite transfer capacity, and a lagged
-case-temperature sensor.
+on/off liquid-cooling boundary with finite transfer capacity, and the
+parameters of the lagged case-temperature (NTC) sensor.
 
 Each Foster stage is advanced with the exact single-pole update
 T <- T*exp(-dt/tau) + P*R*(1 - exp(-dt/tau)), which is unconditionally
 stable and makes the per-stage energy balance analytic. The last stage is
 the case-to-reference boundary; its resistance is swapped by the cooling
 state when the pump toggles.
+
+foster_step is the scalar reference for one network. The bench advances all
+twelve devices at once in cycling.TestBench._thermal_step, with the same
+update, die-attach aging on the junction-side stage, the per-bridge cooling
+boundary and the NTC lag.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,35 +41,20 @@ class FosterStage:
 
 @dataclass
 class FosterNetwork:
-    """Series of parallel RC pairs; stage_temps are kelvins above reference.
-
-    r_th_aging_factor scales the junction-side stage resistance (die-attach
-    degradation raises the junction-to-case drop without changing capacity).
-    """
+    """Series of parallel RC pairs; stage_temps are kelvins above reference."""
 
     stages: list[FosterStage]
     stage_temps: np.ndarray = None
-    r_th_aging_factor: float = 1.0
 
     def __post_init__(self):
         if not self.stages:
             raise ValueError("need at least one stage")
-        if self.r_th_aging_factor < 1.0:
-            raise ValueError("aging factor must be >= 1")
         if self.stage_temps is None:
             self.stage_temps = np.zeros(len(self.stages))
         else:
             self.stage_temps = np.asarray(self.stage_temps, dtype=float)
             if self.stage_temps.shape != (len(self.stages),):
                 raise ValueError("stage_temps length must match stages")
-
-    def effective_r(self) -> np.ndarray:
-        r = np.array([s.r_th for s in self.stages])
-        r[0] *= self.r_th_aging_factor
-        return r
-
-    def total_r_th(self) -> float:
-        return float(self.effective_r().sum())
 
 
 def foster_step(net: FosterNetwork, p_loss: float, t_ref: float, dt: float
@@ -77,7 +66,7 @@ def foster_step(net: FosterNetwork, p_loss: float, t_ref: float, dt: float
     """
     if dt <= 0:
         raise StepTooLarge("dt must be positive")
-    r = net.effective_r()
+    r = np.array([s.r_th for s in net.stages])
     c = np.array([s.c_th for s in net.stages])
     tau = r * c
     if dt >= tau.min() / 4.0:
@@ -140,31 +129,14 @@ def cooling_absorb(state: CoolingState, q_watts: float, dt: float) -> None:
 
 @dataclass
 class NtcModel:
+    """Case sensor: constant bias plus a first-order lag (0 means none)."""
+
     bias: float = 0.0          # degC, constant reading offset
     time_constant: float = 0.1  # s, first-order sensor lag
 
     def __post_init__(self):
         if self.time_constant < 0:
             raise ValueError("time_constant must be nonnegative")
-
-
-@dataclass
-class NtcSensor:
-    model: NtcModel
-    reading: float = 25.0
-
-    def read(self, t_case_true: float, dt: float) -> float:
-        target = t_case_true + self.model.bias
-        if self.model.time_constant <= 0:
-            self.reading = target
-        else:
-            alpha = 1.0 - math.exp(-dt / self.model.time_constant)
-            self.reading += alpha * (target - self.reading)
-        return self.reading
-
-
-def ntc_read(sensor: NtcSensor, t_case_true: float, dt: float) -> float:
-    return sensor.read(t_case_true, dt)
 
 
 def default_network(total_r_jc: float = 0.09, boundary_r: float = 0.4,
@@ -180,32 +152,3 @@ def default_network(total_r_jc: float = 0.09, boundary_r: float = 0.4,
               for s, t in zip(shares, taus)]
     stages.append(FosterStage(r_th=boundary_r, c_th=boundary_c))
     return FosterNetwork(stages=stages)
-
-
-class ThermalBank:
-    """Vectorized Foster stepping for a bank of identical devices.
-
-    Same exponential update as foster_step, evaluated across (n_devices,
-    n_stages) in one shot. The exact update holds for any dt under
-    piecewise-constant loss, so the public step-size guard is not applied
-    here; envelope-mode campaigns rely on that.
-    """
-
-    def __init__(self, n: int, network: FosterNetwork):
-        self.n = n
-        self.base_r = np.array([s.r_th for s in network.stages])
-        self.c = np.array([s.c_th for s in network.stages])
-        self.temps = np.zeros((n, len(network.stages)))
-        self.aging_factor = np.ones(n)
-
-    def step(self, p_loss: np.ndarray, t_ref: float, r_boundary: float,
-             dt: float) -> tuple[np.ndarray, np.ndarray]:
-        r = np.tile(self.base_r, (self.n, 1))
-        r[:, 0] *= self.aging_factor
-        r[:, -1] = r_boundary
-        tau = r * self.c
-        a = np.exp(-dt / tau)
-        self.temps = self.temps * a + p_loss[:, None] * r * (1.0 - a)
-        t_j = t_ref + self.temps.sum(axis=1)
-        t_case = t_ref + self.temps[:, -1]
-        return t_j, t_case

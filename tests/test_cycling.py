@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acpcsim import sampler as smp
 from acpcsim import thermal as th
 from acpcsim.core import BenchConfig, Fidelity, Technique, validate_scenario
 from acpcsim.cycling import (BODY_DIODE_WARNING, GATE_OXIDE_WARNING,
@@ -41,6 +42,18 @@ class TestBankConsistency:
                 conduction_voltage(bank.device_state(k), float(i[k]),
                                    float(bank.t_j[k]),
                                    bank.params.gate_on_v), abs=1e-15)
+        # per-device temperature column against a (device, sample) current
+        # grid, as the envelope step calls it: 240 currents, one of them zero
+        i = rng.uniform(-450, 450, (N_DEVICES, 20))
+        i[3, 7] = 0.0
+        vec = bank.conduction(i, t_j=bank.t_j[:, None])
+        assert vec[3, 7] == 0.0
+        for k in range(N_DEVICES):
+            for j in range(i.shape[1]):
+                assert vec[k, j] == pytest.approx(
+                    conduction_voltage(bank.device_state(k), float(i[k, j]),
+                                       float(bank.t_j[k]),
+                                       bank.params.gate_on_v), abs=1e-15)
 
     def test_trajectory_application_is_monotone(self):
         bank = DeviceBank(module_400a(), ambient=25.0)
@@ -164,6 +177,38 @@ class TestStartup:
         res = b.run_campaign()
         finite = [np.isfinite(r.v_th).all() for r in res.records]
         assert finite == [True, False, True, False]
+
+
+    def test_scenario_gate_drive_reaches_the_devices(self):
+        # the bank, the lookup table and the start-up measurement all see
+        # the scenario's 18 V drive, so the estimate closes within AC-2's
+        # 3 degC (a bank left at the profile's 15 V reads ~33 degC hot)
+        cfg = envelope_cfg(gate_on_v=18.0)
+        b = TestBench(default_settings(cfg, budget_per_cycle=300,
+                                       sampler_n=60))
+        assert b.bank.params.gate_on_v == 18.0
+        b.startup_measurements()
+        b.bank.t_j[:] = 100.0
+        r = b.bank.conduction(np.full(N_DEVICES, 400.0))[0] / 400.0
+        assert smp.estimate_tj(r, 400.0, b.luts[0]).t_j == \
+            pytest.approx(100.0, abs=3.0)
+        b.run_steady(0.2)
+        err = [w["tj_est"] - w["tj_true"] for w in b.windows]
+        assert len(err) == 10 * N_DEVICES and np.abs(err).max() < 3.0
+
+
+class TestEnvelopeCapture:
+    def test_partial_budget_windows(self):
+        # 60 slots at 5 per fundamental cycle: the out-of-order branch that
+        # stores a few slots per cycle instead of the batched whole window
+        cfg = envelope_cfg()
+        b = TestBench(default_settings(cfg, budget_per_cycle=5, sampler_n=60,
+                                       **fast_thermal()))
+        b.run_steady(0.5)
+        assert len(b.windows) == 2 * N_DEVICES
+        for w in b.windows:
+            assert w["cycles_used"] == 12
+            assert w["r_est"] == pytest.approx(w["r_true"], rel=0.015)
 
 
 class TestWarnings:

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from acpcsim.cycling import DeviceBank
 from acpcsim.device import (AgingState, AgingTrajectory, ChannelOff,
                             DeviceParams, DeviceState, apply_aging,
                             calibrated_params, conduction_voltage,
-                            conduction_voltage_array, delta_vth_for_vds_shift,
-                            gate_oxide_trajectory, losses, module_400a, r_on,
+                            delta_vth_for_vds_shift, drift_resistance,
+                            gate_oxide_trajectory, losses, module_400a,
+                            on_resistance, r_on,
                             v_sd, v_th, vendor_a, vendor_b,
                             vgs_at_channel_current)
 
@@ -39,6 +41,24 @@ class TestRon:
     def test_channel_off_raises(self):
         with pytest.raises(ChannelOff):
             r_on(fresh(), 25.0, 100.0, 2.0)
+
+    def test_law_broadcasts_like_the_scalar_wrapper(self):
+        # a (T, 1) column against an (I,) row gives the (T, I) table of
+        # scalar evaluations; the drift helper is the zero-aging drift term
+        p = module_400a()
+        dev = DeviceState(params=p, aging=AgingState(delta_pkg=0.07,
+                                                     delta_vth=0.3))
+        t = np.array([[25.0], [77.0], [160.0]])
+        i = np.array([0.0, 120.0, 400.0, 450.0])
+        table = on_resistance(p, t, i, 15.0, 0.07, 0.3)
+        assert table.shape == (3, 4)
+        for a in range(3):
+            for b in range(4):
+                assert table[a, b] == pytest.approx(
+                    r_on(dev, float(t[a, 0]), float(i[b]), 15.0), rel=1e-14)
+        assert drift_resistance(p, 25.0) == p.r_drift0
+        assert on_resistance(p, 25.0, p.i_nominal, p.gate_on_v) == \
+            pytest.approx(3.95e-3, rel=1e-12)
 
     def test_halved_overdrive_doubles_channel_term(self):
         p = calibrated_params(r_total_t0=4e-3, channel_fraction=0.999999,
@@ -125,16 +145,23 @@ class TestConduction:
                                   rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
+        # the vectorized conduction path is DeviceBank.conduction; give every
+        # device the same aging and feed it a (device, sample) current grid
         rng = np.random.default_rng(9)
         dev = DeviceState(params=module_400a(),
                           aging=AgingState(delta_pkg=0.07, delta_vth=0.3,
                                            delta_vsd=0.2))
-        i = rng.uniform(-450, 450, size=200)
-        i[0] = 0.0
-        vec = conduction_voltage_array(dev, i, 77.0, 15.0)
-        for k in range(len(i)):
+        bank = DeviceBank(dev.params, ambient=77.0)
+        bank.delta_pkg[:] = dev.aging.delta_pkg
+        bank.delta_vth[:] = dev.aging.delta_vth
+        bank.delta_vsd[:] = dev.aging.delta_vsd
+        i = rng.uniform(-450, 450, size=(bank.n, 17))
+        i[0, 0] = 0.0
+        vec = bank.conduction(i, t_j=np.full((bank.n, 1), 77.0))
+        assert vec.shape == i.shape
+        for k, cur in np.ndenumerate(i):
             assert vec[k] == pytest.approx(
-                conduction_voltage(dev, float(i[k]), 77.0, 15.0), abs=1e-15)
+                conduction_voltage(dev, float(cur), 77.0, 15.0), abs=1e-15)
 
 
 class TestVsd:

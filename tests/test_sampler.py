@@ -10,6 +10,7 @@ from acpcsim.sampler import (AmbientMismatch, IncompleteWindow, RonLut,
                              default_fir_taps, detect_peak_angle, estimate_ron,
                              estimate_tj, fir_filter, match_trigger,
                              recalibrate_lut, sampler_update,
+                             sampler_update_interval, store_slots,
                              triggers_in_interval)
 
 
@@ -112,6 +113,64 @@ class TestSamplerBudget:
         s = SamplerState(ts, budget_per_cycle=5)
         assert not sampler_update(s, 1.0, Reading(1.0, valid=False), 10.0)
         assert s.filled == 0
+
+    def test_interval_store_matches_one_slot_at_a_time(self):
+        # store_slots against the per-slot rule: skip filled slots, in_order
+        # takes only the next sequential slot, stop when the budget is spent;
+        # the window wraps through 0 rad, so sweeps cross the wrap too
+        ts = build_trigger_set(0.1, 40, 0.3)
+        rng = np.random.default_rng(8)
+        for in_order in (False, True):
+            for budget in (1, 3, 7, 40):
+                got = SamplerState(ts, budget_per_cycle=budget, in_order=in_order)
+                ref = SamplerState(ts, budget_per_cycle=budget, in_order=in_order)
+                stored = windows = 0
+                for _ in range(100):  # fundamental cycles sweeping the window
+                    got.start_cycle()
+                    ref.start_cycle()
+                    theta = -0.35
+                    while theta < 0.45:
+                        nxt = theta + float(rng.uniform(0.0, 0.1))
+                        v = float(rng.normal())
+                        n = sampler_update_interval(got, theta, nxt,
+                                                    Reading(v), 50.0)
+                        want = 0
+                        for k in triggers_in_interval(ts, theta, nxt):
+                            if (ref.budget_used < budget
+                                    and not ref.filled_mask[k]
+                                    and (not in_order or k == ref.filled)):
+                                ref.v_on[k] = v
+                                ref.filled_mask[k] = True
+                                ref.filled += 1
+                                ref.budget_used += 1
+                                want += 1
+                        assert n == want
+                        assert (got.filled_mask == ref.filled_mask).all()
+                        assert (got.v_on == ref.v_on).all()
+                        assert got.budget_used == ref.budget_used
+                        stored += n
+                        if got.complete:
+                            got.reset_window()
+                            ref.reset_window()
+                            windows += 1
+                        theta = nxt
+                assert windows >= 1 and stored >= 100
+
+    def test_store_slots_keeps_values_aligned_with_slots(self):
+        ts = build_trigger_set(1.0, 12, 0.2)
+        s = SamplerState(ts, budget_per_cycle=2)
+        store_slots(s, [2], 0.5, 10.0, 0.05)
+        n = store_slots(s, [4, 2, 9, 7], np.array([1.0, 2.0, 3.0, 4.0]),
+                        np.array([11.0, 12.0, 13.0, 14.0]), 0.1)
+        assert n == 1 and s.budget_used == 2
+        assert (s.v_on[[2, 4, 9]] == [0.5, 1.0, 0.0]).all()
+        assert (s.i[[2, 4]] == [10.0, 11.0]).all()
+        assert not s.filled_mask[9]
+        # in order: slot 0, then 1 and 2 as each arrives after its predecessor
+        s = SamplerState(ts, budget_per_cycle=12, in_order=True)
+        assert store_slots(s, [3, 0, 1, 4, 2], np.arange(5.0), 1.0, 0.1) == 3
+        assert (s.v_on[:3] == [1.0, 2.0, 4.0]).all() and s.filled == 3
+        assert store_slots(s, [4, 3], 7.0, 1.0, 0.1) == 1 and s.filled_mask[3]
 
     def test_order_independence(self):
         # any arrival order reconstructs the same slot array

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from acpcsim.cycling import N_DEVICES, TestBench, default_settings
 from acpcsim.thermal import (CoolingState, FosterNetwork, FosterStage,
-                             NtcModel, NtcSensor, StepTooLarge, ThermalBank,
-                             cooling_absorb, cooling_step, default_network,
-                             foster_step, ntc_read)
+                             NtcModel, StepTooLarge, cooling_absorb,
+                             cooling_step, default_network, foster_step)
 
 
 def single_stage(r=0.1, c=10.0):
     return FosterNetwork(stages=[FosterStage(r, c)])
+
+
+def bench(**overrides) -> TestBench:
+    """A bench whose thermal state is driven directly through _thermal_step."""
+    return TestBench(default_settings(**overrides))
 
 
 class TestFosterStep:
@@ -67,13 +72,17 @@ class TestFosterStep:
         assert t_j >= t_case >= 25.0
 
     def test_die_attach_aging_raises_junction_to_case_gap(self):
+        # the bench's step cache is keyed on aging_version, so one fresh
+        # bench per die-attach factor
         gaps = []
+        p = np.zeros(N_DEVICES)
+        p[0] = 300.0
         for factor in (1.0, 1.2, 1.5):
-            net = default_network()
-            net.r_th_aging_factor = factor
-            for _ in range(400_000):
-                t_j, t_case = foster_step(net, 300.0, 25.0, 1e-4)
-            gaps.append(t_j - t_case)
+            b = bench()
+            b.bank.r_th_factor[:] = factor
+            for _ in range(4000):
+                b._thermal_step(p, 1e-2, pump_test=True)
+            gaps.append(b.bank.t_j[0] - b._t_case[0])
         assert gaps[0] < gaps[1] < gaps[2]
 
 
@@ -125,34 +134,56 @@ class TestCooling:
 
 
 class TestNtc:
+    """The case sensors as the bench runs them (TestBench.ntc_readings)."""
+
     def test_ideal_sensor_is_exact(self):
-        s = NtcSensor(NtcModel(bias=0.0, time_constant=0.0), reading=25.0)
-        assert ntc_read(s, 77.3, 0.1) == 77.3
+        b = bench(ntc=NtcModel(bias=0.0, time_constant=0.0))
+        b._stage_temps[:, -1] = 52.3
+        b._thermal_step(np.zeros(N_DEVICES), 0.1, pump_test=True)
+        assert (b.ntc_readings == b._t_case).all()
+        assert b.ntc_readings[0] > 70.0
 
     def test_bias_adds_in_steady_state(self):
-        s = NtcSensor(NtcModel(bias=3.0, time_constant=0.5), reading=25.0)
+        b = bench(ntc=NtcModel(bias=3.0, time_constant=0.5))
+        p = np.full(N_DEVICES, 200.0)
         for _ in range(10_000):
-            out = ntc_read(s, 90.0, 1e-2)
-        assert out == pytest.approx(93.0, abs=1e-3)
+            b._thermal_step(p, 1e-2, pump_test=True)
+        assert b._t_case[0] == pytest.approx(25.0 + 200.0 * 0.4, abs=1e-3)
+        assert b.ntc_readings == pytest.approx(b._t_case + 3.0, abs=1e-3)
 
     def test_first_order_step_response(self):
-        s = NtcSensor(NtcModel(bias=0.0, time_constant=2.0), reading=25.0)
+        # a boundary stage too slow to move holds the case 100 K over
+        # ambient while the sensor, reading ambient, follows its lag
+        b = bench(network=default_network(boundary_c=1e9),
+                  ntc=NtcModel(bias=0.0, time_constant=2.0))
+        b._stage_temps[:6, -1] = 100.0
         for _ in range(2000):
-            out = ntc_read(s, 125.0, 1e-3)
-        assert out == pytest.approx(25.0 + 100.0 * (1 - math.exp(-1.0)),
-                                    rel=1e-3)
+            b._thermal_step(np.zeros(N_DEVICES), 1e-3, pump_test=False)
+        assert b._t_case[:6] == pytest.approx(125.0, abs=1e-5)
+        assert b.ntc_readings[:6] == pytest.approx(
+            25.0 + 100.0 * (1 - math.exp(-1.0)), rel=1e-3)
 
 
 def test_thermal_bank_matches_foster_step():
-    net = default_network()
-    bank = ThermalBank(3, net)
-    ref = default_network()
-    p = np.array([200.0, 200.0, 200.0])
+    # TestBench._thermal_step against the scalar reference: the test bridge
+    # with the pump off (boundary to still air, ambient reference), the load
+    # bridge on the coolant
+    b = bench()
+    cool = b.cool_test
+    refs = []
+    for r_b, t_ref, p_k in ((cool.r_boundary_off, cool.ambient_temp, 200.0),
+                            (cool.r_boundary_on, cool.coolant_temp, 150.0)):
+        net = default_network()
+        net.stages[-1] = FosterStage(r_b, net.stages[-1].c_th)
+        refs.append((net, t_ref, p_k))
+    p = np.repeat([200.0, 150.0], 6)
     for _ in range(500):
-        tj_b, tc_b = bank.step(p, 25.0, net.stages[-1].r_th, 1e-4)
-        tj_r, tc_r = foster_step(ref, 200.0, 25.0, 1e-4)
-    assert tj_b[0] == pytest.approx(tj_r, rel=1e-12)
-    assert tc_b[0] == pytest.approx(tc_r, rel=1e-12)
+        b._thermal_step(p, 1e-4, pump_test=False)
+        expect = [foster_step(net, p_k, t_ref, 1e-4) for net, t_ref, p_k in refs]
+    for k in range(N_DEVICES):
+        tj_r, tc_r = expect[k // 6]
+        assert b.bank.t_j[k] == pytest.approx(tj_r, rel=1e-12)
+        assert b._t_case[k] == pytest.approx(tc_r, rel=1e-12)
 
 
 def test_invalid_stage_rejected():
