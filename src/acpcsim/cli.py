@@ -4,11 +4,12 @@ deterministic seeding, and CSV persistence.
 Scenario file format
 --------------------
 Flat ``key = value`` text. Blank lines and lines starting with ``#`` are
-ignored. Unknown keys are rejected. All keys are optional; defaults are
-documented in the module they configure.
+ignored. Unknown keys are rejected under every prefix. All keys are
+optional; an absent key keeps the default of the dataclass or function that
+owns the field it sets (the ``SCHEMA`` table names that field).
 
 bench.*      v_dc, f_sw, f_fund, modulation_index, pf_mode (motor|generator|
-             custom), pf_angle_deg, i_ref_peak, link_inductance,
+             custom), pf_angle_deg, pf_angle_rad, i_ref_peak, link_inductance,
              link_resistance, gate_on_v, gate_off_v, technique (fixed_times|
              case_swing|junction_swing), t_on, t_off, t_case_max, t_case_min,
              t_j_max, t_j_min, n_cycles, rng_seed, mode (switched|averaged|
@@ -22,17 +23,16 @@ sense.*      any numeric field of the sense-circuit parameter set, e.g.
 desat.*      threshold, blanking, compensated (bool), calibrated (bool),
              margin_v
 thermal.*    stage_r / stage_tau (comma lists, junction-side stages),
-             boundary_r_on, boundary_r_off, boundary_c, coolant_temp,
-             max_heat, reservoir_c
+             boundary_r_on, boundary_r_off, boundary_c, coolant_temp
+             (default: the ambient), max_heat, reservoir_c
 ntc.*        bias, time_constant
 sampler.*    n_points, window_deg, budget_per_cycle, fir_taps, fir_cutoff,
-             i_floor
+             i_floor (default: 5 % of the device's nominal current)
 lut.*        t_axis / i_axis (comma lists)
-aging.*      delta_pkg / delta_vth / delta_vsd / r_th_factor as breakpoint
-             lists "cycle:value, cycle:value, ..."; scope (test|all)
+aging.*      delta_pkg / delta_vth / delta_vsd / r_th_factor (breakpoint
+             lists "cycle:value, cycle:value, ..."), scope (test|all)
 policy.*     r_on_rel_threshold, v_th_shift_threshold, v_sd_shift_threshold
-run.*        startup_every, i_cal, heat_cap_s, cool_cap_s, soft_start_cycles,
-             trace_stride_s, waveform_stride
+run.*        startup_every, i_cal, heat_cap_s, cool_cap_s, soft_start_cycles
 
 Outputs
 -------
@@ -42,8 +42,9 @@ trace_thermal.csv    decimated junction temperatures
 trace_sampling.csv   last completed acquisition window, raw and filtered
 run_manifest.json    inputs, seed, emitted-file hashes, wall duration
 
-Exit codes: 0 completed, 2 configuration error, 3 run ended early by
-protection trip or thermal runaway.
+Exit codes: 0 completed, 2 configuration error (found before the output
+directory is created), 3 run ended early by protection trip or thermal
+runaway.
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 from typing import Optional
 
@@ -121,21 +124,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _to_float(key, v) -> float:
+def _float(key, v) -> float:
     try:
         return float(v)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {v!r}") from None
 
 
-def _to_int(key, v) -> int:
+def _int(key, v) -> int:
     try:
         return int(v)
     except ValueError:
         raise ConfigError(key, f"expected an integer, got {v!r}") from None
 
 
-def _to_bool(key, v) -> bool:
+def _bool(key, v) -> bool:
     if v.lower() in ("true", "1", "yes"):
         return True
     if v.lower() in ("false", "0", "no"):
@@ -143,14 +146,15 @@ def _to_bool(key, v) -> bool:
     raise ConfigError(key, f"expected true/false, got {v!r}")
 
 
-def _to_list(key, v) -> list[float]:
-    try:
-        return [float(x) for x in v.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(key, f"expected a comma list, got {v!r}") from None
+def _degrees(key, v) -> float:
+    return math.radians(_float(key, v))
 
 
-def _to_breakpoints(key, v) -> tuple:
+def _list(key, v) -> tuple:
+    return tuple(_float(key, x) for x in v.split(",") if x.strip())
+
+
+def _breakpoints(key, v) -> tuple:
     pts = []
     for item in v.split(","):
         item = item.strip()
@@ -159,216 +163,168 @@ def _to_breakpoints(key, v) -> tuple:
         if ":" not in item:
             raise ConfigError(key, f"expected cycle:value pairs, got {item!r}")
         c, _, val = item.partition(":")
-        pts.append((_to_float(key, c), _to_float(key, val)))
+        pts.append((_float(key, c), _float(key, val)))
     return tuple(pts)
 
 
-_BENCH_FLOATS = {"v_dc", "f_sw", "f_fund", "modulation_index", "i_ref_peak",
-                 "link_inductance", "link_resistance", "gate_on_v",
-                 "gate_off_v", "t_on", "t_off", "t_case_max", "t_case_min",
-                 "t_j_max", "t_j_min", "ambient_c"}
+def _one_of(choices: dict):
+    """Converter from a case-insensitive name to the value it stands for."""
+    def convert(key, v):
+        try:
+            return choices[v.lower()]
+        except KeyError:
+            raise ConfigError(key, f"expected one of {'|'.join(choices)}, "
+                                   f"got {v!r}") from None
+    return convert
 
 
-def _bench_config(raw: dict) -> BenchConfig:
-    kw = {}
-    for key, value in raw.items():
-        if not key.startswith("bench."):
-            continue
-        name = key[6:]
-        if name in _BENCH_FLOATS:
-            kw[name] = _to_float(key, value)
-        elif name == "pf_mode":
-            try:
-                kw["pf_mode"] = PfMode(value.lower())
-            except ValueError:
-                raise ConfigError(key, f"unknown pf mode {value!r}") from None
-        elif name == "pf_angle_deg":
-            kw["pf_angle_rad"] = math.radians(_to_float(key, value))
-        elif name == "pf_angle_rad":
-            kw["pf_angle_rad"] = _to_float(key, value)
-        elif name == "technique":
-            try:
-                kw["technique"] = Technique(value.lower())
-            except ValueError:
-                raise ConfigError(key, f"unknown technique {value!r}") from None
-        elif name == "mode":
-            try:
-                kw["fidelity"] = Fidelity(value.lower())
-            except ValueError:
-                raise ConfigError(key, f"unknown mode {value!r}") from None
-        elif name == "n_cycles":
-            kw["n_cycles"] = _to_int(key, value)
-        elif name == "rng_seed":
-            kw["rng_seed"] = _to_int(key, value)
-        else:
-            raise ConfigError(key, "unknown bench key")
-    return validate_scenario(BenchConfig(**kw))
+def _enum(kind):
+    return _one_of({m.value: m for m in kind})
+
+
+def _profile(key, v) -> dev_mod.DeviceParams:
+    return _one_of(dev_mod.PROFILES)(key, v)()
+
+
+def _numeric_rows(prefix: str, cls) -> list:
+    """One row per int or float field of a parameter dataclass."""
+    return [(f"{prefix}.{f.name}", _int if f.type == "int" else _float,
+             f"{prefix}.{f.name}")
+            for f in dataclasses.fields(cls) if f.type in ("float", "int")]
+
+
+# One row per scenario key: the key, its converter, and the field(s) the value
+# sets, as "part.field". Part "cfg" is the BenchConfig, "settings" the
+# BenchSettings; every other part is the object of that name that
+# build_settings assembles. An absent key leaves the owner's default.
+_ROWS = [
+    ("bench.v_dc", _float, "cfg.v_dc"),
+    ("bench.f_sw", _float, "cfg.f_sw"),
+    ("bench.f_fund", _float, "cfg.f_fund"),
+    ("bench.modulation_index", _float, "cfg.modulation_index"),
+    ("bench.pf_mode", _enum(PfMode), "cfg.pf_mode"),
+    ("bench.pf_angle_deg", _degrees, "cfg.pf_angle_rad"),
+    ("bench.pf_angle_rad", _float, "cfg.pf_angle_rad"),
+    ("bench.i_ref_peak", _float, "cfg.i_ref_peak"),
+    ("bench.link_inductance", _float, "cfg.link_inductance"),
+    ("bench.link_resistance", _float, "cfg.link_resistance"),
+    ("bench.gate_on_v", _float, "cfg.gate_on_v"),
+    ("bench.gate_off_v", _float, "cfg.gate_off_v"),
+    ("bench.technique", _enum(Technique), "cfg.technique"),
+    ("bench.t_on", _float, "cfg.t_on"),
+    ("bench.t_off", _float, "cfg.t_off"),
+    ("bench.t_case_max", _float, "cfg.t_case_max"),
+    ("bench.t_case_min", _float, "cfg.t_case_min"),
+    ("bench.t_j_max", _float, "cfg.t_j_max"),
+    ("bench.t_j_min", _float, "cfg.t_j_min"),
+    ("bench.n_cycles", _int, "cfg.n_cycles"),
+    ("bench.rng_seed", _int, "cfg.rng_seed"),
+    ("bench.mode", _enum(Fidelity), "cfg.fidelity"),
+    ("bench.ambient_c", _float, "cfg.ambient_c"),
+    ("device.profile", _profile, "settings.device_params"),
+    *_numeric_rows("device", dev_mod.DeviceParams),
+    *_numeric_rows("sense", sns.SenseCircuitParams),
+    ("desat.threshold", _float, "desat.threshold"),
+    ("desat.blanking", _float, "desat.blanking"),
+    ("desat.compensated", _bool, "desat.compensated"),
+    ("desat.calibrated", _bool, "settings.desat_calibrated"),
+    ("desat.margin_v", _float, "settings.desat_margin_v"),
+    ("thermal.stage_r", _list, "network.stage_r"),
+    ("thermal.stage_tau", _list, "network.stage_tau"),
+    ("thermal.boundary_r_on", _float, "network.boundary_r",
+     "cooling.r_boundary_on"),
+    ("thermal.boundary_r_off", _float, "cooling.r_boundary_off"),
+    ("thermal.boundary_c", _float, "network.boundary_c"),
+    ("thermal.coolant_temp", _float, "cooling.coolant_temp"),
+    ("thermal.max_heat", _float, "cooling.max_heat"),
+    ("thermal.reservoir_c", _float, "cooling.reservoir_c"),
+    ("ntc.bias", _float, "ntc.bias"),
+    ("ntc.time_constant", _float, "ntc.time_constant"),
+    ("sampler.n_points", _int, "settings.sampler_n"),
+    ("sampler.window_deg", _degrees, "settings.sampler_window"),
+    ("sampler.budget_per_cycle", _int, "settings.budget_per_cycle"),
+    ("sampler.fir_taps", _int, "fir.n_taps"),
+    ("sampler.fir_cutoff", _float, "fir.cutoff"),
+    ("sampler.i_floor", _float, "settings.i_floor"),
+    ("lut.t_axis", _list, "settings.lut_t_axis"),
+    ("lut.i_axis", _list, "settings.lut_i_axis"),
+    ("aging.delta_pkg", _breakpoints, "aging.delta_pkg"),
+    ("aging.delta_vth", _breakpoints, "aging.delta_vth"),
+    ("aging.delta_vsd", _breakpoints, "aging.delta_vsd"),
+    ("aging.r_th_factor", _breakpoints, "settings.r_th_aging"),
+    ("aging.scope", _one_of({"test": "test", "all": "all"}),
+     "settings.aging_scope"),
+    ("policy.r_on_rel_threshold", _float, "policy.r_on_rel_threshold"),
+    ("policy.v_th_shift_threshold", _float, "policy.v_th_shift_threshold"),
+    ("policy.v_sd_shift_threshold", _float, "policy.v_sd_shift_threshold"),
+    ("run.startup_every", _int, "settings.startup_every"),
+    ("run.i_cal", _float, "settings.i_cal"),
+    ("run.heat_cap_s", _float, "settings.heat_cap_s"),
+    ("run.cool_cap_s", _float, "settings.cool_cap_s"),
+    ("run.soft_start_cycles", _float, "settings.soft_start_cycles"),
+]
+SCHEMA = {key: (convert, targets) for key, convert, *targets in _ROWS}
 
 
 def bench_section(cfg: BenchConfig) -> dict:
     """Scenario dict for a validated bench config (full float precision)."""
-    out = {
-        "bench.v_dc": cfg.v_dc, "bench.f_sw": cfg.f_sw,
-        "bench.f_fund": cfg.f_fund,
-        "bench.modulation_index": cfg.modulation_index,
-        "bench.pf_mode": cfg.pf_mode.value,
-        "bench.i_ref_peak": cfg.i_ref_peak,
-        "bench.link_inductance": cfg.link_inductance,
-        "bench.link_resistance": cfg.link_resistance,
-        "bench.gate_on_v": cfg.gate_on_v, "bench.gate_off_v": cfg.gate_off_v,
-        "bench.technique": cfg.technique.value,
-        "bench.n_cycles": cfg.n_cycles, "bench.rng_seed": cfg.rng_seed,
-        "bench.mode": cfg.fidelity.value, "bench.ambient_c": cfg.ambient_c,
-    }
-    if cfg.pf_mode is PfMode.CUSTOM:
-        # radians on output so numeric fields round-trip bit-exactly
-        out["bench.pf_angle_rad"] = cfg.pf_angle_rad
-    for name in ("t_on", "t_off", "t_case_max", "t_case_min", "t_j_max",
-                 "t_j_min"):
-        v = getattr(cfg, name)
-        if v is not None:
-            out[f"bench.{name}"] = v
+    out = {}
+    for key, (convert, targets) in SCHEMA.items():
+        part, _, name = targets[0].partition(".")
+        # degree keys are input aliases: radians round-trip bit-exactly
+        if part != "cfg" or convert is _degrees:
+            continue
+        value = getattr(cfg, name)
+        if value is not None:
+            out[key] = value.value if isinstance(value, Enum) else value
     return out
 
 
-def _numeric_fields(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)
-            if f.type in ("float", "int")}
+def _network(stage_r=None, stage_tau=None, **boundary) -> th.FosterNetwork:
+    """The stock network, or the scenario's junction-side stages ahead of
+    its boundary stage."""
+    net = th.default_network(**boundary)
+    if stage_r is None and stage_tau is None:
+        return net
+    if (stage_r is None or stage_tau is None or not stage_r
+            or len(stage_r) != len(stage_tau) or min(stage_r + stage_tau) <= 0):
+        raise ConfigError("thermal.stage_r", "give stage_r and stage_tau "
+                          "together, as equal-length lists of positive values")
+    return th.FosterNetwork(stages=[
+        th.FosterStage(r, tau / r) for r, tau in zip(stage_r, stage_tau)
+    ] + net.stages[-1:])
 
 
 def build_settings(raw: dict) -> BenchSettings:
     """Assemble full bench settings from a parsed scenario (strict keys)."""
-    cfg = _bench_config(raw)
-
-    known_prefixes = ("bench.", "device.", "sense.", "desat.", "thermal.",
-                      "ntc.", "sampler.", "lut.", "aging.", "policy.", "run.")
-    for key in raw:
-        if not key.startswith(known_prefixes):
+    parts = {p: {} for p in ("cfg", "settings", "device", "sense", "desat",
+                             "network", "cooling", "ntc", "fir", "aging",
+                             "policy")}
+    for key, text in raw.items():
+        if key not in SCHEMA:
             raise ConfigError(key, "unknown key")
+        convert, targets = SCHEMA[key]
+        value = convert(key, text)
+        for target in targets:
+            part, _, name = target.partition(".")
+            parts[part][name] = value
 
-    profile = raw.get("device.profile", "module_400a")
-    if profile not in dev_mod.PROFILES:
-        raise ConfigError("device.profile", f"unknown profile {profile!r}")
-    device_params = dev_mod.PROFILES[profile]()
-    dev_numeric = _numeric_fields(dev_mod.DeviceParams)
-    dev_over = {}
-    for key, value in raw.items():
-        if key.startswith("device.") and key != "device.profile":
-            name = key[7:]
-            if name not in dev_numeric:
-                raise ConfigError(key, "unknown device field")
-            dev_over[name] = _to_float(key, value)
-    if dev_over:
-        device_params = replace(device_params, **dev_over)
-
-    sense_numeric = _numeric_fields(sns.SenseCircuitParams)
-    sense_over = {}
-    for key, value in raw.items():
-        if key.startswith("sense."):
-            name = key[6:]
-            if name not in sense_numeric:
-                raise ConfigError(key, "unknown sense field")
-            sense_over[name] = int(value) if name == "adc_bits" \
-                else _to_float(key, value)
-    sense_params = sns.SenseCircuitParams(**sense_over) if sense_over \
-        else sns.SenseCircuitParams()
-
-    desat = sns.DesatConfig(
-        threshold=_to_float("desat.threshold", raw["desat.threshold"])
-        if "desat.threshold" in raw else 9.0,
-        blanking=_to_float("desat.blanking", raw["desat.blanking"])
-        if "desat.blanking" in raw else 2e-6,
-        compensated=_to_bool("desat.compensated", raw["desat.compensated"])
-        if "desat.compensated" in raw else False,
-    )
-    desat_calibrated = _to_bool("desat.calibrated", raw["desat.calibrated"]) \
-        if "desat.calibrated" in raw else False
-    desat_margin = _to_float("desat.margin_v", raw["desat.margin_v"]) \
-        if "desat.margin_v" in raw else 0.5
-
-    stage_r = _to_list("thermal.stage_r", raw["thermal.stage_r"]) \
-        if "thermal.stage_r" in raw else None
-    stage_tau = _to_list("thermal.stage_tau", raw["thermal.stage_tau"]) \
-        if "thermal.stage_tau" in raw else None
-    b_r_on = _to_float("thermal.boundary_r_on", raw.get("thermal.boundary_r_on", "0.4"))
-    b_r_off = _to_float("thermal.boundary_r_off", raw.get("thermal.boundary_r_off", "2.0"))
-    b_c = _to_float("thermal.boundary_c", raw.get("thermal.boundary_c", "12.5"))
-    if (stage_r is None) != (stage_tau is None):
-        raise ConfigError("thermal.stage_r", "give stage_r and stage_tau together")
-    if stage_r is not None:
-        if len(stage_r) != len(stage_tau) or not stage_r:
-            raise ConfigError("thermal.stage_r", "stage lists must match and be nonempty")
-        stages = [th.FosterStage(r, tau / r) for r, tau in zip(stage_r, stage_tau)]
-        stages.append(th.FosterStage(b_r_on, b_c))
-        network = th.FosterNetwork(stages=stages)
-    else:
-        network = th.default_network(boundary_r=b_r_on, boundary_c=b_c)
-    cooling = th.CoolingState(
-        coolant_temp=_to_float("thermal.coolant_temp",
-                               raw.get("thermal.coolant_temp", str(cfg.ambient_c))),
-        r_boundary_on=b_r_on, r_boundary_off=b_r_off,
-        max_heat=_to_float("thermal.max_heat", raw.get("thermal.max_heat", "1500.0")),
-        reservoir_c=_to_float("thermal.reservoir_c",
-                              raw.get("thermal.reservoir_c", "500.0")),
-    )
-    ntc = th.NtcModel(
-        bias=_to_float("ntc.bias", raw.get("ntc.bias", "0.0")),
-        time_constant=_to_float("ntc.time_constant",
-                                raw.get("ntc.time_constant", "0.1")),
-    )
-
-    n_points = _to_int("sampler.n_points", raw.get("sampler.n_points", "300"))
-    window = math.radians(_to_float("sampler.window_deg",
-                                    raw.get("sampler.window_deg", "10.0")))
-    budget = _to_int("sampler.budget_per_cycle",
-                     raw.get("sampler.budget_per_cycle", "5"))
-    n_taps = _to_int("sampler.fir_taps", raw.get("sampler.fir_taps", "31"))
-    cutoff = _to_float("sampler.fir_cutoff", raw.get("sampler.fir_cutoff", "0.1"))
-    i_floor = _to_float("sampler.i_floor",
-                        raw.get("sampler.i_floor",
-                                str(0.05 * device_params.i_nominal)))
-
-    lut_t = _to_list("lut.t_axis", raw["lut.t_axis"]) if "lut.t_axis" in raw \
-        else tuple(range(25, 176, 25))
-    lut_i = _to_list("lut.i_axis", raw["lut.i_axis"]) if "lut.i_axis" in raw \
-        else tuple(range(50, 401, 50))
-
-    traj = AgingTrajectory(
-        delta_pkg=_to_breakpoints("aging.delta_pkg", raw.get("aging.delta_pkg", "")),
-        delta_vth=_to_breakpoints("aging.delta_vth", raw.get("aging.delta_vth", "")),
-        delta_vsd=_to_breakpoints("aging.delta_vsd", raw.get("aging.delta_vsd", "")),
-    )
-    r_th_aging = _to_breakpoints("aging.r_th_factor", raw.get("aging.r_th_factor", ""))
-    scope = raw.get("aging.scope", "test")
-    if scope not in ("test", "all"):
-        raise ConfigError("aging.scope", f"expected test or all, got {scope!r}")
-
-    policy = WarningPolicy(
-        r_on_rel_threshold=_to_float("policy.r_on_rel_threshold",
-                                     raw.get("policy.r_on_rel_threshold", "0.05")),
-        v_th_shift_threshold=_to_float("policy.v_th_shift_threshold",
-                                       raw.get("policy.v_th_shift_threshold", "0.5")),
-        v_sd_shift_threshold=_to_float("policy.v_sd_shift_threshold",
-                                       raw.get("policy.v_sd_shift_threshold", "0.1")),
-    )
-
-    return BenchSettings(
-        cfg=cfg, device_params=device_params, sense_params=sense_params,
-        desat=desat, desat_calibrated=desat_calibrated,
-        desat_margin_v=desat_margin, network=network, cooling_test=cooling,
-        cooling_load=dataclasses.replace(cooling), ntc=ntc,
-        sampler_n=n_points, sampler_window=window, budget_per_cycle=budget,
-        fir_taps=smp.default_fir_taps(n_taps, cutoff), i_floor=i_floor,
-        lut_t_axis=tuple(lut_t), lut_i_axis=tuple(lut_i), trajectory=traj,
-        r_th_aging=r_th_aging, aging_scope=scope, policy=policy,
-        startup_every=_to_int("run.startup_every",
-                              raw.get("run.startup_every", "100")),
-        i_cal=_to_float("run.i_cal", raw["run.i_cal"]) if "run.i_cal" in raw else None,
-        heat_cap_s=_to_float("run.heat_cap_s", raw.get("run.heat_cap_s", "120.0")),
-        cool_cap_s=_to_float("run.cool_cap_s", raw.get("run.cool_cap_s", "600.0")),
-        soft_start_cycles=_to_float("run.soft_start_cycles",
-                                    raw.get("run.soft_start_cycles", "2.0")),
-    )
+    settings = BenchSettings(
+        cfg=validate_scenario(BenchConfig(**parts["cfg"])),
+        sense_params=sns.SenseCircuitParams(**parts["sense"]),
+        desat=sns.DesatConfig(**parts["desat"]),
+        network=_network(**parts["network"]),
+        cooling_test=th.CoolingState(**parts["cooling"]),
+        cooling_load=th.CoolingState(**parts["cooling"]),
+        ntc=th.NtcModel(**parts["ntc"]),
+        fir_taps=smp.default_fir_taps(**parts["fir"]),
+        trajectory=AgingTrajectory(**parts["aging"]),
+        policy=WarningPolicy(**parts["policy"]),
+        **parts["settings"])
+    if parts["device"]:
+        settings.device_params = replace(settings.device_params,
+                                         **parts["device"])
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +401,12 @@ def run(scenario_path, out_dir, seed: Optional[int] = None,
         emit: str = "precursors") -> int:
     """Execute one scenario end to end; returns the process exit code."""
     t_wall = time.time()
+    # everything that depends only on the configuration, so that a
+    # configuration error exits 2 before the output directory exists
     try:
-        raw = parse_scenario(scenario_path)
-        settings = build_settings(raw)
+        if emit not in ("precursors", "waveforms", "both"):
+            raise ConfigError("--emit", f"unknown emit selection {emit!r}")
+        settings = build_settings(parse_scenario(scenario_path))
         cfg = settings.cfg
         if seed is not None:
             cfg = replace(cfg, rng_seed=int(seed))
@@ -456,13 +415,13 @@ def run(scenario_path, out_dir, seed: Optional[int] = None,
         if mode is not None:
             cfg = replace(cfg, fidelity=Fidelity(mode))
         settings.cfg = validate_scenario(cfg)
-        if emit not in ("precursors", "waveforms", "both"):
-            raise ConfigError("--emit", f"unknown emit selection {emit!r}")
-    except ConfigError as e:
+        bench = TestBench(settings)
+        if settings.cfg.fidelity is Fidelity.ENVELOPE:
+            bench._envelope_grid()  # cached for the run
+    except ValueError as e:  # ConfigError and the model's parameter checks
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 
-    bench = TestBench(settings)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -575,7 +534,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--emit", choices=["precursors", "waveforms", "both"],
                        default="precursors")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel scenario processes")
+                       help="parallel scenario processes (at most one per "
+                            "scenario and per CPU)")
 
     p_exp = sub.add_parser("export", help="reshape run outputs for plotting")
     p_exp.add_argument("run_dir")
@@ -598,8 +558,9 @@ def main(argv=None) -> int:
             else str(Path(args.out) / Path(scenario).stem)
         jobs.append((scenario, out, args.seed, args.cycles, args.mode,
                      args.emit))
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_one, jobs))
     else:
         codes = [_run_one(j) for j in jobs]

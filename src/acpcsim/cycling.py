@@ -184,10 +184,10 @@ def energy_audit(tally: EnergyTally) -> EnergyAudit:
 class DeviceBank:
     """All twelve switches evaluated together with per-device aging state.
 
-    On-resistance comes from device.on_resistance, the law the scalar device
-    operations use, so bank and scalar results agree element-wise
-    (property-tested); temperatures may be passed per device, per
-    device-and-sample, or shared.
+    On-resistance comes from device.on_resistance and the body-diode knee
+    from device.diode_knee, the laws the scalar device operations use, so
+    bank and scalar results agree element-wise (property-tested);
+    temperatures may be passed per device, per device-and-sample, or shared.
     """
 
     def __init__(self, params: DeviceParams, ambient: float):
@@ -229,7 +229,7 @@ class DeviceBank:
         r_ch = dev_mod.on_resistance(p, t, safe, p.gate_on_v,
                                      self._shaped(self.delta_pkg, t),
                                      self._shaped(self.delta_vth, t))
-        knee = p.v_j0 + p.rho_sd_lo * (t - p.t0) + self._shaped(self.delta_vsd, t)
+        knee = dev_mod.diode_knee(p, t, self._shaped(self.delta_vsd, t))
         v_lin = safe * r_ch
         v_par = (safe + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
         v_mag = np.where(i >= 0.0, v_lin, np.where(v_lin <= knee, v_lin, v_par))
@@ -301,9 +301,9 @@ class BenchSettings:
     sampler_window: float = math.radians(10.0)
     budget_per_cycle: int = 5
     fir_taps: np.ndarray = field(default_factory=smp.default_fir_taps)
-    i_floor: float = 20.0
-    lut_t_axis: tuple = tuple(range(25, 176, 25))
-    lut_i_axis: tuple = tuple(range(50, 401, 50))
+    i_floor: Optional[float] = None  # capture floor, A; default 5 % of i_nominal
+    lut_t_axis: tuple = smp.LUT_T_AXIS
+    lut_i_axis: tuple = smp.LUT_I_AXIS
     trajectory: AgingTrajectory = field(default_factory=AgingTrajectory)
     r_th_aging: tuple = ()           # breakpoints of fractional r_th(j-c) growth
     aging_scope: str = "test"        # "test" or "all"
@@ -366,6 +366,8 @@ class TestBench:
         params = replace(s.device_params, gate_on_v=cfg.gate_on_v,
                          gate_off_v=cfg.gate_off_v)
         self.bank = DeviceBank(params, self.ambient)
+        self.i_floor = 0.05 * params.i_nominal if s.i_floor is None \
+            else s.i_floor
         self.channels = [
             sns.SenseChannel(replace(s.sense_params,
                                      e_d=float(rng_ed.uniform(*sns.E_D_RANGE))),
@@ -513,7 +515,7 @@ class TestBench:
             for sstate in self.samplers:
                 sstate.start_cycle()
 
-        floor = self.s.i_floor
+        floor = self.i_floor
         sigma = self.s.sense_params.noise_sigma
         theta_prev = self.theta_prev
         for k, sstate in enumerate(self.samplers):
@@ -536,13 +538,13 @@ class TestBench:
     def _finish_window(self, k: int):
         sstate = self.samplers[k]
         taps = self.s.fir_taps
-        est = smp.estimate_ron(sstate, taps, self.s.i_floor)
+        est = smp.estimate_ron(sstate, taps, self.i_floor)
         tj = smp.estimate_tj(est.r_on, est.i_at_peak, self.luts[k])
         self.r_on_last[k] = est.r_on
         self.i_pk_last[k] = est.i_at_peak
         self.tj_est[k] = tj.t_j
         if self.collect_windows:
-            valid = np.abs(sstate.i) >= self.s.i_floor
+            valid = np.abs(sstate.i) >= self.i_floor
             truth_f = smp.center_filtered_value(sstate.truth, valid, taps,
                                                 sstate.triggers.center_index)
             self.windows.append({
@@ -691,7 +693,7 @@ class TestBench:
             sign = -1.0 if (k % 2 == 1) != (k >= 6) else 1.0
             slot_i[k] = sign * np.array(
                 [inverse_park(i_d, i_q, a)[ph] for a in sstate.triggers.angles])
-        usable = [np.flatnonzero(slot_i[k] > self.s.i_floor)
+        usable = [np.flatnonzero(slot_i[k] > self.i_floor)
                   for k in range(N_DEVICES)]
         if min(len(u) for u in usable) < self.s.sampler_n:
             raise ValueError(
@@ -725,7 +727,7 @@ class TestBench:
             for k, sstate in enumerate(self.samplers):
                 sstate.start_cycle()
                 unfilled = sstate.unfilled_indices()
-                u = unfilled[slot_i[k][unfilled] > self.s.i_floor]
+                u = unfilled[slot_i[k][unfilled] > self.i_floor]
                 take = u[:sstate.budget_per_cycle]
                 if len(take) == 0:
                     continue

@@ -131,10 +131,10 @@ def v_sd(dev: DeviceState, i, t_j):
     return p.v_j0 + rho * (t_j - p.t0) + p.r_diode * i + dev.aging.delta_vsd
 
 
-def diode_knee(dev: DeviceState, t_j):
-    """Body-diode turn-on voltage (zero-current limit of v_sd)."""
-    p = dev.params
-    return p.v_j0 + p.rho_sd_lo * (t_j - p.t0) + dev.aging.delta_vsd
+def diode_knee(p: DeviceParams, t_j, delta_vsd=0.0):
+    """Body-diode turn-on voltage (zero-current limit of v_sd), shifted by
+    body-diode aging (array-safe)."""
+    return p.v_j0 + p.rho_sd_lo * (t_j - p.t0) + delta_vsd
 
 
 def conduction_voltage(dev: DeviceState, i: float, t_j: float, v_gs: float) -> float:
@@ -157,7 +157,7 @@ def conduction_voltage(dev: DeviceState, i: float, t_j: float, v_gs: float) -> f
         return -v_sd(dev, mag, t_j)
     r_ch = r_on(dev, t_j, mag, v_gs)
     v_lin = mag * r_ch
-    knee = diode_knee(dev, t_j)
+    knee = diode_knee(dev.params, t_j, dev.aging.delta_vsd)
     if v_lin <= knee:
         return -v_lin
     p = dev.params

@@ -406,9 +406,13 @@ class RonLut:
         return cls(t_axis=t_axis, i_axis=i_axis, grid=grid)
 
 
+LUT_T_AXIS = tuple(range(25, 176, 25))  # degC
+LUT_I_AXIS = tuple(range(50, 401, 50))  # A
+
+
 def build_ron_lut(params: dev_mod.DeviceParams,
-                  t_axis: Sequence[float] = tuple(range(25, 176, 25)),
-                  i_axis: Sequence[float] = tuple(range(50, 401, 50)),
+                  t_axis: Sequence[float] = LUT_T_AXIS,
+                  i_axis: Sequence[float] = LUT_I_AXIS,
                   v_gs: Optional[float] = None) -> RonLut:
     """Characterize a fresh device over the grid (self-consistent oracle)."""
     v_gs = params.gate_on_v if v_gs is None else v_gs

@@ -17,6 +17,7 @@ boundary and the NTC lag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -85,10 +86,11 @@ class CoolingState:
 
     While the pump runs, heat delivered beyond max_heat accumulates in the
     coolant loop, so the effective reference temperature ramps and the
-    overload is flagged (latching).
+    overload is flagged (latching). The coolant is supplied at the ambient
+    temperature unless coolant_temp is set.
     """
 
-    coolant_temp: float = 25.0
+    coolant_temp: Optional[float] = None  # supply, degC; None: ambient_temp
     ambient_temp: float = 25.0
     r_boundary_on: float = 0.4    # K/W, case to coolant with the pump running
     r_boundary_off: float = 2.0   # K/W, case to still air with the pump off
@@ -107,7 +109,9 @@ def cooling_step(state: CoolingState, pump_on: bool) -> tuple[float, float]:
     """Apply the pump command; returns the (t_ref, r_boundary) pair."""
     state.pump_on = pump_on
     if pump_on:
-        return state.coolant_temp + state.overload_rise, state.r_boundary_on
+        supply = state.ambient_temp if state.coolant_temp is None \
+            else state.coolant_temp
+        return supply + state.overload_rise, state.r_boundary_on
     return state.ambient_temp, state.r_boundary_off
 
 
@@ -139,7 +143,8 @@ class NtcModel:
             raise ValueError("time_constant must be nonnegative")
 
 
-def default_network(total_r_jc: float = 0.09, boundary_r: float = 0.4,
+def default_network(total_r_jc: float = 0.09,
+                    boundary_r: float = CoolingState.r_boundary_on,
                     boundary_c: float = 12.5) -> FosterNetwork:
     """Stock four-stage network: junction-side stages with taus of
     1 ms / 30 ms / 0.5 s plus the case boundary stage (tau 5 s at the stock

@@ -1,13 +1,22 @@
+import dataclasses
 import hashlib
 import json
+import re
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from acpcsim.cli import (UnknownKind, bench_section, build_settings,
+from acpcsim import cli
+from acpcsim.cli import (SCHEMA, UnknownKind, bench_section, build_settings,
                          export_plotdata, main, parse_scenario, run,
                          write_scenario)
-from acpcsim.core import BenchConfig, ConfigError, PfMode, Technique, \
-    validate_scenario
+from acpcsim.core import BenchConfig, ConfigError, Fidelity, PfMode, \
+    Technique, validate_scenario
+from acpcsim.cycling import TestBench, default_settings
+from acpcsim.device import vendor_a
+from acpcsim.thermal import cooling_step
 
 FAST_SCENARIO = """
 # three quick envelope cycles
@@ -61,6 +70,21 @@ class TestScenarioFormat:
         back = build_settings(parse_scenario(path)).cfg
         assert back == cfg
 
+    def test_docstring_lists_the_schema_keys(self):
+        doc = cli.__doc__.split("Outputs\n")[0]
+        blocks = re.findall(r"^(\w+)\.\*\s+(.*?)(?=^\w+\.\*|\Z)", doc,
+                            re.M | re.S)
+        prefixes = {p for p, _ in blocks}
+        assert prefixes == {k.split(".")[0] for k in SCHEMA}
+        for prefix, text in blocks:
+            if prefix in ("device", "sense"):
+                # "any numeric field": the rows come from the dataclasses
+                continue
+            names = re.sub(r"\([^)]*\)", "", text)
+            listed = {f"{prefix}.{n.strip()}" for n in re.split(r"[,/]", names)}
+            assert listed == {k for k in SCHEMA
+                              if k.startswith(prefix + ".")}, prefix
+
     def test_bad_values_are_config_errors(self):
         with pytest.raises(ConfigError):
             build_settings({"bench.v_dc": "many"})
@@ -68,6 +92,100 @@ class TestScenarioFormat:
             build_settings({"bench.pf_mode": "sideways"})
         with pytest.raises(ConfigError):
             build_settings({"aging.delta_pkg": "0-0"})
+
+
+PREFIXES = sorted({k.split(".")[0] for k in SCHEMA})
+KEY_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_."
+
+
+@st.composite
+def bench_configs(draw):
+    f_fund = draw(st.floats(1.0, 400.0))
+    t_j_min = draw(st.floats(30.0, 150.0))
+    t_case_min = draw(st.floats(30.0, 150.0))
+    return validate_scenario(BenchConfig(
+        v_dc=draw(st.floats(1.0, 2000.0)),
+        f_sw=draw(st.floats(10.001 * f_fund, 1e6)), f_fund=f_fund,
+        modulation_index=draw(st.floats(0.0, 1.0)),
+        pf_mode=draw(st.sampled_from(PfMode)),
+        pf_angle_rad=draw(st.floats(-10.0, 10.0)),
+        i_ref_peak=draw(st.floats(1e-3, 2000.0)),
+        link_inductance=draw(st.floats(1e-7, 1e-1)),
+        link_resistance=draw(st.floats(0.0, 1.0)),
+        gate_on_v=draw(st.floats(5.0, 25.0)),
+        gate_off_v=draw(st.floats(-10.0, 4.9)),
+        technique=draw(st.sampled_from(Technique)),
+        t_on=draw(st.floats(1e-3, 100.0)), t_off=draw(st.floats(1e-3, 100.0)),
+        t_case_min=t_case_min,
+        t_case_max=t_case_min + draw(st.floats(0.01, 100.0)),
+        t_j_min=t_j_min,
+        t_j_max=t_j_min + draw(st.floats(0.01, 200.0 - t_j_min)),
+        n_cycles=draw(st.integers(1, 10**9)),
+        rng_seed=draw(st.integers(0, 2**63)),
+        fidelity=draw(st.sampled_from(Fidelity)),
+        ambient_c=draw(st.floats(-60.0, 25.0))))
+
+
+class TestSchema:
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=bench_configs())
+    def test_bench_rows_round_trip(self, cfg, tmp_path):
+        path = tmp_path / "rt.txt"
+        write_scenario(bench_section(cfg), path)
+        assert build_settings(parse_scenario(path)).cfg == cfg
+
+    def test_bench_section_writes_every_bench_row(self):
+        written = set()
+        for technique in Technique:
+            written |= set(bench_section(validate_scenario(BenchConfig(
+                technique=technique, pf_mode=PfMode.CUSTOM,
+                pf_angle_rad=0.5))))
+        bench_keys = {k for k in SCHEMA if k.startswith("bench.")}
+        # degrees are an input alias for the radians row
+        assert written == bench_keys - {"bench.pf_angle_deg"}
+        deg = build_settings({"bench.pf_mode": "custom",
+                              "bench.pf_angle_deg": "30"}).cfg
+        assert deg.pf_angle_rad == pytest.approx(0.5235987755982988, abs=0)
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_every_misspelled_key_is_rejected(self, prefix, data):
+        key = data.draw(st.sampled_from(
+            sorted(k for k in SCHEMA if k.startswith(prefix + "."))))
+        edit = data.draw(st.sampled_from(("replace", "insert", "delete")))
+        cut = edit != "insert"   # characters of the key the edit removes
+        pos = data.draw(st.integers(0, len(key) - cut))
+        char = "" if edit == "delete" else data.draw(st.sampled_from(KEY_CHARS))
+        typo = key[:pos] + char + key[pos + cut:]
+        assume(typo not in SCHEMA)
+        with pytest.raises(ConfigError) as e:
+            build_settings({typo: "1"})
+        assert e.value.field == typo
+
+    def test_defaults_match_the_library(self):
+        built = build_settings({"bench.ambient_c": "40",
+                                "device.profile": "vendor_a"})
+        ref = default_settings(built.cfg, device_params=vendor_a())
+
+        def same(a, b):
+            if isinstance(a, np.ndarray):
+                return np.array_equal(a, b)
+            if dataclasses.is_dataclass(a):
+                return type(a) is type(b) and all(
+                    same(getattr(a, f.name), getattr(b, f.name))
+                    for f in dataclasses.fields(a))
+            if isinstance(a, list):
+                return len(a) == len(b) and all(map(same, a, b))
+            return a == b
+
+        for f in dataclasses.fields(built):
+            assert same(getattr(built, f.name), getattr(ref, f.name)), f.name
+        # the two derived defaults: 5 % of vendor_a's 20 A, coolant at 40 degC
+        bench = TestBench(built)
+        assert bench.i_floor == 1.0
+        assert cooling_step(bench.cool_test, True)[0] == 40.0
 
 
 class TestRun:
@@ -87,6 +205,22 @@ class TestRun:
         bad.write_text("bench.modulation_index = 1.3\n")
         out = tmp_path / "never"
         assert run(bad, out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "bench.mode = envelope\nthermal.bogus = 3\n",
+        "bench.mode = envelope\nbench.i_ref_peak = 15\n",
+        "sense.adc_bits = 12.5\n",
+        "thermal.stage_r = 0.1, 0.2\nthermal.stage_tau = 0.0, 0.3\n",
+    ], ids=["unknown_key", "window_below_floor", "fractional_int",
+            "zero_stage_tau"])
+    def test_config_error_exits_2_before_the_output_directory(
+            self, text, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        out = tmp_path / "never"
+        assert run(path, out) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
 
     def test_same_seed_byte_identical(self, scenario, tmp_path):
@@ -209,3 +343,31 @@ class TestMain:
                      "--jobs", "2"]) == 0
         assert (out / "scenario" / "precursors.csv").exists()
         assert (out / "second" / "precursors.csv").exists()
+
+    @pytest.mark.parametrize("jobs,n_scenarios,cpus,workers", [
+        (64, 2, 8, 2), (64, 5, 3, 3), (2, 5, 8, 2), (1, 5, 8, None),
+        (8, 1, 8, None)])
+    def test_jobs_clamped_to_scenarios_and_cpus(self, monkeypatch, jobs,
+                                                n_scenarios, cpus, workers):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return [0 for _ in args]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_run_one", lambda args: 0)
+        names = [f"s{k}.txt" for k in range(n_scenarios)]
+        assert main(["run", *names, "--out", "unused", "--jobs",
+                     str(jobs)]) == 0
+        assert pools == ([] if workers is None else [workers])

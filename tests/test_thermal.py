@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,10 +170,9 @@ def test_thermal_bank_matches_foster_step():
     # with the pump off (boundary to still air, ambient reference), the load
     # bridge on the coolant
     b = bench()
-    cool = b.cool_test
     refs = []
-    for r_b, t_ref, p_k in ((cool.r_boundary_off, cool.ambient_temp, 200.0),
-                            (cool.r_boundary_on, cool.coolant_temp, 150.0)):
+    for pump_on, p_k in ((False, 200.0), (True, 150.0)):
+        t_ref, r_b = cooling_step(replace(b.cool_test), pump_on)
         net = default_network()
         net.stages[-1] = FosterStage(r_b, net.stages[-1].c_th)
         refs.append((net, t_ref, p_k))
