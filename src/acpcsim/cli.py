@@ -16,7 +16,8 @@ bench.*      v_dc, f_sw, f_fund, modulation_index, pf_mode (motor|generator|
              envelope), ambient_c
 device.*     profile (module_400a|vendor_a|vendor_b) plus any numeric field
              of the device parameter set as an override, e.g.
-             device.e_on0 = 0.0025
+             device.e_on0 = 0.0025; not the gate drive, which is
+             bench.gate_on_v / bench.gate_off_v
 sense.*      any numeric field of the sense-circuit parameter set, e.g.
              sense.noise_sigma = 0.002 (sense.e_d fixes the diode mismatch
              instead of drawing it from the seeded per-device distribution)
@@ -42,9 +43,11 @@ trace_thermal.csv    decimated junction temperatures
 trace_sampling.csv   last completed acquisition window, raw and filtered
 run_manifest.json    inputs, seed, emitted-file hashes, wall duration
 
-Exit codes: 0 completed, 2 configuration error (found before the output
+Exit codes: 0 completed, 1 a scenario failed with an unexpected error
+(reported as ``<scenario>: <error>`` on stderr; the other scenarios of the
+command still run), 2 configuration error (found before the output
 directory is created), 3 run ended early by protection trip or thermal
-runaway.
+runaway. With several scenarios the exit code is the highest of theirs.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from enum import Enum
@@ -186,11 +190,12 @@ def _profile(key, v) -> dev_mod.DeviceParams:
     return _one_of(dev_mod.PROFILES)(key, v)()
 
 
-def _numeric_rows(prefix: str, cls) -> list:
+def _numeric_rows(prefix: str, cls, exclude=()) -> list:
     """One row per int or float field of a parameter dataclass."""
     return [(f"{prefix}.{f.name}", _int if f.type == "int" else _float,
              f"{prefix}.{f.name}")
-            for f in dataclasses.fields(cls) if f.type in ("float", "int")]
+            for f in dataclasses.fields(cls)
+            if f.type in ("float", "int") and f.name not in exclude]
 
 
 # One row per scenario key: the key, its converter, and the field(s) the value
@@ -222,7 +227,10 @@ _ROWS = [
     ("bench.mode", _enum(Fidelity), "cfg.fidelity"),
     ("bench.ambient_c", _float, "cfg.ambient_c"),
     ("device.profile", _profile, "settings.device_params"),
-    *_numeric_rows("device", dev_mod.DeviceParams),
+    # the bench binds its gate drive into the device parameters, so a
+    # device-level drive would be silently overridden: bench.* sets it
+    *_numeric_rows("device", dev_mod.DeviceParams,
+                   exclude=("gate_on_v", "gate_off_v")),
     *_numeric_rows("sense", sns.SenseCircuitParams),
     ("desat.threshold", _float, "desat.threshold"),
     ("desat.blanking", _float, "desat.blanking"),
@@ -345,6 +353,16 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_float_csv(path: Path, header, rows) -> None:
+    """_write_csv for rows of floats, one join per row: repr is what _cell
+    writes for a float, and "nan", the only float repr containing that
+    text, becomes the empty cell _cell writes for NaN."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(repr, map(float, row))).replace("nan", "")
+                 for row in rows)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_precursors(path: Path, records) -> None:
     rows = []
     for rec in records:
@@ -362,15 +380,13 @@ def write_precursors(path: Path, records) -> None:
 
 def write_thermal_trace(path: Path, bench: TestBench) -> None:
     header = ["t_s"] + [f"tj_{d}" for d in DEVICE_IDS] + ["t_case_test_a_hi"]
-    _write_csv(path, header, [tuple(float(x) for x in row)
-                              for row in bench.thermal_trace])
+    _write_float_csv(path, header, bench.thermal_trace)
 
 
 def write_waveforms(path: Path, bench: TestBench) -> None:
     header = ["t_s", "theta_rad", "i_a", "i_b", "i_c"] \
         + [f"v_ds_{d}" for d in DEVICE_IDS]
-    _write_csv(path, header, [tuple(float(x) for x in row)
-                              for row in bench.waveform_rows])
+    _write_float_csv(path, header, bench.waveform_rows)
 
 
 def write_sampling_trace(path: Path, bench: TestBench) -> None:
@@ -514,7 +530,14 @@ def export_plotdata(run_dir, kind: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _run_one(args_tuple) -> int:
-    return run(*args_tuple)
+    """run() for one scenario of a command; an unexpected error ends only
+    this scenario, with exit code 1."""
+    try:
+        return run(*args_tuple)
+    except Exception as e:  # configuration errors already returned 2
+        traceback.print_exc()
+        print(f"{args_tuple[0]}: {e}", file=sys.stderr)
+        return 1
 
 
 def main(argv=None) -> int:

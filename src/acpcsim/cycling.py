@@ -40,6 +40,17 @@ DEVICE_IDS = tuple(
 )
 T_J_ENVELOPE_MAX = 200.0  # degC simulation envelope
 
+# Device k sits on bridge leg _LEG[k] (test a, b, c, then load a, b, c) and
+# carries _SIGN[k] times its phase's link current: the test upper switches
+# source the link current, the load upper switches sink it. Upper switches
+# conduct for the leg duty d and lower ones for 1 - d, which is
+# d * _UPPER + _LOWER exactly (negation is exact).
+_LEG = np.repeat(np.arange(6), 2)
+_PHASE = _LEG % 3
+_SIGN = np.array([1.0, -1.0] * 3 + [-1.0, 1.0] * 3)
+_UPPER = np.array([1.0, -1.0] * 6)
+_LOWER = np.array([0.0, 1.0] * 6)
+
 PACKAGE_WARNING = "package"
 GATE_OXIDE_WARNING = "gate_oxide"
 BODY_DIODE_WARNING = "body_diode"
@@ -55,6 +66,24 @@ class ProtectionTrip(RuntimeError):
 
 class ThermalRunaway(RuntimeError):
     pass
+
+
+def blanking_runs(dt: float, blanking: float) -> float:
+    """Smallest run n >= 1 of over-threshold steps of dt with
+    n * dt >= blanking, the desaturation trip condition.
+
+    The rounded product n * dt never decreases as n grows, so a run trips
+    exactly when it reaches this count. Inf when no run of steps reaches
+    the blanking time.
+    """
+    if not blanking / dt < 2.0 ** 53:
+        return math.inf
+    n = max(1, math.ceil(blanking / dt))
+    while n > 1 and (n - 1) * dt >= blanking:
+        n -= 1
+    while n * dt < blanking:
+        n += 1
+    return n
 
 
 @dataclass
@@ -410,6 +439,7 @@ class TestBench:
         self.desat_cfg = [self.desat_base] * N_DEVICES
         self._desat_thr = np.full(N_DEVICES, self.desat_base.threshold)
         self._desat_run = np.full(N_DEVICES, -1)
+        self._trip_runs: dict = {}  # (dt, blanking) -> blanking_runs
         self._desat_bias = s.sense_params.i_desat * s.sense_params.r_s \
             + 2.0 * s.sense_params.v_d_hv
         self._ntc_rate = np.zeros(N_DEVICES)
@@ -455,7 +485,10 @@ class TestBench:
         self._env_i_win = None
         self._env_i_pk = None
         self._env_tj_cols = None
+        self._trigger_index = None
         self._thermal_cache: dict = {}
+        self._t_ref_key = None
+        self._t_ref = None
 
     # -- small helpers -------------------------------------------------------
 
@@ -469,35 +502,20 @@ class TestBench:
             return 1.0
         return min(1.0, max(0.0, (self.t - self._soft_t0) / ramp))
 
-    def _device_currents(self, i_abc: np.ndarray) -> np.ndarray:
-        out = np.empty(N_DEVICES)
-        out[0:6:2] = i_abc    # test upper switches source the link current
-        out[1:6:2] = -i_abc
-        out[6:12:2] = -i_abc  # load upper switches sink it
-        out[7:12:2] = i_abc
-        return out
-
-    def _duty_per_device(self, d_test: np.ndarray, d_load: np.ndarray) -> np.ndarray:
-        out = np.empty(N_DEVICES)
-        out[0:6:2] = d_test
-        out[1:6:2] = 1.0 - d_test
-        out[6:12:2] = d_load
-        out[7:12:2] = 1.0 - d_load
-        return out
-
     def inject_short(self, device_index: int):
         self.bank.shorted[device_index] = True
 
     # -- protection ------------------------------------------------------------
 
     def _protection(self, v_cond: np.ndarray, i_dev: np.ndarray, dt: float):
-        pin = self._desat_bias + v_cond
-        over = (i_dev > 0) & (pin > self._desat_thr)
-        self._desat_run = np.where(over, self._desat_run + 1, -1)
-        trip = self._desat_run * dt >= self.desat_base.blanking
-        trip &= self._desat_run >= 1
-        if trip.any():
-            k = int(np.flatnonzero(trip)[0])
+        over = (i_dev > 0) & (self._desat_bias + v_cond > self._desat_thr)
+        run = self._desat_run = np.where(over, self._desat_run + 1, -1)
+        key = (dt, self.desat_base.blanking)
+        n_trip = self._trip_runs.get(key)
+        if n_trip is None:
+            n_trip = self._trip_runs[key] = blanking_runs(*key)
+        if np.maximum.reduce(run) >= n_trip:
+            k = int(np.flatnonzero(run >= n_trip)[0])
             raise ProtectionTrip(DEVICE_IDS[k], self.t)
         if self.bank.t_j.max() > T_J_ENVELOPE_MAX:
             k = int(self.bank.t_j.argmax())
@@ -515,16 +533,19 @@ class TestBench:
             for sstate in self.samplers:
                 sstate.start_cycle()
 
+        if self._trigger_index is None:
+            self._trigger_index = smp.TriggerIndex(
+                [st.triggers for st in self.samplers])
         floor = self.i_floor
         sigma = self.s.sense_params.noise_sigma
         theta_prev = self.theta_prev
-        for k, sstate in enumerate(self.samplers):
+        # the devices whose triggers the sweep crossed, in ascending order,
+        # so the gates and the noise draws run as a scan of all twelve would
+        for k in self._trigger_index.crossed(theta_prev, theta_now):
+            sstate = self.samplers[k]
             if sstate.budget_used >= sstate.budget_per_cycle:
                 continue
             if i_dev[k] <= floor or duty[k] < 0.02:
-                continue
-            if len(smp.triggers_in_interval(sstate.triggers, theta_prev,
-                                            theta_now)) == 0:
                 continue
             noise = self.rng.normal(0.0, sigma) if sigma > 0 else 0.0
             reading = _Reading(True, float(v_cond[k] + self.e_d[k] + noise))
@@ -570,12 +591,12 @@ class TestBench:
         i_ref = (self.i_ref_dq[0] * scale, self.i_ref_dq[1] * scale)
         (dta, dtb, dtc, _), (dla, dlb, dlc, _) = control_step(
             self.ctl, self.plant.i_abc, theta, dt, v_test_dq, i_ref, cfg.v_dc)
-        d_test = np.array([dta, dtb, dtc])
-        d_load = np.array([dla, dlb, dlc])
+        d = np.array([dta, dtb, dtc, dla, dlb, dlc])
+        d_test, d_load = d[:3], d[3:]
 
         i0 = self.plant.i_abc
-        i_dev = self._device_currents(i0)
-        duty = self._duty_per_device(d_test, d_load)
+        i_dev = i0[_PHASE] * _SIGN
+        duty = d[_LEG] * _UPPER + _LOWER
         v_cond = self.bank.conduction(i_dev)
 
         self._capture(theta, i_dev, v_cond, duty)
@@ -593,7 +614,7 @@ class TestBench:
             res = plant_step(self.plant, pole_test, pole_load,
                              cfg.link_resistance, cfg.link_inductance, dt)
 
-        i_mean_dev = self._device_currents(res.i_mean)
+        i_mean_dev = res.i_mean[_PHASE] * _SIGN
         p = self.bank.params
         p_cond = duty * v_cond * i_mean_dev
         p_sw = cfg.f_sw * (p.e_on0 + p.e_off0) * (cfg.v_dc / p.v_ref) \
@@ -602,15 +623,17 @@ class TestBench:
 
         if collect_tally:
             tl = self.tally
+            p_sw_total = float(np.add.reduce(p_sw))
             tl.e_supply += (cfg.v_dc * float(np.dot(d_test - d_load, res.i_mean))
-                            + float(p_sw.sum())) * dt
-            tl.e_cond += float(p_cond.sum()) * dt
-            tl.e_sw += float(p_sw.sum()) * dt
-            tl.e_link += cfg.link_resistance * float(res.i_sq_mean.sum()) * dt
+                            + p_sw_total) * dt
+            tl.e_cond += float(np.add.reduce(p_cond)) * dt
+            tl.e_sw += p_sw_total * dt
+            tl.e_link += cfg.link_resistance \
+                * float(np.add.reduce(res.i_sq_mean)) * dt
             tl.duration += dt
-            v_ph = pole_test - pole_test.mean()
-            tl.sum_v2 += float((v_ph ** 2).sum())
-            tl.sum_i2 += float((i0 ** 2).sum())
+            v_ph = pole_test - np.add.reduce(pole_test) / 3
+            tl.sum_v2 += float(np.add.reduce(v_ph ** 2))
+            tl.sum_i2 += float(np.add.reduce(i0 ** 2))
             tl.samples += 1
 
         if self.collect_waveforms:
@@ -677,22 +700,14 @@ class TestBench:
         for j, t in enumerate(thetas):
             d_test[:, j] = svpwm_duties(v_t[0], v_t[1], t, cfg.v_dc)[:3]
             d_load[:, j] = svpwm_duties(v_l[0], v_l[1], t, cfg.v_dc)[:3]
-        i_dev = np.empty((N_DEVICES, g))
-        duty = np.empty((N_DEVICES, g))
-        i_dev[0:6:2] = i_abc
-        i_dev[1:6:2] = -i_abc
-        i_dev[6:12:2] = -i_abc
-        i_dev[7:12:2] = i_abc
-        duty[0:6:2] = d_test
-        duty[1:6:2] = 1.0 - d_test
-        duty[6:12:2] = d_load
-        duty[7:12:2] = 1.0 - d_load
+        i_dev = i_abc[_PHASE] * _SIGN[:, None]
+        duty = np.vstack([d_test, d_load])[_LEG] * _UPPER[:, None] \
+            + _LOWER[:, None]
         slot_i = np.empty((N_DEVICES, self.s.sampler_n))
         for k, sstate in enumerate(self.samplers):
-            ph = (k // 2) % 3
-            sign = -1.0 if (k % 2 == 1) != (k >= 6) else 1.0
-            slot_i[k] = sign * np.array(
-                [inverse_park(i_d, i_q, a)[ph] for a in sstate.triggers.angles])
+            slot_i[k] = _SIGN[k] * np.array(
+                [inverse_park(i_d, i_q, a)[_PHASE[k]]
+                 for a in sstate.triggers.angles])
         usable = [np.flatnonzero(slot_i[k] > self.i_floor)
                   for k in range(N_DEVICES)]
         if min(len(u) for u in usable) < self.s.sampler_n:
@@ -855,7 +870,8 @@ class TestBench:
         """
         t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test)
         t_ref_l, r_b_l = th.cooling_step(self.cool_load, True)
-        key = (dt, r_b_t, r_b_l, self.bank.aging_version)
+        m = self.s.ntc
+        key = (dt, r_b_t, r_b_l, self.bank.aging_version, m.time_constant)
         cached = self._thermal_cache.get(key)
         if cached is None:
             r = np.tile(self._stage_r, (N_DEVICES, 1))
@@ -863,32 +879,29 @@ class TestBench:
             r[:6, -1] = r_b_t
             r[6:, -1] = r_b_l
             a = np.exp(-dt / (r * self._stage_c))
-            cached = (a, r * (1.0 - a))
+            ntc_gain = 1.0 - math.exp(-dt / m.time_constant) \
+                if m.time_constant > 0 else None
+            cached = (a, r * (1.0 - a), r[:, -1].copy(), ntc_gain)
             if len(self._thermal_cache) > 16:
                 self._thermal_cache.clear()
             self._thermal_cache[key] = cached
-        a, gain = cached
+        a, gain, r_b, ntc_gain = cached
+        if self._t_ref_key != (t_ref_t, t_ref_l):
+            self._t_ref_key = (t_ref_t, t_ref_l)
+            self._t_ref = np.repeat([t_ref_t, t_ref_l], N_DEVICES // 2)
         temps = self._stage_temps = self._stage_temps * a + p_dev[:, None] * gain
-        tsum = temps.sum(axis=1)
-        t_j = np.empty(N_DEVICES)
-        t_j[:6] = t_ref_t + tsum[:6]
-        t_j[6:] = t_ref_l + tsum[6:]
-        self.bank.t_j = t_j
-        t_case = np.empty(N_DEVICES)
-        t_case[:6] = t_ref_t + temps[:6, -1]
-        t_case[6:] = t_ref_l + temps[6:, -1]
-        self._t_case = t_case
-        th.cooling_absorb(self.cool_test, float((temps[:6, -1] / r_b_t).sum()), dt)
-        th.cooling_absorb(self.cool_load, float((temps[6:, -1] / r_b_l).sum()), dt)
+        self.bank.t_j = self._t_ref + np.add.reduce(temps, axis=1)
+        self._t_case = self._t_ref + temps[:, -1]
+        q = temps[:, -1] / r_b  # heat into each device's cooling plate
+        th.cooling_absorb(self.cool_test, float(np.add.reduce(q[:6])), dt)
+        th.cooling_absorb(self.cool_load, float(np.add.reduce(q[6:])), dt)
         # vectorized case sensors (shared model)
-        m = self.s.ntc
         target = self._t_case + m.bias
         prev = self.ntc_readings
-        if m.time_constant <= 0:
-            self.ntc_readings = target.copy()
+        if ntc_gain is None:
+            self.ntc_readings = target
         else:
-            alpha = 1.0 - math.exp(-dt / m.time_constant)
-            self.ntc_readings = prev + alpha * (target - prev)
+            self.ntc_readings = prev + ntc_gain * (target - prev)
         self._ntc_rate = (self.ntc_readings - prev) / dt
 
     def _trace_point(self):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -112,6 +113,9 @@ class PlantState:
     i_abc: np.ndarray = field(default_factory=lambda: np.zeros(3))
     v_test_abc: np.ndarray = field(default_factory=lambda: np.zeros(3))
     v_load_abc: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    # plant_step's exponential-update terms for the last (r, l, dt)
+    step_terms: Optional[tuple] = field(default=None, repr=False,
+                                        compare=False)
 
 
 @dataclass
@@ -136,20 +140,25 @@ def plant_step(state: PlantState, v_test_abc, v_load_abc,
     v_test = np.asarray(v_test_abc, dtype=float)
     v_load = np.asarray(v_load_abc, dtype=float)
     v = v_test - v_load
-    v = v - v.mean()
+    v = v - np.add.reduce(v) / len(v)
 
     i0 = state.i_abc
     if r > 0:
-        tau = l / r
-        a = math.exp(-dt / tau)
+        terms = state.step_terms
+        if terms is None or terms[0] != (r, l, dt):
+            tau = l / r
+            a = math.exp(-dt / tau)
+            terms = state.step_terms = (
+                (r, l, dt), a, tau * (1.0 - a) / dt,
+                tau * (1.0 - a * a) / (2.0 * dt))
+        _, a, g, g_sq = terms
         i_ss = v / r
         delta = i0 - i_ss
         i1 = i_ss + delta * a
-        g = tau * (1.0 - a) / dt
         i_mean = i_ss + delta * g
         i_sq_mean = (i_ss ** 2
                      + 2.0 * i_ss * delta * g
-                     + delta ** 2 * (tau * (1.0 - a * a) / (2.0 * dt)))
+                     + delta ** 2 * g_sq)
     else:
         slope = v / l
         i1 = i0 + slope * dt
@@ -157,7 +166,7 @@ def plant_step(state: PlantState, v_test_abc, v_load_abc,
         i_sq_mean = i0 ** 2 + i0 * slope * dt + (slope * dt) ** 2 / 3.0
 
     # kill numerical zero-sequence drift
-    i1 = i1 - i1.mean()
+    i1 = i1 - np.add.reduce(i1) / len(i1)
     state.i_abc = i1
     state.v_test_abc = v_test
     state.v_load_abc = v_load

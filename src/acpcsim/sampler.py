@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -112,6 +113,38 @@ def triggers_in_interval(tset: TriggerSet, theta_from: float, theta_to: float
     lo = int(np.searchsorted(a, t0, side="right"))
     hi = int(np.searchsorted(a, t1, side="right"))
     return np.concatenate([np.arange(lo, len(a)), np.arange(0, hi)])
+
+
+class TriggerIndex:
+    """The angles of several trigger sets merged into one sorted list, so a
+    single search finds every set that a sweep crossed."""
+
+    def __init__(self, sets: Sequence[TriggerSet]):
+        angles = np.concatenate([s.angles for s in sets])
+        owner = np.repeat(np.arange(len(sets)), [s.n for s in sets])
+        order = np.argsort(angles, kind="stable")
+        self.angles = angles[order].tolist()
+        self.owner = owner[order].tolist()
+
+    def crossed(self, theta_from: float, theta_to: float) -> list[int]:
+        """Ascending indices of the sets for which triggers_in_interval over
+        the same sweep is non-empty.
+
+        bisect_right splits the list where searchsorted(side="right") does,
+        so the predicate, the wrapped case and an empty sweep included, is
+        triggers_in_interval's.
+        """
+        t0 = wrap_angle(theta_from)
+        t1 = wrap_angle(theta_to)
+        if t1 == t0:
+            return []
+        lo = bisect_right(self.angles, t0)
+        hi = bisect_right(self.angles, t1)
+        if t1 > t0:
+            hit = self.owner[lo:hi]
+        else:
+            hit = self.owner[lo:] + self.owner[:hi]
+        return sorted(set(hit))
 
 
 # ---------------------------------------------------------------------------

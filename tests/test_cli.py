@@ -212,8 +212,10 @@ class TestRun:
         "bench.mode = envelope\nbench.i_ref_peak = 15\n",
         "sense.adc_bits = 12.5\n",
         "thermal.stage_r = 0.1, 0.2\nthermal.stage_tau = 0.0, 0.3\n",
+        "device.gate_on_v = 18\n",
+        "device.gate_off_v = -5\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
-            "zero_stage_tau"])
+            "zero_stage_tau", "device_gate_on_v", "device_gate_off_v"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -343,6 +345,21 @@ class TestMain:
                      "--jobs", "2"]) == 0
         assert (out / "scenario" / "precursors.csv").exists()
         assert (out / "second" / "precursors.csv").exists()
+
+    def test_unexpected_error_fails_only_its_scenario(self, monkeypatch,
+                                                       capsys):
+        ran = []
+
+        def fake_run(scenario, *rest):
+            ran.append(scenario)
+            if scenario == "bad.txt":
+                raise RuntimeError("boom")
+            return 0
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert main(["run", "bad.txt", "good.txt", "--out", "unused"]) == 1
+        assert ran == ["bad.txt", "good.txt"]
+        assert "bad.txt: boom" in capsys.readouterr().err.splitlines()
 
     @pytest.mark.parametrize("jobs,n_scenarios,cpus,workers", [
         (64, 2, 8, 2), (64, 5, 3, 3), (2, 5, 8, 2), (1, 5, 8, None),

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acpcsim import sampler as smp
 from acpcsim import thermal as th
@@ -7,7 +11,7 @@ from acpcsim.core import BenchConfig, Fidelity, Technique, validate_scenario
 from acpcsim.cycling import (BODY_DIODE_WARNING, GATE_OXIDE_WARNING,
                              PACKAGE_WARNING, CycleRecord, DeviceBank,
                              N_DEVICES, TestBench, WarningPolicy,
-                             default_settings, energy_audit,
+                             blanking_runs, default_settings, energy_audit,
                              evaluate_warnings)
 from acpcsim.device import (AgingTrajectory, conduction_voltage,
                             module_400a)
@@ -302,6 +306,25 @@ class TestDeterminismAndProtection:
         # trips as soon as the faulted device conducts for the blanking time
         assert e.value.t - t_inject < 1.5 / cfg.f_fund
         assert e.value.device_id == "test_a_hi"
+
+    @settings(deadline=None, max_examples=300)
+    @given(dt=st.floats(1e-9, 1e-2), steps=st.integers(0, 2000),
+           frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           ulps=st.integers(-2, 2))
+    def test_blanking_count_is_the_trip_condition(self, dt, steps, frac,
+                                                   ulps):
+        # blanking times on, between and a few ulps around whole steps
+        blanking = (steps + frac) * dt
+        for _ in range(abs(ulps)):
+            blanking = math.nextafter(blanking, math.copysign(math.inf, ulps))
+        if blanking <= 0.0:
+            return
+        n = blanking_runs(dt, blanking)
+        runs = np.arange(-1, 2 * n + 3)
+        assert ((runs >= n) == ((runs * dt >= blanking) & (runs >= 1))).all()
+
+    def test_unreachable_blanking_never_trips(self):
+        assert blanking_runs(1 / 22e3, math.inf) == math.inf
 
     def test_campaign_reports_trip_status(self):
         cfg = envelope_cfg(technique=Technique.FIXED_TIMES, t_on=0.3,

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acpcsim.core import TWO_PI, angle_distance
 from acpcsim.device import DeviceState, module_400a, r_on
 from acpcsim.sampler import (AmbientMismatch, IncompleteWindow, RonLut,
-                             SamplerState, build_ron_lut, build_trigger_set,
-                             default_fir_taps, detect_peak_angle, estimate_ron,
-                             estimate_tj, fir_filter, match_trigger,
-                             recalibrate_lut, sampler_update,
-                             sampler_update_interval, store_slots,
-                             triggers_in_interval)
+                             SamplerState, TriggerIndex, build_ron_lut,
+                             build_trigger_set, default_fir_taps,
+                             detect_peak_angle, estimate_ron, estimate_tj,
+                             fir_filter, match_trigger, recalibrate_lut,
+                             sampler_update, sampler_update_interval,
+                             store_slots, triggers_in_interval)
 
 
 class Reading:
@@ -80,6 +82,25 @@ class TestMatchTrigger:
         idx = triggers_in_interval(ts, TWO_PI - math.radians(11),
                                    math.radians(11))
         assert len(idx) == 11
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_index_finds_the_sets_a_sweep_crossed(self, data):
+        # windows anywhere on the circle (wrapping ones too); sweeps that are
+        # empty, wrap through 0 rad, or start or end exactly on a trigger
+        sets = [build_trigger_set(data.draw(st.floats(-10.0, 10.0)),
+                                  data.draw(st.integers(1, 40)),
+                                  data.draw(st.floats(1e-3, math.pi / 2)))
+                for _ in range(data.draw(st.integers(1, 12)))]
+        on_trigger = st.sampled_from(
+            np.concatenate([s.angles for s in sets]).tolist())
+        angle = st.one_of(st.floats(-20.0, 20.0), on_trigger,
+                          on_trigger.map(lambda a: a + TWO_PI))
+        t0 = data.draw(angle)
+        t1 = data.draw(st.one_of(angle, st.just(t0)))
+        want = [k for k, s in enumerate(sets)
+                if len(triggers_in_interval(s, t0, t1))]
+        assert TriggerIndex(sets).crossed(t0, t1) == want
 
 
 class TestSamplerBudget:
