@@ -4,8 +4,8 @@ bench for SiC power modules, with the online condition-monitoring chain
 sampling, FIR filtering, and lookup-table junction-temperature estimation).
 """
 
-from .core import (BenchConfig, ConfigError, Fidelity, PfMode, SimTime,
-                   Technique, validate_scenario)
+from .core import (BenchConfig, ConfigError, Fidelity, PfMode, Technique,
+                   validate_scenario)
 from .cycling import (BenchSettings, CycleRecord, ProtectionTrip, RunResult,
                       TestBench, ThermalRunaway, WarningPolicy,
                       default_settings, energy_audit, evaluate_warnings)
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AgingState", "AgingTrajectory", "BenchConfig", "BenchSettings",
     "ConfigError", "CycleRecord", "DeviceParams", "DeviceState", "Fidelity",
-    "PfMode", "ProtectionTrip", "RunResult", "SimTime", "TestBench",
+    "PfMode", "ProtectionTrip", "RunResult", "TestBench",
     "Technique", "ThermalRunaway", "WarningPolicy", "default_settings",
     "energy_audit", "evaluate_warnings", "module_400a", "validate_scenario",
     "vendor_a", "vendor_b", "__version__",

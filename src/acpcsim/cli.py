@@ -19,8 +19,8 @@ device.*     profile (module_400a|vendor_a|vendor_b) plus any numeric field
              device.e_on0 = 0.0025; not the gate drive, which is
              bench.gate_on_v / bench.gate_off_v
 sense.*      any numeric field of the sense-circuit parameter set, e.g.
-             sense.noise_sigma = 0.002 (sense.e_d fixes the diode mismatch
-             instead of drawing it from the seeded per-device distribution)
+             sense.noise_sigma = 0.002; not the diode mismatch e_d, which
+             the bench draws per device from the seed
 desat.*      threshold, blanking, compensated (bool), calibrated (bool),
              margin_v
 thermal.*    stage_r / stage_tau (comma lists, junction-side stages),
@@ -231,7 +231,9 @@ _ROWS = [
     # device-level drive would be silently overridden: bench.* sets it
     *_numeric_rows("device", dev_mod.DeviceParams,
                    exclude=("gate_on_v", "gate_off_v")),
-    *_numeric_rows("sense", sns.SenseCircuitParams),
+    # the bench draws each device's diode mismatch from the seed, so a
+    # scenario-level e_d would have no effect
+    *_numeric_rows("sense", sns.SenseCircuitParams, exclude=("e_d",)),
     ("desat.threshold", _float, "desat.threshold"),
     ("desat.blanking", _float, "desat.blanking"),
     ("desat.compensated", _bool, "desat.compensated"),

@@ -162,27 +162,6 @@ def validate_scenario(cfg: BenchConfig) -> BenchConfig:
     return replace(cfg, pf_angle_rad=pf_angle, **fills)
 
 
-@dataclass
-class SimTime:
-    """Fixed-step simulation clock. The electrical angle is derived from time."""
-
-    dt: float
-    f_fund: float
-    step_index: int = 0
-
-    @property
-    def t(self) -> float:
-        return self.step_index * self.dt
-
-    @property
-    def theta(self) -> float:
-        """Electrical angle in [0, 2*pi)."""
-        return (TWO_PI * self.f_fund * self.t) % TWO_PI
-
-    def advance(self) -> None:
-        self.step_index += 1
-
-
 def wrap_angle(theta: float) -> float:
     """Map any angle into [0, 2*pi)."""
     return theta % TWO_PI

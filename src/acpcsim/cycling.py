@@ -397,13 +397,8 @@ class TestBench:
         self.bank = DeviceBank(params, self.ambient)
         self.i_floor = 0.05 * params.i_nominal if s.i_floor is None \
             else s.i_floor
-        self.channels = [
-            sns.SenseChannel(replace(s.sense_params,
-                                     e_d=float(rng_ed.uniform(*sns.E_D_RANGE))),
-                             rng=self.rng)
-            for _ in range(N_DEVICES)
-        ]
-        self.e_d = np.array([c.params.e_d for c in self.channels])
+        # blocking-diode mismatch of each device's sense path, V
+        self.e_d = rng_ed.uniform(*sns.E_D_RANGE, size=N_DEVICES)
 
         # Foster stages per device; _thermal_step advances them
         self._stage_r = np.array([st.r_th for st in s.network.stages])
@@ -436,12 +431,10 @@ class TestBench:
                                                  self.ambient, params.gate_on_v)
             thr = sns.desat_voltage(s.sense_params, v_fresh + s.desat_margin_v)
             self.desat_base = replace(s.desat, threshold=thr)
-        self.desat_cfg = [self.desat_base] * N_DEVICES
-        self._desat_thr = np.full(N_DEVICES, self.desat_base.threshold)
+        self.desat_thr = np.full(N_DEVICES, self.desat_base.threshold)
         self._desat_run = np.full(N_DEVICES, -1)
         self._trip_runs: dict = {}  # (dt, blanking) -> blanking_runs
-        self._desat_bias = s.sense_params.i_desat * s.sense_params.r_s \
-            + 2.0 * s.sense_params.v_d_hv
+        self._desat_bias = sns.desat_voltage(s.sense_params, 0.0)
         self._ntc_rate = np.zeros(N_DEVICES)
 
         # electrical state
@@ -459,7 +452,6 @@ class TestBench:
         # monitoring outputs
         self.tj_est = np.full(N_DEVICES, np.nan)
         self.r_on_last = np.full(N_DEVICES, np.nan)
-        self.i_pk_last = np.full(N_DEVICES, np.nan)
         self.collect_windows = True
         self.windows: list[dict] = []
         self.last_window_trace = None  # (trigger angles, i slots, v slots)
@@ -508,7 +500,10 @@ class TestBench:
     # -- protection ------------------------------------------------------------
 
     def _protection(self, v_cond: np.ndarray, i_dev: np.ndarray, dt: float):
-        over = (i_dev > 0) & (self._desat_bias + v_cond > self._desat_thr)
+        """Blanked DESAT comparator, one sample per step of dt: a device
+        trips once its pin has stayed above its threshold for
+        blanking_runs(dt, blanking) consecutive conducting steps."""
+        over = (i_dev > 0) & (self._desat_bias + v_cond > self.desat_thr)
         run = self._desat_run = np.where(over, self._desat_run + 1, -1)
         key = (dt, self.desat_base.blanking)
         n_trip = self._trip_runs.get(key)
@@ -517,6 +512,10 @@ class TestBench:
         if np.maximum.reduce(run) >= n_trip:
             k = int(np.flatnonzero(run >= n_trip)[0])
             raise ProtectionTrip(DEVICE_IDS[k], self.t)
+        self._check_runaway()
+
+    def _check_runaway(self):
+        """End the run once a junction leaves the simulation envelope."""
         if self.bank.t_j.max() > T_J_ENVELOPE_MAX:
             k = int(self.bank.t_j.argmax())
             raise ThermalRunaway(
@@ -562,7 +561,6 @@ class TestBench:
         est = smp.estimate_ron(sstate, taps, self.i_floor)
         tj = smp.estimate_tj(est.r_on, est.i_at_peak, self.luts[k])
         self.r_on_last[k] = est.r_on
-        self.i_pk_last[k] = est.i_at_peak
         self.tj_est[k] = tj.t_j
         if self.collect_windows:
             valid = np.abs(sstate.i) >= self.i_floor
@@ -759,7 +757,7 @@ class TestBench:
 
         # protection at envelope resolution: per-cycle exceedance duration
         over_time = ((i_dev > 0)
-                     & (v_cond > (self._desat_thr - self._desat_bias)[:, None])
+                     & (v_cond > (self.desat_thr - self._desat_bias)[:, None])
                      ).mean(axis=1) * dt
         over = over_time >= self.desat_base.blanking
         if over.any():
@@ -767,11 +765,7 @@ class TestBench:
             raise ProtectionTrip(DEVICE_IDS[k], self.t)
 
         self._thermal_step(p_dev, dt, pump_test=False)
-        if self.bank.t_j.max() > T_J_ENVELOPE_MAX:
-            k = int(self.bank.t_j.argmax())
-            raise ThermalRunaway(
-                f"{DEVICE_IDS[k]} reached {self.bank.t_j[k]:.1f} degC "
-                f"at t={self.t:.3f} s")
+        self._check_runaway()
 
         tl = self.tally
         p_link = cfg.link_resistance * float((i_dev[0:6:2] ** 2).mean(axis=1).sum())
@@ -838,7 +832,6 @@ class TestBench:
             for k in range(6, N_DEVICES):
                 self.tj_est[k] = np.interp(rf[k], cols[k], t_ax)
         self.r_on_last = rf
-        self.i_pk_last = self._env_i_pk.copy()
         if self.collect_windows:
             for k in range(N_DEVICES):
                 self.windows.append({
@@ -1093,10 +1086,8 @@ class TestBench:
             offs[k] = lut.offset
             offs_pkg[k] = lut.offset_pkg
             if self.desat_base.compensated or self.s.desat_calibrated:
-                cfg_k = sns.compensate_desat_threshold(self.desat_base,
-                                                       float(d_hat[k]), state)
-                self.desat_cfg[k] = cfg_k
-                self._desat_thr[k] = cfg_k.threshold
+                self.desat_thr[k] = sns.compensate_desat_threshold(
+                    self.desat_base, float(d_hat[k]), state).threshold
         res = StartupResult(v_th=v_th_m, r_on_ambient=r_amb,
                             delta_vth_hat=d_hat, lut_offsets=offs,
                             lut_offsets_pkg=offs_pkg)

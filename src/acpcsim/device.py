@@ -109,6 +109,13 @@ def on_resistance(p: DeviceParams, t_j, i_d, v_gs, delta_pkg=0.0, delta_vth=0.0)
         + p.r_i_slope * (i_d - p.i_nominal)
 
 
+def channel_shift(p: DeviceParams, t_j, v_gs, delta_vth):
+    """Growth of the channel term of on_resistance when the threshold
+    shifts by delta_vth (array-safe)."""
+    overdrive = v_gs - threshold_voltage(p, t_j)
+    return p.k_ch / (overdrive - delta_vth) - p.k_ch / overdrive
+
+
 def r_on(dev: DeviceState, t_j, i_d, v_gs: float):
     """First-quadrant on-resistance. Raises ChannelOff below threshold."""
     if np.any(np.asarray(v_gs - v_th(dev, t_j)) <= 0.0):

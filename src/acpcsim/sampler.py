@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -336,13 +336,6 @@ def estimate_ron(s: SamplerState, taps: Sequence[float],
 # R_on(T_j, I_d) lookup table
 # ---------------------------------------------------------------------------
 
-def _channel_shift(ch: dict, t, delta_vth: float):
-    """Channel-term growth under a threshold shift, from a table's snapshot
-    of the channel law."""
-    ov = ch["v_gs"] - (ch["v_th0"] + ch["rho_vth"] * (t - ch["t0"]))
-    return ch["k_ch"] / (ov - delta_vth) - ch["k_ch"] / ov
-
-
 class TjEstimate(NamedTuple):
     t_j: float
     out_of_grid: bool
@@ -365,7 +358,7 @@ class RonLut:
     i_axis: np.ndarray
     grid: np.ndarray                       # (len(t_axis), len(i_axis)), fresh
     drift_profile: Optional[np.ndarray] = None  # fresh drift component over t_axis
-    channel: Optional[dict] = None         # k_ch, v_gs, v_th0, rho_vth, t0 snapshot
+    channel: Optional[dev_mod.DeviceParams] = None  # device at the table's drive
     offset: float = 0.0                    # total measured ambient shift, ohm
     offset_pkg: float = 0.0
     delta_vth_hat: float = 0.0
@@ -388,7 +381,8 @@ class RonLut:
     def _oxide_shift(self, t: np.ndarray) -> np.ndarray:
         if self.channel is None or self.delta_vth_hat == 0.0:
             return np.zeros_like(t)
-        return _channel_shift(self.channel, t, self.delta_vth_hat)
+        return dev_mod.channel_shift(self.channel, t, self.channel.gate_on_v,
+                                     self.delta_vth_hat)
 
     def _pkg_shift(self, t: np.ndarray) -> np.ndarray:
         if self.offset_pkg == 0.0:
@@ -454,10 +448,8 @@ def build_ron_lut(params: dev_mod.DeviceParams,
     i = np.asarray(i_axis, dtype=float)
     grid = np.array([[dev_mod.r_on(fresh, tj, ii, v_gs) for ii in i] for tj in t])
     drift = dev_mod.drift_resistance(params, t)
-    channel = {"k_ch": params.k_ch, "v_gs": v_gs, "v_th0": params.v_th0,
-               "rho_vth": params.rho_vth, "t0": params.t0}
     return RonLut(t_axis=t, i_axis=i, grid=grid, drift_profile=drift,
-                  channel=channel)
+                  channel=replace(params, gate_on_v=v_gs))
 
 
 def estimate_tj(r_on: float, i_d: float, lut: RonLut) -> TjEstimate:
@@ -492,8 +484,9 @@ def recalibrate_lut(lut: RonLut, r_on_measured_ambient: float, t_ambient: float,
         raise AmbientMismatch(
             f"measured {r_on_measured_ambient:.4g} ohm is below the fresh "
             f"table value {fresh_val:.4g} ohm")
-    oxide_at_cal = _channel_shift(lut.channel, t_ambient, delta_vth) \
-        if delta_vth > 0 and lut.channel is not None else 0.0
+    ch = lut.channel
+    oxide_at_cal = dev_mod.channel_shift(ch, t_ambient, ch.gate_on_v, delta_vth) \
+        if delta_vth > 0 and ch is not None else 0.0
     return RonLut(t_axis=lut.t_axis, i_axis=lut.i_axis, grid=lut.grid,
                   drift_profile=lut.drift_profile, channel=lut.channel,
                   offset=offset, offset_pkg=offset - oxide_at_cal,

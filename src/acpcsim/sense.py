@@ -6,7 +6,9 @@ quadrant, and a two-mode threshold-voltage measurement in which the bias
 current source first charges the gate and then feeds the conducting channel.
 The same sense path drives desaturation protection, whose pin voltage is
 
-    v_desat = i_desat * r_s + 2 * v_d_hv + v_ds.
+    v_desat = i_desat * r_s + 2 * v_d_hv + v_ds;
+
+the bench's blanked comparator on it is cycling.TestBench._protection.
 
 With matched divider resistors the amplifier output equals v_ds exactly; the
 residual mismatch of the two blocking diodes appears as a per-device constant
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -104,16 +106,10 @@ class SenseChannel:
     """One measurement circuit instance: parameters, RC state, noise stream."""
 
     def __init__(self, params: SenseCircuitParams,
-                 rng: Optional[np.random.Generator] = None,
-                 draw_e_d: bool = False):
+                 rng: Optional[np.random.Generator] = None):
         self.params = params
         self.rng = rng
         self._v_filt = 0.0
-        if draw_e_d:
-            if rng is None:
-                raise ValueError("drawing e_d requires an rng")
-            self.params = replace(params,
-                                  e_d=float(rng.uniform(*E_D_RANGE)))
 
     def _noise(self) -> float:
         if self.rng is None or self.params.noise_sigma <= 0:
@@ -211,40 +207,15 @@ def desat_voltage(p: SenseCircuitParams, v_ds: float) -> float:
     return p.i_desat * p.r_s + 2.0 * p.v_d_hv + v_ds
 
 
-@dataclass
-class DesatDecision:
-    tripped: bool
-    trip_time: Optional[float] = None
-
-
-def desat_check(cfg: DesatConfig, times: Sequence[float],
-                v_desat: Sequence[float]) -> DesatDecision:
-    """Blanked comparator over a sampled pin-voltage series.
-
-    Trips at the first instant the pin has stayed above the threshold for at
-    least the blanking time; any sub-threshold sample resets the timer.
-    """
-    run_start = None
-    for t, v in zip(times, v_desat):
-        if v > cfg.threshold:
-            if run_start is None:
-                run_start = t
-            elif t - run_start >= cfg.blanking:
-                return DesatDecision(True, run_start + cfg.blanking)
-        else:
-            run_start = None
-    return DesatDecision(False, None)
-
-
 def compensate_desat_threshold(cfg: DesatConfig, delta_vth_measured: float,
                                dev: DeviceState, v_gs: Optional[float] = None,
                                margin: float = 1.0) -> DesatConfig:
     """Raise the trip level by the channel-model on-state drop growth.
 
     The measured threshold shift predicts the extra drop at nominal current,
-    i_nominal * k_ch * (1/(ov0 - dvth) - 1/ov0); the new config is flagged
-    compensated. Refuses to compensate once the remaining overdrive is below
-    the margin.
+    i_nominal * device.channel_shift at the reference temperature; the new
+    config is flagged compensated. Refuses to compensate once the remaining
+    overdrive is below the margin.
     """
     p = dev.params
     if v_gs is None:
@@ -253,7 +224,7 @@ def compensate_desat_threshold(cfg: DesatConfig, delta_vth_measured: float,
     if ov0 - delta_vth_measured <= margin:
         raise OverdriveCollapse(
             f"overdrive {ov0 - delta_vth_measured:.2f} V below margin {margin} V")
-    rise = p.i_nominal * p.k_ch * (1.0 / (ov0 - delta_vth_measured) - 1.0 / ov0)
+    rise = p.i_nominal * dev_mod.channel_shift(p, p.t0, v_gs, delta_vth_measured)
     return replace(cfg, threshold=cfg.threshold + rise, compensated=True)
 
 

@@ -214,8 +214,10 @@ class TestRun:
         "thermal.stage_r = 0.1, 0.2\nthermal.stage_tau = 0.0, 0.3\n",
         "device.gate_on_v = 18\n",
         "device.gate_off_v = -5\n",
+        "sense.e_d = 0.0005\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
-            "zero_stage_tau", "device_gate_on_v", "device_gate_off_v"])
+            "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
+            "sense_e_d"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from acpcsim.core import (BenchConfig, ConfigError, PfMode, SimTime,
-                          Technique, angle_distance, validate_scenario,
-                          wrap_angle)
+from acpcsim.core import (BenchConfig, ConfigError, PfMode, Technique,
+                          angle_distance, validate_scenario, wrap_angle)
+from acpcsim.cycling import TestBench, default_settings
 
 
 def test_defaults_accepted():
@@ -64,12 +64,15 @@ def test_pf_angle_convention():
 
 
 def test_sim_time_angle():
-    tm = SimTime(dt=1e-3, f_fund=50.0)
-    assert tm.theta == 0.0
+    # the bench clock: the electrical angle is derived from simulated time
+    bench = TestBench(default_settings(validate_scenario(BenchConfig())))
+    dt = 1.0 / bench.cfg.f_sw
+    assert bench.theta == 0.0
     for _ in range(7):
-        tm.advance()
-    assert abs(tm.theta - (2 * math.pi * 50.0 * 7e-3) % (2 * math.pi)) < 1e-12
-    assert tm.t == pytest.approx(7e-3)
+        bench._step_conducting()  # one averaged PWM step
+    assert abs(bench.theta - (2 * math.pi * 50.0 * 7 * dt) % (2 * math.pi)) \
+        < 1e-12
+    assert bench.t == pytest.approx(7 * dt)
 
 
 def test_angle_helpers():

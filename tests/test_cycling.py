@@ -10,9 +10,9 @@ from acpcsim import thermal as th
 from acpcsim.core import BenchConfig, Fidelity, Technique, validate_scenario
 from acpcsim.cycling import (BODY_DIODE_WARNING, GATE_OXIDE_WARNING,
                              PACKAGE_WARNING, CycleRecord, DeviceBank,
-                             N_DEVICES, TestBench, WarningPolicy,
-                             blanking_runs, default_settings, energy_audit,
-                             evaluate_warnings)
+                             N_DEVICES, TestBench, ThermalRunaway,
+                             WarningPolicy, blanking_runs, default_settings,
+                             energy_audit, evaluate_warnings)
 from acpcsim.device import (AgingTrajectory, conduction_voltage,
                             module_400a)
 
@@ -145,7 +145,8 @@ class TestStartup:
         assert np.abs(out.lut_offsets).max() < 1.5e-5
         assert np.allclose(out.delta_vth_hat, 0.0)
         base = b.desat_base.threshold
-        assert all(abs(c.threshold - base) < 1e-12 for c in b.desat_cfg)
+        assert b.desat_thr.shape == (N_DEVICES,)
+        assert all(abs(thr - base) < 1e-12 for thr in b.desat_thr)
 
     def test_package_shift_lands_in_lut_not_desat(self):
         b = TestBench(self.settings())
@@ -157,7 +158,7 @@ class TestStartup:
         assert out.lut_offsets[0] == pytest.approx(2e-3, rel=0.02)
         assert out.lut_offsets_pkg[0] == pytest.approx(2e-3, rel=0.02)
         base = b.desat_base.threshold
-        assert abs(b.desat_cfg[0].threshold - base) < 5e-3
+        assert abs(b.desat_thr[0] - base) < 5e-3
 
     def test_oxide_shift_compensates_desat_not_package(self):
         b = TestBench(self.settings())
@@ -169,7 +170,7 @@ class TestStartup:
         p = b.bank.params
         ov = p.gate_on_v - p.v_th0
         predicted_rise = p.i_nominal * p.k_ch * (1 / (ov - 0.5) - 1 / ov)
-        assert b.desat_cfg[0].threshold - b.desat_base.threshold == \
+        assert b.desat_thr[0] - b.desat_base.threshold == \
             pytest.approx(predicted_rise, rel=0.10)
 
     def test_vth_column_appears_on_startup_cycles(self):
@@ -350,6 +351,18 @@ class TestDeterminismAndProtection:
             cooling_load=th.CoolingState(r_boundary_on=1.0, r_boundary_off=3.0)))
         res = b.run_campaign()
         assert res.status == "thermal_runaway"
+
+    def test_averaged_thermal_runaway_detected(self):
+        # a junction pushed past the simulation envelope ends the next
+        # averaged step after its DESAT check, with the message the
+        # envelope engine gives
+        b = TestBench(default_settings(validate_scenario(BenchConfig())))
+        b._stage_temps[2, 0] += 250.0
+        b.bank.t_j[2] += 250.0
+        with pytest.raises(ThermalRunaway,
+                           match=r"^test_b_hi reached 275\.0 degC at t=0\.000 s$"):
+            b.run_steady(1.0 / b.cfg.f_sw)
+        assert b.t == 0.0
 
 
 class TestOperatingModes:

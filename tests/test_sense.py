@@ -3,18 +3,37 @@ import math
 import numpy as np
 import pytest
 
+from acpcsim.core import BenchConfig, validate_scenario
+from acpcsim.cycling import (N_DEVICES, ProtectionTrip, TestBench,
+                             default_settings)
 from acpcsim.device import (AgingState, DeviceState, delta_vth_for_vds_shift,
                             module_400a, vgs_at_channel_current)
 from acpcsim.sense import (DesatConfig, MovBenchParams, MovRating,
                            NotAtAmbient, NotThirdQuadrant, OverdriveCollapse,
                            SenseChannel, SenseCircuitParams,
                            VthMeasureTimeout, compensate_desat_threshold,
-                           desat_check, desat_voltage, measure_vth, mov_check,
+                           desat_voltage, measure_vth, mov_check,
                            sense_vds, sense_vsd, quantize)
 
 
 def quiet_channel(e_d=1.0e-3, **kw):
     return SenseChannel(SenseCircuitParams(e_d=e_d, noise_sigma=0.0, **kw))
+
+
+def protection_trip_time(threshold, t, v, dt=0.5e-6, blanking=2e-6):
+    """Feed the bench's DESAT comparator (TestBench._protection) one pin
+    sample per step of dt on every device; the trip time, or None."""
+    bench = TestBench(default_settings(
+        desat=DesatConfig(threshold=threshold, blanking=blanking)))
+    bias = desat_voltage(bench.s.sense_params, 0.0)
+    conducting = np.ones(N_DEVICES)
+    for t_k, v_k in zip(t, v):
+        bench.t = float(t_k)
+        try:
+            bench._protection(np.full(N_DEVICES, v_k - bias), conducting, dt)
+        except ProtectionTrip as trip:
+            return trip.t
+    return None
 
 
 class TestSenseVds:
@@ -135,42 +154,37 @@ class TestDesat:
                 pytest.approx(1.0, rel=1e-12)
 
     def test_short_excursion_does_not_trip(self):
-        cfg = DesatConfig(threshold=9.0, blanking=2e-6)
         t = np.arange(0, 10e-6, 0.5e-6)
         v = np.where((t >= 2e-6) & (t < 3.5e-6), 12.0, 1.0)
-        assert not desat_check(cfg, t, v).tripped
+        assert protection_trip_time(9.0, t, v) is None
 
     def test_sustained_exceedance_trips_at_blanking(self):
-        cfg = DesatConfig(threshold=9.0, blanking=2e-6)
         t = np.arange(0, 10e-6, 0.5e-6)
         v = np.where(t >= 3e-6, 12.0, 1.0)
-        out = desat_check(cfg, t, v)
-        assert out.tripped
-        assert out.trip_time == pytest.approx(5e-6, abs=1e-12)
+        trip = protection_trip_time(9.0, t, v)
+        assert trip is not None
+        assert trip == pytest.approx(5e-6, abs=1e-12)
 
     def test_reset_on_dip(self):
-        cfg = DesatConfig(threshold=9.0, blanking=2e-6)
         t = np.arange(0, 10e-6, 0.5e-6)
         v = np.full_like(t, 12.0)
         v[t == 1.5e-6] = 1.0
-        out = desat_check(cfg, t, v)
-        assert out.trip_time == pytest.approx(2e-6 + 2e-6, abs=1e-12)
+        trip = protection_trip_time(9.0, t, v)
+        assert trip == pytest.approx(2e-6 + 2e-6, abs=1e-12)
 
     def test_translation_invariance_and_threshold_monotonicity(self):
         rng = np.random.default_rng(8)
         t = np.arange(0, 50e-6, 0.5e-6)
         v = 5.0 + np.cumsum(rng.normal(0, 0.4, size=t.size))
-        cfg_lo = DesatConfig(threshold=6.0, blanking=2e-6)
-        cfg_hi = DesatConfig(threshold=8.0, blanking=2e-6)
-        out_lo = desat_check(cfg_lo, t, v)
-        out_hi = desat_check(cfg_hi, t, v)
-        if out_hi.tripped:
-            assert out_lo.tripped and out_lo.trip_time <= out_hi.trip_time
-        shift = desat_check(cfg_lo, t + 1e-3, v)
-        if out_lo.tripped:
-            assert shift.trip_time == pytest.approx(out_lo.trip_time + 1e-3)
+        out_lo = protection_trip_time(6.0, t, v)
+        out_hi = protection_trip_time(8.0, t, v)
+        if out_hi is not None:
+            assert out_lo is not None and out_lo <= out_hi
+        shift = protection_trip_time(6.0, t + 1e-3, v)
+        if out_lo is not None:
+            assert shift == pytest.approx(out_lo + 1e-3)
         else:
-            assert not shift.tripped
+            assert shift is None
 
 
 class TestCompensation:
@@ -232,7 +246,8 @@ class TestMov:
 
 
 def test_e_d_draw_stays_in_measured_range():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        ch = SenseChannel(SenseCircuitParams(), rng=rng, draw_e_d=True)
-        assert 0.3e-3 <= ch.params.e_d <= 1.6e-3
+    for seed in range(100):
+        cfg = validate_scenario(BenchConfig(rng_seed=seed))
+        e_d = TestBench(default_settings(cfg)).e_d
+        assert e_d.shape == (N_DEVICES,)
+        assert ((0.3e-3 <= e_d) & (e_d <= 1.6e-3)).all()
