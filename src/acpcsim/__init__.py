@@ -8,7 +8,7 @@ from .core import (BenchConfig, ConfigError, Fidelity, PfMode, Technique,
                    validate_scenario)
 from .cycling import (BenchSettings, CycleRecord, ProtectionTrip, RunResult,
                       TestBench, ThermalRunaway, WarningPolicy,
-                      default_settings, energy_audit, evaluate_warnings)
+                      default_settings, energy_audit)
 from .device import (AgingState, AgingTrajectory, DeviceParams, DeviceState,
                      module_400a, vendor_a, vendor_b)
 
@@ -19,6 +19,6 @@ __all__ = [
     "ConfigError", "CycleRecord", "DeviceParams", "DeviceState", "Fidelity",
     "PfMode", "ProtectionTrip", "RunResult", "TestBench",
     "Technique", "ThermalRunaway", "WarningPolicy", "default_settings",
-    "energy_audit", "evaluate_warnings", "module_400a", "validate_scenario",
+    "energy_audit", "module_400a", "validate_scenario",
     "vendor_a", "vendor_b", "__version__",
 ]

@@ -18,9 +18,11 @@ device.*     profile (module_400a|vendor_a|vendor_b) plus any numeric field
              of the device parameter set as an override, e.g.
              device.e_on0 = 0.0025; not the gate drive, which is
              bench.gate_on_v / bench.gate_off_v
-sense.*      any numeric field of the sense-circuit parameter set, e.g.
-             sense.noise_sigma = 0.002; not the diode mismatch e_d, which
-             the bench draws per device from the seed
+sense.*      i_desat, i_desat_vth, r_s, v_d_hv, noise_sigma (>= 0),
+             vth_timeout; e_d (the bench draws it per device from the
+             seed), r_a1, r_a2, rc_filter_tau, shift_gain, shift_offset,
+             adc_bits, adc_fullscale and vth_blanking are unknown keys, as
+             no bench path reads them
 desat.*      threshold, blanking, compensated (bool), calibrated (bool),
              margin_v
 thermal.*    stage_r / stage_tau (comma lists, junction-side stages),
@@ -231,9 +233,7 @@ _ROWS = [
     # device-level drive would be silently overridden: bench.* sets it
     *_numeric_rows("device", dev_mod.DeviceParams,
                    exclude=("gate_on_v", "gate_off_v")),
-    # the bench draws each device's diode mismatch from the seed, so a
-    # scenario-level e_d would have no effect
-    *_numeric_rows("sense", sns.SenseCircuitParams, exclude=("e_d",)),
+    *_numeric_rows("sense", sns.SenseCircuitParams),
     ("desat.threshold", _float, "desat.threshold"),
     ("desat.blanking", _float, "desat.blanking"),
     ("desat.compensated", _bool, "desat.compensated"),

@@ -166,8 +166,3 @@ def wrap_angle(theta: float) -> float:
     """Map any angle into [0, 2*pi)."""
     return theta % TWO_PI
 
-
-def angle_distance(a: float, b: float) -> float:
-    """Shortest circular distance between two angles, in [0, pi]."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)

@@ -117,8 +117,9 @@ class CycleRecord:
 
 
 class WarningTracker:
-    """Incremental form of evaluate_warnings: latching flags against the
-    first usable baseline of each precursor, O(1) per new record."""
+    """Latching precursor flags against the first usable baseline of each
+    precursor: relative on-resistance drift, threshold shift, and body-diode
+    shift, O(1) per new record."""
 
     def __init__(self, policy: WarningPolicy):
         self.policy = policy
@@ -149,17 +150,6 @@ class WarningTracker:
                 rec.v_sd, self._base["v_sd"], p.v_sd_shift_threshold, False):
             self.flags.add(BODY_DIODE_WARNING)
         return self.flags
-
-
-def evaluate_warnings(history: list, policy: WarningPolicy) -> set:
-    """Latching precursor flags versus the first usable baseline: relative
-    on-resistance drift, threshold shift, and body-diode shift."""
-    if not history:
-        raise ValueError("need at least one record")
-    tracker = WarningTracker(policy)
-    for rec in history:
-        tracker.update(rec)
-    return tracker.flags
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +270,6 @@ class DeviceBank:
         self.delta_vsd[m] = np.maximum(self.delta_vsd[m], vsd)
         self.r_th_factor[m] = np.maximum(self.r_th_factor[m], rth)
         self.aging_version += 1
-
-
-@dataclass
-class _Reading:
-    """Minimal stand-in for sense.SenseReading on the capture hot path."""
-    valid: bool
-    v_op1: float
 
 
 class _CrossingPredictor:
@@ -547,9 +530,9 @@ class TestBench:
             if i_dev[k] <= floor or duty[k] < 0.02:
                 continue
             noise = self.rng.normal(0.0, sigma) if sigma > 0 else 0.0
-            reading = _Reading(True, float(v_cond[k] + self.e_d[k] + noise))
             smp.sampler_update_interval(
-                sstate, theta_prev, theta_now, reading, float(i_dev[k]),
+                sstate, theta_prev, theta_now,
+                float(v_cond[k] + self.e_d[k] + noise), float(i_dev[k]),
                 truth=float(v_cond[k] / i_dev[k]))
             if sstate.complete:
                 self._finish_window(k)

@@ -68,7 +68,6 @@ class AgingState:
     delta_pkg: float = 0.0    # fractional drift-resistance increase
     delta_vth: float = 0.0    # threshold shift, V
     delta_vsd: float = 0.0    # body-diode voltage shift, V
-    cycles_accumulated: int = 0
 
     def __post_init__(self):
         if min(self.delta_pkg, self.delta_vth, self.delta_vsd) < 0:
@@ -244,19 +243,6 @@ def _piecewise(points: Breakpoints, x: float) -> float:
     if x1 == x0:
         return y1
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
-def apply_aging(state: AgingState, trajectory: AgingTrajectory,
-                cycle_count: int) -> AgingState:
-    """Advance the aging indices to the given cycle count (monotone)."""
-    if cycle_count < state.cycles_accumulated:
-        raise ValueError("cycle_count must not run backwards")
-    return AgingState(
-        delta_pkg=max(state.delta_pkg, _piecewise(trajectory.delta_pkg, cycle_count)),
-        delta_vth=max(state.delta_vth, _piecewise(trajectory.delta_vth, cycle_count)),
-        delta_vsd=max(state.delta_vsd, _piecewise(trajectory.delta_vsd, cycle_count)),
-        cycles_accumulated=cycle_count,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.signal import firwin
 
 from . import device as dev_mod
-from .core import TWO_PI, angle_distance, wrap_angle
+from .core import TWO_PI, wrap_angle
 from .device import DeviceState
 
 
@@ -39,12 +39,10 @@ class AmbientMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class TriggerSet:
-    """Sorted target angles (radians, wrapped to [0, 2pi)) with the matching
-    tolerance and the index of the slot nearest the window center."""
+    """Sorted target angles (radians, wrapped to [0, 2pi)) and the index of
+    the slot nearest the window center."""
 
     angles: np.ndarray
-    tolerance: float
-    center: float
     center_index: int
 
     @property
@@ -60,36 +58,13 @@ def build_trigger_set(theta_peak: float, n: int, window: float) -> TriggerSet:
         raise ValueError("window must lie in (0, pi/2]")
     if n == 1:
         raw = np.array([theta_peak])
-        tol = window
     else:
         raw = np.linspace(theta_peak - window, theta_peak + window, n)
-        tol = 0.5 * (raw[1] - raw[0])
     angles = np.sort(raw % TWO_PI)
     center = wrap_angle(theta_peak)
     dists = np.abs(angles - center)
     dists = np.minimum(dists, TWO_PI - dists)
-    return TriggerSet(angles=angles, tolerance=float(tol), center=center,
-                      center_index=int(dists.argmin()))
-
-
-def match_trigger(theta_now: float, tset: TriggerSet) -> Optional[int]:
-    """Index of the trigger within tolerance of theta_now, wrap-aware.
-
-    Binary search plus neighbor checks; result is identical to a linear
-    scan for the nearest trigger (ties resolve to the lower index).
-    """
-    theta = wrap_angle(theta_now)
-    a = tset.angles
-    n = len(a)
-    j = int(np.searchsorted(a, theta, side="left"))
-    best_idx, best_d = None, math.inf
-    for k in sorted({(j - 1) % n, j % n, 0, n - 1}):
-        d = angle_distance(theta, float(a[k]))
-        if d < best_d:
-            best_idx, best_d = k, d
-    if best_d <= tset.tolerance:
-        return best_idx
-    return None
+    return TriggerSet(angles=angles, center_index=int(dists.argmin()))
 
 
 def triggers_in_interval(tset: TriggerSet, theta_from: float, theta_to: float
@@ -227,31 +202,17 @@ def store_slots(s: SamplerState, idx, v_on, i_meas, truth) -> int:
     return len(idx)
 
 
-def sampler_update(s: SamplerState, theta_now: float, reading, i_meas: float,
-                   truth: float = math.nan) -> bool:
-    """Capture one valid reading if the angle hits an unfilled trigger and
-    the per-cycle budget allows. Returns True when a slot was stored."""
-    if not reading.valid:
-        return False
-    idx = match_trigger(theta_now, s.triggers)
-    if idx is None:
-        return False
-    return store_slots(s, [idx], reading.v_op1, i_meas, truth) > 0
-
-
 def sampler_update_interval(s: SamplerState, theta_prev: float,
-                            theta_now: float, reading, i_meas: float,
+                            theta_now: float, v_on: float, i_meas: float,
                             truth: float = math.nan) -> int:
     """Capture for every trigger crossed during the last angle step.
 
-    All crossed slots receive the same synchronized (v, i) pair, which keeps
-    their ratio an on-resistance sample taken at a single instant. Returns
-    the number of slots stored.
+    All crossed slots receive the same synchronized (v_on, i_meas) pair,
+    which keeps their ratio an on-resistance sample taken at a single
+    instant. Returns the number of slots stored.
     """
-    if not reading.valid:
-        return 0
     return store_slots(s, triggers_in_interval(s.triggers, theta_prev, theta_now),
-                       reading.v_op1, i_meas, truth)
+                       v_on, i_meas, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +454,3 @@ def recalibrate_lut(lut: RonLut, r_on_measured_ambient: float, t_ambient: float,
                   delta_vth_hat=delta_vth if lut.channel is not None else 0.0,
                   t_cal=t_ambient)
 
-
-def detect_peak_angle(theta: Sequence[float], values: Sequence[float]) -> float:
-    """Fallback peak locator for replayed data: angle of the largest sample."""
-    theta = np.asarray(theta, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(theta) == 0 or len(theta) != len(values):
-        raise ValueError("need matching, nonempty angle/value arrays")
-    return wrap_angle(float(theta[values.argmax()]))

@@ -10,9 +10,11 @@ The same sense path drives desaturation protection, whose pin voltage is
 
 the bench's blanked comparator on it is cycling.TestBench._protection.
 
-With matched divider resistors the amplifier output equals v_ds exactly; the
-residual mismatch of the two blocking diodes appears as a per-device constant
-bias e_d of a fraction of a millivolt.
+A sensed drop is the true drop plus the mismatch e_d of the two blocking
+diodes, a per-device constant of a fraction of a millivolt drawn once from
+E_D_RANGE, plus seeded output noise. The bench adds both where it reads the
+drops: its capture (cycling.TestBench._capture and the envelope fills) and
+its body-diode probe (cycling.TestBench._probe_vsd).
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ import numpy as np
 
 from . import device as dev_mod
 from .device import DeviceState
-
-
-class NotThirdQuadrant(RuntimeError):
-    """Body-diode measurement attempted outside its contract."""
 
 
 class VthMeasureTimeout(RuntimeError):
@@ -51,24 +49,13 @@ class SenseCircuitParams:
     i_desat: float = 1e-3        # measurement-mode bias current, A
     i_desat_vth: float = 2e-3    # threshold-mode bias current, A
     r_s: float = 1000.0          # series resistor, ohm
-    r_a1: float = 10e3           # divider, ohm (matched pair)
-    r_a2: float = 10e3
-    e_d: float = 1.0e-3          # blocking-diode mismatch, V
     v_d_hv: float = 0.7          # nominal drop per blocking diode, V
-    rc_filter_tau: float = 1e-6  # amplifier output RC, s
-    shift_gain: float = 1.0      # level-shift stage before the ADC
-    shift_offset: float = 0.0
-    adc_bits: int = 12
-    adc_fullscale: float = 5.0
     noise_sigma: float = 2e-3    # additive output noise, V (seeded)
-    vth_blanking: float = 2e-3   # settle time before the reading is taken, s
     vth_timeout: float = 0.2     # gate-fault detection horizon, s
 
     def __post_init__(self):
-        if self.r_a1 <= 0 or self.r_a2 <= 0:
-            raise ValueError("divider resistors must be positive")
-        if not 8 <= self.adc_bits <= 16:
-            raise ValueError("adc_bits out of range")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be nonnegative")
 
 
 @dataclass
@@ -82,89 +69,16 @@ class DesatConfig:
             raise ValueError("threshold and blanking must be positive")
 
 
-@dataclass
-class SenseReading:
-    valid: bool
-    v_op1: float
-    adc_code: int
-
-    def v_decoded(self, p: SenseCircuitParams) -> float:
-        """ADC code mapped back through the level shifter."""
-        span = 2 ** p.adc_bits - 1
-        v_shift = self.adc_code / span * p.adc_fullscale
-        return (v_shift - p.shift_offset) / p.shift_gain
-
-
-def quantize(p: SenseCircuitParams, v: float) -> int:
-    span = 2 ** p.adc_bits - 1
-    v_shift = p.shift_gain * v + p.shift_offset
-    code = round(v_shift / p.adc_fullscale * span)
-    return min(span, max(0, code))
-
-
-class SenseChannel:
-    """One measurement circuit instance: parameters, RC state, noise stream."""
-
-    def __init__(self, params: SenseCircuitParams,
-                 rng: Optional[np.random.Generator] = None):
-        self.params = params
-        self.rng = rng
-        self._v_filt = 0.0
-
-    def _noise(self) -> float:
-        if self.rng is None or self.params.noise_sigma <= 0:
-            return 0.0
-        return float(self.rng.normal(0.0, self.params.noise_sigma))
-
-
-def sense_vds(ch: SenseChannel, v_ds_true: float, sw_on: bool, dt: float
-              ) -> SenseReading:
-    """On-state drain-source measurement through the DESAT diodes.
-
-    With the switch off the blocking diodes are reverse biased and no reading
-    exists. With the switch on, the amplifier output tracks v_ds + e_d
-    through the output RC; the ADC sees the level-shifted value.
-    """
-    p = ch.params
-    if not sw_on:
-        return SenseReading(valid=False, v_op1=float("nan"), adc_code=0)
-    v_in = v_ds_true + p.e_d
-    if p.rc_filter_tau <= 0:
-        ch._v_filt = v_in
-    else:
-        alpha = 1.0 - math.exp(-dt / p.rc_filter_tau)
-        ch._v_filt += alpha * (v_in - ch._v_filt)
-    v_op1 = ch._v_filt + ch._noise()
-    return SenseReading(valid=True, v_op1=v_op1, adc_code=quantize(p, v_op1))
-
-
-def sense_vsd(ch: SenseChannel, dev: DeviceState, i_reverse: float, t_j: float,
-              v_gs: Optional[float] = None) -> float:
-    """Body-diode voltage magnitude seen through the same sense path.
-
-    i_reverse is the reverse-current magnitude (positive). The channel must
-    be held at the negative off level so the PiN diode carries the full
-    current; a positive gate shunts the diode and violates the contract.
-    """
-    if v_gs is None:
-        v_gs = dev.params.gate_off_v
-    if i_reverse <= 0:
-        raise NotThirdQuadrant("requires a positive reverse-current magnitude")
-    if v_gs > dev_mod.v_th(dev, t_j):
-        raise NotThirdQuadrant("gate must be at the negative off level")
-    return dev_mod.v_sd(dev, i_reverse, t_j) + ch.params.e_d + ch._noise()
-
-
 def measure_vth(dev: DeviceState, t_ambient: float, p: SenseCircuitParams,
                 rng: Optional[np.random.Generator] = None,
                 ambient_tol: float = 1.5) -> float:
     """Two-mode threshold measurement at the elevated bias current.
 
     Mode 1 charges the gate capacitance with the bias source; mode 2 begins
-    when the diode-connected channel sinks the full bias current. After the
-    blanking time the steady gate voltage is returned. Requires the converter
-    idle with the device settled at ambient so no junction-temperature
-    compensation is needed.
+    when the diode-connected channel sinks the full bias current, and the
+    settled gate voltage is returned. Requires the converter idle with the
+    device settled at ambient so no junction-temperature compensation is
+    needed.
     """
     if abs(dev.t_j - t_ambient) > ambient_tol:
         raise NotAtAmbient(
@@ -197,7 +111,6 @@ def measure_vth(dev: DeviceState, t_ambient: float, p: SenseCircuitParams,
         t += dt
         if v > v_rail or t > p.vth_timeout:
             raise VthMeasureTimeout("channel never conducted the bias current")
-    t += p.vth_blanking
     noise = float(rng.normal(0.0, p.noise_sigma)) if rng is not None and p.noise_sigma > 0 else 0.0
     return v + noise
 

@@ -210,14 +210,25 @@ class TestRun:
     @pytest.mark.parametrize("text", [
         "bench.mode = envelope\nthermal.bogus = 3\n",
         "bench.mode = envelope\nbench.i_ref_peak = 15\n",
-        "sense.adc_bits = 12.5\n",
+        "sampler.n_points = 12.5\n",
         "thermal.stage_r = 0.1, 0.2\nthermal.stage_tau = 0.0, 0.3\n",
         "device.gate_on_v = 18\n",
         "device.gate_off_v = -5\n",
         "sense.e_d = 0.0005\n",
+        "sense.noise_sigma = -0.002\n",
+        "sense.r_a1 = 5\n",
+        "sense.r_a2 = 5\n",
+        "sense.rc_filter_tau = 0.5\n",
+        "sense.shift_gain = 3\n",
+        "sense.shift_offset = 0.1\n",
+        "sense.adc_bits = 8\n",
+        "sense.adc_fullscale = 3.3\n",
+        "sense.vth_blanking = 5.0\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
-            "sense_e_d"])
+            "sense_e_d", "negative_noise_sigma", "sense_r_a1", "sense_r_a2",
+            "sense_rc_filter_tau", "sense_shift_gain", "sense_shift_offset",
+            "sense_adc_bits", "sense_adc_fullscale", "sense_vth_blanking"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -11,8 +11,8 @@ from acpcsim.core import BenchConfig, Fidelity, Technique, validate_scenario
 from acpcsim.cycling import (BODY_DIODE_WARNING, GATE_OXIDE_WARNING,
                              PACKAGE_WARNING, CycleRecord, DeviceBank,
                              N_DEVICES, TestBench, ThermalRunaway,
-                             WarningPolicy, blanking_runs, default_settings,
-                             energy_audit, evaluate_warnings)
+                             WarningPolicy, WarningTracker, blanking_runs,
+                             default_settings, energy_audit)
 from acpcsim.device import (AgingTrajectory, conduction_voltage,
                             module_400a)
 
@@ -227,25 +227,32 @@ class TestWarnings:
             v_sd=np.full(N_DEVICES, vsd),
             t_on_actual=1.0, t_off_actual=1.0)
 
+    @staticmethod
+    def tracked_flags(history, policy):
+        # the bench's run_campaign feeds each record to one tracker
+        tracker = WarningTracker(policy)
+        for rec in history:
+            tracker.update(rec)
+        return tracker.flags
+
     def test_flat_history_is_clean(self):
         recs = [self.make_record(k) for k in range(5)]
-        assert evaluate_warnings(recs, WarningPolicy()) == set()
+        assert self.tracked_flags(recs, WarningPolicy()) == set()
 
     def test_package_drift_flags(self):
         recs = [self.make_record(0), self.make_record(1, r_on=4e-3 * 1.06)]
-        assert evaluate_warnings(recs, WarningPolicy()) == {PACKAGE_WARNING}
+        assert self.tracked_flags(recs, WarningPolicy()) == \
+            {PACKAGE_WARNING}
 
     def test_body_diode_flags_well_before_end_of_life(self):
         recs = [self.make_record(0), self.make_record(1, vsd=4.3 + 0.12)]
-        assert evaluate_warnings(recs, WarningPolicy()) == {BODY_DIODE_WARNING}
+        assert self.tracked_flags(recs, WarningPolicy()) == \
+            {BODY_DIODE_WARNING}
 
     def test_gate_oxide_flags(self):
         recs = [self.make_record(0), self.make_record(1, vth=2.7 + 0.6)]
-        assert evaluate_warnings(recs, WarningPolicy()) == {GATE_OXIDE_WARNING}
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_warnings([], WarningPolicy())
+        assert self.tracked_flags(recs, WarningPolicy()) == \
+            {GATE_OXIDE_WARNING}
 
 
 class TestEnergyAudit:

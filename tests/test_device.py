@@ -5,7 +5,7 @@ import pytest
 
 from acpcsim.cycling import DeviceBank
 from acpcsim.device import (AgingState, AgingTrajectory, ChannelOff,
-                            DeviceParams, DeviceState, apply_aging,
+                            DeviceParams, DeviceState,
                             calibrated_params, conduction_voltage,
                             delta_vth_for_vds_shift, drift_resistance,
                             gate_oxide_trajectory, losses, module_400a,
@@ -226,33 +226,47 @@ class TestLosses:
         assert p == pytest.approx(v_sd(dev, 100.0, 25.0) * 100.0, rel=1e-12)
 
 
+def aged_bank(trajectory, *cycles, mask=None):
+    """A fresh DeviceBank advanced through the given cycle counts by
+    DeviceBank.apply_trajectories, on every device unless masked."""
+    bank = DeviceBank(module_400a(), ambient=25.0)
+    mask = np.ones(bank.n, dtype=bool) if mask is None else mask
+    for c in cycles:
+        bank.apply_trajectories(trajectory, (), c, mask)
+    return bank
+
+
 class TestAging:
     def test_null_trajectory_is_identity(self):
-        st = AgingState(delta_pkg=0.1, delta_vth=0.2, delta_vsd=0.05,
-                        cycles_accumulated=5)
-        out = apply_aging(st, AgingTrajectory(), 100)
-        assert (out.delta_pkg, out.delta_vth, out.delta_vsd) == \
-            (0.1, 0.2, 0.05)
-        assert out.cycles_accumulated == 100
+        bank = DeviceBank(module_400a(), ambient=25.0)
+        bank.delta_pkg[:], bank.delta_vth[:], bank.delta_vsd[:] = \
+            0.1, 0.2, 0.05
+        bank.apply_trajectories(AgingTrajectory(), (), 100,
+                                np.ones(bank.n, dtype=bool))
+        assert (bank.delta_pkg == 0.1).all() and (bank.delta_vth == 0.2).all()
+        assert (bank.delta_vsd == 0.05).all()
+        assert (bank.r_th_factor == 1.0).all()
 
     def test_step_event_fires_at_exact_cycle(self):
         traj = AgingTrajectory(delta_pkg=((0.0, 0.0), (10_000.0, 0.0),
                                           (10_000.0, 0.05), (20_000.0, 0.05)))
-        before = apply_aging(AgingState(), traj, 9_999)
-        at = apply_aging(AgingState(), traj, 10_000)
-        assert before.delta_pkg == pytest.approx(0.0, abs=1e-6)
-        assert at.delta_pkg == pytest.approx(0.05)
+        before = aged_bank(traj, 9_999)
+        at = aged_bank(traj, 10_000)
+        assert before.delta_pkg == pytest.approx(np.zeros(12), abs=1e-6)
+        assert at.delta_pkg == pytest.approx(np.full(12, 0.05))
 
     def test_linear_ramp_interpolates(self):
         traj = AgingTrajectory(delta_vsd=((0.0, 0.0), (1000.0, 0.7)))
-        assert apply_aging(AgingState(), traj, 500).delta_vsd == \
-            pytest.approx(0.35)
+        mask = np.arange(12) < 6  # the test bridge only
+        bank = aged_bank(traj, 500, mask=mask)
+        assert bank.delta_vsd[mask] == pytest.approx(np.full(6, 0.35))
+        assert (bank.delta_vsd[~mask] == 0.0).all()
 
     def test_monotone_and_no_backwards_cycles(self):
+        # a cycle count that runs backwards never undoes aging
         traj = AgingTrajectory(delta_vth=((0.0, 0.0), (100.0, 1.0)))
-        st = apply_aging(AgingState(), traj, 50)
-        with pytest.raises(ValueError):
-            apply_aging(st, traj, 10)
+        bank = aged_bank(traj, 50, 10)
+        assert bank.delta_vth == pytest.approx(np.full(12, 0.5))
 
     def test_nonmonotone_breakpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -262,8 +276,7 @@ class TestAging:
         # end of life moves the nominal-current drop from 1.58 V to 2.6 V
         p = module_400a()
         traj = gate_oxide_trajectory(p, cycles_eol=10_000)
-        aged = apply_aging(AgingState(), traj, 10_000)
-        dev = DeviceState(params=p, aging=aged)
+        dev = aged_bank(traj, 10_000).device_state(0)
         v_aged = conduction_voltage(dev, p.i_nominal, 25.0, p.gate_on_v)
         assert v_aged == pytest.approx(2.6, abs=1e-9)
         v_fresh = conduction_voltage(fresh(p), p.i_nominal, 25.0, p.gate_on_v)

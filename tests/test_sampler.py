@@ -5,21 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acpcsim.core import TWO_PI, angle_distance
+from acpcsim.core import TWO_PI, BenchConfig, validate_scenario
+from acpcsim.cycling import N_DEVICES, TestBench, default_settings
 from acpcsim.device import DeviceState, module_400a, r_on
 from acpcsim.sampler import (AmbientMismatch, IncompleteWindow, RonLut,
                              SamplerState, TriggerIndex, build_ron_lut,
                              build_trigger_set, default_fir_taps,
-                             detect_peak_angle, estimate_ron, estimate_tj,
-                             fir_filter, match_trigger, recalibrate_lut,
-                             sampler_update, sampler_update_interval,
+                             estimate_ron, estimate_tj, fir_filter,
+                             recalibrate_lut, sampler_update_interval,
                              store_slots, triggers_in_interval)
 
 
-class Reading:
-    def __init__(self, v, valid=True):
-        self.valid = valid
-        self.v_op1 = v
+def capture_at(s, k, v, i):
+    """Store (v, i) through a sweep that ends on trigger k and crosses no
+    other trigger; returns the number of slots stored."""
+    a = float(s.triggers.angles[k])
+    return sampler_update_interval(s, a - 1e-6, a, v, i)
+
+
+def crossed_by_scan(ts, t0, t1):
+    """Whether each sweep (t0, t1], wrapped to [0, 2pi), crosses a trigger
+    of ts, by a linear scan of its angles."""
+    a0 = (t0 % TWO_PI)[:, None]
+    a1 = (t1 % TWO_PI)[:, None]
+    a = ts.angles[None, :]
+    hit = np.where(a1 > a0, (a > a0) & (a <= a1),
+                   (a1 < a0) & ((a > a0) | (a <= a1)))
+    return hit.any(axis=1)
 
 
 class TestTriggerSet:
@@ -32,7 +44,6 @@ class TestTriggerSet:
         ts = build_trigger_set(math.pi / 2, 300, math.radians(10))
         spacing = np.diff(np.degrees(ts.angles))
         assert spacing == pytest.approx(np.full(299, 20.0 / 299))
-        assert math.degrees(ts.tolerance) == pytest.approx(10.0 / 299)
 
     def test_single_point(self):
         ts = build_trigger_set(1.0, 1, 0.3)
@@ -41,41 +52,41 @@ class TestTriggerSet:
     def test_wrapping_window(self):
         ts = build_trigger_set(0.0, 11, math.radians(10))
         assert (np.diff(ts.angles) > 0).all()
-        d = angle_distance(float(ts.angles[ts.center_index]), 0.0)
-        assert d <= ts.tolerance
+        a = float(ts.angles[ts.center_index])
+        assert min(a, TWO_PI - a) <= math.radians(1.0) + 1e-12  # half a step
 
 
 class TestMatchTrigger:
     def test_exact_hit(self):
+        # a sweep that ends on trigger k stores slot k alone
         ts = build_trigger_set(1.0, 101, 0.2)
+        index = TriggerIndex([ts])
         for k in (0, 17, 50, 100):
-            assert match_trigger(float(ts.angles[k]), ts) == k
-
-    def test_miss_outside_tolerance(self):
-        from acpcsim.sampler import TriggerSet
-        # a narrowed tolerance exposes the between-triggers miss case
-        ts = TriggerSet(angles=np.array([0.9, 1.0, 1.1]), tolerance=0.02,
-                        center=1.0, center_index=1)
-        assert match_trigger(1.05, ts) is None
-        assert match_trigger(4.0, ts) is None
-        wide = build_trigger_set(1.0, 3, 0.1)
-        assert match_trigger(4.0, wide) is None
+            s = SamplerState(ts, budget_per_cycle=101)
+            assert capture_at(s, k, 1.0, 10.0) == 1
+            assert np.flatnonzero(s.filled_mask).tolist() == [k]
+            a = float(ts.angles[k])
+            assert index.crossed(a - 1e-6, a) == [0]
+            assert index.crossed(a, a + 1e-6) == []
 
     def test_equivalent_to_linear_scan(self):
-        # the documented oracle: nearest-trigger search over the full circle
+        # the documented oracle: a linear scan of the trigger angles, over
+        # short and whole-circle sweeps, wrapping ones and exact hits
         rng = np.random.default_rng(21)
         for center in (0.0, math.pi / 2, 6.2):
             ts = build_trigger_set(center, 300, math.radians(10))
-            thetas = rng.uniform(0, TWO_PI, size=100_000)
-            d = np.abs(thetas[:, None] - ts.angles[None, :])
-            d = np.minimum(d, TWO_PI - d)
-            best = d.argmin(axis=1)
-            dist = d[np.arange(len(thetas)), best]
-            expected = np.where(dist <= ts.tolerance, best, -1)
-            got = np.array([match_trigger(float(t), ts) if
-                            match_trigger(float(t), ts) is not None else -1
-                            for t in thetas])
-            assert (got == expected).all()
+            index = TriggerIndex([ts])
+            t0 = rng.uniform(-TWO_PI, 2 * TWO_PI, size=100_000)
+            t1 = t0 + np.where(rng.random(len(t0)) < 0.5,
+                               rng.uniform(0.0, 0.05, len(t0)),
+                               rng.uniform(0.0, TWO_PI, len(t0)))
+            t1[::7] = rng.choice(ts.angles, len(t1[::7]))
+            want = crossed_by_scan(ts, t0, t1)
+            got = np.array([bool(index.crossed(a, b))
+                            for a, b in zip(t0.tolist(), t1.tolist())])
+            assert (got == want).all()
+            for a, b, w in zip(t0[:2000], t1[:2000], want[:2000]):
+                assert bool(len(triggers_in_interval(ts, a, b))) == w
 
     def test_interval_crossing_wrap(self):
         ts = build_trigger_set(0.0, 11, math.radians(10))
@@ -112,7 +123,7 @@ class TestSamplerBudget:
             s.start_cycle()
             cycles += 1
             for k in range(n):
-                sampler_update(s, float(ts.angles[k]), Reading(1.0), 100.0)
+                capture_at(s, k, 1.0, 100.0)
         return cycles
 
     def test_unconstrained_capture_completes_in_one_cycle(self):
@@ -130,10 +141,32 @@ class TestSamplerBudget:
             assert self.run_cycles(300, b) < base
 
     def test_invalid_reading_ignored(self):
-        ts = build_trigger_set(1.0, 5, 0.1)
-        s = SamplerState(ts, budget_per_cycle=5)
-        assert not sampler_update(s, 1.0, Reading(1.0, valid=False), 10.0)
-        assert s.filled == 0
+        # the bench's capture gates: a device whose current is at or below
+        # the floor, or whose cycle budget is spent, stores nothing and draws
+        # no noise; each device that passes every gate stores a budget's
+        # worth of slots and draws once
+        for blocked in ([1, 2, 3, 4], range(N_DEVICES)):
+            bench = TestBench(default_settings(
+                validate_scenario(BenchConfig())))
+            budget = bench.samplers[0].budget_per_cycle
+            i_dev = np.full(N_DEVICES, 100.0)
+            for j, k in enumerate(blocked):
+                if j % 4 == 3:
+                    bench.samplers[k].budget_used = budget
+                else:
+                    i_dev[k] = (bench.i_floor, 0.0, -100.0)[j % 4]
+            passing = [k for k in range(N_DEVICES) if k not in blocked]
+            ref = np.random.default_rng()
+            ref.bit_generator.state = bench.rng.bit_generator.state
+            ref.normal(0.0, bench.s.sense_params.noise_sigma, len(passing))
+            # a whole turn from between two windows crosses every trigger
+            bench.theta_prev = math.radians(30.0)
+            bench._capture(bench.theta_prev + TWO_PI - 1e-6, i_dev,
+                           1e-2 * i_dev, np.full(N_DEVICES, 0.5))
+            filled = [st_k.filled for st_k in bench.samplers]
+            assert filled == [0 if k in blocked else budget
+                              for k in range(N_DEVICES)]
+            assert bench.rng.bit_generator.state == ref.bit_generator.state
 
     def test_interval_store_matches_one_slot_at_a_time(self):
         # store_slots against the per-slot rule: skip filled slots, in_order
@@ -153,8 +186,7 @@ class TestSamplerBudget:
                     while theta < 0.45:
                         nxt = theta + float(rng.uniform(0.0, 0.1))
                         v = float(rng.normal())
-                        n = sampler_update_interval(got, theta, nxt,
-                                                    Reading(v), 50.0)
+                        n = sampler_update_interval(got, theta, nxt, v, 50.0)
                         want = 0
                         for k in triggers_in_interval(ts, theta, nxt):
                             if (ref.budget_used < budget
@@ -204,8 +236,7 @@ class TestSamplerBudget:
             while not s.complete:
                 s.start_cycle()
                 for k in order:
-                    sampler_update(s, float(ts.angles[k]),
-                                   Reading(wave[k][0]), wave[k][1])
+                    capture_at(s, k, wave[k][0], wave[k][1])
             return s.v_on.copy(), s.i.copy()
 
         rng = np.random.default_rng(31)
@@ -267,7 +298,7 @@ def filled_state(n=300, v=0.16, i=100.0):
     s = SamplerState(ts, budget_per_cycle=n)
     s.start_cycle()
     for k in range(n):
-        sampler_update(s, float(ts.angles[k]), Reading(v), i)
+        capture_at(s, k, v, i)
     return s
 
 
@@ -303,7 +334,7 @@ class TestEstimateRon:
             s.start_cycle()
             for k in range(n):
                 v = 0.4 + rng.normal(0.0, 2e-3)
-                sampler_update(s, float(ts.angles[k]), Reading(v), 100.0)
+                capture_at(s, k, v, 100.0)
             est = estimate_ron(s, default_fir_taps(), i_floor=1.0)
             worst = max(worst, abs(est.r_on - 4e-3) / 4e-3)
         assert worst < 0.015
@@ -421,8 +452,3 @@ class TestRecalibration:
             recalibrate_lut(lut, 0.9 * lut.value(25.0, 400.0), 25.0, 400.0,
                             0.0, dev)
 
-
-def test_detect_peak_angle():
-    theta = np.linspace(0, TWO_PI, 720, endpoint=False)
-    values = np.cos(theta - 1.234)
-    assert detect_peak_angle(theta, values) == pytest.approx(1.234, abs=0.01)

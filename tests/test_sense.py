@@ -3,21 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from acpcsim.core import BenchConfig, validate_scenario
+from acpcsim.core import TWO_PI, BenchConfig, validate_scenario
 from acpcsim.cycling import (N_DEVICES, ProtectionTrip, TestBench,
                              default_settings)
 from acpcsim.device import (AgingState, DeviceState, delta_vth_for_vds_shift,
                             module_400a, vgs_at_channel_current)
 from acpcsim.sense import (DesatConfig, MovBenchParams, MovRating,
-                           NotAtAmbient, NotThirdQuadrant, OverdriveCollapse,
-                           SenseChannel, SenseCircuitParams,
-                           VthMeasureTimeout, compensate_desat_threshold,
-                           desat_voltage, measure_vth, mov_check,
-                           sense_vds, sense_vsd, quantize)
+                           NotAtAmbient, OverdriveCollapse,
+                           SenseCircuitParams, VthMeasureTimeout,
+                           compensate_desat_threshold, desat_voltage,
+                           measure_vth, mov_check)
 
 
-def quiet_channel(e_d=1.0e-3, **kw):
-    return SenseChannel(SenseCircuitParams(e_d=e_d, noise_sigma=0.0, **kw))
+def quiet_bench():
+    """A bench whose sense path adds no noise, so a capture is exact."""
+    return TestBench(default_settings(
+        sense_params=SenseCircuitParams(noise_sigma=0.0)))
+
+
+def capture_whole_turn(bench, v_cond, duty=0.5, i_dev=100.0):
+    """One TestBench._capture step whose sweep, a whole turn started
+    between two trigger windows, crosses every device's triggers. Opens a
+    new fundamental cycle first, so every budget is fresh."""
+    bench.t = (bench._fund_cycle + 1) / bench.cfg.f_fund
+    bench.theta_prev = math.radians(30.0)
+    full = np.ones(N_DEVICES)
+    bench._capture(bench.theta_prev + TWO_PI - 1e-6, i_dev * full,
+                   v_cond * full, duty * full)
+
+
+def captured(bench, k):
+    """The values device k stored, in slot order."""
+    s = bench.samplers[k]
+    return s.v_on[s.filled_mask]
 
 
 def protection_trip_time(threshold, t, v, dt=0.5e-6, blanking=2e-6):
@@ -38,63 +56,56 @@ def protection_trip_time(threshold, t, v, dt=0.5e-6, blanking=2e-6):
 
 class TestSenseVds:
     def test_mismatch_bias_adds(self):
-        ch = quiet_channel(e_d=1.0e-3)
-        r = sense_vds(ch, 1.58, True, 45e-6)
-        assert r.valid
-        assert r.v_op1 == pytest.approx(1.581, abs=1e-9)
+        bench = quiet_bench()
+        capture_whole_turn(bench, 1.58)
+        for k in range(N_DEVICES):
+            assert captured(bench, k) == pytest.approx(
+                np.full(5, 1.58 + bench.e_d[k]), abs=1e-9)
 
     def test_matched_dividers_exact(self):
-        ch = quiet_channel(e_d=0.0)
-        for _ in range(5):
-            r = sense_vds(ch, 0.734, True, 45e-6)
-        assert r.v_op1 == pytest.approx(0.734, abs=1e-9)
+        # no lag: each capture reads the present drop, not the last one
+        bench = quiet_bench()
+        for v in (0.734, 2.6, 0.734):
+            for st_k in bench.samplers:
+                st_k.reset_window()
+            capture_whole_turn(bench, v)
+            for k in range(N_DEVICES):
+                assert captured(bench, k) - bench.e_d[k] == pytest.approx(
+                    np.full(5, v), abs=1e-9)
 
     def test_switch_off_blocks_reading(self):
-        ch = quiet_channel()
-        r = sense_vds(ch, 1.58, False, 45e-6)
-        assert not r.valid
-        assert math.isnan(r.v_op1)
-
-    def test_rc_lag_settles_exponentially(self):
-        ch = quiet_channel(e_d=0.0, rc_filter_tau=1e-3)
-        r = sense_vds(ch, 1.0, True, 1e-3)
-        assert r.v_op1 == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
-
-    def test_adc_code_roundtrip_within_lsb(self):
-        p = SenseCircuitParams(e_d=0.0, noise_sigma=0.0)
-        ch = SenseChannel(p)
-        r = sense_vds(ch, 1.6180, True, 45e-6)
-        lsb = p.adc_fullscale / (2 ** p.adc_bits - 1)
-        assert abs(r.v_decoded(p) - 1.6180) <= 0.5 * lsb
-
-    def test_quantize_clamps(self):
-        p = SenseCircuitParams()
-        assert quantize(p, -1.0) == 0
-        assert quantize(p, 99.0) == 2 ** p.adc_bits - 1
+        # a device switched off (duty below 2 %) stores nothing and draws
+        # no noise; one just above stores its budget
+        bench = TestBench(default_settings())
+        duty = np.array([0.0, 0.0199, 0.02, 1.0] * 3)
+        ref = np.random.default_rng()
+        ref.bit_generator.state = bench.rng.bit_generator.state
+        ref.normal(0.0, bench.s.sense_params.noise_sigma, 6)
+        capture_whole_turn(bench, 1.58, duty=duty)
+        filled = [st_k.filled for st_k in bench.samplers]
+        assert filled == [0, 0, 5, 5] * 3
+        assert bench.rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSenseVsd:
     def test_knee_anchor_plus_bias(self):
-        dev = DeviceState(params=module_400a())
-        ch = quiet_channel(e_d=1.0e-3)
-        out = sense_vsd(ch, dev, 1e-6, 25.0)
-        assert out == pytest.approx(2.8 + 1.0e-3, abs=1e-5)
+        # at the reference temperature the probe reads the knee plus the
+        # ohmic drop at nominal current plus the device's mismatch
+        bench = quiet_bench()
+        p = bench.bank.params
+        assert bench.bank.t_j == pytest.approx(np.full(N_DEVICES, p.t0))
+        out = bench._probe_vsd()
+        assert out == pytest.approx(
+            p.v_j0 + p.r_diode * p.i_nominal + bench.e_d, abs=1e-12)
 
     def test_aged_shift_passes_through(self):
-        p = module_400a()
-        ch = quiet_channel()
-        fresh = sense_vsd(ch, DeviceState(params=p), 200.0, 40.0)
-        aged = sense_vsd(ch, DeviceState(params=p,
-                                         aging=AgingState(delta_vsd=0.7)),
-                         200.0, 40.0)
-        assert aged - fresh == pytest.approx(0.7, rel=1e-12)
-
-    def test_positive_gate_violates_contract(self):
-        dev = DeviceState(params=module_400a())
-        with pytest.raises(NotThirdQuadrant):
-            sense_vsd(quiet_channel(), dev, 100.0, 25.0, v_gs=15.0)
-        with pytest.raises(NotThirdQuadrant):
-            sense_vsd(quiet_channel(), dev, -5.0, 25.0)
+        bench = quiet_bench()
+        bench.bank.t_j = np.full(N_DEVICES, 40.0)
+        fresh = bench._probe_vsd()
+        bench.bank.delta_vsd[:] = 0.7
+        aged = bench._probe_vsd()
+        assert aged - fresh == pytest.approx(np.full(N_DEVICES, 0.7),
+                                             rel=1e-12)
 
 
 class TestMeasureVth:
