@@ -369,12 +369,13 @@ def write_precursors(path: Path, records) -> None:
     rows = []
     for rec in records:
         warn = "|".join(rec.warnings)
+        delta_tj = rec.delta_tj
         for k, dev_id in enumerate(DEVICE_IDS):
             rows.append((
                 rec.cycle_index, float(rec.t_start), dev_id,
                 float(rec.r_on_est[k] * 1e3), float(rec.v_th[k]),
                 float(rec.v_sd[k]), float(rec.tj_max[k]), float(rec.tj_min[k]),
-                float(rec.tj_max[k] - rec.tj_min[k]),
+                float(delta_tj[k]),
                 float(rec.t_on_actual), float(rec.t_off_actual), warn,
             ))
     _write_csv(path, PRECURSOR_COLUMNS, rows)

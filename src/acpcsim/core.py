@@ -79,15 +79,6 @@ class BenchConfig:
     ambient_c: float = 25.0
 
     @property
-    def dt(self) -> float:
-        """Fixed integration step implied by the fidelity."""
-        if self.fidelity is Fidelity.SWITCHED:
-            return 1.0 / (SWITCHED_SUBSTEPS * self.f_sw)
-        if self.fidelity is Fidelity.AVERAGED:
-            return 1.0 / self.f_sw
-        return 1.0 / self.f_fund
-
-    @property
     def pf_angle(self) -> float:
         """Commanded voltage-to-current angle, radians."""
         if self.pf_mode is PfMode.MOTOR:

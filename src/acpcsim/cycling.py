@@ -24,8 +24,8 @@ from . import device as dev_mod
 from . import sampler as smp
 from . import sense as sns
 from . import thermal as th
-from .core import (SWITCHED_SUBSTEPS, TWO_PI, BenchConfig, Fidelity,
-                   Technique, validate_scenario, wrap_angle)
+from .core import (SWITCHED_SUBSTEPS, TWO_PI, BenchConfig, ConfigError,
+                   Fidelity, Technique, validate_scenario, wrap_angle)
 from .device import AgingTrajectory, DeviceParams, DeviceState, _piecewise
 from .electrical import (PlantState, PlantStepResult, control_step,
                          dq_phase_deg, inverse_park, make_controller, park,
@@ -203,10 +203,9 @@ def energy_audit(tally: EnergyTally) -> EnergyAudit:
 class DeviceBank:
     """All twelve switches evaluated together with per-device aging state.
 
-    On-resistance comes from device.on_resistance and the body-diode knee
-    from device.diode_knee, the laws the scalar device operations use, so
-    bank and scalar results agree element-wise (property-tested);
-    temperatures may be passed per device, per device-and-sample, or shared.
+    Conduction drops come from device.conduction_voltage with each device's
+    aging deltas; temperatures may be passed per device, per
+    device-and-sample, or shared.
     """
 
     def __init__(self, params: DeviceParams, ambient: float):
@@ -239,20 +238,13 @@ class DeviceBank:
 
     def conduction(self, i, t_j=None):
         """Signed conduction drops with the channel held on (synchronous
-        rectification across both bridges)."""
-        p = self.params
+        rectification across both bridges); an injected short reads the
+        desaturated drop."""
         t = self.t_j if t_j is None else t_j
-        i = np.asarray(i, dtype=float)
-        mag = np.abs(i)
-        safe = np.where(mag > 0.0, mag, 1.0)
-        r_ch = dev_mod.on_resistance(p, t, safe, p.gate_on_v,
-                                     self._shaped(self.delta_pkg, t),
-                                     self._shaped(self.delta_vth, t))
-        knee = dev_mod.diode_knee(p, t, self._shaped(self.delta_vsd, t))
-        v_lin = safe * r_ch
-        v_par = (safe + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
-        v_mag = np.where(i >= 0.0, v_lin, np.where(v_lin <= knee, v_lin, v_par))
-        v = np.where(mag > 0.0, np.sign(i) * v_mag, 0.0)
+        v = dev_mod.conduction_voltage(
+            self.params, i, t, self.params.gate_on_v,
+            self._shaped(self.delta_pkg, t), self._shaped(self.delta_vth, t),
+            self._shaped(self.delta_vsd, t))
         if self.shorted.any():
             sh = self._shaped(self.shorted.astype(float), t) > 0
             v = np.where(sh, self.desat_fault_v, v)
@@ -377,6 +369,19 @@ class TestBench:
         # the scenario's gate drive is the one every device model sees
         params = replace(s.device_params, gate_on_v=cfg.gate_on_v,
                          gate_off_v=cfg.gate_off_v)
+        # the gate must hold every channel open to the end of the oxide
+        # trajectory, at the coldest temperature the bench reaches
+        d_final = _piecewise(s.trajectory.delta_vth, math.inf)
+        t_cold = min([self.ambient] + [
+            c.coolant_temp for c in (s.cooling_test, s.cooling_load)
+            if c.coolant_temp is not None])
+        v_th_final = dev_mod.threshold_voltage(params, t_cold, d_final)
+        if cfg.gate_on_v <= v_th_final:
+            raise ConfigError(
+                "aging.delta_vth",
+                f"a final shift of {d_final:g} V takes the threshold to "
+                f"{v_th_final:.3g} V at {t_cold:g} degC, closing the channel "
+                f"of a {cfg.gate_on_v:g} V gate")
         self.bank = DeviceBank(params, self.ambient)
         self.i_floor = 0.05 * params.i_nominal if s.i_floor is None \
             else s.i_floor
@@ -409,9 +414,8 @@ class TestBench:
 
         self.desat_base = s.desat
         if s.desat_calibrated:
-            fresh = DeviceState(params=params, t_j=self.ambient)
-            v_fresh = dev_mod.conduction_voltage(fresh, params.i_nominal,
-                                                 self.ambient, params.gate_on_v)
+            v_fresh = float(dev_mod.conduction_voltage(
+                params, params.i_nominal, self.ambient, params.gate_on_v))
             thr = sns.desat_voltage(s.sense_params, v_fresh + s.desat_margin_v)
             self.desat_base = replace(s.desat, threshold=thr)
         self.desat_thr = np.full(N_DEVICES, self.desat_base.threshold)
@@ -562,7 +566,7 @@ class TestBench:
 
     # -- averaged / switched conducting step -------------------------------------
 
-    def _step_conducting(self, collect_tally: bool = True):
+    def _step_conducting(self):
         cfg = self.cfg
         dt = 1.0 / cfg.f_sw
         theta = self.theta
@@ -596,26 +600,24 @@ class TestBench:
                              cfg.link_resistance, cfg.link_inductance, dt)
 
         i_mean_dev = res.i_mean[_PHASE] * _SIGN
-        p = self.bank.params
         p_cond = duty * v_cond * i_mean_dev
-        p_sw = cfg.f_sw * (p.e_on0 + p.e_off0) * (cfg.v_dc / p.v_ref) \
-            * np.abs(i_mean_dev) / p.i_ref
+        p_sw = dev_mod.switching_loss(self.bank.params, cfg.f_sw, cfg.v_dc,
+                                      np.abs(i_mean_dev))
         self._thermal_step(p_cond + p_sw, dt, pump_test=False)
 
-        if collect_tally:
-            tl = self.tally
-            p_sw_total = float(np.add.reduce(p_sw))
-            tl.e_supply += (cfg.v_dc * float(np.dot(d_test - d_load, res.i_mean))
-                            + p_sw_total) * dt
-            tl.e_cond += float(np.add.reduce(p_cond)) * dt
-            tl.e_sw += p_sw_total * dt
-            tl.e_link += cfg.link_resistance \
-                * float(np.add.reduce(res.i_sq_mean)) * dt
-            tl.duration += dt
-            v_ph = pole_test - np.add.reduce(pole_test) / 3
-            tl.sum_v2 += float(np.add.reduce(v_ph ** 2))
-            tl.sum_i2 += float(np.add.reduce(i0 ** 2))
-            tl.samples += 1
+        tl = self.tally
+        p_sw_total = float(np.add.reduce(p_sw))
+        tl.e_supply += (cfg.v_dc * float(np.dot(d_test - d_load, res.i_mean))
+                        + p_sw_total) * dt
+        tl.e_cond += float(np.add.reduce(p_cond)) * dt
+        tl.e_sw += p_sw_total * dt
+        tl.e_link += cfg.link_resistance \
+            * float(np.add.reduce(res.i_sq_mean)) * dt
+        tl.duration += dt
+        v_ph = pole_test - np.add.reduce(pole_test) / 3
+        tl.sum_v2 += float(np.add.reduce(v_ph ** 2))
+        tl.sum_i2 += float(np.add.reduce(i0 ** 2))
+        tl.samples += 1
 
         if self.collect_waveforms:
             self._wave_count += 1
@@ -706,8 +708,8 @@ class TestBench:
         v_cond = self.bank.conduction(i_dev, t_j=self.bank.t_j[:, None])
         p = self.bank.params
         p_cond = (duty * v_cond * i_dev).mean(axis=1)
-        p_sw = cfg.f_sw * (p.e_on0 + p.e_off0) * (cfg.v_dc / p.v_ref) \
-            * np.abs(i_dev).mean(axis=1) / p.i_ref
+        p_sw = dev_mod.switching_loss(p, cfg.f_sw, cfg.v_dc,
+                                      np.abs(i_dev).mean(axis=1))
         p_dev = p_cond + p_sw
 
         # one acquisition burst per fundamental cycle, budget-limited; the
@@ -1051,20 +1053,22 @@ class TestBench:
         offs = np.empty(N_DEVICES)
         offs_pkg = np.empty(N_DEVICES)
         sigma = s.sense_params.noise_sigma
+        bank = self.bank
+        v_cal = dev_mod.conduction_voltage(
+            bank.params, i_cal, self.ambient, bank.params.gate_on_v,
+            bank.delta_pkg, bank.delta_vth, bank.delta_vsd)
         for k in range(N_DEVICES):
-            state = self.bank.device_state(k)
+            state = bank.device_state(k)
             v_th_m[k] = sns.measure_vth(state, self.ambient, s.sense_params,
                                         rng=self.rng)
             if not np.isfinite(self.baseline_vth[k]):
                 self.baseline_vth[k] = v_th_m[k]
             d_hat[k] = max(0.0, v_th_m[k] - self.baseline_vth[k])
-            v = dev_mod.conduction_voltage(state, i_cal, self.ambient,
-                                           state.params.gate_on_v)
             noise = self.rng.normal(0.0, sigma / math.sqrt(s.sampler_n)) \
                 if sigma > 0 else 0.0
-            r_amb[k] = (v + self.e_d[k] + noise) / i_cal
+            r_amb[k] = (v_cal[k] + self.e_d[k] + noise) / i_cal
             lut = smp.recalibrate_lut(self._base_lut, float(r_amb[k]),
-                                      self.ambient, i_cal, float(d_hat[k]), state)
+                                      self.ambient, i_cal, float(d_hat[k]))
             self.luts[k] = lut
             offs[k] = lut.offset
             offs_pkg[k] = lut.offset_pkg

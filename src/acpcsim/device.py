@@ -1,5 +1,6 @@
-"""Per-switch SiC MOSFET model: conduction in first and third quadrant,
-threshold voltage, losses, and cycle-driven degradation trajectories.
+"""Per-switch SiC MOSFET model: threshold voltage, on-resistance, the
+conduction law for both quadrants, the switching-loss law, the body diode,
+and cycle-driven degradation trajectories.
 
 On-resistance decomposes into a drift/package term with positive temperature
 coefficient (scaled by package aging) and a channel term inversely
@@ -9,8 +10,12 @@ proportional to the gate overdrive (shifted by gate-oxide aging):
               + k_ch / (v_gs - v_th(T))
               + r_i_slope * (i - i_nominal)
 
-Body-diode conduction adds a stacking-fault voltage shift on top of a knee
-with current-dependent temperature coefficient.
+Reverse current flows through the channel in parallel with the body diode
+once the channel drop reaches the diode knee. The body diode adds a
+stacking-fault voltage shift on top of a knee with current-dependent
+temperature coefficient. conduction_voltage and switching_loss are the only
+forms of the conduction and switching-loss laws; every bench engine calls
+them with scalars or arrays.
 """
 
 from __future__ import annotations
@@ -143,57 +148,32 @@ def diode_knee(p: DeviceParams, t_j, delta_vsd=0.0):
     return p.v_j0 + p.rho_sd_lo * (t_j - p.t0) + delta_vsd
 
 
-def conduction_voltage(dev: DeviceState, i: float, t_j: float, v_gs: float) -> float:
-    """Signed drain-source voltage while conducting current i (signed).
+def conduction_voltage(p: DeviceParams, i, t_j, v_gs, delta_pkg=0.0,
+                       delta_vth=0.0, delta_vsd=0.0):
+    """Signed drain-source voltage while conducting signed current i with the
+    channel on, the one implementation of the law.
 
-    First quadrant (i > 0, channel on): ohmic drop through r_on. Third
-    quadrant with the channel off: body diode only. Third quadrant with the
-    channel on: parallel channel/diode conduction, channel-dominated below
-    the diode knee.
+    First quadrant: ohmic drop through on_resistance. Third quadrant: the
+    channel alone below the diode knee, the channel in parallel with the
+    body diode above it. Operators and np.where only, so scalars and
+    broadcasting arrays both work; no check that the channel is on (a
+    closed channel is refused when the bench is configured).
     """
-    if i == 0.0:
-        return 0.0
-    channel_on = v_gs > v_th(dev, t_j)
-    if i > 0.0:
-        if not channel_on:
-            raise ChannelOff("first-quadrant conduction requires the channel on")
-        return i * r_on(dev, t_j, i, v_gs)
-    mag = -i
-    if not channel_on:
-        return -v_sd(dev, mag, t_j)
-    r_ch = r_on(dev, t_j, mag, v_gs)
-    v_lin = mag * r_ch
-    knee = diode_knee(dev.params, t_j, dev.aging.delta_vsd)
-    if v_lin <= knee:
-        return -v_lin
-    p = dev.params
-    v = (mag + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
-    return -v
+    i = np.asarray(i, dtype=float)
+    mag = np.abs(i)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    r_ch = on_resistance(p, t_j, safe, v_gs, delta_pkg, delta_vth)
+    knee = diode_knee(p, t_j, delta_vsd)
+    v_lin = safe * r_ch
+    v_par = (safe + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
+    v_mag = np.where(i >= 0.0, v_lin, np.where(v_lin <= knee, v_lin, v_par))
+    return np.where(mag > 0.0, np.sign(i) * v_mag, 0.0)
 
 
-def losses(dev: DeviceState, i: float, t_j: float, v_dc: float,
-           switching_events_per_s: float, conduction_duty: float,
-           v_gs: Optional[float] = None) -> float:
-    """Average dissipation in watts for one operating point.
-
-    Conduction: i^2 * r_on * duty in the first quadrant, v_sd * |i| * duty in
-    the third. Switching: bilinear scaling of the reference energies with bus
-    voltage and current.
-    """
-    p = dev.params
-    if v_gs is None:
-        v_gs = p.gate_on_v
-    if i > 0.0:
-        p_cond = i * i * r_on(dev, t_j, i, v_gs) * conduction_duty
-    elif i < 0.0:
-        p_cond = v_sd(dev, -i, t_j) * (-i) * conduction_duty
-    else:
-        p_cond = 0.0
-    p_sw = 0.0
-    if i != 0.0 and switching_events_per_s > 0.0:
-        p_sw = switching_events_per_s * (p.e_on0 + p.e_off0) \
-            * (v_dc / p.v_ref) * (abs(i) / p.i_ref)
-    return p_cond + p_sw
+def switching_loss(p: DeviceParams, f_sw, v_dc, i_abs):
+    """Switching dissipation in watts: the reference energies scaled
+    bilinearly with bus voltage and current magnitude (array-safe)."""
+    return f_sw * (p.e_on0 + p.e_off0) * (v_dc / p.v_ref) * i_abs / p.i_ref
 
 
 # ---------------------------------------------------------------------------

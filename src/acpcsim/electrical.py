@@ -58,9 +58,6 @@ class PiState:
         if not self.out_min < self.out_max:
             raise ValueError("out_min must be below out_max")
 
-    def reset(self):
-        self.integrator = 0.0
-
 
 def pi_step(state: PiState, error: float, dt: float) -> float:
     """Advance one control period and return the clamped output."""
@@ -108,11 +105,9 @@ def svpwm_duties(v_d: float, v_q: float, theta: float, v_dc: float
 
 @dataclass
 class PlantState:
-    """Per-phase link currents and the pole voltages applied last step."""
+    """Per-phase link currents."""
 
     i_abc: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    v_test_abc: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    v_load_abc: np.ndarray = field(default_factory=lambda: np.zeros(3))
     # plant_step's exponential-update terms for the last (r, l, dt)
     step_terms: Optional[tuple] = field(default=None, repr=False,
                                         compare=False)
@@ -168,8 +163,6 @@ def plant_step(state: PlantState, v_test_abc, v_load_abc,
     # kill numerical zero-sequence drift
     i1 = i1 - np.add.reduce(i1) / len(i1)
     state.i_abc = i1
-    state.v_test_abc = v_test
-    state.v_load_abc = v_load
     return PlantStepResult(i_mean=i_mean, i_sq_mean=i_sq_mean)
 
 
@@ -217,7 +210,6 @@ class ControllerState:
     omega_e: float            # electrical angular frequency, rad/s
     link_inductance: float
     filter_comp: complex = 1.0 + 0.0j
-    i_filt_dq: tuple[float, float] = (0.0, 0.0)
 
 
 def _filter_response(cutoff_hz: float, f_signal: float, dt: float) -> complex:
@@ -259,7 +251,6 @@ def control_step(ctl: ControllerState, i_abc, theta: float, dt: float,
     i_d, i_q = park(i_f[0], i_f[1], i_f[2], theta)
     c = complex(i_d, i_q) * ctl.filter_comp
     i_d, i_q = c.real, c.imag
-    ctl.i_filt_dq = (i_d, i_q)
 
     u_d = pi_step(ctl.pi_d, i_ref_dq[0] - i_d, dt) - ctl.omega_e * ctl.link_inductance * i_q
     u_q = pi_step(ctl.pi_q, i_ref_dq[1] - i_q, dt) + ctl.omega_e * ctl.link_inductance * i_d

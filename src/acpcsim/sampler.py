@@ -11,7 +11,6 @@ FIR-filtered, and inverted through the R(T, I) table.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -375,24 +374,6 @@ class RonLut:
         col = self.column(i_d)
         return float(np.interp(t_j, self.t_axis, col))
 
-    # -- persistence ------------------------------------------------------
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t_j_c\\i_d_a"] + [repr(float(i)) for i in self.i_axis])
-            for t, row in zip(self.t_axis, self.grid):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path) -> "RonLut":
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        i_axis = np.array([float(x) for x in rows[0][1:]])
-        t_axis = np.array([float(r[0]) for r in rows[1:]])
-        grid = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-        return cls(t_axis=t_axis, i_axis=i_axis, grid=grid)
-
 
 LUT_T_AXIS = tuple(range(25, 176, 25))  # degC
 LUT_I_AXIS = tuple(range(50, 401, 50))  # A
@@ -427,7 +408,7 @@ def estimate_tj(r_on: float, i_d: float, lut: RonLut) -> TjEstimate:
 
 
 def recalibrate_lut(lut: RonLut, r_on_measured_ambient: float, t_ambient: float,
-                    i_cal: float, delta_vth: float, dev: DeviceState,
+                    i_cal: float, delta_vth: float,
                     tolerance_frac: float = 0.02) -> RonLut:
     """Shift the table to the start-of-test ambient measurement.
 

@@ -191,8 +191,8 @@ def test_ac6_desat_aging_scenario():
     bench.inject_short(0)
     t_short = time_to_trip(bench, 0.02)
 
-    aged = DeviceState(params=params, aging=AgingState(delta_vth=d_eol))
-    v_aged = conduction_voltage(aged, params.i_nominal, 25.0, 15.0)
+    v_aged = conduction_voltage(params, params.i_nominal, 25.0, 15.0,
+                                delta_vth=d_eol)
 
     def ms(t):
         return "never" if t is None else f"after {1e3 * t:.2f} ms"

@@ -224,11 +224,17 @@ class TestRun:
         "sense.adc_bits = 8\n",
         "sense.adc_fullscale = 3.3\n",
         "sense.vth_blanking = 5.0\n",
+        # the threshold reaches 16.7 V against a 15 V gate after cycle 4
+        "bench.mode = envelope\nbench.n_cycles = 8\n"
+        "aging.delta_vth = 0:0, 2:0, 4:14\nrun.startup_every = 100\n",
+        "bench.mode = envelope\nbench.n_cycles = 8\n"
+        "aging.delta_vth = 0:0, 2:0, 4:14\nrun.startup_every = 4\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
             "sense_e_d", "negative_noise_sigma", "sense_r_a1", "sense_r_a2",
             "sense_rc_filter_tau", "sense_shift_gain", "sense_shift_offset",
-            "sense_adc_bits", "sense_adc_fullscale", "sense_vth_blanking"])
+            "sense_adc_bits", "sense_adc_fullscale", "sense_vth_blanking",
+            "channel_closes", "channel_closes_at_startup"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"

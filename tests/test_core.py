@@ -82,17 +82,10 @@ def test_angle_helpers():
     assert wrap_angle(2 * math.pi + 0.25) == pytest.approx(0.25)
 
 
-def test_dt_by_fidelity():
-    from acpcsim.core import Fidelity
-    cfg = validate_scenario(BenchConfig())
-    assert cfg.dt == pytest.approx(1.0 / 22e3)
-    sw = validate_scenario(BenchConfig(fidelity=Fidelity.SWITCHED))
-    assert sw.dt == pytest.approx(1.0 / (64 * 22e3))
-
-
 # Public names that no src/ module uses, each kept on purpose.
 _UNCALLED_BY_DESIGN = {
     "mov_check": "paper-claim oracle for the transient-clamp sizing rules",
+    "passed": "the overall verdict of the mov_check oracle",
     "foster_step": "scalar reference for the bench's array Foster update",
     "vgs_at_channel_current": "square-law oracle for the threshold "
                               "measurement (AC-3)",
@@ -100,34 +93,59 @@ _UNCALLED_BY_DESIGN = {
                              "trajectory for scenarios and tests",
     "write_scenario": "scenario-writer API, the inverse of parse_scenario",
     "bench_section": "scenario-writer API: the bench keys of a config",
-    "losses": "scalar twin of the bench's inline p_cond/p_sw, still to be "
-              "folded into one loss law",
+    "run_steady": "steady-run entry point of AC-1, AC-4, AC-6, AC-7, AC-9 "
+                  "and the perfbench averaged_steady workload",
+    "measure_operating_point": "operating-point oracle of AC-7",
+    "inject_short": "short-circuit hook of AC-6 and the protection tests",
+    "reset_tally": "zeroes the energy tally between the runs of a test",
 }
 
 
-def test_every_public_definition_is_used_in_src():
-    # a public function or class that only tests call is a twin of the code
-    # the bench runs; name it in src/ or delete it
-    top = {}   # (module, index of top-level node) -> names it references
-    defs = []  # (module, index, name) of public top-level definitions
+def _public_definitions():
+    """(name, key of its definition, key of each code unit -> names it
+    references). A unit is a top-level statement, or one statement of a
+    public class body, keyed (module, i) or (module, i, j)."""
+    units = {}
+    defs = []
     for path in sorted(Path(acpcsim.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for i, node in enumerate(tree.body):
-            refs = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    refs.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    refs.add(sub.attr)
-                elif isinstance(sub, ast.alias):
-                    refs.add(sub.name)
-            top[path.stem, i] = refs
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                defs.append((path.stem, i, node.name))
-    unused = {f"{mod}.{name}": name for mod, i, name in defs
-              if not any(name in refs for key, refs in top.items()
-                         if key != (mod, i))}
+            public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_")
+            if public:
+                defs.append((node.name, (path.stem, i)))
+            parts = {(path.stem, i): node}
+            if public and isinstance(node, ast.ClassDef):
+                # methods and properties of a public class count as used
+                # only if some other unit names them
+                parts = {(path.stem, i, j): sub
+                         for j, sub in enumerate(node.body)}
+                defs += [(sub.name, (path.stem, i, j))
+                         for j, sub in enumerate(node.body)
+                         if isinstance(sub, ast.FunctionDef)
+                         and not sub.name.startswith("_")]
+            for key, part in parts.items():
+                refs = set()
+                for sub in ast.walk(part):
+                    if isinstance(sub, ast.Name):
+                        refs.add(sub.id)
+                    elif isinstance(sub, ast.Attribute):
+                        refs.add(sub.attr)
+                    elif isinstance(sub, ast.alias):
+                        refs.add(sub.name)
+                units[key] = refs
+    return defs, units
+
+
+def test_every_public_definition_is_used_in_src():
+    # a public function, class, method or property that only tests call is
+    # a twin of the code the bench runs; name it in src/ or delete it. A
+    # class's own body does not count as a use of the class, nor a method's
+    # own body as a use of the method.
+    defs, units = _public_definitions()
+    unused = {f"{key[0]}.{name}": name for name, key in defs
+              if not any(name in refs for k, refs in units.items()
+                         if k[:len(key)] != key)}
     assert sorted(k for k, name in unused.items()
                   if name not in _UNCALLED_BY_DESIGN) == []
     # an entry that src/ now uses, or that is gone, leaves the allowlist

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from acpcsim import sampler as smp
 from acpcsim import thermal as th
-from acpcsim.core import BenchConfig, Fidelity, Technique, validate_scenario
+from acpcsim.core import (BenchConfig, ConfigError, Fidelity, Technique,
+                          validate_scenario)
 from acpcsim.cycling import (BODY_DIODE_WARNING, GATE_OXIDE_WARNING,
                              PACKAGE_WARNING, CycleRecord, DeviceBank,
                              N_DEVICES, TestBench, ThermalRunaway,
                              WarningPolicy, WarningTracker, blanking_runs,
                              default_settings, energy_audit)
 from acpcsim.device import (AgingTrajectory, conduction_voltage,
-                            module_400a)
+                            diode_knee, module_400a, on_resistance)
 
 
 def fast_thermal():
@@ -33,31 +34,48 @@ def envelope_cfg(**kw):
 
 class TestBankConsistency:
     def test_bank_conduction_matches_scalar_ops(self):
-        bank = DeviceBank(module_400a(), ambient=40.0)
+        # DeviceBank.conduction is the law called with device k's deltas and
+        # temperature in row k, for (12,) and (12, m) currents; the bank's
+        # (12,)-shaped temperatures may round the drift power one ulp apart
+        # from a scalar call
+        p = module_400a()
+        bank = DeviceBank(p, ambient=40.0)
         rng = np.random.default_rng(12)
-        bank.delta_pkg[:] = rng.uniform(0, 0.2, N_DEVICES)
-        bank.delta_vth[:] = rng.uniform(0, 0.6, N_DEVICES)
-        bank.delta_vsd[:] = rng.uniform(0, 0.4, N_DEVICES)
-        bank.t_j = rng.uniform(30, 160, N_DEVICES)
-        i = rng.uniform(-420, 420, N_DEVICES)
-        vec = bank.conduction(i)
-        for k in range(N_DEVICES):
-            assert vec[k] == pytest.approx(
-                conduction_voltage(bank.device_state(k), float(i[k]),
-                                   float(bank.t_j[k]),
-                                   bank.params.gate_on_v), abs=1e-15)
-        # per-device temperature column against a (device, sample) current
-        # grid, as the envelope step calls it: 240 currents, one of them zero
-        i = rng.uniform(-450, 450, (N_DEVICES, 20))
+        bank.delta_pkg[:] = rng.uniform(0, 0.2, bank.n)
+        bank.delta_vth[:] = rng.uniform(0, 6.0, bank.n)
+        bank.delta_vsd[:] = rng.uniform(0, 0.4, bank.n)
+        bank.t_j = rng.uniform(30, 160, bank.n)
+        i = rng.uniform(-450, 450, (bank.n, 20))
         i[3, 7] = 0.0
-        vec = bank.conduction(i, t_j=bank.t_j[:, None])
-        assert vec[3, 7] == 0.0
-        for k in range(N_DEVICES):
-            for j in range(i.shape[1]):
-                assert vec[k, j] == pytest.approx(
-                    conduction_voltage(bank.device_state(k), float(i[k, j]),
-                                       float(bank.t_j[k]),
-                                       bank.params.gate_on_v), abs=1e-15)
+
+        def law(k, cur):
+            return conduction_voltage(p, cur, float(bank.t_j[k]), p.gate_on_v,
+                                      bank.delta_pkg[k], bank.delta_vth[k],
+                                      bank.delta_vsd[k])
+
+        vec = bank.conduction(i[:, 0])
+        grid = bank.conduction(i, t_j=bank.t_j[:, None])
+        assert vec.shape == (bank.n,) and grid.shape == i.shape
+        assert grid[3, 7] == 0.0
+        for k in range(bank.n):
+            np.testing.assert_allclose(vec[k], law(k, i[k, 0]),
+                                       rtol=1e-15, atol=0)
+            np.testing.assert_allclose(grid[k], law(k, i[k]),
+                                       rtol=1e-15, atol=0)
+        # the draws reach both quadrants and the parallel-diode branch
+        t = bank.t_j[:, None]
+        v_lin = np.abs(i) * on_resistance(p, t, np.abs(i), p.gate_on_v,
+                                          bank.delta_pkg[:, None],
+                                          bank.delta_vth[:, None])
+        assert np.any(i > 0)
+        assert np.any((i < 0) & (v_lin > diode_knee(p, t,
+                                                    bank.delta_vsd[:, None])))
+        # an injected short reads the desaturated drop in its row only
+        bank.shorted[5] = True
+        shorted = bank.conduction(i, t_j=bank.t_j[:, None])
+        assert np.all(shorted[5] == bank.desat_fault_v)
+        others = np.arange(bank.n) != 5
+        assert np.array_equal(shorted[others], grid[others])
 
     def test_trajectory_application_is_monotone(self):
         bank = DeviceBank(module_400a(), ambient=25.0)
@@ -147,6 +165,19 @@ class TestStartup:
         base = b.desat_base.threshold
         assert b.desat_thr.shape == (N_DEVICES,)
         assert all(abs(thr - base) < 1e-12 for thr in b.desat_thr)
+
+    def test_closed_channel_refused_at_the_coldest_plate(self):
+        # a 12 V final shift leaves the 15 V gate 0.3 V of overdrive at the
+        # 25 degC ambient but closes the channel at a -40 degC coolant supply
+        traj = AgingTrajectory(delta_vth=((0.0, 0.0), (10.0, 12.0)))
+        TestBench(self.settings(trajectory=traj))
+        cold = th.CoolingState(r_boundary_on=0.12, r_boundary_off=2.0,
+                               coolant_temp=-40.0)
+        s = self.settings(trajectory=traj)
+        s.cooling_load = cold
+        with pytest.raises(ConfigError) as e:
+            TestBench(s)
+        assert e.value.field == "aging.delta_vth"
 
     def test_package_shift_lands_in_lut_not_desat(self):
         b = TestBench(self.settings())

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from acpcsim.cycling import DeviceBank
+from acpcsim.core import BenchConfig, Fidelity, validate_scenario
+from acpcsim.cycling import (_PHASE, _SIGN, DeviceBank, TestBench,
+                             default_settings)
 from acpcsim.device import (AgingState, AgingTrajectory, ChannelOff,
                             DeviceParams, DeviceState,
                             calibrated_params, conduction_voltage,
-                            delta_vth_for_vds_shift, drift_resistance,
-                            gate_oxide_trajectory, losses, module_400a,
-                            on_resistance, r_on,
-                            v_sd, v_th, vendor_a, vendor_b,
+                            delta_vth_for_vds_shift,
+                            drift_resistance, gate_oxide_trajectory,
+                            module_400a, on_resistance, r_on,
+                            switching_loss, v_sd, v_th, vendor_a, vendor_b,
                             vgs_at_channel_current)
 
 
@@ -121,47 +123,70 @@ class TestConduction:
                               rho_sd_hi=-4.8e-3, r_diode=4e-3, e_on0=0.0,
                               e_off0=0.0, v_ref=800.0, i_ref=400.0,
                               i_nominal=400.0)
-        dev = DeviceState(params=p)
         # r_i_slope defaults to zero here, so R is exactly 4 mohm at 25 degC
-        assert conduction_voltage(dev, 100.0, 25.0, 15.0) == \
+        assert conduction_voltage(p, 100.0, 25.0, 15.0) == \
             pytest.approx(0.40, rel=1e-12)
 
-    def test_third_quadrant_channel_off_is_body_diode(self):
-        dev = fresh()
-        v = conduction_voltage(dev, -100.0, 25.0, -4.0)
-        assert v == pytest.approx(-v_sd(dev, 100.0, 25.0), rel=1e-12)
-
     def test_zero_current(self):
-        assert conduction_voltage(fresh(), 0.0, 25.0, 15.0) == 0.0
-
-    def test_first_quadrant_channel_off_raises(self):
-        with pytest.raises(ChannelOff):
-            conduction_voltage(fresh(), 100.0, 25.0, -4.0)
+        assert conduction_voltage(module_400a(), 0.0, 25.0, 15.0) == 0.0
 
     def test_third_quadrant_channel_on_below_knee_is_ohmic(self):
         dev = fresh()
-        v = conduction_voltage(dev, -50.0, 25.0, 15.0)
+        v = conduction_voltage(dev.params, -50.0, 25.0, 15.0)
         assert v == pytest.approx(-50.0 * r_on(dev, 25.0, 50.0, 15.0),
                                   rel=1e-12)
+
+    def test_third_quadrant_above_knee_is_channel_parallel_diode(self):
+        # a hot device with a shifted threshold: the channel alone would
+        # drop more than the knee, so the body diode shares the current
+        p = module_400a()
+        dev = DeviceState(params=p, aging=AgingState(delta_vth=6.0,
+                                                     delta_vsd=0.1))
+        mag, t = 450.0, 150.0
+        r_ch = r_on(dev, t, mag, 15.0)
+        knee = p.v_j0 + p.rho_sd_lo * (t - p.t0) + 0.1
+        assert mag * r_ch > knee
+        # channel r_ch in parallel with a knee-plus-r_diode branch
+        v_hand = (mag * r_ch * p.r_diode + knee * r_ch) / (r_ch + p.r_diode)
+        v = conduction_voltage(p, -mag, t, 15.0, delta_vth=6.0, delta_vsd=0.1)
+        assert v == pytest.approx(-v_hand, rel=1e-12)
+        i_channel, i_diode = -v / r_ch, (-v - knee) / p.r_diode
+        assert i_diode > 0.0
+        assert i_channel + i_diode == pytest.approx(mag, rel=1e-12)
+
+    def test_per_device_deltas_with_a_scalar_temperature_are_bitwise(self):
+        # start-up computes all twelve drops in one call at the ambient;
+        # each element equals the call with that device's deltas alone
+        rng = np.random.default_rng(4)
+        for make in (module_400a, vendor_a, vendor_b):
+            p = make()
+            pkg, vth, vsd = (rng.uniform(0, 0.3, 12), rng.uniform(0, 4.0, 12),
+                             rng.uniform(0, 0.5, 12))
+            for i in (p.i_nominal, -p.i_nominal, 0.0):
+                t = float(rng.uniform(-20, 60))
+                row = conduction_voltage(p, i, t, p.gate_on_v, pkg, vth, vsd)
+                assert row.shape == (12,)
+                for k in range(12):
+                    assert row[k] == conduction_voltage(
+                        p, i, t, p.gate_on_v, pkg[k], vth[k], vsd[k])
 
     def test_vectorized_matches_scalar(self):
         # the vectorized conduction path is DeviceBank.conduction; give every
         # device the same aging and feed it a (device, sample) current grid
         rng = np.random.default_rng(9)
-        dev = DeviceState(params=module_400a(),
-                          aging=AgingState(delta_pkg=0.07, delta_vth=0.3,
-                                           delta_vsd=0.2))
-        bank = DeviceBank(dev.params, ambient=77.0)
-        bank.delta_pkg[:] = dev.aging.delta_pkg
-        bank.delta_vth[:] = dev.aging.delta_vth
-        bank.delta_vsd[:] = dev.aging.delta_vsd
+        p = module_400a()
+        bank = DeviceBank(p, ambient=77.0)
+        bank.delta_pkg[:] = 0.07
+        bank.delta_vth[:] = 0.3
+        bank.delta_vsd[:] = 0.2
         i = rng.uniform(-450, 450, size=(bank.n, 17))
         i[0, 0] = 0.0
         vec = bank.conduction(i, t_j=np.full((bank.n, 1), 77.0))
         assert vec.shape == i.shape
         for k, cur in np.ndenumerate(i):
             assert vec[k] == pytest.approx(
-                conduction_voltage(dev, float(cur), 77.0, 15.0), abs=1e-15)
+                conduction_voltage(p, float(cur), 77.0, 15.0, 0.07, 0.3, 0.2),
+                abs=1e-15)
 
 
 class TestVsd:
@@ -201,29 +226,58 @@ class TestVsd:
 
 class TestLosses:
     def test_zero_current_no_events(self):
-        assert losses(fresh(), 0.0, 25.0, 800.0, 0.0, 0.5) == 0.0
-
-    def test_conduction_only(self):
-        p = calibrated_params(r_total_t0=4e-3, channel_fraction=0.45,
-                              v_th0=2.7, rho_vth=-6.4e-3, v_gs_on=15.0,
-                              alpha_drift=1.3, v_j0=2.8, rho_sd_lo=-2.65e-3,
-                              rho_sd_hi=-4.8e-3, r_diode=4e-3, e_on0=0.0,
-                              e_off0=0.0, v_ref=800.0, i_ref=400.0,
-                              i_nominal=400.0)
-        dev = DeviceState(params=p)
-        assert losses(dev, 100.0, 25.0, 800.0, 0.0, 0.5) == \
-            pytest.approx(20.0, rel=1e-12)
+        p = module_400a()
+        assert switching_loss(p, 22e3, 800.0, 0.0) == 0.0
+        assert switching_loss(p, 0.0, 800.0, 100.0) == 0.0
 
     def test_switching_scales_linearly_with_event_rate(self):
-        dev = fresh()
-        p1 = losses(dev, 100.0, 25.0, 800.0, 22e3, 0.0)
-        p2 = losses(dev, 100.0, 25.0, 800.0, 44e3, 0.0)
+        p = module_400a()
+        p1 = switching_loss(p, 22e3, 800.0, 100.0)
+        p2 = switching_loss(p, 44e3, 800.0, 100.0)
         assert p2 == pytest.approx(2 * p1, rel=1e-12)
+        # the reference energies at the reference bus voltage and current
+        assert switching_loss(p, 1.0, p.v_ref, p.i_ref) == \
+            pytest.approx(p.e_on0 + p.e_off0, rel=1e-12)
 
-    def test_third_quadrant_uses_diode_drop(self):
-        dev = fresh()
-        p = losses(dev, -100.0, 25.0, 800.0, 0.0, 1.0)
-        assert p == pytest.approx(v_sd(dev, 100.0, 25.0) * 100.0, rel=1e-12)
+    def test_bench_books_the_switching_loss_law(self):
+        # one envelope step and one averaged PWM step each book
+        # switching_loss of their device currents as e_sw
+        cfg = validate_scenario(BenchConfig(fidelity=Fidelity.ENVELOPE))
+        bench = TestBench(default_settings(cfg))
+        i_dev = bench._envelope_grid()[0]
+        bench._step_envelope()
+        p_sw = switching_loss(bench.bank.params, cfg.f_sw, cfg.v_dc,
+                              np.abs(i_dev).mean(axis=1))
+        assert bench.tally.e_sw == float(p_sw.sum()) * (1.0 / cfg.f_fund)
+
+        cfg = validate_scenario(BenchConfig())
+        bench = TestBench(default_settings(cfg))
+        for _ in range(50):
+            bench._step_conducting()
+        bench.reset_tally()
+        _, _, res = bench._step_conducting()
+        p_sw = switching_loss(bench.bank.params, cfg.f_sw, cfg.v_dc,
+                              np.abs(res.i_mean[_PHASE] * _SIGN))
+        assert np.all(p_sw > 0.0)
+        assert bench.tally.e_sw == float(np.add.reduce(p_sw)) * (1.0 / cfg.f_sw)
+
+    def test_third_quadrant_books_the_conduction_law(self):
+        # every device conducts -100 A at 25 degC for half of each cycle:
+        # the bench books duty * |v_cond| * 100 with the conduction law's
+        # drop (the channel, below the knee), under the body diode's alone
+        cfg = validate_scenario(BenchConfig(fidelity=Fidelity.ENVELOPE))
+        bench = TestBench(default_settings(cfg))
+        _, _, slot_i, usable = bench._envelope_grid()
+        n = slot_i.shape[0]
+        bench._envelope_cache = (np.full((n, 32), -100.0), np.full((n, 32), 0.5),
+                                 slot_i, usable)
+        bench._step_envelope()
+        p = bench.bank.params
+        v = float(conduction_voltage(p, -100.0, 25.0, p.gate_on_v))
+        assert -v == pytest.approx(0.38, abs=0.01)
+        assert -v < v_sd(fresh(p), 100.0, 25.0)
+        assert bench.tally.e_cond / (1.0 / cfg.f_fund) == \
+            pytest.approx(n * 0.5 * -v * 100.0, rel=1e-12)
 
 
 def aged_bank(trajectory, *cycles, mask=None):
@@ -276,10 +330,11 @@ class TestAging:
         # end of life moves the nominal-current drop from 1.58 V to 2.6 V
         p = module_400a()
         traj = gate_oxide_trajectory(p, cycles_eol=10_000)
-        dev = aged_bank(traj, 10_000).device_state(0)
-        v_aged = conduction_voltage(dev, p.i_nominal, 25.0, p.gate_on_v)
+        d_eol = aged_bank(traj, 10_000).delta_vth[0]
+        v_aged = conduction_voltage(p, p.i_nominal, 25.0, p.gate_on_v,
+                                    delta_vth=d_eol)
         assert v_aged == pytest.approx(2.6, abs=1e-9)
-        v_fresh = conduction_voltage(fresh(p), p.i_nominal, 25.0, p.gate_on_v)
+        v_fresh = conduction_voltage(p, p.i_nominal, 25.0, p.gate_on_v)
         assert v_fresh == pytest.approx(1.58, abs=1e-9)
 
     def test_delta_vth_for_vds_shift_closed_form(self):

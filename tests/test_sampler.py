@@ -378,15 +378,6 @@ class TestLut:
         with pytest.raises(ValueError):
             RonLut(t_axis=t, i_axis=i, grid=np.array([[2.0], [1.0]]))
 
-    def test_csv_roundtrip(self, tmp_path):
-        lut = build_ron_lut(module_400a())
-        path = tmp_path / "lut.csv"
-        lut.to_csv(path)
-        back = RonLut.from_csv(path)
-        assert np.array_equal(back.grid, lut.grid)
-        assert np.array_equal(back.t_axis, lut.t_axis)
-        assert np.array_equal(back.i_axis, lut.i_axis)
-
     def test_device_lut_matches_model(self):
         p = module_400a()
         lut = build_ron_lut(p)
@@ -399,26 +390,23 @@ class TestRecalibration:
     def test_fresh_measurement_gives_zero_offset(self):
         p = module_400a()
         lut = build_ron_lut(p)
-        dev = DeviceState(params=p)
         r_meas = lut.value(25.0, 400.0)
-        out = recalibrate_lut(lut, r_meas, 25.0, 400.0, 0.0, dev)
+        out = recalibrate_lut(lut, r_meas, 25.0, 400.0, 0.0)
         assert out.offset == pytest.approx(0.0, abs=1e-15)
 
     def test_package_shift_recorded_as_package(self):
         p = module_400a()
         lut = build_ron_lut(p)
-        dev = DeviceState(params=p)
         r_meas = lut.value(25.0, 400.0) + 2e-3
-        out = recalibrate_lut(lut, r_meas, 25.0, 400.0, 0.0, dev)
+        out = recalibrate_lut(lut, r_meas, 25.0, 400.0, 0.0)
         assert out.offset == pytest.approx(2e-3, rel=1e-9)
         assert out.offset_pkg == pytest.approx(2e-3, rel=1e-9)
 
     def test_closure_at_ambient(self):
         p = module_400a()
         lut = build_ron_lut(p)
-        dev = DeviceState(params=p)
         r_meas = lut.value(25.0, 400.0) + 1.5e-3
-        out = recalibrate_lut(lut, r_meas, 25.0, 400.0, 0.0, dev)
+        out = recalibrate_lut(lut, r_meas, 25.0, 400.0, 0.0)
         est = estimate_tj(r_meas, 400.0, out)
         assert abs(est.t_j - 25.0) <= 1.0
 
@@ -429,7 +417,7 @@ class TestRecalibration:
         dvth = 0.5
         aged = DeviceState(params=p, aging=AgingState(delta_vth=dvth))
         r_meas = r_on(aged, 25.0, 400.0, p.gate_on_v)
-        out = recalibrate_lut(lut, r_meas, 25.0, 400.0, dvth, aged)
+        out = recalibrate_lut(lut, r_meas, 25.0, 400.0, dvth)
         assert abs(out.offset_pkg) < 5e-6  # all attributed to the oxide
         assert out.delta_vth_hat == dvth
 
@@ -440,15 +428,14 @@ class TestRecalibration:
         lut = build_ron_lut(p)
         aged = DeviceState(params=p, aging=AgingState(delta_pkg=0.10))
         r_amb = r_on(aged, 25.0, 400.0, p.gate_on_v)
-        out = recalibrate_lut(lut, r_amb, 25.0, 400.0, 0.0, aged)
+        out = recalibrate_lut(lut, r_amb, 25.0, 400.0, 0.0)
         r_hot = r_on(aged, 150.0, 300.0, p.gate_on_v)
         assert out.value(150.0, 300.0) == pytest.approx(r_hot, rel=1e-6)
 
     def test_ambient_mismatch_guard(self):
         p = module_400a()
         lut = build_ron_lut(p)
-        dev = DeviceState(params=p)
         with pytest.raises(AmbientMismatch):
             recalibrate_lut(lut, 0.9 * lut.value(25.0, 400.0), 25.0, 400.0,
-                            0.0, dev)
+                            0.0)
 
