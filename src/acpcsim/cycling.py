@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +50,7 @@ _PHASE = _LEG % 3
 _SIGN = np.array([1.0, -1.0] * 3 + [-1.0, 1.0] * 3)
 _UPPER = np.array([1.0, -1.0] * 6)
 _LOWER = np.array([0.0, 1.0] * 6)
+_ROWS = np.arange(N_DEVICES)[:, None]  # row index for per-device gathers
 
 PACKAGE_WARNING = "package"
 GATE_OXIDE_WARNING = "gate_oxide"
@@ -345,6 +346,21 @@ class RunResult:
 # The bench
 # ---------------------------------------------------------------------------
 
+class _EnvelopeGrid(NamedTuple):
+    """Run constants of the envelope heat step (TestBench._envelope_grid)."""
+
+    i_dev: np.ndarray       # (12, g) device current over one period, A
+    duty: np.ndarray        # (12, g) conduction duty
+    slot_i: np.ndarray      # (12, n) current at each trigger slot, A
+    conducting: np.ndarray  # (12, g) i_dev > 0, the DESAT comparator's gate
+    p_sw: np.ndarray        # (12,) switching loss at the mean |i_dev|, W
+    p_sw_sum: float         # W
+    p_link: float           # link-resistance loss, W
+    win_idx: np.ndarray     # (12, taps) slots of each center FIR window
+    i_win: np.ndarray       # (12, taps) slot currents of those windows, A
+    i_pk: list              # window-center current of each device, A
+
+
 class TestBench:
     """Owns every module state; single-threaded stepping over one scenario.
 
@@ -460,10 +476,8 @@ class TestBench:
         self._mask_aging[: 6 if s.aging_scope == "test" else N_DEVICES] = True
 
         self._envelope_cache = None
-        self._env_win_idx = None
-        self._env_i_win = None
-        self._env_i_pk = None
-        self._env_tj_cols = None
+        self._env_tj_cols = None  # R(T) columns at each window-center current
+        self._lut_t_axis = self._base_lut.t_axis.tolist()
         self._trigger_index = None
         self._thermal_cache: dict = {}
         self._t_ref_key = None
@@ -663,8 +677,15 @@ class TestBench:
 
     # -- envelope conducting step --------------------------------------------
 
-    def _envelope_grid(self):
-        """Quasi-static per-fundamental waveform grids at 32-angle resolution."""
+    def _envelope_grid(self) -> "_EnvelopeGrid":
+        """The envelope heat step's run constants, built on first use.
+
+        cfg fixes the quasi-static operating point and so the 32-angle
+        current and duty grids; the trigger sets and FIR taps fix the slot
+        currents and window indices; the device parameters, which set the
+        switching loss, are bound in __init__. Nothing here changes within
+        a run.
+        """
         if self._envelope_cache is not None:
             return self._envelope_cache
         cfg = self.cfg
@@ -691,26 +712,52 @@ class TestBench:
             slot_i[k] = _SIGN[k] * np.array(
                 [inverse_park(i_d, i_q, a)[_PHASE[k]]
                  for a in sstate.triggers.angles])
-        usable = [np.flatnonzero(slot_i[k] > self.i_floor)
-                  for k in range(N_DEVICES)]
-        if min(len(u) for u in usable) < self.s.sampler_n:
+        if not (slot_i > self.i_floor).all():
             raise ValueError(
                 "sampler window reaches currents below the floor; narrow the "
                 "window or lower i_floor so every slot can fill")
-        self._envelope_cache = (i_dev, duty, slot_i, usable)
+        self._envelope_cache = self._bind_envelope_grid(i_dev, duty, slot_i)
         return self._envelope_cache
+
+    def _bind_envelope_grid(self, i_dev: np.ndarray, duty: np.ndarray,
+                            slot_i: np.ndarray) -> "_EnvelopeGrid":
+        """The run record of the given grids: device currents and duties
+        over one fundamental period (12, g), and the current at each
+        trigger slot (12, n)."""
+        cfg = self.cfg
+        p_sw = dev_mod.switching_loss(self.bank.params, cfg.f_sw, cfg.v_dc,
+                                      np.abs(i_dev).mean(axis=1))
+        # per-device center filter windows (centers differ under wrap)
+        taps_n = len(self.s.fir_taps)
+        half = taps_n // 2
+        n = slot_i.shape[1]
+        idx = np.empty((N_DEVICES, taps_n), dtype=int)
+        centers = [st.triggers.center_index for st in self.samplers]
+        for k, c in enumerate(centers):
+            w = np.arange(c - half, c + half + 1)
+            w = np.where(w < 0, -w - 1, w)
+            w = np.where(w >= n, 2 * n - w - 1, w)
+            idx[k] = w
+        return _EnvelopeGrid(
+            i_dev=i_dev, duty=duty, slot_i=slot_i, conducting=i_dev > 0,
+            p_sw=p_sw, p_sw_sum=float(p_sw.sum()),
+            p_link=cfg.link_resistance
+            * float((i_dev[0:6:2] ** 2).mean(axis=1).sum()),
+            win_idx=idx, i_win=slot_i[_ROWS, idx],
+            i_pk=slot_i[np.arange(N_DEVICES), centers].tolist())
 
     def _step_envelope(self):
         cfg = self.cfg
         dt = 1.0 / cfg.f_fund
-        i_dev, duty, slot_i, usable = self._envelope_grid()
+        grid = self._envelope_grid()
+        i_dev, slot_i = grid.i_dev, grid.slot_i
+        g = i_dev.shape[1]
 
         v_cond = self.bank.conduction(i_dev, t_j=self.bank.t_j[:, None])
         p = self.bank.params
-        p_cond = (duty * v_cond * i_dev).mean(axis=1)
-        p_sw = dev_mod.switching_loss(p, cfg.f_sw, cfg.v_dc,
-                                      np.abs(i_dev).mean(axis=1))
-        p_dev = p_cond + p_sw
+        # np.add.reduce(x, axis=1) / g is x.mean(axis=1) bit for bit
+        p_cond = np.add.reduce(grid.duty * v_cond * i_dev, axis=1) / g
+        p_dev = p_cond + grid.p_sw
 
         # one acquisition burst per fundamental cycle, budget-limited; the
         # common whole-window-per-cycle case runs batched across devices
@@ -718,7 +765,7 @@ class TestBench:
         whole = (self.samplers[0].budget_per_cycle >= n_slots
                  and all(st.filled == 0 for st in self.samplers))
         if whole:
-            self._envelope_fill_batched(slot_i)
+            self._envelope_fill_batched(grid)
         else:
             sigma = self.s.sense_params.noise_sigma
             bank = self.bank
@@ -741,9 +788,10 @@ class TestBench:
                     self._finish_window(k)
 
         # protection at envelope resolution: per-cycle exceedance duration
-        over_time = ((i_dev > 0)
-                     & (v_cond > (self.desat_thr - self._desat_bias)[:, None])
-                     ).mean(axis=1) * dt
+        over_time = np.add.reduce(
+            grid.conducting
+            & (v_cond > (self.desat_thr - self._desat_bias)[:, None]),
+            axis=1, dtype=float) / g * dt
         over = over_time >= self.desat_base.blanking
         if over.any():
             k = int(np.flatnonzero(over)[0])
@@ -753,11 +801,11 @@ class TestBench:
         self._check_runaway()
 
         tl = self.tally
-        p_link = cfg.link_resistance * float((i_dev[0:6:2] ** 2).mean(axis=1).sum())
-        tl.e_cond += float(p_cond.sum()) * dt
-        tl.e_sw += float(p_sw.sum()) * dt
-        tl.e_link += p_link * dt
-        tl.e_supply += (float(p_cond.sum() + p_sw.sum()) + p_link) * dt
+        p_cond_sum = float(np.add.reduce(p_cond))
+        tl.e_cond += p_cond_sum * dt
+        tl.e_sw += grid.p_sw_sum * dt
+        tl.e_link += grid.p_link * dt
+        tl.e_supply += (p_cond_sum + grid.p_sw_sum + grid.p_link) * dt
         tl.duration += dt
         tl.samples += 1
 
@@ -765,7 +813,7 @@ class TestBench:
         self._fund_cycle += 1
         self._trace_point()
 
-    def _envelope_fill_batched(self, slot_i: np.ndarray):
+    def _envelope_fill_batched(self, grid: "_EnvelopeGrid"):
         """Whole-window acquisition for all devices in one shot.
 
         Valid when the per-cycle budget covers the full trigger set, which is
@@ -775,6 +823,7 @@ class TestBench:
         bank = self.bank
         p = bank.params
         t = bank.t_j
+        slot_i = grid.slot_i
         r_true = dev_mod.on_resistance(p, t[:, None], slot_i, p.gate_on_v,
                                        bank.delta_pkg[:, None],
                                        bank.delta_vth[:, None])  # (12, n)
@@ -783,48 +832,30 @@ class TestBench:
         if sigma > 0:
             v = v + self.rng.normal(0.0, sigma, size=v.shape)
 
-        if self._env_win_idx is None:
-            # per-device center filter windows (centers differ under wrap)
-            taps_n = len(self.s.fir_taps)
-            half = taps_n // 2
-            n = self.s.sampler_n
-            idx = np.empty((N_DEVICES, taps_n), dtype=int)
-            for k, st in enumerate(self.samplers):
-                c = st.triggers.center_index
-                w = np.arange(c - half, c + half + 1)
-                w = np.where(w < 0, -w - 1, w)
-                w = np.where(w >= n, 2 * n - w - 1, w)
-                idx[k] = w
-            self._env_win_idx = idx
-            self._env_rows = np.arange(N_DEVICES)[:, None]
-            self._env_i_win = slot_i[self._env_rows, idx]
-            self._env_i_pk = slot_i[np.arange(N_DEVICES),
-                                    [st.triggers.center_index
-                                     for st in self.samplers]]
-        idx = self._env_win_idx
+        idx = grid.win_idx
         taps = self.s.fir_taps
-        rf = (v[self._env_rows, idx] / self._env_i_win) @ taps
-        truth_f = r_true[self._env_rows, idx] @ taps
+        rf = (v[_ROWS, idx] / grid.i_win) @ taps
+        r_est = rf.tolist()
 
         if self._env_tj_cols is None:
-            self._env_tj_cols = [self.luts[k].column(float(self._env_i_pk[k]))
+            self._env_tj_cols = [self.luts[k].column(grid.i_pk[k]).tolist()
                                  for k in range(N_DEVICES)]
         cols = self._env_tj_cols
-        t_ax = self.luts[0].t_axis
-        for k in range(6):  # only the test-bridge estimates drive control
-            self.tj_est[k] = np.interp(rf[k], cols[k], t_ax)
-        if self.collect_windows:
-            for k in range(6, N_DEVICES):
-                self.tj_est[k] = np.interp(rf[k], cols[k], t_ax)
+        t_ax = self._lut_t_axis
+        # only the test-bridge estimates drive control
+        n_est = N_DEVICES if self.collect_windows else 6
+        self.tj_est[:n_est] = [smp.invert_column(r_est[k], cols[k], t_ax)
+                               for k in range(n_est)]
         self.r_on_last = rf
         if self.collect_windows:
+            truth_f = (r_true[_ROWS, idx] @ taps).tolist()
+            t_true = t.tolist()
             for k in range(N_DEVICES):
                 self.windows.append({
-                    "t": self.t, "device": k, "r_est": float(rf[k]),
-                    "i_pk": float(self._env_i_pk[k]),
-                    "r_true": float(truth_f[k]),
+                    "t": self.t, "device": k, "r_est": r_est[k],
+                    "i_pk": grid.i_pk[k], "r_true": truth_f[k],
                     "tj_est": float(self.tj_est[k]),
-                    "tj_true": float(t[k]), "cycles_used": 1,
+                    "tj_true": t_true[k], "cycles_used": 1,
                 })
         self.last_window_trace = (self.samplers[0].triggers.angles,
                                   slot_i[0].copy(), v[0].copy())
@@ -926,9 +957,12 @@ class TestBench:
         if cfg.technique is Technique.CASE_SWING:
             return float(self.ntc_readings[:6].max()) >= cfg.t_case_max
         est = self.tj_est[:6]
-        if not np.isfinite(est).any():
-            return False
-        return pred.crossed_up(float(np.nanmax(est)), cfg.t_j_max)
+        hot = float(est.max())
+        if not math.isfinite(hot):  # a NaN (no window yet) or an infinity
+            if not np.isfinite(est).any():
+                return False
+            hot = float(np.nanmax(est))
+        return pred.crossed_up(hot, cfg.t_j_max)
 
     def _cool_done(self, t_cool: float, observer: Callable[[float], float],
                    pred: "_CrossingPredictor") -> bool:

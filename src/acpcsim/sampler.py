@@ -394,6 +394,30 @@ def build_ron_lut(params: dev_mod.DeviceParams,
                   channel=replace(params, gate_on_v=v_gs))
 
 
+def invert_column(r: float, col: Sequence[float],
+                  t_axis: Sequence[float]) -> float:
+    """Temperature at resistance r on a strictly increasing R(T) column.
+
+    This is np.interp(r, col, t_axis) for one point, bit for bit: the same
+    search, clamps and arithmetic in the same order, on Python floats,
+    without the cost of an array call. Below the column it returns
+    t_axis[0], above it t_axis[-1], on a knot that knot's temperature, and
+    NaN for NaN.
+    """
+    if r != r:
+        return r
+    j = bisect_right(col, r) - 1
+    if j < 0:
+        return t_axis[0]
+    if j >= len(col) - 1:
+        return t_axis[-1]
+    c = col[j]
+    if r == c:
+        return t_axis[j]
+    t = t_axis[j]
+    return (t_axis[j + 1] - t) / (col[j + 1] - c) * (r - c) + t
+
+
 def estimate_tj(r_on: float, i_d: float, lut: RonLut) -> TjEstimate:
     """Invert the monotone R(T) profile at the given current.
 
@@ -403,7 +427,7 @@ def estimate_tj(r_on: float, i_d: float, lut: RonLut) -> TjEstimate:
     col = lut.column(i_d)
     out = (r_on < col[0] - 1e-15) or (r_on > col[-1] + 1e-15) \
         or not (lut.i_axis[0] <= i_d <= lut.i_axis[-1])
-    t = float(np.interp(r_on, col, lut.t_axis))
+    t = invert_column(float(r_on), col.tolist(), lut.t_axis.tolist())
     return TjEstimate(t_j=t, out_of_grid=bool(out))
 
 

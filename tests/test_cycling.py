@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from acpcsim import sampler as smp
 from acpcsim import thermal as th
 from acpcsim.core import (BenchConfig, ConfigError, Fidelity, Technique,
                           validate_scenario)
-from acpcsim.cycling import (BODY_DIODE_WARNING, GATE_OXIDE_WARNING,
-                             PACKAGE_WARNING, CycleRecord, DeviceBank,
-                             N_DEVICES, TestBench, ThermalRunaway,
-                             WarningPolicy, WarningTracker, blanking_runs,
+from acpcsim.cycling import (BODY_DIODE_WARNING, DEVICE_IDS,
+                             GATE_OXIDE_WARNING, PACKAGE_WARNING, CycleRecord,
+                             DeviceBank, N_DEVICES, ProtectionTrip, TestBench,
+                             ThermalRunaway, WarningPolicy, WarningTracker,
+                             _CrossingPredictor, blanking_runs,
                              default_settings, energy_audit)
 from acpcsim.device import (AgingTrajectory, conduction_voltage,
                             diode_knee, module_400a, on_resistance)
@@ -136,6 +138,27 @@ class TestTechniques:
         for rec in res.records:
             k = int(np.argmax(rec.tj_max[:6]))
             assert abs(float(rec.delta_tj[k]) - 60.0) <= 2.0
+
+    def test_heat_done_reads_the_hottest_finite_estimate(self):
+        cfg = envelope_cfg(technique=Technique.JUNCTION_SWING, t_j_max=120.0,
+                           t_j_min=60.0)
+        b = TestBench(default_settings(cfg))
+        nan = math.nan
+        # no estimate yet: not done, and the predictor is not fed
+        pred = _CrossingPredictor()
+        b.tj_est[:] = nan
+        assert not b._heat_done(0.0, pred)
+        assert pred.prev is None
+        # the hottest of the finite estimates, the NaN ones skipped
+        for est, done in (([nan, 100.0, nan, 125.0, nan, 90.0], True),
+                          ([nan, 100.0, nan, 115.0, nan, 90.0], False),
+                          ([110.0, 100.0, 119.5, 80.0, 95.0, 90.0], False),
+                          ([110.0, 100.0, 121.0, 80.0, 95.0, 90.0], True)):
+            pred = _CrossingPredictor()
+            b.tj_est[:6] = est
+            b.tj_est[6:] = 200.0  # the load bridge does not count
+            assert b._heat_done(0.0, pred) is done
+            assert pred.prev == np.nanmax(est)
 
     def test_cycle_record_swing_invariant(self):
         cfg = envelope_cfg(technique=Technique.FIXED_TIMES, t_on=0.2,
@@ -361,6 +384,38 @@ class TestDeterminismAndProtection:
         n = blanking_runs(dt, blanking)
         runs = np.arange(-1, 2 * n + 3)
         assert ((runs >= n) == ((runs * dt >= blanking) & (runs >= 1))).all()
+
+    def test_envelope_trip_on_the_blanking_boundary(self):
+        # a shorted device is over threshold wherever it conducts: one
+        # envelope step trips once that share of the period reaches the
+        # blanking time, so at a blanking equal to it or one ulp under it,
+        # and not at one ulp over it
+        k = 4
+        cfg = envelope_cfg(technique=Technique.FIXED_TIMES, t_on=0.3,
+                           t_off=0.3)
+        dt = 1.0 / cfg.f_fund
+
+        def step(blanking):
+            b = TestBench(default_settings(cfg, budget_per_cycle=300,
+                                           sampler_n=60, **fast_thermal()))
+            grid = b._envelope_grid()
+            healthy = b.bank.conduction(grid.i_dev, t_j=b.bank.t_j[:, None])
+            b.bank.desat_fault_v = 8.0  # a short the thermal step survives
+            assert healthy.max() < 5.0
+            b.desat_thr[:] = b._desat_bias + 5.0
+            b.desat_base = replace(b.desat_base, blanking=blanking)
+            b.inject_short(k)
+            b._step_envelope()
+
+        share = int((TestBench(default_settings(cfg))._envelope_grid()
+                     .i_dev[k] > 0).sum())
+        assert 0 < share < 32
+        edge = share / 32 * dt
+        for blanking in (edge, math.nextafter(edge, 0.0)):
+            with pytest.raises(ProtectionTrip) as e:
+                step(blanking)
+            assert e.value.device_id == DEVICE_IDS[k]
+        step(math.nextafter(edge, math.inf))
 
     def test_unreachable_blanking_never_trips(self):
         assert blanking_runs(1 / 22e3, math.inf) == math.inf

@@ -244,7 +244,7 @@ class TestLosses:
         # switching_loss of their device currents as e_sw
         cfg = validate_scenario(BenchConfig(fidelity=Fidelity.ENVELOPE))
         bench = TestBench(default_settings(cfg))
-        i_dev = bench._envelope_grid()[0]
+        i_dev = bench._envelope_grid().i_dev
         bench._step_envelope()
         p_sw = switching_loss(bench.bank.params, cfg.f_sw, cfg.v_dc,
                               np.abs(i_dev).mean(axis=1))
@@ -267,10 +267,13 @@ class TestLosses:
         # drop (the channel, below the knee), under the body diode's alone
         cfg = validate_scenario(BenchConfig(fidelity=Fidelity.ENVELOPE))
         bench = TestBench(default_settings(cfg))
-        _, _, slot_i, usable = bench._envelope_grid()
+        slot_i = bench._envelope_grid().slot_i
         n = slot_i.shape[0]
-        bench._envelope_cache = (np.full((n, 32), -100.0), np.full((n, 32), 0.5),
-                                 slot_i, usable)
+        # bound through the builder, so the step's switching and link losses
+        # and its conducting mask belong to the injected currents
+        bench._envelope_cache = bench._bind_envelope_grid(
+            np.full((n, 32), -100.0), np.full((n, 32), 0.5), slot_i)
+        assert not bench._envelope_grid().conducting.any()
         bench._step_envelope()
         p = bench.bank.params
         v = float(conduction_voltage(p, -100.0, 25.0, p.gate_on_v))

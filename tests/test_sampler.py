@@ -1,18 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acpcsim.core import TWO_PI, BenchConfig, validate_scenario
 from acpcsim.cycling import N_DEVICES, TestBench, default_settings
-from acpcsim.device import DeviceState, module_400a, r_on
+from acpcsim.device import PROFILES, DeviceState, module_400a, r_on
 from acpcsim.sampler import (AmbientMismatch, IncompleteWindow, RonLut,
                              SamplerState, TriggerIndex, build_ron_lut,
                              build_trigger_set, default_fir_taps,
                              estimate_ron, estimate_tj, fir_filter,
-                             recalibrate_lut, sampler_update_interval,
+                             invert_column, recalibrate_lut,
+                             sampler_update_interval,
                              store_slots, triggers_in_interval)
 
 
@@ -384,6 +386,77 @@ class TestLut:
         dev = DeviceState(params=p)
         assert lut.value(75.0, 200.0) == pytest.approx(
             r_on(dev, 75.0, 200.0, p.gate_on_v), rel=1e-12)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def table_columns():
+    """R(T) columns the bench inverts: fresh and recalibrated tables of every
+    device profile at both gate drives, at currents on, between and beyond
+    the current axis."""
+    cols = []
+    for make in PROFILES.values():
+        for v_gs in (15.0, 18.0):
+            lut = build_ron_lut(replace(make(), gate_on_v=v_gs))
+            r_amb = lut.value(25.0, 400.0)
+            luts = [lut,
+                    recalibrate_lut(lut, r_amb + 2e-3, 25.0, 400.0, 0.0),
+                    recalibrate_lut(lut, r_amb + 1e-3, 25.0, 400.0, 0.5),
+                    recalibrate_lut(lut, r_amb, 25.0, 400.0, 1.5)]
+            for tab in luts:
+                for i_d in (10.0, 50.0, 123.4, 275.0, 400.0, 512.0):
+                    cols.append((tab.column(i_d), tab.t_axis))
+    return cols
+
+
+class TestInvertColumn:
+    """invert_column is np.interp for one point, bit for bit."""
+
+    def test_table_columns_on_below_above_and_between_knots(self):
+        cols = table_columns()
+        assert len(cols) == 3 * 2 * 4 * 6
+        for col, t_axis in cols:
+            assert (np.diff(col) > 0).all()
+            xs = [math.nan, -math.inf, math.inf, 0.0,
+                  col[0] - 1e-3, col[-1] + 1e-3]
+            for c in col:
+                xs += [c, math.nextafter(c, -math.inf),
+                       math.nextafter(c, math.inf)]
+            xs += list(0.5 * (col[1:] + col[:-1]))
+            xs += list(col[:-1] + 0.25 * np.diff(col))
+            cl, tl = col.tolist(), t_axis.tolist()
+            for x in map(float, xs):
+                assert bits(invert_column(x, cl, tl)) == \
+                    bits(np.interp(x, col, t_axis)), (x, cl)
+
+    @settings(max_examples=300, deadline=None)
+    @given(col=st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7,
+                        unique=True).map(sorted),
+           t_axis=st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7),
+           data=st.data())
+    def test_random_increasing_columns(self, col, t_axis, data):
+        col = np.array(col)
+        assume((np.diff(col) > 0).all())
+        t_axis = np.array(t_axis)
+        knots = st.sampled_from(col.tolist())
+        xs = data.draw(st.lists(st.one_of(
+            st.floats(-2e3, 2e3), knots,
+            knots.map(lambda c: math.nextafter(c, math.inf)),
+            knots.map(lambda c: math.nextafter(c, -math.inf)),
+            st.just(math.nan)), min_size=1, max_size=20))
+        cl, tl = col.tolist(), t_axis.tolist()
+        for x in xs:
+            assert bits(invert_column(x, cl, tl)) == \
+                bits(np.interp(x, col, t_axis)), (x, cl, tl)
+
+    def test_estimate_tj_inverts_through_it(self):
+        lut = build_ron_lut(module_400a())
+        col = lut.column(300.0)
+        for r in (0.5 * (col[2] + col[3]), col[4], col[0] - 1e-4):
+            assert bits(estimate_tj(float(r), 300.0, lut).t_j) == \
+                bits(np.interp(r, col, lut.t_axis))
 
 
 class TestRecalibration:
