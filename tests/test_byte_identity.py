@@ -4,20 +4,25 @@ The first digests were computed with the per-device trigger search and
 the per-step constants of the averaged engine, before both were hoisted
 out of the step; the sampling-trace, fixed-times and frequent-start-up
 digests with the envelope heat step before its run constants were hoisted
-and its table inversion moved to sampler.invert_column. A speed-up must
-leave them unchanged; a change that alters results on purpose must say so
-and pin new digests.
+and its table inversion moved to sampler.invert_column; the run-state,
+operating-point and averaged-campaign digests with the averaged engine's
+three-phase quantities held in numpy arrays, before they became Python
+float triples. A speed-up must leave them unchanged; a change that alters
+results on purpose must say so and pin new digests.
 """
 
+import functools
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from acpcsim.cli import run
-from acpcsim.core import BenchConfig, validate_scenario
-from acpcsim.cycling import TestBench, default_settings
+from acpcsim.core import BenchConfig, Fidelity, PfMode, validate_scenario
+from acpcsim.cycling import EnergyTally, TestBench, default_settings
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_scenarios"
 
@@ -51,6 +56,46 @@ FREQUENT_STARTUP_SHA256 = {
     "trace_sampling.csv":
         "5fa8e2c9444f6dacebba0fdb4d93dfb97c5c2a15f00017d51812b1141de91e94",
 }
+# the averaged and switched engines' whole run state: every window's r_est,
+# tj_est and r_true, every EnergyTally field, the thermal trace, the
+# waveform rows, the final link currents, both PI integrators and the
+# current filter's state
+RUN_STATE_SHA256 = {
+    "ac1":
+        "ac7db97f42cfc5f7ea60374e728735908b8c0da54fa6249220f7f9b73d34a216",
+    "generator":
+        "a764c1cf5e63b738e98a1c5ad98e2438bfe91bdf877b998fa71d91b302dba55f",
+    "saturated":
+        "93722b074236964c65efa39478121099585125ca3a3278c85fef7a9a8b8a776b",
+    "lossless_link":
+        "31b7fcca07d847bf41f2800b3ddc6124480d707b0db8afa0c190e08826d14ddb",
+    "switched":
+        "25b5cdeb783ded820b099aefe60fd024cf07ecf4225327267a2d74f7129270b4",
+}
+RUN_STATE_CASES = {
+    # AC-1's run, first 0.1 s
+    "ac1": (BenchConfig(), 0.1),
+    "generator": (BenchConfig(pf_mode=PfMode.GENERATOR), 0.05),
+    # about a tenth of the SVPWM calls are radially clamped
+    "saturated": (BenchConfig(modulation_index=1.0, i_ref_peak=600.0,
+                              rng_seed=5), 0.05),
+    # the plant's r == 0 branch
+    "lossless_link": (BenchConfig(link_resistance=0.0), 0.05),
+    "switched": (BenchConfig(fidelity=Fidelity.SWITCHED), 0.01),
+}
+# measure_operating_point() after 0.02 s of the default averaged run
+OPERATING_POINT_SHA256 = \
+    "5307151020bc6aa4e0754a94839f43b8c77beee248662133c315c4ea645318dc"
+# an averaged fixed-times campaign through the command line, heat -> idle
+# -> heat, with waveforms
+AVERAGED_CAMPAIGN_SHA256 = {
+    "precursors.csv":
+        "be8f2d85d31bc79f77eeae32729c0a8753cbb634cfc826bb1832db51a4da0579",
+    "trace_thermal.csv":
+        "040a07a02b857207e72951c19af6e716d2cfdce32e64faa997aedbdd270f90cd",
+    "waveforms.csv":
+        "f73802d5e50ddc4359660b0dff37d81f4846f9c81eb61b0d3908bf80a6fe6556",
+}
 # the accelerated thermal scale and aging ramp of the campaign example
 FAST_ENVELOPE = """\
 bench.mode = envelope
@@ -64,16 +109,26 @@ aging.delta_pkg = 0:0.0, 2000:0.2
 """
 
 
-def _digests(scenario, out, cycles, names):
-    assert run(scenario, out, cycles=cycles) == 0
+def _digests(scenario, out, cycles, names, emit="precursors"):
+    assert run(scenario, out, cycles=cycles, emit=emit) == 0
     files = json.loads((out / "run_manifest.json").read_text())["files"]
     return {k: files[k] for k in names}
 
 
+@functools.cache
+def _steady_run(case: str) -> TestBench:
+    """The named run of RUN_STATE_CASES, with waveforms collected; the
+    waveform rows are only appended, so no other result depends on them."""
+    cfg, duration = RUN_STATE_CASES[case]
+    bench = TestBench(default_settings(validate_scenario(cfg),
+                                       budget_per_cycle=300))
+    bench.collect_waveforms = True
+    bench.run_steady(duration)
+    return bench
+
+
 def test_averaged_steady_windows_unchanged():
-    cfg = validate_scenario(BenchConfig())
-    bench = TestBench(default_settings(cfg, budget_per_cycle=300))
-    bench.run_steady(0.1)
+    bench = _steady_run("ac1")
     est = np.array([(w["r_est"], w["tj_est"]) for w in bench.windows],
                    dtype="<f8")
     assert len(est) == 58
@@ -103,3 +158,49 @@ def test_recalibrated_tables_reach_the_batched_fill(tmp_path):
     assert "run.startup_every = 2\n" in text and "0:0.0, 10:0.3\n" in text
     assert _digests(scn, tmp_path / "out", 5, FREQUENT_STARTUP_SHA256) \
         == FREQUENT_STARTUP_SHA256
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for values in parts:
+        a = np.asarray(values, dtype="<f8")
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _run_state_digest(bench) -> str:
+    ctl = bench.ctl
+    return _sha([(w["r_est"], w["tj_est"], w["r_true"])
+                 for w in bench.windows],
+                [getattr(bench.tally, f.name) for f in fields(EnergyTally)],
+                bench.thermal_trace, bench.waveform_rows, bench.plant.i_abc,
+                [ctl.pi_d.integrator, ctl.pi_q.integrator],
+                ctl.current_filter.y)
+
+
+@pytest.mark.parametrize("case", list(RUN_STATE_CASES))
+def test_run_state_unchanged(case):
+    assert _run_state_digest(_steady_run(case)) == RUN_STATE_SHA256[case]
+
+
+def test_operating_point_unchanged():
+    bench = TestBench(default_settings(validate_scenario(BenchConfig()),
+                                       budget_per_cycle=300))
+    bench.run_steady(0.02)
+    op = bench.measure_operating_point(n_cycles=1)
+    assert _sha(op["v_dq"], op["i_dq"], op["i_mag"],
+                op["theta_v_minus_i_deg"]) == OPERATING_POINT_SHA256
+
+
+def test_averaged_campaign_outputs_unchanged(tmp_path):
+    scn = tmp_path / "averaged.txt"
+    scn.write_text((EXAMPLES / "motor_mode_baseline.txt").read_text()
+                   .replace("bench.t_on = 2.0", "bench.t_on = 0.1")
+                   .replace("bench.t_off = 3.0", "bench.t_off = 0.1")
+                   .replace("bench.rng_seed = 1", "bench.rng_seed = 3"))
+    text = scn.read_text()
+    assert "t_on = 0.1\n" in text and "t_off = 0.1\n" in text \
+        and "rng_seed = 3\n" in text and "mode = averaged\n" in text
+    assert _digests(scn, tmp_path / "out", 2, AVERAGED_CAMPAIGN_SHA256,
+                    emit="both") == AVERAGED_CAMPAIGN_SHA256
