@@ -56,6 +56,34 @@ PACKAGE_WARNING = "package"
 GATE_OXIDE_WARNING = "gate_oxide"
 BODY_DIODE_WARNING = "body_diode"
 
+# sub-step edges of one PWM period in the switched engine, as period fractions
+_SUB_EDGES = np.linspace(0.0, 1.0, SWITCHED_SUBSTEPS + 1)
+_SUB_LO, _SUB_HI = _SUB_EDGES[:-1, None], _SUB_EDGES[1:, None]
+_SUB_WIDTH = _SUB_HI - _SUB_LO
+
+
+def _device_values(x_a: float, x_b: float, x_c: float) -> list:
+    """Each device's share of a per-phase quantity: the phase's value times
+    _SIGN, in device order (negation is exact)."""
+    return [x_a, -x_a, x_b, -x_b, x_c, -x_c, -x_a, x_a, -x_b, x_b, -x_c, x_c]
+
+
+def _pole_voltages(d, v_hi, v_lo, v_dc: float) -> tuple:
+    """Average pole voltage of each leg over an ON share d of the upper
+    switch: v_dc less the upper drop while it conducts, the lower drop
+    otherwise."""
+    return tuple([d_k * (v_dc - h_k) + (1.0 - d_k) * l_k
+                  for d_k, h_k, l_k in zip(d, v_hi, v_lo)])
+
+
+def _on_fractions(d) -> list:
+    """Share of each switched sub-step that a center-aligned ON window of
+    duty d covers, one row of three leg fractions per sub-step."""
+    d = np.asarray(d)
+    w0, w1 = 0.5 - 0.5 * d, 0.5 + 0.5 * d
+    return (np.clip(np.minimum(_SUB_HI, w1) - np.maximum(_SUB_LO, w0),
+                    0.0, 1.0) / _SUB_WIDTH).tolist()
+
 
 class ProtectionTrip(RuntimeError):
     def __init__(self, device_id: str, t: float, kind: str = "desat"):
@@ -590,54 +618,64 @@ class TestBench:
         i_ref = (self.i_ref_dq[0] * scale, self.i_ref_dq[1] * scale)
         (dta, dtb, dtc, _), (dla, dlb, dlc, _) = control_step(
             self.ctl, self.plant.i_abc, theta, dt, v_test_dq, i_ref, cfg.v_dc)
-        d = np.array([dta, dtb, dtc, dla, dlb, dlc])
-        d_test, d_load = d[:3], d[3:]
+        d_test, d_load = (dta, dtb, dtc), (dla, dlb, dlc)
 
         i0 = self.plant.i_abc
-        i_dev = i0[_PHASE] * _SIGN
-        duty = d[_LEG] * _UPPER + _LOWER
+        i_a, i_b, i_c = i0
+        i_dev = np.array(_device_values(i_a, i_b, i_c))
+        duty = np.array([dta, 1.0 - dta, dtb, 1.0 - dtb, dtc, 1.0 - dtc,
+                         dla, 1.0 - dla, dlb, 1.0 - dlb, dlc, 1.0 - dlc])
         v_cond = self.bank.conduction(i_dev)
 
         self._capture(theta, i_dev, v_cond, duty)
         self._protection(v_cond, i_dev, dt)
 
-        v_hi_t, v_lo_t = v_cond[0:6:2], v_cond[1:6:2]
-        v_hi_l, v_lo_l = v_cond[6:12:2], v_cond[7:12:2]
-        pole_test = d_test * (cfg.v_dc - v_hi_t) + (1.0 - d_test) * v_lo_t
-        pole_load = d_load * (cfg.v_dc - v_hi_l) + (1.0 - d_load) * v_lo_l
+        vc = v_cond.tolist()
+        v_hi_t, v_lo_t = vc[0:6:2], vc[1:6:2]
+        v_hi_l, v_lo_l = vc[6:12:2], vc[7:12:2]
+        pole_test = _pole_voltages(d_test, v_hi_t, v_lo_t, cfg.v_dc)
 
         if cfg.fidelity is Fidelity.SWITCHED:
             res = self._plant_switched(d_test, d_load, v_hi_t, v_lo_t,
                                        v_hi_l, v_lo_l, dt)
         else:
+            pole_load = _pole_voltages(d_load, v_hi_l, v_lo_l, cfg.v_dc)
             res = plant_step(self.plant, pole_test, pole_load,
                              cfg.link_resistance, cfg.link_inductance, dt)
 
-        i_mean_dev = res.i_mean[_PHASE] * _SIGN
+        m_a, m_b, m_c = res.i_mean
+        i_mean_dev = np.array(_device_values(m_a, m_b, m_c))
         p_cond = duty * v_cond * i_mean_dev
-        p_sw = dev_mod.switching_loss(self.bank.params, cfg.f_sw, cfg.v_dc,
-                                      np.abs(i_mean_dev))
+        # the law on each phase's |mean current|, which both of its
+        # devices on each bridge carry
+        params = self.bank.params
+        p_a = dev_mod.switching_loss(params, cfg.f_sw, cfg.v_dc, abs(m_a))
+        p_b = dev_mod.switching_loss(params, cfg.f_sw, cfg.v_dc, abs(m_b))
+        p_c = dev_mod.switching_loss(params, cfg.f_sw, cfg.v_dc, abs(m_c))
+        p_sw = np.array([p_a, p_a, p_b, p_b, p_c, p_c] * 2)
         self._thermal_step(p_cond + p_sw, dt, pump_test=False)
 
         tl = self.tally
         p_sw_total = float(np.add.reduce(p_sw))
-        tl.e_supply += (cfg.v_dc * float(np.dot(d_test - d_load, res.i_mean))
+        d_diff = np.array([dta - dla, dtb - dlb, dtc - dlc])
+        tl.e_supply += (cfg.v_dc * float(np.dot(d_diff, res.i_mean))
                         + p_sw_total) * dt
         tl.e_cond += float(np.add.reduce(p_cond)) * dt
         tl.e_sw += p_sw_total * dt
-        tl.e_link += cfg.link_resistance \
-            * float(np.add.reduce(res.i_sq_mean)) * dt
+        s_a, s_b, s_c = res.i_sq_mean
+        tl.e_link += cfg.link_resistance * (s_a + s_b + s_c) * dt
         tl.duration += dt
-        v_ph = pole_test - np.add.reduce(pole_test) / 3
-        tl.sum_v2 += float(np.add.reduce(v_ph ** 2))
-        tl.sum_i2 += float(np.add.reduce(i0 ** 2))
+        v_a, v_b, v_c = pole_test
+        v0 = (v_a + v_b + v_c) / 3
+        v_a, v_b, v_c = v_a - v0, v_b - v0, v_c - v0
+        tl.sum_v2 += v_a * v_a + v_b * v_b + v_c * v_c
+        tl.sum_i2 += i_a * i_a + i_b * i_b + i_c * i_c
         tl.samples += 1
 
         if self.collect_waveforms:
             self._wave_count += 1
             if self._wave_count % self.waveform_stride == 0:
-                self.waveform_rows.append(
-                    (self.t, theta, *i0.tolist(), *v_cond.tolist()))
+                self.waveform_rows.append((self.t, theta, *i0, *vc))
 
         self.t += dt
         self._trace_point()
@@ -654,26 +692,22 @@ class TestBench:
         cfg = self.cfg
         n = SWITCHED_SUBSTEPS
         dt_sub = dt_period / n
-        edges = np.linspace(0.0, 1.0, n + 1)
-        lo_e, hi_e = edges[:-1, None], edges[1:, None]
-
-        def frac_on(d):
-            w0, w1 = 0.5 - 0.5 * d, 0.5 + 0.5 * d
-            return np.clip(np.minimum(hi_e, w1) - np.maximum(lo_e, w0),
-                           0.0, 1.0) / (hi_e - lo_e)
-
-        f_test = frac_on(d_test)  # (n, 3)
-        f_load = frac_on(d_load)
-        i_mean_acc = np.zeros(3)
-        i_sq_acc = np.zeros(3)
-        for j in range(n):
-            pt = f_test[j] * (cfg.v_dc - v_hi_t) + (1.0 - f_test[j]) * v_lo_t
-            pl = f_load[j] * (cfg.v_dc - v_hi_l) + (1.0 - f_load[j]) * v_lo_l
-            r = plant_step(self.plant, pt, pl, cfg.link_resistance,
-                           cfg.link_inductance, dt_sub)
-            i_mean_acc += r.i_mean
-            i_sq_acc += r.i_sq_mean
-        return PlantStepResult(i_mean=i_mean_acc / n, i_sq_mean=i_sq_acc / n)
+        f_test = _on_fractions(d_test)
+        f_load = _on_fractions(d_load)
+        m_a = m_b = m_c = s_a = s_b = s_c = 0.0
+        for ft, fl in zip(f_test, f_load):
+            r = plant_step(self.plant,
+                           _pole_voltages(ft, v_hi_t, v_lo_t, cfg.v_dc),
+                           _pole_voltages(fl, v_hi_l, v_lo_l, cfg.v_dc),
+                           cfg.link_resistance, cfg.link_inductance, dt_sub)
+            m_a += r.i_mean[0]
+            m_b += r.i_mean[1]
+            m_c += r.i_mean[2]
+            s_a += r.i_sq_mean[0]
+            s_b += r.i_sq_mean[1]
+            s_c += r.i_sq_mean[2]
+        return PlantStepResult(i_mean=(m_a / n, m_b / n, m_c / n),
+                               i_sq_mean=(s_a / n, s_b / n, s_c / n))
 
     # -- envelope conducting step --------------------------------------------
 
@@ -864,7 +898,7 @@ class TestBench:
 
     def _step_idle(self, pump_test: bool):
         dt = 1.0 / self.cfg.f_fund
-        self.plant.i_abc = np.zeros(3)
+        self.plant.i_abc = (0.0, 0.0, 0.0)
         self._thermal_step(np.zeros(N_DEVICES), dt, pump_test=pump_test)
         self.t += dt
         self._trace_point()
@@ -948,7 +982,9 @@ class TestBench:
         self.tally.e_l_start = self._stored_link_energy()
 
     def _stored_link_energy(self) -> float:
-        return 0.5 * self.cfg.link_inductance * float((self.plant.i_abc ** 2).sum())
+        i_a, i_b, i_c = self.plant.i_abc
+        return 0.5 * self.cfg.link_inductance * (i_a * i_a + i_b * i_b
+                                                 + i_c * i_c)
 
     def _heat_done(self, t_heat: float, pred: "_CrossingPredictor") -> bool:
         cfg = self.cfg
@@ -1161,12 +1197,12 @@ class TestBench:
         si = np.zeros(2)
         for _ in range(steps):
             theta = self.theta
-            i0 = self.plant.i_abc.copy()
+            i0 = self.plant.i_abc
             d_test, _, _ = self._step_conducting()
-            v_pole = d_test * cfg.v_dc
-            v_ph = v_pole - v_pole.mean()
-            sv += park(v_ph[0], v_ph[1], v_ph[2], theta)
-            si += park(i0[0], i0[1], i0[2], theta)
+            v_a, v_b, v_c = (d * cfg.v_dc for d in d_test)
+            v0 = (v_a + v_b + v_c) / 3
+            sv += park(v_a - v0, v_b - v0, v_c - v0, theta)
+            si += park(*i0, theta)
         sv /= steps
         si /= steps
         ang = dq_phase_deg(sv[0], sv[1]) - dq_phase_deg(si[0], si[1])

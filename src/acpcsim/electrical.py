@@ -5,6 +5,13 @@ links.
 Transform convention: amplitude-invariant (2/3 factor), q axis leading d by
 90 degrees, theta is the phase-a axis angle. A balanced three-phase set of
 amplitude I lagging the d axis by phi maps to (I*cos(phi), -I*sin(phi)).
+
+Three-phase quantities (link currents, pole voltages, filter state and the
+plant's per-step means) are (a, b, c) triples of Python floats: numpy call
+overhead on 3-element arrays would cost more than their arithmetic. Each
+expression keeps the order of operations of the array form it replaced, so
+results are bit-identical to it: a 3-element np.add.reduce is
+(a + b) + c, and np.square(x) is x * x.
 """
 
 from __future__ import annotations
@@ -13,30 +20,43 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .core import TWO_PI
 
 _SQRT3 = math.sqrt(3.0)
 _B = TWO_PI / 3.0  # 120 degrees
 
 
-def park(i_a: float, i_b: float, i_c: float, theta: float) -> tuple[float, float]:
-    """Project a three-phase set onto the rotating dq frame at angle theta."""
-    ca, cb, cc = math.cos(theta), math.cos(theta - _B), math.cos(theta + _B)
-    sa, sb, sc = math.sin(theta), math.sin(theta - _B), math.sin(theta + _B)
+def _phase_trig(theta: float) -> tuple:
+    """cos and sin of theta, theta - 120 deg and theta + 120 deg: the six
+    values every transform at angle theta needs."""
+    return (math.cos(theta), math.cos(theta - _B), math.cos(theta + _B),
+            math.sin(theta), math.sin(theta - _B), math.sin(theta + _B))
+
+
+def _park(i_a: float, i_b: float, i_c: float, trig: tuple
+          ) -> tuple[float, float]:
+    ca, cb, cc, sa, sb, sc = trig
     d = (2.0 / 3.0) * (i_a * ca + i_b * cb + i_c * cc)
     q = -(2.0 / 3.0) * (i_a * sa + i_b * sb + i_c * sc)
     return d, q
 
 
-def inverse_park(v_d: float, v_q: float, theta: float) -> tuple[float, float, float]:
-    """Rotate a dq pair back into three phase quantities."""
-    ca, cb, cc = math.cos(theta), math.cos(theta - _B), math.cos(theta + _B)
-    sa, sb, sc = math.sin(theta), math.sin(theta - _B), math.sin(theta + _B)
+def _inverse_park(v_d: float, v_q: float, trig: tuple
+                  ) -> tuple[float, float, float]:
+    ca, cb, cc, sa, sb, sc = trig
     return (v_d * ca - v_q * sa,
             v_d * cb - v_q * sb,
             v_d * cc - v_q * sc)
+
+
+def park(i_a: float, i_b: float, i_c: float, theta: float) -> tuple[float, float]:
+    """Project a three-phase set onto the rotating dq frame at angle theta."""
+    return _park(i_a, i_b, i_c, _phase_trig(theta))
+
+
+def inverse_park(v_d: float, v_q: float, theta: float) -> tuple[float, float, float]:
+    """Rotate a dq pair back into three phase quantities."""
+    return _inverse_park(v_d, v_q, _phase_trig(theta))
 
 
 @dataclass
@@ -82,6 +102,11 @@ def svpwm_duties(v_d: float, v_q: float, theta: float, v_dc: float
     (d_k - mean(d)) * v_dc, reproduces the commanded phase voltage exactly.
     References beyond the linear region are radially clamped and flagged.
     """
+    return _svpwm(v_d, v_q, _phase_trig(theta), v_dc)
+
+
+def _svpwm(v_d: float, v_q: float, trig: tuple, v_dc: float
+           ) -> tuple[float, float, float, bool]:
     if v_dc <= 0:
         raise ValueError("v_dc must be positive")
     limit = v_dc / _SQRT3
@@ -91,15 +116,16 @@ def svpwm_duties(v_d: float, v_q: float, theta: float, v_dc: float
         scale = limit / mag
         v_d *= scale
         v_q *= scale
-    v_a, v_b, v_c = inverse_park(v_d, v_q, theta)
+    v_a, v_b, v_c = _inverse_park(v_d, v_q, trig)
     offset = -0.5 * (max(v_a, v_b, v_c) + min(v_a, v_b, v_c))
     d_a = 0.5 + (v_a + offset) / v_dc
     d_b = 0.5 + (v_b + offset) / v_dc
     d_c = 0.5 + (v_c + offset) / v_dc
-    # fp guard only; min-max injection keeps duties inside [0, 1] analytically
-    d_a = min(1.0, max(0.0, d_a))
-    d_b = min(1.0, max(0.0, d_b))
-    d_c = min(1.0, max(0.0, d_c))
+    # fp guard only; min-max injection keeps duties inside [0, 1]
+    # analytically. Each line is min(1.0, max(0.0, d)), NaN to 0.0 included.
+    d_a = 0.0 if not d_a > 0.0 else d_a if d_a < 1.0 else 1.0
+    d_b = 0.0 if not d_b > 0.0 else d_b if d_b < 1.0 else 1.0
+    d_c = 0.0 if not d_c > 0.0 else d_c if d_c < 1.0 else 1.0
     return d_a, d_b, d_c, saturated
 
 
@@ -107,7 +133,7 @@ def svpwm_duties(v_d: float, v_q: float, theta: float, v_dc: float
 class PlantState:
     """Per-phase link currents."""
 
-    i_abc: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    i_abc: tuple[float, float, float] = (0.0, 0.0, 0.0)
     # plant_step's exponential-update terms for the last (r, l, dt)
     step_terms: Optional[tuple] = field(default=None, repr=False,
                                         compare=False)
@@ -117,8 +143,8 @@ class PlantState:
 class PlantStepResult:
     """Per-step integrals needed for exact energy bookkeeping."""
 
-    i_mean: np.ndarray    # time-average of each phase current over the step
-    i_sq_mean: np.ndarray  # time-average of each squared phase current
+    i_mean: tuple    # time-average of each phase current over the step
+    i_sq_mean: tuple  # time-average of each squared phase current
 
 
 def plant_step(state: PlantState, v_test_abc, v_load_abc,
@@ -132,12 +158,13 @@ def plant_step(state: PlantState, v_test_abc, v_load_abc,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    v_test = np.asarray(v_test_abc, dtype=float)
-    v_load = np.asarray(v_load_abc, dtype=float)
-    v = v_test - v_load
-    v = v - np.add.reduce(v) / len(v)
+    t_a, t_b, t_c = v_test_abc
+    l_a, l_b, l_c = v_load_abc
+    v_a, v_b, v_c = t_a - l_a, t_b - l_b, t_c - l_c
+    v0 = (v_a + v_b + v_c) / 3
+    v = (v_a - v0, v_b - v0, v_c - v0)
 
-    i0 = state.i_abc
+    i1, i_mean, i_sq_mean = [], [], []
     if r > 0:
         terms = state.step_terms
         if terms is None or terms[0] != (r, l, dt):
@@ -147,38 +174,50 @@ def plant_step(state: PlantState, v_test_abc, v_load_abc,
                 (r, l, dt), a, tau * (1.0 - a) / dt,
                 tau * (1.0 - a * a) / (2.0 * dt))
         _, a, g, g_sq = terms
-        i_ss = v / r
-        delta = i0 - i_ss
-        i1 = i_ss + delta * a
-        i_mean = i_ss + delta * g
-        i_sq_mean = (i_ss ** 2
-                     + 2.0 * i_ss * delta * g
-                     + delta ** 2 * g_sq)
+        for v_k, i0_k in zip(v, state.i_abc):
+            i_ss = v_k / r
+            delta = i0_k - i_ss
+            i1.append(i_ss + delta * a)
+            i_mean.append(i_ss + delta * g)
+            i_sq_mean.append(i_ss * i_ss + 2.0 * i_ss * delta * g
+                             + delta * delta * g_sq)
     else:
-        slope = v / l
-        i1 = i0 + slope * dt
-        i_mean = i0 + 0.5 * slope * dt
-        i_sq_mean = i0 ** 2 + i0 * slope * dt + (slope * dt) ** 2 / 3.0
+        for v_k, i0_k in zip(v, state.i_abc):
+            slope = v_k / l
+            step = slope * dt
+            i1.append(i0_k + step)
+            i_mean.append(i0_k + 0.5 * slope * dt)
+            i_sq_mean.append(i0_k * i0_k + i0_k * slope * dt
+                             + step * step / 3.0)
 
     # kill numerical zero-sequence drift
-    i1 = i1 - np.add.reduce(i1) / len(i1)
-    state.i_abc = i1
-    return PlantStepResult(i_mean=i_mean, i_sq_mean=i_sq_mean)
+    i1_a, i1_b, i1_c = i1
+    i0 = (i1_a + i1_b + i1_c) / 3
+    state.i_abc = (i1_a - i0, i1_b - i0, i1_c - i0)
+    return PlantStepResult(i_mean=tuple(i_mean), i_sq_mean=tuple(i_sq_mean))
 
 
 class FirstOrderFilter:
     """Per-phase first-order low pass used on the measured link currents."""
 
-    def __init__(self, cutoff_hz: float, n: int = 3):
+    def __init__(self, cutoff_hz: float):
         self.cutoff_hz = cutoff_hz
-        self.y = np.zeros(n)
+        self.y = (0.0, 0.0, 0.0)
+        self._alpha_key = None  # (cutoff_hz, dt) of the cached alpha
+        self._alpha = 0.0
 
-    def step(self, x, dt: float) -> np.ndarray:
+    def step(self, x, dt: float) -> tuple[float, float, float]:
         if self.cutoff_hz <= 0:
-            self.y = np.asarray(x, dtype=float).copy()
-        else:
-            alpha = 1.0 - math.exp(-TWO_PI * self.cutoff_hz * dt)
-            self.y = self.y + alpha * (np.asarray(x, dtype=float) - self.y)
+            self.y = tuple(float(x_k) for x_k in x)
+            return self.y
+        if self._alpha_key != (self.cutoff_hz, dt):
+            self._alpha_key = (self.cutoff_hz, dt)
+            self._alpha = 1.0 - math.exp(-TWO_PI * self.cutoff_hz * dt)
+        alpha = self._alpha
+        y_a, y_b, y_c = self.y
+        x_a, x_b, x_c = x
+        self.y = (y_a + alpha * (x_a - y_a), y_b + alpha * (x_b - y_b),
+                  y_c + alpha * (x_c - y_c))
         return self.y
 
 
@@ -247,16 +286,16 @@ def control_step(ctl: ControllerState, i_abc, theta: float, dt: float,
     decoupling), which leaves centered duties at zero error and zero
     integrator state.
     """
-    i_f = ctl.current_filter.step(i_abc, dt)
-    i_d, i_q = park(i_f[0], i_f[1], i_f[2], theta)
+    trig = _phase_trig(theta)
+    i_d, i_q = _park(*ctl.current_filter.step(i_abc, dt), trig)
     c = complex(i_d, i_q) * ctl.filter_comp
     i_d, i_q = c.real, c.imag
 
     u_d = pi_step(ctl.pi_d, i_ref_dq[0] - i_d, dt) - ctl.omega_e * ctl.link_inductance * i_q
     u_q = pi_step(ctl.pi_q, i_ref_dq[1] - i_q, dt) + ctl.omega_e * ctl.link_inductance * i_d
 
-    duties_test = svpwm_duties(v_test_dq[0], v_test_dq[1], theta, v_dc)
-    duties_load = svpwm_duties(-u_d, -u_q, theta, v_dc)
+    duties_test = _svpwm(v_test_dq[0], v_test_dq[1], trig, v_dc)
+    duties_load = _svpwm(-u_d, -u_q, trig, v_dc)
     return duties_test, duties_load
 
 

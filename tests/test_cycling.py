@@ -475,7 +475,7 @@ class TestOperatingModes:
             b = TestBench(default_settings(cfg, budget_per_cycle=300))
             for _ in range(40):
                 b._step_conducting()
-            return b.plant.i_abc.copy()
+            return b.plant.i_abc
 
         i_avg = endpoint(Fidelity.AVERAGED)
         i_sw = endpoint(Fidelity.SWITCHED)

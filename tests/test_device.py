@@ -257,7 +257,7 @@ class TestLosses:
         bench.reset_tally()
         _, _, res = bench._step_conducting()
         p_sw = switching_loss(bench.bank.params, cfg.f_sw, cfg.v_dc,
-                              np.abs(res.i_mean[_PHASE] * _SIGN))
+                              np.abs(np.asarray(res.i_mean)[_PHASE] * _SIGN))
         assert np.all(p_sw > 0.0)
         assert bench.tally.e_sw == float(np.add.reduce(p_sw)) * (1.0 / cfg.f_sw)
 

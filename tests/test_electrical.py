@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acpcsim.core import BenchConfig, validate_scenario
 from acpcsim.electrical import (FirstOrderFilter, PiState, PlantState,
@@ -177,19 +179,19 @@ class TestPlant:
             v_t = rng.uniform(-400, 400, size=3)
             v_l = rng.uniform(-400, 400, size=3)
             plant_step(st, v_t, v_l, 5e-3, 700e-6, 45e-6)
-            assert abs(st.i_abc.sum()) < 1e-9
+            assert abs(sum(st.i_abc)) < 1e-9
 
     def test_energy_identity_per_step(self):
         # v*mean(i)*dt == dE_L + R*mean(i^2)*dt with the analytic means
         r, l, dt = 5e-3, 700e-6, 45e-6
         st = PlantState(i_abc=np.array([100.0, -40.0, -60.0]))
         v_t = np.array([50.0, -20.0, -30.0])
-        e0 = 0.5 * l * (st.i_abc ** 2).sum()
+        e0 = 0.5 * l * (np.asarray(st.i_abc) ** 2).sum()
         res = plant_step(st, v_t, np.zeros(3), r, l, dt)
-        e1 = 0.5 * l * (st.i_abc ** 2).sum()
+        e1 = 0.5 * l * (np.asarray(st.i_abc) ** 2).sum()
         v = v_t - v_t.mean()
         lhs = float((v * res.i_mean).sum()) * dt
-        rhs = (e1 - e0) + r * float(res.i_sq_mean.sum()) * dt
+        rhs = (e1 - e0) + r * float(np.sum(res.i_sq_mean)) * dt
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -233,6 +235,51 @@ class TestControl:
         acc /= n_cycle
         err = math.hypot(acc[0] - i_ref[0], acc[1] - i_ref[1])
         assert err < 0.01 * 200.0
+
+
+_AMPS = st.floats(-900.0, 900.0)
+_VOLTS = st.floats(-700.0, 700.0)
+# the bench's angles lie in [0, 2 pi); these sit on and next to both ends
+_EDGE_THETAS = st.sampled_from([0.0, 5e-324, 1e-12, TWO_PI - 1e-12,
+                                math.nextafter(TWO_PI, 0.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(i_abc=st.tuples(_AMPS, _AMPS, _AMPS), y0=st.tuples(_AMPS, _AMPS, _AMPS),
+       theta=st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), _EDGE_THETAS),
+       v_test=st.tuples(_VOLTS, _VOLTS), i_ref=st.tuples(_AMPS, _AMPS),
+       integrators=st.tuples(_VOLTS, _VOLTS))
+# a test command beyond the linear region, and a load command the PI
+# clamp and decoupling push beyond it
+@example(i_abc=(0.0, 0.0, 0.0), y0=(0.0, 0.0, 0.0), theta=0.0,
+         v_test=(600.0, 300.0), i_ref=(900.0, -900.0), integrators=(0.0, 0.0))
+@example(i_abc=(500.0, -250.0, -250.0), y0=(800.0, -100.0, -700.0),
+         theta=math.nextafter(TWO_PI, 0.0), v_test=(-700.0, 0.0),
+         i_ref=(-900.0, 900.0), integrators=(-450.0, 450.0))
+def test_control_step_is_the_standalone_transforms(i_abc, y0, theta, v_test,
+                                                    i_ref, integrators):
+    # control_step evaluates the trig of theta once for the Park transform
+    # and both syntheses: its duties and saturation flags are park's and
+    # svpwm_duties' bit for bit
+    cfg = validate_scenario(BenchConfig())
+    dt = 1.0 / cfg.f_sw
+    ctl, ref = make_controller(cfg), make_controller(cfg)
+    for c in (ctl, ref):
+        c.current_filter.y = y0
+        c.pi_d.integrator, c.pi_q.integrator = integrators
+    duties_test, duties_load = control_step(ctl, i_abc, theta, dt, v_test,
+                                            i_ref, cfg.v_dc)
+
+    i_d, i_q = park(*ref.current_filter.step(i_abc, dt), theta)
+    i_dq = complex(i_d, i_q) * ref.filter_comp
+    w_l = ref.omega_e * ref.link_inductance
+    u_d = pi_step(ref.pi_d, i_ref[0] - i_dq.real, dt) - w_l * i_dq.imag
+    u_q = pi_step(ref.pi_q, i_ref[1] - i_dq.imag, dt) + w_l * i_dq.real
+    assert duties_test == svpwm_duties(v_test[0], v_test[1], theta, cfg.v_dc)
+    assert duties_load == svpwm_duties(-u_d, -u_q, theta, cfg.v_dc)
+    assert ctl.current_filter.y == ref.current_filter.y
+    assert (ctl.pi_d.integrator, ctl.pi_q.integrator) \
+        == (ref.pi_d.integrator, ref.pi_q.integrator)
 
 
 def test_first_order_filter_dc_gain():
