@@ -9,16 +9,15 @@ from .core import (BenchConfig, ConfigError, Fidelity, PfMode, Technique,
 from .cycling import (BenchSettings, CycleRecord, ProtectionTrip, RunResult,
                       TestBench, ThermalRunaway, WarningPolicy,
                       default_settings, energy_audit)
-from .device import (AgingState, AgingTrajectory, DeviceParams, DeviceState,
-                     module_400a, vendor_a, vendor_b)
+from .device import (AgingTrajectory, DeviceParams, module_400a, vendor_a,
+                     vendor_b)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgingState", "AgingTrajectory", "BenchConfig", "BenchSettings",
-    "ConfigError", "CycleRecord", "DeviceParams", "DeviceState", "Fidelity",
-    "PfMode", "ProtectionTrip", "RunResult", "TestBench",
-    "Technique", "ThermalRunaway", "WarningPolicy", "default_settings",
-    "energy_audit", "module_400a", "validate_scenario",
+    "AgingTrajectory", "BenchConfig", "BenchSettings", "ConfigError",
+    "CycleRecord", "DeviceParams", "Fidelity", "PfMode", "ProtectionTrip",
+    "RunResult", "TestBench", "Technique", "ThermalRunaway", "WarningPolicy",
+    "default_settings", "energy_audit", "module_400a", "validate_scenario",
     "vendor_a", "vendor_b", "__version__",
 ]

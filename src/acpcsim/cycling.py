@@ -26,7 +26,7 @@ from . import sense as sns
 from . import thermal as th
 from .core import (SWITCHED_SUBSTEPS, TWO_PI, BenchConfig, ConfigError,
                    Fidelity, Technique, validate_scenario, wrap_angle)
-from .device import AgingTrajectory, DeviceParams, DeviceState, _piecewise
+from .device import AgingTrajectory, DeviceParams, _piecewise
 from .electrical import (PlantState, PlantStepResult, control_step,
                          dq_phase_deg, inverse_park, make_controller, park,
                          plant_step, svpwm_duties)
@@ -249,15 +249,6 @@ class DeviceBank:
         self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
         self.aging_version = 0
 
-    def device_state(self, k: int) -> DeviceState:
-        return DeviceState(
-            params=self.params,
-            aging=dev_mod.AgingState(delta_pkg=float(self.delta_pkg[k]),
-                                     delta_vth=float(self.delta_vth[k]),
-                                     delta_vsd=float(self.delta_vsd[k])),
-            t_j=float(self.t_j[k]),
-        )
-
     @staticmethod
     def _shaped(per_device: np.ndarray, t_j) -> np.ndarray:
         # align the per-device vector with a (n,) or (n, m) temperature array
@@ -416,9 +407,9 @@ class TestBench:
         # the gate must hold every channel open to the end of the oxide
         # trajectory, at the coldest temperature the bench reaches
         d_final = _piecewise(s.trajectory.delta_vth, math.inf)
-        t_cold = min([self.ambient] + [
-            c.coolant_temp for c in (s.cooling_test, s.cooling_load)
-            if c.coolant_temp is not None])
+        supplies = [c.coolant_temp for c in (s.cooling_test, s.cooling_load)
+                    if c.coolant_temp is not None]
+        t_cold = min([self.ambient] + supplies)
         v_th_final = dev_mod.threshold_voltage(params, t_cold, d_final)
         if cfg.gate_on_v <= v_th_final:
             raise ConfigError(
@@ -426,6 +417,16 @@ class TestBench:
                 f"a final shift of {d_final:g} V takes the threshold to "
                 f"{v_th_final:.3g} V at {t_cold:g} degC, closing the channel "
                 f"of a {cfg.gate_on_v:g} V gate")
+        # each start-up after cycle 0 measures the threshold once the plates
+        # settle, which is at their coolant supply
+        far = [t for t in supplies if abs(t - self.ambient) > sns.AMBIENT_TOL]
+        if far and 0 < s.startup_every < cfg.n_cycles:
+            raise ConfigError(
+                "thermal.coolant_temp",
+                f"a {far[0]:g} degC supply keeps the devices more than "
+                f"{sns.AMBIENT_TOL:g} degC from the {self.ambient:g} degC "
+                f"ambient, where each start-up after cycle 0 measures the "
+                f"threshold")
         self.bank = DeviceBank(params, self.ambient)
         self.i_floor = 0.05 * params.i_nominal if s.i_floor is None \
             else s.i_floor
@@ -1091,12 +1092,9 @@ class TestBench:
 
     def _probe_vsd(self) -> np.ndarray:
         """Converter-idle body-diode probe at nominal current per device."""
-        out = np.empty(N_DEVICES)
-        i_probe = self.bank.params.i_nominal
-        for k in range(N_DEVICES):
-            state = self.bank.device_state(k)
-            out[k] = dev_mod.v_sd(state, i_probe, state.t_j) + self.e_d[k]
-        return out
+        bank = self.bank
+        return dev_mod.v_sd(bank.params, bank.params.i_nominal, bank.t_j,
+                            bank.delta_vsd) + self.e_d
 
     # -- start-of-test measurements ---------------------------------------------
 
@@ -1128,9 +1126,9 @@ class TestBench:
             bank.params, i_cal, self.ambient, bank.params.gate_on_v,
             bank.delta_pkg, bank.delta_vth, bank.delta_vsd)
         for k in range(N_DEVICES):
-            state = bank.device_state(k)
-            v_th_m[k] = sns.measure_vth(state, self.ambient, s.sense_params,
-                                        rng=self.rng)
+            v_th_m[k] = sns.measure_vth(
+                bank.params, float(bank.t_j[k]), self.ambient, s.sense_params,
+                float(bank.delta_vth[k]), rng=self.rng)
             if not np.isfinite(self.baseline_vth[k]):
                 self.baseline_vth[k] = v_th_m[k]
             d_hat[k] = max(0.0, v_th_m[k] - self.baseline_vth[k])
@@ -1144,7 +1142,7 @@ class TestBench:
             offs_pkg[k] = lut.offset_pkg
             if self.desat_base.compensated or self.s.desat_calibrated:
                 self.desat_thr[k] = sns.compensate_desat_threshold(
-                    self.desat_base, float(d_hat[k]), state).threshold
+                    self.desat_base, float(d_hat[k]), bank.params).threshold
         res = StartupResult(v_th=v_th_m, r_on_ambient=r_amb,
                             delta_vth_hat=d_hat, lut_offsets=offs,
                             lut_offsets_pkg=offs_pkg)

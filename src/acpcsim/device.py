@@ -7,7 +7,7 @@ coefficient (scaled by package aging) and a channel term inversely
 proportional to the gate overdrive (shifted by gate-oxide aging):
 
     R(T, i) = r_drift0 * (1 + delta_pkg) * ((T + 273.15)/(T0 + 273.15))**alpha
-              + k_ch / (v_gs - v_th(T))
+              + k_ch / (v_gs - V_th(T))
               + r_i_slope * (i - i_nominal)
 
 Reverse current flows through the channel in parallel with the body diode
@@ -16,22 +16,23 @@ stacking-fault voltage shift on top of a knee with current-dependent
 temperature coefficient. conduction_voltage and switching_loss are the only
 forms of the conduction and switching-loss laws; every bench engine calls
 them with scalars or arrays.
+
+There is no per-device state object: every law takes DeviceParams plus the
+junction temperature and aging values (delta_pkg, delta_vth, delta_vsd) as
+scalars or arrays, and the bench passes the twelve-wide arrays of its
+DeviceBank.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 KELVIN = 273.15
-
-
-class ChannelOff(RuntimeError):
-    """Gate drive does not exceed the threshold voltage."""
 
 
 @dataclass
@@ -66,34 +67,9 @@ class DeviceParams:
             raise ValueError("gate_on_v must exceed v_th0")
 
 
-@dataclass
-class AgingState:
-    """Per-mechanism degradation indices, each monotone over a campaign."""
-
-    delta_pkg: float = 0.0    # fractional drift-resistance increase
-    delta_vth: float = 0.0    # threshold shift, V
-    delta_vsd: float = 0.0    # body-diode voltage shift, V
-
-    def __post_init__(self):
-        if min(self.delta_pkg, self.delta_vth, self.delta_vsd) < 0:
-            raise ValueError("aging indices must be nonnegative")
-
-
-@dataclass
-class DeviceState:
-    params: DeviceParams
-    aging: AgingState = field(default_factory=AgingState)
-    t_j: float = 25.0  # owned by the thermal model, mirrored here
-
-
 def threshold_voltage(p: DeviceParams, t_j, delta_vth=0.0):
     """Threshold at t_j, shifted by gate-oxide aging (array-safe)."""
     return p.v_th0 + p.rho_vth * (t_j - p.t0) + delta_vth
-
-
-def v_th(dev: DeviceState, t_j: float):
-    """Threshold voltage at the given junction temperature (array-safe)."""
-    return threshold_voltage(dev.params, t_j, dev.aging.delta_vth)
 
 
 def drift_resistance(p: DeviceParams, t_j, delta_pkg=0.0):
@@ -106,7 +82,8 @@ def on_resistance(p: DeviceParams, t_j, i_d, v_gs, delta_pkg=0.0, delta_vth=0.0)
     """R(T, i) with aging deltas, the one implementation of the law.
 
     Operators only, so scalars and broadcasting arrays both work; no check
-    that the channel is on (see r_on).
+    that the channel is on (sampler.build_ron_lut and the bench refuse a
+    closed channel when they are configured).
     """
     overdrive = v_gs - threshold_voltage(p, t_j, delta_vth)
     return drift_resistance(p, t_j, delta_pkg) + p.k_ch / overdrive \
@@ -120,26 +97,18 @@ def channel_shift(p: DeviceParams, t_j, v_gs, delta_vth):
     return p.k_ch / (overdrive - delta_vth) - p.k_ch / overdrive
 
 
-def r_on(dev: DeviceState, t_j, i_d, v_gs: float):
-    """First-quadrant on-resistance. Raises ChannelOff below threshold."""
-    if np.any(np.asarray(v_gs - v_th(dev, t_j)) <= 0.0):
-        raise ChannelOff(f"v_gs={v_gs} does not exceed threshold")
-    return on_resistance(dev.params, t_j, i_d, v_gs, dev.aging.delta_pkg,
-                         dev.aging.delta_vth)
-
-
-def v_sd(dev: DeviceState, i, t_j):
-    """Body-diode forward voltage at reverse current magnitude i > 0.
+def v_sd(p: DeviceParams, i, t_j, delta_vsd=0.0):
+    """Body-diode forward voltage at reverse current magnitude i > 0,
+    shifted by body-diode aging (array-safe).
 
     The temperature coefficient interpolates from the low-current to the
     high-current value as the current approaches the nominal rating.
     """
-    p = dev.params
     if np.any(np.asarray(i) <= 0.0):
         raise ValueError("v_sd requires a positive current magnitude")
     w = np.clip(i / p.i_nominal, 0.0, 1.0)
     rho = p.rho_sd_lo + (p.rho_sd_hi - p.rho_sd_lo) * w
-    return p.v_j0 + rho * (t_j - p.t0) + p.r_diode * i + dev.aging.delta_vsd
+    return p.v_j0 + rho * (t_j - p.t0) + p.r_diode * i + delta_vsd
 
 
 def diode_knee(p: DeviceParams, t_j, delta_vsd=0.0):
@@ -330,11 +299,13 @@ def gate_oxide_trajectory(params: DeviceParams, cycles_eol: float,
     ))
 
 
-def vgs_at_channel_current(dev: DeviceState, i: float, t_j: float) -> float:
-    """Gate voltage sustaining drain current i in a diode-connected device.
+def vgs_at_channel_current(p: DeviceParams, i: float, t_j: float,
+                           delta_vth: float) -> float:
+    """Gate voltage sustaining drain current i in a diode-connected device
+    whose threshold has shifted by delta_vth.
 
     Square-law saturation: i = k_sat/2 * (v_gs - v_th)^2.
     """
     if i <= 0:
         raise ValueError("current must be positive")
-    return v_th(dev, t_j) + math.sqrt(2.0 * i / dev.params.k_sat)
+    return threshold_voltage(p, t_j, delta_vth) + math.sqrt(2.0 * i / p.k_sat)

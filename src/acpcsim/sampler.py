@@ -20,8 +20,7 @@ import numpy as np
 from scipy.signal import firwin
 
 from . import device as dev_mod
-from .core import TWO_PI, wrap_angle
-from .device import DeviceState
+from .core import TWO_PI, ConfigError, wrap_angle
 
 
 class IncompleteWindow(RuntimeError):
@@ -310,15 +309,14 @@ class RonLut:
     threshold shift through the channel law and applied exactly over
     temperature) and a package remainder (applied with the drift-term
     temperature profile so a resistance step scales the way the drift term
-    does). Without the profile the package part falls back to a uniform
-    offset.
+    does).
     """
 
     t_axis: np.ndarray
     i_axis: np.ndarray
     grid: np.ndarray                       # (len(t_axis), len(i_axis)), fresh
-    drift_profile: Optional[np.ndarray] = None  # fresh drift component over t_axis
-    channel: Optional[dev_mod.DeviceParams] = None  # device at the table's drive
+    drift_profile: np.ndarray              # fresh drift component over t_axis
+    channel: dev_mod.DeviceParams          # device at the table's drive
     offset: float = 0.0                    # total measured ambient shift, ohm
     offset_pkg: float = 0.0
     delta_vth_hat: float = 0.0
@@ -339,7 +337,7 @@ class RonLut:
     # -- corrections ------------------------------------------------------
 
     def _oxide_shift(self, t: np.ndarray) -> np.ndarray:
-        if self.channel is None or self.delta_vth_hat == 0.0:
+        if self.delta_vth_hat == 0.0:
             return np.zeros_like(t)
         return dev_mod.channel_shift(self.channel, t, self.channel.gate_on_v,
                                      self.delta_vth_hat)
@@ -347,8 +345,6 @@ class RonLut:
     def _pkg_shift(self, t: np.ndarray) -> np.ndarray:
         if self.offset_pkg == 0.0:
             return np.zeros_like(t)
-        if self.drift_profile is None:
-            return np.full_like(t, self.offset_pkg)
         ref = float(np.interp(self.t_cal, self.t_axis, self.drift_profile))
         shape = np.interp(t, self.t_axis, self.drift_profile) / ref
         return self.offset_pkg * shape
@@ -383,12 +379,23 @@ def build_ron_lut(params: dev_mod.DeviceParams,
                   t_axis: Sequence[float] = LUT_T_AXIS,
                   i_axis: Sequence[float] = LUT_I_AXIS,
                   v_gs: Optional[float] = None) -> RonLut:
-    """Characterize a fresh device over the grid (self-consistent oracle)."""
+    """Characterize a fresh device over the grid (self-consistent oracle).
+
+    Refuses a temperature axis on which the threshold reaches the gate
+    drive, closing the channel.
+    """
     v_gs = params.gate_on_v if v_gs is None else v_gs
-    fresh = DeviceState(params=params)
     t = np.asarray(t_axis, dtype=float)
     i = np.asarray(i_axis, dtype=float)
-    grid = np.array([[dev_mod.r_on(fresh, tj, ii, v_gs) for ii in i] for tj in t])
+    v_th = dev_mod.threshold_voltage(params, t)
+    if np.any(v_th >= v_gs):
+        k = int(np.argmax(v_th))
+        raise ConfigError(
+            "lut.t_axis", f"the threshold reaches {v_th[k]:.3g} V at "
+            f"{t[k]:g} degC, closing the channel of a {v_gs:g} V gate")
+    # one node at a time: the broadcast law's ** can differ in the last bit
+    grid = np.array([[dev_mod.on_resistance(params, tj, ii, v_gs) for ii in i]
+                     for tj in t])
     drift = dev_mod.drift_resistance(params, t)
     return RonLut(t_axis=t, i_axis=i, grid=grid, drift_profile=drift,
                   channel=replace(params, gate_on_v=v_gs))
@@ -452,10 +459,9 @@ def recalibrate_lut(lut: RonLut, r_on_measured_ambient: float, t_ambient: float,
             f"table value {fresh_val:.4g} ohm")
     ch = lut.channel
     oxide_at_cal = dev_mod.channel_shift(ch, t_ambient, ch.gate_on_v, delta_vth) \
-        if delta_vth > 0 and ch is not None else 0.0
+        if delta_vth > 0 else 0.0
     return RonLut(t_axis=lut.t_axis, i_axis=lut.i_axis, grid=lut.grid,
-                  drift_profile=lut.drift_profile, channel=lut.channel,
+                  drift_profile=lut.drift_profile, channel=ch,
                   offset=offset, offset_pkg=offset - oxide_at_cal,
-                  delta_vth_hat=delta_vth if lut.channel is not None else 0.0,
-                  t_cal=t_ambient)
+                  delta_vth_hat=delta_vth, t_cal=t_ambient)
 

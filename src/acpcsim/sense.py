@@ -15,6 +15,10 @@ diodes, a per-device constant of a fraction of a millivolt drawn once from
 E_D_RANGE, plus seeded output noise. The bench adds both where it reads the
 drops: its capture (cycling.TestBench._capture and the envelope fills) and
 its body-diode probe (cycling.TestBench._probe_vsd).
+
+The threshold measurement and the DESAT compensation take the device's
+DeviceParams plus its own junction temperature and threshold shift, which
+the bench reads from its DeviceBank arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from . import device as dev_mod
-from .device import DeviceState
 
 
 class VthMeasureTimeout(RuntimeError):
@@ -42,6 +45,7 @@ class OverdriveCollapse(RuntimeError):
 
 
 E_D_RANGE = (0.3e-3, 1.6e-3)  # measured mismatch span across devices, V
+AMBIENT_TOL = 1.5  # degC a threshold measurement accepts from the ambient
 
 
 @dataclass
@@ -69,49 +73,51 @@ class DesatConfig:
             raise ValueError("threshold and blanking must be positive")
 
 
-def measure_vth(dev: DeviceState, t_ambient: float, p: SenseCircuitParams,
-                rng: Optional[np.random.Generator] = None,
-                ambient_tol: float = 1.5) -> float:
-    """Two-mode threshold measurement at the elevated bias current.
+def measure_vth(p: dev_mod.DeviceParams, t_j: float, t_ambient: float,
+                sense: SenseCircuitParams, delta_vth: float,
+                rng: Optional[np.random.Generator] = None) -> float:
+    """Two-mode threshold measurement at the elevated bias current of a
+    device at junction temperature t_j whose threshold has shifted by
+    delta_vth.
 
     Mode 1 charges the gate capacitance with the bias source; mode 2 begins
     when the diode-connected channel sinks the full bias current, and the
     settled gate voltage is returned. Requires the converter idle with the
-    device settled at ambient so no junction-temperature compensation is
-    needed.
+    device settled within AMBIENT_TOL of the ambient, so no
+    junction-temperature compensation is needed.
     """
-    if abs(dev.t_j - t_ambient) > ambient_tol:
+    if abs(t_j - t_ambient) > AMBIENT_TOL:
         raise NotAtAmbient(
-            f"device at {dev.t_j:.1f} degC, ambient {t_ambient:.1f} degC")
-    prm = dev.params
-    i_src = p.i_desat_vth
-    v_th_true = dev_mod.v_th(dev, t_ambient)
-    v_rail = prm.gate_on_v + 5.0  # charge source headroom above the drive level
+            f"device at {t_j:.1f} degC, ambient {t_ambient:.1f} degC")
+    i_src = sense.i_desat_vth
+    v_th_true = dev_mod.threshold_voltage(p, t_ambient, delta_vth)
+    v_rail = p.gate_on_v + 5.0  # charge source headroom above the drive level
 
     # Mode 1 is a pure constant-current ramp while the channel is cut off
     # (the square-law current is identically zero below threshold); jump it.
     v = 0.0
     t = 0.0
     if v_th_true > 0:
-        t = prm.c_gs * v_th_true / i_src
+        t = p.c_gs * v_th_true / i_src
         v = v_th_true
-    if v_th_true > v_rail or t > p.vth_timeout:
+    if v_th_true > v_rail or t > sense.vth_timeout:
         raise VthMeasureTimeout("channel never conducted the bias current")
 
-    if prm.k_sat <= 0:
+    if p.k_sat <= 0:
         raise VthMeasureTimeout("channel never conducted the bias current")
     # settle-region time constant: c_gs / (k_sat * overdrive at balance)
-    tau_settle = prm.c_gs / math.sqrt(2.0 * i_src * prm.k_sat)
+    tau_settle = p.c_gs / math.sqrt(2.0 * i_src * p.k_sat)
     dt = tau_settle / 4.0
     while True:
-        i_ch = 0.5 * prm.k_sat * max(v - v_th_true, 0.0) ** 2
+        i_ch = 0.5 * p.k_sat * max(v - v_th_true, 0.0) ** 2
         if i_ch >= i_src * (1.0 - 1e-9):
             break
-        v += (i_src - i_ch) / prm.c_gs * dt
+        v += (i_src - i_ch) / p.c_gs * dt
         t += dt
-        if v > v_rail or t > p.vth_timeout:
+        if v > v_rail or t > sense.vth_timeout:
             raise VthMeasureTimeout("channel never conducted the bias current")
-    noise = float(rng.normal(0.0, p.noise_sigma)) if rng is not None and p.noise_sigma > 0 else 0.0
+    noise = float(rng.normal(0.0, sense.noise_sigma)) \
+        if rng is not None and sense.noise_sigma > 0 else 0.0
     return v + noise
 
 
@@ -121,7 +127,8 @@ def desat_voltage(p: SenseCircuitParams, v_ds: float) -> float:
 
 
 def compensate_desat_threshold(cfg: DesatConfig, delta_vth_measured: float,
-                               dev: DeviceState, v_gs: Optional[float] = None,
+                               p: dev_mod.DeviceParams,
+                               v_gs: Optional[float] = None,
                                margin: float = 1.0) -> DesatConfig:
     """Raise the trip level by the channel-model on-state drop growth.
 
@@ -130,7 +137,6 @@ def compensate_desat_threshold(cfg: DesatConfig, delta_vth_measured: float,
     config is flagged compensated. Refuses to compensate once the remaining
     overdrive is below the margin.
     """
-    p = dev.params
     if v_gs is None:
         v_gs = p.gate_on_v
     ov0 = v_gs - p.v_th0

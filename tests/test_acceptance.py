@@ -14,9 +14,9 @@ from acpcsim.core import (TWO_PI, BenchConfig, Fidelity, PfMode, Technique,
                           validate_scenario)
 from acpcsim.cycling import (ProtectionTrip, TestBench, default_settings,
                              energy_audit)
-from acpcsim.device import (AgingState, AgingTrajectory, DeviceState,
-                            delta_vth_for_vds_shift, conduction_voltage,
-                            module_400a, r_on, v_sd, vgs_at_channel_current)
+from acpcsim.device import (AgingTrajectory, delta_vth_for_vds_shift,
+                            conduction_voltage, module_400a, on_resistance,
+                            v_sd, vgs_at_channel_current)
 from acpcsim.electrical import inverse_park, park, svpwm_duties
 from acpcsim.sampler import (SamplerState, build_trigger_set,
                              sampler_update_interval)
@@ -66,10 +66,12 @@ def test_ac2_tj_estimation_closure_within_3c():
         bench.bank.delta_pkg[:] = delta_pkg
         bench.startup_measurements()
         from acpcsim.sampler import estimate_tj
-        dev = bench.bank.device_state(0)
+        bank = bench.bank
         for t_j in np.arange(30.0, 150.1, 10.0):
             for i_d in np.arange(100.0, 400.1, 50.0):
-                r_true = r_on(dev, float(t_j), float(i_d), cfg.gate_on_v)
+                r_true = on_resistance(
+                    bank.params, float(t_j), float(i_d), cfg.gate_on_v,
+                    float(bank.delta_pkg[0]), float(bank.delta_vth[0]))
                 est = estimate_tj(r_true, float(i_d), bench.luts[0])
                 worst = max(worst, abs(est.t_j - t_j))
     _verdict("AC-2", worst <= 3.0,
@@ -83,10 +85,9 @@ def test_ac3_vth_measurement_within_0p1v():
     worst = 0.0
     for ambient in (-20.0, 0.0, 25.0, 75.0, 125.0, 150.0):
         for dvth in (0.0, 0.25, 0.5, 1.0):
-            dev = DeviceState(params=module_400a(),
-                              aging=AgingState(delta_vth=dvth), t_j=ambient)
-            measured = measure_vth(dev, ambient, p, rng=rng)
-            model = vgs_at_channel_current(dev, p.i_desat_vth, ambient)
+            dev = module_400a()
+            measured = measure_vth(dev, ambient, ambient, p, dvth, rng=rng)
+            model = vgs_at_channel_current(dev, p.i_desat_vth, ambient, dvth)
             worst = max(worst, abs(measured - model))
     _verdict("AC-3", worst < 0.1,
              f"max |measured - model at 2 mA| = {1000 * worst:.1f} mV over "
@@ -124,12 +125,14 @@ def test_ac4_sense_path_fidelity():
         counts[name] = f"{len(bench.windows)} windows, {slots} open slots"
 
     # the body-diode probe: v_sd at nominal current plus e_d, aged and hot
-    bench.bank.delta_vsd[:] = np.linspace(0.0, 0.7, 12)
-    bench.bank.t_j = np.linspace(30.0, 140.0, 12)
-    i_nom = bench.bank.params.i_nominal
+    bank = bench.bank
+    bank.delta_vsd[:] = np.linspace(0.0, 0.7, 12)
+    bank.t_j = np.linspace(30.0, 140.0, 12)
+    i_nom = bank.params.i_nominal
     probe = bench._probe_vsd()
-    expected = [v_sd(bench.bank.device_state(k), i_nom, bench.bank.t_j[k])
-                + bench.e_d[k] for k in range(12)]
+    expected = [v_sd(bank.params, i_nom, float(bank.t_j[k]),
+                     float(bank.delta_vsd[k])) + bench.e_d[k]
+                for k in range(12)]
     probe_err = float(np.abs(probe - expected).max())
     _verdict("AC-4", worst <= 1e-9 and probe_err <= 1e-9,
              f"captured v_on - true drop - e_d within {worst:.2e} V "

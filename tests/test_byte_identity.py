@@ -7,8 +7,10 @@ digests with the envelope heat step before its run constants were hoisted
 and its table inversion moved to sampler.invert_column; the run-state,
 operating-point and averaged-campaign digests with the averaged engine's
 three-phase quantities held in numpy arrays, before they became Python
-float triples. A speed-up must leave them unchanged; a change that alters
-results on purpose must say so and pin new digests.
+float triples; the lookup-table digest with build_ron_lut evaluating each
+grid node through a threshold-checking wrapper of on_resistance. A speed-up
+must leave them unchanged; a change that alters results on purpose must say
+so and pin new digests.
 """
 
 import functools
@@ -23,6 +25,8 @@ import pytest
 from acpcsim.cli import run
 from acpcsim.core import BenchConfig, Fidelity, PfMode, validate_scenario
 from acpcsim.cycling import EnergyTally, TestBench, default_settings
+from acpcsim.device import PROFILES
+from acpcsim.sampler import build_ron_lut
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_scenarios"
 
@@ -96,6 +100,10 @@ AVERAGED_CAMPAIGN_SHA256 = {
     "waveforms.csv":
         "f73802d5e50ddc4359660b0dff37d81f4846f9c81eb61b0d3908bf80a6fe6556",
 }
+# build_ron_lut's grid, then its drift profile, of every stock profile in
+# name order, at the default axes and gate
+RON_LUT_SHA256 = \
+    "35f5957e0eb109add415f699aab406e82d1f5504d0db6ad73a691e9d8a765fbb"
 # the accelerated thermal scale and aging ramp of the campaign example
 FAST_ENVELOPE = """\
 bench.mode = envelope
@@ -204,3 +212,12 @@ def test_averaged_campaign_outputs_unchanged(tmp_path):
         and "rng_seed = 3\n" in text and "mode = averaged\n" in text
     assert _digests(scn, tmp_path / "out", 2, AVERAGED_CAMPAIGN_SHA256,
                     emit="both") == AVERAGED_CAMPAIGN_SHA256
+
+
+def test_ron_lut_bytes_unchanged():
+    h = hashlib.sha256()
+    for name in sorted(PROFILES):
+        lut = build_ron_lut(PROFILES[name]())
+        h.update(lut.grid.tobytes())
+        h.update(lut.drift_profile.tobytes())
+    assert h.hexdigest() == RON_LUT_SHA256

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from acpcsim.core import BenchConfig, ConfigError, Fidelity, PfMode, \
 from acpcsim.cycling import TestBench, default_settings
 from acpcsim.device import vendor_a
 from acpcsim.thermal import cooling_step
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples_scenarios"
 
 FAST_SCENARIO = """
 # three quick envelope cycles
@@ -229,12 +232,22 @@ class TestRun:
         "aging.delta_vth = 0:0, 2:0, 4:14\nrun.startup_every = 100\n",
         "bench.mode = envelope\nbench.n_cycles = 8\n"
         "aging.delta_vth = 0:0, 2:0, 4:14\nrun.startup_every = 4\n",
+        # a 14.9 V threshold at 25 degC reaches 15.4 V at the table's -50 degC
+        "bench.mode = envelope\nbench.n_cycles = 1\ndevice.v_th0 = 14.9\n"
+        "lut.t_axis = -50, 25, 100\n",
+        # the plates settle at the 40 degC supply, so the start-up at cycle 2
+        # could not measure the threshold at the 25 degC ambient
+        (EXAMPLES / "junction_swing_campaign.txt").read_text()
+        .replace("bench.n_cycles = 200", "bench.n_cycles = 3")
+        .replace("run.startup_every = 25", "run.startup_every = 2")
+        + "thermal.coolant_temp = 40\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
             "sense_e_d", "negative_noise_sigma", "sense_r_a1", "sense_r_a2",
             "sense_rc_filter_tau", "sense_shift_gain", "sense_shift_offset",
             "sense_adc_bits", "sense_adc_fullscale", "sense_vth_blanking",
-            "channel_closes", "channel_closes_at_startup"])
+            "channel_closes", "channel_closes_at_startup",
+            "channel_closes_on_lut_axis", "coolant_away_from_ambient"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"

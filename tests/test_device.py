@@ -6,58 +6,57 @@ import pytest
 from acpcsim.core import BenchConfig, Fidelity, validate_scenario
 from acpcsim.cycling import (_PHASE, _SIGN, DeviceBank, TestBench,
                              default_settings)
-from acpcsim.device import (AgingState, AgingTrajectory, ChannelOff,
-                            DeviceParams, DeviceState,
+from acpcsim.core import ConfigError
+from acpcsim.device import (AgingTrajectory, DeviceParams,
                             calibrated_params, conduction_voltage,
                             delta_vth_for_vds_shift,
                             drift_resistance, gate_oxide_trajectory,
-                            module_400a, on_resistance, r_on,
-                            switching_loss, v_sd, v_th, vendor_a, vendor_b,
+                            module_400a, on_resistance, switching_loss,
+                            threshold_voltage, v_sd, vendor_a, vendor_b,
                             vgs_at_channel_current)
-
-
-def fresh(params=None):
-    return DeviceState(params=params or module_400a())
+from acpcsim.sampler import build_ron_lut
 
 
 class TestVth:
     def test_reference_point(self):
-        assert v_th(fresh(), 25.0) == pytest.approx(2.7)
+        assert threshold_voltage(module_400a(), 25.0) == pytest.approx(2.7)
 
     def test_linear_temperature_shift(self):
         # -6.4 mV/degC over 100 degC from the 25 degC anchor
-        assert v_th(fresh(), 125.0) == pytest.approx(2.06, abs=1e-12)
+        assert threshold_voltage(module_400a(), 125.0) == \
+            pytest.approx(2.06, abs=1e-12)
 
     def test_additive_aging_shift(self):
-        dev = DeviceState(params=module_400a(),
-                          aging=AgingState(delta_vth=0.5))
-        assert v_th(dev, 25.0) == pytest.approx(3.2)
+        assert threshold_voltage(module_400a(), 25.0, 0.5) == \
+            pytest.approx(3.2)
 
 
 class TestRon:
     def test_calibration_anchor(self):
         # module profile anchored to 3.95 mohm at (25 degC, nominal current)
-        dev = fresh()
-        assert r_on(dev, 25.0, 400.0, 15.0) == pytest.approx(3.95e-3, rel=1e-12)
+        assert on_resistance(module_400a(), 25.0, 400.0, 15.0) == \
+            pytest.approx(3.95e-3, rel=1e-12)
 
     def test_channel_off_raises(self):
-        with pytest.raises(ChannelOff):
-            r_on(fresh(), 25.0, 100.0, 2.0)
+        # the law itself has no check; the table that characterizes it
+        # refuses a drive that does not exceed the threshold on its axis
+        with pytest.raises(ConfigError) as e:
+            build_ron_lut(module_400a(), v_gs=2.0)
+        assert e.value.field == "lut.t_axis"
 
-    def test_law_broadcasts_like_the_scalar_wrapper(self):
+    def test_law_broadcasts_like_scalar_calls(self):
         # a (T, 1) column against an (I,) row gives the (T, I) table of
         # scalar evaluations; the drift helper is the zero-aging drift term
         p = module_400a()
-        dev = DeviceState(params=p, aging=AgingState(delta_pkg=0.07,
-                                                     delta_vth=0.3))
         t = np.array([[25.0], [77.0], [160.0]])
         i = np.array([0.0, 120.0, 400.0, 450.0])
         table = on_resistance(p, t, i, 15.0, 0.07, 0.3)
         assert table.shape == (3, 4)
         for a in range(3):
             for b in range(4):
-                assert table[a, b] == pytest.approx(
-                    r_on(dev, float(t[a, 0]), float(i[b]), 15.0), rel=1e-14)
+                assert table[a, b] == pytest.approx(on_resistance(
+                    p, float(t[a, 0]), float(i[b]), 15.0, 0.07, 0.3),
+                    rel=1e-14)
         assert drift_resistance(p, 25.0) == p.r_drift0
         assert on_resistance(p, 25.0, p.i_nominal, p.gate_on_v) == \
             pytest.approx(3.95e-3, rel=1e-12)
@@ -70,24 +69,24 @@ class TestRon:
                               e_off0=0.0, v_ref=800.0, i_ref=400.0,
                               i_nominal=400.0)
         p = DeviceParams(**{**p.__dict__, "r_drift0": 0.0})
-        base = r_on(DeviceState(params=p), 25.0, 400.0, 15.0)
-        halved = DeviceState(params=p,
-                             aging=AgingState(delta_vth=(15.0 - 2.7) / 2))
-        assert r_on(halved, 25.0, 400.0, 15.0) == pytest.approx(2 * base,
-                                                                rel=1e-12)
+        base = on_resistance(p, 25.0, 400.0, 15.0)
+        halved = on_resistance(p, 25.0, 400.0, 15.0,
+                               delta_vth=(15.0 - 2.7) / 2)
+        assert halved == pytest.approx(2 * base, rel=1e-12)
 
     @pytest.mark.parametrize("profile,slope", [(vendor_a, 2.4e-3),
                                                (vendor_b, 1.6e-3)])
     def test_net_sensitivity_matches_profile(self, profile, slope):
-        dev = DeviceState(params=profile())
-        i = dev.params.i_nominal
-        dr_dt = (r_on(dev, 26.0, i, 15.0) - r_on(dev, 24.0, i, 15.0)) / 2.0
+        p = profile()
+        i = p.i_nominal
+        dr_dt = (on_resistance(p, 26.0, i, 15.0)
+                 - on_resistance(p, 24.0, i, 15.0)) / 2.0
         assert dr_dt == pytest.approx(slope, rel=0.10)
 
     def test_module_sensitivity_by_finite_difference(self):
-        dev = fresh()
-        p = dev.params
-        dr_dt = (r_on(dev, 26.0, 400.0, 15.0) - r_on(dev, 24.0, 400.0, 15.0)) / 2
+        p = module_400a()
+        dr_dt = (on_resistance(p, 26.0, 400.0, 15.0)
+                 - on_resistance(p, 24.0, 400.0, 15.0)) / 2
         analytic = p.r_drift0 * p.alpha_drift / (25.0 + 273.15) \
             + p.k_ch * p.rho_vth / (15.0 - 2.7) ** 2
         assert dr_dt == pytest.approx(analytic, rel=0.10)
@@ -98,21 +97,19 @@ class TestRon:
         prev_pkg, prev_vth = -1.0, -1.0
         for pkg, dvth in zip(np.sort(rng.uniform(0, 1, 20)),
                              np.sort(rng.uniform(0, 5, 20))):
-            dev = DeviceState(params=p, aging=AgingState(delta_pkg=float(pkg)))
-            r1 = r_on(dev, 80.0, 300.0, 15.0)
-            dev2 = DeviceState(params=p, aging=AgingState(delta_vth=float(dvth)))
-            r2 = r_on(dev2, 80.0, 300.0, 15.0)
+            r1 = on_resistance(p, 80.0, 300.0, 15.0, delta_pkg=float(pkg))
+            r2 = on_resistance(p, 80.0, 300.0, 15.0, delta_vth=float(dvth))
             assert r1 > prev_pkg and r2 > prev_vth
             prev_pkg, prev_vth = r1, r2
 
     def test_channel_only_negative_tc_drift_only_positive_tc(self):
         base = module_400a().__dict__.copy()
         ch_only = DeviceParams(**{**base, "r_drift0": 0.0})
-        dev = DeviceState(params=ch_only)
-        assert r_on(dev, 150.0, 400.0, 15.0) < r_on(dev, 25.0, 400.0, 15.0)
+        assert on_resistance(ch_only, 150.0, 400.0, 15.0) < \
+            on_resistance(ch_only, 25.0, 400.0, 15.0)
         dr_only = DeviceParams(**{**base, "k_ch": 0.0})
-        dev = DeviceState(params=dr_only)
-        assert r_on(dev, 150.0, 400.0, 15.0) > r_on(dev, 25.0, 400.0, 15.0)
+        assert on_resistance(dr_only, 150.0, 400.0, 15.0) > \
+            on_resistance(dr_only, 25.0, 400.0, 15.0)
 
 
 class TestConduction:
@@ -131,19 +128,17 @@ class TestConduction:
         assert conduction_voltage(module_400a(), 0.0, 25.0, 15.0) == 0.0
 
     def test_third_quadrant_channel_on_below_knee_is_ohmic(self):
-        dev = fresh()
-        v = conduction_voltage(dev.params, -50.0, 25.0, 15.0)
-        assert v == pytest.approx(-50.0 * r_on(dev, 25.0, 50.0, 15.0),
+        p = module_400a()
+        v = conduction_voltage(p, -50.0, 25.0, 15.0)
+        assert v == pytest.approx(-50.0 * on_resistance(p, 25.0, 50.0, 15.0),
                                   rel=1e-12)
 
     def test_third_quadrant_above_knee_is_channel_parallel_diode(self):
         # a hot device with a shifted threshold: the channel alone would
         # drop more than the knee, so the body diode shares the current
         p = module_400a()
-        dev = DeviceState(params=p, aging=AgingState(delta_vth=6.0,
-                                                     delta_vsd=0.1))
         mag, t = 450.0, 150.0
-        r_ch = r_on(dev, t, mag, 15.0)
+        r_ch = on_resistance(p, t, mag, 15.0, delta_vth=6.0)
         knee = p.v_j0 + p.rho_sd_lo * (t - p.t0) + 0.1
         assert mag * r_ch > knee
         # channel r_ch in parallel with a knee-plus-r_diode branch
@@ -191,37 +186,33 @@ class TestConduction:
 
 class TestVsd:
     def test_knee_anchor(self):
-        dev = fresh()
-        assert v_sd(dev, 1e-9, 25.0) == pytest.approx(2.8, abs=1e-6)
+        assert v_sd(module_400a(), 1e-9, 25.0) == pytest.approx(2.8, abs=1e-6)
 
     def test_low_current_sensitivity(self):
-        dev = fresh()
+        p = module_400a()
         i = 1e-3
-        dv_dt = (v_sd(dev, i, 26.0) - v_sd(dev, i, 24.0)) / 2.0
+        dv_dt = (v_sd(p, i, 26.0) - v_sd(p, i, 24.0)) / 2.0
         assert dv_dt == pytest.approx(-2.65e-3, rel=0.05)
 
     def test_high_current_sensitivity(self):
-        dev = fresh()
-        i = dev.params.i_nominal
-        dv_dt = (v_sd(dev, i, 26.0) - v_sd(dev, i, 24.0)) / 2.0
+        p = module_400a()
+        i = p.i_nominal
+        dv_dt = (v_sd(p, i, 26.0) - v_sd(p, i, 24.0)) / 2.0
         assert dv_dt == pytest.approx(-4.8e-3, rel=0.05)
 
     def test_aging_shift_is_exact(self):
         p = module_400a()
-        a = DeviceState(params=p, aging=AgingState(delta_vsd=0.7))
-        b = DeviceState(params=p)
-        assert v_sd(a, 200.0, 60.0) - v_sd(b, 200.0, 60.0) == \
+        assert v_sd(p, 200.0, 60.0, 0.7) - v_sd(p, 200.0, 60.0) == \
             pytest.approx(0.7, rel=1e-12)
 
     def test_monotone_in_shift(self):
         p = module_400a()
-        vals = [v_sd(DeviceState(params=p, aging=AgingState(delta_vsd=d)),
-                     150.0, 40.0) for d in (0.0, 0.1, 0.3, 0.7)]
+        vals = [v_sd(p, 150.0, 40.0, d) for d in (0.0, 0.1, 0.3, 0.7)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_requires_positive_current(self):
         with pytest.raises(ValueError):
-            v_sd(fresh(), -5.0, 25.0)
+            v_sd(module_400a(), -5.0, 25.0)
 
 
 class TestLosses:
@@ -278,7 +269,7 @@ class TestLosses:
         p = bench.bank.params
         v = float(conduction_voltage(p, -100.0, 25.0, p.gate_on_v))
         assert -v == pytest.approx(0.38, abs=0.01)
-        assert -v < v_sd(fresh(p), 100.0, 25.0)
+        assert -v < v_sd(p, 100.0, 25.0)
         assert bench.tally.e_cond / (1.0 / cfg.f_fund) == \
             pytest.approx(n * 0.5 * -v * 100.0, rel=1e-12)
 
@@ -349,8 +340,7 @@ class TestAging:
 
 
 def test_vgs_at_channel_current_square_law():
-    dev = fresh()
-    v = vgs_at_channel_current(dev, 2e-3, 25.0)
+    v = vgs_at_channel_current(module_400a(), 2e-3, 25.0, 0.0)
     assert v == pytest.approx(2.7 + math.sqrt(2 * 2e-3 / 20.0), rel=1e-12)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from acpcsim.core import TWO_PI, BenchConfig, validate_scenario
 from acpcsim.cycling import N_DEVICES, TestBench, default_settings
-from acpcsim.device import PROFILES, DeviceState, module_400a, r_on
+from acpcsim.device import PROFILES, module_400a, on_resistance
 from acpcsim.sampler import (AmbientMismatch, IncompleteWindow, RonLut,
                              SamplerState, TriggerIndex, build_ron_lut,
                              build_trigger_set, default_fir_taps,
@@ -347,7 +347,9 @@ class TestLut:
         t = np.array([25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 175.0])
         i = np.array([10.0, 20.0, 30.0])
         grid = np.tile(r0 + slope * (t - 25.0), (3, 1)).T
-        return RonLut(t_axis=t, i_axis=i, grid=grid)
+        # all of R is drift; the channel only serves recalibration
+        return RonLut(t_axis=t, i_axis=i, grid=grid,
+                      drift_profile=grid[:, 0], channel=module_400a())
 
     def test_exact_node_inversion(self):
         lut = self.linear_lut()
@@ -378,14 +380,14 @@ class TestLut:
         t = np.array([25.0, 50.0])
         i = np.array([10.0])
         with pytest.raises(ValueError):
-            RonLut(t_axis=t, i_axis=i, grid=np.array([[2.0], [1.0]]))
+            RonLut(t_axis=t, i_axis=i, grid=np.array([[2.0], [1.0]]),
+                   drift_profile=np.array([2.0, 1.0]), channel=module_400a())
 
     def test_device_lut_matches_model(self):
         p = module_400a()
         lut = build_ron_lut(p)
-        dev = DeviceState(params=p)
         assert lut.value(75.0, 200.0) == pytest.approx(
-            r_on(dev, 75.0, 200.0, p.gate_on_v), rel=1e-12)
+            on_resistance(p, 75.0, 200.0, p.gate_on_v), rel=1e-12)
 
 
 def bits(x) -> bytes:
@@ -484,25 +486,21 @@ class TestRecalibration:
         assert abs(est.t_j - 25.0) <= 1.0
 
     def test_oxide_shift_decoupled_from_package(self):
-        from acpcsim.device import AgingState
         p = module_400a()
         lut = build_ron_lut(p)
         dvth = 0.5
-        aged = DeviceState(params=p, aging=AgingState(delta_vth=dvth))
-        r_meas = r_on(aged, 25.0, 400.0, p.gate_on_v)
+        r_meas = on_resistance(p, 25.0, 400.0, p.gate_on_v, delta_vth=dvth)
         out = recalibrate_lut(lut, r_meas, 25.0, 400.0, dvth)
         assert abs(out.offset_pkg) < 5e-6  # all attributed to the oxide
         assert out.delta_vth_hat == dvth
 
     def test_package_correction_scales_with_temperature(self):
         # a pure package shift recalibrated at ambient stays accurate hot
-        from acpcsim.device import AgingState
         p = module_400a()
         lut = build_ron_lut(p)
-        aged = DeviceState(params=p, aging=AgingState(delta_pkg=0.10))
-        r_amb = r_on(aged, 25.0, 400.0, p.gate_on_v)
+        r_amb = on_resistance(p, 25.0, 400.0, p.gate_on_v, delta_pkg=0.10)
         out = recalibrate_lut(lut, r_amb, 25.0, 400.0, 0.0)
-        r_hot = r_on(aged, 150.0, 300.0, p.gate_on_v)
+        r_hot = on_resistance(p, 150.0, 300.0, p.gate_on_v, delta_pkg=0.10)
         assert out.value(150.0, 300.0) == pytest.approx(r_hot, rel=1e-6)
 
     def test_ambient_mismatch_guard(self):

@@ -6,8 +6,8 @@ import pytest
 from acpcsim.core import TWO_PI, BenchConfig, validate_scenario
 from acpcsim.cycling import (N_DEVICES, ProtectionTrip, TestBench,
                              default_settings)
-from acpcsim.device import (AgingState, DeviceState, delta_vth_for_vds_shift,
-                            module_400a, vgs_at_channel_current)
+from acpcsim.device import (delta_vth_for_vds_shift, module_400a,
+                            vgs_at_channel_current)
 from acpcsim.sense import (DesatConfig, MovBenchParams, MovRating,
                            NotAtAmbient, OverdriveCollapse,
                            SenseCircuitParams, VthMeasureTimeout,
@@ -113,42 +113,35 @@ class TestMeasureVth:
         return SenseCircuitParams(noise_sigma=0.0)
 
     def test_fresh_at_room_temperature(self):
-        dev = DeviceState(params=module_400a(), t_j=25.0)
-        v = measure_vth(dev, 25.0, self.p())
+        v = measure_vth(module_400a(), 25.0, 25.0, self.p(), 0.0)
         assert abs(v - 2.7) < 0.1
 
     def test_hot_chamber_tracks_tempco(self):
-        dev = DeviceState(params=module_400a(), t_j=125.0)
-        v = measure_vth(dev, 125.0, self.p())
+        v = measure_vth(module_400a(), 125.0, 125.0, self.p(), 0.0)
         assert abs(v - 2.06) < 0.1
 
     def test_aged_shift_visible(self):
-        dev = DeviceState(params=module_400a(),
-                          aging=AgingState(delta_vth=0.5), t_j=25.0)
-        v = measure_vth(dev, 25.0, self.p())
+        v = measure_vth(module_400a(), 25.0, 25.0, self.p(), 0.5)
         assert abs(v - 3.2) < 0.1
 
     def test_matches_square_law_balance_point(self):
-        dev = DeviceState(params=module_400a(), t_j=25.0)
-        v = measure_vth(dev, 25.0, self.p())
-        assert v == pytest.approx(vgs_at_channel_current(dev, 2e-3, 25.0),
+        p = module_400a()
+        v = measure_vth(p, 25.0, 25.0, self.p(), 0.0)
+        assert v == pytest.approx(vgs_at_channel_current(p, 2e-3, 25.0, 0.0),
                                   abs=2e-3)
 
     def test_gate_fault_times_out(self):
         p = module_400a()
-        broken = DeviceState(params=type(p)(**{**p.__dict__, "k_sat": 0.0}),
-                             t_j=25.0)
+        broken = type(p)(**{**p.__dict__, "k_sat": 0.0})
         with pytest.raises(VthMeasureTimeout):
-            measure_vth(broken, 25.0, self.p())
-        slow = DeviceState(params=type(p)(**{**p.__dict__, "c_gs": 1e-3}),
-                           t_j=25.0)
+            measure_vth(broken, 25.0, 25.0, self.p(), 0.0)
+        slow = type(p)(**{**p.__dict__, "c_gs": 1e-3})
         with pytest.raises(VthMeasureTimeout):
-            measure_vth(slow, 25.0, self.p())
+            measure_vth(slow, 25.0, 25.0, self.p(), 0.0)
 
     def test_requires_device_at_ambient(self):
-        dev = DeviceState(params=module_400a(), t_j=90.0)
         with pytest.raises(NotAtAmbient):
-            measure_vth(dev, 25.0, self.p())
+            measure_vth(module_400a(), 90.0, 25.0, self.p(), 0.0)
 
 
 class TestDesat:
@@ -200,25 +193,22 @@ class TestDesat:
 
 class TestCompensation:
     def test_zero_shift_unchanged(self):
-        dev = DeviceState(params=module_400a())
         cfg = DesatConfig(threshold=4.48, blanking=2e-6)
-        out = compensate_desat_threshold(cfg, 0.0, dev)
+        out = compensate_desat_threshold(cfg, 0.0, module_400a())
         assert out.threshold == cfg.threshold
         assert out.compensated
 
     def test_end_of_life_shift_raises_by_reported_drop(self):
         # the threshold grows by exactly the modeled on-state drop increase
         p = module_400a()
-        dev = DeviceState(params=p)
         d_eol = delta_vth_for_vds_shift(p, 2.6 - 1.58)
         cfg = DesatConfig(threshold=4.48, blanking=2e-6)
-        out = compensate_desat_threshold(cfg, d_eol, dev)
+        out = compensate_desat_threshold(cfg, d_eol, p)
         assert out.threshold - cfg.threshold == pytest.approx(1.02, abs=1e-9)
 
     def test_overdrive_collapse_guard(self):
-        dev = DeviceState(params=module_400a())
         with pytest.raises(OverdriveCollapse):
-            compensate_desat_threshold(DesatConfig(), 11.5, dev)
+            compensate_desat_threshold(DesatConfig(), 11.5, module_400a())
 
 
 class TestMov:
