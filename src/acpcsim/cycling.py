@@ -39,6 +39,10 @@ DEVICE_IDS = tuple(
     for inv in ("test", "load") for ph in ("a", "b", "c") for pos in ("hi", "lo")
 )
 T_J_ENVELOPE_MAX = 200.0  # degC simulation envelope
+# a start-up after cycle 0 idles until every junction is this close to the
+# ambient, or for at most the cap
+COOL_TO_AMBIENT_TOL = 0.75  # degC
+COOL_TO_AMBIENT_CAP_S = 900.0
 
 # Device k sits on bridge leg _LEG[k] (test a, b, c, then load a, b, c) and
 # carries _SIGN[k] times its phase's link current: the test upper switches
@@ -450,9 +454,12 @@ class TestBench:
             negated = (k % 2 == 1) != (k >= 6)
             c = phi + leg * TWO_PI / 3.0 + (math.pi if negated else 0.0)
             centers.append(wrap_angle(c))
+        # each test-bridge device shares its center, and so its triggers,
+        # with the load-bridge device that carries the same current
+        sets = {c: smp.build_trigger_set(c, s.sampler_n, s.sampler_window)
+                for c in set(centers)}
         self.samplers = [smp.SamplerState(
-            smp.build_trigger_set(c, s.sampler_n, s.sampler_window),
-            budget_per_cycle=s.budget_per_cycle) for c in centers]
+            sets[c], budget_per_cycle=s.budget_per_cycle) for c in centers]
 
         self._base_lut = smp.build_ron_lut(params, s.lut_t_axis, s.lut_i_axis)
         self.luts = [self._base_lut] * N_DEVICES
@@ -505,6 +512,11 @@ class TestBench:
         self._mask_aging[: 6 if s.aging_scope == "test" else N_DEVICES] = True
 
         self._envelope_cache = None
+        # the envelope fill's slot readings and truths, its count and cycles
+        self._env_v = np.empty((N_DEVICES, s.sampler_n))
+        self._env_truth = np.empty((N_DEVICES, s.sampler_n))
+        self._env_filled = 0
+        self._env_cycles = 0
         self._env_tj_cols = None  # R(T) columns at each window-center current
         self._lut_t_axis = self._base_lut.t_axis.tolist()
         self._trigger_index = None
@@ -785,42 +797,16 @@ class TestBench:
         cfg = self.cfg
         dt = 1.0 / cfg.f_fund
         grid = self._envelope_grid()
-        i_dev, slot_i = grid.i_dev, grid.slot_i
+        i_dev = grid.i_dev
         g = i_dev.shape[1]
 
         v_cond = self.bank.conduction(i_dev, t_j=self.bank.t_j[:, None])
-        p = self.bank.params
         # np.add.reduce(x, axis=1) / g is x.mean(axis=1) bit for bit
         p_cond = np.add.reduce(grid.duty * v_cond * i_dev, axis=1) / g
         p_dev = p_cond + grid.p_sw
 
-        # one acquisition burst per fundamental cycle, budget-limited; the
-        # common whole-window-per-cycle case runs batched across devices
-        n_slots = self.s.sampler_n
-        whole = (self.samplers[0].budget_per_cycle >= n_slots
-                 and all(st.filled == 0 for st in self.samplers))
-        if whole:
-            self._envelope_fill_batched(grid)
-        else:
-            sigma = self.s.sense_params.noise_sigma
-            bank = self.bank
-            for k, sstate in enumerate(self.samplers):
-                sstate.start_cycle()
-                unfilled = sstate.unfilled_indices()
-                u = unfilled[slot_i[k][unfilled] > self.i_floor]
-                take = u[:sstate.budget_per_cycle]
-                if len(take) == 0:
-                    continue
-                i_slot = slot_i[k][take]
-                r_slot = dev_mod.on_resistance(
-                    p, float(bank.t_j[k]), i_slot, p.gate_on_v,
-                    bank.delta_pkg[k], bank.delta_vth[k])
-                noise = self.rng.normal(0.0, sigma, size=len(take)) \
-                    if sigma > 0 else 0.0
-                smp.store_slots(sstate, take, i_slot * r_slot + self.e_d[k] + noise,
-                                i_slot, r_slot)
-                if sstate.complete:
-                    self._finish_window(k)
+        # one acquisition burst per fundamental cycle, budget-limited
+        self._envelope_fill_batched(grid)
 
         # protection at envelope resolution: per-cycle exceedance duration
         over_time = np.add.reduce(
@@ -845,27 +831,41 @@ class TestBench:
         tl.samples += 1
 
         self.t += dt
-        self._fund_cycle += 1
         self._trace_point()
 
     def _envelope_fill_batched(self, grid: "_EnvelopeGrid"):
-        """Whole-window acquisition for all devices in one shot.
+        """One cycle's acquisition for all devices in one shot.
 
-        Valid when the per-cycle budget covers the full trigger set, which is
-        the campaign configuration; every window fills, is estimated, and
-        resets within the cycle.
+        Every slot current is above the floor (_envelope_grid checks), so
+        the twelve windows fill the same slots, in slot order and up to the
+        cycle budget, and complete at the same step: one fill count serves
+        them all. A window is estimated and reset in the cycle that fills
+        its last slot, which is every cycle when the budget covers the
+        trigger set, as in the campaign configuration.
         """
         bank = self.bank
         p = bank.params
         t = bank.t_j
-        slot_i = grid.slot_i
+        n = self.s.sampler_n
+        f = self._env_filled
+        sl = slice(f, min(f + self.s.budget_per_cycle, n))
+        slot_i = grid.slot_i[:, sl]
         r_true = dev_mod.on_resistance(p, t[:, None], slot_i, p.gate_on_v,
                                        bank.delta_pkg[:, None],
-                                       bank.delta_vth[:, None])  # (12, n)
+                                       bank.delta_vth[:, None])  # (12, m)
         v = slot_i * r_true + self.e_d[:, None]
         sigma = self.s.sense_params.noise_sigma
         if sigma > 0:
             v = v + self.rng.normal(0.0, sigma, size=v.shape)
+        self._env_v[:, sl] = v
+        self._env_truth[:, sl] = r_true
+        self._env_filled = sl.stop
+        self._env_cycles += 1
+        if sl.stop < n:
+            return
+        v, r_true = self._env_v, self._env_truth
+        cycles = self._env_cycles
+        self._env_filled = self._env_cycles = 0
 
         idx = grid.win_idx
         taps = self.s.fir_taps
@@ -890,10 +890,10 @@ class TestBench:
                     "t": self.t, "device": k, "r_est": r_est[k],
                     "i_pk": grid.i_pk[k], "r_true": truth_f[k],
                     "tj_est": float(self.tj_est[k]),
-                    "tj_true": t_true[k], "cycles_used": 1,
+                    "tj_true": t_true[k], "cycles_used": cycles,
                 })
         self.last_window_trace = (self.samplers[0].triggers.angles,
-                                  slot_i[0].copy(), v[0].copy())
+                                  grid.slot_i[0].copy(), v[0].copy())
 
     # -- idle (converter off) step -------------------------------------------
 
@@ -1098,11 +1098,12 @@ class TestBench:
 
     # -- start-of-test measurements ---------------------------------------------
 
-    def cool_to_ambient(self, tol: float = 0.75, cap_s: float = 900.0):
+    def cool_to_ambient(self):
         t0 = self.t
-        while float(np.abs(self.bank.t_j - self.ambient).max()) > tol:
+        while float(np.abs(self.bank.t_j - self.ambient).max()) \
+                > COOL_TO_AMBIENT_TOL:
             self._step_idle(pump_test=True)
-            if self.t - t0 > cap_s:
+            if self.t - t0 > COOL_TO_AMBIENT_CAP_S:
                 break
 
     def startup_measurements(self) -> StartupResult:

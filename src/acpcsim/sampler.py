@@ -164,9 +164,6 @@ class SamplerState:
         self.cycles_elapsed = 0
         self.budget_used = 0
 
-    def unfilled_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.filled_mask)
-
 
 def store_slots(s: SamplerState, idx, v_on, i_meas, truth) -> int:
     """Store readings into the distinct slots idx, taken in arrival order.

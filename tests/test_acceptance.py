@@ -97,8 +97,9 @@ def test_ac3_vth_measurement_within_0p1v():
 def test_ac4_sense_path_fidelity():
     # the bench's capture without noise: every stored v_on is the true drop
     # plus its device's diode mismatch e_d. One FIR tap makes a window's
-    # estimate its center slot's v_on / i, so the batched envelope fill,
-    # which keeps no slots, is judged through its windows.
+    # estimate its center slot's v_on / i, so every window is judged, and
+    # so are the slots of the open windows: the samplers' in the averaged
+    # engine, the envelope fill's buffers in the envelope engine.
     quiet = SenseCircuitParams(noise_sigma=0.0)
     branches = {"averaged": (Fidelity.AVERAGED, 300, 0.05),
                 "batched envelope": (Fidelity.ENVELOPE, 300, 0.1),
@@ -115,12 +116,19 @@ def test_ac4_sense_path_fidelity():
         for w in bench.windows:
             bias = (w["r_est"] - w["r_true"]) * w["i_pk"]
             worst = max(worst, abs(bias - e_d[w["device"]]))
+        if fidelity is Fidelity.ENVELOPE:
+            f = bench._env_filled
+            stored = zip(bench._env_v[:, :f],
+                         bench._envelope_grid().slot_i[:, :f],
+                         bench._env_truth[:, :f])
+        else:
+            stored = ((s.v_on[s.filled_mask], s.i[s.filled_mask],
+                       s.truth[s.filled_mask]) for s in bench.samplers)
         slots = 0
-        for k, s in enumerate(bench.samplers):
-            m = s.filled_mask
-            slots += int(m.sum())
-            worst = max(worst, float(np.abs(
-                s.v_on[m] - s.i[m] * s.truth[m] - e_d[k]).max(initial=0.0)))
+        for k, (v, i, r) in enumerate(stored):
+            slots += len(v)
+            worst = max(worst, float(np.abs(v - i * r - e_d[k]).max(
+                initial=0.0)))
         assert len(bench.windows) >= 12 and np.ptp(e_d) > 0
         counts[name] = f"{len(bench.windows)} windows, {slots} open slots"
 

@@ -73,6 +73,17 @@ class TestScenarioFormat:
         back = build_settings(parse_scenario(path)).cfg
         assert back == cfg
 
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("false", False), ("yes", True), ("no", False),
+        ("1", True), ("0", False), ("True", True), ("NO", False)])
+    def test_boolean_fields_round_trip(self, text, value, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text(f"desat.compensated = {text}\n"
+                        f"desat.calibrated = {text}\n")
+        s = build_settings(parse_scenario(path))
+        assert s.desat.compensated is value
+        assert s.desat_calibrated is value
+
     def test_docstring_lists_the_schema_keys(self):
         doc = cli.__doc__.split("Outputs\n")[0]
         blocks = re.findall(r"^(\w+)\.\*\s+(.*?)(?=^\w+\.\*|\Z)", doc,
@@ -95,6 +106,9 @@ class TestScenarioFormat:
             build_settings({"bench.pf_mode": "sideways"})
         with pytest.raises(ConfigError):
             build_settings({"aging.delta_pkg": "0-0"})
+        for key in ("desat.compensated", "desat.calibrated"):
+            with pytest.raises(ConfigError, match=key):
+                build_settings({key: "maybe"})
 
 
 PREFIXES = sorted({k.split(".")[0] for k in SCHEMA})

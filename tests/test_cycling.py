@@ -258,8 +258,8 @@ class TestStartup:
 
 class TestEnvelopeCapture:
     def test_partial_budget_windows(self):
-        # 60 slots at 5 per fundamental cycle: the out-of-order branch that
-        # stores a few slots per cycle instead of the batched whole window
+        # 60 slots at 5 per fundamental cycle: the fill stores a few slots
+        # per cycle, and a window completes every 12 cycles
         cfg = envelope_cfg()
         b = TestBench(default_settings(cfg, budget_per_cycle=5, sampler_n=60,
                                        **fast_thermal()))
@@ -268,6 +268,44 @@ class TestEnvelopeCapture:
         for w in b.windows:
             assert w["cycles_used"] == 12
             assert w["r_est"] == pytest.approx(w["r_true"], rel=0.015)
+
+    @pytest.mark.parametrize("budget", [5, 60])
+    def test_windows_match_the_reference_estimators(self, budget):
+        # the averaged engine's estimators are the envelope fill's oracle:
+        # fed the slots the fill stored, they give each window's filtered
+        # resistances but for the rounding of the renormalized filter sum,
+        # and the window's temperature is the table inverse of its own
+        # estimate (a few ulp of R move T by more ulp on a steep column)
+        b = TestBench(default_settings(envelope_cfg(), budget_per_cycle=budget,
+                                       sampler_n=60, **fast_thermal()))
+        b.startup_measurements()  # a table of its own for each device
+        n = b.s.sampler_n
+
+        def ulps(x, ref):
+            return abs(x - ref) / np.spacing(abs(ref))
+
+        worst = checked = 0
+        while checked < 2 * N_DEVICES:
+            seen = len(b.windows)
+            b.run_steady(1.0 / b.cfg.f_fund)  # one fill
+            slot_i = b._envelope_grid().slot_i
+            for w in b.windows[seen:]:
+                k = w["device"]
+                s = smp.SamplerState(b.samplers[k].triggers,
+                                     budget_per_cycle=n)
+                smp.store_slots(s, np.arange(n), b._env_v[k], slot_i[k],
+                                b._env_truth[k])
+                est = smp.estimate_ron(s, b.s.fir_taps, b.i_floor)
+                r_true = smp.center_filtered_value(
+                    s.truth, s.filled_mask, b.s.fir_taps,
+                    s.triggers.center_index)
+                assert est.i_at_peak == w["i_pk"]
+                assert w["tj_est"] == smp.estimate_tj(
+                    w["r_est"], w["i_pk"], b.luts[k]).t_j
+                worst = max(worst, ulps(w["r_est"], est.r_on),
+                            ulps(w["r_true"], r_true))
+                checked += 1
+        assert worst <= 8
 
 
 class TestWarnings:
