@@ -379,8 +379,7 @@ class _EnvelopeGrid(NamedTuple):
     p_sw: np.ndarray        # (12,) switching loss at the mean |i_dev|, W
     p_sw_sum: float         # W
     p_link: float           # link-resistance loss, W
-    win_idx: np.ndarray     # (12, taps) slots of each center FIR window
-    i_win: np.ndarray       # (12, taps) slot currents of those windows, A
+    i_win: np.ndarray       # (12, taps) slot currents of the FIR windows, A
     i_pk: list              # window-center current of each device, A
 
 
@@ -460,6 +459,10 @@ class TestBench:
                 for c in set(centers)}
         self.samplers = [smp.SamplerState(
             sets[c], budget_per_cycle=s.budget_per_cycle) for c in centers]
+        # the slots of each device's FIR window around its center slot
+        self._win_idx = smp.fir_window(
+            [sets[c].center_index for c in centers], s.sampler_n,
+            len(s.fir_taps))
 
         self._base_lut = smp.build_ron_lut(params, s.lut_t_axis, s.lut_i_axis)
         self.luts = [self._base_lut] * N_DEVICES
@@ -594,30 +597,50 @@ class TestBench:
                 float(v_cond[k] + self.e_d[k] + noise), float(i_dev[k]),
                 truth=float(v_cond[k] / i_dev[k]))
             if sstate.complete:
-                self._finish_window(k)
+                idx = self._win_idx[k:k + 1]
+                i_pk = float(sstate.i[sstate.triggers.center_index])
+                self._finish_window(
+                    k, sstate.v_on[idx], sstate.i[idx], sstate.truth[idx],
+                    [self.luts[k].column(i_pk).tolist()],
+                    sstate.cycles_elapsed, (sstate.i, sstate.v_on))
+                sstate.reset_window()
         self.theta_prev = theta_now
 
-    def _finish_window(self, k: int):
-        sstate = self.samplers[k]
+    def _finish_window(self, k0: int, v_win: np.ndarray, i_win: np.ndarray,
+                       truth_win: np.ndarray, cols: list, cycles: int,
+                       slots: tuple):
+        """Estimate the windows that devices k0, k0 + 1, ... just completed;
+        every engine finishes its windows here.
+
+        Row j of v_win, i_win and truth_win holds device k0 + j's readings,
+        currents and true ratios at the slots of its FIR window
+        (self._win_idx), and cols[j] is its R(T) column, a list, at the
+        window-center current. slots is device k0's whole window, (currents,
+        readings), which becomes last_window_trace when k0 is 0.
+        """
         taps = self.s.fir_taps
-        est = smp.estimate_ron(sstate, taps, self.i_floor)
-        tj = smp.estimate_tj(est.r_on, est.i_at_peak, self.luts[k])
-        self.r_on_last[k] = est.r_on
-        self.tj_est[k] = tj.t_j
+        r_est = smp.estimate_ron(v_win, i_win, taps)
+        k1 = k0 + len(r_est)
+        self.r_on_last[k0:k1] = r_est
+        est = r_est.tolist()
+        t_ax = self._lut_t_axis
+        # only the test-bridge estimates drive control
+        m = k1 - k0 if self.collect_windows else max(0, min(k1, 6) - k0)
+        self.tj_est[k0:k0 + m] = [smp.invert_column(est[j], cols[j], t_ax)
+                                  for j in range(m)]
         if self.collect_windows:
-            valid = np.abs(sstate.i) >= self.i_floor
-            truth_f = smp.center_filtered_value(sstate.truth, valid, taps,
-                                                sstate.triggers.center_index)
-            self.windows.append({
-                "t": self.t, "device": k, "r_est": est.r_on,
-                "i_pk": est.i_at_peak, "r_true": truth_f, "tj_est": tj.t_j,
-                "tj_true": float(self.bank.t_j[k]),
-                "cycles_used": sstate.cycles_elapsed,
-            })
-        if k == 0:
-            self.last_window_trace = (sstate.triggers.angles,
-                                      sstate.i.copy(), sstate.v_on.copy())
-        sstate.reset_window()
+            i_pk = i_win[:, len(taps) // 2].tolist()
+            r_true = (truth_win @ taps).tolist()
+            tj_est = self.tj_est[k0:k1].tolist()
+            tj_true = self.bank.t_j[k0:k1].tolist()
+            self.windows += [{
+                "t": self.t, "device": k0 + j, "r_est": est[j],
+                "i_pk": i_pk[j], "r_true": r_true[j], "tj_est": tj_est[j],
+                "tj_true": tj_true[j], "cycles_used": cycles,
+            } for j in range(k1 - k0)]
+        if k0 == 0:
+            self.last_window_trace = (self.samplers[0].triggers.angles,
+                                      slots[0].copy(), slots[1].copy())
 
     # -- averaged / switched conducting step -------------------------------------
 
@@ -728,10 +751,10 @@ class TestBench:
         """The envelope heat step's run constants, built on first use.
 
         cfg fixes the quasi-static operating point and so the 32-angle
-        current and duty grids; the trigger sets and FIR taps fix the slot
-        currents and window indices; the device parameters, which set the
-        switching loss, are bound in __init__. Nothing here changes within
-        a run.
+        current and duty grids; the trigger sets fix the slot currents and,
+        with the FIR window slots, the window currents; the device
+        parameters, which set the switching loss, are bound in __init__.
+        Nothing here changes within a run.
         """
         if self._envelope_cache is not None:
             return self._envelope_cache
@@ -770,28 +793,17 @@ class TestBench:
                             slot_i: np.ndarray) -> "_EnvelopeGrid":
         """The run record of the given grids: device currents and duties
         over one fundamental period (12, g), and the current at each
-        trigger slot (12, n)."""
+        trigger slot (12, n), which give each FIR window's currents."""
         cfg = self.cfg
         p_sw = dev_mod.switching_loss(self.bank.params, cfg.f_sw, cfg.v_dc,
                                       np.abs(i_dev).mean(axis=1))
-        # per-device center filter windows (centers differ under wrap)
-        taps_n = len(self.s.fir_taps)
-        half = taps_n // 2
-        n = slot_i.shape[1]
-        idx = np.empty((N_DEVICES, taps_n), dtype=int)
-        centers = [st.triggers.center_index for st in self.samplers]
-        for k, c in enumerate(centers):
-            w = np.arange(c - half, c + half + 1)
-            w = np.where(w < 0, -w - 1, w)
-            w = np.where(w >= n, 2 * n - w - 1, w)
-            idx[k] = w
+        i_win = slot_i[_ROWS, self._win_idx]
         return _EnvelopeGrid(
             i_dev=i_dev, duty=duty, slot_i=slot_i, conducting=i_dev > 0,
             p_sw=p_sw, p_sw_sum=float(p_sw.sum()),
             p_link=cfg.link_resistance
             * float((i_dev[0:6:2] ** 2).mean(axis=1).sum()),
-            win_idx=idx, i_win=slot_i[_ROWS, idx],
-            i_pk=slot_i[np.arange(N_DEVICES), centers].tolist())
+            i_win=i_win, i_pk=i_win[:, i_win.shape[1] // 2].tolist())
 
     def _step_envelope(self):
         cfg = self.cfg
@@ -839,19 +851,18 @@ class TestBench:
         Every slot current is above the floor (_envelope_grid checks), so
         the twelve windows fill the same slots, in slot order and up to the
         cycle budget, and complete at the same step: one fill count serves
-        them all. A window is estimated and reset in the cycle that fills
-        its last slot, which is every cycle when the budget covers the
-        trigger set, as in the campaign configuration.
+        them all. _finish_window estimates the windows in the cycle that
+        fills their last slot, which is every cycle when the budget covers
+        the trigger set, as in the campaign configuration.
         """
         bank = self.bank
         p = bank.params
-        t = bank.t_j
         n = self.s.sampler_n
         f = self._env_filled
         sl = slice(f, min(f + self.s.budget_per_cycle, n))
         slot_i = grid.slot_i[:, sl]
-        r_true = dev_mod.on_resistance(p, t[:, None], slot_i, p.gate_on_v,
-                                       bank.delta_pkg[:, None],
+        r_true = dev_mod.on_resistance(p, bank.t_j[:, None], slot_i,
+                                       p.gate_on_v, bank.delta_pkg[:, None],
                                        bank.delta_vth[:, None])  # (12, m)
         v = slot_i * r_true + self.e_d[:, None]
         sigma = self.s.sense_params.noise_sigma
@@ -863,37 +874,16 @@ class TestBench:
         self._env_cycles += 1
         if sl.stop < n:
             return
-        v, r_true = self._env_v, self._env_truth
         cycles = self._env_cycles
         self._env_filled = self._env_cycles = 0
-
-        idx = grid.win_idx
-        taps = self.s.fir_taps
-        rf = (v[_ROWS, idx] / grid.i_win) @ taps
-        r_est = rf.tolist()
-
         if self._env_tj_cols is None:
             self._env_tj_cols = [self.luts[k].column(grid.i_pk[k]).tolist()
                                  for k in range(N_DEVICES)]
-        cols = self._env_tj_cols
-        t_ax = self._lut_t_axis
-        # only the test-bridge estimates drive control
-        n_est = N_DEVICES if self.collect_windows else 6
-        self.tj_est[:n_est] = [smp.invert_column(r_est[k], cols[k], t_ax)
-                               for k in range(n_est)]
-        self.r_on_last = rf
-        if self.collect_windows:
-            truth_f = (r_true[_ROWS, idx] @ taps).tolist()
-            t_true = t.tolist()
-            for k in range(N_DEVICES):
-                self.windows.append({
-                    "t": self.t, "device": k, "r_est": r_est[k],
-                    "i_pk": grid.i_pk[k], "r_true": truth_f[k],
-                    "tj_est": float(self.tj_est[k]),
-                    "tj_true": t_true[k], "cycles_used": cycles,
-                })
-        self.last_window_trace = (self.samplers[0].triggers.angles,
-                                  grid.slot_i[0].copy(), v[0].copy())
+        idx = self._win_idx
+        v = self._env_v
+        self._finish_window(0, v[_ROWS, idx], grid.i_win,
+                            self._env_truth[_ROWS, idx], self._env_tj_cols,
+                            cycles, (grid.slot_i[0], v[0]))
 
     # -- idle (converter off) step -------------------------------------------
 

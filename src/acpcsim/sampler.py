@@ -5,8 +5,11 @@ temperature inversion with start-of-test recalibration.
 A trigger set pins N electrical angles around the current peak. Samples
 arriving in any order land in their angle slot; a per-fundamental-cycle
 capture budget models the low-priority acquisition task, so a window
-completes in ceil(N / budget) cycles. Completed windows are ratioed,
-FIR-filtered, and inverted through the R(T, I) table.
+completes in ceil(N / budget) cycles. A slot stores only a current above
+the capture floor, so a completed window's estimate is the FIR product of
+its slot ratios v/i over the filter window around its center slot
+(estimate_ron, fir_window), which invert_column turns into a junction
+temperature on the R(T, I) table's column at the center current.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ from scipy.signal import firwin
 
 from . import device as dev_mod
 from .core import TWO_PI, ConfigError, wrap_angle
-
-
-class IncompleteWindow(RuntimeError):
-    """Estimation requested before every slot is filled."""
 
 
 class AmbientMismatch(RuntimeError):
@@ -241,51 +240,23 @@ def fir_filter(raw: Sequence[float], taps: Sequence[float]) -> np.ndarray:
     return np.convolve(padded, taps, mode="valid")
 
 
-class RonEstimate(NamedTuple):
-    r_on: float
-    i_at_peak: float
-
-
-def center_filtered_value(values: np.ndarray, valid: np.ndarray,
-                          taps: np.ndarray, center: int) -> float:
-    """Weighted filter output at one slot, skipping excluded slots.
-
-    Indices outside the array are mapped by symmetric edge padding (same
-    convention as fir_filter); weights of excluded slots are dropped and the
-    remainder renormalized.
-    """
-    taps = np.asarray(taps, dtype=float)
-    half = len(taps) // 2
-    n = len(values)
-    idx = np.arange(center - half, center + half + 1)
+def fir_window(center, n: int, n_taps: int) -> np.ndarray:
+    """Slots of the n_taps-long filter window around center in an n-slot
+    array: the indices fir_filter's symmetric edge padding reads for the
+    output at center (n_taps // 2 <= n). An array of centers gives one row
+    per center."""
+    half = n_taps // 2
+    idx = np.asarray(center)[..., None] + np.arange(-half, half + 1)
     idx = np.where(idx < 0, -idx - 1, idx)
-    idx = np.where(idx >= n, 2 * n - idx - 1, idx)
-    w = taps * valid[idx]
-    wsum = w.sum()
-    if wsum <= 0:
-        raise IncompleteWindow("filter support is empty at the window center")
-    return float((w * np.where(valid[idx], values[idx], 0.0)).sum() / wsum)
+    return np.where(idx >= n, 2 * n - idx - 1, idx)
 
 
-def estimate_ron(s: SamplerState, taps: Sequence[float],
-                 i_floor: float = 1.0) -> RonEstimate:
-    """Filtered on-resistance at the window center and the matching current.
-
-    Per-slot ratios v/i are FIR-filtered; slots whose current sits below the
-    floor are excluded from the filter support (weights renormalized over the
-    remaining slots).
-    """
-    if not s.complete:
-        raise IncompleteWindow(f"{s.filled}/{s.triggers.n} slots filled")
-    taps = np.asarray(taps, dtype=float)
-    valid = np.abs(s.i) >= i_floor
-    if not valid.any():
-        raise IncompleteWindow("no slot carries usable current")
-    safe_i = np.where(valid, s.i, 1.0)
-    r = np.where(valid, s.v_on / safe_i, 0.0)
-    c = s.triggers.center_index
-    r_f = center_filtered_value(r, valid, taps, c)
-    return RonEstimate(r_on=r_f, i_at_peak=float(s.i[c]))
+def estimate_ron(v_win: np.ndarray, i_win: np.ndarray,
+                 taps: np.ndarray) -> np.ndarray:
+    """Filtered on-resistance at each window center: the FIR product of the
+    slot ratios v/i over the center's filter window, one window per row of
+    the readings v_win and currents i_win (each slot above the floor)."""
+    return (v_win / i_win) @ taps
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,26 @@ grid node through a threshold-checking wrapper of on_resistance. A speed-up
 must leave them unchanged; a change that alters results on purpose must say
 so and pin new digests.
 
-One digest was re-pinned on purpose: the fixed-times precursors.csv, when
-the envelope engine's partial-budget windows moved from a per-device loop
-into the batched fill. The stored slots stayed bit for bit (the run's
-trace_sampling.csv digest held), and the parent's r_on_mohm cells are
-sampler.estimate_ron on those slots exactly; the batched FIR arithmetic
-moves 11 of the 36 cells, all r_on_mohm of cycle 2, by at most 6 ulp.
+Digests were re-pinned on purpose twice. First the fixed-times
+precursors.csv, when the envelope engine's partial-budget windows moved
+from a per-device loop into the batched fill. The stored slots stayed bit
+for bit (the run's trace_sampling.csv digest held), and the old r_on_mohm
+cells were the renormalized filter sum on those slots exactly; the batched
+FIR product moves 11 of the 36 cells, all r_on_mohm of cycle 2, by at most
+6 ulp.
+
+Then the averaged and switched engines' window digests (the steady
+windows, the five run states and the averaged campaign's precursors.csv),
+when their windows moved to the envelope's window finish: the FIR product
+of the slot ratios in place of the renormalized filter sum, whose weights
+all count since every stored slot is above the capture floor. Every
+window's r_est and r_true moved by at most 8 ulp and its tj_est by at most
+85 ulp (a steep R(T) column amplifies a few ulp of R); its time, device,
+center current, junction truth and cycle count, the tallies, thermal
+trace, waveform rows, link currents, integrators, current filter and
+trace_sampling.csv stayed bit for bit, as did the campaign's
+trace_thermal.csv and waveforms.csv. 23 of its 24 r_on_mohm cells moved,
+by at most 3 ulp.
 """
 
 import functools
@@ -37,9 +51,10 @@ from acpcsim.sampler import build_ron_lut
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_scenarios"
 
-# r_est and tj_est of every window of AC-1's averaged run, first 0.1 s
+# r_est and tj_est of every window of AC-1's averaged run, first 0.1 s;
+# re-pinned with the run states below when the window finish became one
 STEADY_WINDOWS_SHA256 = \
-    "c9a7f91ebb38f0bb989b4e0540d1b98a143172cfce3a2e2428012e28af992f1f"
+    "6e24d4e6ac5374c83acb81ff7bd7135ef18970c653035224886c81393cd72700"
 # the junction-swing example campaign, first 3 cycles
 CAMPAIGN_SHA256 = {
     "precursors.csv":
@@ -73,18 +88,20 @@ FREQUENT_STARTUP_SHA256 = {
 # the averaged and switched engines' whole run state: every window's r_est,
 # tj_est and r_true, every EnergyTally field, the thermal trace, the
 # waveform rows, the final link currents, both PI integrators and the
-# current filter's state
+# current filter's state; re-pinned when the windows moved from the
+# renormalized filter sum to the FIR product (last-ulp r_est and r_true,
+# tj_est as a steep column amplifies them; all else bit for bit)
 RUN_STATE_SHA256 = {
     "ac1":
-        "ac7db97f42cfc5f7ea60374e728735908b8c0da54fa6249220f7f9b73d34a216",
+        "4b571e391c28596b22ce153f61326daf52b053558e2582c92f91e3928f90a6d3",
     "generator":
-        "a764c1cf5e63b738e98a1c5ad98e2438bfe91bdf877b998fa71d91b302dba55f",
+        "a3b6a1832d0c24f829106ef638024403fa33d50bd9f14e42fa74484b621a1297",
     "saturated":
-        "93722b074236964c65efa39478121099585125ca3a3278c85fef7a9a8b8a776b",
+        "39e37598594d455971c7cf2e38179f3ca743809f87dab1627a74ada6389bf755",
     "lossless_link":
-        "31b7fcca07d847bf41f2800b3ddc6124480d707b0db8afa0c190e08826d14ddb",
+        "54309c7ffcde39eca8107fc8c368589463640918942c297bd64d542c690bdb0a",
     "switched":
-        "25b5cdeb783ded820b099aefe60fd024cf07ecf4225327267a2d74f7129270b4",
+        "20aaf84ff0b4a0a20bd1319acee296a81439123fedd514156700dc9a287fefa9",
 }
 RUN_STATE_CASES = {
     # AC-1's run, first 0.1 s
@@ -101,10 +118,11 @@ RUN_STATE_CASES = {
 OPERATING_POINT_SHA256 = \
     "5307151020bc6aa4e0754a94839f43b8c77beee248662133c315c4ea645318dc"
 # an averaged fixed-times campaign through the command line, heat -> idle
-# -> heat, with waveforms
+# -> heat, with waveforms. precursors.csv was re-pinned with the run states
+# above (last-ulp r_on_mohm); trace_thermal.csv and waveforms.csv held.
 AVERAGED_CAMPAIGN_SHA256 = {
     "precursors.csv":
-        "be8f2d85d31bc79f77eeae32729c0a8753cbb634cfc826bb1832db51a4da0579",
+        "5c2f76f98cf83c29cfc16945d0842e318c1900e7fc75c8a954c403ae6231bf52",
     "trace_thermal.csv":
         "040a07a02b857207e72951c19af6e716d2cfdce32e64faa997aedbdd270f90cd",
     "waveforms.csv":

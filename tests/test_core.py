@@ -101,6 +101,8 @@ _UNCALLED_BY_DESIGN = {
     "default_settings": "library entry point of perfbench and the tests",
     "energy_audit": "energy-balance oracle of AC-9 and the circulation "
                     "tests",
+    "estimate_tj": "out-of-grid reference for the bench's table inversion "
+                   "and a perfbench tracer site",
 }
 
 

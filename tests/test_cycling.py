@@ -10,9 +10,10 @@ from acpcsim import sampler as smp
 from acpcsim import thermal as th
 from acpcsim.core import (BenchConfig, ConfigError, Fidelity, Technique,
                           validate_scenario)
-from acpcsim.cycling import (BODY_DIODE_WARNING, DEVICE_IDS,
-                             GATE_OXIDE_WARNING, PACKAGE_WARNING, CycleRecord,
-                             DeviceBank, N_DEVICES, ProtectionTrip, TestBench,
+from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
+                             DEVICE_IDS, GATE_OXIDE_WARNING, PACKAGE_WARNING,
+                             CycleRecord, DeviceBank, N_DEVICES,
+                             ProtectionTrip, TestBench,
                              ThermalRunaway, WarningPolicy, WarningTracker,
                              _CrossingPredictor, blanking_runs,
                              default_settings, energy_audit)
@@ -237,6 +238,30 @@ class TestStartup:
         finite = [np.isfinite(r.v_th).all() for r in res.records]
         assert finite == [True, False, True, False]
 
+    def test_cool_to_ambient_stops_at_its_cap(self):
+        # a 26 degC coolant supply passes the start-up's 1.5 degC refusal
+        # but holds the junctions 1 degC above the 25 degC ambient, outside
+        # cool_to_ambient's 0.75 degC, so the idle before cycle 2's start-up
+        # runs to its cap; at the ambient supply it ends well before
+        cfg = envelope_cfg(technique=Technique.JUNCTION_SWING, t_j_max=120.0,
+                           t_j_min=60.0, n_cycles=3)
+        dt = 1.0 / cfg.f_fund
+        idles = []
+        for supply in (None, 26.0):
+            kw = fast_thermal()
+            for plate in ("cooling_test", "cooling_load"):
+                kw[plate] = replace(kw[plate], coolant_temp=supply)
+            b = TestBench(default_settings(cfg, budget_per_cycle=300,
+                                           sampler_n=60, startup_every=2,
+                                           **kw))
+            res = b.run_campaign()
+            assert res.status == "ok" and res.cycles_completed == 3
+            prev, rec = res.records[1:]
+            idles.append(rec.t_start - prev.t_start - prev.t_on_actual
+                         - prev.t_off_actual)
+        assert idles[0] < 0.1 * COOL_TO_AMBIENT_CAP_S
+        assert COOL_TO_AMBIENT_CAP_S < idles[1] \
+            <= COOL_TO_AMBIENT_CAP_S + dt + 1e-6
 
     def test_scenario_gate_drive_reaches_the_devices(self):
         # the bank, the lookup table and the start-up measurement all see
@@ -269,41 +294,53 @@ class TestEnvelopeCapture:
             assert w["cycles_used"] == 12
             assert w["r_est"] == pytest.approx(w["r_true"], rel=0.015)
 
-    @pytest.mark.parametrize("budget", [5, 60])
-    def test_windows_match_the_reference_estimators(self, budget):
-        # the averaged engine's estimators are the envelope fill's oracle:
-        # fed the slots the fill stored, they give each window's filtered
-        # resistances but for the rounding of the renormalized filter sum,
-        # and the window's temperature is the table inverse of its own
-        # estimate (a few ulp of R move T by more ulp on a steep column)
-        b = TestBench(default_settings(envelope_cfg(), budget_per_cycle=budget,
+    @pytest.mark.parametrize("fidelity, budget", [
+        pytest.param(Fidelity.ENVELOPE, 5, id="5"),
+        pytest.param(Fidelity.ENVELOPE, 60, id="60"),
+        pytest.param(Fidelity.AVERAGED, 60, id="averaged")])
+    def test_windows_match_the_reference_estimators(self, fidelity, budget):
+        # fir_filter, the convolution that smooths the CLI's sampling trace,
+        # is the window finish's oracle: at the center of the slots a window
+        # stored, it gives the window's filtered resistances but for the
+        # rounding of the convolution, and the window's temperature is the
+        # table inverse of its own estimate (a few ulp of R move T by more
+        # ulp on a steep column)
+        cfg = validate_scenario(BenchConfig(fidelity=fidelity))
+        b = TestBench(default_settings(cfg, budget_per_cycle=budget,
                                        sampler_n=60, **fast_thermal()))
         b.startup_measurements()  # a table of its own for each device
-        n = b.s.sampler_n
+        n, taps = b.s.sampler_n, b.s.fir_taps
+        # the window slots are those fir_filter's padding reads, edges too
+        padded = np.pad(np.arange(n), len(taps) // 2, mode="symmetric")
+        for c in (0, n - 1):
+            assert smp.fir_window(c, n, len(taps)).tolist() == \
+                padded[c:c + len(taps)].tolist()
 
         def ulps(x, ref):
             return abs(x - ref) / np.spacing(abs(ref))
 
+        def stored(k):
+            # the slots of device k's window, which has just completed
+            if fidelity is Fidelity.ENVELOPE:
+                return (b._env_v[k], b._envelope_grid().slot_i[k],
+                        b._env_truth[k])
+            s = b.samplers[k]
+            return s.v_on, s.i, s.truth
+
         worst = checked = 0
         while checked < 2 * N_DEVICES:
             seen = len(b.windows)
-            b.run_steady(1.0 / b.cfg.f_fund)  # one fill
-            slot_i = b._envelope_grid().slot_i
+            b._conducting_step_any()
             for w in b.windows[seen:]:
                 k = w["device"]
-                s = smp.SamplerState(b.samplers[k].triggers,
-                                     budget_per_cycle=n)
-                smp.store_slots(s, np.arange(n), b._env_v[k], slot_i[k],
-                                b._env_truth[k])
-                est = smp.estimate_ron(s, b.s.fir_taps, b.i_floor)
-                r_true = smp.center_filtered_value(
-                    s.truth, s.filled_mask, b.s.fir_taps,
-                    s.triggers.center_index)
-                assert est.i_at_peak == w["i_pk"]
+                v, i, truth = stored(k)
+                c = b.samplers[k].triggers.center_index
+                assert w["i_pk"] == i[c]
                 assert w["tj_est"] == smp.estimate_tj(
                     w["r_est"], w["i_pk"], b.luts[k]).t_j
-                worst = max(worst, ulps(w["r_est"], est.r_on),
-                            ulps(w["r_true"], r_true))
+                worst = max(worst,
+                            ulps(w["r_est"], smp.fir_filter(v / i, taps)[c]),
+                            ulps(w["r_true"], smp.fir_filter(truth, taps)[c]))
                 checked += 1
         assert worst <= 8
 
@@ -482,6 +519,22 @@ class TestDeterminismAndProtection:
             cooling_load=th.CoolingState(r_boundary_on=1.0, r_boundary_off=3.0)))
         res = b.run_campaign()
         assert res.status == "thermal_runaway"
+
+    def test_heat_cap_ends_an_unreachable_target(self):
+        # at 100 A the junctions settle near 36 degC, far below a 150 degC
+        # target and the simulation envelope, so the heat-phase cap ends
+        # the run at the first step past it
+        cfg = envelope_cfg(technique=Technique.JUNCTION_SWING, t_j_max=150.0,
+                           t_j_min=60.0, n_cycles=2, i_ref_peak=100.0)
+        b = TestBench(default_settings(cfg, budget_per_cycle=300,
+                                       sampler_n=60, startup_every=0,
+                                       heat_cap_s=2.0, **fast_thermal()))
+        res = b.run_campaign()
+        assert res.status == "thermal_runaway" and res.cycles_completed == 0
+        assert res.reason == \
+            "heat phase exceeded 2.0 s without reaching its target"
+        assert 2.0 < b.t <= 2.0 + 1.0 / cfg.f_fund + 1e-9
+        assert b.bank.t_j.max() < 50.0 and np.nanmax(b.tj_est[:6]) < 50.0
 
     def test_averaged_thermal_runaway_detected(self):
         # a junction pushed past the simulation envelope ends the next

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from acpcsim.core import TWO_PI, BenchConfig, validate_scenario
 from acpcsim.cycling import N_DEVICES, TestBench, default_settings
 from acpcsim.device import PROFILES, module_400a, on_resistance
-from acpcsim.sampler import (AmbientMismatch, IncompleteWindow, RonLut,
-                             SamplerState, TriggerIndex, build_ron_lut,
-                             build_trigger_set, default_fir_taps,
-                             estimate_ron, estimate_tj, fir_filter,
-                             invert_column, recalibrate_lut,
-                             sampler_update_interval,
+from acpcsim.sampler import (AmbientMismatch, RonLut, SamplerState,
+                             TriggerIndex, build_ron_lut, build_trigger_set,
+                             default_fir_taps, estimate_ron, estimate_tj,
+                             fir_filter, fir_window, invert_column,
+                             recalibrate_lut, sampler_update_interval,
                              store_slots, triggers_in_interval)
 
 
@@ -304,27 +303,17 @@ def filled_state(n=300, v=0.16, i=100.0):
     return s
 
 
+def center_estimate(s, taps):
+    """estimate_ron over the filter window around s's center slot."""
+    idx = fir_window(s.triggers.center_index, s.triggers.n, len(taps))
+    return float(estimate_ron(s.v_on[idx], s.i[idx], taps))
+
+
 class TestEstimateRon:
     def test_uniform_window_returns_ratio(self):
         s = filled_state(v=0.16, i=100.0)
-        est = estimate_ron(s, default_fir_taps(), i_floor=1.0)
-        assert est.r_on == pytest.approx(1.6e-3, rel=1e-12)
-        assert est.i_at_peak == 100.0
-
-    def test_incomplete_raises(self):
-        ts = build_trigger_set(1.0, 10, 0.1)
-        s = SamplerState(ts, budget_per_cycle=10)
-        with pytest.raises(IncompleteWindow):
-            estimate_ron(s, default_fir_taps())
-
-    def test_low_current_slots_excluded(self):
-        s = filled_state(n=101, v=0.16, i=100.0)
-        # poison the slot next to the center with junk at negligible current
-        c = s.triggers.center_index
-        s.i[c + 1] = 0.5
-        s.v_on[c + 1] = 99.0
-        est = estimate_ron(s, default_fir_taps(), i_floor=1.0)
-        assert est.r_on == pytest.approx(1.6e-3, rel=1e-9)
+        assert center_estimate(s, default_fir_taps()) == \
+            pytest.approx(1.6e-3, rel=1e-12)
 
     def test_noise_rejection_meets_accuracy_budget(self):
         rng = np.random.default_rng(23)
@@ -337,8 +326,8 @@ class TestEstimateRon:
             for k in range(n):
                 v = 0.4 + rng.normal(0.0, 2e-3)
                 capture_at(s, k, v, 100.0)
-            est = estimate_ron(s, default_fir_taps(), i_floor=1.0)
-            worst = max(worst, abs(est.r_on - 4e-3) / 4e-3)
+            r = center_estimate(s, default_fir_taps())
+            worst = max(worst, abs(r - 4e-3) / 4e-3)
         assert worst < 0.015
 
 
