@@ -237,8 +237,8 @@ class DeviceBank:
     """All twelve switches evaluated together with per-device aging state.
 
     Conduction drops come from device.conduction_voltage with each device's
-    aging deltas; temperatures may be passed per device, per
-    device-and-sample, or shared.
+    temperature and aging deltas: conduction for one current per device,
+    period_conduction for a (12, g) grid whose current half is bound once.
     """
 
     def __init__(self, params: DeviceParams, ambient: float):
@@ -253,26 +253,36 @@ class DeviceBank:
         self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
         self.aging_version = 0
 
-    @staticmethod
-    def _shaped(per_device: np.ndarray, t_j) -> np.ndarray:
-        # align the per-device vector with a (n,) or (n, m) temperature array
-        if np.ndim(t_j) > 1:
-            return per_device[:, None]
-        return per_device
-
-    def conduction(self, i, t_j=None):
-        """Signed conduction drops with the channel held on (synchronous
-        rectification across both bridges); an injected short reads the
-        desaturated drop."""
-        t = self.t_j if t_j is None else t_j
-        v = dev_mod.conduction_voltage(
-            self.params, i, t, self.params.gate_on_v,
-            self._shaped(self.delta_pkg, t), self._shaped(self.delta_vth, t),
-            self._shaped(self.delta_vsd, t))
+    def conduction(self, i: np.ndarray) -> np.ndarray:
+        """Signed conduction drops at one current per device, (12,), with
+        the channel held on (synchronous rectification across both
+        bridges); an injected short reads the desaturated drop."""
+        p = self.params
+        v = dev_mod.conduction_voltage(p, i, self.t_j, p.gate_on_v,
+                                       self.delta_pkg, self.delta_vth,
+                                       self.delta_vsd)
         if self.shorted.any():
-            sh = self._shaped(self.shorted.astype(float), t) > 0
-            v = np.where(sh, self.desat_fault_v, v)
+            v = np.where(self.shorted, self.desat_fault_v, v)
         return v
+
+    def period_conduction(self, cur: dev_mod.ConductionCurrent) -> tuple:
+        """conduction over a (12, g) grid of currents given by their current
+        half cur (device.conduction_current), with the temperature half
+        evaluated once per device on t_j[:, None].
+
+        Returns the drops and that half's (12, 1) resistance term r_t: the
+        on-resistance of row k at current i is r_t[k] + current_slope(i).
+        """
+        p = self.params
+        t = self.t_j[:, None]
+        r_t = dev_mod.resistance_at_temperature(
+            p, t, p.gate_on_v, self.delta_pkg[:, None],
+            self.delta_vth[:, None])
+        knee = dev_mod.diode_knee(p, t, self.delta_vsd[:, None])
+        v = dev_mod.conduction_from_halves(p, cur, r_t, knee)
+        if self.shorted.any():
+            v = np.where(self.shorted[:, None], self.desat_fault_v, v)
+        return v, r_t
 
     def apply_trajectories(self, trajectory: AgingTrajectory, r_th_points,
                            cycle: int, device_mask: np.ndarray):
@@ -373,8 +383,10 @@ class _EnvelopeGrid(NamedTuple):
     """Run constants of the envelope heat step (TestBench._envelope_grid)."""
 
     i_dev: np.ndarray       # (12, g) device current over one period, A
+    cur: dev_mod.ConductionCurrent  # current half of the law at i_dev
     duty: np.ndarray        # (12, g) conduction duty
     slot_i: np.ndarray      # (12, n) current at each trigger slot, A
+    slot_slope: np.ndarray  # (12, n) current half of R at slot_i, ohm
     conducting: np.ndarray  # (12, g) i_dev > 0, the DESAT comparator's gate
     p_sw: np.ndarray        # (12,) switching loss at the mean |i_dev|, W
     p_sw_sum: float         # W
@@ -459,7 +471,15 @@ class TestBench:
                 for c in set(centers)}
         self.samplers = [smp.SamplerState(
             sets[c], budget_per_cycle=s.budget_per_cycle) for c in centers]
-        # the slots of each device's FIR window around its center slot
+        # the slots of each device's FIR window around its center slot;
+        # fir_window reflects an index once, as far as the whole window
+        half = len(s.fir_taps) // 2
+        if half > s.sampler_n:
+            raise ConfigError(
+                "sampler.fir_taps",
+                f"a {len(s.fir_taps)}-tap filter reaches {half} slots past "
+                f"the edge of a {s.sampler_n}-point window; use at most "
+                f"{2 * s.sampler_n + 1} taps")
         self._win_idx = smp.fir_window(
             [sets[c].center_index for c in centers], s.sampler_n,
             len(s.fir_taps))
@@ -777,11 +797,17 @@ class TestBench:
         i_dev = i_abc[_PHASE] * _SIGN[:, None]
         duty = np.vstack([d_test, d_load])[_LEG] * _UPPER[:, None] \
             + _LOWER[:, None]
+        # a test-bridge device and its load-bridge partner share trigger
+        # set, phase and sign, so each distinct row is built once
         slot_i = np.empty((N_DEVICES, self.s.sampler_n))
+        rows = {}
         for k, sstate in enumerate(self.samplers):
-            slot_i[k] = _SIGN[k] * np.array(
-                [inverse_park(i_d, i_q, a)[_PHASE[k]]
-                 for a in sstate.triggers.angles])
+            key = (id(sstate.triggers), _PHASE[k], _SIGN[k])
+            if key not in rows:
+                rows[key] = _SIGN[k] * np.array(
+                    [inverse_park(i_d, i_q, a)[_PHASE[k]]
+                     for a in sstate.triggers.angles])
+            slot_i[k] = rows[key]
         if not (slot_i > self.i_floor).all():
             raise ValueError(
                 "sampler window reaches currents below the floor; narrow the "
@@ -793,13 +819,18 @@ class TestBench:
                             slot_i: np.ndarray) -> "_EnvelopeGrid":
         """The run record of the given grids: device currents and duties
         over one fundamental period (12, g), and the current at each
-        trigger slot (12, n), which give each FIR window's currents."""
+        trigger slot (12, n), which give each FIR window's currents. The
+        current half of the conduction law is bound here, at both the grid
+        and the slot currents."""
         cfg = self.cfg
-        p_sw = dev_mod.switching_loss(self.bank.params, cfg.f_sw, cfg.v_dc,
+        p = self.bank.params
+        p_sw = dev_mod.switching_loss(p, cfg.f_sw, cfg.v_dc,
                                       np.abs(i_dev).mean(axis=1))
         i_win = slot_i[_ROWS, self._win_idx]
         return _EnvelopeGrid(
-            i_dev=i_dev, duty=duty, slot_i=slot_i, conducting=i_dev > 0,
+            i_dev=i_dev, cur=dev_mod.conduction_current(p, i_dev), duty=duty,
+            slot_i=slot_i, slot_slope=dev_mod.current_slope(p, slot_i),
+            conducting=i_dev > 0,
             p_sw=p_sw, p_sw_sum=float(p_sw.sum()),
             p_link=cfg.link_resistance
             * float((i_dev[0:6:2] ** 2).mean(axis=1).sum()),
@@ -812,13 +843,13 @@ class TestBench:
         i_dev = grid.i_dev
         g = i_dev.shape[1]
 
-        v_cond = self.bank.conduction(i_dev, t_j=self.bank.t_j[:, None])
+        v_cond, r_t = self.bank.period_conduction(grid.cur)
         # np.add.reduce(x, axis=1) / g is x.mean(axis=1) bit for bit
         p_cond = np.add.reduce(grid.duty * v_cond * i_dev, axis=1) / g
         p_dev = p_cond + grid.p_sw
 
         # one acquisition burst per fundamental cycle, budget-limited
-        self._envelope_fill_batched(grid)
+        self._envelope_fill_batched(grid, r_t)
 
         # protection at envelope resolution: per-cycle exceedance duration
         over_time = np.add.reduce(
@@ -845,8 +876,9 @@ class TestBench:
         self.t += dt
         self._trace_point()
 
-    def _envelope_fill_batched(self, grid: "_EnvelopeGrid"):
-        """One cycle's acquisition for all devices in one shot.
+    def _envelope_fill_batched(self, grid: "_EnvelopeGrid", r_t: np.ndarray):
+        """One cycle's acquisition for all devices in one shot; r_t is the
+        step's (12, 1) temperature half of R (DeviceBank.period_conduction).
 
         Every slot current is above the floor (_envelope_grid checks), so
         the twelve windows fill the same slots, in slot order and up to the
@@ -855,15 +887,11 @@ class TestBench:
         fills their last slot, which is every cycle when the budget covers
         the trigger set, as in the campaign configuration.
         """
-        bank = self.bank
-        p = bank.params
         n = self.s.sampler_n
         f = self._env_filled
         sl = slice(f, min(f + self.s.budget_per_cycle, n))
         slot_i = grid.slot_i[:, sl]
-        r_true = dev_mod.on_resistance(p, bank.t_j[:, None], slot_i,
-                                       p.gate_on_v, bank.delta_pkg[:, None],
-                                       bank.delta_vth[:, None])  # (12, m)
+        r_true = r_t + grid.slot_slope[:, sl]  # on_resistance, (12, m)
         v = slot_i * r_true + self.e_d[:, None]
         sigma = self.s.sense_params.noise_sigma
         if sigma > 0:

@@ -17,6 +17,13 @@ temperature coefficient. conduction_voltage and switching_loss are the only
 forms of the conduction and switching-loss laws; every bench engine calls
 them with scalars or arrays.
 
+The conduction law splits into a temperature half (the first two lines of
+R above, resistance_at_temperature, and the diode knee) and a current half
+(the last line of R, current_slope, and the signs and magnitudes of
+conduction_current). on_resistance and conduction_voltage combine the two;
+the envelope engine binds the current half once per run and evaluates the
+temperature half once per step.
+
 There is no per-device state object: every law takes DeviceParams plus the
 junction temperature and aging values (delta_pkg, delta_vth, delta_vsd) as
 scalars or arrays, and the bench passes the twelve-wide arrays of its
@@ -28,7 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -78,16 +85,30 @@ def drift_resistance(p: DeviceParams, t_j, delta_pkg=0.0):
         ((t_j + KELVIN) / (p.t0 + KELVIN)) ** p.alpha_drift
 
 
+def resistance_at_temperature(p: DeviceParams, t_j, v_gs, delta_pkg=0.0,
+                              delta_vth=0.0):
+    """Temperature half of on_resistance: the drift term plus the channel
+    term at the gate drive v_gs, with aging deltas (array-safe)."""
+    overdrive = v_gs - threshold_voltage(p, t_j, delta_vth)
+    return drift_resistance(p, t_j, delta_pkg) + p.k_ch / overdrive
+
+
+def current_slope(p: DeviceParams, i_d):
+    """Current half of on_resistance: the change of R away from the
+    nominal current (array-safe)."""
+    return p.r_i_slope * (i_d - p.i_nominal)
+
+
 def on_resistance(p: DeviceParams, t_j, i_d, v_gs, delta_pkg=0.0, delta_vth=0.0):
-    """R(T, i) with aging deltas, the one implementation of the law.
+    """R(T, i) with aging deltas, the one implementation of the law: its
+    temperature half plus its current half.
 
     Operators only, so scalars and broadcasting arrays both work; no check
     that the channel is on (sampler.build_ron_lut and the bench refuse a
     closed channel when they are configured).
     """
-    overdrive = v_gs - threshold_voltage(p, t_j, delta_vth)
-    return drift_resistance(p, t_j, delta_pkg) + p.k_ch / overdrive \
-        + p.r_i_slope * (i_d - p.i_nominal)
+    return resistance_at_temperature(p, t_j, v_gs, delta_pkg, delta_vth) \
+        + current_slope(p, i_d)
 
 
 def channel_shift(p: DeviceParams, t_j, v_gs, delta_vth):
@@ -117,6 +138,39 @@ def diode_knee(p: DeviceParams, t_j, delta_vsd=0.0):
     return p.v_j0 + p.rho_sd_lo * (t_j - p.t0) + delta_vsd
 
 
+class ConductionCurrent(NamedTuple):
+    """Current half of conduction_voltage: the terms that depend on the
+    signed current i alone."""
+
+    safe: np.ndarray      # |i|, with 1 where i is zero, A
+    sign: np.ndarray      # sign of i
+    forward: np.ndarray   # i >= 0: first quadrant
+    nonzero: np.ndarray   # |i| > 0
+    slope: np.ndarray     # current_slope at safe, ohm
+
+
+def conduction_current(p: DeviceParams, i) -> ConductionCurrent:
+    """The current half of conduction_voltage at signed current i."""
+    i = np.asarray(i, dtype=float)
+    mag = np.abs(i)
+    nonzero = mag > 0.0
+    safe = np.where(nonzero, mag, 1.0)
+    return ConductionCurrent(safe, np.sign(i), i >= 0.0, nonzero,
+                             current_slope(p, safe))
+
+
+def conduction_from_halves(p: DeviceParams, cur: ConductionCurrent, r_t,
+                           knee):
+    """conduction_voltage from its current half cur and its temperature
+    half: r_t = resistance_at_temperature(...) and knee = diode_knee(...)."""
+    r_ch = r_t + cur.slope
+    v_lin = cur.safe * r_ch
+    v_par = (cur.safe + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
+    v_mag = np.where(cur.forward, v_lin,
+                     np.where(v_lin <= knee, v_lin, v_par))
+    return np.where(cur.nonzero, cur.sign * v_mag, 0.0)
+
+
 def conduction_voltage(p: DeviceParams, i, t_j, v_gs, delta_pkg=0.0,
                        delta_vth=0.0, delta_vsd=0.0):
     """Signed drain-source voltage while conducting signed current i with the
@@ -126,17 +180,15 @@ def conduction_voltage(p: DeviceParams, i, t_j, v_gs, delta_pkg=0.0,
     channel alone below the diode knee, the channel in parallel with the
     body diode above it. Operators and np.where only, so scalars and
     broadcasting arrays both work; no check that the channel is on (a
-    closed channel is refused when the bench is configured).
+    closed channel is refused when the bench is configured). The law is
+    its current half (conduction_current) combined with its temperature
+    half (resistance_at_temperature, diode_knee) by conduction_from_halves,
+    so a caller whose currents are fixed can bind that half once.
     """
-    i = np.asarray(i, dtype=float)
-    mag = np.abs(i)
-    safe = np.where(mag > 0.0, mag, 1.0)
-    r_ch = on_resistance(p, t_j, safe, v_gs, delta_pkg, delta_vth)
-    knee = diode_knee(p, t_j, delta_vsd)
-    v_lin = safe * r_ch
-    v_par = (safe + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
-    v_mag = np.where(i >= 0.0, v_lin, np.where(v_lin <= knee, v_lin, v_par))
-    return np.where(mag > 0.0, np.sign(i) * v_mag, 0.0)
+    return conduction_from_halves(
+        p, conduction_current(p, i),
+        resistance_at_temperature(p, t_j, v_gs, delta_pkg, delta_vth),
+        diode_knee(p, t_j, delta_vsd))
 
 
 def switching_loss(p: DeviceParams, f_sw, v_dc, i_abs):

@@ -255,13 +255,18 @@ class TestRun:
         .replace("bench.n_cycles = 200", "bench.n_cycles = 3")
         .replace("run.startup_every = 25", "run.startup_every = 2")
         + "thermal.coolant_temp = 40\n",
+        # a 31-tap filter reaches 15 slots past a 10-point window's edge,
+        # further than the window's one reflection
+        "bench.mode = envelope\nbench.n_cycles = 1\nsampler.n_points = 10\n"
+        "sampler.fir_taps = 31\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
             "sense_e_d", "negative_noise_sigma", "sense_r_a1", "sense_r_a2",
             "sense_rc_filter_tau", "sense_shift_gain", "sense_shift_offset",
             "sense_adc_bits", "sense_adc_fullscale", "sense_vth_blanking",
             "channel_closes", "channel_closes_at_startup",
-            "channel_closes_on_lut_axis", "coolant_away_from_ambient"])
+            "channel_closes_on_lut_axis", "coolant_away_from_ambient",
+            "fir_longer_than_window"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -18,7 +18,7 @@ from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
                              _CrossingPredictor, blanking_runs,
                              default_settings, energy_audit)
 from acpcsim.device import (AgingTrajectory, conduction_voltage,
-                            diode_knee, module_400a, on_resistance)
+                            module_400a, on_resistance)
 
 
 def fast_thermal():
@@ -38,9 +38,8 @@ def envelope_cfg(**kw):
 class TestBankConsistency:
     def test_bank_conduction_matches_scalar_ops(self):
         # DeviceBank.conduction is the law called with device k's deltas and
-        # temperature in row k, for (12,) and (12, m) currents; the bank's
-        # (12,)-shaped temperatures may round the drift power one ulp apart
-        # from a scalar call
+        # temperature in row k; the bank's (12,)-shaped temperatures may
+        # round the drift power one ulp apart from a scalar call
         p = module_400a()
         bank = DeviceBank(p, ambient=40.0)
         rng = np.random.default_rng(12)
@@ -48,37 +47,60 @@ class TestBankConsistency:
         bank.delta_vth[:] = rng.uniform(0, 6.0, bank.n)
         bank.delta_vsd[:] = rng.uniform(0, 0.4, bank.n)
         bank.t_j = rng.uniform(30, 160, bank.n)
-        i = rng.uniform(-450, 450, (bank.n, 20))
-        i[3, 7] = 0.0
+        i = rng.uniform(-450, 450, bank.n)
+        i[3] = 0.0
 
-        def law(k, cur):
-            return conduction_voltage(p, cur, float(bank.t_j[k]), p.gate_on_v,
-                                      bank.delta_pkg[k], bank.delta_vth[k],
-                                      bank.delta_vsd[k])
-
-        vec = bank.conduction(i[:, 0])
-        grid = bank.conduction(i, t_j=bank.t_j[:, None])
-        assert vec.shape == (bank.n,) and grid.shape == i.shape
-        assert grid[3, 7] == 0.0
+        vec = bank.conduction(i)
+        assert vec.shape == (bank.n,) and vec[3] == 0.0
         for k in range(bank.n):
-            np.testing.assert_allclose(vec[k], law(k, i[k, 0]),
-                                       rtol=1e-15, atol=0)
-            np.testing.assert_allclose(grid[k], law(k, i[k]),
-                                       rtol=1e-15, atol=0)
-        # the draws reach both quadrants and the parallel-diode branch
-        t = bank.t_j[:, None]
-        v_lin = np.abs(i) * on_resistance(p, t, np.abs(i), p.gate_on_v,
-                                          bank.delta_pkg[:, None],
-                                          bank.delta_vth[:, None])
-        assert np.any(i > 0)
-        assert np.any((i < 0) & (v_lin > diode_knee(p, t,
-                                                    bank.delta_vsd[:, None])))
+            np.testing.assert_allclose(
+                vec[k], conduction_voltage(p, i[k], float(bank.t_j[k]),
+                                           p.gate_on_v, bank.delta_pkg[k],
+                                           bank.delta_vth[k],
+                                           bank.delta_vsd[k]),
+                rtol=1e-15, atol=0)
         # an injected short reads the desaturated drop in its row only
         bank.shorted[5] = True
-        shorted = bank.conduction(i, t_j=bank.t_j[:, None])
+        shorted = bank.conduction(i)
+        assert shorted[5] == bank.desat_fault_v
+        others = np.arange(bank.n) != 5
+        assert np.array_equal(shorted[others], vec[others])
+
+    def test_envelope_step_evaluates_the_law_bit_for_bit(self):
+        # the envelope heat step evaluates the law from the current half its
+        # grid bound once and the temperature half on t_j[:, None]; its
+        # drops are conduction_voltage's and the fill's slot truths are
+        # on_resistance's, to the bit, at random temperatures and aging
+        cfg = envelope_cfg(technique=Technique.FIXED_TIMES, t_on=0.3,
+                           t_off=0.3)
+        b = TestBench(default_settings(cfg, budget_per_cycle=300,
+                                       sampler_n=60, **fast_thermal()))
+        bank, p = b.bank, b.bank.params
+        rng = np.random.default_rng(31)
+        bank.delta_pkg[:] = rng.uniform(0, 0.2, bank.n)
+        bank.delta_vth[:] = rng.uniform(0, 6.0, bank.n)
+        bank.delta_vsd[:] = rng.uniform(0, 0.4, bank.n)
+        bank.t_j = rng.uniform(30, 160, bank.n)
+        grid = b._envelope_grid()
+        t = bank.t_j[:, None]
+        pkg, vth, vsd = (bank.delta_pkg[:, None], bank.delta_vth[:, None],
+                         bank.delta_vsd[:, None])
+        law = conduction_voltage(p, grid.i_dev, t, p.gate_on_v, pkg, vth,
+                                 vsd)
+        v, _ = bank.period_conduction(grid.cur)
+        assert np.array_equal(v, law)
+        # an injected short reads the desaturated drop in its row only
+        bank.shorted[5] = True
+        shorted, _ = bank.period_conduction(grid.cur)
         assert np.all(shorted[5] == bank.desat_fault_v)
         others = np.arange(bank.n) != 5
-        assert np.array_equal(shorted[others], grid[others])
+        assert np.array_equal(shorted[others], law[others])
+        bank.shorted[5] = False
+        # the step's fill stores on_resistance at the slot currents, at the
+        # temperatures the step started from
+        truth = on_resistance(p, t, grid.slot_i, p.gate_on_v, pkg, vth)
+        b._step_envelope()
+        assert np.array_equal(b._env_truth, truth)
 
     def test_trajectory_application_is_monotone(self):
         bank = DeviceBank(module_400a(), ambient=25.0)
@@ -474,7 +496,7 @@ class TestDeterminismAndProtection:
             b = TestBench(default_settings(cfg, budget_per_cycle=300,
                                            sampler_n=60, **fast_thermal()))
             grid = b._envelope_grid()
-            healthy = b.bank.conduction(grid.i_dev, t_j=b.bank.t_j[:, None])
+            healthy, _ = b.bank.period_conduction(grid.cur)
             b.bank.desat_fault_v = 8.0  # a short the thermal step survives
             assert healthy.max() < 5.0
             b.desat_thr[:] = b._desat_bias + 5.0

@@ -8,8 +8,9 @@ from acpcsim.cycling import (_PHASE, _SIGN, DeviceBank, TestBench,
                              default_settings)
 from acpcsim.core import ConfigError
 from acpcsim.device import (AgingTrajectory, DeviceParams,
-                            calibrated_params, conduction_voltage,
-                            delta_vth_for_vds_shift,
+                            calibrated_params, conduction_current,
+                            conduction_voltage, current_slope,
+                            delta_vth_for_vds_shift, diode_knee,
                             drift_resistance, gate_oxide_trajectory,
                             module_400a, on_resistance, switching_loss,
                             threshold_voltage, v_sd, vendor_a, vendor_b,
@@ -165,23 +166,38 @@ class TestConduction:
                     assert row[k] == conduction_voltage(
                         p, i, t, p.gate_on_v, pkg[k], vth[k], vsd[k])
 
-    def test_vectorized_matches_scalar(self):
-        # the vectorized conduction path is DeviceBank.conduction; give every
-        # device the same aging and feed it a (device, sample) current grid
+    def test_period_grid_is_the_law_bit_for_bit(self):
+        # the envelope's hoisted evaluation (DeviceBank.period_conduction on
+        # a current half bound once) is conduction_voltage on the grid, to
+        # the bit: both quadrants, the parallel-diode branch and a zero
+        # current, at random per-device temperatures and aging; its
+        # temperature half plus current_slope is on_resistance
         rng = np.random.default_rng(9)
         p = module_400a()
         bank = DeviceBank(p, ambient=77.0)
-        bank.delta_pkg[:] = 0.07
-        bank.delta_vth[:] = 0.3
-        bank.delta_vsd[:] = 0.2
+        bank.delta_pkg[:] = rng.uniform(0, 0.2, bank.n)
+        bank.delta_vth[:] = rng.uniform(0, 6.0, bank.n)
+        bank.delta_vsd[:] = rng.uniform(0, 0.4, bank.n)
+        bank.t_j = rng.uniform(-20, 170, bank.n)
         i = rng.uniform(-450, 450, size=(bank.n, 17))
         i[0, 0] = 0.0
-        vec = bank.conduction(i, t_j=np.full((bank.n, 1), 77.0))
-        assert vec.shape == i.shape
-        for k, cur in np.ndenumerate(i):
-            assert vec[k] == pytest.approx(
-                conduction_voltage(p, float(cur), 77.0, 15.0, 0.07, 0.3, 0.2),
-                abs=1e-15)
+        t = bank.t_j[:, None]
+        pkg, vth, vsd = (bank.delta_pkg[:, None], bank.delta_vth[:, None],
+                         bank.delta_vsd[:, None])
+        vec, r_t = bank.period_conduction(conduction_current(p, i))
+        assert vec.shape == i.shape and r_t.shape == (bank.n, 1)
+        assert vec[0, 0] == 0.0
+        assert np.array_equal(
+            vec, conduction_voltage(p, i, t, p.gate_on_v, pkg, vth, vsd))
+        mag = np.abs(i)
+        assert np.array_equal(
+            r_t + current_slope(p, mag),
+            on_resistance(p, t, mag, p.gate_on_v, pkg, vth))
+        # the draws reach both quadrants and the parallel-diode branch
+        v_lin = mag * on_resistance(p, t, mag, p.gate_on_v, pkg, vth)
+        assert np.any(i > 0)
+        assert np.any((i < 0) & (v_lin <= diode_knee(p, t, vsd)))
+        assert np.any((i < 0) & (v_lin > diode_knee(p, t, vsd)))
 
 
 class TestVsd:

@@ -293,6 +293,17 @@ class TestFir:
         with pytest.raises(ValueError):
             fir_filter([1.0], [0.2, 0.3, 0.5])       # asymmetric
 
+    def test_window_reflects_as_far_as_the_whole_array(self):
+        # fir_window reflects an index once, which reaches the symmetric
+        # padding's slots for every center up to 2 * n + 1 taps, the
+        # longest filter the bench accepts
+        n = 10
+        n_taps = 2 * n + 1
+        padded = np.pad(np.arange(n), n_taps // 2, mode="symmetric")
+        idx = fir_window(np.arange(n), n, n_taps)
+        for c in range(n):
+            assert idx[c].tolist() == padded[c:c + n_taps].tolist()
+
 
 def filled_state(n=300, v=0.16, i=100.0):
     ts = build_trigger_set(math.pi / 2, n, math.radians(10))
