@@ -773,7 +773,8 @@ class TestBench:
         cfg fixes the quasi-static operating point and so the 32-angle
         current and duty grids; the trigger sets fix the slot currents and,
         with the FIR window slots, the window currents; the device
-        parameters, which set the switching loss, are bound in __init__.
+        parameters, which set the switching loss and the conduction law's
+        current half, are bound in __init__.
         Nothing here changes within a run.
         """
         if self._envelope_cache is not None:

@@ -189,6 +189,13 @@ class TestConduction:
         assert vec[0, 0] == 0.0
         assert np.array_equal(
             vec, conduction_voltage(p, i, t, p.gate_on_v, pkg, vth, vsd))
+        # and each element is the scalar call but for the drift power's
+        # rounding
+        for (k, j), cur in np.ndenumerate(i):
+            assert vec[k, j] == pytest.approx(conduction_voltage(
+                p, float(cur), float(bank.t_j[k]), p.gate_on_v,
+                bank.delta_pkg[k], bank.delta_vth[k], bank.delta_vsd[k]),
+                abs=1e-15)
         mag = np.abs(i)
         assert np.array_equal(
             r_t + current_slope(p, mag),
