@@ -29,10 +29,10 @@ thermal.*    stage_r / stage_tau (comma lists, junction-side stages),
              boundary_r_on, boundary_r_off, boundary_c, coolant_temp
              (default: the ambient), max_heat, reservoir_c
 ntc.*        bias, time_constant
-sampler.*    n_points, window_deg, budget_per_cycle, fir_taps (at most
-             2 * n_points + 1), fir_cutoff, i_floor (default: 5 % of the
-             device's nominal current)
-lut.*        t_axis / i_axis (comma lists)
+sampler.*    n_points, window_deg, budget_per_cycle (at least 1), fir_taps
+             (odd, at most 2 * n_points + 1), fir_cutoff, i_floor (default:
+             5 % of the device's nominal current)
+lut.*        t_axis / i_axis (comma lists of at least two points)
 aging.*      delta_pkg / delta_vth / delta_vsd / r_th_factor (breakpoint
              lists "cycle:value, cycle:value, ..."), scope (test|all)
 policy.*     r_on_rel_threshold, v_th_shift_threshold, v_sd_shift_threshold

@@ -236,9 +236,9 @@ def energy_audit(tally: EnergyTally) -> EnergyAudit:
 class DeviceBank:
     """All twelve switches evaluated together with per-device aging state.
 
-    Conduction drops come from device.conduction_voltage with each device's
-    temperature and aging deltas: conduction for one current per device,
-    period_conduction for a (12, g) grid whose current half is bound once.
+    Conduction drops come from the conduction law's two halves with each
+    device's temperature and aging deltas; conduction is the bench's one
+    entry to them, for one current per device or a (12, g) grid.
     """
 
     def __init__(self, params: DeviceParams, ambient: float):
@@ -253,35 +253,27 @@ class DeviceBank:
         self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
         self.aging_version = 0
 
-    def conduction(self, i: np.ndarray) -> np.ndarray:
-        """Signed conduction drops at one current per device, (12,), with
-        the channel held on (synchronous rectification across both
-        bridges); an injected short reads the desaturated drop."""
-        p = self.params
-        v = dev_mod.conduction_voltage(p, i, self.t_j, p.gate_on_v,
-                                       self.delta_pkg, self.delta_vth,
-                                       self.delta_vsd)
-        if self.shorted.any():
-            v = np.where(self.shorted, self.desat_fault_v, v)
-        return v
+    def conduction(self, cur: dev_mod.ConductionCurrent) -> tuple:
+        """Signed conduction drops at the currents whose current half is cur
+        (device.conduction_current of a (12,) or (12, g) array), with the
+        channel held on (synchronous rectification across both bridges);
+        an injected short reads the desaturated drop in its row.
 
-    def period_conduction(self, cur: dev_mod.ConductionCurrent) -> tuple:
-        """conduction over a (12, g) grid of currents given by their current
-        half cur (device.conduction_current), with the temperature half
-        evaluated once per device on t_j[:, None].
-
-        Returns the drops and that half's (12, 1) resistance term r_t: the
-        on-resistance of row k at current i is r_t[k] + current_slope(i).
+        The temperature half is evaluated once per device, and returned
+        beside the drops as r_t, (12,) or (12, 1): the on-resistance of row
+        k at current i is r_t[k] + current_slope(i).
         """
         p = self.params
-        t = self.t_j[:, None]
-        r_t = dev_mod.resistance_at_temperature(
-            p, t, p.gate_on_v, self.delta_pkg[:, None],
-            self.delta_vth[:, None])
-        knee = dev_mod.diode_knee(p, t, self.delta_vsd[:, None])
-        v = dev_mod.conduction_from_halves(p, cur, r_t, knee)
+        rows = (self.t_j, self.delta_pkg, self.delta_vth, self.delta_vsd,
+                self.shorted)
+        if cur.safe.ndim == 2:
+            rows = [x[:, None] for x in rows]
+        t, pkg, vth, vsd, shorted = rows
+        r_t = dev_mod.resistance_at_temperature(p, t, p.gate_on_v, pkg, vth)
+        v = dev_mod.conduction_from_halves(p, cur, r_t,
+                                           dev_mod.diode_knee(p, t, vsd))
         if self.shorted.any():
-            v = np.where(self.shorted[:, None], self.desat_fault_v, v)
+            v = np.where(shorted, self.desat_fault_v, v)
         return v, r_t
 
     def apply_trajectories(self, trajectory: AgingTrajectory, r_th_points,
@@ -469,10 +461,20 @@ class TestBench:
         # with the load-bridge device that carries the same current
         sets = {c: smp.build_trigger_set(c, s.sampler_n, s.sampler_window)
                 for c in set(centers)}
+        if s.budget_per_cycle < 1:
+            raise ConfigError(
+                "sampler.budget_per_cycle",
+                f"a budget of {s.budget_per_cycle} captures no slot; use at "
+                f"least 1")
         self.samplers = [smp.SamplerState(
             sets[c], budget_per_cycle=s.budget_per_cycle) for c in centers]
         # the slots of each device's FIR window around its center slot;
         # fir_window reflects an index once, as far as the whole window
+        if len(s.fir_taps) % 2 == 0:
+            raise ConfigError(
+                "sampler.fir_taps",
+                f"a {len(s.fir_taps)}-tap filter has no center tap; use an "
+                f"odd length")
         half = len(s.fir_taps) // 2
         if half > s.sampler_n:
             raise ConfigError(
@@ -558,9 +560,6 @@ class TestBench:
         if ramp <= 0:
             return 1.0
         return min(1.0, max(0.0, (self.t - self._soft_t0) / ramp))
-
-    def inject_short(self, device_index: int):
-        self.bank.shorted[device_index] = True
 
     # -- protection ------------------------------------------------------------
 
@@ -681,7 +680,8 @@ class TestBench:
         i_dev = np.array(_device_values(i_a, i_b, i_c))
         duty = np.array([dta, 1.0 - dta, dtb, 1.0 - dtb, dtc, 1.0 - dtc,
                          dla, 1.0 - dla, dlb, 1.0 - dlb, dlc, 1.0 - dlc])
-        v_cond = self.bank.conduction(i_dev)
+        v_cond, _ = self.bank.conduction(
+            dev_mod.conduction_current(self.bank.params, i_dev))
 
         self._capture(theta, i_dev, v_cond, duty)
         self._protection(v_cond, i_dev, dt)
@@ -844,7 +844,7 @@ class TestBench:
         i_dev = grid.i_dev
         g = i_dev.shape[1]
 
-        v_cond, r_t = self.bank.period_conduction(grid.cur)
+        v_cond, r_t = self.bank.conduction(grid.cur)
         # np.add.reduce(x, axis=1) / g is x.mean(axis=1) bit for bit
         p_cond = np.add.reduce(grid.duty * v_cond * i_dev, axis=1) / g
         p_dev = p_cond + grid.p_sw
@@ -879,7 +879,7 @@ class TestBench:
 
     def _envelope_fill_batched(self, grid: "_EnvelopeGrid", r_t: np.ndarray):
         """One cycle's acquisition for all devices in one shot; r_t is the
-        step's (12, 1) temperature half of R (DeviceBank.period_conduction).
+        step's (12, 1) temperature half of R (DeviceBank.conduction).
 
         Every slot current is above the floor (_envelope_grid checks), so
         the twelve windows fill the same slots, in slot order and up to the
@@ -995,11 +995,6 @@ class TestBench:
             self._conducting_step_any()
         self.tally.e_l_end = self._stored_link_energy()
         return self.tally
-
-    def reset_tally(self):
-        """Restart the energy bookkeeping window (discard any transient)."""
-        self.tally = EnergyTally()
-        self.tally.e_l_start = self._stored_link_energy()
 
     def _stored_link_energy(self) -> float:
         i_a, i_b, i_c = self.plant.i_abc

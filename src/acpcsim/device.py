@@ -14,15 +14,16 @@ Reverse current flows through the channel in parallel with the body diode
 once the channel drop reaches the diode knee. The body diode adds a
 stacking-fault voltage shift on top of a knee with current-dependent
 temperature coefficient. conduction_voltage and switching_loss are the only
-forms of the conduction and switching-loss laws; every bench engine calls
-them with scalars or arrays.
+forms of the conduction and switching-loss laws; they take scalars or
+arrays.
 
 The conduction law splits into a temperature half (the first two lines of
 R above, resistance_at_temperature, and the diode knee) and a current half
 (the last line of R, current_slope, and the signs and magnitudes of
 conduction_current). on_resistance and conduction_voltage combine the two;
-the envelope engine binds the current half once per run and evaluates the
-temperature half once per step.
+every bench engine combines them through conduction_from_halves with the
+temperature half evaluated once per step, and the envelope engine binds
+its current half once per run.
 
 There is no per-device state object: every law takes DeviceParams plus the
 junction temperature and aging values (delta_pkg, delta_vth, delta_vsd) as

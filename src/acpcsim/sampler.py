@@ -164,29 +164,26 @@ class SamplerState:
         self.budget_used = 0
 
 
-def store_slots(s: SamplerState, idx, v_on, i_meas, truth) -> int:
-    """Store readings into the distinct slots idx, taken in arrival order.
+def store_slots(s: SamplerState, idx, v_on: float, i_meas: float,
+                truth: float) -> int:
+    """Store one reading into the distinct slots idx, taken in arrival order.
 
-    Each value is a scalar shared by every slot or an ndarray aligned with
-    idx. Filled slots are skipped; in_order accepts the next sequential
-    slot, then the one after it if it arrives later, and so on; the rest of
-    the cycle budget caps the count. Returns the number of slots stored.
+    Filled slots are skipped; in_order accepts the next sequential slot,
+    then the one after it if it arrives later, and so on; the rest of the
+    cycle budget caps the count. Returns the number of slots stored.
     """
     idx = np.asarray(idx, dtype=int)
     room = s.budget_per_cycle - s.budget_used
     if s.in_order or len(idx) > room or s.filled_mask[idx].nonzero()[0].size:
-        # drop what may not be stored, keeping the values aligned
-        sel = (~s.filled_mask[idx]).nonzero()[0]
-        if s.in_order and len(sel):
+        # drop what may not be stored
+        idx = idx[~s.filled_mask[idx]]
+        if s.in_order and len(idx):
             # row j: where slot filled + j arrives; accept while arrivals ascend
-            hit = idx[sel] == s.filled + np.arange(len(sel))[:, None]
+            hit = idx == s.filled + np.arange(len(idx))[:, None]
             pos = hit.argmax(axis=1)
             ok = hit.any(axis=1) & (np.diff(pos, prepend=-1) > 0)
-            sel = sel[pos[:int(np.cumprod(ok).sum())]]
-        sel = sel[:max(room, 0)]
-        idx = idx[sel]
-        v_on, i_meas, truth = (x[sel] if isinstance(x, np.ndarray) else x
-                               for x in (v_on, i_meas, truth))
+            idx = idx[pos[:int(np.cumprod(ok).sum())]]
+        idx = idx[:max(room, 0)]
     s.v_on[idx] = v_on
     s.i[idx] = i_meas
     s.truth[idx] = truth
@@ -294,45 +291,33 @@ class RonLut:
         self.t_axis = np.asarray(self.t_axis, dtype=float)
         self.i_axis = np.asarray(self.i_axis, dtype=float)
         self.grid = np.asarray(self.grid, dtype=float)
+        for name in ("t_axis", "i_axis"):
+            if len(getattr(self, name)) < 2:
+                raise ConfigError(f"lut.{name}",
+                                  "the table needs at least two points")
         if self.grid.shape != (len(self.t_axis), len(self.i_axis)):
             raise ValueError("grid shape must match the axes")
         if np.any(np.diff(self.t_axis) <= 0) or np.any(np.diff(self.i_axis) <= 0):
             raise ValueError("axes must be strictly increasing")
         if np.any(np.diff(self.grid, axis=0) <= 0):
             raise ValueError("R must increase along the temperature axis")
-        self._col_cache: dict = {}
-
-    # -- corrections ------------------------------------------------------
-
-    def _oxide_shift(self, t: np.ndarray) -> np.ndarray:
-        if self.delta_vth_hat == 0.0:
-            return np.zeros_like(t)
-        return dev_mod.channel_shift(self.channel, t, self.channel.gate_on_v,
-                                     self.delta_vth_hat)
-
-    def _pkg_shift(self, t: np.ndarray) -> np.ndarray:
-        if self.offset_pkg == 0.0:
-            return np.zeros_like(t)
-        ref = float(np.interp(self.t_cal, self.t_axis, self.drift_profile))
-        shape = np.interp(t, self.t_axis, self.drift_profile) / ref
-        return self.offset_pkg * shape
+        # the two recalibration corrections over t_axis, which column adds
+        t, ch = self.t_axis, self.channel
+        self._oxide = dev_mod.channel_shift(ch, t, ch.gate_on_v,
+                                            self.delta_vth_hat)
+        ref = float(np.interp(self.t_cal, t, self.drift_profile))
+        self._pkg = self.offset_pkg * (np.interp(t, t, self.drift_profile)
+                                       / ref)
 
     def column(self, i_d: float) -> np.ndarray:
         """Corrected R(T) profile at drain current i_d (linear across the
-        current axis, clamped at the grid edges). Columns are memoized; the
-        table is immutable after construction."""
-        hit = self._col_cache.get(i_d)
-        if hit is not None:
-            return hit
+        current axis, clamped at the grid edges)."""
         i_c = float(np.clip(i_d, self.i_axis[0], self.i_axis[-1]))
         j = int(np.searchsorted(self.i_axis, i_c, side="right")) - 1
         j = min(max(j, 0), len(self.i_axis) - 2)
         w = (i_c - self.i_axis[j]) / (self.i_axis[j + 1] - self.i_axis[j])
         base = self.grid[:, j] * (1.0 - w) + self.grid[:, j + 1] * w
-        col = base + self._oxide_shift(self.t_axis) + self._pkg_shift(self.t_axis)
-        if len(self._col_cache) < 256:
-            self._col_cache[i_d] = col
-        return col
+        return base + self._oxide + self._pkg
 
     def value(self, t_j: float, i_d: float) -> float:
         col = self.column(i_d)

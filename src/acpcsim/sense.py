@@ -12,9 +12,10 @@ the bench's blanked comparator on it is cycling.TestBench._protection.
 
 A sensed drop is the true drop plus the mismatch e_d of the two blocking
 diodes, a per-device constant of a fraction of a millivolt drawn once from
-E_D_RANGE, plus seeded output noise. The bench adds both where it reads the
-drops: its capture (cycling.TestBench._capture and the envelope fills) and
-its body-diode probe (cycling.TestBench._probe_vsd).
+E_D_RANGE. The bench adds it where it reads the drops: its capture
+(cycling.TestBench._capture and the envelope fills), which also adds seeded
+output noise, and its body-diode probe (cycling.TestBench._probe_vsd),
+which adds the mismatch alone.
 
 The threshold measurement and the DESAT compensation take the device's
 DeviceParams plus its own junction temperature and threshold shift, which

@@ -202,7 +202,7 @@ def test_ac6_desat_aging_scenario():
     bench = aged_bench(recompensate=True)
     t_ride = time_to_trip(bench, 0.2)
     tj_end = float(bench.bank.t_j.max())
-    bench.inject_short(0)
+    bench.bank.shorted[0] = True
     t_short = time_to_trip(bench, 0.02)
 
     v_aged = conduction_voltage(params, params.i_nominal, 25.0, 15.0,

@@ -259,6 +259,11 @@ class TestRun:
         # further than the window's one reflection
         "bench.mode = envelope\nbench.n_cycles = 1\nsampler.n_points = 10\n"
         "sampler.fir_taps = 31\n",
+        "bench.mode = envelope\nbench.n_cycles = 1\nsampler.fir_taps = 30\n",
+        "bench.mode = envelope\nbench.n_cycles = 1\n"
+        "sampler.budget_per_cycle = 0\n",
+        "bench.mode = envelope\nbench.n_cycles = 1\nlut.t_axis = 25\n",
+        "bench.mode = envelope\nbench.n_cycles = 1\nlut.i_axis = 100\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
             "sense_e_d", "negative_noise_sigma", "sense_r_a1", "sense_r_a2",
@@ -266,7 +271,8 @@ class TestRun:
             "sense_adc_bits", "sense_adc_fullscale", "sense_vth_blanking",
             "channel_closes", "channel_closes_at_startup",
             "channel_closes_on_lut_axis", "coolant_away_from_ambient",
-            "fir_longer_than_window"])
+            "fir_longer_than_window", "fir_taps_even", "budget_below_one",
+            "lut_t_axis_one_point", "lut_i_axis_one_point"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"

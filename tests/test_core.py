@@ -96,8 +96,6 @@ _UNCALLED_BY_DESIGN = {
     "run_steady": "steady-run entry point of AC-1, AC-4, AC-6, AC-7, AC-9 "
                   "and the perfbench averaged_steady workload",
     "measure_operating_point": "operating-point oracle of AC-7",
-    "inject_short": "short-circuit hook of AC-6 and the protection tests",
-    "reset_tally": "zeroes the energy tally between the runs of a test",
     "default_settings": "library entry point of perfbench and the tests",
     "energy_audit": "energy-balance oracle of AC-9 and the circulation "
                     "tests",

@@ -12,13 +12,14 @@ from acpcsim.core import (BenchConfig, ConfigError, Fidelity, Technique,
                           validate_scenario)
 from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
                              DEVICE_IDS, GATE_OXIDE_WARNING, PACKAGE_WARNING,
-                             CycleRecord, DeviceBank, N_DEVICES,
+                             CycleRecord, DeviceBank, EnergyTally, N_DEVICES,
                              ProtectionTrip, TestBench,
                              ThermalRunaway, WarningPolicy, WarningTracker,
                              _CrossingPredictor, blanking_runs,
                              default_settings, energy_audit)
-from acpcsim.device import (AgingTrajectory, conduction_voltage,
-                            module_400a, on_resistance)
+from acpcsim.device import (AgingTrajectory, conduction_current,
+                            conduction_voltage, current_slope, module_400a,
+                            on_resistance)
 
 
 def fast_thermal():
@@ -37,9 +38,11 @@ def envelope_cfg(**kw):
 
 class TestBankConsistency:
     def test_bank_conduction_matches_scalar_ops(self):
-        # DeviceBank.conduction is the law called with device k's deltas and
-        # temperature in row k; the bank's (12,)-shaped temperatures may
-        # round the drift power one ulp apart from a scalar call
+        # DeviceBank.conduction at one current per device is
+        # conduction_voltage on the bank's (12,) arrays, to the bit, and its
+        # temperature half plus current_slope is on_resistance; row k is the
+        # law called with device k's deltas and temperature, but for the
+        # drift power's rounding, one ulp at most
         p = module_400a()
         bank = DeviceBank(p, ambient=40.0)
         rng = np.random.default_rng(12)
@@ -50,8 +53,17 @@ class TestBankConsistency:
         i = rng.uniform(-450, 450, bank.n)
         i[3] = 0.0
 
-        vec = bank.conduction(i)
-        assert vec.shape == (bank.n,) and vec[3] == 0.0
+        vec, r_t = bank.conduction(conduction_current(p, i))
+        assert vec.shape == (bank.n,) and r_t.shape == (bank.n,)
+        assert vec[3] == 0.0
+        assert np.array_equal(vec, conduction_voltage(
+            p, i, bank.t_j, p.gate_on_v, bank.delta_pkg, bank.delta_vth,
+            bank.delta_vsd))
+        mag = np.abs(i)
+        assert np.array_equal(
+            r_t + current_slope(p, mag),
+            on_resistance(p, bank.t_j, mag, p.gate_on_v, bank.delta_pkg,
+                          bank.delta_vth))
         for k in range(bank.n):
             np.testing.assert_allclose(
                 vec[k], conduction_voltage(p, i[k], float(bank.t_j[k]),
@@ -61,7 +73,7 @@ class TestBankConsistency:
                 rtol=1e-15, atol=0)
         # an injected short reads the desaturated drop in its row only
         bank.shorted[5] = True
-        shorted = bank.conduction(i)
+        shorted, _ = bank.conduction(conduction_current(p, i))
         assert shorted[5] == bank.desat_fault_v
         others = np.arange(bank.n) != 5
         assert np.array_equal(shorted[others], vec[others])
@@ -87,11 +99,11 @@ class TestBankConsistency:
                          bank.delta_vsd[:, None])
         law = conduction_voltage(p, grid.i_dev, t, p.gate_on_v, pkg, vth,
                                  vsd)
-        v, _ = bank.period_conduction(grid.cur)
+        v, _ = bank.conduction(grid.cur)
         assert np.array_equal(v, law)
         # an injected short reads the desaturated drop in its row only
         bank.shorted[5] = True
-        shorted, _ = bank.period_conduction(grid.cur)
+        shorted, _ = bank.conduction(grid.cur)
         assert np.all(shorted[5] == bank.desat_fault_v)
         others = np.arange(bank.n) != 5
         assert np.array_equal(shorted[others], law[others])
@@ -295,7 +307,9 @@ class TestStartup:
         assert b.bank.params.gate_on_v == 18.0
         b.startup_measurements()
         b.bank.t_j[:] = 100.0
-        r = b.bank.conduction(np.full(N_DEVICES, 400.0))[0] / 400.0
+        v, _ = b.bank.conduction(
+            conduction_current(b.bank.params, np.full(N_DEVICES, 400.0)))
+        r = v[0] / 400.0
         assert smp.estimate_tj(r, 400.0, b.luts[0]).t_j == \
             pytest.approx(100.0, abs=3.0)
         b.run_steady(0.2)
@@ -425,13 +439,12 @@ class TestEnergyAudit:
         b = TestBench(default_settings(cfg, device_params=lossless,
                                        budget_per_cycle=300))
         b.run_steady(0.2)       # reach steady state
-        b.reset_tally()
+        b.tally = EnergyTally()
         b.run_steady(0.2)       # audit over whole cycles in steady state
         audit = energy_audit(b.tally)
         assert abs(audit.p_supply) < 1.0
 
     def test_empty_tally_rejected(self):
-        from acpcsim.cycling import EnergyTally
         with pytest.raises(ValueError):
             energy_audit(EnergyTally())
 
@@ -458,7 +471,7 @@ class TestDeterminismAndProtection:
         b = TestBench(default_settings(cfg, budget_per_cycle=300))
         b.run_steady(0.1)
         t_inject = b.t
-        b.inject_short(0)
+        b.bank.shorted[0] = True
         from acpcsim.cycling import ProtectionTrip
         with pytest.raises(ProtectionTrip) as e:
             b.run_steady(0.1)
@@ -496,12 +509,12 @@ class TestDeterminismAndProtection:
             b = TestBench(default_settings(cfg, budget_per_cycle=300,
                                            sampler_n=60, **fast_thermal()))
             grid = b._envelope_grid()
-            healthy, _ = b.bank.period_conduction(grid.cur)
+            healthy, _ = b.bank.conduction(grid.cur)
             b.bank.desat_fault_v = 8.0  # a short the thermal step survives
             assert healthy.max() < 5.0
             b.desat_thr[:] = b._desat_bias + 5.0
             b.desat_base = replace(b.desat_base, blanking=blanking)
-            b.inject_short(k)
+            b.bank.shorted[k] = True
             b._step_envelope()
 
         share = int((TestBench(default_settings(cfg))._envelope_grid()
@@ -523,7 +536,7 @@ class TestDeterminismAndProtection:
         b = TestBench(default_settings(cfg, budget_per_cycle=300,
                                        sampler_n=60, startup_every=0,
                                        **fast_thermal()))
-        b.inject_short(3)
+        b.bank.shorted[3] = True
         res = b.run_campaign()
         assert res.status == "protection_trip"
         assert "test_b_lo" in res.reason

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from acpcsim.core import BenchConfig, Fidelity, validate_scenario
-from acpcsim.cycling import (_PHASE, _SIGN, DeviceBank, TestBench,
-                             default_settings)
+from acpcsim.cycling import (_PHASE, _SIGN, DeviceBank, EnergyTally,
+                             TestBench, default_settings)
 from acpcsim.core import ConfigError
 from acpcsim.device import (AgingTrajectory, DeviceParams,
                             calibrated_params, conduction_current,
@@ -167,8 +167,8 @@ class TestConduction:
                         p, i, t, p.gate_on_v, pkg[k], vth[k], vsd[k])
 
     def test_period_grid_is_the_law_bit_for_bit(self):
-        # the envelope's hoisted evaluation (DeviceBank.period_conduction on
-        # a current half bound once) is conduction_voltage on the grid, to
+        # the envelope's hoisted evaluation (DeviceBank.conduction on a
+        # current half bound once) is conduction_voltage on the grid, to
         # the bit: both quadrants, the parallel-diode branch and a zero
         # current, at random per-device temperatures and aging; its
         # temperature half plus current_slope is on_resistance
@@ -184,7 +184,7 @@ class TestConduction:
         t = bank.t_j[:, None]
         pkg, vth, vsd = (bank.delta_pkg[:, None], bank.delta_vth[:, None],
                          bank.delta_vsd[:, None])
-        vec, r_t = bank.period_conduction(conduction_current(p, i))
+        vec, r_t = bank.conduction(conduction_current(p, i))
         assert vec.shape == i.shape and r_t.shape == (bank.n, 1)
         assert vec[0, 0] == 0.0
         assert np.array_equal(
@@ -268,7 +268,7 @@ class TestLosses:
         bench = TestBench(default_settings(cfg))
         for _ in range(50):
             bench._step_conducting()
-        bench.reset_tally()
+        bench.tally = EnergyTally()
         _, _, res = bench._step_conducting()
         p_sw = switching_loss(bench.bank.params, cfg.f_sw, cfg.v_dc,
                               np.abs(np.asarray(res.i_mean)[_PHASE] * _SIGN))

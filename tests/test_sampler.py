@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acpcsim.core import TWO_PI, BenchConfig, validate_scenario
+from acpcsim.core import TWO_PI, BenchConfig, ConfigError, validate_scenario
 from acpcsim.cycling import N_DEVICES, TestBench, default_settings
 from acpcsim.device import PROFILES, module_400a, on_resistance
 from acpcsim.sampler import (AmbientMismatch, RonLut, SamplerState,
@@ -214,16 +214,16 @@ class TestSamplerBudget:
         ts = build_trigger_set(1.0, 12, 0.2)
         s = SamplerState(ts, budget_per_cycle=2)
         store_slots(s, [2], 0.5, 10.0, 0.05)
-        n = store_slots(s, [4, 2, 9, 7], np.array([1.0, 2.0, 3.0, 4.0]),
-                        np.array([11.0, 12.0, 13.0, 14.0]), 0.1)
+        n = store_slots(s, [4, 2, 9, 7], 1.0, 11.0, 0.1)
         assert n == 1 and s.budget_used == 2
         assert (s.v_on[[2, 4, 9]] == [0.5, 1.0, 0.0]).all()
         assert (s.i[[2, 4]] == [10.0, 11.0]).all()
         assert not s.filled_mask[9]
         # in order: slot 0, then 1 and 2 as each arrives after its predecessor
         s = SamplerState(ts, budget_per_cycle=12, in_order=True)
-        assert store_slots(s, [3, 0, 1, 4, 2], np.arange(5.0), 1.0, 0.1) == 3
-        assert (s.v_on[:3] == [1.0, 2.0, 4.0]).all() and s.filled == 3
+        assert store_slots(s, [3, 0, 1, 4, 2], 2.0, 1.0, 0.1) == 3
+        assert s.filled_mask[:3].all() and not s.filled_mask[3:].any()
+        assert (s.v_on[:3] == 2.0).all() and s.filled == 3
         assert store_slots(s, [4, 3], 7.0, 1.0, 0.1) == 1 and s.filled_mask[3]
 
     def test_order_independence(self):
@@ -378,10 +378,20 @@ class TestLut:
 
     def test_nonmonotone_grid_rejected(self):
         t = np.array([25.0, 50.0])
-        i = np.array([10.0])
-        with pytest.raises(ValueError):
-            RonLut(t_axis=t, i_axis=i, grid=np.array([[2.0], [1.0]]),
+        i = np.array([10.0, 20.0])
+        with pytest.raises(ValueError, match="increase"):
+            RonLut(t_axis=t, i_axis=i,
+                   grid=np.array([[2.0, 2.0], [1.0, 1.0]]),
                    drift_profile=np.array([2.0, 1.0]), channel=module_400a())
+
+    def test_one_point_axis_rejected(self):
+        # a column interpolates between two current points, and the
+        # inversion between two temperature points
+        for axes, key in ((dict(t_axis=(25.0,)), "lut.t_axis"),
+                          (dict(i_axis=(100.0,)), "lut.i_axis")):
+            with pytest.raises(ConfigError) as e:
+                build_ron_lut(module_400a(), **axes)
+            assert e.value.field == key
 
     def test_device_lut_matches_model(self):
         p = module_400a()
