@@ -579,6 +579,11 @@ def main(argv=None) -> int:
         print(path)
         return 0
 
+    if args.jobs < 1:
+        err = ConfigError("--jobs", f"{args.jobs} workers run no scenario; "
+                                    f"use at least 1")
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 2
     jobs = []
     for scenario in args.scenarios:
         out = args.out if len(args.scenarios) == 1 \

@@ -54,7 +54,7 @@ _PHASE = _LEG % 3
 _SIGN = np.array([1.0, -1.0] * 3 + [-1.0, 1.0] * 3)
 _UPPER = np.array([1.0, -1.0] * 6)
 _LOWER = np.array([0.0, 1.0] * 6)
-_ROWS = np.arange(N_DEVICES)[:, None]  # row index for per-device gathers
+_NO_LOSS = np.zeros(N_DEVICES)  # the losses of an idle step, W
 
 PACKAGE_WARNING = "package"
 GATE_OXIDE_WARNING = "gate_oxide"
@@ -117,6 +117,14 @@ def blanking_runs(dt: float, blanking: float) -> float:
     while n * dt < blanking:
         n += 1
     return n
+
+
+def blanking_angles(dt: float, blanking: float, g: int) -> int:
+    """Smallest count c of the g grid angles of an envelope period dt with
+    c / g * dt >= blanking (g + 1 when none has): that share never falls as
+    c grows, so a device trips exactly when its over-threshold count
+    reaches this value."""
+    return next((c for c in range(g + 1) if c / g * dt >= blanking), g + 1)
 
 
 @dataclass
@@ -485,6 +493,9 @@ class TestBench:
         self._win_idx = smp.fir_window(
             [sets[c].center_index for c in centers], s.sampler_n,
             len(s.fir_taps))
+        # the same slots as flat indices into a (12, n) row-major buffer
+        self._win_flat = self._win_idx \
+            + s.sampler_n * np.arange(N_DEVICES)[:, None]
 
         self._base_lut = smp.build_ron_lut(params, s.lut_t_axis, s.lut_i_axis)
         self.luts = [self._base_lut] * N_DEVICES
@@ -499,7 +510,10 @@ class TestBench:
         self._desat_run = np.full(N_DEVICES, -1)
         self._trip_runs: dict = {}  # (dt, blanking) -> blanking_runs
         self._desat_bias = sns.desat_voltage(s.sense_params, 0.0)
-        self._ntc_rate = np.zeros(N_DEVICES)
+        # the envelope step's threshold column and trip count, built on use
+        self._env_desat = None
+        # the sensor readings before the last thermal step, and its dt
+        self._ntc_prev, self._ntc_dt = self.ntc_readings, 1.0
 
         # electrical state
         self.plant = PlantState()
@@ -537,8 +551,10 @@ class TestBench:
         self._mask_aging[: 6 if s.aging_scope == "test" else N_DEVICES] = True
 
         self._envelope_cache = None
-        # the envelope fill's slot readings and truths, its count and cycles
+        # the envelope fill's slot readings (two buffers: the last complete
+        # window outlives the next fill), slot truths, its count and cycles
         self._env_v = np.empty((N_DEVICES, s.sampler_n))
+        self._env_v_done = np.empty_like(self._env_v)
         self._env_truth = np.empty((N_DEVICES, s.sampler_n))
         self._env_filled = 0
         self._env_cycles = 0
@@ -547,7 +563,7 @@ class TestBench:
         self._trigger_index = None
         self._thermal_cache: dict = {}
         self._t_ref_key = None
-        self._t_ref = None
+        self._t_ref = np.empty(N_DEVICES)
 
     # -- small helpers -------------------------------------------------------
 
@@ -580,7 +596,7 @@ class TestBench:
 
     def _check_runaway(self):
         """End the run once a junction leaves the simulation envelope."""
-        if self.bank.t_j.max() > T_J_ENVELOPE_MAX:
+        if np.maximum.reduce(self.bank.t_j) > T_J_ENVELOPE_MAX:
             k = int(self.bank.t_j.argmax())
             raise ThermalRunaway(
                 f"{DEVICE_IDS[k]} reached {self.bank.t_j[k]:.1f} degC "
@@ -621,21 +637,26 @@ class TestBench:
                 self._finish_window(
                     k, sstate.v_on[idx], sstate.i[idx], sstate.truth[idx],
                     [self.luts[k].column(i_pk).tolist()],
-                    sstate.cycles_elapsed, (sstate.i, sstate.v_on))
+                    sstate.cycles_elapsed)
+                if k == 0:  # the window's slots are reused from here on
+                    self.last_window_trace = (sstate.triggers.angles,
+                                              sstate.i.copy(),
+                                              sstate.v_on.copy())
                 sstate.reset_window()
         self.theta_prev = theta_now
 
     def _finish_window(self, k0: int, v_win: np.ndarray, i_win: np.ndarray,
-                       truth_win: np.ndarray, cols: list, cycles: int,
-                       slots: tuple):
+                       truth_win: Optional[np.ndarray], cols: list,
+                       cycles: int):
         """Estimate the windows that devices k0, k0 + 1, ... just completed;
         every engine finishes its windows here.
 
         Row j of v_win, i_win and truth_win holds device k0 + j's readings,
         currents and true ratios at the slots of its FIR window
         (self._win_idx), and cols[j] is its R(T) column, a list, at the
-        window-center current. slots is device k0's whole window, (currents,
-        readings), which becomes last_window_trace when k0 is 0.
+        window-center current. truth_win is read only while windows are
+        collected, and may be None otherwise. The caller keeps device 0's
+        whole window as last_window_trace.
         """
         taps = self.s.fir_taps
         r_est = smp.estimate_ron(v_win, i_win, taps)
@@ -657,9 +678,6 @@ class TestBench:
                 "i_pk": i_pk[j], "r_true": r_true[j], "tj_est": tj_est[j],
                 "tj_true": tj_true[j], "cycles_used": cycles,
             } for j in range(k1 - k0)]
-        if k0 == 0:
-            self.last_window_trace = (self.samplers[0].triggers.angles,
-                                      slots[0].copy(), slots[1].copy())
 
     # -- averaged / switched conducting step -------------------------------------
 
@@ -827,7 +845,7 @@ class TestBench:
         p = self.bank.params
         p_sw = dev_mod.switching_loss(p, cfg.f_sw, cfg.v_dc,
                                       np.abs(i_dev).mean(axis=1))
-        i_win = slot_i[_ROWS, self._win_idx]
+        i_win = slot_i.take(self._win_flat)
         return _EnvelopeGrid(
             i_dev=i_dev, cur=dev_mod.conduction_current(p, i_dev), duty=duty,
             slot_i=slot_i, slot_slope=dev_mod.current_slope(p, slot_i),
@@ -852,14 +870,16 @@ class TestBench:
         # one acquisition burst per fundamental cycle, budget-limited
         self._envelope_fill_batched(grid, r_t)
 
-        # protection at envelope resolution: per-cycle exceedance duration
-        over_time = np.add.reduce(
-            grid.conducting
-            & (v_cond > (self.desat_thr - self._desat_bias)[:, None]),
-            axis=1, dtype=float) / g * dt
-        over = over_time >= self.desat_base.blanking
-        if over.any():
-            k = int(np.flatnonzero(over)[0])
+        # protection at envelope resolution: a device trips once its share
+        # of the period over threshold reaches the blanking time
+        if self._env_desat is None:
+            self._env_desat = (
+                (self.desat_thr - self._desat_bias)[:, None],
+                blanking_angles(dt, self.desat_base.blanking, g))
+        thr, n_trip = self._env_desat
+        n_over = np.add.reduce(grid.conducting & (v_cond > thr), axis=1)
+        if np.maximum.reduce(n_over) >= n_trip:
+            k = int(np.flatnonzero(n_over >= n_trip)[0])
             raise ProtectionTrip(DEVICE_IDS[k], self.t)
 
         self._thermal_step(p_dev, dt, pump_test=False)
@@ -886,19 +906,27 @@ class TestBench:
         cycle budget, and complete at the same step: one fill count serves
         them all. _finish_window estimates the windows in the cycle that
         fills their last slot, which is every cycle when the budget covers
-        the trigger set, as in the campaign configuration.
+        the trigger set, as in the campaign configuration. A new window
+        fills the other reading buffer, so the last complete one stays
+        last_window_trace uncopied; the slot truths are stored only while
+        windows are collected, when _finish_window reads them.
         """
         n = self.s.sampler_n
         f = self._env_filled
+        if f == 0:
+            self._env_v, self._env_v_done = self._env_v_done, self._env_v
         sl = slice(f, min(f + self.s.budget_per_cycle, n))
-        slot_i = grid.slot_i[:, sl]
         r_true = r_t + grid.slot_slope[:, sl]  # on_resistance, (12, m)
-        v = slot_i * r_true + self.e_d[:, None]
+        v = self._env_v[:, sl]
+        np.multiply(grid.slot_i[:, sl], r_true, out=v)
+        v += self.e_d[:, None]
         sigma = self.s.sense_params.noise_sigma
         if sigma > 0:
-            v = v + self.rng.normal(0.0, sigma, size=v.shape)
-        self._env_v[:, sl] = v
-        self._env_truth[:, sl] = r_true
+            # rng.normal(0.0, sigma) draws 0.0 + sigma * z: the same bits
+            v += sigma * self.rng.standard_normal(v.shape)
+        collect = self.collect_windows
+        if collect:
+            self._env_truth[:, sl] = r_true
         self._env_filled = sl.stop
         self._env_cycles += 1
         if sl.stop < n:
@@ -908,18 +936,21 @@ class TestBench:
         if self._env_tj_cols is None:
             self._env_tj_cols = [self.luts[k].column(grid.i_pk[k]).tolist()
                                  for k in range(N_DEVICES)]
-        idx = self._win_idx
+        flat = self._win_flat
         v = self._env_v
-        self._finish_window(0, v[_ROWS, idx], grid.i_win,
-                            self._env_truth[_ROWS, idx], self._env_tj_cols,
-                            cycles, (grid.slot_i[0], v[0]))
+        self._finish_window(
+            0, v.take(flat), grid.i_win,
+            self._env_truth.take(flat) if collect else None,
+            self._env_tj_cols, cycles)
+        self.last_window_trace = (self.samplers[0].triggers.angles,
+                                  grid.slot_i[0], v[0])
 
     # -- idle (converter off) step -------------------------------------------
 
     def _step_idle(self, pump_test: bool):
         dt = 1.0 / self.cfg.f_fund
         self.plant.i_abc = (0.0, 0.0, 0.0)
-        self._thermal_step(np.zeros(N_DEVICES), dt, pump_test=pump_test)
+        self._thermal_step(_NO_LOSS, dt, pump_test=pump_test)
         self.t += dt
         self._trace_point()
 
@@ -929,7 +960,8 @@ class TestBench:
 
         The exact update holds for any dt under piecewise-constant loss, so
         foster_step's step-size guard is not applied; envelope steps of a
-        whole fundamental period rely on that.
+        whole fundamental period rely on that. The sensors' rate is left to
+        _ntc_case_estimate, its one reader.
         """
         t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test)
         t_ref_l, r_b_l = th.cooling_step(self.cool_load, True)
@@ -951,21 +983,23 @@ class TestBench:
         a, gain, r_b, ntc_gain = cached
         if self._t_ref_key != (t_ref_t, t_ref_l):
             self._t_ref_key = (t_ref_t, t_ref_l)
-            self._t_ref = np.repeat([t_ref_t, t_ref_l], N_DEVICES // 2)
+            self._t_ref[:6], self._t_ref[6:] = t_ref_t, t_ref_l
         temps = self._stage_temps = self._stage_temps * a + p_dev[:, None] * gain
+        rise = temps[:, -1]  # the boundary stage: case over reference
         self.bank.t_j = self._t_ref + np.add.reduce(temps, axis=1)
-        self._t_case = self._t_ref + temps[:, -1]
-        q = temps[:, -1] / r_b  # heat into each device's cooling plate
-        th.cooling_absorb(self.cool_test, float(np.add.reduce(q[:6])), dt)
-        th.cooling_absorb(self.cool_load, float(np.add.reduce(q[6:])), dt)
+        self._t_case = self._t_ref + rise
+        # heat into each bridge's plate (a row's reduce is its slice's)
+        q_t, q_l = np.add.reduce((rise / r_b).reshape(2, -1), axis=1).tolist()
+        th.cooling_absorb(self.cool_test, q_t, dt)
+        th.cooling_absorb(self.cool_load, q_l, dt)
         # vectorized case sensors (shared model)
         target = self._t_case + m.bias
-        prev = self.ntc_readings
+        prev = self._ntc_prev = self.ntc_readings
+        self._ntc_dt = dt
         if ntc_gain is None:
             self.ntc_readings = target
         else:
             self.ntc_readings = prev + ntc_gain * (target - prev)
-        self._ntc_rate = (self.ntc_readings - prev) / dt
 
     def _trace_point(self):
         if self.t + 1e-12 >= self._trace_next_t:
@@ -1008,7 +1042,7 @@ class TestBench:
         if cfg.technique is Technique.CASE_SWING:
             return float(self.ntc_readings[:6].max()) >= cfg.t_case_max
         est = self.tj_est[:6]
-        hot = float(est.max())
+        hot = float(np.maximum.reduce(est))
         if not math.isfinite(hot):  # a NaN (no window yet) or an infinity
             if not np.isfinite(est).any():
                 return False
@@ -1025,9 +1059,12 @@ class TestBench:
         return pred.crossed_down(observer(t_cool), cfg.t_j_min)
 
     def _ntc_case_estimate(self) -> np.ndarray:
-        """Case temperature with the sensor's known first-order lag led out."""
-        tau = self.s.ntc.time_constant
-        return self.ntc_readings + tau * self._ntc_rate
+        """Case temperature of the six test devices with the sensor's known
+        first-order lag led out, at the sensors' rate over the last thermal
+        step."""
+        now = self.ntc_readings[:6]
+        rate = (now - self._ntc_prev[:6]) / self._ntc_dt
+        return now + self.s.ntc.time_constant * rate
 
     def _make_observer(self) -> Callable[[float], float]:
         """Junction estimate through the zero-loss cool-down.
@@ -1045,11 +1082,12 @@ class TestBench:
         w = r / r.sum()
         est0 = self.tj_est[:6]
         hot = np.where(np.isfinite(est0), est0, self.bank.t_j[:6])
-        gap0 = hot - self._ntc_case_estimate()[:6]
+        gap0 = hot - self._ntc_case_estimate()
 
         def observer(t_cool: float) -> float:
-            decay = float((w * np.exp(-t_cool / tau)).sum())
-            return float((self._ntc_case_estimate()[:6] + gap0 * decay).max())
+            decay = float(np.add.reduce(w * np.exp(-t_cool / tau)))
+            return float(np.maximum.reduce(self._ntc_case_estimate()
+                                           + gap0 * decay))
 
         return observer
 
@@ -1164,6 +1202,7 @@ class TestBench:
         self.startup_log.append(res)
         self._vth_pending = v_th_m.copy()
         self._env_tj_cols = None  # recalibrated tables invalidate cached columns
+        self._env_desat = None  # and new thresholds the envelope's column
         return res
 
     # -- campaign -----------------------------------------------------------------

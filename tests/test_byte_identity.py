@@ -37,16 +37,17 @@ by at most 3 ulp.
 import functools
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acpcsim.cli import run
+from acpcsim.cli import build_settings, parse_scenario, run, write_precursors
 from acpcsim.core import BenchConfig, Fidelity, PfMode, validate_scenario
-from acpcsim.cycling import EnergyTally, TestBench, default_settings
-from acpcsim.device import PROFILES
+from acpcsim.cycling import (N_DEVICES, EnergyTally, TestBench,
+                             default_settings)
+from acpcsim.device import PROFILES, on_resistance
 from acpcsim.sampler import build_ron_lut
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_scenarios"
@@ -176,13 +177,58 @@ def test_envelope_campaign_outputs_unchanged(tmp_path):
                     tmp_path / "out", 3, CAMPAIGN_SHA256) == CAMPAIGN_SHA256
 
 
+# fixed times at the default sampler (300 points, budget 5)
+FIXED_TIMES_SCENARIO = ("bench.technique = fixed_times\nbench.t_on = 0.5\n"
+                        "bench.t_off = 0.5\nbench.rng_seed = 7\n"
+                        "run.startup_every = 0\n" + FAST_ENVELOPE)
+
+
 def test_fixed_times_partial_budget_outputs_unchanged(tmp_path):
     scn = tmp_path / "fixed.txt"
-    scn.write_text("bench.technique = fixed_times\nbench.t_on = 0.5\n"
-                   "bench.t_off = 0.5\nbench.rng_seed = 7\n"
-                   "run.startup_every = 0\n" + FAST_ENVELOPE)
+    scn.write_text(FIXED_TIMES_SCENARIO)
     assert _digests(scn, tmp_path / "out", 3, FIXED_TIMES_SHA256) \
         == FIXED_TIMES_SHA256
+
+
+@pytest.mark.parametrize("case", ["junction_swing", "fixed_times"])
+def test_collected_windows_keep_the_bytes_and_their_slot_truths(
+        case, tmp_path, monkeypatch):
+    # the envelope fill stores its slot truths only while windows are
+    # collected: a library run that collects them writes the command
+    # line's precursors.csv bytes, and each window's r_true is the FIR
+    # product of on_resistance at its slots, at the junction temperatures
+    # and aging of the steps that filled them
+    scn = tmp_path / "scenario.txt"
+    scn.write_text((EXAMPLES / "junction_swing_campaign.txt").read_text()
+                   if case == "junction_swing" else FIXED_TIMES_SCENARIO)
+    assert run(scn, tmp_path / "cli", cycles=3) == 0
+    settings = build_settings(parse_scenario(scn))
+    settings.cfg = validate_scenario(replace(settings.cfg, n_cycles=3))
+    bench = TestBench(settings)
+    p, n, taps = bench.bank.params, settings.sampler_n, settings.fir_taps
+    rows = np.arange(N_DEVICES)[:, None]
+    truth = np.empty((N_DEVICES, n))
+    expected = []
+    fill = bench._envelope_fill_batched
+
+    def recorded_fill(grid, r_t):
+        bank = bench.bank
+        f = bench._env_filled
+        sl = slice(f, min(f + settings.budget_per_cycle, n))
+        truth[:, sl] = on_resistance(
+            p, bank.t_j[:, None], grid.slot_i[:, sl], p.gate_on_v,
+            bank.delta_pkg[:, None], bank.delta_vth[:, None])
+        if sl.stop == n:
+            expected.extend((truth[rows, bench._win_idx] @ taps).tolist())
+        fill(grid, r_t)
+
+    monkeypatch.setattr(bench, "_envelope_fill_batched", recorded_fill)
+    result = bench.run_campaign(collect_windows=True)
+    write_precursors(tmp_path / "library.csv", result.records)
+    assert (tmp_path / "library.csv").read_bytes() == \
+        (tmp_path / "cli" / "precursors.csv").read_bytes()
+    assert len(expected) >= N_DEVICES
+    assert [w["r_true"] for w in bench.windows] == expected
 
 
 def test_recalibrated_tables_reach_the_batched_fill(tmp_path):

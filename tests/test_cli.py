@@ -418,6 +418,16 @@ class TestMain:
         assert ran == ["bad.txt", "good.txt"]
         assert "bad.txt: boom" in capsys.readouterr().err.splitlines()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_before_the_output_directory(
+            self, scenario, tmp_path, capsys, jobs):
+        out = tmp_path / "never"
+        assert main(["run", str(scenario), "--out", str(out), "--jobs",
+                     jobs]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: --jobs: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs,n_scenarios,cpus,workers", [
         (64, 2, 8, 2), (64, 5, 3, 3), (2, 5, 8, 2), (1, 5, 8, None),
         (8, 1, 8, None)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acpcsim import sampler as smp
+from acpcsim import sense as sns
 from acpcsim import thermal as th
 from acpcsim.core import (BenchConfig, ConfigError, Fidelity, Technique,
                           validate_scenario)
@@ -15,10 +16,12 @@ from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
                              CycleRecord, DeviceBank, EnergyTally, N_DEVICES,
                              ProtectionTrip, TestBench,
                              ThermalRunaway, WarningPolicy, WarningTracker,
-                             _CrossingPredictor, blanking_runs,
+                             _CrossingPredictor, blanking_angles,
+                             blanking_runs,
                              default_settings, energy_audit)
 from acpcsim.device import (AgingTrajectory, conduction_current,
-                            conduction_voltage, current_slope, module_400a,
+                            conduction_voltage, current_slope,
+                            delta_vth_for_vds_shift, module_400a,
                             on_resistance)
 
 
@@ -526,6 +529,47 @@ class TestDeterminismAndProtection:
                 step(blanking)
             assert e.value.device_id == DEVICE_IDS[k]
         step(math.nextafter(edge, math.inf))
+
+    def test_envelope_trip_follows_recalibrated_thresholds(self):
+        # the envelope step keeps its threshold column between steps, and a
+        # start-up that rewrites the thresholds reaches the next step: aged
+        # devices trip at the fresh thresholds and ride through once the
+        # start-up has compensated them for the measured shift
+        cfg = envelope_cfg(technique=Technique.FIXED_TIMES, t_on=0.3,
+                           t_off=0.3)
+
+        def aged_step(recompensate):
+            b = TestBench(default_settings(
+                cfg, budget_per_cycle=300, sampler_n=60,
+                desat=sns.DesatConfig(compensated=True),
+                desat_calibrated=True, **fast_thermal()))
+            b.startup_measurements()  # fresh devices freeze the baselines
+            b._step_envelope()        # the column at the fresh thresholds
+            b.bank.delta_vth[:] = delta_vth_for_vds_shift(b.bank.params, 1.0)
+            b.cool_to_ambient()
+            if recompensate:
+                b.startup_measurements()
+            b._step_envelope()
+
+        with pytest.raises(ProtectionTrip):
+            aged_step(recompensate=False)
+        aged_step(recompensate=True)
+
+    @settings(deadline=None, max_examples=200)
+    @given(dt=st.floats(1e-9, 1.0), g=st.sampled_from([32, 7, 1]))
+    def test_blanking_angles_is_the_envelope_trip_condition(self, dt, g):
+        # the count an envelope step compares against trips exactly where
+        # the share of the period, count / g * dt, reaches the blanking
+        # time: on each share, one ulp either side of it, and past both ends
+        counts = np.arange(g + 1)
+        shares = counts / g * dt
+        blankings = [-1.0, 2 * dt, math.inf, math.nan]
+        for share in shares.tolist():
+            blankings += [share, math.nextafter(share, -math.inf),
+                          math.nextafter(share, math.inf)]
+        for blanking in blankings:
+            n = blanking_angles(dt, blanking, g)
+            assert ((counts >= n) == (shares >= blanking)).all()
 
     def test_unreachable_blanking_never_trips(self):
         assert blanking_runs(1 / 22e3, math.inf) == math.inf
