@@ -17,8 +17,7 @@ from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
                              ProtectionTrip, TestBench,
                              ThermalRunaway, WarningPolicy, WarningTracker,
                              _CrossingPredictor, blanking_angles,
-                             blanking_runs,
-                             default_settings, energy_audit)
+                             blanking_runs, default_settings, energy_audit)
 from acpcsim.device import (AgingTrajectory, conduction_current,
                             conduction_voltage, current_slope,
                             delta_vth_for_vds_shift, module_400a,
