@@ -34,7 +34,9 @@ sampler.*    n_points, window_deg, budget_per_cycle (at least 1), fir_taps
              5 % of the device's nominal current)
 lut.*        t_axis / i_axis (comma lists of at least two points)
 aging.*      delta_pkg / delta_vth / delta_vsd / r_th_factor (breakpoint
-             lists "cycle:value, cycle:value, ..."), scope (test|all)
+             lists "cycle:value, cycle:value, ..."; r_th_factor multiplies
+             the first Foster stage's thermal resistance, each value at
+             least 1), scope (test|all)
 policy.*     r_on_rel_threshold, v_th_shift_threshold, v_sd_shift_threshold
 run.*        startup_every, i_cal, heat_cap_s, cool_cap_s, soft_start_cycles
 
@@ -174,6 +176,19 @@ def _breakpoints(key, v) -> tuple:
     return tuple(pts)
 
 
+def _r_th_factor(key, v) -> tuple:
+    """Breakpoints of the factor on the first Foster stage's thermal
+    resistance, stored as the growth (factor - 1) that
+    BenchSettings.r_th_aging holds."""
+    pts = _breakpoints(key, v)
+    low = [f for _, f in pts if not f >= 1.0]
+    if low:
+        raise ConfigError(key, f"a factor of {low[0]:g} would take the "
+                               f"thermal resistance below the fresh "
+                               f"device's; use at least 1")
+    return tuple((c, f - 1.0) for c, f in pts)
+
+
 def _one_of(choices: dict):
     """Converter from a case-insensitive name to the value it stands for."""
     def convert(key, v):
@@ -262,7 +277,7 @@ _ROWS = [
     ("aging.delta_pkg", _breakpoints, "aging.delta_pkg"),
     ("aging.delta_vth", _breakpoints, "aging.delta_vth"),
     ("aging.delta_vsd", _breakpoints, "aging.delta_vsd"),
-    ("aging.r_th_factor", _breakpoints, "settings.r_th_aging"),
+    ("aging.r_th_factor", _r_th_factor, "settings.r_th_aging"),
     ("aging.scope", _one_of({"test": "test", "all": "all"}),
      "settings.aging_scope"),
     ("policy.r_on_rel_threshold", _float, "policy.r_on_rel_threshold"),

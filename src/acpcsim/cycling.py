@@ -246,7 +246,11 @@ class DeviceBank:
 
     Conduction drops come from the conduction law's two halves with each
     device's temperature and aging deltas; conduction is the bench's one
-    entry to them, for one current per device or a (12, g) grid.
+    entry to them, for one current per device or a (12, g) grid. The law's
+    constants are bound once as (12,) arrays (law), and they and the aging
+    rows also as (12, 1) views once a grid is evaluated. The aging rows and
+    shorted are only ever written in place, which the views see; t_j is
+    rebound by every thermal step.
     """
 
     def __init__(self, params: DeviceParams, ambient: float):
@@ -260,6 +264,10 @@ class DeviceBank:
         self.shorted = np.zeros(self.n, dtype=bool)
         self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
         self.aging_version = 0
+        self.law = dev_mod.bind_law(params, self.n)
+        self._rows = (self.law, self.delta_pkg, self.delta_vth,
+                      self.delta_vsd, self.shorted)
+        self._columns = None  # their (12, 1) views, bound on first use
 
     def conduction(self, cur: dev_mod.ConductionCurrent) -> tuple:
         """Signed conduction drops at the currents whose current half is cur
@@ -271,17 +279,20 @@ class DeviceBank:
         beside the drops as r_t, (12,) or (12, 1): the on-resistance of row
         k at current i is r_t[k] + current_slope(i).
         """
-        p = self.params
-        rows = (self.t_j, self.delta_pkg, self.delta_vth, self.delta_vsd,
-                self.shorted)
-        if cur.safe.ndim == 2:
-            rows = [x[:, None] for x in rows]
-        t, pkg, vth, vsd, shorted = rows
-        r_t = dev_mod.resistance_at_temperature(p, t, p.gate_on_v, pkg, vth)
-        v = dev_mod.conduction_from_halves(p, cur, r_t,
-                                           dev_mod.diode_knee(p, t, vsd))
-        if self.shorted.any():
-            v = np.where(shorted, self.desat_fault_v, v)
+        if cur.mag.ndim == 2:
+            if self._columns is None:
+                self._columns = (self.law.columns(),
+                                 *[x[:, None] for x in self._rows[1:]])
+            law, pkg, vth, vsd, shorted = self._columns
+            t = self.t_j[:, None]
+        else:
+            law, pkg, vth, vsd, shorted = self._rows
+            t = self.t_j
+        r_t, knee = dev_mod.temperature_half(law, t, law.gate_on_v, pkg, vth,
+                                             vsd)
+        v = dev_mod.conduction_from_halves(law, cur, r_t, knee)
+        if np.count_nonzero(self.shorted):
+            np.copyto(v, self.desat_fault_v, where=shorted)
         return v, r_t
 
     def apply_trajectories(self, trajectory: AgingTrajectory, r_th_points,
@@ -343,7 +354,7 @@ class BenchSettings:
     lut_t_axis: tuple = smp.LUT_T_AXIS
     lut_i_axis: tuple = smp.LUT_I_AXIS
     trajectory: AgingTrajectory = field(default_factory=AgingTrajectory)
-    r_th_aging: tuple = ()           # breakpoints of fractional r_th(j-c) growth
+    r_th_aging: tuple = ()           # breakpoints of first-stage r_th growth
     aging_scope: str = "test"        # "test" or "all"
     policy: WarningPolicy = field(default_factory=WarningPolicy)
     startup_every: int = 100         # 0: only before the first cycle
@@ -442,6 +453,11 @@ class TestBench:
                 f"{sns.AMBIENT_TOL:g} degC from the {self.ambient:g} degC "
                 f"ambient, where each start-up after cycle 0 measures the "
                 f"threshold")
+        if any(not g >= 0.0 for _, g in s.r_th_aging):
+            raise ConfigError(
+                "aging.r_th_factor",
+                "thermal-resistance growth must be at least 0 (a factor of "
+                "at least 1): aging never lowers it")
         self.bank = DeviceBank(params, self.ambient)
         self.i_floor = 0.05 * params.i_nominal if s.i_floor is None \
             else s.i_floor
@@ -452,6 +468,7 @@ class TestBench:
         self._stage_r = np.array([st.r_th for st in s.network.stages])
         self._stage_c = np.array([st.c_th for st in s.network.stages])
         self._stage_temps = np.zeros((N_DEVICES, len(s.network.stages)))
+        self._stage_heat = np.empty_like(self._stage_temps)
         self.cool_test = _bind_cooling(s.cooling_test, self.ambient)
         self.cool_load = _bind_cooling(s.cooling_load, self.ambient)
         self.ntc_readings = np.full(N_DEVICES, self.ambient, dtype=float)
@@ -508,8 +525,10 @@ class TestBench:
             self.desat_base = replace(s.desat, threshold=thr)
         self.desat_thr = np.full(N_DEVICES, self.desat_base.threshold)
         self._desat_run = np.full(N_DEVICES, -1)
+        self._desat_idle = True  # every run counter reads -1
         self._trip_runs: dict = {}  # (dt, blanking) -> blanking_runs
         self._desat_bias = sns.desat_voltage(s.sense_params, 0.0)
+        self._desat_bias_row = np.full(N_DEVICES, self._desat_bias)
         # the envelope step's threshold column and trip count, built on use
         self._env_desat = None
         # the sensor readings before the last thermal step, and its dt
@@ -582,16 +601,24 @@ class TestBench:
     def _protection(self, v_cond: np.ndarray, i_dev: np.ndarray, dt: float):
         """Blanked DESAT comparator, one sample per step of dt: a device
         trips once its pin has stayed above its threshold for
-        blanking_runs(dt, blanking) consecutive conducting steps."""
-        over = (i_dev > 0) & (self._desat_bias + v_cond > self.desat_thr)
-        run = self._desat_run = np.where(over, self._desat_run + 1, -1)
-        key = (dt, self.desat_base.blanking)
-        n_trip = self._trip_runs.get(key)
-        if n_trip is None:
-            n_trip = self._trip_runs[key] = blanking_runs(*key)
-        if np.maximum.reduce(run) >= n_trip:
-            k = int(np.flatnonzero(run >= n_trip)[0])
-            raise ProtectionTrip(DEVICE_IDS[k], self.t)
+        blanking_runs(dt, blanking) consecutive conducting steps.
+
+        The run counters read -1 while a device is not over; they are
+        rebuilt only while some device is over or a run is still open."""
+        over = (i_dev > 0.0) & (self._desat_bias_row + v_cond > self.desat_thr)
+        if np.count_nonzero(over):
+            run = self._desat_run = np.where(over, self._desat_run + 1, -1)
+            self._desat_idle = False
+            key = (dt, self.desat_base.blanking)
+            n_trip = self._trip_runs.get(key)
+            if n_trip is None:
+                n_trip = self._trip_runs[key] = blanking_runs(*key)
+            if np.maximum.reduce(run) >= n_trip:
+                k = int(np.flatnonzero(run >= n_trip)[0])
+                raise ProtectionTrip(DEVICE_IDS[k], self.t)
+        elif not self._desat_idle:
+            self._desat_run = np.full(N_DEVICES, -1)
+            self._desat_idle = True
         self._check_runaway()
 
     def _check_runaway(self):
@@ -699,7 +726,7 @@ class TestBench:
         duty = np.array([dta, 1.0 - dta, dtb, 1.0 - dtb, dtc, 1.0 - dtc,
                          dla, 1.0 - dla, dlb, 1.0 - dlb, dlc, 1.0 - dlc])
         v_cond, _ = self.bank.conduction(
-            dev_mod.conduction_current(self.bank.params, i_dev))
+            dev_mod.conduction_current(self.bank.law, i_dev))
 
         self._capture(theta, i_dev, v_cond, duty)
         self._protection(v_cond, i_dev, dt)
@@ -717,16 +744,11 @@ class TestBench:
             res = plant_step(self.plant, pole_test, pole_load,
                              cfg.link_resistance, cfg.link_inductance, dt)
 
-        m_a, m_b, m_c = res.i_mean
-        i_mean_dev = np.array(_device_values(m_a, m_b, m_c))
+        i_mean_dev = np.array(_device_values(*res.i_mean))
         p_cond = duty * v_cond * i_mean_dev
-        # the law on each phase's |mean current|, which both of its
-        # devices on each bridge carry
-        params = self.bank.params
-        p_a = dev_mod.switching_loss(params, cfg.f_sw, cfg.v_dc, abs(m_a))
-        p_b = dev_mod.switching_loss(params, cfg.f_sw, cfg.v_dc, abs(m_b))
-        p_c = dev_mod.switching_loss(params, cfg.f_sw, cfg.v_dc, abs(m_c))
-        p_sw = np.array([p_a, p_a, p_b, p_b, p_c, p_c] * 2)
+        # the law on each device's |mean current|, its phase's
+        p_sw = dev_mod.switching_loss(self.bank.params, cfg.f_sw, cfg.v_dc,
+                                      np.abs(i_mean_dev))
         self._thermal_step(p_cond + p_sw, dt, pump_test=False)
 
         tl = self.tally
@@ -974,8 +996,8 @@ class TestBench:
             r[:6, -1] = r_b_t
             r[6:, -1] = r_b_l
             a = np.exp(-dt / (r * self._stage_c))
-            ntc_gain = 1.0 - math.exp(-dt / m.time_constant) \
-                if m.time_constant > 0 else None
+            ntc_gain = None if m.time_constant <= 0 else np.full(
+                N_DEVICES, 1.0 - math.exp(-dt / m.time_constant))
             cached = (a, r * (1.0 - a), r[:, -1].copy(), ntc_gain)
             if len(self._thermal_cache) > 16:
                 self._thermal_cache.clear()
@@ -984,10 +1006,14 @@ class TestBench:
         if self._t_ref_key != (t_ref_t, t_ref_l):
             self._t_ref_key = (t_ref_t, t_ref_l)
             self._t_ref[:6], self._t_ref[6:] = t_ref_t, t_ref_l
-        temps = self._stage_temps = self._stage_temps * a + p_dev[:, None] * gain
+        # temps * a + p_dev[:, None] * gain, in place
+        temps = self._stage_temps
+        np.multiply(temps, a, temps)
+        np.add(temps, np.multiply(p_dev[:, None], gain, self._stage_heat),
+               temps)
         rise = temps[:, -1]  # the boundary stage: case over reference
         self.bank.t_j = self._t_ref + np.add.reduce(temps, axis=1)
-        self._t_case = self._t_ref + rise
+        np.add(self._t_ref, rise, self._t_case)
         # heat into each bridge's plate (a row's reduce is its slice's)
         q_t, q_l = np.add.reduce((rise / r_b).reshape(2, -1), axis=1).tolist()
         th.cooling_absorb(self.cool_test, q_t, dt)

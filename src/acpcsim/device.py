@@ -18,17 +18,20 @@ forms of the conduction and switching-loss laws; they take scalars or
 arrays.
 
 The conduction law splits into a temperature half (the first two lines of
-R above, resistance_at_temperature, and the diode knee) and a current half
-(the last line of R, current_slope, and the signs and magnitudes of
-conduction_current). on_resistance and conduction_voltage combine the two;
-every bench engine combines them through conduction_from_halves with the
-temperature half evaluated once per step, and the envelope engine binds
-its current half once per run.
+R above, and the diode knee: temperature_half gives both from one
+t_j - t0) and a current half (the last line of R,
+current_slope, and the signs and magnitudes of conduction_current).
+on_resistance and conduction_voltage combine the two; every bench engine
+combines them through conduction_from_halves with the temperature half
+evaluated once per step, and the envelope engine binds its current half
+once per run.
 
 There is no per-device state object: every law takes DeviceParams plus the
 junction temperature and aging values (delta_pkg, delta_vth, delta_vsd) as
 scalars or arrays, and the bench passes the twelve-wide arrays of its
-DeviceBank.
+DeviceBank. The laws read their constants as attributes, so the bench can
+pass the same constants bound as per-device arrays (bind_law) in place of
+DeviceParams.
 """
 
 from __future__ import annotations
@@ -74,24 +77,87 @@ class DeviceParams:
         if self.gate_on_v <= self.v_th0:
             raise ValueError("gate_on_v must exceed v_th0")
 
+    @property
+    def t0_kelvin(self) -> float:
+        """The reference temperature in kelvin."""
+        return self.t0 + KELVIN
+
+    @property
+    def g_diode(self) -> float:
+        """The diode series conductance, 1 / r_diode, S."""
+        return 1.0 / self.r_diode
+
+
+class LawConstants(NamedTuple):
+    """The constants of the conduction law, under DeviceParams' names,
+    bound as arrays of one value per device (bind_law). Passed to the laws
+    in place of DeviceParams, they give every ufunc array operands only,
+    which saves the scalar promotion of each call on short arrays; the
+    results are the same to the bit. alpha_drift stays a float: numpy
+    rounds a power with a float exponent as the law always has."""
+
+    t0: np.ndarray
+    t0_kelvin: np.ndarray
+    v_th0: np.ndarray
+    rho_vth: np.ndarray
+    r_drift0: np.ndarray
+    k_ch: np.ndarray
+    v_j0: np.ndarray
+    rho_sd_lo: np.ndarray
+    r_diode: np.ndarray
+    g_diode: np.ndarray
+    r_i_slope: np.ndarray
+    i_nominal: np.ndarray
+    gate_on_v: np.ndarray
+    alpha_drift: float
+
+    def columns(self) -> "LawConstants":
+        """The same constants as (n, 1) views, for (n, g) current grids."""
+        return LawConstants(*[x[:, None] for x in self[:-1]],
+                            self.alpha_drift)
+
+
+def bind_law(p: DeviceParams, n: int) -> LawConstants:
+    """p's conduction-law constants as (n,) arrays, alpha_drift a float."""
+    values = np.array([getattr(p, f) for f in LawConstants._fields[:-1]])
+    return LawConstants(*values[:, None].repeat(n, axis=1),
+                        float(p.alpha_drift))
+
 
 def threshold_voltage(p: DeviceParams, t_j, delta_vth=0.0):
     """Threshold at t_j, shifted by gate-oxide aging (array-safe)."""
-    return p.v_th0 + p.rho_vth * (t_j - p.t0) + delta_vth
+    return _threshold_at_rise(p, t_j - p.t0, delta_vth)
+
+
+def _threshold_at_rise(p: DeviceParams, rise, delta_vth):
+    """threshold_voltage at rise = t_j - t0."""
+    return p.v_th0 + p.rho_vth * rise + delta_vth
 
 
 def drift_resistance(p: DeviceParams, t_j, delta_pkg=0.0):
     """Drift/package term of R(T, i), scaled by package aging."""
     return p.r_drift0 * (1.0 + delta_pkg) * \
-        ((t_j + KELVIN) / (p.t0 + KELVIN)) ** p.alpha_drift
+        ((t_j + KELVIN) / p.t0_kelvin) ** p.alpha_drift
 
 
-def resistance_at_temperature(p: DeviceParams, t_j, v_gs, delta_pkg=0.0,
-                              delta_vth=0.0):
+def _resistance_at_rise(p: DeviceParams, t_j, rise, v_gs, delta_pkg,
+                        delta_vth):
     """Temperature half of on_resistance: the drift term plus the channel
-    term at the gate drive v_gs, with aging deltas (array-safe)."""
-    overdrive = v_gs - threshold_voltage(p, t_j, delta_vth)
+    term at the gate drive v_gs, with aging deltas, given rise = t_j - t0
+    (array-safe)."""
+    overdrive = v_gs - _threshold_at_rise(p, rise, delta_vth)
     return drift_resistance(p, t_j, delta_pkg) + p.k_ch / overdrive
+
+
+def temperature_half(p: DeviceParams, t_j, v_gs, delta_pkg=0.0,
+                     delta_vth=0.0, delta_vsd=0.0) -> tuple:
+    """The temperature half of conduction_voltage, (r_t, knee): r_t is the
+    temperature half of on_resistance (the drift and channel terms) and
+    knee the body-diode turn-on voltage (the zero-current limit of v_sd),
+    both from one t_j - t0 (array-safe)."""
+    rise = t_j - p.t0
+    return (_resistance_at_rise(p, t_j, rise, v_gs, delta_pkg, delta_vth),
+            _knee_at_rise(p, rise, delta_vsd))
 
 
 def current_slope(p: DeviceParams, i_d):
@@ -108,8 +174,8 @@ def on_resistance(p: DeviceParams, t_j, i_d, v_gs, delta_pkg=0.0, delta_vth=0.0)
     that the channel is on (sampler.build_ron_lut and the bench refuse a
     closed channel when they are configured).
     """
-    return resistance_at_temperature(p, t_j, v_gs, delta_pkg, delta_vth) \
-        + current_slope(p, i_d)
+    return _resistance_at_rise(p, t_j, t_j - p.t0, v_gs, delta_pkg,
+                               delta_vth) + current_slope(p, i_d)
 
 
 def channel_shift(p: DeviceParams, t_j, v_gs, delta_vth):
@@ -133,21 +199,21 @@ def v_sd(p: DeviceParams, i, t_j, delta_vsd=0.0):
     return p.v_j0 + rho * (t_j - p.t0) + p.r_diode * i + delta_vsd
 
 
-def diode_knee(p: DeviceParams, t_j, delta_vsd=0.0):
-    """Body-diode turn-on voltage (zero-current limit of v_sd), shifted by
-    body-diode aging (array-safe)."""
-    return p.v_j0 + p.rho_sd_lo * (t_j - p.t0) + delta_vsd
+def _knee_at_rise(p: DeviceParams, rise, delta_vsd):
+    """Body-diode turn-on voltage (zero-current limit of v_sd) at
+    rise = t_j - t0, shifted by body-diode aging (array-safe)."""
+    return p.v_j0 + p.rho_sd_lo * rise + delta_vsd
 
 
 class ConductionCurrent(NamedTuple):
     """Current half of conduction_voltage: the terms that depend on the
     signed current i alone."""
 
-    safe: np.ndarray      # |i|, with 1 where i is zero, A
+    mag: np.ndarray       # |i|, A
     sign: np.ndarray      # sign of i
     forward: np.ndarray   # i >= 0: first quadrant
-    nonzero: np.ndarray   # |i| > 0
-    slope: np.ndarray     # current_slope at safe, ohm
+    zero: Optional[np.ndarray]  # not |i| > 0; None when no current is zero
+    slope: np.ndarray     # current_slope at mag, ohm
 
 
 def conduction_current(p: DeviceParams, i) -> ConductionCurrent:
@@ -155,21 +221,34 @@ def conduction_current(p: DeviceParams, i) -> ConductionCurrent:
     i = np.asarray(i, dtype=float)
     mag = np.abs(i)
     nonzero = mag > 0.0
-    safe = np.where(nonzero, mag, 1.0)
-    return ConductionCurrent(safe, np.sign(i), i >= 0.0, nonzero,
-                             current_slope(p, safe))
+    zero = None if np.count_nonzero(nonzero) == nonzero.size else ~nonzero
+    return ConductionCurrent(mag, np.sign(i), i >= 0.0, zero,
+                             current_slope(p, mag))
 
 
 def conduction_from_halves(p: DeviceParams, cur: ConductionCurrent, r_t,
                            knee):
     """conduction_voltage from its current half cur and its temperature
-    half: r_t = resistance_at_temperature(...) and knee = diode_knee(...)."""
+    half (r_t, knee) = temperature_half(...).
+
+    The channel conducts alone in the first quadrant and below the knee,
+    in parallel with the body diode elsewhere; the parallel branch is
+    evaluated only when some current takes it. A zero current reads 0.
+    """
     r_ch = r_t + cur.slope
-    v_lin = cur.safe * r_ch
-    v_par = (cur.safe + knee / p.r_diode) / (1.0 / r_ch + 1.0 / p.r_diode)
-    v_mag = np.where(cur.forward, v_lin,
-                     np.where(v_lin <= knee, v_lin, v_par))
-    return np.where(cur.nonzero, cur.sign * v_mag, 0.0)
+    v = np.asarray(cur.mag * r_ch)
+    alone = np.logical_or(v <= knee, cur.forward)
+    # the parallel branch, when some current takes it or a knee wider than
+    # the channel drop widens the result
+    if np.count_nonzero(alone) < alone.size or v.shape != alone.shape:
+        v_par = np.asarray((cur.mag + knee / p.r_diode)
+                           / (np.reciprocal(r_ch) + p.g_diode))
+        np.copyto(v_par, v, where=alone)
+        v = v_par
+    np.multiply(v, cur.sign, v)
+    if cur.zero is not None:
+        np.copyto(v, 0.0, where=cur.zero)
+    return v
 
 
 def conduction_voltage(p: DeviceParams, i, t_j, v_gs, delta_pkg=0.0,
@@ -179,17 +258,16 @@ def conduction_voltage(p: DeviceParams, i, t_j, v_gs, delta_pkg=0.0,
 
     First quadrant: ohmic drop through on_resistance. Third quadrant: the
     channel alone below the diode knee, the channel in parallel with the
-    body diode above it. Operators and np.where only, so scalars and
+    body diode above it. Operators and masked copies only, so scalars and
     broadcasting arrays both work; no check that the channel is on (a
     closed channel is refused when the bench is configured). The law is
     its current half (conduction_current) combined with its temperature
-    half (resistance_at_temperature, diode_knee) by conduction_from_halves,
-    so a caller whose currents are fixed can bind that half once.
+    half (temperature_half) by conduction_from_halves, so a caller whose
+    currents are fixed can bind that half once.
     """
     return conduction_from_halves(
         p, conduction_current(p, i),
-        resistance_at_temperature(p, t_j, v_gs, delta_pkg, delta_vth),
-        diode_knee(p, t_j, delta_vsd))
+        *temperature_half(p, t_j, v_gs, delta_pkg, delta_vth, delta_vsd))
 
 
 def switching_loss(p: DeviceParams, f_sw, v_dc, i_abs):

@@ -346,9 +346,9 @@ def build_ron_lut(params: dev_mod.DeviceParams,
         raise ConfigError(
             "lut.t_axis", f"the threshold reaches {v_th[k]:.3g} V at "
             f"{t[k]:g} degC, closing the channel of a {v_gs:g} V gate")
-    # one node at a time: the broadcast law's ** can differ in the last bit
-    grid = np.array([[dev_mod.on_resistance(params, tj, ii, v_gs) for ii in i]
-                     for tj in t])
+    # one temperature at a time, so the law's ** stays a scalar power (the
+    # broadcast one can differ in the last bit); the currents broadcast
+    grid = np.array([dev_mod.on_resistance(params, tj, i, v_gs) for tj in t])
     drift = dev_mod.drift_resistance(params, t)
     return RonLut(t_axis=t, i_axis=i, grid=grid, drift_profile=drift,
                   channel=replace(params, gate_on_v=v_gs))

@@ -10,7 +10,10 @@ three-phase quantities held in numpy arrays, before they became Python
 float triples; the lookup-table digest with build_ron_lut evaluating each
 grid node through a threshold-checking wrapper of on_resistance. A speed-up
 must leave them unchanged; a change that alters results on purpose must say
-so and pin new digests.
+so and pin new digests. The averaged law later moved to per-device arrays
+that DeviceBank binds once (device.bind_law), with masked copies in place
+of nested np.where, and build_ron_lut to one on_resistance call per
+temperature over the whole current axis, and every digest held.
 
 Digests were re-pinned on purpose twice. First the fixed-times
 precursors.csv, when the envelope engine's partial-budget windows moved

@@ -264,6 +264,8 @@ class TestRun:
         "sampler.budget_per_cycle = 0\n",
         "bench.mode = envelope\nbench.n_cycles = 1\nlut.t_axis = 25\n",
         "bench.mode = envelope\nbench.n_cycles = 1\nlut.i_axis = 100\n",
+        "bench.mode = envelope\nbench.n_cycles = 1\n"
+        "aging.r_th_factor = 0:1.0, 5:0.9\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
             "sense_e_d", "negative_noise_sigma", "sense_r_a1", "sense_r_a2",
@@ -272,7 +274,8 @@ class TestRun:
             "channel_closes", "channel_closes_at_startup",
             "channel_closes_on_lut_axis", "coolant_away_from_ambient",
             "fir_longer_than_window", "fir_taps_even", "budget_below_one",
-            "lut_t_axis_one_point", "lut_i_axis_one_point"])
+            "lut_t_axis_one_point", "lut_i_axis_one_point",
+            "r_th_factor_below_one"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -281,6 +284,25 @@ class TestRun:
         assert run(path, out) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not out.exists()
+
+    def test_r_th_factor_multiplies_the_thermal_resistance(self, scenario,
+                                                            tmp_path):
+        # a factor of 1 is the fresh device, to the byte, and a factor of
+        # 1.5 heats the aged test-bridge devices and no other
+        def tj_max(extra, name):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(scenario.read_text() + extra)
+            assert run(path, tmp_path / name) == 0
+            rows = [r.split(",") for r in (tmp_path / name / "precursors.csv")
+                    .read_text().splitlines()]
+            col = rows[0].index("tj_max_c")
+            return [(r[2], r[col]) for r in rows[1:]]
+
+        fresh = tj_max("", "fresh")
+        assert tj_max("aging.r_th_factor = 0:1.0\n", "one") == fresh
+        for (dev, tj), (_, tj_fresh) in zip(
+                tj_max("aging.r_th_factor = 0:1.5\n", "grown"), fresh):
+            assert (float(tj) > float(tj_fresh)) == dev.startswith("test_")
 
     def test_same_seed_byte_identical(self, scenario, tmp_path):
         run(scenario, tmp_path / "a")

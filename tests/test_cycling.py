@@ -21,7 +21,7 @@ from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
 from acpcsim.device import (AgingTrajectory, conduction_current,
                             conduction_voltage, current_slope,
                             delta_vth_for_vds_shift, module_400a,
-                            on_resistance)
+                            on_resistance, temperature_half)
 
 
 def fast_thermal():
@@ -126,6 +126,112 @@ class TestBankConsistency:
         assert bank.delta_pkg[6] == 0.0
         bank.apply_trajectories(traj, (), 40, mask)  # never regresses
         assert bank.delta_pkg[0] == pytest.approx(0.05)
+
+    def test_negative_r_th_growth_is_refused(self):
+        # the bench stores R_th aging as growth, factor - 1; apply_trajectories
+        # keeps the larger of the old and new factor, so a factor below 1
+        # would be ignored, not applied
+        cfg = envelope_cfg(technique=Technique.FIXED_TIMES, t_on=0.3,
+                           t_off=0.3)
+        with pytest.raises(ConfigError, match="aging.r_th_factor"):
+            TestBench(default_settings(cfg, r_th_aging=((0.0, 0.0),
+                                                        (10.0, -0.1))))
+        TestBench(default_settings(cfg, r_th_aging=((0.0, 0.0),)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t_j=st.lists(st.floats(-20.0, 170.0), min_size=12, max_size=12),
+        deltas=st.lists(st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 6.0),
+                                  st.floats(0.0, 0.4)),
+                        min_size=12, max_size=12),
+        currents=st.lists(st.one_of(
+            st.just(0.0), st.just(-0.0), st.floats(-1e-3, 0.0),
+            st.floats(-2500.0, -1000.0), st.floats(-450.0, 450.0)),
+            min_size=12, max_size=48),
+        short=st.one_of(st.none(), st.integers(0, N_DEVICES - 1)))
+    def test_bank_conduction_is_the_law_bit_for_bit(self, t_j, deltas,
+                                                    currents, short):
+        # DeviceBank.conduction on its bound per-device arrays equals
+        # conduction_voltage on DeviceParams bit for bit, on one current per
+        # device (the averaged engine's current half, bound on bank.law)
+        # and on a (12, g) grid (the envelope's, bound on the params): zero
+        # currents, reverse currents below the knee (a few mA) and above it
+        # (over 1 kA through a hot, aged channel), and an injected short
+        p = module_400a()
+        bank = DeviceBank(p, ambient=25.0)
+        bank.t_j = np.array(t_j)
+        pkg, vth, vsd = np.array(deltas).T
+        bank.delta_pkg[:], bank.delta_vth[:], bank.delta_vsd[:] = pkg, vth, vsd
+        if short is not None:
+            bank.shorted[short] = True
+        g = len(currents) // N_DEVICES
+        grid = np.resize(np.array(currents), (N_DEVICES, g))
+        cases = [(conduction_current(bank.law, grid[:, 0]), grid[:, 0],
+                  (bank.t_j, pkg, vth, vsd)),
+                 (conduction_current(p, grid), grid,
+                  (bank.t_j[:, None], pkg[:, None], vth[:, None],
+                   vsd[:, None]))]
+        for cur, i, (t, d_pkg, d_vth, d_vsd) in cases:
+            law = conduction_voltage(p, i, t, p.gate_on_v, d_pkg, d_vth,
+                                     d_vsd)
+            if short is not None:
+                law[short] = bank.desat_fault_v
+            v, r_t = bank.conduction(cur)
+            assert v.shape == i.shape
+            assert v.tobytes() == law.tobytes()
+            mag = np.abs(i)
+            r_ch = on_resistance(p, t, mag, p.gate_on_v, d_pkg, d_vth)
+            assert np.array_equal(r_t + current_slope(p, mag), r_ch)
+            # the physics, row by row off the short: a zero current reads 0,
+            # the channel alone carries forward current and reverse current
+            # below the knee, and above it the channel and the diode share
+            # the reverse current at one drop (Kirchhoff's current law)
+            knee = temperature_half(p, t, p.gate_on_v, d_pkg, d_vth,
+                                    d_vsd)[1] + 0.0 * i
+            live = np.ones(i.shape, dtype=bool)
+            if short is not None:
+                live[short] = False
+            alone = live & ((i > 0.0) | ((i < 0.0) & (mag * r_ch <= knee)))
+            shared = live & (i < 0.0) & (mag * r_ch > knee)
+            assert (v[live & (i == 0.0)] == 0.0).all()
+            assert np.allclose(v[alone], (np.sign(i) * mag * r_ch)[alone],
+                               rtol=1e-14, atol=0.0)
+            u = -v[shared]
+            assert (u > knee[shared]).all()
+            assert np.allclose(u / r_ch[shared]
+                               + (u - knee[shared]) / p.r_diode,
+                               mag[shared], rtol=1e-12, atol=0.0)
+
+    def test_in_place_aging_and_shorts_reach_both_shapes(self):
+        # the bank binds (12, 1) views of its aging rows and shorted once;
+        # writes into those arrays after the first call still take effect,
+        # for one current per device and for a grid
+        p = module_400a()
+        bank = DeviceBank(p, ambient=60.0)
+        rng = np.random.default_rng(3)
+        i = rng.uniform(-2000, 450, size=(N_DEVICES, 9))
+        cur_row = conduction_current(bank.law, i[:, 0])
+        cur_grid = conduction_current(p, i)
+        before = [bank.conduction(c)[0] for c in (cur_row, cur_grid)]
+        bank.delta_pkg[:] = rng.uniform(0.05, 0.2, N_DEVICES)
+        bank.delta_vth[:] = rng.uniform(1.0, 6.0, N_DEVICES)
+        bank.delta_vsd[:] = rng.uniform(0.1, 0.4, N_DEVICES)
+        bank.apply_trajectories(AgingTrajectory(delta_pkg=((0.0, 0.3),)),
+                                (), 0, np.arange(N_DEVICES) < 3)
+        bank.shorted[7] = True
+        t, pkg, vth, vsd = (bank.t_j, bank.delta_pkg, bank.delta_vth,
+                            bank.delta_vsd)
+        for cur, x, cols, old in zip(
+                (cur_row, cur_grid), (i[:, 0], i), (False, True), before):
+            args = [a[:, None] if cols else a for a in (t, pkg, vth, vsd)]
+            law = conduction_voltage(p, x, args[0], p.gate_on_v, *args[1:])
+            law[7] = bank.desat_fault_v
+            v, _ = bank.conduction(cur)
+            assert np.array_equal(v, law)
+            assert not np.array_equal(v, old)
+        bank.shorted[7] = False
+        v, _ = bank.conduction(cur_grid)
+        assert (v[7] != bank.desat_fault_v).all()
 
 
 class TestTechniques:
@@ -480,6 +586,40 @@ class TestDeterminismAndProtection:
         # trips as soon as the faulted device conducts for the blanking time
         assert e.value.t - t_inject < 1.5 / cfg.f_fund
         assert e.value.device_id == "test_a_hi"
+
+    def test_desat_run_restarts_after_the_pin_drops_back(self):
+        # a device over threshold for the longest run that does not trip,
+        # back under for one step, then over again: its run restarts from
+        # zero, so the steps that would have completed the first run do not
+        # trip, and the run trips only once it is complete again
+        cfg = validate_scenario(BenchConfig())
+        b = TestBench(default_settings(cfg))
+        dt = 1.0 / cfg.f_sw
+        b.desat_base = replace(b.desat_base, blanking=3.5 * dt)
+        n = blanking_runs(dt, b.desat_base.blanking)
+        assert n == 4
+        k = 3
+        i_dev = np.where(np.arange(N_DEVICES) % 2 == 0, 200.0, -200.0)
+        i_dev[k] = 150.0
+        healthy = np.full(N_DEVICES, 1.5)
+        over = healthy.copy()
+        over[k] = b.desat_thr[k] - b._desat_bias + 0.25
+        b._protection(healthy, i_dev, dt)
+        assert (b._desat_run == -1).all()
+        for dropped in (healthy, None):
+            for j in range(n):
+                b._protection(over, i_dev, dt)
+                assert b._desat_run[k] == j
+            if dropped is not None:
+                b._protection(dropped, i_dev, dt)
+                assert (b._desat_run == -1).all()
+        with pytest.raises(ProtectionTrip) as e:
+            b._protection(over, i_dev, dt)
+        assert e.value.device_id == DEVICE_IDS[k]
+        # a pin over threshold on a device carrying reverse current is not
+        # over, and ends the run
+        b._protection(over, -i_dev, dt)
+        assert (b._desat_run == -1).all()
 
     @settings(deadline=None, max_examples=300)
     @given(dt=st.floats(1e-9, 1e-2), steps=st.integers(0, 2000),

@@ -10,11 +10,11 @@ from acpcsim.core import ConfigError
 from acpcsim.device import (AgingTrajectory, DeviceParams,
                             calibrated_params, conduction_current,
                             conduction_voltage, current_slope,
-                            delta_vth_for_vds_shift, diode_knee,
+                            delta_vth_for_vds_shift,
                             drift_resistance, gate_oxide_trajectory,
                             module_400a, on_resistance, switching_loss,
-                            threshold_voltage, v_sd, vendor_a, vendor_b,
-                            vgs_at_channel_current)
+                            temperature_half, threshold_voltage, v_sd,
+                            vendor_a, vendor_b, vgs_at_channel_current)
 from acpcsim.sampler import build_ron_lut
 
 
@@ -166,6 +166,20 @@ class TestConduction:
                     assert row[k] == conduction_voltage(
                         p, i, t, p.gate_on_v, pkg[k], vth[k], vsd[k])
 
+    def test_zero_current_reads_positive_zero(self):
+        # a zero current reads +0.0 even where the current slope takes the
+        # channel resistance below zero (a steep r_i_slope), on scalars,
+        # rows and grids alike
+        p = module_400a()
+        p.r_i_slope = 1e-4
+        assert on_resistance(p, 25.0, 0.0, p.gate_on_v) < 0.0
+        for i in (0.0, -0.0, np.array([0.0, -0.0, 100.0]),
+                  np.array([[0.0, 50.0], [-0.0, -50.0]])):
+            v = np.asarray(conduction_voltage(p, i, 25.0, p.gate_on_v))
+            zero = np.asarray(i) == 0.0
+            assert (v[zero] == 0.0).all()
+            assert not np.signbit(v[zero]).any()
+
     def test_period_grid_is_the_law_bit_for_bit(self):
         # the envelope's hoisted evaluation (DeviceBank.conduction on a
         # current half bound once) is conduction_voltage on the grid, to
@@ -203,8 +217,9 @@ class TestConduction:
         # the draws reach both quadrants and the parallel-diode branch
         v_lin = mag * on_resistance(p, t, mag, p.gate_on_v, pkg, vth)
         assert np.any(i > 0)
-        assert np.any((i < 0) & (v_lin <= diode_knee(p, t, vsd)))
-        assert np.any((i < 0) & (v_lin > diode_knee(p, t, vsd)))
+        knee = temperature_half(p, t, p.gate_on_v, pkg, vth, vsd)[1]
+        assert np.any((i < 0) & (v_lin <= knee))
+        assert np.any((i < 0) & (v_lin > knee))
 
 
 class TestVsd:
