@@ -127,6 +127,17 @@ class TestConduction:
 
     def test_zero_current(self):
         assert conduction_voltage(module_400a(), 0.0, 25.0, 15.0) == 0.0
+        # +0.0 even where the current slope takes the channel resistance
+        # below zero (a steep r_i_slope), on scalars, rows and grids alike
+        p = module_400a()
+        p.r_i_slope = 1e-4
+        assert on_resistance(p, 25.0, 0.0, p.gate_on_v) < 0.0
+        for i in (0.0, -0.0, np.array([0.0, -0.0, 100.0]),
+                  np.array([[0.0, 50.0], [-0.0, -50.0]])):
+            v = np.asarray(conduction_voltage(p, i, 25.0, p.gate_on_v))
+            zero = np.asarray(i) == 0.0
+            assert (v[zero] == 0.0).all()
+            assert not np.signbit(v[zero]).any()
 
     def test_third_quadrant_channel_on_below_knee_is_ohmic(self):
         p = module_400a()
@@ -165,20 +176,6 @@ class TestConduction:
                 for k in range(12):
                     assert row[k] == conduction_voltage(
                         p, i, t, p.gate_on_v, pkg[k], vth[k], vsd[k])
-
-    def test_zero_current_reads_positive_zero(self):
-        # a zero current reads +0.0 even where the current slope takes the
-        # channel resistance below zero (a steep r_i_slope), on scalars,
-        # rows and grids alike
-        p = module_400a()
-        p.r_i_slope = 1e-4
-        assert on_resistance(p, 25.0, 0.0, p.gate_on_v) < 0.0
-        for i in (0.0, -0.0, np.array([0.0, -0.0, 100.0]),
-                  np.array([[0.0, 50.0], [-0.0, -50.0]])):
-            v = np.asarray(conduction_voltage(p, i, 25.0, p.gate_on_v))
-            zero = np.asarray(i) == 0.0
-            assert (v[zero] == 0.0).all()
-            assert not np.signbit(v[zero]).any()
 
     def test_period_grid_is_the_law_bit_for_bit(self):
         # the envelope's hoisted evaluation (DeviceBank.conduction on a
