@@ -357,71 +357,57 @@ def build_settings(raw: dict) -> BenchSettings:
 # CSV writers
 # ---------------------------------------------------------------------------
 
-def _cell(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        return repr(x)
-    return str(x)
+def _floats(values) -> str:
+    """CSV cells of Python floats: each one's repr, and the empty cell for
+    NaN ("nan" is the only float repr that contains that text)."""
+    return ",".join(map(repr, values)).replace("nan", "")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_float_csv(path: Path, header, rows) -> None:
-    """_write_csv for rows of floats, one join per row: repr is what _cell
-    writes for a float, and "nan", the only float repr containing that
-    text, becomes the empty cell _cell writes for NaN."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, map(float, row))).replace("nan", "")
-                 for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, header, lines) -> None:
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
 
 
 def write_precursors(path: Path, records) -> None:
-    rows = []
+    lines = []
     for rec in records:
-        warn = "|".join(rec.warnings)
-        delta_tj = rec.delta_tj
-        for k, dev_id in enumerate(DEVICE_IDS):
-            rows.append((
-                rec.cycle_index, float(rec.t_start), dev_id,
-                float(rec.r_on_est[k] * 1e3), float(rec.v_th[k]),
-                float(rec.v_sd[k]), float(rec.tj_max[k]), float(rec.tj_min[k]),
-                float(delta_tj[k]),
-                float(rec.t_on_actual), float(rec.t_off_actual), warn,
-            ))
-    _write_csv(path, PRECURSOR_COLUMNS, rows)
+        # the cells every device's row of the record shares
+        head = f"{rec.cycle_index},{_floats([float(rec.t_start)])},"
+        tail = (f",{_floats([float(rec.t_on_actual), float(rec.t_off_actual)])}"
+                f",{'|'.join(rec.warnings)}")
+        cols = zip(DEVICE_IDS, (rec.r_on_est * 1e3).tolist(),
+                   rec.v_th.tolist(), rec.v_sd.tolist(), rec.tj_max.tolist(),
+                   rec.tj_min.tolist(), rec.delta_tj.tolist())
+        lines.extend(f"{head}{dev_id},{_floats(values)}{tail}"
+                     for dev_id, *values in cols)
+    _write_lines(path, PRECURSOR_COLUMNS, lines)
 
 
 def write_thermal_trace(path: Path, bench: TestBench) -> None:
     header = ["t_s"] + [f"tj_{d}" for d in DEVICE_IDS] + ["t_case_test_a_hi"]
-    _write_float_csv(path, header, bench.thermal_trace)
+    _write_lines(path, header, map(_floats, bench.thermal_trace))
 
 
 def write_waveforms(path: Path, bench: TestBench) -> None:
     header = ["t_s", "theta_rad", "i_a", "i_b", "i_c"] \
         + [f"v_ds_{d}" for d in DEVICE_IDS]
-    _write_float_csv(path, header, bench.waveform_rows)
+    _write_lines(path, header, map(_floats, bench.waveform_rows))
 
 
 def write_sampling_trace(path: Path, bench: TestBench) -> None:
     header = ("slot_index", "angle_deg", "i_a", "v_on_v", "r_raw_mohm",
               "r_filt_mohm")
     if bench.last_window_trace is None:
-        _write_csv(path, header, [])
+        _write_lines(path, header, [])
         return
     angles, i_slots, v_slots = bench.last_window_trace
     raw = np.where(np.abs(i_slots) > 0, v_slots / np.where(i_slots == 0, 1.0,
                                                            i_slots), np.nan)
     filt = smp.fir_filter(np.nan_to_num(raw), bench.s.fir_taps)
-    rows = [(k, math.degrees(float(angles[k])), float(i_slots[k]),
-             float(v_slots[k]), float(raw[k] * 1e3), float(filt[k] * 1e3))
-            for k in range(len(angles))]
-    _write_csv(path, header, rows)
+    # np.degrees is math.degrees' one multiply, elementwise
+    cols = zip(np.degrees(angles).tolist(), i_slots.tolist(),
+               v_slots.tolist(), (raw * 1e3).tolist(), (filt * 1e3).tolist())
+    _write_lines(path, header, [f"{k},{_floats(values)}"
+                                for k, values in enumerate(cols)])
 
 
 # ---------------------------------------------------------------------------

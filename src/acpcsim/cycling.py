@@ -28,8 +28,8 @@ from .core import (SWITCHED_SUBSTEPS, TWO_PI, BenchConfig, ConfigError,
                    Fidelity, Technique, validate_scenario, wrap_angle)
 from .device import AgingTrajectory, DeviceParams, _piecewise
 from .electrical import (PlantState, PlantStepResult, control_step,
-                         dq_phase_deg, inverse_park, make_controller, park,
-                         plant_step, svpwm_duties)
+                         dq_phase_deg, inverse_park, inverse_park_phase,
+                         make_controller, park, plant_step, svpwm_duties)
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -845,9 +845,8 @@ class TestBench:
         for k, sstate in enumerate(self.samplers):
             key = (id(sstate.triggers), _PHASE[k], _SIGN[k])
             if key not in rows:
-                rows[key] = _SIGN[k] * np.array(
-                    [inverse_park(i_d, i_q, a)[_PHASE[k]]
-                     for a in sstate.triggers.angles])
+                rows[key] = _SIGN[k] * inverse_park_phase(
+                    i_d, i_q, sstate.triggers.angle_list, _PHASE[k])
             slot_i[k] = rows[key]
         if not (slot_i > self.i_floor).all():
             raise ValueError(
@@ -1009,8 +1008,9 @@ class TestBench:
         # temps * a + p_dev[:, None] * gain, in place
         temps = self._stage_temps
         np.multiply(temps, a, temps)
-        np.add(temps, np.multiply(p_dev[:, None], gain, self._stage_heat),
-               temps)
+        if p_dev is not _NO_LOSS:  # no stage reads -0.0, so x + 0.0 is x
+            np.add(temps, np.multiply(p_dev[:, None], gain, self._stage_heat),
+                   temps)
         rise = temps[:, -1]  # the boundary stage: case over reference
         self.bank.t_j = self._t_ref + np.add.reduce(temps, axis=1)
         np.add(self._t_ref, rise, self._t_case)
@@ -1019,12 +1019,13 @@ class TestBench:
         th.cooling_absorb(self.cool_test, q_t, dt)
         th.cooling_absorb(self.cool_load, q_l, dt)
         # vectorized case sensors (shared model)
-        target = self._t_case + m.bias
         prev = self._ntc_prev = self.ntc_readings
         self._ntc_dt = dt
         if ntc_gain is None:
-            self.ntc_readings = target
+            self.ntc_readings = self._t_case + m.bias
         else:
+            # a zero bias moves no bit of the target's difference
+            target = self._t_case + m.bias if m.bias else self._t_case
             self.ntc_readings = prev + ntc_gain * (target - prev)
 
     def _trace_point(self):

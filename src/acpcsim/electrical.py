@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .core import TWO_PI
 
 _SQRT3 = math.sqrt(3.0)
@@ -47,6 +49,21 @@ def _inverse_park(v_d: float, v_q: float, trig: tuple
     return (v_d * ca - v_q * sa,
             v_d * cb - v_q * sb,
             v_d * cc - v_q * sc)
+
+
+def inverse_park_phase(v_d: float, v_q: float, thetas: list, phase: int
+                       ) -> np.ndarray:
+    """inverse_park(v_d, v_q, theta)[phase] at each of thetas, bit for bit,
+    from only that phase's cosine and sine (phase 0, 1, 2 is a, b, c).
+
+    The axis angle is _phase_trig's; _inverse_park rotates array entries
+    elementwise, and every phase slot of the tuple it gets holds this
+    phase's values."""
+    axes = ([t - _B for t in thetas] if phase == 1
+            else [t + _B for t in thetas] if phase == 2 else thetas)
+    c = np.array([math.cos(x) for x in axes])
+    s = np.array([math.sin(x) for x in axes])
+    return _inverse_park(v_d, v_q, (c, c, c, s, s, s))[0]
 
 
 def park(i_a: float, i_b: float, i_c: float, theta: float) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -46,6 +47,11 @@ class TriggerSet:
     def n(self) -> int:
         return len(self.angles)
 
+    @cached_property
+    def angle_list(self) -> list:
+        """angles as a list of Python floats, for bisect."""
+        return self.angles.tolist()
+
 
 def build_trigger_set(theta_peak: float, n: int, window: float) -> TriggerSet:
     """n uniformly spaced trigger angles spanning [peak - window, peak + window]."""
@@ -65,26 +71,26 @@ def build_trigger_set(theta_peak: float, n: int, window: float) -> TriggerSet:
 
 
 def triggers_in_interval(tset: TriggerSet, theta_from: float, theta_to: float
-                         ) -> np.ndarray:
-    """Indices of all triggers crossed while the angle swept (from, to].
+                         ) -> Sequence[int]:
+    """Indices of all triggers crossed while the angle swept (from, to]:
+    a range, or a list when the sweep wraps through 0 rad.
 
-    Wrap-aware; used by the stepped simulation where the control-rate angle
-    grid is far coarser than the trigger spacing, so a capture fires whenever
-    the accumulated angle passes a trigger.
+    Used by the stepped simulation where the control-rate angle grid is far
+    coarser than the trigger spacing, so a capture fires whenever the
+    accumulated angle passes a trigger. bisect_right splits the angles where
+    np.searchsorted(side="right") does.
     """
-    a = tset.angles
+    a = tset.angle_list
     t0 = wrap_angle(theta_from)
     t1 = wrap_angle(theta_to)
     if t1 == t0:
-        return np.empty(0, dtype=int)
+        return range(0)
+    lo = bisect_right(a, t0)
+    hi = bisect_right(a, t1)
     if t1 > t0:
-        lo = int(np.searchsorted(a, t0, side="right"))
-        hi = int(np.searchsorted(a, t1, side="right"))
-        return np.arange(lo, hi)
+        return range(lo, hi)
     # wrapped sweep: (t0, 2pi) then [0, t1]
-    lo = int(np.searchsorted(a, t0, side="right"))
-    hi = int(np.searchsorted(a, t1, side="right"))
-    return np.concatenate([np.arange(lo, len(a)), np.arange(0, hi)])
+    return [*range(lo, len(a)), *range(hi)]
 
 
 class TriggerIndex:
@@ -172,25 +178,35 @@ def store_slots(s: SamplerState, idx, v_on: float, i_meas: float,
     then the one after it if it arrives later, and so on; the rest of the
     cycle budget caps the count. Returns the number of slots stored.
     """
-    idx = np.asarray(idx, dtype=int)
     room = s.budget_per_cycle - s.budget_used
-    if s.in_order or len(idx) > room or s.filled_mask[idx].nonzero()[0].size:
-        # drop what may not be stored
-        idx = idx[~s.filled_mask[idx]]
-        if s.in_order and len(idx):
-            # row j: where slot filled + j arrives; accept while arrivals ascend
-            hit = idx == s.filled + np.arange(len(idx))[:, None]
-            pos = hit.argmax(axis=1)
-            ok = hit.any(axis=1) & (np.diff(pos, prepend=-1) > 0)
-            idx = idx[pos[:int(np.cumprod(ok).sum())]]
-        idx = idx[:max(room, 0)]
+    if (type(idx) is range and idx.step == 1 and not s.in_order
+            and len(idx) <= room
+            and not any(s.filled_mask[idx.start:idx.stop].tolist())):
+        # a contiguous run of empty slots that fits the budget: all stored
+        n = len(idx)
+        idx = slice(idx.start, idx.stop)
+    else:
+        idx = np.asarray(idx, dtype=int)
+        if s.in_order or len(idx) > room \
+                or s.filled_mask[idx].nonzero()[0].size:
+            # drop what may not be stored
+            idx = idx[~s.filled_mask[idx]]
+            if s.in_order and len(idx):
+                # row j: where slot filled + j arrives; accept while
+                # arrivals ascend
+                hit = idx == s.filled + np.arange(len(idx))[:, None]
+                pos = hit.argmax(axis=1)
+                ok = hit.any(axis=1) & (np.diff(pos, prepend=-1) > 0)
+                idx = idx[pos[:int(np.cumprod(ok).sum())]]
+            idx = idx[:max(room, 0)]
+        n = len(idx)
     s.v_on[idx] = v_on
     s.i[idx] = i_meas
     s.truth[idx] = truth
     s.filled_mask[idx] = True
-    s.filled += len(idx)
-    s.budget_used += len(idx)
-    return len(idx)
+    s.filled += n
+    s.budget_used += n
+    return n
 
 
 def sampler_update_interval(s: SamplerState, theta_prev: float,

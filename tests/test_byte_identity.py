@@ -13,7 +13,10 @@ must leave them unchanged; a change that alters results on purpose must say
 so and pin new digests. The averaged law later moved to per-device arrays
 that DeviceBank binds once (device.bind_law), with masked copies in place
 of nested np.where, and build_ron_lut to one on_resistance call per
-temperature over the whole current axis, and every digest held.
+temperature over the whole current axis, and every digest held. So did
+they when the CSV writers went from a per-cell conversion to joined float
+reprs and the envelope grid's slot currents to one phase's cosine and sine
+per trigger angle (inverse_park_phase).
 
 Digests were re-pinned on purpose twice. First the fixed-times
 precursors.csv, when the envelope engine's partial-budget windows moved
@@ -40,18 +43,21 @@ by at most 3 ulp.
 import functools
 import hashlib
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acpcsim.cli import build_settings, parse_scenario, run, write_precursors
+from acpcsim.cli import (PRECURSOR_COLUMNS, build_settings, parse_scenario,
+                         run, write_precursors, write_sampling_trace,
+                         write_thermal_trace, write_waveforms)
 from acpcsim.core import BenchConfig, Fidelity, PfMode, validate_scenario
-from acpcsim.cycling import (N_DEVICES, EnergyTally, TestBench,
-                             default_settings)
+from acpcsim.cycling import (DEVICE_IDS, N_DEVICES, CycleRecord, EnergyTally,
+                             TestBench, default_settings)
 from acpcsim.device import PROFILES, on_resistance
-from acpcsim.sampler import build_ron_lut
+from acpcsim.sampler import build_ron_lut, fir_filter
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_scenarios"
 
@@ -298,3 +304,98 @@ def test_ron_lut_bytes_unchanged():
         h.update(lut.grid.tobytes())
         h.update(lut.drift_profile.tobytes())
     assert h.hexdigest() == RON_LUT_SHA256
+
+
+# -- the CSV writers against the per-cell rule ------------------------------
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300,
+               -1e300, 5e-324, 0.1, -2.5, 123456.789]
+
+
+def _cell(x) -> str:
+    """The per-cell rule the writers implement: a float's repr, the empty
+    cell for NaN, str of anything else."""
+    if isinstance(x, float):
+        return "" if math.isnan(x) else repr(x)
+    return str(x)
+
+
+def _csv(header, rows) -> bytes:
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _edge_rows(width: int, n: int) -> list:
+    """n rows of Python floats that cycle through EDGE_FLOATS."""
+    m = len(EDGE_FLOATS)
+    return [tuple(EDGE_FLOATS[(j * width + c) % m] for c in range(width))
+            for j in range(n)]
+
+
+def _edge_array(offset: int) -> np.ndarray:
+    return np.array([EDGE_FLOATS[(offset + k) % len(EDGE_FLOATS)]
+                     for k in range(N_DEVICES)])
+
+
+def test_precursors_follow_the_cell_rule(tmp_path):
+    records = [CycleRecord(
+        cycle_index=c, t_start=EDGE_FLOATS[c], r_on_est=_edge_array(c),
+        tj_max=_edge_array(c + 1), tj_min=_edge_array(c + 5),
+        v_th=_edge_array(c + 2), v_sd=_edge_array(c + 3),
+        t_on_actual=EDGE_FLOATS[-1 - c], t_off_actual=EDGE_FLOATS[c + 1],
+        warnings=(("package", "body_diode"), (), ("gate_oxide",))[c % 3])
+        for c in range(len(EDGE_FLOATS) - 1)]
+    rows = [(rec.cycle_index, float(rec.t_start), dev_id,
+             float(rec.r_on_est[k] * 1e3), float(rec.v_th[k]),
+             float(rec.v_sd[k]), float(rec.tj_max[k]), float(rec.tj_min[k]),
+             float(rec.delta_tj[k]), float(rec.t_on_actual),
+             float(rec.t_off_actual), "|".join(rec.warnings))
+            for rec in records for k, dev_id in enumerate(DEVICE_IDS)]
+    write_precursors(tmp_path / "p.csv", records)
+    assert (tmp_path / "p.csv").read_bytes() == _csv(PRECURSOR_COLUMNS, rows)
+
+
+def test_traces_follow_the_cell_rule(tmp_path):
+    bench = TestBench(default_settings(validate_scenario(BenchConfig())))
+    bench.thermal_trace = _edge_rows(2 + N_DEVICES, 7)
+    bench.waveform_rows = _edge_rows(5 + N_DEVICES, 7)
+    write_thermal_trace(tmp_path / "t.csv", bench)
+    write_waveforms(tmp_path / "w.csv", bench)
+    assert (tmp_path / "t.csv").read_bytes() == _csv(
+        ["t_s", *(f"tj_{d}" for d in DEVICE_IDS), "t_case_test_a_hi"],
+        bench.thermal_trace)
+    assert (tmp_path / "w.csv").read_bytes() == _csv(
+        ["t_s", "theta_rad", "i_a", "i_b", "i_c",
+         *(f"v_ds_{d}" for d in DEVICE_IDS)], bench.waveform_rows)
+
+
+def test_sampling_trace_follows_the_cell_rule(tmp_path):
+    header = ("slot_index", "angle_deg", "i_a", "v_on_v", "r_raw_mohm",
+              "r_filt_mohm")
+    bench = TestBench(default_settings(validate_scenario(BenchConfig())))
+    write_sampling_trace(tmp_path / "empty.csv", bench)
+    assert (tmp_path / "empty.csv").read_bytes() == _csv(header, [])
+
+    # a window with a zero-current slot, whose raw ratio is NaN, a
+    # negative zero current and edge readings; device 0's window crosses
+    # 0 rad, so its angles run from near 2 pi to near 0
+    angles = bench.samplers[0].triggers.angles
+    n = len(angles)
+    rng = np.random.default_rng(4)
+    i_slots = rng.uniform(50.0, 400.0, n)
+    i_slots[[3, 7]] = 0.0, -0.0
+    i_slots[11] = -120.0
+    v_slots = rng.uniform(0.1, 2.0, n)
+    v_slots[:len(EDGE_FLOATS)] = EDGE_FLOATS
+    bench.last_window_trace = (angles, i_slots, v_slots)
+    with np.errstate(over="ignore", invalid="ignore"):  # the edge readings
+        raw = np.where(np.abs(i_slots) > 0,
+                       v_slots / np.where(i_slots == 0, 1.0, i_slots), np.nan)
+        filt = fir_filter(np.nan_to_num(raw), bench.s.fir_taps)
+        rows = [(k, math.degrees(float(angles[k])), float(i_slots[k]),
+                 float(v_slots[k]), float(raw[k] * 1e3), float(filt[k] * 1e3))
+                for k in range(n)]
+        write_sampling_trace(tmp_path / "s.csv", bench)
+    assert math.isnan(raw[3]) and math.isnan(raw[7])
+    assert (tmp_path / "s.csv").read_bytes() == _csv(header, rows)

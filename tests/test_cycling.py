@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 from acpcsim import sampler as smp
 from acpcsim import sense as sns
 from acpcsim import thermal as th
-from acpcsim.core import (BenchConfig, ConfigError, Fidelity, Technique,
-                          validate_scenario)
+from acpcsim.core import (BenchConfig, ConfigError, Fidelity, PfMode,
+                          Technique, validate_scenario)
 from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
                              DEVICE_IDS, GATE_OXIDE_WARNING, PACKAGE_WARNING,
                              CycleRecord, DeviceBank, EnergyTally, N_DEVICES,
                              ProtectionTrip, TestBench,
                              ThermalRunaway, WarningPolicy, WarningTracker,
-                             _CrossingPredictor, blanking_angles,
-                             blanking_runs, default_settings, energy_audit)
+                             _PHASE, _SIGN, _CrossingPredictor,
+                             blanking_angles, blanking_runs, default_settings,
+                             energy_audit)
 from acpcsim.device import (AgingTrajectory, conduction_current,
                             conduction_voltage, current_slope,
                             delta_vth_for_vds_shift, module_400a,
                             on_resistance, temperature_half)
+from acpcsim.electrical import inverse_park
 
 
 def fast_thermal():
@@ -437,6 +439,23 @@ class TestEnvelopeCapture:
         for w in b.windows:
             assert w["cycles_used"] == 12
             assert w["r_est"] == pytest.approx(w["r_true"], rel=0.015)
+
+    @pytest.mark.parametrize("pf_angle", [None, 0.02, -0.3, 1.9, 3.1, -2.0])
+    def test_slot_currents_are_inverse_park_bit_for_bit(self, pf_angle):
+        # motor mode (None) centers test_a_hi's window on 0 rad, and 0.02,
+        # 3.1 and -2.0 rad put a window across 0 rad too
+        cfg = envelope_cfg() if pf_angle is None else envelope_cfg(
+            pf_mode=PfMode.CUSTOM, pf_angle_rad=pf_angle)
+        b = TestBench(default_settings(cfg, **fast_thermal()))
+        i_d, i_q = b.i_ref_dq
+        wraps = 0
+        for k, sstate in enumerate(b.samplers):
+            angles = sstate.triggers.angles
+            wraps += bool((np.diff(angles) > 1.0).any())
+            want = np.array([_SIGN[k] * inverse_park(i_d, i_q, a)[_PHASE[k]]
+                             for a in angles.tolist()])
+            assert b._envelope_grid().slot_i[k].tobytes() == want.tobytes()
+        assert bool(wraps) == (pf_angle not in (-0.3, 1.9))
 
     @pytest.mark.parametrize("fidelity, budget", [
         pytest.param(Fidelity.ENVELOPE, 5, id="5"),

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from acpcsim.core import BenchConfig, validate_scenario
 from acpcsim.electrical import (FirstOrderFilter, PiState, PlantState,
-                                control_step, inverse_park, make_controller,
-                                park, pi_step, plant_step, svpwm_duties)
+                                control_step, inverse_park, inverse_park_phase,
+                                make_controller, park, pi_step, plant_step,
+                                svpwm_duties)
 
 TWO_PI = 2 * math.pi
 
@@ -60,6 +61,17 @@ class TestPark:
             d, q = park(*i_abc, theta)
             assert d == pytest.approx(amp * math.cos(phi), abs=1e-9)
             assert q == pytest.approx(-amp * math.sin(phi), abs=1e-9)
+
+    @settings(max_examples=200)
+    @given(v_d=st.floats(-1e4, 1e4), v_q=st.floats(-1e4, 1e4),
+           thetas=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+           phase=st.integers(0, 2))
+    @example(v_d=0.0, v_q=-0.0, thetas=[0.0, -0.0, TWO_PI], phase=0)
+    def test_one_phase_is_inverse_park_bit_for_bit(self, v_d, v_q, thetas,
+                                                   phase):
+        got = inverse_park_phase(v_d, v_q, thetas, phase)
+        want = [inverse_park(v_d, v_q, t)[phase] for t in thetas]
+        assert np.array(want).tobytes() == got.tobytes()
 
     def test_instantaneous_power_consistency(self):
         rng = np.random.default_rng(13)

@@ -89,6 +89,25 @@ class TestMatchTrigger:
             for a, b, w in zip(t0[:2000], t1[:2000], want[:2000]):
                 assert bool(len(triggers_in_interval(ts, a, b))) == w
 
+    def test_interval_indices_are_the_linear_scan(self):
+        # the crossed slots themselves, ascending from the sweep's start:
+        # a range, or the slots past the start and then those from 0 rad
+        rng = np.random.default_rng(5)
+        for center in (0.0, math.pi / 2, 6.2):
+            ts = build_trigger_set(center, 60, math.radians(10))
+            t0 = rng.uniform(-TWO_PI, 2 * TWO_PI, size=3000)
+            t1 = t0 + rng.uniform(0.0, TWO_PI, len(t0))
+            t1[::5] = rng.choice(ts.angles, len(t1[::5]))
+            a0, a1 = t0 % TWO_PI, t1 % TWO_PI
+            for x0, x1, b0, b1 in zip(t0, t1, a0, a1):
+                got = triggers_in_interval(ts, x0, x1)
+                after = np.flatnonzero(ts.angles > b0)
+                upto = np.flatnonzero(ts.angles <= b1)
+                want = (np.intersect1d(after, upto) if b1 > b0 else
+                        np.concatenate([after, upto]) if b1 < b0 else [])
+                assert list(got) == list(want)
+                assert isinstance(got, range) or b1 < b0
+
     def test_interval_crossing_wrap(self):
         ts = build_trigger_set(0.0, 11, math.radians(10))
         idx = triggers_in_interval(ts, TWO_PI - math.radians(11),
@@ -225,6 +244,28 @@ class TestSamplerBudget:
         assert s.filled_mask[:3].all() and not s.filled_mask[3:].any()
         assert (s.v_on[:3] == 2.0).all() and s.filled == 3
         assert store_slots(s, [4, 3], 7.0, 1.0, 0.1) == 1 and s.filled_mask[3]
+
+    def test_store_slots_takes_a_range_as_its_slots(self):
+        # a range of slots stores as the same list of slots would: the
+        # contiguous empty run that fits the budget at once, any other
+        # through the per-slot rule
+        ts = build_trigger_set(1.0, 12, 0.2)
+        cases = [(range(2, 5), ()), (range(2, 5), (3,)), (range(0, 9), ()),
+                 (range(1, 9, 2), ()), (range(4, 4), ()), (range(0, 2), (0, 1))]
+        for in_order in (False, True):
+            for idx, filled in cases:
+                got = SamplerState(ts, budget_per_cycle=6, in_order=in_order)
+                ref = SamplerState(ts, budget_per_cycle=6, in_order=in_order)
+                for s in (got, ref):
+                    for k in filled:
+                        store_slots(s, [k], 0.5, 10.0, 0.05)
+                n = store_slots(got, idx, 1.0, 11.0, 0.1)
+                assert n == store_slots(ref, list(idx), 1.0, 11.0, 0.1)
+                for name in ("v_on", "i", "truth", "filled_mask"):
+                    assert (getattr(got, name).tobytes()
+                            == getattr(ref, name).tobytes())
+                assert (got.filled, got.budget_used) == \
+                    (ref.filled, ref.budget_used)
 
     def test_order_independence(self):
         # any arrival order reconstructs the same slot array

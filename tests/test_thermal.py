@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acpcsim.cycling import N_DEVICES, TestBench, default_settings
+from acpcsim.cycling import _NO_LOSS, N_DEVICES, TestBench, default_settings
 from acpcsim.thermal import (CoolingState, FosterNetwork, FosterStage,
                              NtcModel, StepTooLarge, cooling_absorb,
                              cooling_step, default_network, foster_step)
@@ -152,6 +152,29 @@ class TestNtc:
         assert b._t_case[0] == pytest.approx(25.0 + 200.0 * 0.4, abs=1e-3)
         assert b.ntc_readings == pytest.approx(b._t_case + 3.0, abs=1e-3)
 
+    @pytest.mark.parametrize("bias", [0.0, 3.0, -1.5])
+    def test_idle_step_moves_toward_case_plus_bias(self, bias):
+        # one idle step of the lagging sensor: a zero bias is left out of
+        # the target, a nonzero one still counts
+        b = bench(ntc=NtcModel(bias=bias, time_constant=0.5))
+        for _ in range(50):
+            b._thermal_step(np.full(N_DEVICES, 300.0), 1e-2, pump_test=True)
+        prev = b.ntc_readings.copy()
+        b._thermal_step(_NO_LOSS, 1e-2, pump_test=True)
+        gain = 1.0 - math.exp(-1e-2 / 0.5)
+        assert (b.ntc_readings == prev + gain * (b._t_case + bias - prev)).all()
+        assert b.ntc_readings[0] != prev[0]
+
+    def test_ideal_sensor_reads_the_case_plus_bias(self):
+        # the reading is a copy: the next step updates the case in place
+        b = bench(ntc=NtcModel(bias=3.0, time_constant=0.0))
+        b._thermal_step(np.full(N_DEVICES, 300.0), 1e-2, pump_test=True)
+        assert (b.ntc_readings == b._t_case + 3.0).all()
+        held = b.ntc_readings.copy()
+        b._thermal_step(_NO_LOSS, 1e-2, pump_test=True)
+        assert (held != b.ntc_readings).any()
+        assert (b.ntc_readings == b._t_case + 3.0).all()
+
     def test_first_order_step_response(self):
         # a boundary stage too slow to move holds the case 100 K over
         # ambient while the sensor, reading ambient, follows its lag
@@ -184,6 +207,25 @@ def test_thermal_bank_matches_foster_step():
         tj_r, tc_r = expect[k // 6]
         assert b.bank.t_j[k] == pytest.approx(tj_r, rel=1e-12)
         assert b._t_case[k] == pytest.approx(tc_r, rel=1e-12)
+
+
+def test_zero_loss_step_only_decays_the_stages():
+    # the idle step skips the heat product: its stages are temps * a bit
+    # for bit, and the whole thermal state is that of an explicit zero loss
+    idle, ref = bench(), bench()
+    for b in (idle, ref):
+        for _ in range(20):
+            b._thermal_step(np.full(N_DEVICES, 250.0), 1e-2, pump_test=True)
+    for _ in range(30):
+        temps = idle._stage_temps.copy()
+        idle._thermal_step(_NO_LOSS, 1e-2, pump_test=True)
+        ref._thermal_step(np.zeros(N_DEVICES), 1e-2, pump_test=True)
+        (a, *_), = idle._thermal_cache.values()
+        assert idle._stage_temps.tobytes() == (temps * a).tobytes()
+        for name in ("_stage_temps", "_t_case", "ntc_readings"):
+            assert getattr(idle, name).tobytes() == getattr(ref, name).tobytes()
+        assert idle.bank.t_j.tobytes() == ref.bank.t_j.tobytes()
+    assert (idle._stage_temps > 0).all()
 
 
 def test_invalid_stage_rejected():
