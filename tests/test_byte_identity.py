@@ -112,17 +112,26 @@ RUN_STATE_SHA256 = {
         "54309c7ffcde39eca8107fc8c368589463640918942c297bd64d542c690bdb0a",
     "switched":
         "20aaf84ff0b4a0a20bd1319acee296a81439123fedd514156700dc9a287fefa9",
+    # pinned before the averaged step moved to Python-float device rows
+    "budget_5":
+        "6f97d831e9c6c802e8b0d1a6c4a4fe5baeeafb1703a82bce73cf7ae47b867a91",
 }
+# (scenario, simulated seconds, capture budget per cycle)
 RUN_STATE_CASES = {
     # AC-1's run, first 0.1 s
-    "ac1": (BenchConfig(), 0.1),
-    "generator": (BenchConfig(pf_mode=PfMode.GENERATOR), 0.05),
+    "ac1": (BenchConfig(), 0.1, 300),
+    "generator": (BenchConfig(pf_mode=PfMode.GENERATOR), 0.05, 300),
     # about a tenth of the SVPWM calls are radially clamped
     "saturated": (BenchConfig(modulation_index=1.0, i_ref_peak=600.0,
-                              rng_seed=5), 0.05),
+                              rng_seed=5), 0.05, 300),
     # the plant's r == 0 branch
-    "lossless_link": (BenchConfig(link_resistance=0.0), 0.05),
-    "switched": (BenchConfig(fidelity=Fidelity.SWITCHED), 0.01),
+    "lossless_link": (BenchConfig(link_resistance=0.0), 0.05, 300),
+    "switched": (BenchConfig(fidelity=Fidelity.SWITCHED), 0.01, 300),
+    # the default budget of 5 binds, with noise on: a sweep crosses most of
+    # a window per step at 600 Hz, so the budget stops devices, the store
+    # keeps only part of a crossed range, and each of the twelve windows
+    # completes once, 60 fundamental cycles after its first slot
+    "budget_5": (BenchConfig(f_fund=600.0, rng_seed=11), 0.1, 5),
 }
 # measure_operating_point() after 0.02 s of the default averaged run
 OPERATING_POINT_SHA256 = \
@@ -165,9 +174,9 @@ def _digests(scenario, out, cycles, names, emit="precursors"):
 def _steady_run(case: str) -> TestBench:
     """The named run of RUN_STATE_CASES, with waveforms collected; the
     waveform rows are only appended, so no other result depends on them."""
-    cfg, duration = RUN_STATE_CASES[case]
+    cfg, duration, budget = RUN_STATE_CASES[case]
     bench = TestBench(default_settings(validate_scenario(cfg),
-                                       budget_per_cycle=300))
+                                       budget_per_cycle=budget))
     bench.collect_waveforms = True
     bench.run_steady(duration)
     return bench
