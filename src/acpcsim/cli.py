@@ -30,8 +30,8 @@ thermal.*    stage_r / stage_tau (comma lists, junction-side stages),
              (default: the ambient), max_heat, reservoir_c
 ntc.*        bias, time_constant
 sampler.*    n_points, window_deg, budget_per_cycle (at least 1), fir_taps
-             (odd, at most 2 * n_points + 1), fir_cutoff, i_floor (default:
-             5 % of the device's nominal current)
+             (odd, at most 2 * n_points + 1), fir_cutoff, i_floor (at
+             least 0; default: 5 % of the device's nominal current)
 lut.*        t_axis / i_axis (comma lists of at least two points)
 aging.*      delta_pkg / delta_vth / delta_vsd / r_th_factor (breakpoint
              lists "cycle:value, cycle:value, ..."; r_th_factor multiplies
@@ -363,11 +363,15 @@ def _floats(values) -> str:
     return ",".join(map(repr, values)).replace("nan", "")
 
 
-def _write_lines(path: Path, header, lines) -> None:
-    path.write_text("\n".join([",".join(header), *lines]) + "\n")
+def _write_lines(path: Path, header, lines) -> str:
+    """Write the header and lines as one file of "\n"-ended lines; returns
+    the SHA-256 of the bytes written, hashed from memory."""
+    data = ("\n".join([",".join(header), *lines]) + "\n").encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_precursors(path: Path, records) -> None:
+def write_precursors(path: Path, records) -> str:
     lines = []
     for rec in records:
         # the cells every device's row of the record shares
@@ -379,26 +383,25 @@ def write_precursors(path: Path, records) -> None:
                    rec.tj_min.tolist(), rec.delta_tj.tolist())
         lines.extend(f"{head}{dev_id},{_floats(values)}{tail}"
                      for dev_id, *values in cols)
-    _write_lines(path, PRECURSOR_COLUMNS, lines)
+    return _write_lines(path, PRECURSOR_COLUMNS, lines)
 
 
-def write_thermal_trace(path: Path, bench: TestBench) -> None:
+def write_thermal_trace(path: Path, bench: TestBench) -> str:
     header = ["t_s"] + [f"tj_{d}" for d in DEVICE_IDS] + ["t_case_test_a_hi"]
-    _write_lines(path, header, map(_floats, bench.thermal_trace))
+    return _write_lines(path, header, map(_floats, bench.thermal_trace))
 
 
-def write_waveforms(path: Path, bench: TestBench) -> None:
+def write_waveforms(path: Path, bench: TestBench) -> str:
     header = ["t_s", "theta_rad", "i_a", "i_b", "i_c"] \
         + [f"v_ds_{d}" for d in DEVICE_IDS]
-    _write_lines(path, header, map(_floats, bench.waveform_rows))
+    return _write_lines(path, header, map(_floats, bench.waveform_rows))
 
 
-def write_sampling_trace(path: Path, bench: TestBench) -> None:
+def write_sampling_trace(path: Path, bench: TestBench) -> str:
     header = ("slot_index", "angle_deg", "i_a", "v_on_v", "r_raw_mohm",
               "r_filt_mohm")
     if bench.last_window_trace is None:
-        _write_lines(path, header, [])
-        return
+        return _write_lines(path, header, [])
     angles, i_slots, v_slots = bench.last_window_trace
     raw = np.where(np.abs(i_slots) > 0, v_slots / np.where(i_slots == 0, 1.0,
                                                            i_slots), np.nan)
@@ -406,8 +409,8 @@ def write_sampling_trace(path: Path, bench: TestBench) -> None:
     # np.degrees is math.degrees' one multiply, elementwise
     cols = zip(np.degrees(angles).tolist(), i_slots.tolist(),
                v_slots.tolist(), (raw * 1e3).tolist(), (filt * 1e3).tolist())
-    _write_lines(path, header, [f"{k},{_floats(values)}"
-                                for k, values in enumerate(cols)])
+    return _write_lines(path, header, [f"{k},{_floats(values)}"
+                                       for k, values in enumerate(cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +452,17 @@ def run(scenario_path, out_dir, seed: Optional[int] = None,
     bench.collect_waveforms = emit in ("waveforms", "both")
     result = bench.run_campaign()
 
-    files = {}
-    write_precursors(out / "precursors.csv", result.records)
-    files["precursors.csv"] = _sha256(out / "precursors.csv")
-    write_thermal_trace(out / "trace_thermal.csv", bench)
-    files["trace_thermal.csv"] = _sha256(out / "trace_thermal.csv")
-    write_sampling_trace(out / "trace_sampling.csv", bench)
-    files["trace_sampling.csv"] = _sha256(out / "trace_sampling.csv")
+    # each writer returns the hash of the bytes it wrote
+    files = {
+        "precursors.csv": write_precursors(out / "precursors.csv",
+                                           result.records),
+        "trace_thermal.csv": write_thermal_trace(out / "trace_thermal.csv",
+                                                 bench),
+        "trace_sampling.csv": write_sampling_trace(
+            out / "trace_sampling.csv", bench),
+    }
     if bench.collect_waveforms:
-        write_waveforms(out / "waveforms.csv", bench)
-        files["waveforms.csv"] = _sha256(out / "waveforms.csv")
+        files["waveforms.csv"] = write_waveforms(out / "waveforms.csv", bench)
 
     manifest = {
         "scenario": str(scenario_path),
@@ -476,10 +480,6 @@ def run(scenario_path, out_dir, seed: Optional[int] = None,
     if result.status != "ok":
         print(f"run ended early: {result.reason}", file=sys.stderr)
     return _EXIT_BY_STATUS[result.status]
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -244,13 +244,14 @@ def energy_audit(tally: EnergyTally) -> EnergyAudit:
 class DeviceBank:
     """All twelve switches evaluated together with per-device aging state.
 
-    Conduction drops come from the conduction law's two halves with each
-    device's temperature and aging deltas; conduction is the bench's one
-    entry to them, for one current per device or a (12, g) grid. The law's
-    constants are bound once as (12,) arrays (law), and they and the aging
-    rows also as (12, 1) views once a grid is evaluated. The aging rows and
-    shorted are only ever written in place, which the views see; t_j is
-    rebound by every thermal step.
+    Conduction drops come from the conduction law with each device's
+    temperature and aging deltas; conduction is the bench's one entry to
+    it, with one path per shape: the row form for one current per device,
+    the array form's two halves for a (12, g) grid. For the grids the law's
+    constants are bound once as (12, 1) columns (law), and the aging rows
+    and shorted as (12, 1) views. The aging rows and shorted are only ever
+    written in place, which the views see; t_j is rebound by every thermal
+    step.
     """
 
     def __init__(self, params: DeviceParams, ambient: float):
@@ -265,31 +266,38 @@ class DeviceBank:
         self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
         self.aging_version = 0
         self.law = dev_mod.bind_law(params, self.n)
-        self._rows = (self.law, self.delta_pkg, self.delta_vth,
-                      self.delta_vsd, self.shorted)
-        self._columns = None  # their (12, 1) views, bound on first use
+        self._columns = (self.delta_pkg[:, None], self.delta_vth[:, None],
+                         self.delta_vsd[:, None], self.shorted[:, None])
 
-    def conduction(self, cur: dev_mod.ConductionCurrent) -> tuple:
-        """Signed conduction drops at the currents whose current half is cur
-        (device.conduction_current of a (12,) or (12, g) array), with the
-        channel held on (synchronous rectification across both bridges);
-        an injected short reads the desaturated drop in its row.
+    def conduction(self, cur) -> tuple:
+        """Signed conduction drops, with the channel held on (synchronous
+        rectification across both bridges); an injected short reads the
+        desaturated drop in its row.
 
-        The temperature half is evaluated once per device, and returned
-        beside the drops as r_t, (12,) or (12, 1): the on-resistance of row
-        k at current i is r_t[k] + current_slope(i).
+        cur is one current per device, a list of twelve Python floats, or
+        the current half of a (12, g) grid (device.conduction_current).
+        Returns (v, r_t): the drops and the temperature half of R evaluated
+        once per device, so that the on-resistance of row k at current i is
+        r_t[k] + current_slope(i). For one current per device both are
+        lists of Python floats (device.conduction_rows); for a grid, v is
+        (12, g) and r_t (12, 1).
         """
-        if cur.mag.ndim == 2:
-            if self._columns is None:
-                self._columns = (self.law.columns(),
-                                 *[x[:, None] for x in self._rows[1:]])
-            law, pkg, vth, vsd, shorted = self._columns
-            t = self.t_j[:, None]
-        else:
-            law, pkg, vth, vsd, shorted = self._rows
-            t = self.t_j
-        r_t, knee = dev_mod.temperature_half(law, t, law.gate_on_v, pkg, vth,
-                                             vsd)
+        if not isinstance(cur, dev_mod.ConductionCurrent):
+            v, r_t = dev_mod.conduction_rows(
+                self.params, cur, self.t_j.tolist(), self.delta_pkg.tolist(),
+                self.delta_vth.tolist(), self.delta_vsd.tolist())
+            if np.count_nonzero(self.shorted):
+                fault = float(self.desat_fault_v)
+                for k in np.flatnonzero(self.shorted).tolist():
+                    v[k] = fault
+            return v, r_t
+        if cur.mag.ndim != 2:
+            raise ValueError("the array path takes a (12, g) grid; pass one "
+                             "current per device as a list of floats")
+        law = self.law
+        pkg, vth, vsd, shorted = self._columns
+        r_t, knee = dev_mod.temperature_half(law, self.t_j[:, None],
+                                             law.gate_on_v, pkg, vth, vsd)
         v = dev_mod.conduction_from_halves(law, cur, r_t, knee)
         if np.count_nonzero(self.shorted):
             np.copyto(v, self.desat_fault_v, where=shorted)
@@ -461,6 +469,12 @@ class TestBench:
         self.bank = DeviceBank(params, self.ambient)
         self.i_floor = 0.05 * params.i_nominal if s.i_floor is None \
             else s.i_floor
+        if not self.i_floor >= 0.0:
+            # the capture divides each stored drop by its current
+            raise ConfigError(
+                "sampler.i_floor",
+                f"a capture floor of {self.i_floor:g} A admits a zero "
+                f"current, whose ratio is undefined; use at least 0")
         # blocking-diode mismatch of each device's sense path, V
         self.e_d = rng_ed.uniform(*sns.E_D_RANGE, size=N_DEVICES)
 
@@ -528,7 +542,6 @@ class TestBench:
         self._desat_idle = True  # every run counter reads -1
         self._trip_runs: dict = {}  # (dt, blanking) -> blanking_runs
         self._desat_bias = sns.desat_voltage(s.sense_params, 0.0)
-        self._desat_bias_row = np.full(N_DEVICES, self._desat_bias)
         # the envelope step's threshold column and trip count, built on use
         self._env_desat = None
         # the sensor readings before the last thermal step, and its dt
@@ -598,15 +611,18 @@ class TestBench:
 
     # -- protection ------------------------------------------------------------
 
-    def _protection(self, v_cond: np.ndarray, i_dev: np.ndarray, dt: float):
+    def _protection(self, v_cond, i_dev, dt: float):
         """Blanked DESAT comparator, one sample per step of dt: a device
         trips once its pin has stayed above its threshold for
-        blanking_runs(dt, blanking) consecutive conducting steps.
+        blanking_runs(dt, blanking) consecutive conducting steps. v_cond
+        and i_dev are the step's rows, one drop and one current per device.
 
         The run counters read -1 while a device is not over; they are
         rebuilt only while some device is over or a run is still open."""
-        over = (i_dev > 0.0) & (self._desat_bias_row + v_cond > self.desat_thr)
-        if np.count_nonzero(over):
+        bias = self._desat_bias
+        over = [i > 0.0 and bias + v > thr for v, i, thr
+                in zip(v_cond, i_dev, self.desat_thr.tolist())]
+        if any(over):
             run = self._desat_run = np.where(over, self._desat_run + 1, -1)
             self._desat_idle = False
             key = (dt, self.desat_base.blanking)
@@ -631,8 +647,10 @@ class TestBench:
 
     # -- capture ----------------------------------------------------------------
 
-    def _capture(self, theta_now: float, i_dev: np.ndarray, v_cond: np.ndarray,
-                 duty: np.ndarray):
+    def _capture(self, theta_now: float, i_dev, v_cond, duty):
+        """Store the step's readings in the windows whose triggers the sweep
+        from theta_prev to theta_now crossed; i_dev, v_cond and duty are the
+        step's rows, one value per device."""
         cyc = int(self.cfg.f_fund * self.t + 1e-9)
         if cyc != self._fund_cycle:
             self._fund_cycle = cyc
@@ -642,22 +660,31 @@ class TestBench:
         if self._trigger_index is None:
             self._trigger_index = smp.TriggerIndex(
                 [st.triggers for st in self.samplers])
+        theta_prev, self.theta_prev = self.theta_prev, theta_now
+        crossed = self._trigger_index.crossed(theta_prev, theta_now)
+        if not crossed:
+            return
         floor = self.i_floor
-        sigma = self.s.sense_params.noise_sigma
-        theta_prev = self.theta_prev
+        samplers = self.samplers
         # the devices whose triggers the sweep crossed, in ascending order,
-        # so the gates and the noise draws run as a scan of all twelve would
-        for k in self._trigger_index.crossed(theta_prev, theta_now):
-            sstate = self.samplers[k]
-            if sstate.budget_used >= sstate.budget_per_cycle:
-                continue
-            if i_dev[k] <= floor or duty[k] < 0.02:
-                continue
-            noise = self.rng.normal(0.0, sigma) if sigma > 0 else 0.0
-            smp.sampler_update_interval(
-                sstate, theta_prev, theta_now,
-                float(v_cond[k] + self.e_d[k] + noise), float(i_dev[k]),
-                truth=float(v_cond[k] / i_dev[k]))
+        # that the budget and the gates let store, so the noise draws run
+        # as a scan of all twelve would
+        store = [k for k in crossed
+                 if samplers[k].budget_used < samplers[k].budget_per_cycle
+                 and not i_dev[k] <= floor and not duty[k] < 0.02]
+        if not store:
+            return
+        sigma = self.s.sense_params.noise_sigma
+        # one draw of m normals is m scalar draws, value for value, and
+        # leaves the stream where they would
+        noise = self.rng.normal(0.0, sigma, len(store)).tolist() \
+            if sigma > 0 else [0.0] * len(store)
+        e_d = self.e_d.tolist()
+        for k, z in zip(store, noise):
+            sstate = samplers[k]
+            v, i = v_cond[k], i_dev[k]
+            smp.sampler_update_interval(sstate, theta_prev, theta_now,
+                                        v + e_d[k] + z, i, truth=v / i)
             if sstate.complete:
                 idx = self._win_idx[k:k + 1]
                 i_pk = float(sstate.i[sstate.triggers.center_index])
@@ -670,7 +697,6 @@ class TestBench:
                                               sstate.i.copy(),
                                               sstate.v_on.copy())
                 sstate.reset_window()
-        self.theta_prev = theta_now
 
     def _finish_window(self, k0: int, v_win: np.ndarray, i_win: np.ndarray,
                        truth_win: Optional[np.ndarray], cols: list,
@@ -720,18 +746,18 @@ class TestBench:
             self.ctl, self.plant.i_abc, theta, dt, v_test_dq, i_ref, cfg.v_dc)
         d_test, d_load = (dta, dtb, dtc), (dla, dlb, dlc)
 
+        # the step's rows, one Python float per device: currents, duties
+        # and conduction drops
         i0 = self.plant.i_abc
         i_a, i_b, i_c = i0
-        i_dev = np.array(_device_values(i_a, i_b, i_c))
-        duty = np.array([dta, 1.0 - dta, dtb, 1.0 - dtb, dtc, 1.0 - dtc,
-                         dla, 1.0 - dla, dlb, 1.0 - dlb, dlc, 1.0 - dlc])
-        v_cond, _ = self.bank.conduction(
-            dev_mod.conduction_current(self.bank.law, i_dev))
+        i_dev = _device_values(i_a, i_b, i_c)
+        duty = [dta, 1.0 - dta, dtb, 1.0 - dtb, dtc, 1.0 - dtc,
+                dla, 1.0 - dla, dlb, 1.0 - dlb, dlc, 1.0 - dlc]
+        vc, _ = self.bank.conduction(i_dev)
 
-        self._capture(theta, i_dev, v_cond, duty)
-        self._protection(v_cond, i_dev, dt)
+        self._capture(theta, i_dev, vc, duty)
+        self._protection(vc, i_dev, dt)
 
-        vc = v_cond.tolist()
         v_hi_t, v_lo_t = vc[0:6:2], vc[1:6:2]
         v_hi_l, v_lo_l = vc[6:12:2], vc[7:12:2]
         pole_test = _pole_voltages(d_test, v_hi_t, v_lo_t, cfg.v_dc)
@@ -744,19 +770,23 @@ class TestBench:
             res = plant_step(self.plant, pole_test, pole_load,
                              cfg.link_resistance, cfg.link_inductance, dt)
 
-        i_mean_dev = np.array(_device_values(*res.i_mean))
-        p_cond = duty * v_cond * i_mean_dev
-        # the law on each device's |mean current|, its phase's
-        p_sw = dev_mod.switching_loss(self.bank.params, cfg.f_sw, cfg.v_dc,
-                                      np.abs(i_mean_dev))
-        self._thermal_step(p_cond + p_sw, dt, pump_test=False)
+        # the loss rows: conduction, and the switching-loss law on each
+        # device's |mean current|, its phase's
+        s_a, s_b, s_c = [dev_mod.switching_loss(self.bank.params, cfg.f_sw,
+                                                cfg.v_dc, abs(i))
+                         for i in res.i_mean]
+        losses = np.array([[d * v * i for d, v, i
+                            in zip(duty, vc, _device_values(*res.i_mean))],
+                           [s_a, s_a, s_b, s_b, s_c, s_c] * 2])
+        self._thermal_step(losses[0] + losses[1], dt, pump_test=False)
 
+        # numpy's pairwise sum of each row of twelve
+        p_cond_total, p_sw_total = np.add.reduce(losses, axis=1).tolist()
         tl = self.tally
-        p_sw_total = float(np.add.reduce(p_sw))
         d_diff = np.array([dta - dla, dtb - dlb, dtc - dlc])
         tl.e_supply += (cfg.v_dc * float(np.dot(d_diff, res.i_mean))
                         + p_sw_total) * dt
-        tl.e_cond += float(np.add.reduce(p_cond)) * dt
+        tl.e_cond += p_cond_total * dt
         tl.e_sw += p_sw_total * dt
         s_a, s_b, s_c = res.i_sq_mean
         tl.e_link += cfg.link_resistance * (s_a + s_b + s_c) * dt
@@ -1076,7 +1106,8 @@ class TestBench:
             hot = float(np.nanmax(est))
         return pred.crossed_up(hot, cfg.t_j_max)
 
-    def _cool_done(self, t_cool: float, observer: Callable[[float], float],
+    def _cool_done(self, t_cool: float,
+                   observer: Optional[Callable[[float], float]],
                    pred: "_CrossingPredictor") -> bool:
         cfg = self.cfg
         if cfg.technique is Technique.FIXED_TIMES:
@@ -1148,7 +1179,9 @@ class TestBench:
                     "its target")
         t_on_actual = self.t - t0
 
-        observer = self._make_observer()
+        # only the junction swing reads the cool-down observer
+        observer = self._make_observer() \
+            if cfg.technique is Technique.JUNCTION_SWING else None
         tj_min = self.bank.t_j.copy()
         t0 = self.t
         pred = _CrossingPredictor()

@@ -13,24 +13,27 @@ proportional to the gate overdrive (shifted by gate-oxide aging):
 Reverse current flows through the channel in parallel with the body diode
 once the channel drop reaches the diode knee. The body diode adds a
 stacking-fault voltage shift on top of a knee with current-dependent
-temperature coefficient. conduction_voltage and switching_loss are the only
-forms of the conduction and switching-loss laws; they take scalars or
-arrays.
+temperature coefficient. switching_loss is the only form of the
+switching-loss law; it takes scalars or arrays.
 
-The conduction law splits into a temperature half (the first two lines of
-R above, and the diode knee: temperature_half gives both from one
-t_j - t0) and a current half (the last line of R,
-current_slope, and the signs and magnitudes of conduction_current).
-on_resistance and conduction_voltage combine the two; every bench engine
-combines them through conduction_from_halves with the temperature half
-evaluated once per step, and the envelope engine binds its current half
-once per run.
+The conduction law has two forms. The array form, conduction_voltage,
+takes scalars or broadcasting arrays; it splits into a temperature half
+(the first two lines of R above, and the diode knee: temperature_half
+gives both from one t_j - t0) and a current half (the last line of R,
+current_slope, and the signs and magnitudes of conduction_current), which
+conduction_from_halves combines, so the envelope engine binds its current
+half once per run and evaluates the temperature half once per step on its
+(12, g) grids. The row form, conduction_rows, evaluates one current per
+device on lists of Python floats, as the averaged and switched engines
+need it; it keeps the array form's order of operations, so each drop is
+conduction_voltage's to the bit (tests/test_cycling.py TestBankConsistency
+pins the two together).
 
 There is no per-device state object: every law takes DeviceParams plus the
 junction temperature and aging values (delta_pkg, delta_vth, delta_vsd) as
 scalars or arrays, and the bench passes the twelve-wide arrays of its
 DeviceBank. The laws read their constants as attributes, so the bench can
-pass the same constants bound as per-device arrays (bind_law) in place of
+pass the same constants bound as per-device columns (bind_law) in place of
 DeviceParams.
 """
 
@@ -90,11 +93,12 @@ class DeviceParams:
 
 class LawConstants(NamedTuple):
     """The constants of the conduction law, under DeviceParams' names,
-    bound as arrays of one value per device (bind_law). Passed to the laws
-    in place of DeviceParams, they give every ufunc array operands only,
-    which saves the scalar promotion of each call on short arrays; the
-    results are the same to the bit. alpha_drift stays a float: numpy
-    rounds a power with a float exponent as the law always has."""
+    bound as (n, 1) columns of one value per device (bind_law), for (n, g)
+    current grids. Passed to the laws in place of DeviceParams, they give
+    every ufunc array operands only, which saves the scalar promotion of
+    each call; the results are the same to the bit. alpha_drift stays a
+    float: numpy rounds a power with a float exponent as the law always
+    has."""
 
     t0: np.ndarray
     t0_kelvin: np.ndarray
@@ -111,16 +115,12 @@ class LawConstants(NamedTuple):
     gate_on_v: np.ndarray
     alpha_drift: float
 
-    def columns(self) -> "LawConstants":
-        """The same constants as (n, 1) views, for (n, g) current grids."""
-        return LawConstants(*[x[:, None] for x in self[:-1]],
-                            self.alpha_drift)
-
 
 def bind_law(p: DeviceParams, n: int) -> LawConstants:
-    """p's conduction-law constants as (n,) arrays, alpha_drift a float."""
+    """p's conduction-law constants as (n, 1) columns, alpha_drift a
+    float."""
     values = np.array([getattr(p, f) for f in LawConstants._fields[:-1]])
-    return LawConstants(*values[:, None].repeat(n, axis=1),
+    return LawConstants(*values[:, None, None].repeat(n, axis=1),
                         float(p.alpha_drift))
 
 
@@ -251,10 +251,56 @@ def conduction_from_halves(p: DeviceParams, cur: ConductionCurrent, r_t,
     return v
 
 
+def conduction_rows(p: DeviceParams, i, t_j, delta_pkg, delta_vth,
+                    delta_vsd) -> tuple:
+    """The row form of the conduction law, one current per device, with the
+    channel held on at p.gate_on_v: (v, r_t), lists of Python floats, where
+    v[k] is conduction_voltage at device k's signed current i[k],
+    temperature t_j[k] and aging deltas, and r_t[k] is the temperature half
+    of on_resistance (temperature_half's r_t).
+
+    The arguments are sequences of Python floats, one per device. Every
+    expression keeps the array form's order of operations, so each value is
+    the array form's to the bit: the drift power is one numpy power over
+    all the rows, which rounds as the array form's does (a Python float
+    power need not); the sign is applied by negation, which is the array
+    form's multiply by -1.0; a zero or NaN current reads 0.0. The parallel
+    branch is evaluated only for a reverse current above the knee.
+    """
+    t0, v_gs, t0_kelvin = p.t0, p.gate_on_v, p.t0_kelvin
+    growth = (np.array([(t + KELVIN) / t0_kelvin for t in t_j])
+              ** p.alpha_drift).tolist()
+    r_drift0, k_ch, v_th0, rho_vth = p.r_drift0, p.k_ch, p.v_th0, p.rho_vth
+    r_i_slope, i_nominal = p.r_i_slope, p.i_nominal
+    v_j0, rho_sd_lo, r_diode, g_diode = p.v_j0, p.rho_sd_lo, p.r_diode, \
+        p.g_diode
+    v, r_t = [], []
+    for i_k, t, g, pkg, vth, vsd in zip(i, t_j, growth, delta_pkg,
+                                        delta_vth, delta_vsd):
+        rise = t - t0
+        r_k = r_drift0 * (1.0 + pkg) * g \
+            + k_ch / (v_gs - (v_th0 + rho_vth * rise + vth))
+        r_t.append(r_k)
+        mag = abs(i_k)
+        if not mag > 0.0:
+            v.append(0.0)
+            continue
+        r_ch = r_k + r_i_slope * (mag - i_nominal)
+        drop = mag * r_ch
+        if i_k > 0.0:
+            v.append(drop)
+            continue
+        knee = v_j0 + rho_sd_lo * rise + vsd
+        if not drop <= knee:
+            drop = (mag + knee / r_diode) / (1.0 / r_ch + g_diode)
+        v.append(-drop)
+    return v, r_t
+
+
 def conduction_voltage(p: DeviceParams, i, t_j, v_gs, delta_pkg=0.0,
                        delta_vth=0.0, delta_vsd=0.0):
     """Signed drain-source voltage while conducting signed current i with the
-    channel on, the one implementation of the law.
+    channel on, the array form of the law (conduction_rows is its row form).
 
     First quadrant: ohmic drop through on_resistance. Third quadrant: the
     channel alone below the diode knee, the channel in parallel with the

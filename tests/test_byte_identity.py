@@ -16,7 +16,10 @@ of nested np.where, and build_ron_lut to one on_resistance call per
 temperature over the whole current axis, and every digest held. So did
 they when the CSV writers went from a per-cell conversion to joined float
 reprs and the envelope grid's slot currents to one phase's cosine and sine
-per trigger angle (inverse_park_phase).
+per trigger angle (inverse_park_phase), and when the averaged and switched
+steps moved their per-device rows to Python floats, evaluated by the row
+form of the conduction law (device.conduction_rows), with the budget-5 run
+state pinned just before that change.
 
 Digests were re-pinned on purpose twice. First the fixed-times
 precursors.csv, when the envelope engine's partial-budget windows moved

@@ -266,6 +266,7 @@ class TestRun:
         "bench.mode = envelope\nbench.n_cycles = 1\nlut.i_axis = 100\n",
         "bench.mode = envelope\nbench.n_cycles = 1\n"
         "aging.r_th_factor = 0:1.0, 5:0.9\n",
+        "sampler.i_floor = -1\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
             "sense_e_d", "negative_noise_sigma", "sense_r_a1", "sense_r_a2",
@@ -275,7 +276,7 @@ class TestRun:
             "channel_closes_on_lut_axis", "coolant_away_from_ambient",
             "fir_longer_than_window", "fir_taps_even", "budget_below_one",
             "lut_t_axis_one_point", "lut_i_axis_one_point",
-            "r_th_factor_below_one"])
+            "r_th_factor_below_one", "negative_i_floor"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, tmp_path, capsys):
         path = tmp_path / "bad.txt"

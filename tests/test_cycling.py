@@ -42,7 +42,8 @@ def envelope_cfg(**kw):
 
 class TestBankConsistency:
     def test_bank_conduction_matches_scalar_ops(self):
-        # DeviceBank.conduction at one current per device is
+        # DeviceBank.conduction at one current per device (the row form the
+        # averaged step calls, on a list of Python floats) is
         # conduction_voltage on the bank's (12,) arrays, to the bit, and its
         # temperature half plus current_slope is on_resistance; row k is the
         # law called with device k's deltas and temperature, but for the
@@ -57,7 +58,9 @@ class TestBankConsistency:
         i = rng.uniform(-450, 450, bank.n)
         i[3] = 0.0
 
-        vec, r_t = bank.conduction(conduction_current(p, i))
+        v_row, r_row = bank.conduction(i.tolist())
+        assert all(type(x) is float for x in v_row + r_row)
+        vec, r_t = np.array(v_row), np.array(r_row)
         assert vec.shape == (bank.n,) and r_t.shape == (bank.n,)
         assert vec[3] == 0.0
         assert np.array_equal(vec, conduction_voltage(
@@ -77,7 +80,7 @@ class TestBankConsistency:
                 rtol=1e-15, atol=0)
         # an injected short reads the desaturated drop in its row only
         bank.shorted[5] = True
-        shorted, _ = bank.conduction(conduction_current(p, i))
+        shorted = np.array(bank.conduction(i.tolist())[0])
         assert shorted[5] == bank.desat_fault_v
         others = np.arange(bank.n) != 5
         assert np.array_equal(shorted[others], vec[others])
@@ -148,17 +151,19 @@ class TestBankConsistency:
                         min_size=12, max_size=12),
         currents=st.lists(st.one_of(
             st.just(0.0), st.just(-0.0), st.floats(-1e-3, 0.0),
-            st.floats(-2500.0, -1000.0), st.floats(-450.0, 450.0)),
+            st.floats(-2500.0, -1000.0), st.floats(-450.0, 450.0),
+            st.just(math.nan)),
             min_size=12, max_size=48),
         short=st.one_of(st.none(), st.integers(0, N_DEVICES - 1)))
     def test_bank_conduction_is_the_law_bit_for_bit(self, t_j, deltas,
                                                     currents, short):
-        # DeviceBank.conduction on its bound per-device arrays equals
-        # conduction_voltage on DeviceParams bit for bit, on one current per
-        # device (the averaged engine's current half, bound on bank.law)
-        # and on a (12, g) grid (the envelope's, bound on the params): zero
-        # currents, reverse currents below the knee (a few mA) and above it
-        # (over 1 kA through a hot, aged channel), and an injected short
+        # DeviceBank.conduction equals conduction_voltage on DeviceParams
+        # bit for bit, on one current per device (the row form the averaged
+        # and switched steps call, on a list of Python floats) and on a
+        # (12, g) grid (the envelope's current half, bound on the params):
+        # both signs, zero and NaN currents, reverse currents below the knee
+        # (a few mA) and above it (over 1 kA through a hot, aged channel),
+        # and an injected short
         p = module_400a()
         bank = DeviceBank(p, ambient=25.0)
         bank.t_j = np.array(t_j)
@@ -168,7 +173,7 @@ class TestBankConsistency:
             bank.shorted[short] = True
         g = len(currents) // N_DEVICES
         grid = np.resize(np.array(currents), (N_DEVICES, g))
-        cases = [(conduction_current(bank.law, grid[:, 0]), grid[:, 0],
+        cases = [(grid[:, 0].tolist(), grid[:, 0],
                   (bank.t_j, pkg, vth, vsd)),
                  (conduction_current(p, grid), grid,
                   (bank.t_j[:, None], pkg[:, None], vth[:, None],
@@ -179,15 +184,21 @@ class TestBankConsistency:
             if short is not None:
                 law[short] = bank.desat_fault_v
             v, r_t = bank.conduction(cur)
+            if type(cur) is list:
+                assert all(type(x) is float for x in v + r_t)
+            v, r_t = np.asarray(v), np.asarray(r_t)
             assert v.shape == i.shape
             assert v.tobytes() == law.tobytes()
             mag = np.abs(i)
             r_ch = on_resistance(p, t, mag, p.gate_on_v, d_pkg, d_vth)
-            assert np.array_equal(r_t + current_slope(p, mag), r_ch)
-            # the physics, row by row off the short: a zero current reads 0,
-            # the channel alone carries forward current and reverse current
-            # below the knee, and above it the channel and the diode share
-            # the reverse current at one drop (Kirchhoff's current law)
+            # a NaN current's slope is NaN on both sides
+            assert np.array_equal(r_t + current_slope(p, mag), r_ch,
+                                  equal_nan=True)
+            assert not np.isnan(r_t).any()
+            # the physics, row by row off the short: a zero or NaN current
+            # reads 0, the channel alone carries forward current and reverse
+            # current below the knee, and above it the channel and the diode
+            # share the reverse current at one drop (Kirchhoff's current law)
             knee = temperature_half(p, t, p.gate_on_v, d_pkg, d_vth,
                                     d_vsd)[1] + 0.0 * i
             live = np.ones(i.shape, dtype=bool)
@@ -195,7 +206,7 @@ class TestBankConsistency:
                 live[short] = False
             alone = live & ((i > 0.0) | ((i < 0.0) & (mag * r_ch <= knee)))
             shared = live & (i < 0.0) & (mag * r_ch > knee)
-            assert (v[live & (i == 0.0)] == 0.0).all()
+            assert (v[live & ~(mag > 0.0)] == 0.0).all()
             assert np.allclose(v[alone], (np.sign(i) * mag * r_ch)[alone],
                                rtol=1e-14, atol=0.0)
             u = -v[shared]
@@ -205,16 +216,18 @@ class TestBankConsistency:
                                mag[shared], rtol=1e-12, atol=0.0)
 
     def test_in_place_aging_and_shorts_reach_both_shapes(self):
-        # the bank binds (12, 1) views of its aging rows and shorted once;
-        # writes into those arrays after the first call still take effect,
-        # for one current per device and for a grid
+        # the bank binds (12, 1) views of its aging rows and shorted once
+        # for grids, and reads the rows at each call for one current per
+        # device; writes into those arrays after the first call still take
+        # effect, for both shapes
         p = module_400a()
         bank = DeviceBank(p, ambient=60.0)
         rng = np.random.default_rng(3)
         i = rng.uniform(-2000, 450, size=(N_DEVICES, 9))
-        cur_row = conduction_current(bank.law, i[:, 0])
+        cur_row = i[:, 0].tolist()
         cur_grid = conduction_current(p, i)
-        before = [bank.conduction(c)[0] for c in (cur_row, cur_grid)]
+        before = [np.asarray(bank.conduction(c)[0])
+                  for c in (cur_row, cur_grid)]
         bank.delta_pkg[:] = rng.uniform(0.05, 0.2, N_DEVICES)
         bank.delta_vth[:] = rng.uniform(1.0, 6.0, N_DEVICES)
         bank.delta_vsd[:] = rng.uniform(0.1, 0.4, N_DEVICES)
@@ -234,6 +247,18 @@ class TestBankConsistency:
         bank.shorted[7] = False
         v, _ = bank.conduction(cur_grid)
         assert (v[7] != bank.desat_fault_v).all()
+
+    def test_each_shape_has_one_path(self):
+        # one current per device takes the row form only: a current half of
+        # twelve currents would broadcast against the (12, 1) columns
+        bank = DeviceBank(module_400a(), ambient=25.0)
+        row = [100.0] * N_DEVICES
+        with pytest.raises(ValueError, match="list of floats"):
+            bank.conduction(conduction_current(bank.params, np.array(row)))
+        v, _ = bank.conduction(row)
+        grid, _ = bank.conduction(conduction_current(
+            bank.params, np.array(row)[:, None]))
+        assert grid.shape == (N_DEVICES, 1) and grid[:, 0].tolist() == v
 
 
 class TestTechniques:
@@ -283,6 +308,24 @@ class TestTechniques:
         for rec in res.records:
             k = int(np.argmax(rec.tj_max[:6]))
             assert abs(float(rec.delta_tj[k]) - 60.0) <= 2.0
+
+    @pytest.mark.parametrize("technique, limits", [
+        (Technique.FIXED_TIMES, dict(t_on=0.3, t_off=0.3)),
+        (Technique.CASE_SWING, dict(t_case_max=80.0, t_case_min=45.0)),
+        (Technique.JUNCTION_SWING, dict(t_j_max=120.0, t_j_min=60.0))])
+    def test_only_the_junction_swing_builds_the_cool_observer(
+            self, technique, limits, monkeypatch):
+        cfg = envelope_cfg(technique=technique, n_cycles=2, **limits)
+        b = TestBench(default_settings(cfg, budget_per_cycle=300,
+                                       sampler_n=60, startup_every=0,
+                                       **fast_thermal()))
+        built = []
+        make = b._make_observer
+        monkeypatch.setattr(b, "_make_observer",
+                            lambda: built.append(1) or make())
+        assert b.run_campaign().status == "ok"
+        assert len(built) == (2 if technique is Technique.JUNCTION_SWING
+                              else 0)
 
     def test_heat_done_reads_the_hottest_finite_estimate(self):
         cfg = envelope_cfg(technique=Technique.JUNCTION_SWING, t_j_max=120.0,
@@ -417,8 +460,7 @@ class TestStartup:
         assert b.bank.params.gate_on_v == 18.0
         b.startup_measurements()
         b.bank.t_j[:] = 100.0
-        v, _ = b.bank.conduction(
-            conduction_current(b.bank.params, np.full(N_DEVICES, 400.0)))
+        v, _ = b.bank.conduction([400.0] * N_DEVICES)
         r = v[0] / 400.0
         assert smp.estimate_tj(r, 400.0, b.luts[0]).t_j == \
             pytest.approx(100.0, abs=3.0)
