@@ -246,12 +246,9 @@ class DeviceBank:
 
     Conduction drops come from the conduction law with each device's
     temperature and aging deltas; conduction is the bench's one entry to
-    it, with one path per shape: the row form for one current per device,
-    the array form's two halves for a (12, g) grid. For the grids the law's
-    constants are bound once as (12, 1) columns (law), and the aging rows
-    and shorted as (12, 1) views. The aging rows and shorted are only ever
-    written in place, which the views see; t_j is rebound by every thermal
-    step.
+    it. It evaluates the law's temperature half once per device in the row
+    form, then the drops with one path per shape: the row form for one
+    current per device, the array form for a (12, g) grid.
     """
 
     def __init__(self, params: DeviceParams, ambient: float):
@@ -265,9 +262,6 @@ class DeviceBank:
         self.shorted = np.zeros(self.n, dtype=bool)
         self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
         self.aging_version = 0
-        self.law = dev_mod.bind_law(params, self.n)
-        self._columns = (self.delta_pkg[:, None], self.delta_vth[:, None],
-                         self.delta_vsd[:, None], self.shorted[:, None])
 
     def conduction(self, cur) -> tuple:
         """Signed conduction drops, with the channel held on (synchronous
@@ -282,25 +276,26 @@ class DeviceBank:
         lists of Python floats (device.conduction_rows); for a grid, v is
         (12, g) and r_t (12, 1).
         """
-        if not isinstance(cur, dev_mod.ConductionCurrent):
-            v, r_t = dev_mod.conduction_rows(
-                self.params, cur, self.t_j.tolist(), self.delta_pkg.tolist(),
-                self.delta_vth.tolist(), self.delta_vsd.tolist())
-            if np.count_nonzero(self.shorted):
-                fault = float(self.desat_fault_v)
-                for k in np.flatnonzero(self.shorted).tolist():
-                    v[k] = fault
-            return v, r_t
-        if cur.mag.ndim != 2:
+        grid = isinstance(cur, dev_mod.ConductionCurrent)
+        if grid and cur.mag.ndim != 2:
             raise ValueError("the array path takes a (12, g) grid; pass one "
                              "current per device as a list of floats")
-        law = self.law
-        pkg, vth, vsd, shorted = self._columns
-        r_t, knee = dev_mod.temperature_half(law, self.t_j[:, None],
-                                             law.gate_on_v, pkg, vth, vsd)
-        v = dev_mod.conduction_from_halves(law, cur, r_t, knee)
+        p = self.params
+        r_t, knee = dev_mod.temperature_rows(
+            p, self.t_j.tolist(), self.delta_pkg.tolist(),
+            self.delta_vth.tolist(), self.delta_vsd.tolist())
+        if grid:
+            r_t = np.array(r_t).reshape(-1, 1)
+            v = dev_mod.conduction_from_halves(p, cur, r_t,
+                                               np.array(knee).reshape(-1, 1))
+            if np.count_nonzero(self.shorted):
+                np.copyto(v, self.desat_fault_v, where=self.shorted[:, None])
+            return v, r_t
+        v = dev_mod.conduction_rows(p, cur, r_t, knee)
         if np.count_nonzero(self.shorted):
-            np.copyto(v, self.desat_fault_v, where=shorted)
+            fault = float(self.desat_fault_v)
+            for k in np.flatnonzero(self.shorted).tolist():
+                v[k] = fault
         return v, r_t
 
     def apply_trajectories(self, trajectory: AgingTrajectory, r_th_points,
@@ -577,7 +572,6 @@ class TestBench:
 
         self.baseline_vth = np.full(N_DEVICES, np.nan)
         self.startup_log: list[StartupResult] = []
-        self._vth_pending = np.full(N_DEVICES, np.nan)
 
         self._mask_aging = np.zeros(N_DEVICES, dtype=bool)
         self._mask_aging[: 6 if s.aging_scope == "test" else N_DEVICES] = True
@@ -1154,13 +1148,13 @@ class TestBench:
 
         The maximum junction temperature is tracked over the heat phase and
         the minimum over the cool phase, so the recorded swing reflects the
-        controlled excursion.
+        controlled excursion. The caller applies the cycle's aging
+        (run_campaign); startup_vth, the thresholds measured at this
+        cycle's start-up, fills the record's v_th column (NaN without one).
         """
         cfg = self.cfg
         s = self.s
         t_start = self.t
-        self.bank.apply_trajectories(s.trajectory, s.r_th_aging, cycle_index,
-                                     self._mask_aging)
         if cycle_index == 0:
             self._soft_t0 = self.t
 
@@ -1260,7 +1254,6 @@ class TestBench:
                             delta_vth_hat=d_hat, lut_offsets=offs,
                             lut_offsets_pkg=offs_pkg)
         self.startup_log.append(res)
-        self._vth_pending = v_th_m.copy()
         self._env_tj_cols = None  # recalibrated tables invalidate cached columns
         self._env_desat = None  # and new thresholds the envelope's column
         return res
@@ -1277,16 +1270,15 @@ class TestBench:
         status, reason = "ok", ""
         for c in range(n):
             due = (c == 0) if s.startup_every <= 0 else (c % s.startup_every == 0)
+            self.bank.apply_trajectories(s.trajectory, s.r_th_aging, c,
+                                         self._mask_aging)
+            v_th = None
             try:
                 if due:
-                    self.bank.apply_trajectories(s.trajectory, s.r_th_aging, c,
-                                                 self._mask_aging)
                     if c > 0:
                         self.cool_to_ambient()
-                    self.startup_measurements()
-                vth_col = self._vth_pending
-                self._vth_pending = np.full(N_DEVICES, np.nan)
-                rec = self.run_cycle(c, startup_vth=vth_col)
+                    v_th = self.startup_measurements().v_th
+                rec = self.run_cycle(c, startup_vth=v_th)
             except ProtectionTrip as e:
                 status, reason = "protection_trip", str(e)
                 break

@@ -16,25 +16,26 @@ stacking-fault voltage shift on top of a knee with current-dependent
 temperature coefficient. switching_loss is the only form of the
 switching-loss law; it takes scalars or arrays.
 
-The conduction law has two forms. The array form, conduction_voltage,
-takes scalars or broadcasting arrays; it splits into a temperature half
-(the first two lines of R above, and the diode knee: temperature_half
-gives both from one t_j - t0) and a current half (the last line of R,
-current_slope, and the signs and magnitudes of conduction_current), which
-conduction_from_halves combines, so the envelope engine binds its current
-half once per run and evaluates the temperature half once per step on its
-(12, g) grids. The row form, conduction_rows, evaluates one current per
-device on lists of Python floats, as the averaged and switched engines
-need it; it keeps the array form's order of operations, so each drop is
-conduction_voltage's to the bit (tests/test_cycling.py TestBankConsistency
-pins the two together).
+The conduction law splits into a temperature half (the first two lines of
+R above, and the diode knee, both from one t_j - t0) and a current half
+(the last line of R, current_slope, and the signs and magnitudes of
+conduction_current). It has two forms. The array form, conduction_voltage,
+takes scalars or broadcasting arrays: temperature_half and
+conduction_current give its halves and conduction_from_halves combines
+them. The row form works on lists of Python floats, one value per device:
+temperature_rows gives the temperature half and conduction_rows combines
+it with one current per device. Both keep the same order of operations, so
+each value is the array form's to the bit (tests/test_cycling.py
+TestBankConsistency pins the two together). The bench evaluates the
+temperature half once per step in the row form, then the drops in the row
+form for the averaged and switched engines' one current per device, or in
+the array form for the envelope engine's (12, g) grids, whose current half
+it binds once per run.
 
 There is no per-device state object: every law takes DeviceParams plus the
 junction temperature and aging values (delta_pkg, delta_vth, delta_vsd) as
-scalars or arrays, and the bench passes the twelve-wide arrays of its
-DeviceBank. The laws read their constants as attributes, so the bench can
-pass the same constants bound as per-device columns (bind_law) in place of
-DeviceParams.
+scalars or arrays, and the bench passes the twelve values of its
+DeviceBank.
 """
 
 from __future__ import annotations
@@ -89,39 +90,6 @@ class DeviceParams:
     def g_diode(self) -> float:
         """The diode series conductance, 1 / r_diode, S."""
         return 1.0 / self.r_diode
-
-
-class LawConstants(NamedTuple):
-    """The constants of the conduction law, under DeviceParams' names,
-    bound as (n, 1) columns of one value per device (bind_law), for (n, g)
-    current grids. Passed to the laws in place of DeviceParams, they give
-    every ufunc array operands only, which saves the scalar promotion of
-    each call; the results are the same to the bit. alpha_drift stays a
-    float: numpy rounds a power with a float exponent as the law always
-    has."""
-
-    t0: np.ndarray
-    t0_kelvin: np.ndarray
-    v_th0: np.ndarray
-    rho_vth: np.ndarray
-    r_drift0: np.ndarray
-    k_ch: np.ndarray
-    v_j0: np.ndarray
-    rho_sd_lo: np.ndarray
-    r_diode: np.ndarray
-    g_diode: np.ndarray
-    r_i_slope: np.ndarray
-    i_nominal: np.ndarray
-    gate_on_v: np.ndarray
-    alpha_drift: float
-
-
-def bind_law(p: DeviceParams, n: int) -> LawConstants:
-    """p's conduction-law constants as (n, 1) columns, alpha_drift a
-    float."""
-    values = np.array([getattr(p, f) for f in LawConstants._fields[:-1]])
-    return LawConstants(*values[:, None, None].repeat(n, axis=1),
-                        float(p.alpha_drift))
 
 
 def threshold_voltage(p: DeviceParams, t_j, delta_vth=0.0):
@@ -251,56 +219,67 @@ def conduction_from_halves(p: DeviceParams, cur: ConductionCurrent, r_t,
     return v
 
 
-def conduction_rows(p: DeviceParams, i, t_j, delta_pkg, delta_vth,
-                    delta_vsd) -> tuple:
-    """The row form of the conduction law, one current per device, with the
-    channel held on at p.gate_on_v: (v, r_t), lists of Python floats, where
-    v[k] is conduction_voltage at device k's signed current i[k],
-    temperature t_j[k] and aging deltas, and r_t[k] is the temperature half
-    of on_resistance (temperature_half's r_t).
+def temperature_rows(p: DeviceParams, t_j, delta_pkg, delta_vth,
+                     delta_vsd) -> tuple:
+    """The row form of temperature_half, one value per device, with the
+    channel held on at p.gate_on_v: (r_t, knee), lists of Python floats,
+    from sequences of Python floats.
 
-    The arguments are sequences of Python floats, one per device. Every
-    expression keeps the array form's order of operations, so each value is
-    the array form's to the bit: the drift power is one numpy power over
-    all the rows, which rounds as the array form's does (a Python float
-    power need not); the sign is applied by negation, which is the array
-    form's multiply by -1.0; a zero or NaN current reads 0.0. The parallel
-    branch is evaluated only for a reverse current above the knee.
+    Every expression keeps the array form's order of operations, so each
+    value is the array form's to the bit: the drift power is one numpy
+    power over all the rows, which rounds as the array form's does (a
+    Python float power need not).
     """
     t0, v_gs, t0_kelvin = p.t0, p.gate_on_v, p.t0_kelvin
     growth = (np.array([(t + KELVIN) / t0_kelvin for t in t_j])
               ** p.alpha_drift).tolist()
     r_drift0, k_ch, v_th0, rho_vth = p.r_drift0, p.k_ch, p.v_th0, p.rho_vth
-    r_i_slope, i_nominal = p.r_i_slope, p.i_nominal
-    v_j0, rho_sd_lo, r_diode, g_diode = p.v_j0, p.rho_sd_lo, p.r_diode, \
-        p.g_diode
-    v, r_t = [], []
-    for i_k, t, g, pkg, vth, vsd in zip(i, t_j, growth, delta_pkg,
-                                        delta_vth, delta_vsd):
+    v_j0, rho_sd_lo = p.v_j0, p.rho_sd_lo
+    r_t, knee = [], []
+    for t, g, pkg, vth, vsd in zip(t_j, growth, delta_pkg, delta_vth,
+                                   delta_vsd):
         rise = t - t0
-        r_k = r_drift0 * (1.0 + pkg) * g \
-            + k_ch / (v_gs - (v_th0 + rho_vth * rise + vth))
-        r_t.append(r_k)
-        mag = abs(i_k)
-        if not mag > 0.0:
-            v.append(0.0)
-            continue
-        r_ch = r_k + r_i_slope * (mag - i_nominal)
-        drop = mag * r_ch
+        r_t.append(r_drift0 * (1.0 + pkg) * g
+                   + k_ch / (v_gs - (v_th0 + rho_vth * rise + vth)))
+        knee.append(v_j0 + rho_sd_lo * rise + vsd)
+    return r_t, knee
+
+
+def conduction_rows(p: DeviceParams, i, r_t, knee) -> list:
+    """The row form of conduction_from_halves, one current per device: v,
+    a list of Python floats, where v[k] is the drop at device k's signed
+    current i[k] and its temperature half (r_t[k], knee[k]) =
+    temperature_rows(...).
+
+    The arguments are sequences of Python floats. Every expression keeps
+    the array form's order of operations, so each drop is the array form's
+    to the bit: a reverse current's magnitude and the sign are applied by
+    negation, which is exact; a zero or NaN current reads 0.0. The parallel
+    branch is evaluated only for a reverse current above the knee.
+    """
+    r_i_slope, i_nominal = p.r_i_slope, p.i_nominal
+    r_diode, g_diode = p.r_diode, p.g_diode
+    v = []
+    for i_k, r_k, knee_k in zip(i, r_t, knee):
         if i_k > 0.0:
-            v.append(drop)
-            continue
-        knee = v_j0 + rho_sd_lo * rise + vsd
-        if not drop <= knee:
-            drop = (mag + knee / r_diode) / (1.0 / r_ch + g_diode)
-        v.append(-drop)
-    return v, r_t
+            v.append(i_k * (r_k + r_i_slope * (i_k - i_nominal)))
+        elif i_k < 0.0:
+            mag = -i_k
+            r_ch = r_k + r_i_slope * (mag - i_nominal)
+            drop = mag * r_ch
+            if not drop <= knee_k:
+                drop = (mag + knee_k / r_diode) / (1.0 / r_ch + g_diode)
+            v.append(-drop)
+        else:
+            v.append(0.0)
+    return v
 
 
 def conduction_voltage(p: DeviceParams, i, t_j, v_gs, delta_pkg=0.0,
                        delta_vth=0.0, delta_vsd=0.0):
     """Signed drain-source voltage while conducting signed current i with the
-    channel on, the array form of the law (conduction_rows is its row form).
+    channel on, the array form of the law (temperature_rows and
+    conduction_rows are its row form).
 
     First quadrant: ohmic drop through on_resistance. Third quadrant: the
     channel alone below the diode knee, the channel in parallel with the

@@ -224,9 +224,6 @@ class FirstOrderFilter:
         self._alpha = 0.0
 
     def step(self, x, dt: float) -> tuple[float, float, float]:
-        if self.cutoff_hz <= 0:
-            self.y = tuple(float(x_k) for x_k in x)
-            return self.y
         if self._alpha_key != (self.cutoff_hz, dt):
             self._alpha_key = (self.cutoff_hz, dt)
             self._alpha = 1.0 - math.exp(-TWO_PI * self.cutoff_hz * dt)
@@ -270,8 +267,6 @@ class ControllerState:
 
 def _filter_response(cutoff_hz: float, f_signal: float, dt: float) -> complex:
     """Exact response of the discretized first-order filter at f_signal."""
-    if cutoff_hz <= 0:
-        return 1.0 + 0.0j
     alpha = 1.0 - math.exp(-TWO_PI * cutoff_hz * dt)
     z = complex(math.cos(TWO_PI * f_signal * dt), math.sin(TWO_PI * f_signal * dt))
     return alpha / (1.0 - (1.0 - alpha) / z)

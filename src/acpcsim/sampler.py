@@ -145,7 +145,7 @@ class SamplerState:
     truth: np.ndarray = field(init=False)
     filled_mask: np.ndarray = field(init=False)
     filled: int = 0
-    cycles_elapsed: int = 0
+    cycles_elapsed: int = 0  # cycles in which this window stored a slot
     budget_used: int = 0
 
     def __post_init__(self):
@@ -160,7 +160,6 @@ class SamplerState:
         return self.filled == self.triggers.n
 
     def start_cycle(self):
-        self.cycles_elapsed += 1
         self.budget_used = 0
 
     def reset_window(self):
@@ -205,6 +204,8 @@ def store_slots(s: SamplerState, idx, v_on: float, i_meas: float,
     s.truth[idx] = truth
     s.filled_mask[idx] = True
     s.filled += n
+    if n and not s.budget_used:  # the window's first store in this cycle
+        s.cycles_elapsed += 1
     s.budget_used += n
     return n
 

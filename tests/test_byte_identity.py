@@ -11,15 +11,18 @@ float triples; the lookup-table digest with build_ron_lut evaluating each
 grid node through a threshold-checking wrapper of on_resistance. A speed-up
 must leave them unchanged; a change that alters results on purpose must say
 so and pin new digests. The averaged law later moved to per-device arrays
-that DeviceBank binds once (device.bind_law), with masked copies in place
-of nested np.where, and build_ron_lut to one on_resistance call per
+of the law's constants that DeviceBank bound once, with masked copies in
+place of nested np.where, and build_ron_lut to one on_resistance call per
 temperature over the whole current axis, and every digest held. So did
 they when the CSV writers went from a per-cell conversion to joined float
 reprs and the envelope grid's slot currents to one phase's cosine and sine
 per trigger angle (inverse_park_phase), and when the averaged and switched
 steps moved their per-device rows to Python floats, evaluated by the row
 form of the conduction law (device.conduction_rows), with the budget-5 run
-state pinned just before that change.
+state pinned just before that change. They held again when DeviceBank
+came to evaluate the temperature half once per step in the row form
+(device.temperature_rows) for every engine, the envelope's grids included,
+and the bound constants were deleted.
 
 Digests were re-pinned on purpose twice. First the fixed-times
 precursors.csv, when the envelope engine's partial-budget windows moved
@@ -285,6 +288,14 @@ def _run_state_digest(bench) -> str:
 @pytest.mark.parametrize("case", list(RUN_STATE_CASES))
 def test_run_state_unchanged(case):
     assert _run_state_digest(_steady_run(case)) == RUN_STATE_SHA256[case]
+
+
+def test_budget_windows_count_the_cycles_that_stored_slots():
+    # cycles_used counts the fundamental cycles in which a window stored a
+    # slot, as the envelope fill counts its fill cycles: each budget-5
+    # window of 300 slots takes ceil(300 / 5) = 60, the first one too
+    bench = _steady_run("budget_5")
+    assert [w["cycles_used"] for w in bench.windows] == [60] * N_DEVICES
 
 
 def test_operating_point_unchanged():

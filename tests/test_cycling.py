@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from acpcsim import sampler as smp
@@ -143,7 +143,11 @@ class TestBankConsistency:
                                                         (10.0, -0.1))))
         TestBench(default_settings(cfg, r_th_aging=((0.0, 0.0),)))
 
-    @settings(max_examples=150, deadline=None)
+    # no shrink phase: shrinking a failing example of up to 48 currents
+    # took minutes and over a gigabyte, and the drawn example already
+    # names the rows that drifted
+    @settings(max_examples=150, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(
         t_j=st.lists(st.floats(-20.0, 170.0), min_size=12, max_size=12),
         deltas=st.lists(st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 6.0),
@@ -216,10 +220,9 @@ class TestBankConsistency:
                                mag[shared], rtol=1e-12, atol=0.0)
 
     def test_in_place_aging_and_shorts_reach_both_shapes(self):
-        # the bank binds (12, 1) views of its aging rows and shorted once
-        # for grids, and reads the rows at each call for one current per
-        # device; writes into those arrays after the first call still take
-        # effect, for both shapes
+        # the bank reads its aging rows and shorted at each call; writes
+        # into those arrays after the first call take effect, for both
+        # shapes
         p = module_400a()
         bank = DeviceBank(p, ambient=60.0)
         rng = np.random.default_rng(3)
