@@ -285,6 +285,8 @@ class DeviceBank:
             p, self.t_j.tolist(), self.delta_pkg.tolist(),
             self.delta_vth.tolist(), self.delta_vsd.tolist())
         if grid:
+            # reshape, not [:, None], whose zero stride slows the
+            # broadcasts that read these columns
             r_t = np.array(r_t).reshape(-1, 1)
             v = dev_mod.conduction_from_halves(p, cur, r_t,
                                                np.array(knee).reshape(-1, 1))
