@@ -10,14 +10,13 @@ owns the field it sets (the ``SCHEMA`` table names that field).
 
 bench.*      v_dc, f_sw, f_fund, modulation_index, pf_mode (motor|generator|
              custom), pf_angle_deg, pf_angle_rad, i_ref_peak, link_inductance,
-             link_resistance, gate_on_v, gate_off_v, technique (fixed_times|
-             case_swing|junction_swing), t_on, t_off, t_case_max, t_case_min,
-             t_j_max, t_j_min, n_cycles, rng_seed, mode (switched|averaged|
-             envelope), ambient_c
+             link_resistance, technique (fixed_times|case_swing|
+             junction_swing), t_on, t_off, t_case_max, t_case_min, t_j_max,
+             t_j_min, n_cycles, rng_seed, mode (switched|averaged|envelope),
+             ambient_c
 device.*     profile (module_400a|vendor_a|vendor_b) plus any numeric field
              of the device parameter set as an override, e.g.
-             device.e_on0 = 0.0025; not the gate drive, which is
-             bench.gate_on_v / bench.gate_off_v
+             device.e_on0 = 0.0025 or the gate drive device.gate_on_v
 sense.*      i_desat, i_desat_vth, r_s, v_d_hv, noise_sigma (>= 0),
              vth_timeout; e_d (the bench draws it per device from the
              seed), r_a1, r_a2, rc_filter_tau, shift_gain, shift_offset,
@@ -179,14 +178,8 @@ def _breakpoints(key, v) -> tuple:
 def _r_th_factor(key, v) -> tuple:
     """Breakpoints of the factor on the first Foster stage's thermal
     resistance, stored as the growth (factor - 1) that
-    BenchSettings.r_th_aging holds."""
-    pts = _breakpoints(key, v)
-    low = [f for _, f in pts if not f >= 1.0]
-    if low:
-        raise ConfigError(key, f"a factor of {low[0]:g} would take the "
-                               f"thermal resistance below the fresh "
-                               f"device's; use at least 1")
-    return tuple((c, f - 1.0) for c, f in pts)
+    BenchSettings.r_th_aging holds (the bench refuses a negative one)."""
+    return tuple((c, f - 1.0) for c, f in _breakpoints(key, v))
 
 
 def _one_of(choices: dict):
@@ -208,12 +201,11 @@ def _profile(key, v) -> dev_mod.DeviceParams:
     return _one_of(dev_mod.PROFILES)(key, v)()
 
 
-def _numeric_rows(prefix: str, cls, exclude=()) -> list:
+def _numeric_rows(prefix: str, cls) -> list:
     """One row per int or float field of a parameter dataclass."""
     return [(f"{prefix}.{f.name}", _int if f.type == "int" else _float,
              f"{prefix}.{f.name}")
-            for f in dataclasses.fields(cls)
-            if f.type in ("float", "int") and f.name not in exclude]
+            for f in dataclasses.fields(cls) if f.type in ("float", "int")]
 
 
 # One row per scenario key: the key, its converter, and the field(s) the value
@@ -231,8 +223,6 @@ _ROWS = [
     ("bench.i_ref_peak", _float, "cfg.i_ref_peak"),
     ("bench.link_inductance", _float, "cfg.link_inductance"),
     ("bench.link_resistance", _float, "cfg.link_resistance"),
-    ("bench.gate_on_v", _float, "cfg.gate_on_v"),
-    ("bench.gate_off_v", _float, "cfg.gate_off_v"),
     ("bench.technique", _enum(Technique), "cfg.technique"),
     ("bench.t_on", _float, "cfg.t_on"),
     ("bench.t_off", _float, "cfg.t_off"),
@@ -245,10 +235,7 @@ _ROWS = [
     ("bench.mode", _enum(Fidelity), "cfg.fidelity"),
     ("bench.ambient_c", _float, "cfg.ambient_c"),
     ("device.profile", _profile, "settings.device_params"),
-    # the bench binds its gate drive into the device parameters, so a
-    # device-level drive would be silently overridden: bench.* sets it
-    *_numeric_rows("device", dev_mod.DeviceParams,
-                   exclude=("gate_on_v", "gate_off_v")),
+    *_numeric_rows("device", dev_mod.DeviceParams),
     *_numeric_rows("sense", sns.SenseCircuitParams),
     ("desat.threshold", _float, "desat.threshold"),
     ("desat.blanking", _float, "desat.blanking"),
@@ -340,8 +327,7 @@ def build_settings(raw: dict) -> BenchSettings:
         sense_params=sns.SenseCircuitParams(**parts["sense"]),
         desat=sns.DesatConfig(**parts["desat"]),
         network=_network(**parts["network"]),
-        cooling_test=th.CoolingState(**parts["cooling"]),
-        cooling_load=th.CoolingState(**parts["cooling"]),
+        cooling=th.CoolingState(**parts["cooling"]),
         ntc=th.NtcModel(**parts["ntc"]),
         fir_taps=smp.default_fir_taps(**parts["fir"]),
         trajectory=AgingTrajectory(**parts["aging"]),

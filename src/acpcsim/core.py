@@ -64,8 +64,6 @@ class BenchConfig:
     i_ref_peak: float = 400.0           # commanded peak phase current, A
     link_inductance: float = 700e-6     # per phase, H
     link_resistance: float = 5e-3       # per phase, ohm
-    gate_on_v: float = 15.0
-    gate_off_v: float = -4.0
     technique: Technique = Technique.FIXED_TIMES
     t_on: Optional[float] = None        # technique 1, s
     t_off: Optional[float] = None       # technique 1, s
@@ -118,7 +116,6 @@ def validate_scenario(cfg: BenchConfig) -> BenchConfig:
     _require(cfg.i_ref_peak > 0, "i_ref_peak", "must be positive")
     _require(cfg.link_inductance > 0, "link_inductance", "must be positive")
     _require(cfg.link_resistance >= 0, "link_resistance", "must be nonnegative")
-    _require(cfg.gate_on_v > cfg.gate_off_v, "gate_on_v", "on level must exceed off level")
     _require(cfg.n_cycles >= 1, "n_cycles", "must be at least 1")
     _require(-60.0 <= cfg.ambient_c <= 80.0, "ambient_c", "outside plausible range")
 

@@ -341,6 +341,12 @@ class _CrossingPredictor:
 
 @dataclass
 class BenchSettings:
+    """Everything a TestBench is built from: the validated bench config and
+    the settings of each model, each with one owner. The gate drive is
+    device_params.gate_on_v. cooling holds the cooling settings of both
+    bridges' plates; the bench runs a copy per plate and supplies the
+    config's ambient to both."""
+
     cfg: BenchConfig
     device_params: DeviceParams = field(default_factory=dev_mod.module_400a)
     sense_params: sns.SenseCircuitParams = field(default_factory=sns.SenseCircuitParams)
@@ -348,8 +354,7 @@ class BenchSettings:
     desat_calibrated: bool = False   # derive the trip level from the fresh drop
     desat_margin_v: float = 0.5      # headroom above the fresh on-state drop
     network: th.FosterNetwork = field(default_factory=th.default_network)
-    cooling_test: th.CoolingState = field(default_factory=th.CoolingState)
-    cooling_load: th.CoolingState = field(default_factory=th.CoolingState)
+    cooling: th.CoolingState = field(default_factory=th.CoolingState)
     ntc: th.NtcModel = field(default_factory=th.NtcModel)
     sampler_n: int = 300
     sampler_window: float = math.radians(10.0)
@@ -432,29 +437,26 @@ class TestBench:
         rng_ed = np.random.default_rng(k_ed)        # one-time per-device draws
         self.rng = np.random.default_rng(k_noise)   # shared measurement noise
 
-        # the scenario's gate drive is the one every device model sees
-        params = replace(s.device_params, gate_on_v=cfg.gate_on_v,
-                         gate_off_v=cfg.gate_off_v)
+        params = s.device_params
         # the gate must hold every channel open to the end of the oxide
         # trajectory, at the coldest temperature the bench reaches
         d_final = _piecewise(s.trajectory.delta_vth, math.inf)
-        supplies = [c.coolant_temp for c in (s.cooling_test, s.cooling_load)
-                    if c.coolant_temp is not None]
-        t_cold = min([self.ambient] + supplies)
+        supply = s.cooling.coolant_temp
+        t_cold = self.ambient if supply is None else min(self.ambient, supply)
         v_th_final = dev_mod.threshold_voltage(params, t_cold, d_final)
-        if cfg.gate_on_v <= v_th_final:
+        if params.gate_on_v <= v_th_final:
             raise ConfigError(
                 "aging.delta_vth",
                 f"a final shift of {d_final:g} V takes the threshold to "
                 f"{v_th_final:.3g} V at {t_cold:g} degC, closing the channel "
-                f"of a {cfg.gate_on_v:g} V gate")
+                f"of a {params.gate_on_v:g} V gate")
         # each start-up after cycle 0 measures the threshold once the plates
         # settle, which is at their coolant supply
-        far = [t for t in supplies if abs(t - self.ambient) > sns.AMBIENT_TOL]
-        if far and 0 < s.startup_every < cfg.n_cycles:
+        if (supply is not None and abs(supply - self.ambient) > sns.AMBIENT_TOL
+                and 0 < s.startup_every < cfg.n_cycles):
             raise ConfigError(
                 "thermal.coolant_temp",
-                f"a {far[0]:g} degC supply keeps the devices more than "
+                f"a {supply:g} degC supply keeps the devices more than "
                 f"{sns.AMBIENT_TOL:g} degC from the {self.ambient:g} degC "
                 f"ambient, where each start-up after cycle 0 measures the "
                 f"threshold")
@@ -480,8 +482,8 @@ class TestBench:
         self._stage_c = np.array([st.c_th for st in s.network.stages])
         self._stage_temps = np.zeros((N_DEVICES, len(s.network.stages)))
         self._stage_heat = np.empty_like(self._stage_temps)
-        self.cool_test = _bind_cooling(s.cooling_test, self.ambient)
-        self.cool_load = _bind_cooling(s.cooling_load, self.ambient)
+        self.cool_test = replace(s.cooling)
+        self.cool_load = replace(s.cooling)
         self.ntc_readings = np.full(N_DEVICES, self.ambient, dtype=float)
         self._t_case = np.full(N_DEVICES, self.ambient, dtype=float)
 
@@ -537,7 +539,6 @@ class TestBench:
         self.desat_thr = np.full(N_DEVICES, self.desat_base.threshold)
         self._desat_run = np.full(N_DEVICES, -1)
         self._desat_idle = True  # every run counter reads -1
-        self._trip_runs: dict = {}  # (dt, blanking) -> blanking_runs
         self._desat_bias = sns.desat_voltage(s.sense_params, 0.0)
         # the envelope step's threshold column and trip count, built on use
         self._env_desat = None
@@ -621,10 +622,7 @@ class TestBench:
         if any(over):
             run = self._desat_run = np.where(over, self._desat_run + 1, -1)
             self._desat_idle = False
-            key = (dt, self.desat_base.blanking)
-            n_trip = self._trip_runs.get(key)
-            if n_trip is None:
-                n_trip = self._trip_runs[key] = blanking_runs(*key)
+            n_trip = blanking_runs(dt, self.desat_base.blanking)
             if np.maximum.reduce(run) >= n_trip:
                 k = int(np.flatnonzero(run >= n_trip)[0])
                 raise ProtectionTrip(DEVICE_IDS[k], self.t)
@@ -1010,8 +1008,9 @@ class TestBench:
         whole fundamental period rely on that. The sensors' rate is left to
         _ntc_case_estimate, its one reader.
         """
-        t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test)
-        t_ref_l, r_b_l = th.cooling_step(self.cool_load, True)
+        t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test,
+                                         self.ambient)
+        t_ref_l, r_b_l = th.cooling_step(self.cool_load, True, self.ambient)
         m = self.s.ntc
         key = (dt, r_b_t, r_b_l, self.bank.aging_version, m.time_constant)
         cached = self._thermal_cache.get(key)
@@ -1316,11 +1315,3 @@ class TestBench:
         return {"v_dq": (sv[0], sv[1]), "i_dq": (si[0], si[1]),
                 "i_mag": math.hypot(si[0], si[1]),
                 "theta_v_minus_i_deg": ang}
-
-
-def _bind_cooling(c: th.CoolingState, ambient: float) -> th.CoolingState:
-    """Fresh cooling state bound to the scenario ambient."""
-    return th.CoolingState(
-        coolant_temp=c.coolant_temp, ambient_temp=ambient,
-        r_boundary_on=c.r_boundary_on, r_boundary_off=c.r_boundary_off,
-        max_heat=c.max_heat, reservoir_c=c.reservoir_c)

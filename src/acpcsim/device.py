@@ -17,9 +17,9 @@ temperature coefficient. switching_loss is the only form of the
 switching-loss law; it takes scalars or arrays.
 
 The conduction law splits into a temperature half (the first two lines of
-R above, and the diode knee, both from one t_j - t0) and a current half
-(the last line of R, current_slope, and the signs and magnitudes of
-conduction_current). It has two forms. The array form, conduction_voltage,
+R above, and the diode knee) and a current half (the last line of R,
+current_slope, and the signs and magnitudes of conduction_current). It
+has two forms. The array form, conduction_voltage,
 takes scalars or broadcasting arrays: temperature_half and
 conduction_current give its halves and conduction_from_halves combines
 them. The row form works on lists of Python floats, one value per device:
@@ -67,8 +67,7 @@ class DeviceParams:
     alpha_drift: float = 1.3      # drift-term temperature exponent
     t0: float = 25.0              # reference temperature, degC
     i_nominal: float = 400.0      # rated/nominal drain current, A
-    gate_on_v: float = 15.0
-    gate_off_v: float = -4.0
+    gate_on_v: float = 15.0       # gate drive of the conducting channel, V
     r_i_slope: float = 0.0        # ohm per ampere away from i_nominal
     k_sat: float = 20.0           # saturation transconductance, A/V^2
     c_gs: float = 10e-9           # gate-source capacitance, F
@@ -81,39 +80,23 @@ class DeviceParams:
         if self.gate_on_v <= self.v_th0:
             raise ValueError("gate_on_v must exceed v_th0")
 
-    @property
-    def t0_kelvin(self) -> float:
-        """The reference temperature in kelvin."""
-        return self.t0 + KELVIN
-
-    @property
-    def g_diode(self) -> float:
-        """The diode series conductance, 1 / r_diode, S."""
-        return 1.0 / self.r_diode
-
 
 def threshold_voltage(p: DeviceParams, t_j, delta_vth=0.0):
     """Threshold at t_j, shifted by gate-oxide aging (array-safe)."""
-    return _threshold_at_rise(p, t_j - p.t0, delta_vth)
-
-
-def _threshold_at_rise(p: DeviceParams, rise, delta_vth):
-    """threshold_voltage at rise = t_j - t0."""
-    return p.v_th0 + p.rho_vth * rise + delta_vth
+    return p.v_th0 + p.rho_vth * (t_j - p.t0) + delta_vth
 
 
 def drift_resistance(p: DeviceParams, t_j, delta_pkg=0.0):
     """Drift/package term of R(T, i), scaled by package aging."""
     return p.r_drift0 * (1.0 + delta_pkg) * \
-        ((t_j + KELVIN) / p.t0_kelvin) ** p.alpha_drift
+        ((t_j + KELVIN) / (p.t0 + KELVIN)) ** p.alpha_drift
 
 
-def _resistance_at_rise(p: DeviceParams, t_j, rise, v_gs, delta_pkg,
-                        delta_vth):
+def _temperature_resistance(p: DeviceParams, t_j, v_gs, delta_pkg,
+                            delta_vth):
     """Temperature half of on_resistance: the drift term plus the channel
-    term at the gate drive v_gs, with aging deltas, given rise = t_j - t0
-    (array-safe)."""
-    overdrive = v_gs - _threshold_at_rise(p, rise, delta_vth)
+    term at the gate drive v_gs, with aging deltas (array-safe)."""
+    overdrive = v_gs - threshold_voltage(p, t_j, delta_vth)
     return drift_resistance(p, t_j, delta_pkg) + p.k_ch / overdrive
 
 
@@ -122,10 +105,9 @@ def temperature_half(p: DeviceParams, t_j, v_gs, delta_pkg=0.0,
     """The temperature half of conduction_voltage, (r_t, knee): r_t is the
     temperature half of on_resistance (the drift and channel terms) and
     knee the body-diode turn-on voltage (the zero-current limit of v_sd),
-    both from one t_j - t0 (array-safe)."""
-    rise = t_j - p.t0
-    return (_resistance_at_rise(p, t_j, rise, v_gs, delta_pkg, delta_vth),
-            _knee_at_rise(p, rise, delta_vsd))
+    shifted by body-diode aging (array-safe)."""
+    return (_temperature_resistance(p, t_j, v_gs, delta_pkg, delta_vth),
+            p.v_j0 + p.rho_sd_lo * (t_j - p.t0) + delta_vsd)
 
 
 def current_slope(p: DeviceParams, i_d):
@@ -142,8 +124,8 @@ def on_resistance(p: DeviceParams, t_j, i_d, v_gs, delta_pkg=0.0, delta_vth=0.0)
     that the channel is on (sampler.build_ron_lut and the bench refuse a
     closed channel when they are configured).
     """
-    return _resistance_at_rise(p, t_j, t_j - p.t0, v_gs, delta_pkg,
-                               delta_vth) + current_slope(p, i_d)
+    return _temperature_resistance(p, t_j, v_gs, delta_pkg,
+                                   delta_vth) + current_slope(p, i_d)
 
 
 def channel_shift(p: DeviceParams, t_j, v_gs, delta_vth):
@@ -165,12 +147,6 @@ def v_sd(p: DeviceParams, i, t_j, delta_vsd=0.0):
     w = np.clip(i / p.i_nominal, 0.0, 1.0)
     rho = p.rho_sd_lo + (p.rho_sd_hi - p.rho_sd_lo) * w
     return p.v_j0 + rho * (t_j - p.t0) + p.r_diode * i + delta_vsd
-
-
-def _knee_at_rise(p: DeviceParams, rise, delta_vsd):
-    """Body-diode turn-on voltage (zero-current limit of v_sd) at
-    rise = t_j - t0, shifted by body-diode aging (array-safe)."""
-    return p.v_j0 + p.rho_sd_lo * rise + delta_vsd
 
 
 class ConductionCurrent(NamedTuple):
@@ -210,7 +186,7 @@ def conduction_from_halves(p: DeviceParams, cur: ConductionCurrent, r_t,
     # the channel drop widens the result
     if np.count_nonzero(alone) < alone.size or v.shape != alone.shape:
         v_par = np.asarray((cur.mag + knee / p.r_diode)
-                           / (np.reciprocal(r_ch) + p.g_diode))
+                           / (np.reciprocal(r_ch) + 1.0 / p.r_diode))
         np.copyto(v_par, v, where=alone)
         v = v_par
     np.multiply(v, cur.sign, v)
@@ -230,7 +206,7 @@ def temperature_rows(p: DeviceParams, t_j, delta_pkg, delta_vth,
     power over all the rows, which rounds as the array form's does (a
     Python float power need not).
     """
-    t0, v_gs, t0_kelvin = p.t0, p.gate_on_v, p.t0_kelvin
+    t0, v_gs, t0_kelvin = p.t0, p.gate_on_v, p.t0 + KELVIN
     growth = (np.array([(t + KELVIN) / t0_kelvin for t in t_j])
               ** p.alpha_drift).tolist()
     r_drift0, k_ch, v_th0, rho_vth = p.r_drift0, p.k_ch, p.v_th0, p.rho_vth
@@ -258,7 +234,8 @@ def conduction_rows(p: DeviceParams, i, r_t, knee) -> list:
     branch is evaluated only for a reverse current above the knee.
     """
     r_i_slope, i_nominal = p.r_i_slope, p.i_nominal
-    r_diode, g_diode = p.r_diode, p.g_diode
+    r_diode = p.r_diode
+    g_diode = 1.0 / r_diode
     v = []
     for i_k, r_k, knee_k in zip(i, r_t, knee):
         if i_k > 0.0:
@@ -395,7 +372,7 @@ def module_400a() -> DeviceParams:
         v_th0=2.7, rho_vth=-6.4e-3, v_gs_on=15.0, alpha_drift=1.3,
         v_j0=2.8, rho_sd_lo=-2.65e-3, rho_sd_hi=-4.8e-3, r_diode=4.0e-3,
         e_on0=2.5e-3, e_off0=2.0e-3, v_ref=800.0, i_ref=400.0,
-        i_nominal=400.0, r_i_slope=5e-7, gate_off_v=-4.0,
+        i_nominal=400.0, r_i_slope=5e-7,
     )
 
 
@@ -406,7 +383,7 @@ def vendor_a() -> DeviceParams:
         v_th0=2.7, rho_vth=-6.4e-3, v_gs_on=15.0, sensitivity_t0=2.4e-3,
         v_j0=3.0, rho_sd_lo=-2.65e-3, rho_sd_hi=-4.8e-3, r_diode=40e-3,
         e_on0=150e-6, e_off0=100e-6, v_ref=800.0, i_ref=20.0,
-        i_nominal=20.0, gate_off_v=-4.0,
+        i_nominal=20.0,
     )
 
 
@@ -417,7 +394,7 @@ def vendor_b() -> DeviceParams:
         v_th0=2.9, rho_vth=-3.1e-3, v_gs_on=15.0, sensitivity_t0=1.6e-3,
         v_j0=3.0, rho_sd_lo=-2.65e-3, rho_sd_hi=-4.8e-3, r_diode=40e-3,
         e_on0=150e-6, e_off0=100e-6, v_ref=800.0, i_ref=20.0,
-        i_nominal=20.0, gate_off_v=-4.0,
+        i_nominal=20.0,
     )
 
 

@@ -82,16 +82,17 @@ def foster_step(net: FosterNetwork, p_loss: float, t_ref: float, dt: float
 
 @dataclass
 class CoolingState:
-    """On/off liquid-cooling boundary with a finite-capacity reservoir.
+    """On/off liquid-cooling boundary of one plate with a finite-capacity
+    reservoir: its settings, then its runtime state.
 
     While the pump runs, heat delivered beyond max_heat accumulates in the
     coolant loop, so the effective reference temperature ramps and the
     overload is flagged (latching). The coolant is supplied at the ambient
-    temperature unless coolant_temp is set.
+    that cooling_step is given unless coolant_temp is set; with the pump
+    off the plate sits in still air at that ambient.
     """
 
-    coolant_temp: Optional[float] = None  # supply, degC; None: ambient_temp
-    ambient_temp: float = 25.0
+    coolant_temp: Optional[float] = None  # supply, degC; None: the ambient
     r_boundary_on: float = 0.4    # K/W, case to coolant with the pump running
     r_boundary_off: float = 2.0   # K/W, case to still air with the pump off
     max_heat: float = 1500.0      # W per cooling plate
@@ -105,14 +106,16 @@ class CoolingState:
             raise ValueError("pump-on boundary must be the lower resistance")
 
 
-def cooling_step(state: CoolingState, pump_on: bool) -> tuple[float, float]:
-    """Apply the pump command; returns the (t_ref, r_boundary) pair."""
+def cooling_step(state: CoolingState, pump_on: bool, ambient: float
+                 ) -> tuple[float, float]:
+    """Apply the pump command at the ambient temperature ambient (degC);
+    returns the (t_ref, r_boundary) pair."""
     state.pump_on = pump_on
     if pump_on:
-        supply = state.ambient_temp if state.coolant_temp is None \
+        supply = ambient if state.coolant_temp is None \
             else state.coolant_temp
         return supply + state.overload_rise, state.r_boundary_on
-    return state.ambient_temp, state.r_boundary_off
+    return ambient, state.r_boundary_off
 
 
 def cooling_absorb(state: CoolingState, q_watts: float, dt: float) -> None:

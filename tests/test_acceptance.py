@@ -33,10 +33,8 @@ def _verdict(name, ok, detail):
 def fast_thermal():
     return dict(network=th.default_network(total_r_jc=0.09, boundary_r=0.12,
                                            boundary_c=5.0),
-                cooling_test=th.CoolingState(r_boundary_on=0.12,
-                                             r_boundary_off=2.0),
-                cooling_load=th.CoolingState(r_boundary_on=0.12,
-                                             r_boundary_off=2.0),
+                cooling=th.CoolingState(r_boundary_on=0.12,
+                                        r_boundary_off=2.0),
                 ntc=th.NtcModel(bias=0.0, time_constant=0.02))
 
 
@@ -71,7 +69,8 @@ def test_ac2_tj_estimation_closure_within_3c():
         for t_j in np.arange(30.0, 150.1, 10.0):
             for i_d in np.arange(100.0, 400.1, 50.0):
                 r_true = on_resistance(
-                    bank.params, float(t_j), float(i_d), cfg.gate_on_v,
+                    bank.params, float(t_j), float(i_d),
+                    bank.params.gate_on_v,
                     float(bank.delta_pkg[0]), float(bank.delta_vth[0]))
                 # the inversion the bench's window finish runs
                 est = invert_column(float(r_true),

@@ -22,7 +22,9 @@ form of the conduction law (device.conduction_rows), with the budget-5 run
 state pinned just before that change. They held again when DeviceBank
 came to evaluate the temperature half once per step in the row form
 (device.temperature_rows) for every engine, the envelope's grids included,
-and the bound constants were deleted.
+and the bound constants were deleted, and when the gate drive came to be
+set on the device parameters alone and both plates took one cooling
+setting.
 
 Digests were re-pinned on purpose twice. First the fixed-times
 precursors.csv, when the envelope engine's partial-budget windows moved
@@ -81,6 +83,11 @@ CAMPAIGN_SHA256 = {
     "trace_sampling.csv":
         "a5456ba8f57acdf40cc0162bb07d4428d26ee7159f3d913d322e663fbfe6b382",
 }
+# the junction-swing example at an 18 V gate drive (device.gate_on_v),
+# first 3 cycles: the bytes the bench key bench.gate_on_v = 18 wrote
+# before the device parameters became the drive's one owner
+GATE_18V_PRECURSORS_SHA256 = \
+    "b770bb8dcc60603120a951a79aa31a8005e9e08cffc28403b8efb94efce60737"
 # fixed times at the default sampler (300 points, budget 5), first 3
 # cycles: the partial-budget fill, whose first window completes in cycle 2.
 # precursors.csv was re-pinned when that window's estimate moved from
@@ -199,6 +206,14 @@ def test_averaged_steady_windows_unchanged():
 def test_envelope_campaign_outputs_unchanged(tmp_path):
     assert _digests(EXAMPLES / "junction_swing_campaign.txt",
                     tmp_path / "out", 3, CAMPAIGN_SHA256) == CAMPAIGN_SHA256
+
+
+def test_device_gate_drive_outputs_unchanged(tmp_path):
+    scn = tmp_path / "gate_18v.txt"
+    scn.write_text((EXAMPLES / "junction_swing_campaign.txt").read_text()
+                   + "device.gate_on_v = 18\n")
+    assert _digests(scn, tmp_path / "out", 3, ["precursors.csv"]) \
+        == {"precursors.csv": GATE_18V_PRECURSORS_SHA256}
 
 
 # fixed times at the default sampler (300 points, budget 5)

@@ -129,8 +129,6 @@ def bench_configs(draw):
         i_ref_peak=draw(st.floats(1e-3, 2000.0)),
         link_inductance=draw(st.floats(1e-7, 1e-1)),
         link_resistance=draw(st.floats(0.0, 1.0)),
-        gate_on_v=draw(st.floats(5.0, 25.0)),
-        gate_off_v=draw(st.floats(-10.0, 4.9)),
         technique=draw(st.sampled_from(Technique)),
         t_on=draw(st.floats(1e-3, 100.0)), t_off=draw(st.floats(1e-3, 100.0)),
         t_case_min=t_case_min,
@@ -202,7 +200,7 @@ class TestSchema:
         # the two derived defaults: 5 % of vendor_a's 20 A, coolant at 40 degC
         bench = TestBench(built)
         assert bench.i_floor == 1.0
-        assert cooling_step(bench.cool_test, True)[0] == 40.0
+        assert cooling_step(bench.cool_test, True, bench.ambient)[0] == 40.0
 
 
 class TestRun:
@@ -229,7 +227,8 @@ class TestRun:
         "bench.mode = envelope\nbench.i_ref_peak = 15\n",
         "sampler.n_points = 12.5\n",
         "thermal.stage_r = 0.1, 0.2\nthermal.stage_tau = 0.0, 0.3\n",
-        "device.gate_on_v = 18\n",
+        "bench.gate_on_v = 18\n",
+        "bench.gate_off_v = -5\n",
         "device.gate_off_v = -5\n",
         "sense.e_d = 0.0005\n",
         "sense.noise_sigma = -0.002\n",
@@ -268,7 +267,8 @@ class TestRun:
         "aging.r_th_factor = 0:1.0, 5:0.9\n",
         "sampler.i_floor = -1\n",
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
-            "zero_stage_tau", "device_gate_on_v", "device_gate_off_v",
+            "zero_stage_tau", "bench_gate_on_v", "bench_gate_off_v",
+            "device_gate_off_v",
             "sense_e_d", "negative_noise_sigma", "sense_r_a1", "sense_r_a2",
             "sense_rc_filter_tau", "sense_shift_gain", "sense_shift_offset",
             "sense_adc_bits", "sense_adc_fullscale", "sense_vth_blanking",

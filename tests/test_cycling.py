@@ -29,10 +29,8 @@ from acpcsim.electrical import inverse_park
 def fast_thermal():
     return dict(network=th.default_network(total_r_jc=0.09, boundary_r=0.12,
                                            boundary_c=5.0),
-                cooling_test=th.CoolingState(r_boundary_on=0.12,
-                                             r_boundary_off=2.0),
-                cooling_load=th.CoolingState(r_boundary_on=0.12,
-                                             r_boundary_off=2.0),
+                cooling=th.CoolingState(r_boundary_on=0.12,
+                                        r_boundary_off=2.0),
                 ntc=th.NtcModel(bias=0.0, time_constant=0.02))
 
 
@@ -388,7 +386,7 @@ class TestStartup:
         cold = th.CoolingState(r_boundary_on=0.12, r_boundary_off=2.0,
                                coolant_temp=-40.0)
         s = self.settings(trajectory=traj)
-        s.cooling_load = cold
+        s.cooling = cold
         with pytest.raises(ConfigError) as e:
             TestBench(s)
         assert e.value.field == "aging.delta_vth"
@@ -439,8 +437,7 @@ class TestStartup:
         idles = []
         for supply in (None, 26.0):
             kw = fast_thermal()
-            for plate in ("cooling_test", "cooling_load"):
-                kw[plate] = replace(kw[plate], coolant_temp=supply)
+            kw["cooling"] = replace(kw["cooling"], coolant_temp=supply)
             b = TestBench(default_settings(cfg, budget_per_cycle=300,
                                            sampler_n=60, startup_every=2,
                                            **kw))
@@ -455,12 +452,13 @@ class TestStartup:
 
     def test_scenario_gate_drive_reaches_the_devices(self):
         # the bank, the lookup table and the start-up measurement all see
-        # the scenario's 18 V drive, so the estimate closes within AC-2's
+        # the device's 18 V drive, so the estimate closes within AC-2's
         # 3 degC (a bank left at the profile's 15 V reads ~33 degC hot)
-        cfg = envelope_cfg(gate_on_v=18.0)
-        b = TestBench(default_settings(cfg, budget_per_cycle=300,
-                                       sampler_n=60))
+        b = TestBench(default_settings(
+            envelope_cfg(), budget_per_cycle=300, sampler_n=60,
+            device_params=replace(module_400a(), gate_on_v=18.0)))
         assert b.bank.params.gate_on_v == 18.0
+        assert b._base_lut.channel.gate_on_v == 18.0
         b.startup_measurements()
         b.bank.t_j[:] = 100.0
         v, _ = b.bank.conduction([400.0] * N_DEVICES)
@@ -797,8 +795,7 @@ class TestDeterminismAndProtection:
         b = TestBench(default_settings(
             cfg, budget_per_cycle=300, sampler_n=60, startup_every=0,
             network=net,
-            cooling_test=th.CoolingState(r_boundary_on=1.0, r_boundary_off=3.0),
-            cooling_load=th.CoolingState(r_boundary_on=1.0, r_boundary_off=3.0)))
+            cooling=th.CoolingState(r_boundary_on=1.0, r_boundary_off=3.0)))
         res = b.run_campaign()
         assert res.status == "thermal_runaway"
 

@@ -89,10 +89,10 @@ class TestFosterStep:
 
 class TestCooling:
     def test_pump_state_selects_boundary(self):
-        c = CoolingState(coolant_temp=20.0, ambient_temp=30.0,
-                         r_boundary_on=0.1, r_boundary_off=2.0)
-        assert cooling_step(c, True) == (20.0, 0.1)
-        assert cooling_step(c, False) == (30.0, 2.0)
+        c = CoolingState(coolant_temp=20.0, r_boundary_on=0.1,
+                         r_boundary_off=2.0)
+        assert cooling_step(c, True, 30.0) == (20.0, 0.1)
+        assert cooling_step(c, False, 30.0) == (30.0, 2.0)
 
     def test_pump_off_cools_slower(self):
         def cool_for(pump_on, seconds):
@@ -100,7 +100,7 @@ class TestCooling:
             # preload the boundary stage to 125 K over reference
             net.stage_temps[-1] = 125.0
             c = CoolingState()
-            t_ref, r_b = cooling_step(c, pump_on)
+            t_ref, r_b = cooling_step(c, pump_on, 25.0)
             net.stages[-1] = FosterStage(r_b, net.stages[-1].c_th)
             t_j = None
             for _ in range(int(seconds / 2e-4)):
@@ -111,7 +111,7 @@ class TestCooling:
 
     def test_sustained_overload_ramps_without_bound_and_flags(self):
         c = CoolingState(max_heat=1500.0, reservoir_c=100.0)
-        cooling_step(c, True)
+        cooling_step(c, True, 25.0)
         rises = []
         for _ in range(3):
             for _ in range(1000):
@@ -124,7 +124,7 @@ class TestCooling:
 
     def test_overload_recovers_when_load_drops(self):
         c = CoolingState(max_heat=1500.0, reservoir_c=100.0)
-        cooling_step(c, True)
+        cooling_step(c, True, 25.0)
         for _ in range(100):
             cooling_absorb(c, 2500.0, 1e-2)
         peak = c.overload_rise
@@ -195,7 +195,7 @@ def test_thermal_bank_matches_foster_step():
     b = bench()
     refs = []
     for pump_on, p_k in ((False, 200.0), (True, 150.0)):
-        t_ref, r_b = cooling_step(replace(b.cool_test), pump_on)
+        t_ref, r_b = cooling_step(replace(b.cool_test), pump_on, b.ambient)
         net = default_network()
         net.stages[-1] = FosterStage(r_b, net.stages[-1].c_th)
         refs.append((net, t_ref, p_k))
