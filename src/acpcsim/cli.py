@@ -24,8 +24,9 @@ sense.*      i_desat, i_desat_vth, r_s, v_d_hv, noise_sigma (>= 0),
              no bench path reads them
 desat.*      threshold, blanking, compensated (bool), calibrated (bool),
              margin_v
-thermal.*    stage_r / stage_tau (comma lists, junction-side stages),
-             boundary_r_on, boundary_r_off, boundary_c, coolant_temp
+thermal.*    stage_r / stage_tau (comma lists, the junction-to-case
+             stages), boundary_r_on, boundary_r_off, boundary_c (the case-to-
+             reference stage of each plate's cooling), coolant_temp
              (default: the ambient), max_heat, reservoir_c
 ntc.*        bias, time_constant
 sampler.*    n_points, window_deg, budget_per_cycle (at least 1), fir_taps
@@ -208,7 +209,7 @@ def _numeric_rows(prefix: str, cls) -> list:
             for f in dataclasses.fields(cls) if f.type in ("float", "int")]
 
 
-# One row per scenario key: the key, its converter, and the field(s) the value
+# One row per scenario key: the key, its converter, and the field the value
 # sets, as "part.field". Part "cfg" is the BenchConfig, "settings" the
 # BenchSettings; every other part is the object of that name that
 # build_settings assembles. An absent key leaves the owner's default.
@@ -244,10 +245,9 @@ _ROWS = [
     ("desat.margin_v", _float, "settings.desat_margin_v"),
     ("thermal.stage_r", _list, "network.stage_r"),
     ("thermal.stage_tau", _list, "network.stage_tau"),
-    ("thermal.boundary_r_on", _float, "network.boundary_r",
-     "cooling.r_boundary_on"),
+    ("thermal.boundary_r_on", _float, "cooling.r_boundary_on"),
     ("thermal.boundary_r_off", _float, "cooling.r_boundary_off"),
-    ("thermal.boundary_c", _float, "network.boundary_c"),
+    ("thermal.boundary_c", _float, "cooling.boundary_c"),
     ("thermal.coolant_temp", _float, "cooling.coolant_temp"),
     ("thermal.max_heat", _float, "cooling.max_heat"),
     ("thermal.reservoir_c", _float, "cooling.reservoir_c"),
@@ -276,14 +276,14 @@ _ROWS = [
     ("run.cool_cap_s", _float, "settings.cool_cap_s"),
     ("run.soft_start_cycles", _float, "settings.soft_start_cycles"),
 ]
-SCHEMA = {key: (convert, targets) for key, convert, *targets in _ROWS}
+SCHEMA = {key: (convert, target) for key, convert, target in _ROWS}
 
 
 def bench_section(cfg: BenchConfig) -> dict:
     """Scenario dict for a validated bench config (full float precision)."""
     out = {}
-    for key, (convert, targets) in SCHEMA.items():
-        part, _, name = targets[0].partition(".")
+    for key, (convert, target) in SCHEMA.items():
+        part, _, name = target.partition(".")
         # degree keys are input aliases: radians round-trip bit-exactly
         if part != "cfg" or convert is _degrees:
             continue
@@ -293,49 +293,58 @@ def bench_section(cfg: BenchConfig) -> dict:
     return out
 
 
-def _network(stage_r=None, stage_tau=None, **boundary) -> th.FosterNetwork:
-    """The stock network, or the scenario's junction-side stages ahead of
-    its boundary stage."""
-    net = th.default_network(**boundary)
+def _network(stage_r=None, stage_tau=None) -> th.FosterNetwork:
+    """The stock network, or the scenario's junction-side stages."""
     if stage_r is None and stage_tau is None:
-        return net
+        return th.default_network()
     if (stage_r is None or stage_tau is None or not stage_r
-            or len(stage_r) != len(stage_tau) or min(stage_r + stage_tau) <= 0):
+            or len(stage_r) != len(stage_tau)
+            or not all(x > 0 for x in stage_r + stage_tau)):  # NaN too
         raise ConfigError("thermal.stage_r", "give stage_r and stage_tau "
                           "together, as equal-length lists of positive values")
     return th.FosterNetwork(stages=[
-        th.FosterStage(r, tau / r) for r, tau in zip(stage_r, stage_tau)
-    ] + net.stages[-1:])
+        th.FosterStage(r, tau / r) for r, tau in zip(stage_r, stage_tau)])
 
 
 def build_settings(raw: dict) -> BenchSettings:
-    """Assemble full bench settings from a parsed scenario (strict keys)."""
+    """Assemble full bench settings from a parsed scenario (strict keys).
+
+    A model's own parameter check (a ValueError) is reported as a
+    ConfigError naming the scenario keys that set that model."""
     parts = {p: {} for p in ("cfg", "settings", "device", "sense", "desat",
                              "network", "cooling", "ntc", "fir", "aging",
                              "policy")}
+    keys = {p: [] for p in parts}
     for key, text in raw.items():
         if key not in SCHEMA:
             raise ConfigError(key, "unknown key")
-        convert, targets = SCHEMA[key]
-        value = convert(key, text)
-        for target in targets:
-            part, _, name = target.partition(".")
-            parts[part][name] = value
+        convert, target = SCHEMA[key]
+        part, _, name = target.partition(".")
+        parts[part][name] = convert(key, text)
+        keys[part].append(key)
+
+    def build(part, make):
+        try:
+            return make(**parts[part])
+        except ConfigError:
+            raise
+        except ValueError as e:
+            raise ConfigError(", ".join(keys[part]), str(e)) from None
 
     settings = BenchSettings(
         cfg=validate_scenario(BenchConfig(**parts["cfg"])),
-        sense_params=sns.SenseCircuitParams(**parts["sense"]),
-        desat=sns.DesatConfig(**parts["desat"]),
-        network=_network(**parts["network"]),
-        cooling=th.CoolingState(**parts["cooling"]),
-        ntc=th.NtcModel(**parts["ntc"]),
-        fir_taps=smp.default_fir_taps(**parts["fir"]),
-        trajectory=AgingTrajectory(**parts["aging"]),
-        policy=WarningPolicy(**parts["policy"]),
+        sense_params=build("sense", sns.SenseCircuitParams),
+        desat=build("desat", sns.DesatConfig),
+        network=build("network", _network),
+        cooling=build("cooling", th.CoolingState),
+        ntc=build("ntc", th.NtcModel),
+        fir_taps=build("fir", smp.default_fir_taps),
+        trajectory=build("aging", AgingTrajectory),
+        policy=build("policy", WarningPolicy),
         **parts["settings"])
     if parts["device"]:
-        settings.device_params = replace(settings.device_params,
-                                         **parts["device"])
+        settings.device_params = build(
+            "device", lambda **kw: replace(settings.device_params, **kw))
     return settings
 
 

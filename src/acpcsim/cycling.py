@@ -343,9 +343,10 @@ class _CrossingPredictor:
 class BenchSettings:
     """Everything a TestBench is built from: the validated bench config and
     the settings of each model, each with one owner. The gate drive is
-    device_params.gate_on_v. cooling holds the cooling settings of both
-    bridges' plates; the bench runs a copy per plate and supplies the
-    config's ambient to both."""
+    device_params.gate_on_v. network holds the junction-side Foster stages
+    of every device. cooling holds the cooling settings of both bridges'
+    plates, the case-to-reference boundary stage included; the bench runs a
+    copy per plate and supplies the config's ambient to both."""
 
     cfg: BenchConfig
     device_params: DeviceParams = field(default_factory=dev_mod.module_400a)
@@ -477,10 +478,12 @@ class TestBench:
         # blocking-diode mismatch of each device's sense path, V
         self.e_d = rng_ed.uniform(*sns.E_D_RANGE, size=N_DEVICES)
 
-        # Foster stages per device; _thermal_step advances them
+        # the network's junction-side Foster stages; _thermal_step advances
+        # them per device with the boundary stage of the device's plate,
+        # which the cooling state owns, as the last column
         self._stage_r = np.array([st.r_th for st in s.network.stages])
         self._stage_c = np.array([st.c_th for st in s.network.stages])
-        self._stage_temps = np.zeros((N_DEVICES, len(s.network.stages)))
+        self._stage_temps = np.zeros((N_DEVICES, len(s.network.stages) + 1))
         self._stage_heat = np.empty_like(self._stage_temps)
         self.cool_test = replace(s.cooling)
         self.cool_load = replace(s.cooling)
@@ -873,9 +876,10 @@ class TestBench:
                     i_d, i_q, sstate.triggers.angle_list, _PHASE[k])
             slot_i[k] = rows[key]
         if not (slot_i > self.i_floor).all():
-            raise ValueError(
-                "sampler window reaches currents below the floor; narrow the "
-                "window or lower i_floor so every slot can fill")
+            raise ConfigError(
+                "sampler.window_deg",
+                "the window reaches currents below the capture floor; narrow "
+                "it or lower sampler.i_floor so every slot can fill")
         self._envelope_cache = self._bind_envelope_grid(i_dev, duty, slot_i)
         return self._envelope_cache
 
@@ -1004,8 +1008,8 @@ class TestBench:
         and the case sensors by dt under the constant losses p_dev.
 
         The exact update holds for any dt under piecewise-constant loss, so
-        foster_step's step-size guard is not applied; envelope steps of a
-        whole fundamental period rely on that. The sensors' rate is left to
+        no step size is refused; envelope steps of a whole fundamental
+        period rely on that. The sensors' rate is left to
         _ntc_case_estimate, its one reader.
         """
         t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test,
@@ -1015,11 +1019,15 @@ class TestBench:
         key = (dt, r_b_t, r_b_l, self.bank.aging_version, m.time_constant)
         cached = self._thermal_cache.get(key)
         if cached is None:
-            r = np.tile(self._stage_r, (N_DEVICES, 1))
+            # the junction-side stages, then each plate's boundary
+            r = np.empty_like(self._stage_temps)
+            c = np.empty_like(self._stage_temps)
+            r[:, :-1] = self._stage_r
+            c[:, :-1] = self._stage_c
             r[:, 0] *= self.bank.r_th_factor
-            r[:6, -1] = r_b_t
-            r[6:, -1] = r_b_l
-            a = np.exp(-dt / (r * self._stage_c))
+            r[:6, -1], c[:6, -1] = r_b_t, self.cool_test.boundary_c
+            r[6:, -1], c[6:, -1] = r_b_l, self.cool_load.boundary_c
+            a = np.exp(-dt / (r * c))
             ntc_gain = None if m.time_constant <= 0 else np.full(
                 N_DEVICES, 1.0 - math.exp(-dt / m.time_constant))
             cached = (a, r * (1.0 - a), r[:, -1].copy(), ntc_gain)
@@ -1130,8 +1138,8 @@ class TestBench:
         only junction information available; the case comes from the NTC with
         its calibrated lag compensated.
         """
-        r = self._stage_r[:-1]
-        tau = r * self._stage_c[:-1]
+        r = self._stage_r
+        tau = r * self._stage_c
         w = r / r.sum()
         est0 = self.tj_est[:6]
         hot = np.where(np.isfinite(est0), est0, self.bank.t_j[:6])

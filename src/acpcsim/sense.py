@@ -61,6 +61,8 @@ class SenseCircuitParams:
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        if not self.i_desat_vth > 0:  # the threshold ramp divides by it
+            raise ValueError("i_desat_vth must be positive")
 
 
 @dataclass

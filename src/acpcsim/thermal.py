@@ -1,29 +1,21 @@
-"""Per-device Foster thermal network from junction to coolant/ambient, an
-on/off liquid-cooling boundary with finite transfer capacity, and the
-parameters of the lagged case-temperature (NTC) sensor.
+"""Per-device Foster thermal network from junction to case, the on/off
+liquid-cooling boundary of each plate from case to coolant/ambient with
+finite transfer capacity, and the parameters of the lagged case-temperature
+(NTC) sensor.
 
-Each Foster stage is advanced with the exact single-pole update
+The bench advances all twelve devices at once in
+cycling.TestBench._thermal_step: the network's junction-side stages (with
+die-attach aging on the first), then the case-to-reference boundary stage of
+the device's plate, which the plate's CoolingState owns and whose resistance
+follows the pump. Each stage takes the exact single-pole update
 T <- T*exp(-dt/tau) + P*R*(1 - exp(-dt/tau)), which is unconditionally
-stable and makes the per-stage energy balance analytic. The last stage is
-the case-to-reference boundary; its resistance is swapped by the cooling
-state when the pump toggles.
-
-foster_step is the scalar reference for one network. The bench advances all
-twelve devices at once in cycling.TestBench._thermal_step, with the same
-update, die-attach aging on the junction-side stage, the per-bridge cooling
-boundary and the NTC lag.
+stable and makes the per-stage energy balance analytic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
-
-
-class StepTooLarge(ValueError):
-    """dt too coarse relative to the fastest stage time constant."""
 
 
 @dataclass
@@ -32,52 +24,21 @@ class FosterStage:
     c_th: float  # J/K
 
     def __post_init__(self):
-        if self.r_th <= 0 or self.c_th <= 0:
+        # written so that a NaN fails too
+        if not (self.r_th > 0 and self.c_th > 0):
             raise ValueError("stage r_th and c_th must be positive")
-
-    @property
-    def tau(self) -> float:
-        return self.r_th * self.c_th
 
 
 @dataclass
 class FosterNetwork:
-    """Series of parallel RC pairs; stage_temps are kelvins above reference."""
+    """Junction-side series of parallel RC pairs; the case-to-reference
+    boundary stage is the plate's (CoolingState)."""
 
     stages: list[FosterStage]
-    stage_temps: np.ndarray = None
 
     def __post_init__(self):
         if not self.stages:
             raise ValueError("need at least one stage")
-        if self.stage_temps is None:
-            self.stage_temps = np.zeros(len(self.stages))
-        else:
-            self.stage_temps = np.asarray(self.stage_temps, dtype=float)
-            if self.stage_temps.shape != (len(self.stages),):
-                raise ValueError("stage_temps length must match stages")
-
-
-def foster_step(net: FosterNetwork, p_loss: float, t_ref: float, dt: float
-                ) -> tuple[float, float]:
-    """Advance all stages one step; returns (t_j, t_case) in degC.
-
-    t_j adds every stage temperature to the reference; t_case adds only the
-    boundary (last) stage.
-    """
-    if dt <= 0:
-        raise StepTooLarge("dt must be positive")
-    r = np.array([s.r_th for s in net.stages])
-    c = np.array([s.c_th for s in net.stages])
-    tau = r * c
-    if dt >= tau.min() / 4.0:
-        raise StepTooLarge(
-            f"dt={dt} too coarse for fastest stage tau={tau.min():.3g}")
-    a = np.exp(-dt / tau)
-    net.stage_temps = net.stage_temps * a + p_loss * r * (1.0 - a)
-    t_j = t_ref + float(net.stage_temps.sum())
-    t_case = t_ref + float(net.stage_temps[-1])
-    return t_j, t_case
 
 
 @dataclass
@@ -95,6 +56,7 @@ class CoolingState:
     coolant_temp: Optional[float] = None  # supply, degC; None: the ambient
     r_boundary_on: float = 0.4    # K/W, case to coolant with the pump running
     r_boundary_off: float = 2.0   # K/W, case to still air with the pump off
+    boundary_c: float = 12.5      # J/K, heat capacity of the boundary stage
     max_heat: float = 1500.0      # W per cooling plate
     reservoir_c: float = 500.0    # J/K effective coolant-loop capacity
     pump_on: bool = True
@@ -102,6 +64,8 @@ class CoolingState:
     capacity_exceeded: bool = False
 
     def __post_init__(self):
+        if not self.boundary_c > 0:  # a NaN fails too
+            raise ValueError("boundary_c must be positive")
         if not self.r_boundary_on < self.r_boundary_off:
             raise ValueError("pump-on boundary must be the lower resistance")
 
@@ -146,17 +110,14 @@ class NtcModel:
             raise ValueError("time_constant must be nonnegative")
 
 
-def default_network(total_r_jc: float = 0.09,
-                    boundary_r: float = CoolingState.r_boundary_on,
-                    boundary_c: float = 12.5) -> FosterNetwork:
-    """Stock four-stage network: junction-side stages with taus of
-    1 ms / 30 ms / 0.5 s plus the case boundary stage (tau 5 s at the stock
-    values). The split is synthetic (no vendor transient data for these
+def default_network(total_r_jc: float = 0.09) -> FosterNetwork:
+    """Stock three-stage junction-to-case network with taus of 1 ms / 30 ms /
+    0.5 s; with the stock cooling boundary (tau 5 s) the devices see four
+    stages. The split is synthetic (no vendor transient data for these
     modules); the total junction-to-reference resistance is sized so rated
     losses give roughly a 100 degC rise. Resistances scale with total_r_jc."""
     shares = (0.22, 0.45, 0.33)
     taus = (1e-3, 30e-3, 0.5)
-    stages = [FosterStage(r_th=s * total_r_jc, c_th=t / (s * total_r_jc))
-              for s, t in zip(shares, taus)]
-    stages.append(FosterStage(r_th=boundary_r, c_th=boundary_c))
-    return FosterNetwork(stages=stages)
+    return FosterNetwork(stages=[
+        FosterStage(r_th=s * total_r_jc, c_th=t / (s * total_r_jc))
+        for s, t in zip(shares, taus)])

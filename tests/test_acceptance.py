@@ -22,7 +22,6 @@ from acpcsim.sampler import (SamplerState, build_trigger_set,
                              invert_column, sampler_update_interval)
 from acpcsim.sense import (DesatConfig, SenseCircuitParams, desat_voltage,
                            measure_vth)
-from acpcsim.thermal import FosterNetwork, FosterStage, foster_step
 
 
 def _verdict(name, ok, detail):
@@ -31,10 +30,9 @@ def _verdict(name, ok, detail):
 
 
 def fast_thermal():
-    return dict(network=th.default_network(total_r_jc=0.09, boundary_r=0.12,
-                                           boundary_c=5.0),
+    return dict(network=th.default_network(total_r_jc=0.09),
                 cooling=th.CoolingState(r_boundary_on=0.12,
-                                        r_boundary_off=2.0),
+                                        r_boundary_off=2.0, boundary_c=5.0),
                 ntc=th.NtcModel(bias=0.0, time_constant=0.02))
 
 
@@ -333,14 +331,19 @@ def test_ac9_conservation_and_oracles():
     notes.append(f"binary search == linear scan on 1e5 sweeps "
                  f"({int((w1 < w0).sum())} wrapped)")
 
-    # exact thermal stage update against the closed form
-    net = FosterNetwork(stages=[FosterStage(0.1, 10.0)])
+    # the bench's exact Foster update against the closed form: 1 s at
+    # 100 W per device from rest, pump on, plates below max_heat
+    heated = TestBench(default_settings())
     for _ in range(5000):
-        t_j, _ = foster_step(net, 100.0, 25.0, 2e-4)
-    analytic = 25.0 + 10.0 * (1 - math.exp(-5000 * 2e-4 / 1.0))
-    foster_err = abs(t_j - analytic) / analytic
+        heated._thermal_step(np.full(12, 100.0), 2e-4, pump_test=True)
+    cool = heated.s.cooling
+    stages = [(st.r_th, st.c_th) for st in heated.s.network.stages] \
+        + [(cool.r_boundary_on, cool.boundary_c)]
+    analytic = heated.ambient + sum(100.0 * r * (1 - math.exp(-1.0 / (r * c)))
+                                   for r, c in stages)
+    foster_err = float(np.abs(heated.bank.t_j - analytic).max()) / analytic
     ok &= foster_err < 1e-6
-    notes.append(f"foster vs analytic {foster_err:.1e}")
+    notes.append(f"bench Foster step vs analytic {foster_err:.1e}")
 
     _verdict("AC-9", ok, "; ".join(notes))
 

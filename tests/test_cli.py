@@ -222,50 +222,70 @@ class TestRun:
         assert run(bad, out) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [
-        "bench.mode = envelope\nthermal.bogus = 3\n",
-        "bench.mode = envelope\nbench.i_ref_peak = 15\n",
-        "sampler.n_points = 12.5\n",
-        "thermal.stage_r = 0.1, 0.2\nthermal.stage_tau = 0.0, 0.3\n",
-        "bench.gate_on_v = 18\n",
-        "bench.gate_off_v = -5\n",
-        "device.gate_off_v = -5\n",
-        "sense.e_d = 0.0005\n",
-        "sense.noise_sigma = -0.002\n",
-        "sense.r_a1 = 5\n",
-        "sense.r_a2 = 5\n",
-        "sense.rc_filter_tau = 0.5\n",
-        "sense.shift_gain = 3\n",
-        "sense.shift_offset = 0.1\n",
-        "sense.adc_bits = 8\n",
-        "sense.adc_fullscale = 3.3\n",
-        "sense.vth_blanking = 5.0\n",
+    @pytest.mark.parametrize("text, key", [
+        ("bench.mode = envelope\nthermal.bogus = 3\n", "thermal.bogus"),
+        ("bench.mode = envelope\nbench.i_ref_peak = 15\n",
+         "sampler.window_deg"),
+        ("sampler.n_points = 12.5\n", "sampler.n_points"),
+        ("thermal.stage_r = 0.1, 0.2\nthermal.stage_tau = 0.0, 0.3\n",
+         "thermal.stage_r"),
+        ("bench.gate_on_v = 18\n", "bench.gate_on_v"),
+        ("bench.gate_off_v = -5\n", "bench.gate_off_v"),
+        ("device.gate_off_v = -5\n", "device.gate_off_v"),
+        ("sense.e_d = 0.0005\n", "sense.e_d"),
+        ("sense.noise_sigma = -0.002\n", "sense.noise_sigma"),
+        ("sense.r_a1 = 5\n", "sense.r_a1"),
+        ("sense.r_a2 = 5\n", "sense.r_a2"),
+        ("sense.rc_filter_tau = 0.5\n", "sense.rc_filter_tau"),
+        ("sense.shift_gain = 3\n", "sense.shift_gain"),
+        ("sense.shift_offset = 0.1\n", "sense.shift_offset"),
+        ("sense.adc_bits = 8\n", "sense.adc_bits"),
+        ("sense.adc_fullscale = 3.3\n", "sense.adc_fullscale"),
+        ("sense.vth_blanking = 5.0\n", "sense.vth_blanking"),
         # the threshold reaches 16.7 V against a 15 V gate after cycle 4
-        "bench.mode = envelope\nbench.n_cycles = 8\n"
-        "aging.delta_vth = 0:0, 2:0, 4:14\nrun.startup_every = 100\n",
-        "bench.mode = envelope\nbench.n_cycles = 8\n"
-        "aging.delta_vth = 0:0, 2:0, 4:14\nrun.startup_every = 4\n",
+        ("bench.mode = envelope\nbench.n_cycles = 8\n"
+         "aging.delta_vth = 0:0, 2:0, 4:14\nrun.startup_every = 100\n",
+         "aging.delta_vth"),
+        ("bench.mode = envelope\nbench.n_cycles = 8\n"
+         "aging.delta_vth = 0:0, 2:0, 4:14\nrun.startup_every = 4\n",
+         "aging.delta_vth"),
         # a 14.9 V threshold at 25 degC reaches 15.4 V at the table's -50 degC
-        "bench.mode = envelope\nbench.n_cycles = 1\ndevice.v_th0 = 14.9\n"
-        "lut.t_axis = -50, 25, 100\n",
+        ("bench.mode = envelope\nbench.n_cycles = 1\ndevice.v_th0 = 14.9\n"
+         "lut.t_axis = -50, 25, 100\n", "lut.t_axis"),
         # the plates settle at the 40 degC supply, so the start-up at cycle 2
         # could not measure the threshold at the 25 degC ambient
-        (EXAMPLES / "junction_swing_campaign.txt").read_text()
-        .replace("bench.n_cycles = 200", "bench.n_cycles = 3")
-        .replace("run.startup_every = 25", "run.startup_every = 2")
-        + "thermal.coolant_temp = 40\n",
+        ((EXAMPLES / "junction_swing_campaign.txt").read_text()
+         .replace("bench.n_cycles = 200", "bench.n_cycles = 3")
+         .replace("run.startup_every = 25", "run.startup_every = 2")
+         + "thermal.coolant_temp = 40\n", "thermal.coolant_temp"),
         # a 31-tap filter reaches 15 slots past a 10-point window's edge,
         # further than the window's one reflection
-        "bench.mode = envelope\nbench.n_cycles = 1\nsampler.n_points = 10\n"
-        "sampler.fir_taps = 31\n",
-        "bench.mode = envelope\nbench.n_cycles = 1\nsampler.fir_taps = 30\n",
-        "bench.mode = envelope\nbench.n_cycles = 1\n"
-        "sampler.budget_per_cycle = 0\n",
-        "bench.mode = envelope\nbench.n_cycles = 1\nlut.t_axis = 25\n",
-        "bench.mode = envelope\nbench.n_cycles = 1\nlut.i_axis = 100\n",
-        "bench.mode = envelope\nbench.n_cycles = 1\n"
-        "aging.r_th_factor = 0:1.0, 5:0.9\n",
-        "sampler.i_floor = -1\n",
+        ("bench.mode = envelope\nbench.n_cycles = 1\nsampler.n_points = 10\n"
+         "sampler.fir_taps = 31\n", "sampler.fir_taps"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nsampler.fir_taps = 30\n",
+         "sampler.fir_taps"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\n"
+         "sampler.budget_per_cycle = 0\n", "sampler.budget_per_cycle"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nlut.t_axis = 25\n",
+         "lut.t_axis"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nlut.i_axis = 100\n",
+         "lut.i_axis"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\n"
+         "aging.r_th_factor = 0:1.0, 5:0.9\n", "aging.r_th_factor"),
+        ("sampler.i_floor = -1\n", "sampler.i_floor"),
+        # a model's own parameter check names the keys that set the model
+        ("device.gate_on_v = 2\n", "device.gate_on_v"),
+        ("thermal.boundary_r_on = 3\n", "thermal.boundary_r_on"),
+        # a NaN passes a "<= 0" check; the example would heat for the whole
+        # heat-phase cap and exit 3
+        ((EXAMPLES / "junction_swing_campaign.txt").read_text()
+         .replace("bench.n_cycles = 200", "bench.n_cycles = 2")
+         .replace("thermal.boundary_c = 5.0", "thermal.boundary_c = nan"),
+         "thermal.boundary_c"),
+        ("thermal.stage_r = 0.02, nan, 0.03\n"
+         "thermal.stage_tau = 0.001, 0.03, 0.5\n", "thermal.stage_r"),
+        # the threshold measurement's source current
+        ("sense.i_desat_vth = 0\n", "sense.i_desat_vth"),
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "bench_gate_on_v", "bench_gate_off_v",
             "device_gate_off_v",
@@ -276,14 +296,20 @@ class TestRun:
             "channel_closes_on_lut_axis", "coolant_away_from_ambient",
             "fir_longer_than_window", "fir_taps_even", "budget_below_one",
             "lut_t_axis_one_point", "lut_i_axis_one_point",
-            "r_th_factor_below_one", "negative_i_floor"])
+            "r_th_factor_below_one", "negative_i_floor",
+            "device_gate_on_v_below_threshold", "pump_on_boundary_above_off",
+            "nan_boundary_c", "nan_stage_r", "zero_i_desat_vth"])
     def test_config_error_exits_2_before_the_output_directory(
-            self, text, tmp_path, capsys):
+            self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         out = tmp_path / "never"
         assert run(path, out) == 2
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        # the keys the message names, ahead of its reason
+        named = err.removeprefix("configuration error: ").split(": ")[0]
+        assert key in named.split(", ")
         assert not out.exists()
 
     def test_r_th_factor_multiplies_the_thermal_resistance(self, scenario,

@@ -86,7 +86,6 @@ def test_angle_helpers():
 _UNCALLED_BY_DESIGN = {
     "mov_check": "paper-claim oracle for the transient-clamp sizing rules",
     "passed": "the overall verdict of the mov_check oracle",
-    "foster_step": "scalar reference for the bench's array Foster update",
     "vgs_at_channel_current": "square-law oracle for the threshold "
                               "measurement (AC-3)",
     "gate_oxide_trajectory": "builds the paper's end-of-life oxide "

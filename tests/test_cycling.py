@@ -27,10 +27,9 @@ from acpcsim.electrical import inverse_park
 
 
 def fast_thermal():
-    return dict(network=th.default_network(total_r_jc=0.09, boundary_r=0.12,
-                                           boundary_c=5.0),
+    return dict(network=th.default_network(total_r_jc=0.09),
                 cooling=th.CoolingState(r_boundary_on=0.12,
-                                        r_boundary_off=2.0),
+                                        r_boundary_off=2.0, boundary_c=5.0),
                 ntc=th.NtcModel(bias=0.0, time_constant=0.02))
 
 
@@ -790,12 +789,11 @@ class TestDeterminismAndProtection:
         # tiny cooling capacity and relentless heating blow the envelope
         cfg = envelope_cfg(technique=Technique.FIXED_TIMES, t_on=50.0,
                            t_off=0.3, n_cycles=1)
-        net = th.default_network(total_r_jc=0.5, boundary_r=1.0,
-                                 boundary_c=2.0)
         b = TestBench(default_settings(
             cfg, budget_per_cycle=300, sampler_n=60, startup_every=0,
-            network=net,
-            cooling=th.CoolingState(r_boundary_on=1.0, r_boundary_off=3.0)))
+            network=th.default_network(total_r_jc=0.5),
+            cooling=th.CoolingState(r_boundary_on=1.0, r_boundary_off=3.0,
+                                    boundary_c=2.0)))
         res = b.run_campaign()
         assert res.status == "thermal_runaway"
 

@@ -1,17 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from acpcsim.cycling import _NO_LOSS, N_DEVICES, TestBench, default_settings
 from acpcsim.thermal import (CoolingState, FosterNetwork, FosterStage,
-                             NtcModel, StepTooLarge, cooling_absorb,
-                             cooling_step, default_network, foster_step)
-
-
-def single_stage(r=0.1, c=10.0):
-    return FosterNetwork(stages=[FosterStage(r, c)])
+                             NtcModel, cooling_absorb, cooling_step)
 
 
 def bench(**overrides) -> TestBench:
@@ -19,62 +13,110 @@ def bench(**overrides) -> TestBench:
     return TestBench(default_settings(**overrides))
 
 
+def stages(b: TestBench, pump_on: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(r, c) of a fresh device's stages as the settings give them: the
+    network's junction-side stages, then its plate's boundary stage."""
+    cool = b.s.cooling
+    r_b = cool.r_boundary_on if pump_on else cool.r_boundary_off
+    r = [st.r_th for st in b.s.network.stages] + [r_b]
+    c = [st.c_th for st in b.s.network.stages] + [cool.boundary_c]
+    return np.array(r), np.array(c)
+
+
+def step_response(p: float, r: np.ndarray, c: np.ndarray, t: float
+                  ) -> np.ndarray:
+    """Closed-form rise of each stage from rest under a constant loss p."""
+    return p * r * (1.0 - np.exp(-t / (r * c)))
+
+
 class TestFosterStep:
+    """The bench's Foster update, TestBench._thermal_step, against the
+    closed form of the series of single-pole stages."""
+
     def test_steady_state_is_p_times_r(self):
-        net = single_stage()
-        t_j = None
-        for _ in range(200_000):
-            t_j, _ = foster_step(net, 100.0, 25.0, 1e-4)
-        assert t_j == pytest.approx(35.0, abs=1e-6)
+        # the test bridge's plate with the pump off (still air), the load
+        # bridge's on the coolant; 600 W per plate is below max_heat
+        b = bench()
+        for _ in range(1000):
+            b._thermal_step(np.full(N_DEVICES, 100.0), 1.0, pump_test=False)
+        for pump_on, rows in ((False, slice(0, 6)), (True, slice(6, 12))):
+            r, _ = stages(b, pump_on)
+            assert b.bank.t_j[rows] == pytest.approx(25.0 + 100.0 * r.sum(),
+                                                     rel=1e-12)
+            assert b._t_case[rows] == pytest.approx(25.0 + 100.0 * r[-1],
+                                                    rel=1e-12)
 
     def test_matches_analytic_exponential(self):
-        # tau = 1 s; at t = 1 s the rise is P*R*(1 - exp(-1))
-        net = single_stage()
-        dt = 1e-4
+        # at t = 1 s each stage's rise is P*R*(1 - exp(-t/tau)), with the
+        # pump on and the plate below max_heat
+        b = bench()
         for _ in range(10_000):
-            t_j, _ = foster_step(net, 100.0, 25.0, dt)
-        expected = 25.0 + 10.0 * (1.0 - math.exp(-1.0))
-        assert t_j == pytest.approx(expected, abs=1e-9)
+            b._thermal_step(np.full(N_DEVICES, 100.0), 1e-4, pump_test=True)
+        rise = step_response(100.0, *stages(b, True), 1.0)
+        assert not b.cool_test.capacity_exceeded
+        assert b.bank.t_j == pytest.approx(25.0 + rise.sum(), rel=1e-12)
+        assert b._t_case == pytest.approx(25.0 + rise[-1], rel=1e-12)
 
     def test_zero_loss_holds_reference(self):
-        net = single_stage()
-        for _ in range(100):
-            t_j, t_case = foster_step(net, 0.0, 25.0, 1e-4)
-        assert t_j == 25.0 and t_case == 25.0
+        b = bench()
+        for pump_test in (True, False):
+            for p in (_NO_LOSS, np.zeros(N_DEVICES)):
+                for _ in range(100):
+                    b._thermal_step(p, 1e-4, pump_test=pump_test)
+                assert (b.bank.t_j == 25.0).all()
+                assert (b._t_case == 25.0).all()
+                assert (b.ntc_readings == 25.0).all()
 
-    def test_step_too_large(self):
-        net = single_stage(r=0.1, c=10.0)  # tau = 1 s
-        with pytest.raises(StepTooLarge):
-            foster_step(net, 10.0, 25.0, 0.3)
-        with pytest.raises(StepTooLarge):
-            foster_step(net, 10.0, 25.0, -1.0)
+    def test_exact_at_steps_above_the_fastest_tau(self):
+        # the update is exact for any dt under constant loss: a step of the
+        # fastest tau (1 ms), an envelope step of one 50 Hz period, and the
+        # 0.3 s step a quarter-tau guard once refused all land on the
+        # closed form at t = 0.6 s
+        for dt in (1e-3, 2e-2, 0.3):
+            b = bench()
+            r, c = stages(b, True)
+            assert dt >= (r * c).min()
+            for _ in range(round(0.6 / dt)):
+                b._thermal_step(np.full(N_DEVICES, 100.0), dt, pump_test=True)
+            rise = step_response(100.0, r, c, 0.6)
+            assert b.bank.t_j == pytest.approx(25.0 + rise.sum(), rel=1e-12)
+            assert b._t_case == pytest.approx(25.0 + rise[-1], rel=1e-12)
 
     def test_energy_balance_per_step_is_analytic(self):
-        # P*dt == C*dT + (1/R) * integral(T dt), with the exact-step integral
-        r, c = 0.05, 40.0
-        net = single_stage(r, c)
+        # per stage and step, P*dt == C*dT + (1/R) * integral(T dt), the
+        # integral taken along the exact trajectory from the step's start,
+        # so a stage that leaves that trajectory breaks the balance; steps
+        # run from well below the fastest tau to well above it
+        b = bench()
+        r, c = stages(b, True)
         tau = r * c
         rng = np.random.default_rng(4)
-        t_prev = 0.0
         for _ in range(200):
-            p = float(rng.uniform(0, 500))
-            dt = float(rng.uniform(1e-4, tau / 5))
-            foster_step(net, p, 0.0, dt)
-            t_now = float(net.stage_temps[0])
-            integral = tau * (t_prev - t_now) + p * r * dt
-            balance = p * dt - (c * (t_now - t_prev) + integral / r)
-            assert abs(balance) <= 1e-3 * max(p * dt, 1e-9)  # 0.1 %
-            t_prev = t_now
+            p = rng.uniform(0.0, 200.0, N_DEVICES)
+            dt = float(rng.uniform(1e-4, 1.0))
+            t0 = b._stage_temps.copy()
+            b._thermal_step(p, dt, pump_test=True)
+            t1 = b._stage_temps
+            pr = p[:, None] * r
+            integral = pr * dt + (t0 - pr) * tau * -np.expm1(-dt / tau)
+            balance = p[:, None] * dt - (c * (t1 - t0) + integral / r)
+            scale = p[:, None] * dt + c * (np.abs(t0) + np.abs(t1))
+            assert (np.abs(balance) <= 1e-12 * scale).all()
 
     def test_junction_above_case_above_reference(self):
-        net = default_network()
+        # 1800 W per plate overloads the pumped load bridge's coolant, which
+        # lifts its reference; the test bridge cools in still air
+        b = bench()
         for _ in range(5000):
-            t_j, t_case = foster_step(net, 300.0, 25.0, 2e-4)
-        assert t_j >= t_case >= 25.0
+            b._thermal_step(np.full(N_DEVICES, 300.0), 2e-3, pump_test=False)
+            assert (b.bank.t_j >= b._t_case).all()
+            assert (b._t_case >= b._t_ref).all()
+        assert b.cool_load.capacity_exceeded and b._t_ref[6] > 25.0
 
     def test_die_attach_aging_raises_junction_to_case_gap(self):
         # the bench's step cache is keyed on aging_version, so one fresh
-        # bench per die-attach factor
+        # bench per die-attach factor; the settled gap is P times the
+        # junction-side resistance, the first stage's scaled by the factor
         gaps = []
         p = np.zeros(N_DEVICES)
         p[0] = 300.0
@@ -84,6 +126,9 @@ class TestFosterStep:
             for _ in range(4000):
                 b._thermal_step(p, 1e-2, pump_test=True)
             gaps.append(b.bank.t_j[0] - b._t_case[0])
+            r, _ = stages(b, True)
+            assert gaps[-1] == pytest.approx(
+                300.0 * (factor * r[0] + r[1:-1].sum()), rel=1e-9)
         assert gaps[0] < gaps[1] < gaps[2]
 
 
@@ -95,19 +140,29 @@ class TestCooling:
         assert cooling_step(c, False, 30.0) == (30.0, 2.0)
 
     def test_pump_off_cools_slower(self):
-        def cool_for(pump_on, seconds):
-            net = default_network()
-            # preload the boundary stage to 125 K over reference
-            net.stage_temps[-1] = 125.0
-            c = CoolingState()
-            t_ref, r_b = cooling_step(c, pump_on, 25.0)
-            net.stages[-1] = FosterStage(r_b, net.stages[-1].c_th)
-            t_j = None
-            for _ in range(int(seconds / 2e-4)):
-                t_j, _ = foster_step(net, 0.0, t_ref, 2e-4)
-            return t_j
+        # boundary stages preloaded to 125 K over reference relax along
+        # their own tau: 25 s in still air on the test bridge, 5 s on the
+        # pumped load bridge
+        b = bench()
+        b._stage_temps[:, -1] = 125.0
+        for _ in range(500):
+            b._thermal_step(_NO_LOSS, 1e-2, pump_test=False)
+        for pump_on, rows in ((False, slice(0, 6)), (True, slice(6, 12))):
+            r, c = stages(b, pump_on)
+            assert b._t_case[rows] == pytest.approx(
+                25.0 + 125.0 * math.exp(-5.0 / (r[-1] * c[-1])), rel=1e-12)
+        assert (b.bank.t_j[6:] < b.bank.t_j[:6]).all()
 
-        assert cool_for(True, 5.0) < cool_for(False, 5.0)
+    def test_cooling_owns_the_boundary(self):
+        # the plate's cooling state sets the case-to-reference stage: 100 W
+        # per device settles the case 100 * 0.12 K over the coolant
+        b = bench(cooling=CoolingState(r_boundary_on=0.12))
+        assert len(b.s.network.stages) == 3
+        for _ in range(1000):
+            b._thermal_step(np.full(N_DEVICES, 100.0), 0.1, pump_test=True)
+        assert b._t_case == pytest.approx(25.0 + 100.0 * 0.12, rel=1e-12)
+        assert b.bank.t_j == pytest.approx(25.0 + 100.0 * (0.09 + 0.12),
+                                           rel=1e-12)
 
     def test_sustained_overload_ramps_without_bound_and_flags(self):
         c = CoolingState(max_heat=1500.0, reservoir_c=100.0)
@@ -178,7 +233,7 @@ class TestNtc:
     def test_first_order_step_response(self):
         # a boundary stage too slow to move holds the case 100 K over
         # ambient while the sensor, reading ambient, follows its lag
-        b = bench(network=default_network(boundary_c=1e9),
+        b = bench(cooling=CoolingState(boundary_c=1e9),
                   ntc=NtcModel(bias=0.0, time_constant=2.0))
         b._stage_temps[:6, -1] = 100.0
         for _ in range(2000):
@@ -186,27 +241,6 @@ class TestNtc:
         assert b._t_case[:6] == pytest.approx(125.0, abs=1e-5)
         assert b.ntc_readings[:6] == pytest.approx(
             25.0 + 100.0 * (1 - math.exp(-1.0)), rel=1e-3)
-
-
-def test_thermal_bank_matches_foster_step():
-    # TestBench._thermal_step against the scalar reference: the test bridge
-    # with the pump off (boundary to still air, ambient reference), the load
-    # bridge on the coolant
-    b = bench()
-    refs = []
-    for pump_on, p_k in ((False, 200.0), (True, 150.0)):
-        t_ref, r_b = cooling_step(replace(b.cool_test), pump_on, b.ambient)
-        net = default_network()
-        net.stages[-1] = FosterStage(r_b, net.stages[-1].c_th)
-        refs.append((net, t_ref, p_k))
-    p = np.repeat([200.0, 150.0], 6)
-    for _ in range(500):
-        b._thermal_step(p, 1e-4, pump_test=False)
-        expect = [foster_step(net, p_k, t_ref, 1e-4) for net, t_ref, p_k in refs]
-    for k in range(N_DEVICES):
-        tj_r, tc_r = expect[k // 6]
-        assert b.bank.t_j[k] == pytest.approx(tj_r, rel=1e-12)
-        assert b._t_case[k] == pytest.approx(tc_r, rel=1e-12)
 
 
 def test_zero_loss_step_only_decays_the_stages():
@@ -229,7 +263,11 @@ def test_zero_loss_step_only_decays_the_stages():
 
 
 def test_invalid_stage_rejected():
-    with pytest.raises(ValueError):
-        FosterStage(-0.1, 1.0)
+    for r, c in ((-0.1, 1.0), (0.1, 0.0), (math.nan, 1.0), (0.1, math.nan)):
+        with pytest.raises(ValueError):
+            FosterStage(r, c)
     with pytest.raises(ValueError):
         FosterNetwork(stages=[])
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            CoolingState(boundary_c=c)
