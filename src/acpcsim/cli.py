@@ -25,8 +25,9 @@ sense.*      i_desat, i_desat_vth, r_s, v_d_hv, noise_sigma (>= 0),
 desat.*      threshold, blanking, compensated (bool), calibrated (bool),
              margin_v
 thermal.*    stage_r / stage_tau (comma lists, the junction-to-case
-             stages), boundary_r_on, boundary_r_off, boundary_c (the case-to-
-             reference stage of each plate's cooling), coolant_temp
+             stages), boundary_r_on (> 0), boundary_r_off (above it),
+             boundary_c (the case-to-reference stage of each plate's
+             cooling), coolant_temp
              (default: the ambient), max_heat, reservoir_c
 ntc.*        bias, time_constant
 sampler.*    n_points, window_deg, budget_per_cycle (at least 1), fir_taps

@@ -877,9 +877,10 @@ class TestBench:
             slot_i[k] = rows[key]
         if not (slot_i > self.i_floor).all():
             raise ConfigError(
-                "sampler.window_deg",
+                "bench.i_ref_peak, sampler.window_deg, sampler.i_floor",
                 "the window reaches currents below the capture floor; narrow "
-                "it or lower sampler.i_floor so every slot can fill")
+                "it, raise the current or lower the floor so every slot can "
+                "fill")
         self._envelope_cache = self._bind_envelope_grid(i_dev, duty, slot_i)
         return self._envelope_cache
 

@@ -66,6 +66,8 @@ class CoolingState:
     def __post_init__(self):
         if not self.boundary_c > 0:  # a NaN fails too
             raise ValueError("boundary_c must be positive")
+        if not self.r_boundary_on > 0:  # a NaN fails too
+            raise ValueError("pump-on boundary resistance must be positive")
         if not self.r_boundary_on < self.r_boundary_off:
             raise ValueError("pump-on boundary must be the lower resistance")
 

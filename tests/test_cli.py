@@ -225,7 +225,7 @@ class TestRun:
     @pytest.mark.parametrize("text, key", [
         ("bench.mode = envelope\nthermal.bogus = 3\n", "thermal.bogus"),
         ("bench.mode = envelope\nbench.i_ref_peak = 15\n",
-         "sampler.window_deg"),
+         "bench.i_ref_peak"),
         ("sampler.n_points = 12.5\n", "sampler.n_points"),
         ("thermal.stage_r = 0.1, 0.2\nthermal.stage_tau = 0.0, 0.3\n",
          "thermal.stage_r"),
@@ -276,6 +276,8 @@ class TestRun:
         # a model's own parameter check names the keys that set the model
         ("device.gate_on_v = 2\n", "device.gate_on_v"),
         ("thermal.boundary_r_on = 3\n", "thermal.boundary_r_on"),
+        ("thermal.boundary_r_on = 0\n", "thermal.boundary_r_on"),
+        ("thermal.boundary_r_on = -0.1\n", "thermal.boundary_r_on"),
         # a NaN passes a "<= 0" check; the example would heat for the whole
         # heat-phase cap and exit 3
         ((EXAMPLES / "junction_swing_campaign.txt").read_text()
@@ -298,6 +300,7 @@ class TestRun:
             "lut_t_axis_one_point", "lut_i_axis_one_point",
             "r_th_factor_below_one", "negative_i_floor",
             "device_gate_on_v_below_threshold", "pump_on_boundary_above_off",
+            "zero_pump_on_boundary", "negative_pump_on_boundary",
             "nan_boundary_c", "nan_stage_r", "zero_i_desat_vth"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, key, tmp_path, capsys):

@@ -271,3 +271,6 @@ def test_invalid_stage_rejected():
     for c in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             CoolingState(boundary_c=c)
+    for r in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            CoolingState(r_boundary_on=r)
