@@ -498,6 +498,10 @@ class TestBench:
             negated = (k % 2 == 1) != (k >= 6)
             c = phi + leg * TWO_PI / 3.0 + (math.pi if negated else 0.0)
             centers.append(wrap_angle(c))
+        if s.sampler_n < 1:
+            raise ConfigError(
+                "sampler.n_points",
+                f"a {s.sampler_n}-point window has no trigger; use at least 1")
         # each test-bridge device shares its center, and so its triggers,
         # with the load-bridge device that carries the same current
         sets = {c: smp.build_trigger_set(c, s.sampler_n, s.sampler_window)

@@ -79,6 +79,11 @@ class DeviceParams:
             raise ValueError("rho_vth must be negative")
         if self.gate_on_v <= self.v_th0:
             raise ValueError("gate_on_v must exceed v_th0")
+        # NaN fails both; k_sat = 0 is the gate-fault model
+        if not self.c_gs > 0:
+            raise ValueError("c_gs must be positive")
+        if not self.k_sat >= 0:
+            raise ValueError("k_sat must be nonnegative")
 
 
 def threshold_voltage(p: DeviceParams, t_j, delta_vth=0.0):

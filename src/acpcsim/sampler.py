@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.signal import firwin
 
 from . import device as dev_mod
 from .core import TWO_PI, ConfigError, wrap_angle
@@ -228,9 +227,25 @@ def sampler_update_interval(s: SamplerState, theta_prev: float,
 # ---------------------------------------------------------------------------
 
 def default_fir_taps(n_taps: int = 31, cutoff: float = 0.1) -> np.ndarray:
-    """Hamming-windowed low pass, normalized to exactly unity DC gain."""
-    taps = firwin(n_taps, cutoff)
-    return taps / taps.sum()
+    """Hamming-windowed low pass, normalized to exactly unity DC gain.
+
+    The design is scipy.signal.firwin(n_taps, cutoff) bit for bit, its
+    lowpass Hamming design scaled to unity DC gain, renormalized by its own
+    sum. cutoff is a fraction of the Nyquist frequency."""
+    if not n_taps >= 1:
+        raise ValueError(f"a filter needs at least 1 tap, got {n_taps}")
+    if not 0.0 < cutoff < 1.0:  # NaN too
+        raise ValueError(f"the cutoff must lie in (0, 1) of the Nyquist "
+                         f"frequency, got {cutoff}")
+    # firwin's operations in its order, less its exact no-ops for a band
+    # whose left edge is 0: subtracting 0 * sinc(0 * m), adding the window's
+    # first term to zeros, and the unit cos(pi * m * 0) of the DC scale
+    m = np.arange(n_taps, dtype=float) - 0.5 * (n_taps - 1)
+    h = cutoff * np.sinc(cutoff * m)
+    if n_taps > 1:  # a one-point window is 1
+        h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n_taps))
+    h /= h.sum()
+    return h / h.sum()
 
 
 def fir_filter(raw: Sequence[float], taps: Sequence[float]) -> np.ndarray:

@@ -117,7 +117,7 @@ def measure_vth(p: dev_mod.DeviceParams, t_j: float, t_ambient: float,
             break
         v += (i_src - i_ch) / p.c_gs * dt
         t += dt
-        if v > v_rail or t > sense.vth_timeout:
+        if not (v <= v_rail and t <= sense.vth_timeout):  # NaN too
             raise VthMeasureTimeout("channel never conducted the bias current")
     noise = float(rng.normal(0.0, sense.noise_sigma)) \
         if rng is not None and sense.noise_sigma > 0 else 0.0

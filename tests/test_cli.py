@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +291,14 @@ class TestRun:
          "thermal.stage_tau = 0.001, 0.03, 0.5\n", "thermal.stage_r"),
         # the threshold measurement's source current
         ("sense.i_desat_vth = 0\n", "sense.i_desat_vth"),
+        # a NaN cutoff designed NaN taps that only the sampling trace's
+        # writer refused, after two outputs were written
+        ("sampler.fir_cutoff = nan\n", "sampler.fir_cutoff"),
+        ("sampler.fir_cutoff = 1\n", "sampler.fir_cutoff"),
+        # a NaN gate capacitance never ended the threshold settle loop
+        ("device.c_gs = nan\n", "device.c_gs"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nsampler.n_points = 0\n",
+         "sampler.n_points"),
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "bench_gate_on_v", "bench_gate_off_v",
             "device_gate_off_v",
@@ -301,7 +312,8 @@ class TestRun:
             "r_th_factor_below_one", "negative_i_floor",
             "device_gate_on_v_below_threshold", "pump_on_boundary_above_off",
             "zero_pump_on_boundary", "negative_pump_on_boundary",
-            "nan_boundary_c", "nan_stage_r", "zero_i_desat_vth"])
+            "nan_boundary_c", "nan_stage_r", "zero_i_desat_vth",
+            "fir_cutoff_nan", "fir_cutoff_one", "nan_c_gs", "n_points_zero"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -440,6 +452,16 @@ class TestExports:
 
 
 class TestMain:
+    def test_import_loads_no_scipy(self):
+        # a fresh interpreter: this one has scipy loaded by the FIR oracle
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = ("import acpcsim.cli, sys; print(sorted(m for m in sys.modules"
+                " if m.partition('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_run_and_export_commands(self, scenario, tmp_path):
         out = tmp_path / "out"
         assert main(["run", str(scenario), "--out", str(out)]) == 0

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from acpcsim.core import TWO_PI, BenchConfig, ConfigError, validate_scenario
@@ -290,6 +290,28 @@ class TestSamplerBudget:
 
 
 class TestFir:
+    @given(n_taps=st.integers(1, 201),
+           cutoff=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(n_taps=31, cutoff=0.1)
+    @settings(max_examples=300, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_design_is_firwin_bit_for_bit(self, n_taps, cutoff):
+        # scipy is a test dependency only: the oracle of the numpy design
+        from scipy.signal import firwin
+        ref = firwin(n_taps, cutoff)
+        # a subnormal cutoff underflows a short even design to NaN taps in
+        # both
+        assert np.array_equal(default_fir_taps(n_taps, cutoff),
+                              ref / ref.sum(), equal_nan=True)
+
+    @pytest.mark.parametrize("n_taps, cutoff", [
+        (0, 0.1), (-3, 0.1), (31, 0.0), (31, 1.0), (31, -0.2),
+        (31, float("nan"))])
+    def test_design_refuses_what_firwin_refuses_and_nan(self, n_taps,
+                                                        cutoff):
+        with pytest.raises(ValueError):
+            default_fir_taps(n_taps, cutoff)
+
     def test_taps_normalized(self):
         taps = default_fir_taps()
         assert len(taps) == 31

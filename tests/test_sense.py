@@ -139,6 +139,14 @@ class TestMeasureVth:
         with pytest.raises(VthMeasureTimeout):
             measure_vth(slow, 25.0, 25.0, self.p(), 0.0)
 
+    def test_nan_gate_capacitance_times_out(self):
+        # DeviceParams refuses it; a NaN set after construction must still
+        # end the settle loop, whose comparisons with NaN are all false
+        p = module_400a()
+        p.c_gs = float("nan")
+        with pytest.raises(VthMeasureTimeout):
+            measure_vth(p, 25.0, 25.0, self.p(), 0.0)
+
     def test_requires_device_at_ambient(self):
         with pytest.raises(NotAtAmbient):
             measure_vth(module_400a(), 90.0, 25.0, self.p(), 0.0)
