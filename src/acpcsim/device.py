@@ -75,11 +75,11 @@ class DeviceParams:
     def __post_init__(self):
         if self.r_drift0 < 0 or self.k_ch < 0:
             raise ValueError("resistance terms must be nonnegative")
-        if self.rho_vth >= 0:
+        # each test below fails on NaN; k_sat = 0 is the gate-fault model
+        if not self.rho_vth < 0:
             raise ValueError("rho_vth must be negative")
-        if self.gate_on_v <= self.v_th0:
+        if not self.gate_on_v > self.v_th0:
             raise ValueError("gate_on_v must exceed v_th0")
-        # NaN fails both; k_sat = 0 is the gate-fault model
         if not self.c_gs > 0:
             raise ValueError("c_gs must be positive")
         if not self.k_sat >= 0:

@@ -63,6 +63,8 @@ class SenseCircuitParams:
             raise ValueError("noise_sigma must be nonnegative")
         if not self.i_desat_vth > 0:  # the threshold ramp divides by it
             raise ValueError("i_desat_vth must be positive")
+        if not self.vth_timeout > 0:  # NaN would never end the ramp
+            raise ValueError("vth_timeout must be positive")
 
 
 @dataclass

@@ -295,8 +295,13 @@ class TestRun:
         # writer refused, after two outputs were written
         ("sampler.fir_cutoff = nan\n", "sampler.fir_cutoff"),
         ("sampler.fir_cutoff = 1\n", "sampler.fir_cutoff"),
-        # a NaN gate capacitance never ended the threshold settle loop
+        # a NaN gate capacitance never ended the threshold settle loop; a
+        # NaN drive, threshold or timeout would now end it as a timeout
+        # (exit 1), so each is refused at configuration
         ("device.c_gs = nan\n", "device.c_gs"),
+        ("device.gate_on_v = nan\n", "device.gate_on_v"),
+        ("device.v_th0 = nan\n", "device.v_th0"),
+        ("sense.vth_timeout = nan\n", "sense.vth_timeout"),
         ("bench.mode = envelope\nbench.n_cycles = 1\nsampler.n_points = 0\n",
          "sampler.n_points"),
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
@@ -313,7 +318,8 @@ class TestRun:
             "device_gate_on_v_below_threshold", "pump_on_boundary_above_off",
             "zero_pump_on_boundary", "negative_pump_on_boundary",
             "nan_boundary_c", "nan_stage_r", "zero_i_desat_vth",
-            "fir_cutoff_nan", "fir_cutoff_one", "nan_c_gs", "n_points_zero"])
+            "fir_cutoff_nan", "fir_cutoff_one", "nan_c_gs", "nan_gate_on_v",
+            "nan_v_th0", "nan_vth_timeout", "n_points_zero"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.txt"

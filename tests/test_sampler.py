@@ -298,11 +298,12 @@ class TestFir:
     def test_design_is_firwin_bit_for_bit(self, n_taps, cutoff):
         # scipy is a test dependency only: the oracle of the numpy design
         from scipy.signal import firwin
-        ref = firwin(n_taps, cutoff)
         # a subnormal cutoff underflows a short even design to NaN taps in
         # both
-        assert np.array_equal(default_fir_taps(n_taps, cutoff),
-                              ref / ref.sum(), equal_nan=True)
+        with np.errstate(invalid="ignore"):
+            ref = firwin(n_taps, cutoff)
+            assert np.array_equal(default_fir_taps(n_taps, cutoff),
+                                  ref / ref.sum(), equal_nan=True)
 
     @pytest.mark.parametrize("n_taps, cutoff", [
         (0, 0.1), (-3, 0.1), (31, 0.0), (31, 1.0), (31, -0.2),
