@@ -47,7 +47,10 @@ precursors.csv       one row per cycle per device (stable schema)
 waveforms.csv        decimated electrical waveforms (with --emit waveforms)
 trace_thermal.csv    decimated junction temperatures
 trace_sampling.csv   last completed acquisition window, raw and filtered
-run_manifest.json    inputs, seed, emitted-file hashes, wall duration
+run_manifest.json    inputs, seed, emitted-file hashes, wall duration, and
+                     the idles that ended at their cap before their rule:
+                     cool_phases_capped (run.cool_cap_s) and
+                     startup_idles_capped (the start-up's 900 s idle)
 
 Exit codes: 0 completed, 1 a scenario failed with an unexpected error
 (reported as ``<scenario>: <error>`` on stderr; the other scenarios of the
@@ -136,9 +139,12 @@ def _fmt(v) -> str:
 
 def _float(key, v) -> float:
     try:
-        return float(v)
+        x = float(v)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {v!r}") from None
+    if math.isnan(x):  # a NaN passes the models' comparisons
+        raise ConfigError(key, f"expected a number, got {v!r}")
+    return x
 
 
 def _int(key, v) -> int:
@@ -466,6 +472,8 @@ def run(scenario_path, out_dir, seed: Optional[int] = None,
         "seed": settings.cfg.rng_seed,
         "mode": settings.cfg.fidelity.value,
         "cycles_completed": result.cycles_completed,
+        "cool_phases_capped": result.cool_phases_capped,
+        "startup_idles_capped": result.startup_idles_capped,
         "status": result.status,
         "reason": result.reason,
         "files": files,

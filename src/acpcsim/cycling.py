@@ -14,6 +14,7 @@ quasi-static electrical solution) for multi-thousand-cycle campaigns.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -43,6 +44,12 @@ T_J_ENVELOPE_MAX = 200.0  # degC simulation envelope
 # ambient, or for at most the cap
 COOL_TO_AMBIENT_TOL = 0.75  # degC
 COOL_TO_AMBIENT_CAP_S = 900.0
+# a converter-off phase advances in blocks of steps (TestBench._step_idle):
+# the first of a phase a quarter longer than the last phase of its kind,
+# then blocks doubling from the small one, each sized so that its arrays
+# stay under about a megabyte
+_IDLE_BLOCK_MIN = 8
+_IDLE_BLOCK_BYTES = 1 << 20
 
 # Device k sits on bridge leg _LEG[k] (test a, b, c, then load a, b, c) and
 # carries _SIGN[k] times its phase's link current: the test upper switches
@@ -54,7 +61,7 @@ _PHASE = _LEG % 3
 _SIGN = np.array([1.0, -1.0] * 3 + [-1.0, 1.0] * 3)
 _UPPER = np.array([1.0, -1.0] * 6)
 _LOWER = np.array([0.0, 1.0] * 6)
-_NO_LOSS = np.zeros(N_DEVICES)  # the losses of an idle step, W
+_NO_LOSS = np.zeros(N_DEVICES)  # no loss, W; _thermal_step skips its heat
 
 PACKAGE_WARNING = "package"
 GATE_OXIDE_WARNING = "gate_oxide"
@@ -78,6 +85,12 @@ def _pole_voltages(d, v_hi, v_lo, v_dc: float) -> tuple:
     otherwise."""
     return tuple([d_k * (v_dc - h_k) + (1.0 - d_k) * l_k
                   for d_k, h_k, l_k in zip(d, v_hi, v_lo)])
+
+
+def _first(hit: np.ndarray) -> Optional[int]:
+    """Index of the first True of a boolean row, None when there is none."""
+    i = int(hit.argmax())
+    return i if hit[i] else None
 
 
 def _on_fractions(d) -> list:
@@ -261,7 +274,9 @@ class DeviceBank:
         self.r_th_factor = np.ones(self.n)
         self.shorted = np.zeros(self.n, dtype=bool)
         self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
-        self.aging_version = 0
+        # counts the changes of r_th_factor, which key the thermal step's
+        # coefficients
+        self.r_th_version = 0
 
     def conduction(self, cur) -> tuple:
         """Signed conduction drops, with the channel held on (synchronous
@@ -310,8 +325,10 @@ class DeviceBank:
         self.delta_pkg[m] = np.maximum(self.delta_pkg[m], pkg)
         self.delta_vth[m] = np.maximum(self.delta_vth[m], vth)
         self.delta_vsd[m] = np.maximum(self.delta_vsd[m], vsd)
-        self.r_th_factor[m] = np.maximum(self.r_th_factor[m], rth)
-        self.aging_version += 1
+        r_th = np.maximum(self.r_th_factor[m], rth)
+        if (r_th != self.r_th_factor[m]).any():
+            self.r_th_factor[m] = r_th
+            self.r_th_version += 1
 
 
 class _CrossingPredictor:
@@ -395,6 +412,10 @@ class RunResult:
     status: str             # "ok" | "protection_trip" | "thermal_runaway"
     reason: str = ""
     cycles_completed: int = 0
+    # idles that ended at their cap before their rule: cool phases at
+    # run.cool_cap_s, start-up idles at COOL_TO_AMBIENT_CAP_S
+    cool_phases_capped: int = 0
+    startup_idles_capped: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +436,20 @@ class _EnvelopeGrid(NamedTuple):
     p_link: float           # link-resistance loss, W
     i_win: np.ndarray       # (12, taps) slot currents of the FIR windows, A
     i_pk: list              # window-center current of each device, A
+
+
+class _IdleBlock(NamedTuple):
+    """n converter-off steps from the bench's state (TestBench._step_idle);
+    row i of each per-step field holds the state after step i."""
+
+    t: list               # time after each step, s, accumulated step by step
+    temps: np.ndarray     # (n + 1, 12, stages) stage rises, row 0 before
+    t_j: np.ndarray       # (n, 12) junction temperatures, degC
+    t_case: np.ndarray    # (n, 12) case temperatures, degC
+    ntc: np.ndarray       # (n + 1, 12) sensor readings, row 0 before, degC
+    t_ref: list           # (test, load) plate reference of each step, degC
+    plates: list          # ((overload_rise, capacity_exceeded) per plate)
+                          # after each step
 
 
 class TestBench:
@@ -600,6 +635,13 @@ class TestBench:
         self._thermal_cache: dict = {}
         self._t_ref_key = None
         self._t_ref = np.empty(N_DEVICES)
+        # the step count of the last idle of each kind ("cool", "ambient"),
+        # and the longest block whose arrays stay under _IDLE_BLOCK_BYTES
+        self._idle_steps: dict = {}
+        self._idle_block_max = max(1, _IDLE_BLOCK_BYTES // (
+            8 * N_DEVICES * (self._stage_temps.shape[1] + 6)))
+        self.cool_phases_capped = 0
+        self.startup_idles_capped = 0
 
     # -- small helpers -------------------------------------------------------
 
@@ -999,14 +1041,173 @@ class TestBench:
         self.last_window_trace = (self.samplers[0].triggers.angles,
                                   grid.slot_i[0], v[0])
 
-    # -- idle (converter off) step -------------------------------------------
+    # -- idle (converter off) steps ------------------------------------------
 
-    def _step_idle(self, pump_test: bool):
+    def _step_idle(self, n: int, t0: float, cap_s: float,
+                   rule: Optional[Callable[["_IdleBlock"], Optional[int]]]
+                   = None, done: Optional[Callable[[float], bool]] = None,
+                   pump_test: bool = True):
+        """Advance up to n converter-off steps as one block and commit them
+        through the first step that ends the idle begun at t0.
+
+        The times alone tell whether done(t - t0) or t - t0 > cap_s holds
+        after a step, so the block ends at the first step where one does;
+        rule(block) returns the first step that its own stop ends, or None.
+        Returns (block, stop, capped): stop is the index of the ending step
+        (None when none of the block's steps ends the idle), and capped is
+        True when cap_s ended it while neither done nor rule held.
+        """
         dt = 1.0 / self.cfg.f_fund
+        ts = []
+        t = self.t
+        timed = False
+        for _ in range(n):
+            t += dt
+            ts.append(t)
+            if (done is not None and done(t - t0)) or t - t0 > cap_s:
+                timed = True
+                break
+        blk = self._idle_block(ts, dt, pump_test)
+        stop = None if rule is None else rule(blk)
+        capped = False
+        if stop is None and timed:
+            stop = len(ts) - 1
+            capped = done is None or not done(ts[-1] - t0)
+        self._commit_idle(blk, len(ts) if stop is None else stop + 1, dt)
+        return blk, stop, capped
+
+    def _idle_block(self, ts: list, dt: float, pump_test: bool) -> _IdleBlock:
+        """The thermal state after each of len(ts) zero-loss steps of dt,
+        bit for bit the state that as many _thermal_step calls leave.
+
+        With no loss the stages only decay, so their temperatures are a
+        running product of the step's decay coefficients, and each step's
+        junction and case temperatures are one reduction over the stages.
+        The plates' overload recursion runs step by step through
+        th.cooling_step and th.cooling_absorb, and leaves each plate in the
+        state of the block's last step; _commit_idle takes it back to the
+        last committed step.
+        """
+        n = len(ts)
+        ct, cl, amb = self.cool_test, self.cool_load, self.ambient
+        t_ref_t, r_b_t = th.cooling_step(ct, pump_test, amb)
+        t_ref_l, r_b_l = th.cooling_step(cl, True, amb)
+        key = (dt, r_b_t, r_b_l, self.bank.r_th_version,
+               self.s.ntc.time_constant)
+        a, _, r_b, ntc_gain = self._thermal_cache.get(key) \
+            or self._thermal_coeffs(key)
+        temps = np.empty((n + 1, *a.shape))
+        temps[0] = self._stage_temps
+        temps[1:] = a
+        np.multiply.accumulate(temps, axis=0, out=temps)
+        rise = temps[1:, :, -1]  # the boundary stage: case over reference
+        q = np.add.reduce((rise / r_b).reshape(n, 2, -1), axis=2).tolist()
+        t_ref, plates = [], []
+        for i, (q_t, q_l) in enumerate(q):
+            if i:
+                t_ref_t = th.cooling_step(ct, pump_test, amb)[0]
+                t_ref_l = th.cooling_step(cl, True, amb)[0]
+            t_ref.append((t_ref_t, t_ref_l))
+            th.cooling_absorb(ct, q_t, dt)
+            th.cooling_absorb(cl, q_l, dt)
+            plates.append(((ct.overload_rise, ct.capacity_exceeded),
+                           (cl.overload_rise, cl.capacity_exceeded)))
+        # each plate's reference over its six devices
+        ref = np.array(t_ref)[:, :, None]
+        t_j = (ref + np.add.reduce(temps[1:], axis=2).reshape(n, 2, -1)
+               ).reshape(n, -1)
+        t_case = (ref + rise.reshape(n, 2, -1)).reshape(n, -1)
+        bias = self.s.ntc.bias
+        if ntc_gain is None:
+            ntc = np.empty((n + 1, N_DEVICES))
+            ntc[0] = self.ntc_readings
+            np.add(t_case, bias, out=ntc[1:])
+        else:
+            # the sensors' lag on Python floats, one sensor at a time
+            # ("a zero bias moves no bit" as in _thermal_step)
+            target = t_case + bias if bias else t_case
+            g = float(ntc_gain[0])
+            cols = []
+            for r, col in zip(self.ntc_readings.tolist(), target.T.tolist()):
+                out = [r]
+                for x in col:
+                    r = r + g * (x - r)
+                    out.append(r)
+                cols.append(out)
+            ntc = np.array(cols).T
+        return _IdleBlock(t=ts, temps=temps, t_j=t_j, t_case=t_case, ntc=ntc,
+                          t_ref=t_ref, plates=plates)
+
+    def _commit_idle(self, blk: _IdleBlock, m: int, dt: float):
+        """Take the bench to the state after the block's first m steps and
+        append their trace rows."""
+        i = m - 1
         self.plant.i_abc = (0.0, 0.0, 0.0)
-        self._thermal_step(_NO_LOSS, dt, pump_test=pump_test)
-        self.t += dt
-        self._trace_point()
+        self._stage_temps[...] = blk.temps[m]
+        self.bank.t_j = blk.t_j[i].copy()
+        self._t_case[...] = blk.t_case[i]
+        self.ntc_readings = blk.ntc[m].copy()
+        self._ntc_prev, self._ntc_dt = blk.ntc[i].copy(), dt
+        for cool, (rise, exceeded) in zip((self.cool_test, self.cool_load),
+                                          blk.plates[i]):
+            cool.overload_rise, cool.capacity_exceeded = rise, exceeded
+        self._t_ref_key = blk.t_ref[i]
+        self._t_ref[:6], self._t_ref[6:] = blk.t_ref[i]
+        for t, row, case in zip(blk.t, blk.t_j[:m].tolist(),
+                                blk.t_case[:m, 0].tolist()):
+            if t + 1e-12 >= self._trace_next_t:
+                self._trace_append((t, *row, case))
+        self.t = blk.t[i]
+
+    def _idle(self, kind: str, t0: float, cap_s: float, rule=None, done=None,
+              tj_min: Optional[np.ndarray] = None) -> bool:
+        """Idle in blocks until a step ends the idle begun at t0
+        (_step_idle's rule, done and cap_s), folding each committed step's
+        junction temperatures into tj_min when given; returns True when
+        the cap ended it."""
+        last = self._idle_steps.get(kind)
+        if done is not None:  # the times bound each block, so run long ones
+            sizes = itertools.repeat(self._idle_block_max)
+        else:
+            # a quarter over the last, as phases drift by a step or two
+            sizes = itertools.chain([last + last // 4] if last else [], (
+                _IDLE_BLOCK_MIN << k for k in itertools.count()))
+        steps = 0
+        for n in sizes:
+            blk, stop, capped = self._step_idle(
+                min(n, self._idle_block_max), t0, cap_s, rule, done)
+            m = len(blk.t) if stop is None else stop + 1
+            steps += m
+            if tj_min is not None:
+                np.minimum.reduce(np.vstack([tj_min, blk.t_j[:m]]), axis=0,
+                                  out=tj_min)
+            if stop is not None:
+                self._idle_steps[kind] = steps
+                return capped
+
+    def _thermal_coeffs(self, key: tuple) -> tuple:
+        """The coefficients of a thermal step, cached under key (dt, the
+        test and load boundary resistances, the bank's r_th_version and
+        the sensors' time constant): each stage's decay a and heat gain
+        r * (1 - a), each device's boundary resistance, and the sensors'
+        gain, one per device (None without lag)."""
+        dt, r_b_t, r_b_l, _, tau = key
+        # the junction-side stages, then each plate's boundary
+        r = np.empty_like(self._stage_temps)
+        c = np.empty_like(self._stage_temps)
+        r[:, :-1] = self._stage_r
+        c[:, :-1] = self._stage_c
+        r[:, 0] *= self.bank.r_th_factor
+        r[:6, -1], c[:6, -1] = r_b_t, self.cool_test.boundary_c
+        r[6:, -1], c[6:, -1] = r_b_l, self.cool_load.boundary_c
+        a = np.exp(-dt / (r * c))
+        ntc_gain = None if tau <= 0 else np.full(
+            N_DEVICES, 1.0 - math.exp(-dt / tau))
+        if len(self._thermal_cache) > 16:
+            self._thermal_cache.clear()
+        cached = self._thermal_cache[key] = (a, r * (1.0 - a), r[:, -1].copy(),
+                                             ntc_gain)
+        return cached
 
     def _thermal_step(self, p_dev: np.ndarray, dt: float, pump_test: bool):
         """Advance every device's Foster stages, the two cooling boundaries
@@ -1015,30 +1216,17 @@ class TestBench:
         The exact update holds for any dt under piecewise-constant loss, so
         no step size is refused; envelope steps of a whole fundamental
         period rely on that. The sensors' rate is left to
-        _ntc_case_estimate, its one reader.
+        _ntc_case_estimate, its one reader. Converter-off steps run in
+        blocks (_idle_block), to the same bits.
         """
         t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test,
                                          self.ambient)
         t_ref_l, r_b_l = th.cooling_step(self.cool_load, True, self.ambient)
         m = self.s.ntc
-        key = (dt, r_b_t, r_b_l, self.bank.aging_version, m.time_constant)
+        key = (dt, r_b_t, r_b_l, self.bank.r_th_version, m.time_constant)
         cached = self._thermal_cache.get(key)
         if cached is None:
-            # the junction-side stages, then each plate's boundary
-            r = np.empty_like(self._stage_temps)
-            c = np.empty_like(self._stage_temps)
-            r[:, :-1] = self._stage_r
-            c[:, :-1] = self._stage_c
-            r[:, 0] *= self.bank.r_th_factor
-            r[:6, -1], c[:6, -1] = r_b_t, self.cool_test.boundary_c
-            r[6:, -1], c[6:, -1] = r_b_l, self.cool_load.boundary_c
-            a = np.exp(-dt / (r * c))
-            ntc_gain = None if m.time_constant <= 0 else np.full(
-                N_DEVICES, 1.0 - math.exp(-dt / m.time_constant))
-            cached = (a, r * (1.0 - a), r[:, -1].copy(), ntc_gain)
-            if len(self._thermal_cache) > 16:
-                self._thermal_cache.clear()
-            self._thermal_cache[key] = cached
+            cached = self._thermal_coeffs(key)
         a, gain, r_b, ntc_gain = cached
         if self._t_ref_key != (t_ref_t, t_ref_l):
             self._t_ref_key = (t_ref_t, t_ref_l)
@@ -1068,13 +1256,17 @@ class TestBench:
 
     def _trace_point(self):
         if self.t + 1e-12 >= self._trace_next_t:
-            self.thermal_trace.append(
+            self._trace_append(
                 (self.t, *self.bank.t_j.tolist(), float(self._t_case[0])))
-            self._trace_next_t = self.t + self.trace_stride_s
-            if len(self.thermal_trace) > self._trace_cap:
-                # thin adaptively so long campaigns stay bounded
-                self.thermal_trace = self.thermal_trace[::2]
-                self.trace_stride_s *= 2.0
+
+    def _trace_append(self, row: tuple):
+        """Append a trace row (t, twelve junctions, the first case)."""
+        self.thermal_trace.append(row)
+        self._trace_next_t = row[0] + self.trace_stride_s
+        if len(self.thermal_trace) > self._trace_cap:
+            # thin adaptively so long campaigns stay bounded
+            self.thermal_trace = self.thermal_trace[::2]
+            self.trace_stride_s *= 2.0
 
     # -- phases -----------------------------------------------------------------
 
@@ -1114,25 +1306,43 @@ class TestBench:
             hot = float(np.nanmax(est))
         return pred.crossed_up(hot, cfg.t_j_max)
 
-    def _cool_done(self, t_cool: float,
-                   observer: Optional[Callable[[float], float]],
-                   pred: "_CrossingPredictor") -> bool:
+    def _cool_rule(self, t0: float) -> tuple:
+        """The stop of the cool phase begun at t0, as the (rule, done) pair
+        of _step_idle: fixed times end on the time alone, a case swing on
+        the hottest test sensor, a junction swing on the cool-down
+        observer's estimate through a crossing predictor fed step by
+        step."""
         cfg = self.cfg
         if cfg.technique is Technique.FIXED_TIMES:
-            return t_cool >= cfg.t_off - 1e-9
+            return None, lambda t_cool: t_cool >= cfg.t_off - 1e-9
         if cfg.technique is Technique.CASE_SWING:
-            return float(self.ntc_readings[:6].max()) <= cfg.t_case_min
-        return pred.crossed_down(observer(t_cool), cfg.t_j_min)
+            return (lambda blk: _first(np.maximum.reduce(
+                blk.ntc[1:, :6], axis=1) <= cfg.t_case_min)), None
+        observer = self._make_observer()
+        pred = _CrossingPredictor()
+
+        def crossed(blk: _IdleBlock) -> Optional[int]:
+            est = observer(np.array(blk.t) - t0, blk.ntc[1:, :6],
+                           blk.ntc[:-1, :6])
+            return next((i for i, v in enumerate(est.tolist())
+                         if pred.crossed_down(v, cfg.t_j_min)), None)
+
+        return crossed, None
+
+    def _lag_led_out(self, now, prev, dt: float):
+        """Case temperatures from sensor readings now, with the sensor's
+        known first-order lag led out at their rate since prev, dt
+        before."""
+        return now + self.s.ntc.time_constant * ((now - prev) / dt)
 
     def _ntc_case_estimate(self) -> np.ndarray:
         """Case temperature of the six test devices with the sensor's known
         first-order lag led out, at the sensors' rate over the last thermal
         step."""
-        now = self.ntc_readings[:6]
-        rate = (now - self._ntc_prev[:6]) / self._ntc_dt
-        return now + self.s.ntc.time_constant * rate
+        return self._lag_led_out(self.ntc_readings[:6], self._ntc_prev[:6],
+                                 self._ntc_dt)
 
-    def _make_observer(self) -> Callable[[float], float]:
+    def _make_observer(self) -> Callable:
         """Junction estimate through the zero-loss cool-down.
 
         With the converter off the junction relaxes onto the case along the
@@ -1142,6 +1352,10 @@ class TestBench:
         resistance channel carries no current during cooling, so this is the
         only junction information available; the case comes from the NTC with
         its calibrated lag compensated.
+
+        The observer takes n steps at once: their times since the cool
+        phase began (n,) and the test sensors' readings after and before
+        each idle step (n, 6), and returns the hottest estimate of each.
         """
         r = self._stage_r
         tau = r * self._stage_c
@@ -1149,11 +1363,13 @@ class TestBench:
         est0 = self.tj_est[:6]
         hot = np.where(np.isfinite(est0), est0, self.bank.t_j[:6])
         gap0 = hot - self._ntc_case_estimate()
+        dt = 1.0 / self.cfg.f_fund
 
-        def observer(t_cool: float) -> float:
-            decay = float(np.add.reduce(w * np.exp(-t_cool / tau)))
-            return float(np.maximum.reduce(self._ntc_case_estimate()
-                                           + gap0 * decay))
+        def observer(t_cool: np.ndarray, now: np.ndarray,
+                     prev: np.ndarray) -> np.ndarray:
+            decay = np.add.reduce(w * np.exp(-t_cool[:, None] / tau), axis=1)
+            return np.maximum.reduce(self._lag_led_out(now, prev, dt)
+                                     + gap0 * decay[:, None], axis=1)
 
         return observer
 
@@ -1187,18 +1403,11 @@ class TestBench:
                     "its target")
         t_on_actual = self.t - t0
 
-        # only the junction swing reads the cool-down observer
-        observer = self._make_observer() \
-            if cfg.technique is Technique.JUNCTION_SWING else None
         tj_min = self.bank.t_j.copy()
         t0 = self.t
-        pred = _CrossingPredictor()
-        while True:
-            self._step_idle(pump_test=True)
-            np.minimum(tj_min, self.bank.t_j, out=tj_min)
-            t_cool = self.t - t0
-            if self._cool_done(t_cool, observer, pred) or t_cool > s.cool_cap_s:
-                break
+        rule, done = self._cool_rule(t0)
+        if self._idle("cool", t0, s.cool_cap_s, rule, done, tj_min):
+            self.cool_phases_capped += 1
         t_off_actual = self.t - t0
 
         v_th_col = startup_vth if startup_vth is not None \
@@ -1219,12 +1428,16 @@ class TestBench:
     # -- start-of-test measurements ---------------------------------------------
 
     def cool_to_ambient(self):
-        t0 = self.t
-        while float(np.abs(self.bank.t_j - self.ambient).max()) \
-                > COOL_TO_AMBIENT_TOL:
-            self._step_idle(pump_test=True)
-            if self.t - t0 > COOL_TO_AMBIENT_CAP_S:
-                break
+        """Idle until every junction is within COOL_TO_AMBIENT_TOL of the
+        ambient, for at most COOL_TO_AMBIENT_CAP_S."""
+        def settled(t_j):
+            return ~(np.maximum.reduce(np.abs(t_j - self.ambient), axis=-1)
+                     > COOL_TO_AMBIENT_TOL)
+
+        if not settled(self.bank.t_j) and self._idle(
+                "ambient", self.t, COOL_TO_AMBIENT_CAP_S,
+                lambda blk: _first(settled(blk.t_j))):
+            self.startup_idles_capped += 1
 
     def startup_measurements(self) -> StartupResult:
         """Idle-bench threshold and ambient on-resistance measurements, then
@@ -1302,7 +1515,9 @@ class TestBench:
             rec.warnings = tuple(sorted(tracker.update(rec)))
             records.append(rec)
         return RunResult(records=records, status=status, reason=reason,
-                         cycles_completed=len(records))
+                         cycles_completed=len(records),
+                         cool_phases_capped=self.cool_phases_capped,
+                         startup_idles_capped=self.startup_idles_capped)
 
     # -- steady-state characterization --------------------------------------------
 

@@ -24,7 +24,9 @@ came to evaluate the temperature half once per step in the row form
 (device.temperature_rows) for every engine, the envelope's grids included,
 and the bound constants were deleted, and when the gate drive came to be
 set on the device parameters alone and both plates took one cooling
-setting.
+setting. They held when converter-off phases came to run as blocks of
+steps (TestBench._idle_block), with the case-swing and overloaded-plate
+cool phases pinned just before that change.
 
 Digests were re-pinned on purpose twice. First the fixed-times
 precursors.csv, when the envelope engine's partial-budget windows moved
@@ -227,6 +229,40 @@ def test_fixed_times_partial_budget_outputs_unchanged(tmp_path):
     scn.write_text(FIXED_TIMES_SCENARIO)
     assert _digests(scn, tmp_path / "out", 3, FIXED_TIMES_SHA256) \
         == FIXED_TIMES_SHA256
+
+
+# the two cool-phase rules the campaigns above leave out, first 3 cycles:
+# a case swing, whose cool phases end on the case sensors, and fixed times
+# on plates rated 150 W with a 20 J/K coolant loop, whose overload ramps
+# the reference through every idle step
+CASE_SWING_SCENARIO = ("bench.technique = case_swing\nbench.t_case_max = 45\n"
+                       "bench.t_case_min = 35\nbench.rng_seed = 7\n"
+                       "run.startup_every = 0\n" + FAST_ENVELOPE)
+OVERLOADED_SCENARIO = (FIXED_TIMES_SCENARIO + "thermal.max_heat = 150\n"
+                       "thermal.reservoir_c = 20\n")
+COOL_PHASE_SHA256 = {
+    "case_swing": {
+        "precursors.csv":
+            "a028da49f259c182afb8bb7f241c28d950f14b4a13db7aa1f83aa1cf8233acae",
+        "trace_thermal.csv":
+            "2facc2883bad018f9fc3077ace8c30d545f0e759dac81fad0844b3a1d0715be6",
+    },
+    "overloaded": {
+        "precursors.csv":
+            "c3b7a9a2509edfd1d4ddf6c9f724a9dff15f6438c882b276f878aa7ba8430ed9",
+        "trace_thermal.csv":
+            "901f54a23562e22a31c28f38d3f3a788aa8f919c1b2b3387d6340b4742be5776",
+    },
+}
+
+
+@pytest.mark.parametrize("case, text", [("case_swing", CASE_SWING_SCENARIO),
+                                        ("overloaded", OVERLOADED_SCENARIO)])
+def test_cool_phase_outputs_unchanged(case, text, tmp_path):
+    scn = tmp_path / f"{case}.txt"
+    scn.write_text(text)
+    assert _digests(scn, tmp_path / "out", 3, COOL_PHASE_SHA256[case]) \
+        == COOL_PHASE_SHA256[case]
 
 
 @pytest.mark.parametrize("case", ["junction_swing", "fixed_times"])

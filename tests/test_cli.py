@@ -333,6 +333,22 @@ class TestRun:
         assert key in named.split(", ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", [k for k, (convert, _) in SCHEMA.items()
+                                     if convert is cli._float])
+    def test_nan_float_exits_2_naming_its_key(self, key, tmp_path, capsys):
+        # a NaN passes the models' comparisons, so the parser refuses it
+        # for every float key; an infinity still reaches the models
+        path = tmp_path / "nan.txt"
+        path.write_text(f"bench.mode = envelope\nbench.n_cycles = 1\n"
+                        f"{key} = nan\n")
+        out = tmp_path / "never"
+        assert run(path, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: expected a "
+                              f"number, got 'nan'")
+        assert not out.exists()
+        assert cli._float(key, "inf") == float("inf")
+
     def test_r_th_factor_multiplies_the_thermal_resistance(self, scenario,
                                                             tmp_path):
         # a factor of 1 is the fresh device, to the byte, and a factor of
@@ -372,9 +388,24 @@ class TestRun:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert manifest["cycles_completed"] == 3
+        assert manifest["cool_phases_capped"] == 0
+        assert manifest["startup_idles_capped"] == 0
         for name, digest in manifest["files"].items():
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_manifest_counts_the_capped_cool_phases(self, tmp_path):
+        # a 0.1 s cap ends each 0.3 s fixed-times cool phase early
+        path = tmp_path / "capped.txt"
+        path.write_text(FAST_SCENARIO + "run.cool_cap_s = 0.1\n")
+        out = tmp_path / "out"
+        assert run(path, out) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["cool_phases_capped"] == 3
+        assert manifest["startup_idles_capped"] == 0
+        t_off = {float(row.split(",")[10]) for row in
+                 (out / "precursors.csv").read_text().splitlines()[1:]}
+        assert max(t_off) < 0.15
 
     def test_cycles_override(self, scenario, tmp_path):
         out = tmp_path / "out"

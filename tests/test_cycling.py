@@ -442,6 +442,9 @@ class TestStartup:
                                            **kw))
             res = b.run_campaign()
             assert res.status == "ok" and res.cycles_completed == 3
+            # the run counts the start-up idle that its cap ended
+            assert res.startup_idles_capped == (supply is not None)
+            assert res.cool_phases_capped == 0
             prev, rec = res.records[1:]
             idles.append(rec.t_start - prev.t_start - prev.t_on_actual
                          - prev.t_off_actual)

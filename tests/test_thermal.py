@@ -1,7 +1,11 @@
+import copy
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from acpcsim.cycling import _NO_LOSS, N_DEVICES, TestBench, default_settings
 from acpcsim.thermal import (CoolingState, FosterNetwork, FosterStage,
@@ -114,7 +118,7 @@ class TestFosterStep:
         assert b.cool_load.capacity_exceeded and b._t_ref[6] > 25.0
 
     def test_die_attach_aging_raises_junction_to_case_gap(self):
-        # the bench's step cache is keyed on aging_version, so one fresh
+        # the bench's step cache is keyed on r_th_version, so one fresh
         # bench per die-attach factor; the settled gap is P times the
         # junction-side resistance, the first stage's scaled by the factor
         gaps = []
@@ -260,6 +264,70 @@ def test_zero_loss_step_only_decays_the_stages():
             assert getattr(idle, name).tobytes() == getattr(ref, name).tobytes()
         assert idle.bank.t_j.tobytes() == ref.bank.t_j.tobytes()
     assert (idle._stage_temps > 0).all()
+
+
+class TestIdleBlock:
+    """Converter-off steps as one block (TestBench._step_idle) against as
+    many zero-loss _thermal_step calls, each followed by t += dt and
+    _trace_point, bit for bit."""
+
+    THERMAL_FIELDS = ("_stage_temps", "_t_case", "ntc_readings", "_ntc_prev",
+                      "_t_ref")
+
+    @settings(deadline=None, max_examples=150,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(data=st.data())
+    def test_block_is_the_zero_loss_steps(self, data):
+        draw = data.draw
+        n_stages = draw(st.integers(1, 9), label="stages")
+        r = draw(st.lists(st.floats(1e-3, 0.1), min_size=n_stages,
+                          max_size=n_stages), label="r")
+        tau = draw(st.lists(st.floats(1e-4, 2.0), min_size=n_stages,
+                            max_size=n_stages), label="tau")
+        # a plate rated far below the heat it takes overloads, and one
+        # that starts with a risen coolant loop recovers
+        cooling = CoolingState(
+            r_boundary_on=draw(st.floats(0.05, 1.0)), r_boundary_off=2.0,
+            boundary_c=draw(st.floats(0.5, 50.0)),
+            max_heat=draw(st.sampled_from([1500.0, 100.0, 5.0])),
+            reservoir_c=draw(st.floats(1.0, 500.0)))
+        ntc = NtcModel(bias=draw(st.sampled_from([0.0, 3.0, -1.5])),
+                       time_constant=draw(st.sampled_from([0.0, 0.02, 0.5])))
+        b = bench(network=FosterNetwork(
+            [FosterStage(ri, ti / ri) for ri, ti in zip(r, tau)]),
+                  cooling=cooling, ntc=ntc)
+        dt = 1.0 / b.cfg.f_fund
+        b._trace_cap = draw(st.integers(1, 12), label="trace cap")
+        rng = np.random.default_rng(draw(st.integers(0, 2**32), label="seed"))
+        for _ in range(draw(st.integers(1, 30), label="heat steps")):
+            b._thermal_step(rng.uniform(0.0, 400.0, N_DEVICES), dt,
+                            pump_test=bool(rng.integers(2)))
+            b.t += dt
+            b._trace_point()
+        for cool in (b.cool_test, b.cool_load):
+            cool.overload_rise = draw(st.sampled_from([0.0, 0.0, 2.5]))
+        pump_test = draw(st.booleans(), label="pump_test")
+        n = draw(st.integers(1, 60), label="n")
+        cut = draw(st.none() | st.integers(0, n - 1), label="cut")
+
+        ref = copy.deepcopy(b)
+        blk, stop, capped = b._step_idle(
+            n, b.t, math.inf, rule=lambda blk: cut, pump_test=pump_test)
+        assert stop == cut and not capped and len(blk.t) == n
+        for _ in range(n if cut is None else cut + 1):
+            ref._thermal_step(_NO_LOSS, dt, pump_test=pump_test)
+            ref.t += dt
+            ref._trace_point()
+
+        for name in self.THERMAL_FIELDS:
+            assert getattr(b, name).tobytes() == getattr(ref, name).tobytes()
+        assert b.bank.t_j.tobytes() == ref.bank.t_j.tobytes()
+        for cool in ("cool_test", "cool_load"):
+            assert repr(astuple(getattr(b, cool))) == \
+                repr(astuple(getattr(ref, cool)))
+        for name in ("t", "_ntc_dt", "_t_ref_key", "_trace_next_t",
+                     "trace_stride_s", "thermal_trace"):
+            assert repr(getattr(b, name)) == repr(getattr(ref, name))
 
 
 def test_invalid_stage_rejected():
