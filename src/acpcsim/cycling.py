@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -46,10 +47,15 @@ COOL_TO_AMBIENT_TOL = 0.75  # degC
 COOL_TO_AMBIENT_CAP_S = 900.0
 # a converter-off phase advances in blocks of steps (TestBench._step_idle):
 # the first of a phase a quarter longer than the last phase of its kind,
-# then blocks doubling from the small one, each sized so that its arrays
-# stay under about a megabyte
+# then blocks doubling from the small one; an envelope heat phase too
+# (TestBench._step_envelope): the first as long as the last heat phase, then
+# blocks doubling from its small one. Each block is sized so that its
+# arrays stay under about a megabyte.
 _IDLE_BLOCK_MIN = 8
-_IDLE_BLOCK_BYTES = 1 << 20
+_HEAT_BLOCK_MIN = 2
+_BLOCK_BYTES = 1 << 20
+# the envelope heat step's angle grid over one fundamental period
+_GRID_ANGLES = 32
 
 # Device k sits on bridge leg _LEG[k] (test a, b, c, then load a, b, c) and
 # carries _SIGN[k] times its phase's link current: the test upper switches
@@ -452,6 +458,44 @@ class _IdleBlock(NamedTuple):
                           # after each step
 
 
+class _HeatBlock(NamedTuple):
+    """n envelope heat steps from the bench's state (TestBench._heat_block);
+    its first seven fields are _IdleBlock's, whose commit it shares, and
+    row i of each per-step field holds the state after step i."""
+
+    t: list               # time after each step, s, accumulated step by step
+    temps: np.ndarray     # (n + 1, 12, stages) stage rises, row 0 before
+    t_j: np.ndarray       # (n, 12) junction temperatures, degC
+    t_case: np.ndarray    # (n, 12) case temperatures, degC
+    ntc: np.ndarray       # (n + 1, 12) sensor readings, row 0 before, degC
+    t_ref: list           # (test, load) plate reference of each step, degC
+    plates: list          # ((overload_rise, capacity_exceeded) per plate)
+                          # after each step
+    v_cond: np.ndarray    # (n, 12, g) conduction drops on the grid, V
+    p_cond: list          # summed conduction loss of each step, W
+    tj_est: np.ndarray    # (n, 12) junction estimates after each step, degC
+    fill: "_HeatFill"
+
+
+class _HeatFill(NamedTuple):
+    """A heat block's acquisition (TestBench._envelope_fill_batched): the
+    windows it completes are already finished, and its commit
+    (TestBench._commit_fill) takes the rest to a step of the block."""
+
+    v: np.ndarray         # (12, windows * n) readings of the windows the
+                          # block fills, the one in progress at its start
+                          # from slot 0
+    truth: Optional[np.ndarray]  # the same slots' true ratios, or None
+    slots: list           # slots filled through each step
+    filled: list          # the window's fill count after each step
+    cycles: list          # the window's fill cycles after each step
+    done: list            # the step that completes each window
+    est: np.ndarray       # (windows, 12) the windows' estimates, ohm
+    tj: list              # the windows' inverted junction temperatures
+    before: tuple         # (r_on_last, tj_est, window count) before
+    rng_state: Optional[dict]  # the noise generator's state before
+
+
 class TestBench:
     """Owns every module state; single-threaded stepping over one scenario.
 
@@ -496,6 +540,13 @@ class TestBench:
                 f"{sns.AMBIENT_TOL:g} degC from the {self.ambient:g} degC "
                 f"ambient, where each start-up after cycle 0 measures the "
                 f"threshold")
+        for key, cap in (("run.heat_cap_s", s.heat_cap_s),
+                         ("run.cool_cap_s", s.cool_cap_s)):
+            if not math.isfinite(cap):
+                # the one end of a phase whose own rule never holds
+                raise ConfigError(
+                    key, f"a cap of {cap:g} s never ends a phase whose own "
+                    f"rule never holds; use a finite time")
         if any(not g >= 0.0 for _, g in s.r_th_aging):
             raise ConfigError(
                 "aging.r_th_factor",
@@ -635,11 +686,17 @@ class TestBench:
         self._thermal_cache: dict = {}
         self._t_ref_key = None
         self._t_ref = np.empty(N_DEVICES)
-        # the step count of the last idle of each kind ("cool", "ambient"),
-        # and the longest block whose arrays stay under _IDLE_BLOCK_BYTES
+        # the step count of the last idle of each kind ("cool", "ambient")
+        # and of the last heat phase, and the longest blocks whose arrays
+        # stay under _BLOCK_BYTES
         self._idle_steps: dict = {}
-        self._idle_block_max = max(1, _IDLE_BLOCK_BYTES // (
-            8 * N_DEVICES * (self._stage_temps.shape[1] + 6)))
+        self._heat_steps = 0
+        stages = self._stage_temps.shape[1]
+        self._idle_block_max = max(1, _BLOCK_BYTES // (
+            8 * N_DEVICES * (stages + 6)))
+        self._heat_block_max = max(1, _BLOCK_BYTES // (8 * N_DEVICES * (
+            _GRID_ANGLES + stages + 6
+            + 2 * min(s.budget_per_cycle, s.sampler_n))))
         self.cool_phases_capped = 0
         self.startup_idles_capped = 0
 
@@ -729,12 +786,12 @@ class TestBench:
             smp.sampler_update_interval(sstate, theta_prev, theta_now,
                                         v + e_d[k] + z, i, truth=v / i)
             if sstate.complete:
-                idx = self._win_idx[k:k + 1]
+                idx = self._win_idx[None, k:k + 1]
                 i_pk = float(sstate.i[sstate.triggers.center_index])
                 self._finish_window(
                     k, sstate.v_on[idx], sstate.i[idx], sstate.truth[idx],
                     [self.luts[k].column(i_pk).tolist()],
-                    sstate.cycles_elapsed)
+                    [sstate.cycles_elapsed], [self.t], self.bank.t_j[None])
                 if k == 0:  # the window's slots are reused from here on
                     self.last_window_trace = (sstate.triggers.angles,
                                               sstate.i.copy(),
@@ -743,37 +800,48 @@ class TestBench:
 
     def _finish_window(self, k0: int, v_win: np.ndarray, i_win: np.ndarray,
                        truth_win: Optional[np.ndarray], cols: list,
-                       cycles: int):
-        """Estimate the windows that devices k0, k0 + 1, ... just completed;
-        every engine finishes its windows here.
+                       cycles: list, t: list, tj_true: np.ndarray) -> tuple:
+        """Estimate the window sets that devices k0, k0 + 1, ... just
+        completed, in the order they completed; every engine finishes its
+        windows here.
 
-        Row j of v_win, i_win and truth_win holds device k0 + j's readings,
-        currents and true ratios at the slots of its FIR window
-        (self._win_idx), and cols[j] is its R(T) column, a list, at the
-        window-center current. truth_win is read only while windows are
-        collected, and may be None otherwise. The caller keeps device 0's
-        whole window as last_window_trace.
+        Row j of set w of v_win, i_win and truth_win, each (sets, rows,
+        taps), holds device k0 + j's readings, currents and true ratios at
+        the slots of its FIR window (self._win_idx); one (rows, taps) i_win
+        serves every set. cols[j] is device k0 + j's R(T) column, a list, at
+        the window-center current. cycles[w], t[w] and the (12,) row
+        tj_true[w] are set w's fill cycles, its time and the junction
+        temperatures then. truth_win is read only while windows are
+        collected, and may be None otherwise. r_on_last and tj_est keep the
+        last set's estimates. Returns every set's estimates (sets, rows)
+        and, per set, the list of temperatures inverted from them. The
+        caller keeps device 0's whole window as last_window_trace.
         """
         taps = self.s.fir_taps
         r_est = smp.estimate_ron(v_win, i_win, taps)
-        k1 = k0 + len(r_est)
-        self.r_on_last[k0:k1] = r_est
-        est = r_est.tolist()
+        k1 = k0 + r_est.shape[1]
+        self.r_on_last[k0:k1] = r_est[-1]
         t_ax = self._lut_t_axis
         # only the test-bridge estimates drive control
         m = k1 - k0 if self.collect_windows else max(0, min(k1, 6) - k0)
-        self.tj_est[k0:k0 + m] = [smp.invert_column(est[j], cols[j], t_ax)
-                                  for j in range(m)]
+        # each device's sets at once: np.interp is invert_column at every
+        # point, bit for bit
+        tj = np.array([np.interp(r_est[:, j], cols[j], t_ax)
+                       for j in range(m)]).T.tolist() if m else [[]] * len(r_est)
+        self.tj_est[k0:k0 + m] = tj[-1]
         if self.collect_windows:
-            i_pk = i_win[:, len(taps) // 2].tolist()
+            i_pk = np.broadcast_to(i_win[..., len(taps) // 2],
+                                   r_est.shape).tolist()
+            est = r_est.tolist()
             r_true = (truth_win @ taps).tolist()
-            tj_est = self.tj_est[k0:k1].tolist()
-            tj_true = self.bank.t_j[k0:k1].tolist()
+            true = np.asarray(tj_true)[:, k0:k1].tolist()
             self.windows += [{
-                "t": self.t, "device": k0 + j, "r_est": est[j],
-                "i_pk": i_pk[j], "r_true": r_true[j], "tj_est": tj_est[j],
-                "tj_true": tj_true[j], "cycles_used": cycles,
-            } for j in range(k1 - k0)]
+                "t": t[w], "device": k0 + j, "r_est": est[w][j],
+                "i_pk": i_pk[w][j], "r_true": r_true[w][j],
+                "tj_est": tj[w][j], "tj_true": true[w][j],
+                "cycles_used": cycles[w],
+            } for w in range(len(est)) for j in range(k1 - k0)]
+        return r_est, tj
 
     # -- averaged / switched conducting step -------------------------------------
 
@@ -893,7 +961,7 @@ class TestBench:
         if self._envelope_cache is not None:
             return self._envelope_cache
         cfg = self.cfg
-        g = 32
+        g = _GRID_ANGLES
         thetas = np.arange(g) * TWO_PI / g
         i_d, i_q = self.i_ref_dq
         i_abc = np.stack([np.array(inverse_park(i_d, i_q, t)) for t in thetas],
@@ -951,95 +1019,303 @@ class TestBench:
             * float((i_dev[0:6:2] ** 2).mean(axis=1).sum()),
             i_win=i_win, i_pk=i_win[:, i_win.shape[1] // 2].tolist())
 
-    def _step_envelope(self):
-        cfg = self.cfg
-        dt = 1.0 / cfg.f_fund
-        grid = self._envelope_grid()
-        i_dev = grid.i_dev
-        g = i_dev.shape[1]
+    def _step_envelope(self, n: int, t0: float, cap_s: float,
+                       rule: Optional[Callable] = None,
+                       done: Optional[Callable[[float], bool]] = None):
+        """Advance up to n envelope heat steps as one block and commit them
+        through the first step that ends the heat phase begun at t0, trips
+        or leaves the simulation envelope.
 
-        v_cond, r_t = self.bank.conduction(grid.cur)
-        # np.add.reduce(x, axis=1) / g is x.mean(axis=1) bit for bit
-        p_cond = np.add.reduce(grid.duty * v_cond * i_dev, axis=1) / g
-        p_dev = p_cond + grid.p_sw
-
-        # one acquisition burst per fundamental cycle, budget-limited
-        self._envelope_fill_batched(grid, r_t)
+        Each step keeps the order of a step taken alone: the fill, the
+        DESAT check, the thermal step, the runaway check, then the stop
+        test, done(t) on the time after the step or rule(ntc, tj_est) on the
+        rows after each step (the first step it ends, or None), then
+        t - t0 > cap_s. The block ends at the first step where done or the
+        cap holds. A trip or a runaway raises once the block is committed
+        as far as that step taken alone gets. Returns (block, stop, capped)
+        as _step_idle does.
+        """
+        dt = 1.0 / self.cfg.f_fund
+        ts = []
+        t = self.t
+        timed = False
+        for _ in range(n):
+            t += dt
+            ts.append(t)
+            if (done is not None and done(t)) or t - t0 > cap_s:
+                timed = True
+                break
+        t_j0 = self.bank.t_j
+        plates0 = [dict(vars(c)) for c in (self.cool_test, self.cool_load)]
+        blk = self._heat_block(ts, dt)
+        n = len(blk.t)  # the block ends at a step that runs away
+        runaway = bool(np.maximum.reduce(blk.t_j[-1]) > T_J_ENVELOPE_MAX)
 
         # protection at envelope resolution: a device trips once its share
         # of the period over threshold reaches the blanking time
+        grid = self._envelope_grid()
         if self._env_desat is None:
             self._env_desat = (
                 (self.desat_thr - self._desat_bias)[:, None],
-                blanking_angles(dt, self.desat_base.blanking, g))
+                blanking_angles(dt, self.desat_base.blanking,
+                                grid.i_dev.shape[1]))
         thr, n_trip = self._env_desat
-        n_over = np.add.reduce(grid.conducting & (v_cond > thr), axis=1)
-        if np.maximum.reduce(n_over) >= n_trip:
-            k = int(np.flatnonzero(n_over >= n_trip)[0])
-            raise ProtectionTrip(DEVICE_IDS[k], self.t)
+        n_over = np.add.reduce(grid.conducting & (blk.v_cond > thr), axis=2)
+        trip = _first(np.maximum.reduce(n_over, axis=1) >= n_trip)
 
-        self._thermal_step(p_dev, dt, pump_test=False)
-        self._check_runaway()
-
+        # the steps that reach the stop test
+        end = min(trip if trip is not None else n, n - 1 if runaway else n)
+        stop = None if rule is None or not end \
+            else rule(blk.ntc[1:end + 1], blk.tj_est[:end])
+        capped = False
+        if stop is None and end == n and timed:
+            stop = n - 1
+            capped = done is None or not done(blk.t[-1])
+        # the steps whose fill, thermal step and time are committed: a trip
+        # comes before its step's thermal step, a runaway after it
+        if stop is not None:
+            filled = heated = clocked = stop + 1
+        elif trip is not None:
+            filled, heated, clocked = trip + 1, trip, trip
+        elif runaway:
+            filled, heated, clocked = n, n, n - 1
+        else:
+            filled = heated = clocked = n
+        self._commit_fill(grid, blk.fill, filled, n)
+        if heated:
+            self._commit_thermal(blk, heated, dt, clocked)
+        else:  # a trip at the first step leaves the thermal state alone
+            self.bank.t_j = t_j0
+            for cool, state in zip((self.cool_test, self.cool_load), plates0):
+                vars(cool).update(state)
         tl = self.tally
-        p_cond_sum = float(np.add.reduce(p_cond))
-        tl.e_cond += p_cond_sum * dt
-        tl.e_sw += grid.p_sw_sum * dt
-        tl.e_link += grid.p_link * dt
-        tl.e_supply += (p_cond_sum + grid.p_sw_sum + grid.p_link) * dt
-        tl.duration += dt
-        tl.samples += 1
+        p_sw, p_link = grid.p_sw_sum, grid.p_link
+        for p in blk.p_cond[:clocked]:
+            tl.e_cond += p * dt
+            tl.e_sw += p_sw * dt
+            tl.e_link += p_link * dt
+            tl.e_supply += (p + p_sw + p_link) * dt
+            tl.duration += dt
+            tl.samples += 1
+        if stop is None and trip is not None:
+            k = int(np.flatnonzero(n_over[trip] >= n_trip)[0])
+            raise ProtectionTrip(DEVICE_IDS[k], self.t)
+        if stop is None and runaway:
+            self._check_runaway()
+        return blk, stop, capped
 
-        self.t += dt
-        self._trace_point()
+    def _heat_block(self, ts: list, dt: float) -> _HeatBlock:
+        """The state after each of len(ts) envelope heat steps of dt, bit
+        for bit the state that as many steps taken alone leave, and the
+        block's acquisition (_envelope_fill_batched).
 
-    def _envelope_fill_batched(self, grid: "_EnvelopeGrid", r_t: np.ndarray):
-        """One cycle's acquisition for all devices in one shot; r_t is the
-        step's (12, 1) temperature half of R (DeviceBank.conduction).
+        Only the junction recursion runs step by step: the law on the grid
+        (DeviceBank.conduction), the period loss, the stage update and the
+        load plate's overload. It ends at the first step that takes a
+        junction past the simulation envelope. The plates and bank.t_j are
+        left at the block's last step; the commit takes them back.
+        """
+        grid = self._envelope_grid()
+        g = grid.i_dev.shape[1]
+        bank = self.bank
+        ct, cl, amb = self.cool_test, self.cool_load, self.ambient
+        # the test plate's pump is off while heating, so its reference is
+        # the ambient and it absorbs nothing (th.cooling_absorb); the load
+        # plate's reference follows its overload step by step
+        t_ref_t, r_b_t = th.cooling_step(ct, False, amb)
+        t_ref_l, r_b_l = th.cooling_step(cl, True, amb)
+        key = (dt, r_b_t, r_b_l, bank.r_th_version,
+               self.s.ntc.time_constant)
+        a, gain, r_b, ntc_gain = self._thermal_cache.get(key) \
+            or self._thermal_coeffs(key)
+        temps = np.empty((len(ts) + 1, *a.shape))
+        temps[0] = self._stage_temps
+        t_j = np.empty((len(ts), N_DEVICES))
+        heat = np.empty_like(a)
+        ref = np.full(N_DEVICES, t_ref_t)
+        ref[6:] = t_ref_l
+        r_b_load = r_b[6:]
+        test_plate = (ct.overload_rise, ct.capacity_exceeded)
+        t_j0 = bank.t_j
+        v_cond, r_t, p_cond, t_ref, plates = [], [], [], [], []
+        for i in range(len(ts)):
+            if i:
+                t_ref_l = th.cooling_step(cl, True, amb)[0]
+                if t_ref_l != ref[6]:
+                    ref[6:] = t_ref_l
+            t_ref.append((t_ref_t, t_ref_l))
+            v, r = bank.conduction(grid.cur)
+            # np.add.reduce(x, axis=1) / g is x.mean(axis=1) bit for bit
+            p = np.add.reduce(grid.duty * v * grid.i_dev, axis=1) / g
+            # temps * a + p_dev[:, None] * gain, as _thermal_step
+            row = temps[i + 1]
+            np.multiply(temps[i], a, row)
+            np.add(row, np.multiply((p + grid.p_sw)[:, None], gain, heat),
+                   row)
+            bank.t_j = np.add(ref, np.add.reduce(row, axis=1), t_j[i])
+            # heat into the load plate (a row's reduce is its slice's)
+            th.cooling_absorb(cl, float(np.add.reduce(row[6:, -1] / r_b_load)),
+                              dt)
+            plates.append((test_plate,
+                           (cl.overload_rise, cl.capacity_exceeded)))
+            v_cond.append(v)
+            r_t.append(r)
+            p_cond.append(p)
+            if np.maximum.reduce(bank.t_j) > T_J_ENVELOPE_MAX:
+                break
+        n = len(p_cond)
+        ts, temps, t_j = ts[:n], temps[:n + 1], t_j[:n]
+        rise = temps[1:, :, -1]  # the boundary stage: case over reference
+        t_case = (np.array(t_ref)[:, :, None] + rise.reshape(n, 2, -1)
+                  ).reshape(n, -1)
+        # the time and junction temperatures at each step's start
+        t_start = [self.t, *ts[:-1]]
+        tj_start = np.vstack([t_j0[None], t_j[:-1]])
+        fill = self._envelope_fill_batched(grid, np.hstack(r_t), t_start,
+                                           tj_start)
+        # the estimates after each step: the last window's from the step
+        # that completes it
+        r_on, tj_est, _ = fill.before
+        est = np.repeat(tj_est[None], n, axis=0)
+        if fill.done:
+            m = len(fill.tj[0])
+            sets = np.vstack([tj_est[None, :m], fill.tj])
+            est[:, :m] = sets[np.searchsorted(fill.done, np.arange(n),
+                                              side="right")]
+        return _HeatBlock(
+            t=ts, temps=temps, t_j=t_j, t_case=t_case,
+            ntc=self._ntc_rows(t_case, ntc_gain), t_ref=t_ref, plates=plates,
+            v_cond=np.array(v_cond),
+            p_cond=np.add.reduce(np.array(p_cond), axis=1).tolist(),
+            tj_est=est, fill=fill)
+
+    def _envelope_fill_batched(self, grid: "_EnvelopeGrid", r_t: np.ndarray,
+                               t_start: list, tj_start: np.ndarray
+                               ) -> _HeatFill:
+        """The acquisition of a block of n heat steps for all devices: r_t
+        is the (12, n) temperature half of R at each step's start
+        (DeviceBank.conduction), t_start and tj_start (n, 12) the time and
+        the junction temperatures there.
 
         Every slot current is above the floor (_envelope_grid checks), so
         the twelve windows fill the same slots, in slot order and up to the
-        cycle budget, and complete at the same step: one fill count serves
-        them all. _finish_window estimates the windows in the cycle that
-        fills their last slot, which is every cycle when the budget covers
-        the trigger set, as in the campaign configuration. A new window
-        fills the other reading buffer, so the last complete one stays
-        last_window_trace uncopied; the slot truths are stored only while
-        windows are collected, when _finish_window reads them.
+        cycle budget at each step, and complete at the same step: one fill
+        count serves them all. The block's noise is one draw, and
+        _finish_window estimates every window the block completes at once
+        (one a step when the budget covers the trigger set, as in the
+        campaign configuration). The slot truths are kept only while
+        windows are collected. _commit_fill drops what steps past the
+        commit finished and drew.
         """
-        n = self.s.sampler_n
-        f = self._env_filled
-        if f == 0:
-            self._env_v, self._env_v_done = self._env_v_done, self._env_v
-        sl = slice(f, min(f + self.s.budget_per_cycle, n))
-        r_true = r_t + grid.slot_slope[:, sl]  # on_resistance, (12, m)
-        v = self._env_v[:, sl]
-        np.multiply(grid.slot_i[:, sl], r_true, out=v)
-        v += self.e_d[:, None]
-        sigma = self.s.sense_params.noise_sigma
+        s = self.s
+        n_slots = s.sampler_n
+        f = f0 = self._env_filled
+        c = self._env_cycles
+        per_step, slots, filled, cycles, done, win_cycles = [], [], [], [], [], []
+        for j in range(r_t.shape[1]):
+            m = min(s.budget_per_cycle, n_slots - f)
+            per_step.append(m)
+            slots.append(m + (slots[-1] if slots else 0))
+            f += m
+            c += 1
+            if f == n_slots:
+                done.append(j)
+                win_cycles.append(c)
+                f = c = 0
+            filled.append(f)
+            cycles.append(c)
+        # the block's slots, window after window from slot f0 on, in whole
+        # windows so that the slot rows broadcast over a (12, W, n) view;
+        # the slots outside [f0, f0 + total) hold what no window reads
+        total = slots[-1]
+        n_win = -(-(f0 + total) // n_slots)
+        r_true = np.zeros((N_DEVICES, n_win * n_slots))
+        r_true[:, f0:f0 + total] = np.repeat(r_t, per_step, axis=1)
+        r_win = r_true.reshape(N_DEVICES, n_win, n_slots)
+        r_win += grid.slot_slope[:, None, :]  # on_resistance
+        v = (grid.slot_i[:, None, :] * r_win).reshape(N_DEVICES, -1)
+        v[:, :f0] = self._env_v[:, :f0]
+        new = v[:, f0:f0 + total]
+        new += self.e_d[:, None]
+        sigma = s.sense_params.noise_sigma
+        rng_state = None
         if sigma > 0:
-            # rng.normal(0.0, sigma) draws 0.0 + sigma * z: the same bits
-            v += sigma * self.rng.standard_normal(v.shape)
-        collect = self.collect_windows
-        if collect:
-            self._env_truth[:, sl] = r_true
-        self._env_filled = sl.stop
-        self._env_cycles += 1
-        if sl.stop < n:
-            return
-        cycles = self._env_cycles
-        self._env_filled = self._env_cycles = 0
-        if self._env_tj_cols is None:
-            self._env_tj_cols = [self.luts[k].column(grid.i_pk[k]).tolist()
-                                 for k in range(N_DEVICES)]
-        flat = self._win_flat
-        v = self._env_v
-        self._finish_window(
-            0, v.take(flat), grid.i_win,
-            self._env_truth.take(flat) if collect else None,
-            self._env_tj_cols, cycles)
-        self.last_window_trace = (self.samplers[0].triggers.angles,
-                                  grid.slot_i[0], v[0])
+            # rng.normal(0.0, sigma) draws 0.0 + sigma * z: the same bits.
+            # Each step drew a (12, m) array of its m slots, in turn.
+            rng_state = self.rng.bit_generator.state
+            z = self.rng.standard_normal(N_DEVICES * total)
+            z *= sigma
+            p = 0
+            for m, run in itertools.groupby(per_step):
+                # k steps that fill m slots each: a (12, k, m) view
+                k = len(list(run))
+                seg = new[:, p:p + k * m].reshape(N_DEVICES, k, m)
+                np.add(seg, z[N_DEVICES * p:N_DEVICES * (p + k * m)].reshape(
+                    k, N_DEVICES, m).transpose(1, 0, 2), out=seg)
+                p += k * m
+        truth = None
+        if self.collect_windows:
+            truth = r_true
+            truth[:, :f0] = self._env_truth[:, :f0]
+        before = (self.r_on_last.copy(), self.tj_est.copy(), len(self.windows))
+        est, tj = None, []
+        if done:
+            if self._env_tj_cols is None:
+                self._env_tj_cols = [self.luts[k].column(grid.i_pk[k]).tolist()
+                                     for k in range(N_DEVICES)]
+            # window w's FIR slots in the (12, f0 + total) readings
+            idx = (n_slots * np.arange(len(done)))[:, None, None] \
+                + self._win_idx + v.shape[1] * np.arange(N_DEVICES)[:, None]
+            est, tj = self._finish_window(
+                0, v.take(idx), grid.i_win,
+                truth.take(idx) if truth is not None else None,
+                self._env_tj_cols, win_cycles, [t_start[j] for j in done],
+                tj_start[done])
+        return _HeatFill(v=v, truth=truth, slots=slots, filled=filled,
+                         cycles=cycles, done=done, est=est, tj=tj,
+                         before=before, rng_state=rng_state)
+
+    def _commit_fill(self, grid: "_EnvelopeGrid", fill: _HeatFill, m: int,
+                     n: int):
+        """Take the acquisition to the state after the first m of the
+        block's n steps: undo the windows of later steps, leave the noise
+        generator where the first m steps' draws leave it, and put the
+        readings of the last complete window and of the window in progress
+        in the reading buffers. A new window fills the other buffer, so the
+        last complete one stays last_window_trace uncopied.
+        """
+        w = bisect_left(fill.done, m)  # the windows of the first m steps
+        if w < len(fill.done):
+            r_on, tj_est, count = fill.before
+            k = len(fill.tj[0])
+            self.r_on_last[:] = fill.est[w - 1] if w else r_on
+            self.tj_est[:k] = fill.tj[w - 1] if w else tj_est[:k]
+            del self.windows[count + N_DEVICES * w:]
+        if m < n and fill.rng_state is not None:
+            self.rng.bit_generator.state = fill.rng_state
+            self.rng.standard_normal(N_DEVICES * fill.slots[m - 1])
+        n_slots = self.s.sampler_n
+        f0 = self._env_filled
+        end = f0 + fill.slots[m - 1]
+
+        def put(u: int, stop: int):
+            """Window u's slots of the block, up to stop."""
+            start = max(n_slots * u, f0)
+            if n_slots * u >= f0:  # a window begun in the block
+                self._env_v, self._env_v_done = self._env_v_done, self._env_v
+            sl = slice(start - n_slots * u, stop - n_slots * u)
+            self._env_v[:, sl] = fill.v[:, start:stop]
+            if fill.truth is not None:
+                self._env_truth[:, sl] = fill.truth[:, start:stop]
+
+        if w:
+            put(w - 1, n_slots * w)
+            self.last_window_trace = (self.samplers[0].triggers.angles,
+                                      grid.slot_i[0], self._env_v[0])
+        if end > n_slots * w:
+            put(w, end)
+        self._env_filled = fill.filled[m - 1]
+        self._env_cycles = fill.cycles[m - 1]
 
     # -- idle (converter off) steps ------------------------------------------
 
@@ -1073,7 +1349,9 @@ class TestBench:
         if stop is None and timed:
             stop = len(ts) - 1
             capped = done is None or not done(ts[-1] - t0)
-        self._commit_idle(blk, len(ts) if stop is None else stop + 1, dt)
+        m = len(ts) if stop is None else stop + 1
+        self.plant.i_abc = (0.0, 0.0, 0.0)
+        self._commit_thermal(blk, m, dt, m)
         return blk, stop, capped
 
     def _idle_block(self, ts: list, dt: float, pump_test: bool) -> _IdleBlock:
@@ -1085,7 +1363,7 @@ class TestBench:
         junction and case temperatures are one reduction over the stages.
         The plates' overload recursion runs step by step through
         th.cooling_step and th.cooling_absorb, and leaves each plate in the
-        state of the block's last step; _commit_idle takes it back to the
+        state of the block's last step; _commit_thermal takes it back to the
         last committed step.
         """
         n = len(ts)
@@ -1117,32 +1395,40 @@ class TestBench:
         t_j = (ref + np.add.reduce(temps[1:], axis=2).reshape(n, 2, -1)
                ).reshape(n, -1)
         t_case = (ref + rise.reshape(n, 2, -1)).reshape(n, -1)
+        return _IdleBlock(t=ts, temps=temps, t_j=t_j, t_case=t_case,
+                          ntc=self._ntc_rows(t_case, ntc_gain), t_ref=t_ref,
+                          plates=plates)
+
+    def _ntc_rows(self, t_case: np.ndarray, ntc_gain) -> np.ndarray:
+        """The case sensors' readings now and after each step of a block
+        whose case temperatures are t_case (n, 12), bit for bit the
+        readings as many _thermal_step calls leave; ntc_gain is the step's
+        (_thermal_coeffs)."""
         bias = self.s.ntc.bias
         if ntc_gain is None:
-            ntc = np.empty((n + 1, N_DEVICES))
+            ntc = np.empty((len(t_case) + 1, N_DEVICES))
             ntc[0] = self.ntc_readings
             np.add(t_case, bias, out=ntc[1:])
-        else:
-            # the sensors' lag on Python floats, one sensor at a time
-            # ("a zero bias moves no bit" as in _thermal_step)
-            target = t_case + bias if bias else t_case
-            g = float(ntc_gain[0])
-            cols = []
-            for r, col in zip(self.ntc_readings.tolist(), target.T.tolist()):
-                out = [r]
-                for x in col:
-                    r = r + g * (x - r)
-                    out.append(r)
-                cols.append(out)
-            ntc = np.array(cols).T
-        return _IdleBlock(t=ts, temps=temps, t_j=t_j, t_case=t_case, ntc=ntc,
-                          t_ref=t_ref, plates=plates)
+            return ntc
+        # the sensors' lag on Python floats, one sensor at a time ("a zero
+        # bias moves no bit" as in _thermal_step)
+        target = t_case + bias if bias else t_case
+        g = float(ntc_gain[0])
+        cols = []
+        for r, col in zip(self.ntc_readings.tolist(), target.T.tolist()):
+            out = [r]
+            for x in col:
+                r = r + g * (x - r)
+                out.append(r)
+            cols.append(out)
+        return np.array(cols).T
 
-    def _commit_idle(self, blk: _IdleBlock, m: int, dt: float):
-        """Take the bench to the state after the block's first m steps and
-        append their trace rows."""
+    def _commit_thermal(self, blk, m: int, dt: float, clocked: int):
+        """Take the bench to the thermal state after the first m steps of an
+        idle or heat block, and the time and the trace rows to those of its
+        first clocked steps (m, or m - 1 when a runaway ends the block at
+        its step m - 1)."""
         i = m - 1
-        self.plant.i_abc = (0.0, 0.0, 0.0)
         self._stage_temps[...] = blk.temps[m]
         self.bank.t_j = blk.t_j[i].copy()
         self._t_case[...] = blk.t_case[i]
@@ -1153,11 +1439,12 @@ class TestBench:
             cool.overload_rise, cool.capacity_exceeded = rise, exceeded
         self._t_ref_key = blk.t_ref[i]
         self._t_ref[:6], self._t_ref[6:] = blk.t_ref[i]
-        for t, row, case in zip(blk.t, blk.t_j[:m].tolist(),
-                                blk.t_case[:m, 0].tolist()):
+        for t, row, case in zip(blk.t, blk.t_j[:clocked].tolist(),
+                                blk.t_case[:clocked, 0].tolist()):
             if t + 1e-12 >= self._trace_next_t:
                 self._trace_append((t, *row, case))
-        self.t = blk.t[i]
+        if clocked:
+            self.t = blk.t[clocked - 1]
 
     def _idle(self, kind: str, t0: float, cap_s: float, rule=None, done=None,
               tj_min: Optional[np.ndarray] = None) -> bool:
@@ -1216,8 +1503,9 @@ class TestBench:
         The exact update holds for any dt under piecewise-constant loss, so
         no step size is refused; envelope steps of a whole fundamental
         period rely on that. The sensors' rate is left to
-        _ntc_case_estimate, its one reader. Converter-off steps run in
-        blocks (_idle_block), to the same bits.
+        _ntc_case_estimate, its one reader. Converter-off and envelope
+        heat steps run in blocks (_idle_block, _heat_block), to the same
+        bits; the averaged and switched steps come here.
         """
         t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test,
                                          self.ambient)
@@ -1270,41 +1558,91 @@ class TestBench:
 
     # -- phases -----------------------------------------------------------------
 
-    def _conducting_step_any(self):
-        if self.cfg.fidelity is Fidelity.ENVELOPE:
-            self._step_envelope()
-        else:
-            self._step_conducting()
-
     def run_steady(self, duration_s: float) -> EnergyTally:
         """Continuous conducting run (no thermal cycling); used for control
         and estimator characterization."""
         if self.tally.duration == 0.0:
             self.tally.e_l_start = self._stored_link_energy()
         t_end = self.t + duration_s
-        while self.t < t_end - 1e-12:
-            self._conducting_step_any()
+        if self.cfg.fidelity is not Fidelity.ENVELOPE:
+            while self.t < t_end - 1e-12:
+                self._step_conducting()
+        elif self.t < t_end - 1e-12:
+            self._heat(self.t, math.inf, done=lambda t: not t < t_end - 1e-12)
         self.tally.e_l_end = self._stored_link_energy()
         return self.tally
+
+    def _heat(self, t0: float, cap_s: float, rule=None, done=None,
+              tj_max: Optional[np.ndarray] = None) -> bool:
+        """Heat in blocks until a step ends the heat phase begun at t0
+        (_step_envelope's rule, done and cap_s), folding each committed
+        step's junction temperatures into tj_max when given; returns True
+        when the cap ended it. A trip or a runaway raises from the block
+        that meets it."""
+        if done is not None:  # the times bound each block, so run long ones
+            sizes = itertools.repeat(self._heat_block_max)
+        else:
+            # as long as the last phase, which drifts by a step or two
+            last = self._heat_steps
+            sizes = itertools.chain([last] if last else [], (
+                _HEAT_BLOCK_MIN << k for k in itertools.count()))
+        steps = 0
+        for n in sizes:
+            blk, stop, capped = self._step_envelope(
+                min(n, self._heat_block_max), t0, cap_s, rule, done)
+            m = len(blk.t) if stop is None else stop + 1
+            steps += m
+            if tj_max is not None:
+                np.maximum.reduce(np.vstack([tj_max, blk.t_j[:m]]), axis=0,
+                                  out=tj_max)
+            if stop is not None:
+                self._heat_steps = steps
+                return capped
+
+    def _heat_stepped(self, t0: float, cap_s: float, rule, done,
+                      tj_max: np.ndarray) -> bool:
+        """The averaged and switched engines' heat phase, one PWM step at a
+        time, with _heat's stop test on each step's rows; returns True when
+        cap_s ended it."""
+        while True:
+            self._step_conducting()
+            np.maximum(tj_max, self.bank.t_j, out=tj_max)
+            if (done(self.t) if rule is None else rule(
+                    self.ntc_readings[None], self.tj_est[None]) is not None):
+                return False
+            if self.t - t0 > cap_s:
+                return True
 
     def _stored_link_energy(self) -> float:
         i_a, i_b, i_c = self.plant.i_abc
         return 0.5 * self.cfg.link_inductance * (i_a * i_a + i_b * i_b
                                                  + i_c * i_c)
 
-    def _heat_done(self, t_heat: float, pred: "_CrossingPredictor") -> bool:
+    def _heat_rule(self, t0: float, pred: "_CrossingPredictor") -> tuple:
+        """The stop of the heat phase begun at t0, as the (rule, done) pair
+        of _step_envelope: fixed times end on the time alone, a case swing
+        on the hottest test sensor, a junction swing on the hottest finite
+        test-bridge estimate through pred, fed step by step but not while
+        no estimate is finite."""
         cfg = self.cfg
         if cfg.technique is Technique.FIXED_TIMES:
-            return t_heat >= cfg.t_on - 1e-9
+            return None, lambda t: t - t0 >= cfg.t_on - 1e-9
         if cfg.technique is Technique.CASE_SWING:
-            return float(self.ntc_readings[:6].max()) >= cfg.t_case_max
-        est = self.tj_est[:6]
-        hot = float(np.maximum.reduce(est))
-        if not math.isfinite(hot):  # a NaN (no window yet) or an infinity
-            if not np.isfinite(est).any():
-                return False
-            hot = float(np.nanmax(est))
-        return pred.crossed_up(hot, cfg.t_j_max)
+            return (lambda ntc, est: _first(np.maximum.reduce(
+                ntc[:, :6], axis=1) >= cfg.t_case_max)), None
+
+        def crossed(ntc, est) -> Optional[int]:
+            est = est[:, :6]
+            for i, hot in enumerate(np.maximum.reduce(est, axis=1).tolist()):
+                if not math.isfinite(hot):  # a NaN (no window yet) or an inf
+                    if not np.isfinite(est[i]).any():
+                        continue
+                    hot = float(np.nanmax(est[i]))
+                if pred.crossed_up(hot, cfg.t_j_max):
+                    return i
+            return None
+
+        return crossed, None
 
     def _cool_rule(self, t0: float) -> tuple:
         """The stop of the cool phase begun at t0, as the (rule, done) pair
@@ -1390,17 +1728,13 @@ class TestBench:
 
         tj_max = self.bank.t_j.copy()
         t0 = self.t
-        pred = _CrossingPredictor()
-        while True:
-            self._conducting_step_any()
-            np.maximum(tj_max, self.bank.t_j, out=tj_max)
-            t_heat = self.t - t0
-            if self._heat_done(t_heat, pred):
-                break
-            if t_heat > s.heat_cap_s:
-                raise ThermalRunaway(
-                    f"heat phase exceeded {s.heat_cap_s} s without reaching "
-                    "its target")
+        rule, done = self._heat_rule(t0, _CrossingPredictor())
+        heat = self._heat if cfg.fidelity is Fidelity.ENVELOPE \
+            else self._heat_stepped
+        if heat(t0, s.heat_cap_s, rule, done, tj_max):
+            raise ThermalRunaway(
+                f"heat phase exceeded {s.heat_cap_s} s without reaching its "
+                "target")
         t_on_actual = self.t - t0
 
         tj_min = self.bank.t_j.copy()

@@ -26,7 +26,10 @@ and the bound constants were deleted, and when the gate drive came to be
 set on the device parameters alone and both plates took one cooling
 setting. They held when converter-off phases came to run as blocks of
 steps (TestBench._idle_block), with the case-swing and overloaded-plate
-cool phases pinned just before that change.
+cool phases pinned just before that change, and when envelope heat phases
+came to run as blocks of steps too (TestBench._step_envelope), the table
+inversion of a block's windows to one np.interp per device, with the
+whole run state of heat phases that end in every way pinned just before.
 
 Digests were re-pinned on purpose twice. First the fixed-times
 precursors.csv, when the envelope engine's partial-budget windows moved
@@ -63,7 +66,9 @@ import pytest
 from acpcsim.cli import (PRECURSOR_COLUMNS, build_settings, parse_scenario,
                          run, write_precursors, write_sampling_trace,
                          write_thermal_trace, write_waveforms)
-from acpcsim.core import BenchConfig, Fidelity, PfMode, validate_scenario
+from acpcsim import thermal as th
+from acpcsim.core import (BenchConfig, Fidelity, PfMode, Technique,
+                          validate_scenario)
 from acpcsim.cycling import (DEVICE_IDS, N_DEVICES, CycleRecord, EnergyTally,
                              TestBench, default_settings)
 from acpcsim.device import PROFILES, on_resistance
@@ -284,20 +289,29 @@ def test_collected_windows_keep_the_bytes_and_their_slot_truths(
     rows = np.arange(N_DEVICES)[:, None]
     truth = np.empty((N_DEVICES, n))
     expected = []
-    fill = bench._envelope_fill_batched
+    filled = [0]
+    step = bench._step_envelope
 
-    def recorded_fill(grid, r_t):
+    def recorded_step(*args):
+        # the truths of each committed step's slots, at the junction
+        # temperatures the step started from
         bank = bench.bank
-        f = bench._env_filled
-        sl = slice(f, min(f + settings.budget_per_cycle, n))
-        truth[:, sl] = on_resistance(
-            p, bank.t_j[:, None], grid.slot_i[:, sl], p.gate_on_v,
-            bank.delta_pkg[:, None], bank.delta_vth[:, None])
-        if sl.stop == n:
-            expected.extend((truth[rows, bench._win_idx] @ taps).tolist())
-        fill(grid, r_t)
+        starts = [bank.t_j.copy()]
+        blk, stop, capped = step(*args)
+        m = len(blk.t) if stop is None else stop + 1
+        slot_i = bench._envelope_grid().slot_i
+        for t_j in starts + list(blk.t_j[:m - 1]):
+            f = filled[0]
+            sl = slice(f, min(f + settings.budget_per_cycle, n))
+            truth[:, sl] = on_resistance(
+                p, t_j[:, None], slot_i[:, sl], p.gate_on_v,
+                bank.delta_pkg[:, None], bank.delta_vth[:, None])
+            if sl.stop == n:
+                expected.extend((truth[rows, bench._win_idx] @ taps).tolist())
+            filled[0] = sl.stop % n
+        return blk, stop, capped
 
-    monkeypatch.setattr(bench, "_envelope_fill_batched", recorded_fill)
+    monkeypatch.setattr(bench, "_step_envelope", recorded_step)
     result = bench.run_campaign(collect_windows=True)
     write_precursors(tmp_path / "library.csv", result.records)
     assert (tmp_path / "library.csv").read_bytes() == \
@@ -473,3 +487,114 @@ def test_sampling_trace_follows_the_cell_rule(tmp_path):
         write_sampling_trace(tmp_path / "s.csv", bench)
     assert math.isnan(raw[3]) and math.isnan(raw[7])
     assert (tmp_path / "s.csv").read_bytes() == _csv(header, rows)
+
+
+# -- envelope heat phases, whole run state ----------------------------------
+
+# envelope runs whose heat phases the stop tests end in every way: a
+# junction swing at budget 5, windows collected, whose stop test reads
+# estimates that change only every 12 steps and whose windows span many
+# steps; and runs that end inside a heat phase by a DESAT trip (a device
+# that reads shorted once a junction passes 90 degC in the second cycle), by
+# thermal runaway and by run.heat_cap_s. Each digest covers the whole run
+# state: the time, the thermal trace, the last window, every window, the
+# estimates, the tally, the outputs (status, reason and precursors.csv) and
+# the noise generator's state. Pinned before the heat phases came to run
+# in blocks.
+HEAT_RUN_STATE_SHA256 = {
+    "junction_swing_budget_5":
+        "b6a6cb77553835c8438d8f1f4328d262e78c048139f6057de2b015c1a7bce26b",
+    "desat_trip":
+        "3beb1df5e0e2a1fa0b312f99bd96aecc0e03e02633cbfcdae0a1d5d430dadbcb",
+    "thermal_runaway":
+        "32f4d83f7cb6c69158a8935a837636a6a033448070dbd45915ec7efc5670b613",
+    "heat_cap":
+        "94c1de52029c218b71685eb8b7b8978063a0ab88bcb6344ed8334ee2c431e61f",
+}
+
+
+def _example_settings(**overrides):
+    settings = build_settings(parse_scenario(
+        EXAMPLES / "junction_swing_campaign.txt"))
+    return replace(settings, **overrides)
+
+
+def _heat_run(case: str):
+    """The named run of HEAT_RUN_STATE_SHA256: (bench, result)."""
+    def fast(**kw):
+        return default_settings(validate_scenario(BenchConfig(
+            fidelity=Fidelity.ENVELOPE, **kw)), budget_per_cycle=300,
+            sampler_n=60, startup_every=0,
+            network=th.default_network(total_r_jc=0.09),
+            cooling=th.CoolingState(r_boundary_on=0.12, r_boundary_off=2.0,
+                                    boundary_c=5.0),
+            ntc=th.NtcModel(bias=0.0, time_constant=0.02))
+
+    collect = case in ("junction_swing_budget_5", "desat_trip")
+    if case == "junction_swing_budget_5":
+        settings = _example_settings(budget_per_cycle=5)
+        settings.cfg = validate_scenario(replace(settings.cfg, n_cycles=4))
+    elif case == "desat_trip":
+        settings = _example_settings()
+        settings.cfg = validate_scenario(replace(settings.cfg, n_cycles=3))
+    elif case == "thermal_runaway":
+        # the setup of test_cycling.py's test_thermal_runaway_detected
+        settings = default_settings(
+            validate_scenario(BenchConfig(
+                fidelity=Fidelity.ENVELOPE, technique=Technique.FIXED_TIMES,
+                t_on=50.0, t_off=0.3, n_cycles=1)),
+            budget_per_cycle=300, sampler_n=60, startup_every=0,
+            network=th.default_network(total_r_jc=0.5),
+            cooling=th.CoolingState(r_boundary_on=1.0, r_boundary_off=3.0,
+                                    boundary_c=2.0))
+    else:
+        # the setup of test_cycling.py's test_heat_cap_ends_an_unreachable_
+        # target
+        settings = fast(technique=Technique.JUNCTION_SWING, t_j_max=150.0,
+                        t_j_min=60.0, n_cycles=2, i_ref_peak=100.0)
+        settings.heat_cap_s = 2.0
+    bench = TestBench(settings)
+    if case == "desat_trip":
+        bank = bench.bank
+        conduction = bank.conduction
+
+        def failing(cur):
+            # device 3 reads shorted at the steps that start with a junction
+            # above 90 degC in a heat phase after the first, whose package
+            # has begun to age
+            bank.shorted[3] = bank.delta_pkg[0] > 0.0 and bank.t_j.max() > 90.0
+            return conduction(cur)
+
+        bank.conduction = failing
+    return bench, bench.run_campaign(collect_windows=collect)
+
+
+_WINDOW_KEYS = ("t", "device", "r_est", "i_pk", "r_true", "tj_est",
+                "tj_true", "cycles_used")
+
+
+def _whole_run_digest(bench, result, tmp_path) -> str:
+    write_precursors(tmp_path / "p.csv", result.records)
+    h = hashlib.sha256(_sha(
+        [bench.t], bench.thermal_trace, *(bench.last_window_trace or ()),
+        [[w[k] for k in _WINDOW_KEYS] for w in bench.windows],
+        bench.tj_est, bench.r_on_last,
+        [getattr(bench.tally, f.name) for f in fields(EnergyTally)]).encode())
+    h.update((tmp_path / "p.csv").read_bytes())
+    h.update(json.dumps([result.status, result.reason,
+                         result.cycles_completed,
+                         bench.rng.bit_generator.state],
+                        sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(HEAT_RUN_STATE_SHA256))
+def test_heat_run_state_unchanged(case, tmp_path):
+    bench, result = _heat_run(case)
+    status = {"junction_swing_budget_5": "ok",
+              "desat_trip": "protection_trip",
+              "thermal_runaway": "thermal_runaway",
+              "heat_cap": "thermal_runaway"}[case]
+    assert result.status == status
+    assert _whole_run_digest(bench, result, tmp_path) \
+        == HEAT_RUN_STATE_SHA256[case]

@@ -304,6 +304,16 @@ class TestRun:
         ("sense.vth_timeout = nan\n", "sense.vth_timeout"),
         ("bench.mode = envelope\nbench.n_cycles = 1\nsampler.n_points = 0\n",
          "sampler.n_points"),
+        # a cap is the one end of a phase whose own rule never holds: at
+        # 100 A the junctions never reach 150 degC, and an infinite heat cap
+        # heated for ever
+        ((EXAMPLES / "junction_swing_campaign.txt").read_text()
+         .replace("bench.n_cycles = 200", "bench.n_cycles = 1")
+         .replace("bench.t_j_max = 120.0", "bench.t_j_max = 150")
+         + "bench.i_ref_peak = 100\nrun.heat_cap_s = inf\n",
+         "run.heat_cap_s"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nrun.cool_cap_s = inf\n",
+         "run.cool_cap_s"),
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "bench_gate_on_v", "bench_gate_off_v",
             "device_gate_off_v",
@@ -319,7 +329,8 @@ class TestRun:
             "zero_pump_on_boundary", "negative_pump_on_boundary",
             "nan_boundary_c", "nan_stage_r", "zero_i_desat_vth",
             "fir_cutoff_nan", "fir_cutoff_one", "nan_c_gs", "nan_gate_on_v",
-            "nan_v_th0", "nan_vth_timeout", "n_points_zero"])
+            "nan_v_th0", "nan_vth_timeout", "n_points_zero", "heat_cap_inf",
+            "cool_cap_inf"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -1,9 +1,10 @@
+import itertools
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from acpcsim import sampler as smp
@@ -115,7 +116,7 @@ class TestBankConsistency:
         # the step's fill stores on_resistance at the slot currents, at the
         # temperatures the step started from
         truth = on_resistance(p, t, grid.slot_i, p.gate_on_v, pkg, vth)
-        b._step_envelope()
+        b._step_envelope(1, b.t, math.inf)
         assert np.array_equal(b._env_truth, truth)
 
     def test_trajectory_application_is_monotone(self):
@@ -261,6 +262,89 @@ class TestBankConsistency:
         assert grid.shape == (N_DEVICES, 1) and grid[:, 0].tolist() == v
 
 
+class TestHeatBlock:
+    """Envelope heat phases advanced in blocks of any sizes
+    (TestBench._step_envelope) against blocks of one step, bit for bit."""
+
+    LIMITS = {Technique.FIXED_TIMES: dict(t_on=0.5, t_off=0.3),
+              Technique.CASE_SWING: dict(t_case_max=45.0, t_case_min=35.0),
+              Technique.JUNCTION_SWING: dict(t_j_max=120.0, t_j_min=60.0)}
+
+    @classmethod
+    def run(cls, technique, budget, sizes, short_at, collect, heat_cap_s):
+        """Three cycles whose heat phases take blocks of the given sizes in
+        turn; device 3 reads shorted at the steps that start with a junction
+        above short_at (a flag set at a step a block runs past its stop
+        would outlive it, which a step taken alone never does)."""
+        cfg = envelope_cfg(technique=technique, n_cycles=3, rng_seed=7,
+                           **cls.LIMITS[technique])
+        b = TestBench(default_settings(
+            cfg, budget_per_cycle=budget, sampler_n=60, startup_every=2,
+            heat_cap_s=heat_cap_s, **fast_thermal()))
+        blocks = itertools.cycle(sizes)
+
+        def heat(t0, cap_s, rule=None, done=None, tj_max=None):
+            # TestBench._heat with the given block sizes
+            while True:
+                blk, stop, capped = b._step_envelope(next(blocks), t0, cap_s,
+                                                     rule, done)
+                m = len(blk.t) if stop is None else stop + 1
+                np.maximum.reduce(np.vstack([tj_max, blk.t_j[:m]]), axis=0,
+                                  out=tj_max)
+                if stop is not None:
+                    return capped
+
+        b._heat = heat
+        if short_at is not None:
+            bank, conduction = b.bank, b.bank.conduction
+
+            def failing(cur):
+                bank.shorted[3] = bank.t_j.max() > short_at
+                return conduction(cur)
+
+            bank.conduction = failing
+        return b, b.run_campaign(collect_windows=collect)
+
+    @staticmethod
+    def state(b, res) -> list:
+        """The run's outcome and every state a later step reads."""
+        return [
+            res.status, res.reason, res.cycles_completed,
+            [repr(astuple(rec)) for rec in res.records],
+            repr(b.t), repr(b.thermal_trace),
+            repr([tuple(w.values()) for w in b.windows]),
+            repr(b.last_window_trace), b.tj_est.tobytes(),
+            b.r_on_last.tobytes(), repr(astuple(b.tally)),
+            repr(b.rng.bit_generator.state), b._stage_temps.tobytes(),
+            b.bank.t_j.tobytes(), b._t_case.tobytes(),
+            b.ntc_readings.tobytes(), b._ntc_prev.tobytes(),
+            repr(astuple(b.cool_test)), repr(astuple(b.cool_load)),
+            b._env_filled, b._env_cycles,
+            b._env_v[:, :b._env_filled].tobytes(),
+            b._env_truth[:, :b._env_filled].tobytes()
+            if b.collect_windows else None]
+
+    @settings(deadline=None, max_examples=60,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(technique=st.sampled_from(list(LIMITS)),
+           budget=st.sampled_from([5, 300]),
+           sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+           short_at=st.none() | st.floats(40.0, 110.0),
+           collect=st.booleans(), heat_cap_s=st.sampled_from([120.0, 0.3]))
+    # a trip inside a 40-step block, at budgets 5 and 300
+    @example(Technique.JUNCTION_SWING, 5, [40], 70.0, True, 120.0)
+    @example(Technique.FIXED_TIMES, 300, [40], 60.0, False, 120.0)
+    # the heat cap inside a block, and a case swing's sensor stop
+    @example(Technique.JUNCTION_SWING, 300, [13], None, False, 0.3)
+    @example(Technique.CASE_SWING, 5, [7, 3], None, True, 120.0)
+    def test_blocks_of_any_size_leave_the_bits_of_blocks_of_one(
+            self, technique, budget, sizes, short_at, collect, heat_cap_s):
+        args = technique, budget, short_at, collect, heat_cap_s
+        blocks = self.state(*self.run(technique, budget, sizes, *args[2:]))
+        ones = self.state(*self.run(technique, budget, [1], *args[2:]))
+        assert blocks == ones
+
+
 class TestTechniques:
     def test_fixed_times_reaches_periodic_steady_state(self):
         cfg = envelope_cfg(technique=Technique.FIXED_TIMES, t_on=0.3,
@@ -332,10 +416,17 @@ class TestTechniques:
                            t_j_min=60.0)
         b = TestBench(default_settings(cfg))
         nan = math.nan
+
+        def heat_done(pred) -> bool:
+            # the stop test on one step's estimates
+            rule, done = b._heat_rule(0.0, pred)
+            assert done is None
+            return rule(b.ntc_readings[None], b.tj_est[None]) is not None
+
         # no estimate yet: not done, and the predictor is not fed
         pred = _CrossingPredictor()
         b.tj_est[:] = nan
-        assert not b._heat_done(0.0, pred)
+        assert not heat_done(pred)
         assert pred.prev is None
         # the hottest of the finite estimates, the NaN ones skipped
         for est, done in (([nan, 100.0, nan, 125.0, nan, 90.0], True),
@@ -345,7 +436,7 @@ class TestTechniques:
             pred = _CrossingPredictor()
             b.tj_est[:6] = est
             b.tj_est[6:] = 200.0  # the load bridge does not count
-            assert b._heat_done(0.0, pred) is done
+            assert heat_done(pred) is done
             assert pred.prev == np.nanmax(est)
 
     def test_cycle_record_swing_invariant(self):
@@ -538,7 +629,10 @@ class TestEnvelopeCapture:
         worst = checked = 0
         while checked < 2 * N_DEVICES:
             seen = len(b.windows)
-            b._conducting_step_any()
+            if fidelity is Fidelity.ENVELOPE:
+                b._step_envelope(1, b.t, math.inf)
+            else:
+                b._step_conducting()
             for w in b.windows[seen:]:
                 k = w["device"]
                 v, i, truth = stored(k)
@@ -721,7 +815,7 @@ class TestDeterminismAndProtection:
             b.desat_thr[:] = b._desat_bias + 5.0
             b.desat_base = replace(b.desat_base, blanking=blanking)
             b.bank.shorted[k] = True
-            b._step_envelope()
+            b._step_envelope(1, b.t, math.inf)
 
         share = int((TestBench(default_settings(cfg))._envelope_grid()
                      .i_dev[k] > 0).sum())
@@ -747,12 +841,13 @@ class TestDeterminismAndProtection:
                 desat=sns.DesatConfig(compensated=True),
                 desat_calibrated=True, **fast_thermal()))
             b.startup_measurements()  # fresh devices freeze the baselines
-            b._step_envelope()        # the column at the fresh thresholds
+            # the column at the fresh thresholds
+            b._step_envelope(1, b.t, math.inf)
             b.bank.delta_vth[:] = delta_vth_for_vds_shift(b.bank.params, 1.0)
             b.cool_to_ambient()
             if recompensate:
                 b.startup_measurements()
-            b._step_envelope()
+            b._step_envelope(1, b.t, math.inf)
 
         with pytest.raises(ProtectionTrip):
             aged_step(recompensate=False)

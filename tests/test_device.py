@@ -271,7 +271,7 @@ class TestLosses:
         cfg = validate_scenario(BenchConfig(fidelity=Fidelity.ENVELOPE))
         bench = TestBench(default_settings(cfg))
         i_dev = bench._envelope_grid().i_dev
-        bench._step_envelope()
+        bench._step_envelope(1, bench.t, math.inf)
         p_sw = switching_loss(bench.bank.params, cfg.f_sw, cfg.v_dc,
                               np.abs(i_dev).mean(axis=1))
         assert bench.tally.e_sw == float(p_sw.sum()) * (1.0 / cfg.f_fund)
@@ -300,7 +300,7 @@ class TestLosses:
         bench._envelope_cache = bench._bind_envelope_grid(
             np.full((n, 32), -100.0), np.full((n, 32), 0.5), slot_i)
         assert not bench._envelope_grid().conducting.any()
-        bench._step_envelope()
+        bench._step_envelope(1, bench.t, math.inf)
         p = bench.bank.params
         v = float(conduction_voltage(p, -100.0, 25.0, p.gate_on_v))
         assert -v == pytest.approx(0.38, abs=0.01)
