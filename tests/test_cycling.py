@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from acpcsim import sampler as smp
 from acpcsim import sense as sns
 from acpcsim import thermal as th
+from acpcsim.cli import run as cli_run
 from acpcsim.core import (BenchConfig, ConfigError, Fidelity, PfMode,
                           Technique, validate_scenario)
 from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
@@ -343,6 +345,26 @@ class TestHeatBlock:
         blocks = self.state(*self.run(technique, budget, sizes, *args[2:]))
         ones = self.state(*self.run(technique, budget, [1], *args[2:]))
         assert blocks == ones
+
+
+def test_block_sizes_of_the_junction_swing_example(tmp_path, monkeypatch):
+    # the block-size policy of both phase kinds, on the junction-swing
+    # example (seed 1003, 25 cycles): how many blocks each entry runs and
+    # how many steps they compute, committed or not
+    counts = {}
+    for name in ("_step_envelope", "_step_idle"):
+        def counted(self, *args, _name=name, _step=getattr(TestBench, name),
+                    **kw):
+            out = _step(self, *args, **kw)
+            calls, steps = counts.get(_name, (0, 0))
+            counts[_name] = (calls + 1, steps + len(out[0].t))
+            return out
+
+        monkeypatch.setattr(TestBench, name, counted)
+    scenario = Path(__file__).resolve().parents[1] / "examples_scenarios" \
+        / "junction_swing_campaign.txt"
+    assert cli_run(scenario, tmp_path / "out", seed=1003, cycles=25) == 0
+    assert counts == {"_step_envelope": (44, 1500), "_step_idle": (26, 1059)}
 
 
 class TestTechniques:
