@@ -45,12 +45,11 @@ T_J_ENVELOPE_MAX = 200.0  # degC simulation envelope
 # ambient, or for at most the cap
 COOL_TO_AMBIENT_TOL = 0.75  # degC
 COOL_TO_AMBIENT_CAP_S = 900.0
-# a converter-off phase advances in blocks of steps (TestBench._step_idle):
-# the first of a phase a quarter longer than the last phase of its kind,
-# then blocks doubling from the small one; an envelope heat phase too
-# (TestBench._step_envelope): the first as long as the last heat phase, then
-# blocks doubling from its small one. Each block is sized so that its
-# arrays stay under about a megabyte.
+# a converter-off phase and an envelope heat phase advance in blocks of
+# steps (TestBench._phase, through _step_idle and _step_envelope): the first
+# of a phase as long as the last phase of its kind, a converter-off phase's
+# a quarter longer, then blocks doubling from the kind's small one. Each
+# block is sized so that its arrays stay under about a megabyte.
 _IDLE_BLOCK_MIN = 8
 _HEAT_BLOCK_MIN = 2
 _BLOCK_BYTES = 1 << 20
@@ -67,7 +66,6 @@ _PHASE = _LEG % 3
 _SIGN = np.array([1.0, -1.0] * 3 + [-1.0, 1.0] * 3)
 _UPPER = np.array([1.0, -1.0] * 6)
 _LOWER = np.array([0.0, 1.0] * 6)
-_NO_LOSS = np.zeros(N_DEVICES)  # no loss, W; _thermal_step skips its heat
 
 PACKAGE_WARNING = "package"
 GATE_OXIDE_WARNING = "gate_oxide"
@@ -444,9 +442,11 @@ class _EnvelopeGrid(NamedTuple):
     i_pk: list              # window-center current of each device, A
 
 
-class _IdleBlock(NamedTuple):
-    """n converter-off steps from the bench's state (TestBench._step_idle);
-    row i of each per-step field holds the state after step i."""
+class _Block(NamedTuple):
+    """n converter-off or envelope heat steps from the bench's state
+    (TestBench._idle_block, TestBench._heat_block), whose thermal rows
+    _commit_thermal commits; row i of each per-step field holds the state
+    after step i. The last four fields are a heat block's only."""
 
     t: list               # time after each step, s, accumulated step by step
     temps: np.ndarray     # (n + 1, 12, stages) stage rises, row 0 before
@@ -456,25 +456,10 @@ class _IdleBlock(NamedTuple):
     t_ref: list           # (test, load) plate reference of each step, degC
     plates: list          # ((overload_rise, capacity_exceeded) per plate)
                           # after each step
-
-
-class _HeatBlock(NamedTuple):
-    """n envelope heat steps from the bench's state (TestBench._heat_block);
-    its first seven fields are _IdleBlock's, whose commit it shares, and
-    row i of each per-step field holds the state after step i."""
-
-    t: list               # time after each step, s, accumulated step by step
-    temps: np.ndarray     # (n + 1, 12, stages) stage rises, row 0 before
-    t_j: np.ndarray       # (n, 12) junction temperatures, degC
-    t_case: np.ndarray    # (n, 12) case temperatures, degC
-    ntc: np.ndarray       # (n + 1, 12) sensor readings, row 0 before, degC
-    t_ref: list           # (test, load) plate reference of each step, degC
-    plates: list          # ((overload_rise, capacity_exceeded) per plate)
-                          # after each step
-    v_cond: np.ndarray    # (n, 12, g) conduction drops on the grid, V
-    p_cond: list          # summed conduction loss of each step, W
-    tj_est: np.ndarray    # (n, 12) junction estimates after each step, degC
-    fill: "_HeatFill"
+    v_cond: Optional[np.ndarray] = None  # (n, 12, g) drops on the grid, V
+    p_cond: Optional[list] = None  # each step's summed conduction loss, W
+    tj_est: Optional[np.ndarray] = None  # (n, 12) estimates after, degC
+    fill: Optional["_HeatFill"] = None
 
 
 class _HeatFill(NamedTuple):
@@ -542,11 +527,12 @@ class TestBench:
                 f"threshold")
         for key, cap in (("run.heat_cap_s", s.heat_cap_s),
                          ("run.cool_cap_s", s.cool_cap_s)):
-            if not math.isfinite(cap):
+            if not (math.isfinite(cap) and cap > 0.0):
                 # the one end of a phase whose own rule never holds
                 raise ConfigError(
                     key, f"a cap of {cap:g} s never ends a phase whose own "
-                    f"rule never holds; use a finite time")
+                    f"rule never holds, or ends every phase at its first "
+                    f"step; use a finite time above 0")
         if any(not g >= 0.0 for _, g in s.r_th_aging):
             raise ConfigError(
                 "aging.r_th_factor",
@@ -673,10 +659,9 @@ class TestBench:
         self._mask_aging[: 6 if s.aging_scope == "test" else N_DEVICES] = True
 
         self._envelope_cache = None
-        # the envelope fill's slot readings (two buffers: the last complete
-        # window outlives the next fill), slot truths, its count and cycles
+        # the envelope fill's slot readings (the window in progress over the
+        # last complete one), slot truths, its count and cycles
         self._env_v = np.empty((N_DEVICES, s.sampler_n))
-        self._env_v_done = np.empty_like(self._env_v)
         self._env_truth = np.empty((N_DEVICES, s.sampler_n))
         self._env_filled = 0
         self._env_cycles = 0
@@ -686,11 +671,10 @@ class TestBench:
         self._thermal_cache: dict = {}
         self._t_ref_key = None
         self._t_ref = np.empty(N_DEVICES)
-        # the step count of the last idle of each kind ("cool", "ambient")
-        # and of the last heat phase, and the longest blocks whose arrays
-        # stay under _BLOCK_BYTES
-        self._idle_steps: dict = {}
-        self._heat_steps = 0
+        # the step count of the last phase of each kind ("heat", "cool",
+        # "ambient"), and the longest blocks whose arrays stay under
+        # _BLOCK_BYTES
+        self._phase_steps: dict = {}
         stages = self._stage_temps.shape[1]
         self._idle_block_max = max(1, _BLOCK_BYTES // (
             8 * N_DEVICES * (stages + 6)))
@@ -1019,6 +1003,22 @@ class TestBench:
             * float((i_dev[0:6:2] ** 2).mean(axis=1).sum()),
             i_win=i_win, i_pk=i_win[:, i_win.shape[1] // 2].tolist())
 
+    def _block_times(self, n: int, t0: float, cap_s: float,
+                     done: Optional[Callable[[float], bool]]) -> tuple:
+        """The times after up to n steps of one fundamental period from
+        now, accumulated step by step, through the first where done(t) or
+        t - t0 > cap_s holds; returns (times, dt, timed), timed True when
+        one of them ends the block."""
+        dt = 1.0 / self.cfg.f_fund
+        ts = []
+        t = self.t
+        for _ in range(n):
+            t += dt
+            ts.append(t)
+            if (done is not None and done(t)) or t - t0 > cap_s:
+                return ts, dt, True
+        return ts, dt, False
+
     def _step_envelope(self, n: int, t0: float, cap_s: float,
                        rule: Optional[Callable] = None,
                        done: Optional[Callable[[float], bool]] = None):
@@ -1031,20 +1031,11 @@ class TestBench:
         test, done(t) on the time after the step or rule(ntc, tj_est) on the
         rows after each step (the first step it ends, or None), then
         t - t0 > cap_s. The block ends at the first step where done or the
-        cap holds. A trip or a runaway raises once the block is committed
-        as far as that step taken alone gets. Returns (block, stop, capped)
-        as _step_idle does.
+        cap holds (_block_times). A trip or a runaway raises once the block
+        is committed as far as that step taken alone gets. Returns (block,
+        stop, capped) as _step_idle does.
         """
-        dt = 1.0 / self.cfg.f_fund
-        ts = []
-        t = self.t
-        timed = False
-        for _ in range(n):
-            t += dt
-            ts.append(t)
-            if (done is not None and done(t)) or t - t0 > cap_s:
-                timed = True
-                break
+        ts, dt, timed = self._block_times(n, t0, cap_s, done)
         t_j0 = self.bank.t_j
         plates0 = [dict(vars(c)) for c in (self.cool_test, self.cool_load)]
         blk = self._heat_block(ts, dt)
@@ -1104,7 +1095,7 @@ class TestBench:
             self._check_runaway()
         return blk, stop, capped
 
-    def _heat_block(self, ts: list, dt: float) -> _HeatBlock:
+    def _heat_block(self, ts: list, dt: float) -> _Block:
         """The state after each of len(ts) envelope heat steps of dt, bit
         for bit the state that as many steps taken alone leave, and the
         block's acquisition (_envelope_fill_batched).
@@ -1122,12 +1113,8 @@ class TestBench:
         # the test plate's pump is off while heating, so its reference is
         # the ambient and it absorbs nothing (th.cooling_absorb); the load
         # plate's reference follows its overload step by step
-        t_ref_t, r_b_t = th.cooling_step(ct, False, amb)
-        t_ref_l, r_b_l = th.cooling_step(cl, True, amb)
-        key = (dt, r_b_t, r_b_l, bank.r_th_version,
-               self.s.ntc.time_constant)
-        a, gain, r_b, ntc_gain = self._thermal_cache.get(key) \
-            or self._thermal_coeffs(key)
+        (t_ref_t, t_ref_l), (a, gain, r_b, ntc_gain) = self._thermal_coeffs(
+            dt, False)
         temps = np.empty((len(ts) + 1, *a.shape))
         temps[0] = self._stage_temps
         t_j = np.empty((len(ts), N_DEVICES))
@@ -1165,9 +1152,6 @@ class TestBench:
                 break
         n = len(p_cond)
         ts, temps, t_j = ts[:n], temps[:n + 1], t_j[:n]
-        rise = temps[1:, :, -1]  # the boundary stage: case over reference
-        t_case = (np.array(t_ref)[:, :, None] + rise.reshape(n, 2, -1)
-                  ).reshape(n, -1)
         # the time and junction temperatures at each step's start
         t_start = [self.t, *ts[:-1]]
         tj_start = np.vstack([t_j0[None], t_j[:-1]])
@@ -1182,10 +1166,8 @@ class TestBench:
             sets = np.vstack([tj_est[None, :m], fill.tj])
             est[:, :m] = sets[np.searchsorted(fill.done, np.arange(n),
                                               side="right")]
-        return _HeatBlock(
-            t=ts, temps=temps, t_j=t_j, t_case=t_case,
-            ntc=self._ntc_rows(t_case, ntc_gain), t_ref=t_ref, plates=plates,
-            v_cond=np.array(v_cond),
+        return self._block(
+            ts, temps, t_j, t_ref, plates, ntc_gain, v_cond=np.array(v_cond),
             p_cond=np.add.reduce(np.array(p_cond), axis=1).tolist(),
             tj_est=est, fill=fill)
 
@@ -1280,9 +1262,9 @@ class TestBench:
         """Take the acquisition to the state after the first m of the
         block's n steps: undo the windows of later steps, leave the noise
         generator where the first m steps' draws leave it, and put the
-        readings of the last complete window and of the window in progress
-        in the reading buffers. A new window fills the other buffer, so the
-        last complete one stays last_window_trace uncopied.
+        readings of the last complete window, then those of the window in
+        progress over its start, in the reading buffer. last_window_trace
+        keeps a copy of device 0's complete window.
         """
         w = bisect_left(fill.done, m)  # the windows of the first m steps
         if w < len(fill.done):
@@ -1301,8 +1283,6 @@ class TestBench:
         def put(u: int, stop: int):
             """Window u's slots of the block, up to stop."""
             start = max(n_slots * u, f0)
-            if n_slots * u >= f0:  # a window begun in the block
-                self._env_v, self._env_v_done = self._env_v_done, self._env_v
             sl = slice(start - n_slots * u, stop - n_slots * u)
             self._env_v[:, sl] = fill.v[:, start:stop]
             if fill.truth is not None:
@@ -1311,7 +1291,7 @@ class TestBench:
         if w:
             put(w - 1, n_slots * w)
             self.last_window_trace = (self.samplers[0].triggers.angles,
-                                      grid.slot_i[0], self._env_v[0])
+                                      grid.slot_i[0], self._env_v[0].copy())
         if end > n_slots * w:
             put(w, end)
         self._env_filled = fill.filled[m - 1]
@@ -1320,43 +1300,34 @@ class TestBench:
     # -- idle (converter off) steps ------------------------------------------
 
     def _step_idle(self, n: int, t0: float, cap_s: float,
-                   rule: Optional[Callable[["_IdleBlock"], Optional[int]]]
-                   = None, done: Optional[Callable[[float], bool]] = None,
-                   pump_test: bool = True):
+                   rule: Optional[Callable[["_Block"], Optional[int]]]
+                   = None, done: Optional[Callable[[float], bool]] = None):
         """Advance up to n converter-off steps as one block and commit them
         through the first step that ends the idle begun at t0.
 
-        The times alone tell whether done(t - t0) or t - t0 > cap_s holds
-        after a step, so the block ends at the first step where one does;
+        The times alone tell whether done(t) or t - t0 > cap_s holds after
+        a step, so the block ends at the first step where one does;
         rule(block) returns the first step that its own stop ends, or None.
         Returns (block, stop, capped): stop is the index of the ending step
         (None when none of the block's steps ends the idle), and capped is
         True when cap_s ended it while neither done nor rule held.
         """
-        dt = 1.0 / self.cfg.f_fund
-        ts = []
-        t = self.t
-        timed = False
-        for _ in range(n):
-            t += dt
-            ts.append(t)
-            if (done is not None and done(t - t0)) or t - t0 > cap_s:
-                timed = True
-                break
-        blk = self._idle_block(ts, dt, pump_test)
+        ts, dt, timed = self._block_times(n, t0, cap_s, done)
+        blk = self._idle_block(ts, dt)
         stop = None if rule is None else rule(blk)
         capped = False
         if stop is None and timed:
             stop = len(ts) - 1
-            capped = done is None or not done(ts[-1] - t0)
+            capped = done is None or not done(ts[-1])
         m = len(ts) if stop is None else stop + 1
         self.plant.i_abc = (0.0, 0.0, 0.0)
         self._commit_thermal(blk, m, dt, m)
         return blk, stop, capped
 
-    def _idle_block(self, ts: list, dt: float, pump_test: bool) -> _IdleBlock:
+    def _idle_block(self, ts: list, dt: float) -> _Block:
         """The thermal state after each of len(ts) zero-loss steps of dt,
-        bit for bit the state that as many _thermal_step calls leave.
+        both pumps on, bit for bit the state that as many _thermal_step
+        calls leave.
 
         With no loss the stages only decay, so their temperatures are a
         running product of the step's decay coefficients, and each step's
@@ -1368,12 +1339,8 @@ class TestBench:
         """
         n = len(ts)
         ct, cl, amb = self.cool_test, self.cool_load, self.ambient
-        t_ref_t, r_b_t = th.cooling_step(ct, pump_test, amb)
-        t_ref_l, r_b_l = th.cooling_step(cl, True, amb)
-        key = (dt, r_b_t, r_b_l, self.bank.r_th_version,
-               self.s.ntc.time_constant)
-        a, _, r_b, ntc_gain = self._thermal_cache.get(key) \
-            or self._thermal_coeffs(key)
+        (t_ref_t, t_ref_l), (a, _, r_b, ntc_gain) = self._thermal_coeffs(
+            dt, True)
         temps = np.empty((n + 1, *a.shape))
         temps[0] = self._stage_temps
         temps[1:] = a
@@ -1383,7 +1350,7 @@ class TestBench:
         t_ref, plates = [], []
         for i, (q_t, q_l) in enumerate(q):
             if i:
-                t_ref_t = th.cooling_step(ct, pump_test, amb)[0]
+                t_ref_t = th.cooling_step(ct, True, amb)[0]
                 t_ref_l = th.cooling_step(cl, True, amb)[0]
             t_ref.append((t_ref_t, t_ref_l))
             th.cooling_absorb(ct, q_t, dt)
@@ -1394,34 +1361,38 @@ class TestBench:
         ref = np.array(t_ref)[:, :, None]
         t_j = (ref + np.add.reduce(temps[1:], axis=2).reshape(n, 2, -1)
                ).reshape(n, -1)
-        t_case = (ref + rise.reshape(n, 2, -1)).reshape(n, -1)
-        return _IdleBlock(t=ts, temps=temps, t_j=t_j, t_case=t_case,
-                          ntc=self._ntc_rows(t_case, ntc_gain), t_ref=t_ref,
-                          plates=plates)
+        return self._block(ts, temps, t_j, t_ref, plates, ntc_gain)
 
-    def _ntc_rows(self, t_case: np.ndarray, ntc_gain) -> np.ndarray:
-        """The case sensors' readings now and after each step of a block
-        whose case temperatures are t_case (n, 12), bit for bit the
-        readings as many _thermal_step calls leave; ntc_gain is the step's
-        (_thermal_coeffs)."""
+    def _block(self, ts: list, temps: np.ndarray, t_j: np.ndarray,
+               t_ref: list, plates: list, ntc_gain, **heat) -> _Block:
+        """The record of len(ts) steps' rows and a heat block's own fields,
+        with each step's case temperatures (its plate's reference plus the
+        boundary stage) and the case sensors' readings now and after each
+        step, bit for bit as many _thermal_step calls leave them; ntc_gain
+        is the step's (_thermal_coeffs)."""
+        n = len(ts)
+        rise = temps[1:, :, -1]  # the boundary stage: case over reference
+        t_case = (np.array(t_ref)[:, :, None] + rise.reshape(n, 2, -1)
+                  ).reshape(n, -1)
         bias = self.s.ntc.bias
         if ntc_gain is None:
-            ntc = np.empty((len(t_case) + 1, N_DEVICES))
+            ntc = np.empty((n + 1, N_DEVICES))
             ntc[0] = self.ntc_readings
             np.add(t_case, bias, out=ntc[1:])
-            return ntc
-        # the sensors' lag on Python floats, one sensor at a time ("a zero
-        # bias moves no bit" as in _thermal_step)
-        target = t_case + bias if bias else t_case
-        g = float(ntc_gain[0])
-        cols = []
-        for r, col in zip(self.ntc_readings.tolist(), target.T.tolist()):
-            out = [r]
-            for x in col:
-                r = r + g * (x - r)
-                out.append(r)
-            cols.append(out)
-        return np.array(cols).T
+        else:
+            # the sensors' lag on Python floats, one sensor at a time ("a
+            # zero bias moves no bit" as in _thermal_step)
+            target = t_case + bias if bias else t_case
+            g = float(ntc_gain[0])
+            cols = []
+            for r, col in zip(self.ntc_readings.tolist(), target.T.tolist()):
+                out = [r]
+                for x in col:
+                    r = r + g * (x - r)
+                    out.append(r)
+                cols.append(out)
+            ntc = np.array(cols).T
+        return _Block(ts, temps, t_j, t_case, ntc, t_ref, plates, **heat)
 
     def _commit_thermal(self, blk, m: int, dt: float, clocked: int):
         """Take the bench to the thermal state after the first m steps of an
@@ -1446,55 +1417,70 @@ class TestBench:
         if clocked:
             self.t = blk.t[clocked - 1]
 
-    def _idle(self, kind: str, t0: float, cap_s: float, rule=None, done=None,
-              tj_min: Optional[np.ndarray] = None) -> bool:
-        """Idle in blocks until a step ends the idle begun at t0
-        (_step_idle's rule, done and cap_s), folding each committed step's
-        junction temperatures into tj_min when given; returns True when
-        the cap ended it."""
-        last = self._idle_steps.get(kind)
+    def _phase(self, kind: str, t0: float, cap_s: float, rule=None,
+               done=None, fold: Optional[np.ndarray] = None) -> bool:
+        """Run the phase begun at t0 in blocks until a step ends it, an
+        envelope heat phase ("heat") through _step_envelope and an idle
+        ("cool", "ambient") through _step_idle, which take rule, done and
+        cap_s; folds each committed step's junction temperatures into fold
+        when given (a heat phase's maxima, an idle's minima). Returns True
+        when the cap ended it; a trip or a runaway raises from its block."""
+        heat = kind == "heat"
+        step, most, small = (
+            (self._step_envelope, self._heat_block_max, _HEAT_BLOCK_MIN)
+            if heat else (self._step_idle, self._idle_block_max,
+                          _IDLE_BLOCK_MIN))
         if done is not None:  # the times bound each block, so run long ones
-            sizes = itertools.repeat(self._idle_block_max)
+            sizes = itertools.repeat(most)
         else:
-            # a quarter over the last, as phases drift by a step or two
-            sizes = itertools.chain([last + last // 4] if last else [], (
-                _IDLE_BLOCK_MIN << k for k in itertools.count()))
+            # as long as the last phase of the kind, an idle a quarter
+            # over it, as phases drift by a step or two
+            last = self._phase_steps.get(kind, 0)
+            first = last if heat else last + last // 4
+            sizes = itertools.chain([first] if last else [], (
+                small << k for k in itertools.count()))
         steps = 0
         for n in sizes:
-            blk, stop, capped = self._step_idle(
-                min(n, self._idle_block_max), t0, cap_s, rule, done)
+            blk, stop, capped = step(min(n, most), t0, cap_s, rule, done)
             m = len(blk.t) if stop is None else stop + 1
             steps += m
-            if tj_min is not None:
-                np.minimum.reduce(np.vstack([tj_min, blk.t_j[:m]]), axis=0,
-                                  out=tj_min)
+            if fold is not None:
+                (np.maximum if heat else np.minimum).reduce(
+                    np.vstack([fold, blk.t_j[:m]]), axis=0, out=fold)
             if stop is not None:
-                self._idle_steps[kind] = steps
+                self._phase_steps[kind] = steps
                 return capped
 
-    def _thermal_coeffs(self, key: tuple) -> tuple:
-        """The coefficients of a thermal step, cached under key (dt, the
-        test and load boundary resistances, the bank's r_th_version and
-        the sensors' time constant): each stage's decay a and heat gain
-        r * (1 - a), each device's boundary resistance, and the sensors'
-        gain, one per device (None without lag)."""
-        dt, r_b_t, r_b_l, _, tau = key
-        # the junction-side stages, then each plate's boundary
-        r = np.empty_like(self._stage_temps)
-        c = np.empty_like(self._stage_temps)
-        r[:, :-1] = self._stage_r
-        c[:, :-1] = self._stage_c
-        r[:, 0] *= self.bank.r_th_factor
-        r[:6, -1], c[:6, -1] = r_b_t, self.cool_test.boundary_c
-        r[6:, -1], c[6:, -1] = r_b_l, self.cool_load.boundary_c
-        a = np.exp(-dt / (r * c))
-        ntc_gain = None if tau <= 0 else np.full(
-            N_DEVICES, 1.0 - math.exp(-dt / tau))
-        if len(self._thermal_cache) > 16:
-            self._thermal_cache.clear()
-        cached = self._thermal_cache[key] = (a, r * (1.0 - a), r[:, -1].copy(),
-                                             ntc_gain)
-        return cached
+    def _thermal_coeffs(self, dt: float, pump_test: bool) -> tuple:
+        """Apply the pump commands of a thermal step of dt (the load plate's
+        pump always runs); returns the plates' references (test, load) and
+        the step's coefficients, cached under dt, both boundary resistances,
+        the bank's r_th_version and the sensors' time constant: each stage's
+        decay a and heat gain r * (1 - a), each device's boundary
+        resistance, and the sensors' gain per device (None without lag)."""
+        t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test,
+                                         self.ambient)
+        t_ref_l, r_b_l = th.cooling_step(self.cool_load, True, self.ambient)
+        tau = self.s.ntc.time_constant
+        key = (dt, r_b_t, r_b_l, self.bank.r_th_version, tau)
+        cached = self._thermal_cache.get(key)
+        if cached is None:
+            # the junction-side stages, then each plate's boundary
+            r = np.empty_like(self._stage_temps)
+            c = np.empty_like(self._stage_temps)
+            r[:, :-1] = self._stage_r
+            c[:, :-1] = self._stage_c
+            r[:, 0] *= self.bank.r_th_factor
+            r[:6, -1], c[:6, -1] = r_b_t, self.cool_test.boundary_c
+            r[6:, -1], c[6:, -1] = r_b_l, self.cool_load.boundary_c
+            a = np.exp(-dt / (r * c))
+            ntc_gain = None if tau <= 0 else np.full(
+                N_DEVICES, 1.0 - math.exp(-dt / tau))
+            if len(self._thermal_cache) > 16:
+                self._thermal_cache.clear()
+            cached = self._thermal_cache[key] = (
+                a, r * (1.0 - a), r[:, -1].copy(), ntc_gain)
+        return (t_ref_t, t_ref_l), cached
 
     def _thermal_step(self, p_dev: np.ndarray, dt: float, pump_test: bool):
         """Advance every device's Foster stages, the two cooling boundaries
@@ -1504,27 +1490,20 @@ class TestBench:
         no step size is refused; envelope steps of a whole fundamental
         period rely on that. The sensors' rate is left to
         _ntc_case_estimate, its one reader. Converter-off and envelope
-        heat steps run in blocks (_idle_block, _heat_block), to the same
-        bits; the averaged and switched steps come here.
+        heat steps run in blocks (_idle_block, _heat_block, through
+        _phase), to the same bits; the averaged and switched steps come
+        here. All take their coefficients from _thermal_coeffs.
         """
-        t_ref_t, r_b_t = th.cooling_step(self.cool_test, pump_test,
-                                         self.ambient)
-        t_ref_l, r_b_l = th.cooling_step(self.cool_load, True, self.ambient)
+        t_ref, (a, gain, r_b, ntc_gain) = self._thermal_coeffs(dt, pump_test)
         m = self.s.ntc
-        key = (dt, r_b_t, r_b_l, self.bank.r_th_version, m.time_constant)
-        cached = self._thermal_cache.get(key)
-        if cached is None:
-            cached = self._thermal_coeffs(key)
-        a, gain, r_b, ntc_gain = cached
-        if self._t_ref_key != (t_ref_t, t_ref_l):
-            self._t_ref_key = (t_ref_t, t_ref_l)
-            self._t_ref[:6], self._t_ref[6:] = t_ref_t, t_ref_l
+        if self._t_ref_key != t_ref:
+            self._t_ref_key = t_ref
+            self._t_ref[:6], self._t_ref[6:] = t_ref
         # temps * a + p_dev[:, None] * gain, in place
         temps = self._stage_temps
         np.multiply(temps, a, temps)
-        if p_dev is not _NO_LOSS:  # no stage reads -0.0, so x + 0.0 is x
-            np.add(temps, np.multiply(p_dev[:, None], gain, self._stage_heat),
-                   temps)
+        np.add(temps, np.multiply(p_dev[:, None], gain, self._stage_heat),
+               temps)
         rise = temps[:, -1]  # the boundary stage: case over reference
         self.bank.t_j = self._t_ref + np.add.reduce(temps, axis=1)
         np.add(self._t_ref, rise, self._t_case)
@@ -1568,42 +1547,16 @@ class TestBench:
             while self.t < t_end - 1e-12:
                 self._step_conducting()
         elif self.t < t_end - 1e-12:
-            self._heat(self.t, math.inf, done=lambda t: not t < t_end - 1e-12)
+            self._phase("heat", self.t, math.inf,
+                        done=lambda t: not t < t_end - 1e-12)
         self.tally.e_l_end = self._stored_link_energy()
         return self.tally
-
-    def _heat(self, t0: float, cap_s: float, rule=None, done=None,
-              tj_max: Optional[np.ndarray] = None) -> bool:
-        """Heat in blocks until a step ends the heat phase begun at t0
-        (_step_envelope's rule, done and cap_s), folding each committed
-        step's junction temperatures into tj_max when given; returns True
-        when the cap ended it. A trip or a runaway raises from the block
-        that meets it."""
-        if done is not None:  # the times bound each block, so run long ones
-            sizes = itertools.repeat(self._heat_block_max)
-        else:
-            # as long as the last phase, which drifts by a step or two
-            last = self._heat_steps
-            sizes = itertools.chain([last] if last else [], (
-                _HEAT_BLOCK_MIN << k for k in itertools.count()))
-        steps = 0
-        for n in sizes:
-            blk, stop, capped = self._step_envelope(
-                min(n, self._heat_block_max), t0, cap_s, rule, done)
-            m = len(blk.t) if stop is None else stop + 1
-            steps += m
-            if tj_max is not None:
-                np.maximum.reduce(np.vstack([tj_max, blk.t_j[:m]]), axis=0,
-                                  out=tj_max)
-            if stop is not None:
-                self._heat_steps = steps
-                return capped
 
     def _heat_stepped(self, t0: float, cap_s: float, rule, done,
                       tj_max: np.ndarray) -> bool:
         """The averaged and switched engines' heat phase, one PWM step at a
-        time, with _heat's stop test on each step's rows; returns True when
-        cap_s ended it."""
+        time, with _step_envelope's stop test on each step's rows; returns
+        True when cap_s ended it."""
         while True:
             self._step_conducting()
             np.maximum(tj_max, self.bank.t_j, out=tj_max)
@@ -1652,14 +1605,14 @@ class TestBench:
         step."""
         cfg = self.cfg
         if cfg.technique is Technique.FIXED_TIMES:
-            return None, lambda t_cool: t_cool >= cfg.t_off - 1e-9
+            return None, lambda t: t - t0 >= cfg.t_off - 1e-9
         if cfg.technique is Technique.CASE_SWING:
             return (lambda blk: _first(np.maximum.reduce(
                 blk.ntc[1:, :6], axis=1) <= cfg.t_case_min)), None
         observer = self._make_observer()
         pred = _CrossingPredictor()
 
-        def crossed(blk: _IdleBlock) -> Optional[int]:
+        def crossed(blk: _Block) -> Optional[int]:
             est = observer(np.array(blk.t) - t0, blk.ntc[1:, :6],
                            blk.ntc[:-1, :6])
             return next((i for i, v in enumerate(est.tolist())
@@ -1729,8 +1682,8 @@ class TestBench:
         tj_max = self.bank.t_j.copy()
         t0 = self.t
         rule, done = self._heat_rule(t0, _CrossingPredictor())
-        heat = self._heat if cfg.fidelity is Fidelity.ENVELOPE \
-            else self._heat_stepped
+        heat = self._heat_stepped if cfg.fidelity is not Fidelity.ENVELOPE \
+            else lambda *args: self._phase("heat", *args)
         if heat(t0, s.heat_cap_s, rule, done, tj_max):
             raise ThermalRunaway(
                 f"heat phase exceeded {s.heat_cap_s} s without reaching its "
@@ -1740,7 +1693,7 @@ class TestBench:
         tj_min = self.bank.t_j.copy()
         t0 = self.t
         rule, done = self._cool_rule(t0)
-        if self._idle("cool", t0, s.cool_cap_s, rule, done, tj_min):
+        if self._phase("cool", t0, s.cool_cap_s, rule, done, tj_min):
             self.cool_phases_capped += 1
         t_off_actual = self.t - t0
 
@@ -1768,7 +1721,7 @@ class TestBench:
             return ~(np.maximum.reduce(np.abs(t_j - self.ambient), axis=-1)
                      > COOL_TO_AMBIENT_TOL)
 
-        if not settled(self.bank.t_j) and self._idle(
+        if not settled(self.bank.t_j) and self._phase(
                 "ambient", self.t, COOL_TO_AMBIENT_CAP_S,
                 lambda blk: _first(settled(blk.t_j))):
             self.startup_idles_capped += 1

@@ -11,9 +11,11 @@ follows the pump. Each stage takes the exact single-pole update
 T <- T*exp(-dt/tau) + P*R*(1 - exp(-dt/tau)), which is unconditionally
 stable and makes the per-stage energy balance analytic. With the converter
 off, and in the envelope engine's heat phases, the bench runs a whole block
-of those steps at once (TestBench._idle_block, TestBench._heat_block), to
-the same bits; cooling_step and cooling_absorb still advance the plates one
-step at a time.
+of those steps at once (TestBench._idle_block, TestBench._heat_block, which
+one driver, TestBench._phase, runs), to the same bits; cooling_step and
+cooling_absorb still advance the plates one step at a time. Every step
+takes its pump commands and its coefficients from one owner,
+TestBench._thermal_coeffs.
 """
 
 from __future__ import annotations

@@ -314,6 +314,17 @@ class TestRun:
          "run.heat_cap_s"),
         ("bench.mode = envelope\nbench.n_cycles = 1\nrun.cool_cap_s = inf\n",
          "run.cool_cap_s"),
+        # a cap of 0 s or less ended each phase at its first step: a heat
+        # phase exited 3 with its outputs written, and every cool phase
+        # counted as capped
+        ("bench.mode = envelope\nbench.n_cycles = 1\nrun.heat_cap_s = 0\n",
+         "run.heat_cap_s"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nrun.heat_cap_s = -1\n",
+         "run.heat_cap_s"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nrun.cool_cap_s = 0\n",
+         "run.cool_cap_s"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nrun.cool_cap_s = -1\n",
+         "run.cool_cap_s"),
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "bench_gate_on_v", "bench_gate_off_v",
             "device_gate_off_v",
@@ -330,7 +341,8 @@ class TestRun:
             "nan_boundary_c", "nan_stage_r", "zero_i_desat_vth",
             "fir_cutoff_nan", "fir_cutoff_one", "nan_c_gs", "nan_gate_on_v",
             "nan_v_th0", "nan_vth_timeout", "n_points_zero", "heat_cap_inf",
-            "cool_cap_inf"])
+            "cool_cap_inf", "heat_cap_zero", "heat_cap_negative",
+            "cool_cap_zero", "cool_cap_negative"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.txt"

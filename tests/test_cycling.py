@@ -284,19 +284,13 @@ class TestHeatBlock:
             cfg, budget_per_cycle=budget, sampler_n=60, startup_every=2,
             heat_cap_s=heat_cap_s, **fast_thermal()))
         blocks = itertools.cycle(sizes)
+        step = b._step_envelope
 
-        def heat(t0, cap_s, rule=None, done=None, tj_max=None):
-            # TestBench._heat with the given block sizes
-            while True:
-                blk, stop, capped = b._step_envelope(next(blocks), t0, cap_s,
-                                                     rule, done)
-                m = len(blk.t) if stop is None else stop + 1
-                np.maximum.reduce(np.vstack([tj_max, blk.t_j[:m]]), axis=0,
-                                  out=tj_max)
-                if stop is not None:
-                    return capped
+        def sized(n, *args):
+            # the phase driver's blocks, each of the next drawn size
+            return step(next(blocks), *args)
 
-        b._heat = heat
+        b._step_envelope = sized
         if short_at is not None:
             bank, conduction = b.bank, b.bank.conduction
 

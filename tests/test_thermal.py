@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from acpcsim.cycling import _NO_LOSS, N_DEVICES, TestBench, default_settings
+from acpcsim.cycling import N_DEVICES, TestBench, default_settings
 from acpcsim.thermal import (CoolingState, FosterNetwork, FosterStage,
                              NtcModel, cooling_absorb, cooling_step)
 
@@ -64,12 +64,11 @@ class TestFosterStep:
     def test_zero_loss_holds_reference(self):
         b = bench()
         for pump_test in (True, False):
-            for p in (_NO_LOSS, np.zeros(N_DEVICES)):
-                for _ in range(100):
-                    b._thermal_step(p, 1e-4, pump_test=pump_test)
-                assert (b.bank.t_j == 25.0).all()
-                assert (b._t_case == 25.0).all()
-                assert (b.ntc_readings == 25.0).all()
+            for _ in range(100):
+                b._thermal_step(np.zeros(N_DEVICES), 1e-4, pump_test=pump_test)
+            assert (b.bank.t_j == 25.0).all()
+            assert (b._t_case == 25.0).all()
+            assert (b.ntc_readings == 25.0).all()
 
     def test_exact_at_steps_above_the_fastest_tau(self):
         # the update is exact for any dt under constant loss: a step of the
@@ -150,7 +149,7 @@ class TestCooling:
         b = bench()
         b._stage_temps[:, -1] = 125.0
         for _ in range(500):
-            b._thermal_step(_NO_LOSS, 1e-2, pump_test=False)
+            b._thermal_step(np.zeros(N_DEVICES), 1e-2, pump_test=False)
         for pump_on, rows in ((False, slice(0, 6)), (True, slice(6, 12))):
             r, c = stages(b, pump_on)
             assert b._t_case[rows] == pytest.approx(
@@ -219,7 +218,7 @@ class TestNtc:
         for _ in range(50):
             b._thermal_step(np.full(N_DEVICES, 300.0), 1e-2, pump_test=True)
         prev = b.ntc_readings.copy()
-        b._thermal_step(_NO_LOSS, 1e-2, pump_test=True)
+        b._thermal_step(np.zeros(N_DEVICES), 1e-2, pump_test=True)
         gain = 1.0 - math.exp(-1e-2 / 0.5)
         assert (b.ntc_readings == prev + gain * (b._t_case + bias - prev)).all()
         assert b.ntc_readings[0] != prev[0]
@@ -230,7 +229,7 @@ class TestNtc:
         b._thermal_step(np.full(N_DEVICES, 300.0), 1e-2, pump_test=True)
         assert (b.ntc_readings == b._t_case + 3.0).all()
         held = b.ntc_readings.copy()
-        b._thermal_step(_NO_LOSS, 1e-2, pump_test=True)
+        b._thermal_step(np.zeros(N_DEVICES), 1e-2, pump_test=True)
         assert (held != b.ntc_readings).any()
         assert (b.ntc_readings == b._t_case + 3.0).all()
 
@@ -248,28 +247,23 @@ class TestNtc:
 
 
 def test_zero_loss_step_only_decays_the_stages():
-    # the idle step skips the heat product: its stages are temps * a bit
-    # for bit, and the whole thermal state is that of an explicit zero loss
-    idle, ref = bench(), bench()
-    for b in (idle, ref):
-        for _ in range(20):
-            b._thermal_step(np.full(N_DEVICES, 250.0), 1e-2, pump_test=True)
+    # a zero loss adds nothing to the decay (no stage reads -0.0, so
+    # x + 0.0 is x): the stages are temps * a bit for bit
+    b = bench()
+    for _ in range(20):
+        b._thermal_step(np.full(N_DEVICES, 250.0), 1e-2, pump_test=True)
     for _ in range(30):
-        temps = idle._stage_temps.copy()
-        idle._thermal_step(_NO_LOSS, 1e-2, pump_test=True)
-        ref._thermal_step(np.zeros(N_DEVICES), 1e-2, pump_test=True)
-        (a, *_), = idle._thermal_cache.values()
-        assert idle._stage_temps.tobytes() == (temps * a).tobytes()
-        for name in ("_stage_temps", "_t_case", "ntc_readings"):
-            assert getattr(idle, name).tobytes() == getattr(ref, name).tobytes()
-        assert idle.bank.t_j.tobytes() == ref.bank.t_j.tobytes()
-    assert (idle._stage_temps > 0).all()
+        temps = b._stage_temps.copy()
+        b._thermal_step(np.zeros(N_DEVICES), 1e-2, pump_test=True)
+        (a, *_), = b._thermal_cache.values()
+        assert b._stage_temps.tobytes() == (temps * a).tobytes()
+    assert (b._stage_temps > 0).all()
 
 
 class TestIdleBlock:
     """Converter-off steps as one block (TestBench._step_idle) against as
-    many zero-loss _thermal_step calls, each followed by t += dt and
-    _trace_point, bit for bit."""
+    many zero-loss _thermal_step calls with both pumps on, each followed by
+    t += dt and _trace_point, bit for bit."""
 
     THERMAL_FIELDS = ("_stage_temps", "_t_case", "ntc_readings", "_ntc_prev",
                       "_t_ref")
@@ -306,16 +300,15 @@ class TestIdleBlock:
             b._trace_point()
         for cool in (b.cool_test, b.cool_load):
             cool.overload_rise = draw(st.sampled_from([0.0, 0.0, 2.5]))
-        pump_test = draw(st.booleans(), label="pump_test")
         n = draw(st.integers(1, 60), label="n")
         cut = draw(st.none() | st.integers(0, n - 1), label="cut")
 
         ref = copy.deepcopy(b)
-        blk, stop, capped = b._step_idle(
-            n, b.t, math.inf, rule=lambda blk: cut, pump_test=pump_test)
+        blk, stop, capped = b._step_idle(n, b.t, math.inf,
+                                         rule=lambda blk: cut)
         assert stop == cut and not capped and len(blk.t) == n
         for _ in range(n if cut is None else cut + 1):
-            ref._thermal_step(_NO_LOSS, dt, pump_test=pump_test)
+            ref._thermal_step(np.zeros(N_DEVICES), dt, pump_test=True)
             ref.t += dt
             ref._trace_point()
 
