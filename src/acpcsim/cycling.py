@@ -48,10 +48,14 @@ COOL_TO_AMBIENT_CAP_S = 900.0
 # a converter-off phase and an envelope heat phase advance in blocks of
 # steps (TestBench._phase, through _step_idle and _step_envelope): the first
 # of a phase as long as the last phase of its kind, a converter-off phase's
-# a quarter longer, then blocks doubling from the kind's small one. Each
-# block is sized so that its arrays stay under about a megabyte.
+# a quarter longer, then blocks doubling from the kind's small one. A
+# junction-swing heat phase with no last length begun as it was (at the
+# ambient or not) sizes its blocks after the first from the hottest test
+# estimate's rise per step, over up to _RISE_STEPS steps, toward t_j_max.
+# Each block is sized so that its arrays stay under about a megabyte.
 _IDLE_BLOCK_MIN = 8
 _HEAT_BLOCK_MIN = 2
+_RISE_STEPS = 3
 _BLOCK_BYTES = 1 << 20
 # the envelope heat step's angle grid over one fundamental period
 _GRID_ANGLES = 32
@@ -294,6 +298,12 @@ class DeviceBank:
         r_t[k] + current_slope(i). For one current per device both are
         lists of Python floats (device.conduction_rows); for a grid, v is
         (12, g) and r_t (12, 1).
+
+        A grid with no zero current whose every row's channel conducts
+        alone, checked in the row form against the row's largest reverse
+        magnitude and slope that the grid binds, takes the channel-alone
+        path, i * (r_t + slope); any other grid takes the masked law
+        (device.conduction_from_halves). Both give the law's bits.
         """
         grid = isinstance(cur, dev_mod.ConductionCurrent)
         if grid and cur.mag.ndim != 2:
@@ -304,11 +314,23 @@ class DeviceBank:
             p, self.t_j.tolist(), self.delta_pkg.tolist(),
             self.delta_vth.tolist(), self.delta_vsd.tolist())
         if grid:
+            # a row's channel conducts alone when its largest reverse
+            # magnitude times the resistance at its largest reverse slope
+            # is at most a knee of at least 0: rounding is monotone, so no
+            # reverse drop of the row passes the knee. The drops are then
+            # i * (r_t + slope), the masked law's bits, as rounding is
+            # sign-symmetric and the law's multiply by +-1 exact
+            alone = cur.zero is None and all(
+                m * (r + s) <= k and k >= 0.0 for m, s, r, k in zip(
+                    cur.rev_mag, cur.rev_slope, r_t, knee))
             # reshape, not [:, None], whose zero stride slows the
             # broadcasts that read these columns
             r_t = np.array(r_t).reshape(-1, 1)
-            v = dev_mod.conduction_from_halves(p, cur, r_t,
-                                               np.array(knee).reshape(-1, 1))
+            if alone:
+                v = cur.i * (r_t + cur.slope)
+            else:
+                v = dev_mod.conduction_from_halves(
+                    p, cur, r_t, np.array(knee).reshape(-1, 1))
             if np.count_nonzero(self.shorted):
                 np.copyto(v, self.desat_fault_v, where=self.shorted[:, None])
             return v, r_t
@@ -549,6 +571,7 @@ class TestBench:
                 f"current, whose ratio is undefined; use at least 0")
         # blocking-diode mismatch of each device's sense path, V
         self.e_d = rng_ed.uniform(*sns.E_D_RANGE, size=N_DEVICES)
+        self._e_d_row = self.e_d.tolist()  # for the averaged capture
 
         # the network's junction-side Foster stages; _thermal_step advances
         # them per device with the boundary stage of the device's plate,
@@ -616,6 +639,9 @@ class TestBench:
             thr = sns.desat_voltage(s.sense_params, v_fresh + s.desat_margin_v)
             self.desat_base = replace(s.desat, threshold=thr)
         self.desat_thr = np.full(N_DEVICES, self.desat_base.threshold)
+        # the averaged check's thresholds, rebuilt where a start-up writes
+        # desat_thr
+        self._desat_thr_row = self.desat_thr.tolist()
         self._desat_run = np.full(N_DEVICES, -1)
         self._desat_idle = True  # every run counter reads -1
         self._desat_bias = sns.desat_voltage(s.sense_params, 0.0)
@@ -671,9 +697,9 @@ class TestBench:
         self._thermal_cache: dict = {}
         self._t_ref_key = None
         self._t_ref = np.empty(N_DEVICES)
-        # the step count of the last phase of each kind ("heat", "cool",
-        # "ambient"), and the longest blocks whose arrays stay under
-        # _BLOCK_BYTES
+        # whether the last phase of each kind ("heat", "cool", "ambient")
+        # began at the ambient as a junction-swing heat phase, and its step
+        # count; and the longest blocks whose arrays stay under _BLOCK_BYTES
         self._phase_steps: dict = {}
         stages = self._stage_temps.shape[1]
         self._idle_block_max = max(1, _BLOCK_BYTES // (
@@ -708,7 +734,7 @@ class TestBench:
         rebuilt only while some device is over or a run is still open."""
         bias = self._desat_bias
         over = [i > 0.0 and bias + v > thr for v, i, thr
-                in zip(v_cond, i_dev, self.desat_thr.tolist())]
+                in zip(v_cond, i_dev, self._desat_thr_row)]
         if any(over):
             run = self._desat_run = np.where(over, self._desat_run + 1, -1)
             self._desat_idle = False
@@ -763,7 +789,7 @@ class TestBench:
         # leaves the stream where they would
         noise = self.rng.normal(0.0, sigma, len(store)).tolist() \
             if sigma > 0 else [0.0] * len(store)
-        e_d = self.e_d.tolist()
+        e_d = self._e_d_row
         for k, z in zip(store, noise):
             sstate = samplers[k]
             v, i = v_cond[k], i_dev[k]
@@ -1101,7 +1127,9 @@ class TestBench:
         block's acquisition (_envelope_fill_batched).
 
         Only the junction recursion runs step by step: the law on the grid
-        (DeviceBank.conduction), the period loss, the stage update and the
+        (DeviceBank.conduction, called at every step so that a short set
+        between steps reaches the drops; on the campaign grids it takes the
+        channel-alone path), the period loss, the stage update and the
         load plate's overload. It ends at the first step that takes a
         junction past the simulation envelope. The plates and bank.t_j are
         left at the block's last step; the commit takes them back.
@@ -1424,23 +1452,41 @@ class TestBench:
         ("cool", "ambient") through _step_idle, which take rule, done and
         cap_s; folds each committed step's junction temperatures into fold
         when given (a heat phase's maxima, an idle's minima). Returns True
-        when the cap ended it; a trip or a runaway raises from its block."""
+        when the cap ended it; a trip or a runaway raises from its block.
+
+        Blocks set only the time, never the bits. A junction-swing heat
+        phase begun at the ambient (the first, and the first after a
+        start-up's cool-to-ambient) reads and sets the last length only
+        with phases begun there too, the others only with each other.
+        Without a last length, its blocks after the first run until the
+        hottest test estimate, rising as over its last _RISE_STEPS steps,
+        meets t_j_max under the heat rule's half-step lookahead. The
+        slowing rise makes them fall short rather than over: an overshoot
+        computes wasted steps and makes _commit_fill redraw the block's
+        noise."""
         heat = kind == "heat"
         step, most, small = (
             (self._step_envelope, self._heat_block_max, _HEAT_BLOCK_MIN)
             if heat else (self._step_idle, self._idle_block_max,
                           _IDLE_BLOCK_MIN))
+        swing = (heat and done is None
+                 and self.cfg.technique is Technique.JUNCTION_SWING)
+        fresh = swing and not np.maximum.reduce(
+            np.abs(self.bank.t_j - self.ambient)) > COOL_TO_AMBIENT_TOL
+        begun, last = self._phase_steps.get(kind, (fresh, 0))
+        if begun != fresh:
+            last = 0
         if done is not None:  # the times bound each block, so run long ones
             sizes = itertools.repeat(most)
         else:
             # as long as the last phase of the kind, an idle a quarter
             # over it, as phases drift by a step or two
-            last = self._phase_steps.get(kind, 0)
             first = last if heat else last + last // 4
             sizes = itertools.chain([first] if last else [], (
                 small << k for k in itertools.count()))
-        steps = 0
-        for n in sizes:
+        steps, hot = 0, []
+        n = next(sizes)
+        while True:
             blk, stop, capped = step(min(n, most), t0, cap_s, rule, done)
             m = len(blk.t) if stop is None else stop + 1
             steps += m
@@ -1448,8 +1494,16 @@ class TestBench:
                 (np.maximum if heat else np.minimum).reduce(
                     np.vstack([fold, blk.t_j[:m]]), axis=0, out=fold)
             if stop is not None:
-                self._phase_steps[kind] = steps
+                self._phase_steps[kind] = fresh, steps
                 return capped
+            n = next(sizes)
+            if swing and not last:
+                hot += np.fmax.reduce(blk.tj_est[:m, :6], axis=1).tolist()
+                w = min(len(hot) - 1, _RISE_STEPS)
+                rise = (hot[-1] - hot[-1 - w]) / w if w else math.nan
+                if rise > 0.0:  # min keeps an infinite count out of ceil
+                    n = math.ceil(max(1.0, min(
+                        most, (self.cfg.t_j_max - hot[-1]) / rise - 0.5)))
 
     def _thermal_coeffs(self, dt: float, pump_test: bool) -> tuple:
         """Apply the pump commands of a thermal step of dt (the load plate's
@@ -1769,7 +1823,9 @@ class TestBench:
                             lut_offsets_pkg=offs_pkg)
         self.startup_log.append(res)
         self._env_tj_cols = None  # recalibrated tables invalidate cached columns
-        self._env_desat = None  # and new thresholds the envelope's column
+        # and new thresholds the averaged row and the envelope's column
+        self._desat_thr_row = self.desat_thr.tolist()
+        self._env_desat = None
         return res
 
     # -- campaign -----------------------------------------------------------------

@@ -30,7 +30,9 @@ TestBankConsistency pins the two together). The bench evaluates the
 temperature half once per step in the row form, then the drops in the row
 form for the averaged and switched engines' one current per device, or in
 the array form for the envelope engine's (12, g) grids, whose current half
-it binds once per run.
+it binds once per run. A grid whose channel conducts alone in every row
+needs no masks: its drops are i * (r_t + slope), to the same bits
+(cycling.DeviceBank.conduction).
 
 There is no per-device state object: every law takes DeviceParams plus the
 junction temperature and aging values (delta_pkg, delta_vth, delta_vsd) as
@@ -163,16 +165,29 @@ class ConductionCurrent(NamedTuple):
     forward: np.ndarray   # i >= 0: first quadrant
     zero: Optional[np.ndarray]  # not |i| > 0; None when no current is zero
     slope: np.ndarray     # current_slope at mag, ohm
+    i: np.ndarray         # the signed current, A
+    # of a (rows, g) current, each row's largest reverse magnitude and
+    # largest slope over its reverse currents (0.0 for a row with none), as
+    # lists of Python floats; None for any other shape
+    rev_mag: Optional[list]
+    rev_slope: Optional[list]
 
 
 def conduction_current(p: DeviceParams, i) -> ConductionCurrent:
     """The current half of conduction_voltage at signed current i."""
-    i = np.asarray(i, dtype=float)
+    i = np.array(i, dtype=float)
     mag = np.abs(i)
     nonzero = mag > 0.0
     zero = None if np.count_nonzero(nonzero) == nonzero.size else ~nonzero
-    return ConductionCurrent(mag, np.sign(i), i >= 0.0, zero,
-                             current_slope(p, mag))
+    slope = current_slope(p, mag)
+    rev_mag = rev_slope = None
+    if i.ndim == 2:
+        rev = i < 0.0
+        rev_mag = np.max(mag, axis=1, where=rev, initial=0.0).tolist()
+        rev_slope = np.where(rev.any(axis=1), np.max(
+            slope, axis=1, where=rev, initial=-np.inf), 0.0).tolist()
+    return ConductionCurrent(mag, np.sign(i), i >= 0.0, zero, slope, i,
+                             rev_mag, rev_slope)
 
 
 def conduction_from_halves(p: DeviceParams, cur: ConductionCurrent, r_t,

@@ -12,8 +12,13 @@ T <- T*exp(-dt/tau) + P*R*(1 - exp(-dt/tau)), which is unconditionally
 stable and makes the per-stage energy balance analytic. With the converter
 off, and in the envelope engine's heat phases, the bench runs a whole block
 of those steps at once (TestBench._idle_block, TestBench._heat_block, which
-one driver, TestBench._phase, runs), to the same bits; cooling_step and
-cooling_absorb still advance the plates one step at a time. Every step
+one driver, TestBench._phase, runs), to the same bits whatever the block
+sizes, which only set the time: the driver sizes a heat phase's blocks from
+the last comparable phase's length, or from the estimate's rise toward its
+stop. Within a heat block only the junction recursion runs step by step, its
+law on the channel-alone path while no reverse drop reaches a knee
+(DeviceBank.conduction); cooling_step and cooling_absorb still advance the
+plates one step at a time. Every step
 takes its pump commands and its coefficients from one owner,
 TestBench._thermal_coeffs.
 """

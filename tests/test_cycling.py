@@ -8,9 +8,11 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from acpcsim import device as dev_mod
 from acpcsim import sampler as smp
 from acpcsim import sense as sns
 from acpcsim import thermal as th
+from acpcsim.cli import build_settings, parse_scenario
 from acpcsim.cli import run as cli_run
 from acpcsim.core import (BenchConfig, ConfigError, Fidelity, PfMode,
                           Technique, validate_scenario)
@@ -263,6 +265,61 @@ class TestBankConsistency:
             bank.params, np.array(row)[:, None]))
         assert grid.shape == (N_DEVICES, 1) and grid[:, 0].tolist() == v
 
+    @staticmethod
+    def grid_drops(monkeypatch, bank, cur, i) -> tuple:
+        """bank.conduction(cur) on the grid of currents i: whether it took
+        the masked law (device.conduction_from_halves), and whether its
+        drops are conduction_voltage's bits."""
+        p = bank.params
+        cols = [a[:, None] for a in (bank.t_j, bank.delta_pkg,
+                                     bank.delta_vth, bank.delta_vsd)]
+        law = conduction_voltage(p, i, cols[0], p.gate_on_v, *cols[1:])
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return from_halves(*args)
+
+        from_halves = dev_mod.conduction_from_halves
+        monkeypatch.setattr(dev_mod, "conduction_from_halves", spy)
+        v, _ = bank.conduction(cur)
+        monkeypatch.undo()
+        return bool(calls), v.tobytes() == law.tobytes()
+
+    def test_example_grid_takes_the_channel_alone_path(self, monkeypatch):
+        # the junction-swing example's grid at the end of its package-aging
+        # ramp (delta_pkg 0.2 on every device): no reverse drop reaches the
+        # knee at any whole degree from 25 to 170 degC, so the drops are
+        # i * (r_t + slope) without the masked law, and they are the law's
+        # bits. At 200 degC the aged channel's 2.55 V passes the 2.34 V
+        # knee, the diode shares the current, and the masked law runs
+        scenario = Path(__file__).resolve().parents[1] / "examples_scenarios" \
+            / "junction_swing_campaign.txt"
+        b = TestBench(build_settings(parse_scenario(scenario)))
+        grid = b._envelope_grid()
+        bank = b.bank
+        bank.delta_pkg[:] = 0.2
+        for t in range(25, 171):
+            bank.t_j = np.full(N_DEVICES, float(t))
+            assert self.grid_drops(monkeypatch, bank, grid.cur,
+                                   grid.i_dev) == (False, True), t
+        bank.t_j = np.full(N_DEVICES, 200.0)
+        assert self.grid_drops(monkeypatch, bank, grid.cur,
+                               grid.i_dev) == (True, True)
+
+    def test_reverse_current_over_the_knee_takes_the_masked_law(
+            self, monkeypatch):
+        # one 2 kA reverse current takes its row through the diode's
+        # parallel branch, so the grid takes the masked law, to its bits
+        p = module_400a()
+        bank = DeviceBank(p, ambient=25.0)
+        i = np.resize(np.array([300.0, -250.0, 120.0, -40.0]), (N_DEVICES, 8))
+        assert self.grid_drops(monkeypatch, bank, conduction_current(p, i),
+                               i) == (False, True)
+        i[4, 5] = -2000.0
+        assert self.grid_drops(monkeypatch, bank, conduction_current(p, i),
+                               i) == (True, True)
+
 
 class TestHeatBlock:
     """Envelope heat phases advanced in blocks of any sizes
@@ -341,10 +398,10 @@ class TestHeatBlock:
         assert blocks == ones
 
 
-def test_block_sizes_of_the_junction_swing_example(tmp_path, monkeypatch):
-    # the block-size policy of both phase kinds, on the junction-swing
-    # example (seed 1003, 25 cycles): how many blocks each entry runs and
-    # how many steps they compute, committed or not
+def example_block_counts(tmp_path, monkeypatch, cycles) -> dict:
+    """How many blocks each phase entry runs, and how many steps they
+    compute, committed or not, in the junction-swing example (seed 1003,
+    start-up every 25 cycles) run for the given cycles."""
     counts = {}
     for name in ("_step_envelope", "_step_idle"):
         def counted(self, *args, _name=name, _step=getattr(TestBench, name),
@@ -357,8 +414,26 @@ def test_block_sizes_of_the_junction_swing_example(tmp_path, monkeypatch):
         monkeypatch.setattr(TestBench, name, counted)
     scenario = Path(__file__).resolve().parents[1] / "examples_scenarios" \
         / "junction_swing_campaign.txt"
-    assert cli_run(scenario, tmp_path / "out", seed=1003, cycles=25) == 0
-    assert counts == {"_step_envelope": (44, 1500), "_step_idle": (26, 1059)}
+    assert cli_run(scenario, tmp_path / "out", seed=1003, cycles=cycles) == 0
+    return counts
+
+
+def test_block_sizes_of_the_junction_swing_example(tmp_path, monkeypatch):
+    # the block-size policy of both phase kinds over 25 cycles. Of the 1436
+    # heat steps computed, 1427 are committed: the first two phases, which
+    # have no comparable last length, size their blocks from the estimate's
+    # rise, and their last blocks end at their stops
+    assert example_block_counts(tmp_path, monkeypatch, 25) == {
+        "_step_envelope": (45, 1436), "_step_idle": (26, 1059)}
+
+
+def test_block_sizes_across_a_start_up(tmp_path, monkeypatch):
+    # 27 cycles pass the start-up at cycle 25: its cool-to-ambient makes
+    # the next heat phase begin at the ambient, which neither reads the
+    # length of the phase before nor sets that of the phase after, so both
+    # size their blocks from the estimate's rise (1555 steps committed)
+    assert example_block_counts(tmp_path, monkeypatch, 27) == {
+        "_step_envelope": (53, 1565), "_step_idle": (34, 1653)}
 
 
 class TestTechniques:
