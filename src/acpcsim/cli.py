@@ -505,32 +505,22 @@ def export_plotdata(run_dir, kind: str) -> Path:
     out = run_dir / f"{kind}.csv"
 
     if kind == "thermal_cycle":
-        header, rows = _read_csv(run_dir / "trace_thermal.csv")
-        tidy = [("time_s", "device_id", "tj_c")]
-        for row in rows:
-            for k, dev in enumerate(DEVICE_IDS):
-                tidy.append((row[0], dev, row[1 + k]))
-        out.write_text("\n".join(",".join(map(str, r)) for r in tidy) + "\n")
-        return out
-
-    if kind == "sampling_trace":
-        header, rows = _read_csv(run_dir / "trace_sampling.csv")
-        tidy = [("slot_index", "angle_deg", "series", "value")]
-        for row in rows:
-            tidy.append((row[0], row[1], "r_raw_mohm", row[4]))
-            tidy.append((row[0], row[1], "r_filt_mohm", row[5]))
-        out.write_text("\n".join(",".join(map(str, r)) for r in tidy) + "\n")
-        return out
-
-    header, rows = _read_csv(run_dir / "precursors.csv")
-    col = {name: i for i, name in enumerate(header)}
-    value_col = "r_on_mohm" if kind == "ron_trend" else "v_th_v"
-    tidy = [("cycle_index", "device_id", value_col)]
-    for row in rows:
-        v = row[col[value_col]]
-        if v:
-            tidy.append((row[col["cycle_index"]], row[col["device_id"]], v))
-    out.write_text("\n".join(",".join(map(str, r)) for r in tidy) + "\n")
+        _, rows = _read_csv(run_dir / "trace_thermal.csv")
+        header = ("time_s", "device_id", "tj_c")
+        lines = [f"{row[0]},{dev},{row[1 + k]}"
+                 for row in rows for k, dev in enumerate(DEVICE_IDS)]
+    elif kind == "sampling_trace":
+        _, rows = _read_csv(run_dir / "trace_sampling.csv")
+        header = ("slot_index", "angle_deg", "series", "value")
+        lines = [f"{row[0]},{row[1]},{series},{row[c]}" for row in rows
+                 for series, c in (("r_raw_mohm", 4), ("r_filt_mohm", 5))]
+    else:
+        names, rows = _read_csv(run_dir / "precursors.csv")
+        c, d = names.index("cycle_index"), names.index("device_id")
+        v = names.index("r_on_mohm" if kind == "ron_trend" else "v_th_v")
+        header = ("cycle_index", "device_id", names[v])
+        lines = [f"{row[c]},{row[d]},{row[v]}" for row in rows if row[v]]
+    _write_lines(out, header, lines)
     return out
 
 

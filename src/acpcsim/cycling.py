@@ -59,6 +59,8 @@ _RISE_STEPS = 3
 _BLOCK_BYTES = 1 << 20
 # the envelope heat step's angle grid over one fundamental period
 _GRID_ANGLES = 32
+# the averaged engine keeps every this many steps' waveform row
+_WAVEFORM_STRIDE = 8
 
 # Device k sits on bridge leg _LEG[k] (test a, b, c, then load a, b, c) and
 # carries _SIGN[k] times its phase's link current: the test upper switches
@@ -111,11 +113,10 @@ def _on_fractions(d) -> list:
 
 
 class ProtectionTrip(RuntimeError):
-    def __init__(self, device_id: str, t: float, kind: str = "desat"):
+    def __init__(self, device_id: str, t: float):
         self.device_id = device_id
         self.t = t
-        self.kind = kind
-        super().__init__(f"{kind} trip on {device_id} at t={t:.6f} s")
+        super().__init__(f"desat trip on {device_id} at t={t:.6f} s")
 
 
 class ThermalRunaway(RuntimeError):
@@ -487,15 +488,15 @@ class _Block(NamedTuple):
 class _HeatFill(NamedTuple):
     """A heat block's acquisition (TestBench._envelope_fill_batched): the
     windows it completes are already finished, and its commit
-    (TestBench._commit_fill) takes the rest to a step of the block."""
+    (TestBench._commit_fill) takes the rest to a step of the block. A
+    window is ceil(N / b) steps of b slots, so the fill count after any
+    step follows from the count before the block."""
 
     v: np.ndarray         # (12, windows * n) readings of the windows the
                           # block fills, the one in progress at its start
                           # from slot 0
     truth: Optional[np.ndarray]  # the same slots' true ratios, or None
     slots: list           # slots filled through each step
-    filled: list          # the window's fill count after each step
-    cycles: list          # the window's fill cycles after each step
     done: list            # the step that completes each window
     est: np.ndarray       # (windows, 12) the windows' estimates, ohm
     tj: list              # the windows' inverted junction temperatures
@@ -561,6 +562,13 @@ class TestBench:
                 "thermal-resistance growth must be at least 0 (a factor of "
                 "at least 1): aging never lowers it")
         self.bank = DeviceBank(params, self.ambient)
+        self.i_cal = params.i_nominal if s.i_cal is None else s.i_cal
+        if not (math.isfinite(self.i_cal) and self.i_cal > 0.0):
+            # each start-up divides the drop it measures at this current
+            raise ConfigError(
+                "run.i_cal",
+                f"a recalibration current of {self.i_cal:g} A measures no "
+                f"on-resistance; use a finite current above 0")
         self.i_floor = 0.05 * params.i_nominal if s.i_floor is None \
             else s.i_floor
         if not self.i_floor >= 0.0:
@@ -608,6 +616,10 @@ class TestBench:
                 f"least 1")
         self.samplers = [smp.SamplerState(
             sets[c], budget_per_cycle=s.budget_per_cycle) for c in centers]
+        # the envelope fill stores b slots a step, so ceil(N / b) steps
+        # complete a window
+        self._env_b = min(s.budget_per_cycle, s.sampler_n)
+        self._env_q = -(-s.sampler_n // self._env_b)
         # the slots of each device's FIR window around its center slot;
         # fir_window reflects an index once, as far as the whole window
         if len(s.fir_taps) % 2 == 0:
@@ -674,7 +686,6 @@ class TestBench:
         self._trace_next_t = 0.0
         self._trace_cap = 20000
         self.collect_waveforms = False
-        self.waveform_stride = 8
         self.waveform_rows: list[tuple] = []
         self._wave_count = 0
 
@@ -686,11 +697,10 @@ class TestBench:
 
         self._envelope_cache = None
         # the envelope fill's slot readings (the window in progress over the
-        # last complete one), slot truths, its count and cycles
+        # last complete one), slot truths and count
         self._env_v = np.empty((N_DEVICES, s.sampler_n))
         self._env_truth = np.empty((N_DEVICES, s.sampler_n))
         self._env_filled = 0
-        self._env_cycles = 0
         self._env_tj_cols = None  # R(T) columns at each window-center current
         self._lut_t_axis = self._base_lut.t_axis.tolist()
         self._trigger_index = None
@@ -705,8 +715,7 @@ class TestBench:
         self._idle_block_max = max(1, _BLOCK_BYTES // (
             8 * N_DEVICES * (stages + 6)))
         self._heat_block_max = max(1, _BLOCK_BYTES // (8 * N_DEVICES * (
-            _GRID_ANGLES + stages + 6
-            + 2 * min(s.budget_per_cycle, s.sampler_n))))
+            _GRID_ANGLES + stages + 6 + 2 * self._env_b)))
         self.cool_phases_capped = 0
         self.startup_idles_capped = 0
 
@@ -921,7 +930,7 @@ class TestBench:
 
         if self.collect_waveforms:
             self._wave_count += 1
-            if self._wave_count % self.waveform_stride == 0:
+            if self._wave_count % _WAVEFORM_STRIDE == 0:
                 self.waveform_rows.append((self.t, theta, *i0, *vc))
 
         self.t += dt
@@ -1208,32 +1217,26 @@ class TestBench:
         the junction temperatures there.
 
         Every slot current is above the floor (_envelope_grid checks), so
-        the twelve windows fill the same slots, in slot order and up to the
-        cycle budget at each step, and complete at the same step: one fill
-        count serves them all. The block's noise is one draw, and
-        _finish_window estimates every window the block completes at once
-        (one a step when the budget covers the trigger set, as in the
-        campaign configuration). The slot truths are kept only while
-        windows are collected. _commit_fill drops what steps past the
-        commit finished and drew.
+        the twelve windows fill the same slots, in slot order, and complete
+        at the same step: one fill count serves them all. A step fills
+        b = min(budget, N) slots, except a window's last, its q-th for
+        q = ceil(N / b), which fills the N - b(q - 1) left; so a window is
+        q steps, and the step after f0 filled slots is place f0 // b of
+        its window. The block's noise is one draw, and _finish_window
+        estimates every window the block completes at once (one a step
+        when the budget covers the trigger set, as in the campaign
+        configuration). The slot truths are kept only while windows are
+        collected. _commit_fill drops what steps past the commit finished
+        and drew.
         """
         s = self.s
         n_slots = s.sampler_n
-        f = f0 = self._env_filled
-        c = self._env_cycles
-        per_step, slots, filled, cycles, done, win_cycles = [], [], [], [], [], []
-        for j in range(r_t.shape[1]):
-            m = min(s.budget_per_cycle, n_slots - f)
-            per_step.append(m)
-            slots.append(m + (slots[-1] if slots else 0))
-            f += m
-            c += 1
-            if f == n_slots:
-                done.append(j)
-                win_cycles.append(c)
-                f = c = 0
-            filled.append(f)
-            cycles.append(c)
+        b, q = self._env_b, self._env_q
+        f0 = self._env_filled
+        last = (f0 // b + np.arange(r_t.shape[1])) % q == q - 1
+        per_step = np.where(last, n_slots - b * (q - 1), b)
+        slots = np.cumsum(per_step).tolist()
+        done = np.flatnonzero(last).tolist()
         # the block's slots, window after window from slot f0 on, in whole
         # windows so that the slot rows broadcast over a (12, W, n) view;
         # the slots outside [f0, f0 + total) hold what no window reads
@@ -1256,7 +1259,7 @@ class TestBench:
             z = self.rng.standard_normal(N_DEVICES * total)
             z *= sigma
             p = 0
-            for m, run in itertools.groupby(per_step):
+            for m, run in itertools.groupby(per_step.tolist()):
                 # k steps that fill m slots each: a (12, k, m) view
                 k = len(list(run))
                 seg = new[:, p:p + k * m].reshape(N_DEVICES, k, m)
@@ -1279,11 +1282,10 @@ class TestBench:
             est, tj = self._finish_window(
                 0, v.take(idx), grid.i_win,
                 truth.take(idx) if truth is not None else None,
-                self._env_tj_cols, win_cycles, [t_start[j] for j in done],
-                tj_start[done])
-        return _HeatFill(v=v, truth=truth, slots=slots, filled=filled,
-                         cycles=cycles, done=done, est=est, tj=tj,
-                         before=before, rng_state=rng_state)
+                self._env_tj_cols, [q] * len(done),
+                [t_start[j] for j in done], tj_start[done])
+        return _HeatFill(v=v, truth=truth, slots=slots, done=done, est=est,
+                         tj=tj, before=before, rng_state=rng_state)
 
     def _commit_fill(self, grid: "_EnvelopeGrid", fill: _HeatFill, m: int,
                      n: int):
@@ -1322,8 +1324,7 @@ class TestBench:
                                       grid.slot_i[0], self._env_v[0].copy())
         if end > n_slots * w:
             put(w, end)
-        self._env_filled = fill.filled[m - 1]
-        self._env_cycles = fill.cycles[m - 1]
+        self._env_filled = (f0 // self._env_b + m) % self._env_q * self._env_b
 
     # -- idle (converter off) steps ------------------------------------------
 
@@ -1789,7 +1790,7 @@ class TestBench:
         contributions.
         """
         s = self.s
-        i_cal = s.i_cal or self.bank.params.i_nominal
+        i_cal = self.i_cal
         v_th_m = np.empty(N_DEVICES)
         r_amb = np.empty(N_DEVICES)
         d_hat = np.empty(N_DEVICES)
@@ -1830,15 +1831,13 @@ class TestBench:
 
     # -- campaign -----------------------------------------------------------------
 
-    def run_campaign(self, n_cycles: Optional[int] = None,
-                     collect_windows: bool = False) -> RunResult:
-        n = n_cycles if n_cycles is not None else self.cfg.n_cycles
+    def run_campaign(self, collect_windows: bool = False) -> RunResult:
         self.collect_windows = collect_windows
         s = self.s
         records: list[CycleRecord] = []
         tracker = WarningTracker(s.policy)
         status, reason = "ok", ""
-        for c in range(n):
+        for c in range(self.cfg.n_cycles):
             due = (c == 0) if s.startup_every <= 0 else (c % s.startup_every == 0)
             self.bank.apply_trajectories(s.trajectory, s.r_th_aging, c,
                                          self._mask_aging)

@@ -355,8 +355,9 @@ def calibrated_params(*, r_total_t0: float, channel_fraction: float,
                       v_th0: float, rho_vth: float, v_gs_on: float,
                       alpha_drift: Optional[float] = None,
                       sensitivity_t0: Optional[float] = None,
-                      t0: float = 25.0, **kwargs) -> DeviceParams:
-    """Build device parameters anchored at a total resistance at t0.
+                      **kwargs) -> DeviceParams:
+    """Build device parameters anchored at a total resistance at t0, the
+    DeviceParams reference temperature.
 
     channel_fraction sets the share of r_total_t0 carried by the channel
     term. Give either alpha_drift directly or a net dR/dT target at t0
@@ -373,11 +374,12 @@ def calibrated_params(*, r_total_t0: float, channel_fraction: float,
     r_drift0 = (1.0 - channel_fraction) * r_total_t0
     if alpha_drift is None:
         channel_slope = k_ch * rho_vth / overdrive0 ** 2  # negative
-        alpha_drift = (sensitivity_t0 - channel_slope) * (t0 + KELVIN) / r_drift0
+        alpha_drift = (sensitivity_t0 - channel_slope) \
+            * (DeviceParams.t0 + KELVIN) / r_drift0
         if alpha_drift <= 0:
             raise ValueError("requested sensitivity is unreachable with this split")
     return DeviceParams(r_drift0=r_drift0, k_ch=k_ch, v_th0=v_th0,
-                        rho_vth=rho_vth, alpha_drift=alpha_drift, t0=t0,
+                        rho_vth=rho_vth, alpha_drift=alpha_drift,
                         gate_on_v=v_gs_on, **kwargs)
 
 
@@ -421,30 +423,27 @@ def vendor_b() -> DeviceParams:
 PROFILES = {"module_400a": module_400a, "vendor_a": vendor_a, "vendor_b": vendor_b}
 
 
-def delta_vth_for_vds_shift(params: DeviceParams, dv_ds: float,
-                            i: Optional[float] = None,
-                            v_gs: Optional[float] = None) -> float:
-    """Threshold shift that raises the on-state drop at current i by dv_ds.
+def delta_vth_for_vds_shift(params: DeviceParams, dv_ds: float) -> float:
+    """Threshold shift that raises the on-state drop at nominal current by
+    dv_ds, at the gate drive and the reference temperature.
 
     Inverts the channel law in closed form:
-      delta = ov^2 * dR / (k_ch + ov * dR),  dR = dv_ds / i.
+      delta = ov^2 * dR / (k_ch + ov * dR),  dR = dv_ds / i_nominal,
+    with ov = gate_on_v - v_th0.
     """
-    i = params.i_nominal if i is None else i
-    v_gs = params.gate_on_v if v_gs is None else v_gs
-    ov = v_gs - params.v_th0
-    d_r = dv_ds / i
+    ov = params.gate_on_v - params.v_th0
+    d_r = dv_ds / params.i_nominal
     if params.k_ch <= 0:
         raise ValueError("profile has no channel term to shift")
     return ov * ov * d_r / (params.k_ch + ov * d_r)
 
 
-def gate_oxide_trajectory(params: DeviceParams, cycles_eol: float,
-                          v_ds_fresh: float = 1.58, v_ds_aged: float = 2.6
+def gate_oxide_trajectory(params: DeviceParams, cycles_eol: float
                           ) -> AgingTrajectory:
     """Default oxide schedule: gradual drift with a late knee, calibrated so
-    the on-state drop at nominal current moves from v_ds_fresh to v_ds_aged
-    at end of life."""
-    d_eol = delta_vth_for_vds_shift(params, v_ds_aged - v_ds_fresh)
+    the on-state drop at nominal current moves from the paper's fresh
+    1.58 V to its aged 2.6 V at end of life."""
+    d_eol = delta_vth_for_vds_shift(params, 2.6 - 1.58)
     return AgingTrajectory(delta_vth=(
         (0.0, 0.0),
         (0.7 * cycles_eol, 0.3 * d_eol),

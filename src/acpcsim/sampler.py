@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,15 +130,12 @@ class TriggerIndex:
 
 @dataclass
 class SamplerState:
-    """Slot array for one device, filled out of order under a cycle budget.
-
-    in_order restricts capture to the next sequential slot (the one-point-
-    per-cycle baseline when combined with budget 1).
-    """
+    """Slot array for one device, filled out of order under a cycle budget:
+    any empty slot a sweep crosses is stored, in arrival order, until the
+    cycle's budget is spent."""
 
     triggers: TriggerSet
     budget_per_cycle: int = 5
-    in_order: bool = False
     v_on: np.ndarray = field(init=False)
     i: np.ndarray = field(init=False)
     truth: np.ndarray = field(init=False)
@@ -172,31 +169,20 @@ def store_slots(s: SamplerState, idx, v_on: float, i_meas: float,
                 truth: float) -> int:
     """Store one reading into the distinct slots idx, taken in arrival order.
 
-    Filled slots are skipped; in_order accepts the next sequential slot,
-    then the one after it if it arrives later, and so on; the rest of the
-    cycle budget caps the count. Returns the number of slots stored.
+    Filled slots are skipped, and the rest of the cycle budget caps the
+    count. Returns the number of slots stored.
     """
     room = s.budget_per_cycle - s.budget_used
-    if (type(idx) is range and idx.step == 1 and not s.in_order
-            and len(idx) <= room
+    if (type(idx) is range and idx.step == 1 and len(idx) <= room
             and not any(s.filled_mask[idx.start:idx.stop].tolist())):
         # a contiguous run of empty slots that fits the budget: all stored
         n = len(idx)
         idx = slice(idx.start, idx.stop)
     else:
         idx = np.asarray(idx, dtype=int)
-        if s.in_order or len(idx) > room \
-                or s.filled_mask[idx].nonzero()[0].size:
+        if len(idx) > room or s.filled_mask[idx].nonzero()[0].size:
             # drop what may not be stored
-            idx = idx[~s.filled_mask[idx]]
-            if s.in_order and len(idx):
-                # row j: where slot filled + j arrives; accept while
-                # arrivals ascend
-                hit = idx == s.filled + np.arange(len(idx))[:, None]
-                pos = hit.argmax(axis=1)
-                ok = hit.any(axis=1) & (np.diff(pos, prepend=-1) > 0)
-                idx = idx[pos[:int(np.cumprod(ok).sum())]]
-            idx = idx[:max(room, 0)]
+            idx = idx[~s.filled_mask[idx]][:max(room, 0)]
         n = len(idx)
     s.v_on[idx] = v_on
     s.i[idx] = i_meas
@@ -313,7 +299,7 @@ class RonLut:
     i_axis: np.ndarray
     grid: np.ndarray                       # (len(t_axis), len(i_axis)), fresh
     drift_profile: np.ndarray              # fresh drift component over t_axis
-    channel: dev_mod.DeviceParams          # device at the table's drive
+    channel: dev_mod.DeviceParams          # the characterized device
     offset: float = 0.0                    # total measured ambient shift, ohm
     offset_pkg: float = 0.0
     delta_vth_hat: float = 0.0
@@ -358,18 +344,21 @@ class RonLut:
 
 LUT_T_AXIS = tuple(range(25, 176, 25))  # degC
 LUT_I_AXIS = tuple(range(50, 401, 50))  # A
+# the share of the fresh table value by which an ambient measurement may
+# fall below it (recalibrate_lut)
+AMBIENT_TOLERANCE = 0.02
 
 
 def build_ron_lut(params: dev_mod.DeviceParams,
                   t_axis: Sequence[float] = LUT_T_AXIS,
-                  i_axis: Sequence[float] = LUT_I_AXIS,
-                  v_gs: Optional[float] = None) -> RonLut:
-    """Characterize a fresh device over the grid (self-consistent oracle).
+                  i_axis: Sequence[float] = LUT_I_AXIS) -> RonLut:
+    """Characterize a fresh device over the grid at its gate drive
+    (self-consistent oracle).
 
     Refuses a temperature axis on which the threshold reaches the gate
     drive, closing the channel.
     """
-    v_gs = params.gate_on_v if v_gs is None else v_gs
+    v_gs = params.gate_on_v
     t = np.asarray(t_axis, dtype=float)
     i = np.asarray(i_axis, dtype=float)
     v_th = dev_mod.threshold_voltage(params, t)
@@ -383,7 +372,7 @@ def build_ron_lut(params: dev_mod.DeviceParams,
     grid = np.array([dev_mod.on_resistance(params, tj, i, v_gs) for tj in t])
     drift = dev_mod.drift_resistance(params, t)
     return RonLut(t_axis=t, i_axis=i, grid=grid, drift_profile=drift,
-                  channel=replace(params, gate_on_v=v_gs))
+                  channel=params)
 
 
 def invert_column(r: float, col: Sequence[float],
@@ -424,21 +413,20 @@ def estimate_tj(r_on: float, i_d: float, lut: RonLut) -> TjEstimate:
 
 
 def recalibrate_lut(lut: RonLut, r_on_measured_ambient: float, t_ambient: float,
-                    i_cal: float, delta_vth: float,
-                    tolerance_frac: float = 0.02) -> RonLut:
+                    i_cal: float, delta_vth: float) -> RonLut:
     """Shift the table to the start-of-test ambient measurement.
 
     The total offset is the measured resistance minus the fresh table value
     at (t_ambient, i_cal); the part explained by the threshold shift is
     booked to the gate oxide, the remainder to the package. A measurement
-    below the fresh table by more than the tolerance means the devices were
-    not at ambient.
+    below the fresh table by more than AMBIENT_TOLERANCE of it means the
+    devices were not at ambient.
     """
     base = RonLut(t_axis=lut.t_axis, i_axis=lut.i_axis, grid=lut.grid,
                   drift_profile=lut.drift_profile, channel=lut.channel)
     fresh_val = base.value(t_ambient, i_cal)
     offset = r_on_measured_ambient - fresh_val
-    if offset < -tolerance_frac * fresh_val:
+    if offset < -AMBIENT_TOLERANCE * fresh_val:
         raise AmbientMismatch(
             f"measured {r_on_measured_ambient:.4g} ohm is below the fresh "
             f"table value {fresh_val:.4g} ohm")

@@ -47,6 +47,7 @@ class OverdriveCollapse(RuntimeError):
 
 E_D_RANGE = (0.3e-3, 1.6e-3)  # measured mismatch span across devices, V
 AMBIENT_TOL = 1.5  # degC a threshold measurement accepts from the ambient
+OVERDRIVE_MARGIN = 1.0  # V of gate overdrive the DESAT compensation keeps
 
 
 @dataclass
@@ -132,22 +133,20 @@ def desat_voltage(p: SenseCircuitParams, v_ds: float) -> float:
 
 
 def compensate_desat_threshold(cfg: DesatConfig, delta_vth_measured: float,
-                               p: dev_mod.DeviceParams,
-                               v_gs: Optional[float] = None,
-                               margin: float = 1.0) -> DesatConfig:
+                               p: dev_mod.DeviceParams) -> DesatConfig:
     """Raise the trip level by the channel-model on-state drop growth.
 
-    The measured threshold shift predicts the extra drop at nominal current,
-    i_nominal * device.channel_shift at the reference temperature; the new
-    config is flagged compensated. Refuses to compensate once the remaining
-    overdrive is below the margin.
+    The measured threshold shift predicts the extra drop at nominal current
+    and the gate drive, i_nominal * device.channel_shift at the reference
+    temperature; the new config is flagged compensated. Refuses to
+    compensate once the remaining overdrive is at most OVERDRIVE_MARGIN.
     """
-    if v_gs is None:
-        v_gs = p.gate_on_v
+    v_gs = p.gate_on_v
     ov0 = v_gs - p.v_th0
-    if ov0 - delta_vth_measured <= margin:
+    if ov0 - delta_vth_measured <= OVERDRIVE_MARGIN:
         raise OverdriveCollapse(
-            f"overdrive {ov0 - delta_vth_measured:.2f} V below margin {margin} V")
+            f"overdrive {ov0 - delta_vth_measured:.2f} V below margin "
+            f"{OVERDRIVE_MARGIN} V")
     rise = p.i_nominal * dev_mod.channel_shift(p, p.t0, v_gs, delta_vth_measured)
     return replace(cfg, threshold=cfg.threshold + rise, compensated=True)
 

@@ -149,10 +149,11 @@ def test_ac4_sense_path_fidelity():
 
 
 def test_ac5_sampling_efficiency():
-    def cycles_to_complete(budget, in_order=False):
+    def cycles_to_complete(budget):
         ts = build_trigger_set(math.pi / 2, 300, math.radians(10))
-        s = SamplerState(ts, budget_per_cycle=budget, in_order=in_order)
-        # each sweep ends on the next trigger, so it crosses that one alone
+        s = SamplerState(ts, budget_per_cycle=budget)
+        # each sweep ends on the next trigger, so it crosses that one alone,
+        # in slot order: at budget 1 that is the sequential baseline
         edges = [float(ts.angles[0]) - 1e-6, *ts.angles.tolist()]
         cycles = 0
         while not s.complete:
@@ -164,7 +165,7 @@ def test_ac5_sampling_efficiency():
 
     got = {b: cycles_to_complete(b) for b in (1, 5, 30, 300)}
     ok = all(got[b] == math.ceil(300 / b) for b in got)
-    seq = cycles_to_complete(1, in_order=True)
+    seq = cycles_to_complete(1)
     _verdict("AC-5", ok and seq == 300,
              f"out-of-order cycles {got} (= ceil(300/B)); sequential "
              f"baseline {seq} cycles")

@@ -325,6 +325,15 @@ class TestRun:
          "run.cool_cap_s"),
         ("bench.mode = envelope\nbench.n_cycles = 1\nrun.cool_cap_s = -1\n",
          "run.cool_cap_s"),
+        # each start-up divides its measured drop by the recalibration
+        # current: 0 ran at the nominal current, a negative one failed the
+        # ambient check (exit 1) and an infinite one heated to a runaway
+        ("bench.mode = envelope\nbench.n_cycles = 1\nrun.i_cal = 0\n",
+         "run.i_cal"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nrun.i_cal = -5\n",
+         "run.i_cal"),
+        ("bench.mode = envelope\nbench.n_cycles = 1\nrun.i_cal = inf\n",
+         "run.i_cal"),
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "bench_gate_on_v", "bench_gate_off_v",
             "device_gate_off_v",
@@ -342,7 +351,8 @@ class TestRun:
             "fir_cutoff_nan", "fir_cutoff_one", "nan_c_gs", "nan_gate_on_v",
             "nan_v_th0", "nan_vth_timeout", "n_points_zero", "heat_cap_inf",
             "cool_cap_inf", "heat_cap_zero", "heat_cap_negative",
-            "cool_cap_zero", "cool_cap_negative"])
+            "cool_cap_zero", "cool_cap_negative", "i_cal_zero",
+            "i_cal_negative", "i_cal_inf"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.txt"

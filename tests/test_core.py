@@ -155,3 +155,80 @@ def test_every_public_definition_is_used_in_src():
                   if name not in _UNCALLED_BY_DESIGN) == []
     # an entry that src/ now uses, or that is gone, leaves the allowlist
     assert sorted(set(_UNCALLED_BY_DESIGN) - set(unused.values())) == []
+
+
+# Defaulted parameters that some caller sets where the syntax tree cannot
+# see it, by function, each with that caller.
+_DEFAULTS_SET_UNSEEN = {
+    "cli.run": "the command-line flags, passed through _run_one as a tuple",
+    "cli.main": "the tests' command lines; the console script leaves it to "
+                "sys.argv",
+    "sampler.default_fir_taps": "the sampler.fir_taps and fir_cutoff "
+                                "scenario keys, through build_settings",
+    "device.on_resistance": "the aging deltas of the law's array reference "
+                            "in the tests",
+    "cycling.TestBench.measure_operating_point": "the cycle count of the "
+                                                 "AC-7 oracle",
+    "thermal.default_network": "the tests' scaled stacks",
+}
+
+
+def _defaulted_parameters():
+    """(function key, call name, parameter, positional index or None) of
+    each defaulted parameter of a public function, method or constructor
+    of src/. A constructor is called by its class's name."""
+    out = []
+    for path in sorted(Path(acpcsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [(f"{path.stem}.{node.name}", node.name, node, False)
+                 for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in node.decorator_list)
+                        call = cls.name if node.name == "__init__" \
+                            else node.name
+                        funcs.append((f"{path.stem}.{cls.name}.{node.name}",
+                                      call, node, not static))
+        for key, call, node, bound in funcs:
+            if call.startswith("_"):
+                continue
+            a = node.args
+            pos = (a.posonlyargs + a.args)[1 if bound else 0:]
+            out += [(key, call, arg.arg, i)
+                    for i, arg in enumerate(pos)
+                    if i >= len(pos) - len(a.defaults)]
+            out += [(key, call, arg.arg, None)
+                    for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+    return out
+
+
+def test_every_default_has_a_caller_that_sets_it():
+    # a defaulted parameter that no call in src/ or perfbench/ passes is an
+    # option that no run takes: make its default a constant of the code. A
+    # call passes a parameter by its keyword or by a positional argument at
+    # its place; a splat (*args, **kwargs) is not seen
+    root = Path(acpcsim.__file__).parents[2]
+    sources = [*Path(acpcsim.__file__).parent.glob("*.py"),
+               *(p for p in (root / "perfbench").glob("*.py")
+                 if not p.name.startswith("test_"))]
+    passed = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                # the positional arguments ahead of the first splat
+                n = next((j for j, arg in enumerate(node.args)
+                          if isinstance(arg, ast.Starred)), len(node.args))
+                passed |= {(name, i) for i in range(n)}
+                passed |= {(name, kw.arg) for kw in node.keywords if kw.arg}
+    unset = {(key, param) for key, call, param, i in _defaulted_parameters()
+             if (call, param) not in passed and (call, i) not in passed}
+    assert sorted(p for p in unset if p[0] not in _DEFAULTS_SET_UNSEEN) == []
+    # an entry whose defaults the syntax tree now sees, or that is gone,
+    # leaves the allowlist
+    assert sorted(set(_DEFAULTS_SET_UNSEEN) - {k for k, _ in unset}) == []

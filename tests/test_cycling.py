@@ -372,7 +372,7 @@ class TestHeatBlock:
             b.bank.t_j.tobytes(), b._t_case.tobytes(),
             b.ntc_readings.tobytes(), b._ntc_prev.tobytes(),
             repr(astuple(b.cool_test)), repr(astuple(b.cool_load)),
-            b._env_filled, b._env_cycles,
+            b._env_filled,
             b._env_v[:, :b._env_filled].tobytes(),
             b._env_truth[:, :b._env_filled].tobytes()
             if b.collect_windows else None]
@@ -666,6 +666,46 @@ class TestEnvelopeCapture:
         for w in b.windows:
             assert w["cycles_used"] == 12
             assert w["r_est"] == pytest.approx(w["r_true"], rel=0.015)
+
+    @pytest.mark.parametrize("budget, n_slots", [(7, 60), (13, 40),
+                                                 (59, 60), (1, 16)])
+    def test_fill_schedule_is_the_per_step_budget(self, budget, n_slots):
+        # the fill's schedule, worked out from b = min(budget, N), against
+        # the per-step rule: each step stores min(budget, slots left), so a
+        # window takes ceil(N / budget) steps; in every block, across
+        # blocks and across two runs
+        cfg = envelope_cfg()
+        b = TestBench(default_settings(cfg, budget_per_cycle=budget,
+                                       sampler_n=n_slots, **fast_thermal()))
+        fills, batched = [], b._envelope_fill_batched
+
+        def recorded(grid, r_t, *args):
+            fill = batched(grid, r_t, *args)
+            fills.append((b._env_filled, r_t.shape[1], fill.slots, fill.done))
+            return fill
+
+        b._envelope_fill_batched = recorded
+        b.run_steady(0.23)
+        b.run_steady(0.27)
+
+        def per_step(f, n):
+            slots, done = [0], []
+            for j in range(n):
+                m = min(budget, n_slots - f)
+                slots.append(slots[-1] + m)
+                f += m
+                if f == n_slots:
+                    f = 0
+                    done.append(j)
+            return f, slots[1:], done
+
+        for f0, n, *schedule in fills:
+            assert per_step(f0, n)[1:] == tuple(schedule)
+        f, _, done = per_step(0, round(b.t * cfg.f_fund))
+        assert b._env_filled == f
+        assert len(b.windows) == N_DEVICES * len(done) > 0
+        assert {w["cycles_used"] for w in b.windows} == \
+            {math.ceil(n_slots / budget)}
 
     @pytest.mark.parametrize("pf_angle", [None, 0.02, -0.3, 1.9, 3.1, -2.0])
     def test_slot_currents_are_inverse_park_bit_for_bit(self, pf_angle):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,9 +41,11 @@ class TestRon:
 
     def test_channel_off_raises(self):
         # the law itself has no check; the table that characterizes it
-        # refuses a drive that does not exceed the threshold on its axis
+        # refuses a drive that does not exceed the threshold on its axis:
+        # a 3 V gate closes the channel below about -22 degC
         with pytest.raises(ConfigError) as e:
-            build_ron_lut(module_400a(), v_gs=2.0)
+            build_ron_lut(replace(module_400a(), gate_on_v=3.0),
+                          t_axis=(-50.0, 25.0))
         assert e.value.field == "lut.t_axis"
 
     def test_law_broadcasts_like_scalar_calls(self):

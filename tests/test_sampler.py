@@ -135,9 +135,11 @@ class TestMatchTrigger:
 
 
 class TestSamplerBudget:
-    def run_cycles(self, n, budget, in_order=False, max_cycles=10_000):
+    def run_cycles(self, n, budget, max_cycles=10_000):
+        # the slots arrive in slot order, so budget 1 is the sequential
+        # baseline
         ts = build_trigger_set(math.pi / 2, n, math.radians(10))
-        s = SamplerState(ts, budget_per_cycle=budget, in_order=in_order)
+        s = SamplerState(ts, budget_per_cycle=budget)
         cycles = 0
         while not s.complete and cycles < max_cycles:
             s.start_cycle()
@@ -153,10 +155,10 @@ class TestSamplerBudget:
         assert self.run_cycles(300, 5) == 60
 
     def test_sequential_baseline_takes_n_cycles(self):
-        assert self.run_cycles(300, 1, in_order=True) == 300
+        assert self.run_cycles(300, 1) == 300
 
     def test_out_of_order_strictly_faster_for_any_larger_budget(self):
-        base = self.run_cycles(300, 1, in_order=True)
+        base = self.run_cycles(300, 1)
         for b in (2, 5, 30, 300):
             assert self.run_cycles(300, b) < base
 
@@ -189,45 +191,43 @@ class TestSamplerBudget:
             assert bench.rng.bit_generator.state == ref.bit_generator.state
 
     def test_interval_store_matches_one_slot_at_a_time(self):
-        # store_slots against the per-slot rule: skip filled slots, in_order
-        # takes only the next sequential slot, stop when the budget is spent;
-        # the window wraps through 0 rad, so sweeps cross the wrap too
+        # store_slots against the per-slot rule: skip filled slots, stop
+        # when the budget is spent; the window wraps through 0 rad, so sweeps
+        # cross the wrap too
         ts = build_trigger_set(0.1, 40, 0.3)
         rng = np.random.default_rng(8)
-        for in_order in (False, True):
-            for budget in (1, 3, 7, 40):
-                got = SamplerState(ts, budget_per_cycle=budget, in_order=in_order)
-                ref = SamplerState(ts, budget_per_cycle=budget, in_order=in_order)
-                stored = windows = 0
-                for _ in range(100):  # fundamental cycles sweeping the window
-                    got.start_cycle()
-                    ref.start_cycle()
-                    theta = -0.35
-                    while theta < 0.45:
-                        nxt = theta + float(rng.uniform(0.0, 0.1))
-                        v = float(rng.normal())
-                        n = sampler_update_interval(got, theta, nxt, v, 50.0)
-                        want = 0
-                        for k in triggers_in_interval(ts, theta, nxt):
-                            if (ref.budget_used < budget
-                                    and not ref.filled_mask[k]
-                                    and (not in_order or k == ref.filled)):
-                                ref.v_on[k] = v
-                                ref.filled_mask[k] = True
-                                ref.filled += 1
-                                ref.budget_used += 1
-                                want += 1
-                        assert n == want
-                        assert (got.filled_mask == ref.filled_mask).all()
-                        assert (got.v_on == ref.v_on).all()
-                        assert got.budget_used == ref.budget_used
-                        stored += n
-                        if got.complete:
-                            got.reset_window()
-                            ref.reset_window()
-                            windows += 1
-                        theta = nxt
-                assert windows >= 1 and stored >= 100
+        for budget in (1, 3, 7, 40):
+            got = SamplerState(ts, budget_per_cycle=budget)
+            ref = SamplerState(ts, budget_per_cycle=budget)
+            stored = windows = 0
+            for _ in range(100):  # fundamental cycles sweeping the window
+                got.start_cycle()
+                ref.start_cycle()
+                theta = -0.35
+                while theta < 0.45:
+                    nxt = theta + float(rng.uniform(0.0, 0.1))
+                    v = float(rng.normal())
+                    n = sampler_update_interval(got, theta, nxt, v, 50.0)
+                    want = 0
+                    for k in triggers_in_interval(ts, theta, nxt):
+                        if (ref.budget_used < budget
+                                and not ref.filled_mask[k]):
+                            ref.v_on[k] = v
+                            ref.filled_mask[k] = True
+                            ref.filled += 1
+                            ref.budget_used += 1
+                            want += 1
+                    assert n == want
+                    assert (got.filled_mask == ref.filled_mask).all()
+                    assert (got.v_on == ref.v_on).all()
+                    assert got.budget_used == ref.budget_used
+                    stored += n
+                    if got.complete:
+                        got.reset_window()
+                        ref.reset_window()
+                        windows += 1
+                    theta = nxt
+            assert windows >= 1 and stored >= 100
 
     def test_store_slots_keeps_values_aligned_with_slots(self):
         ts = build_trigger_set(1.0, 12, 0.2)
@@ -238,12 +238,6 @@ class TestSamplerBudget:
         assert (s.v_on[[2, 4, 9]] == [0.5, 1.0, 0.0]).all()
         assert (s.i[[2, 4]] == [10.0, 11.0]).all()
         assert not s.filled_mask[9]
-        # in order: slot 0, then 1 and 2 as each arrives after its predecessor
-        s = SamplerState(ts, budget_per_cycle=12, in_order=True)
-        assert store_slots(s, [3, 0, 1, 4, 2], 2.0, 1.0, 0.1) == 3
-        assert s.filled_mask[:3].all() and not s.filled_mask[3:].any()
-        assert (s.v_on[:3] == 2.0).all() and s.filled == 3
-        assert store_slots(s, [4, 3], 7.0, 1.0, 0.1) == 1 and s.filled_mask[3]
 
     def test_store_slots_takes_a_range_as_its_slots(self):
         # a range of slots stores as the same list of slots would: the
@@ -252,20 +246,19 @@ class TestSamplerBudget:
         ts = build_trigger_set(1.0, 12, 0.2)
         cases = [(range(2, 5), ()), (range(2, 5), (3,)), (range(0, 9), ()),
                  (range(1, 9, 2), ()), (range(4, 4), ()), (range(0, 2), (0, 1))]
-        for in_order in (False, True):
-            for idx, filled in cases:
-                got = SamplerState(ts, budget_per_cycle=6, in_order=in_order)
-                ref = SamplerState(ts, budget_per_cycle=6, in_order=in_order)
-                for s in (got, ref):
-                    for k in filled:
-                        store_slots(s, [k], 0.5, 10.0, 0.05)
-                n = store_slots(got, idx, 1.0, 11.0, 0.1)
-                assert n == store_slots(ref, list(idx), 1.0, 11.0, 0.1)
-                for name in ("v_on", "i", "truth", "filled_mask"):
-                    assert (getattr(got, name).tobytes()
-                            == getattr(ref, name).tobytes())
-                assert (got.filled, got.budget_used) == \
-                    (ref.filled, ref.budget_used)
+        for idx, filled in cases:
+            got = SamplerState(ts, budget_per_cycle=6)
+            ref = SamplerState(ts, budget_per_cycle=6)
+            for s in (got, ref):
+                for k in filled:
+                    store_slots(s, [k], 0.5, 10.0, 0.05)
+            n = store_slots(got, idx, 1.0, 11.0, 0.1)
+            assert n == store_slots(ref, list(idx), 1.0, 11.0, 0.1)
+            for name in ("v_on", "i", "truth", "filled_mask"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(ref, name).tobytes())
+            assert (got.filled, got.budget_used) == \
+                (ref.filled, ref.budget_used)
 
     def test_order_independence(self):
         # any arrival order reconstructs the same slot array
