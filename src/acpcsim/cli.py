@@ -6,7 +6,9 @@ Scenario file format
 Flat ``key = value`` text. Blank lines and lines starting with ``#`` are
 ignored. Unknown keys are rejected under every prefix. All keys are
 optional; an absent key keeps the default of the dataclass or function that
-owns the field it sets (the ``SCHEMA`` table names that field).
+owns the field it sets (the ``SCHEMA`` table names that field). A float
+key takes a finite number, refusing nan and +-inf, unless its line below
+admits inf.
 
 bench.*      v_dc, f_sw, f_fund, modulation_index, pf_mode (motor|generator|
              custom), pf_angle_deg, pf_angle_rad, i_ref_peak, link_inductance,
@@ -28,7 +30,8 @@ thermal.*    stage_r / stage_tau (comma lists, the junction-to-case
              stages), boundary_r_on (> 0), boundary_r_off (above it),
              boundary_c (the case-to-reference stage of each plate's
              cooling), coolant_temp
-             (default: the ambient), max_heat, reservoir_c
+             (default: the ambient), max_heat, reservoir_c (each may be
+             inf: a plate rated for any heat, a loop that never warms)
 ntc.*        bias, time_constant
 sampler.*    n_points, window_deg, budget_per_cycle (at least 1), fir_taps
              (odd, at most 2 * n_points + 1), fir_cutoff, i_floor (at
@@ -39,6 +42,7 @@ aging.*      delta_pkg / delta_vth / delta_vsd / r_th_factor (breakpoint
              the first Foster stage's thermal resistance, each value at
              least 1), scope (test|all)
 policy.*     r_on_rel_threshold, v_th_shift_threshold, v_sd_shift_threshold
+             (each may be inf, a warning that never fires)
 run.*        startup_every, i_cal, heat_cap_s, cool_cap_s, soft_start_cycles
 
 Outputs
@@ -137,14 +141,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _float(key, v) -> float:
+def _float(key, v, unbounded: bool = False) -> float:
+    """A finite number, or inf too where the key is unbounded."""
     try:
         x = float(v)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {v!r}") from None
     if math.isnan(x):  # a NaN passes the models' comparisons
         raise ConfigError(key, f"expected a number, got {v!r}")
+    if math.isinf(x) and not (unbounded and x > 0):
+        raise ConfigError(key, f"expected a finite number, got {v!r}")
     return x
+
+
+def _unbounded(key, v) -> float:
+    """A cooling capacity or a warning threshold, which may be inf: a
+    plate rated for any heat (cooling_absorb never finds an excess), a
+    coolant loop that no excess warms, or a warning that never fires."""
+    return _float(key, v, unbounded=True)
 
 
 def _int(key, v) -> int:
@@ -256,8 +270,8 @@ _ROWS = [
     ("thermal.boundary_r_off", _float, "cooling.r_boundary_off"),
     ("thermal.boundary_c", _float, "cooling.boundary_c"),
     ("thermal.coolant_temp", _float, "cooling.coolant_temp"),
-    ("thermal.max_heat", _float, "cooling.max_heat"),
-    ("thermal.reservoir_c", _float, "cooling.reservoir_c"),
+    ("thermal.max_heat", _unbounded, "cooling.max_heat"),
+    ("thermal.reservoir_c", _unbounded, "cooling.reservoir_c"),
     ("ntc.bias", _float, "ntc.bias"),
     ("ntc.time_constant", _float, "ntc.time_constant"),
     ("sampler.n_points", _int, "settings.sampler_n"),
@@ -274,9 +288,11 @@ _ROWS = [
     ("aging.r_th_factor", _r_th_factor, "settings.r_th_aging"),
     ("aging.scope", _one_of({"test": "test", "all": "all"}),
      "settings.aging_scope"),
-    ("policy.r_on_rel_threshold", _float, "policy.r_on_rel_threshold"),
-    ("policy.v_th_shift_threshold", _float, "policy.v_th_shift_threshold"),
-    ("policy.v_sd_shift_threshold", _float, "policy.v_sd_shift_threshold"),
+    ("policy.r_on_rel_threshold", _unbounded, "policy.r_on_rel_threshold"),
+    ("policy.v_th_shift_threshold", _unbounded,
+     "policy.v_th_shift_threshold"),
+    ("policy.v_sd_shift_threshold", _unbounded,
+     "policy.v_sd_shift_threshold"),
     ("run.startup_every", _int, "settings.startup_every"),
     ("run.i_cal", _float, "settings.i_cal"),
     ("run.heat_cap_s", _float, "settings.heat_cap_s"),

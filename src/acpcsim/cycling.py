@@ -59,6 +59,7 @@ _RISE_STEPS = 3
 _BLOCK_BYTES = 1 << 20
 # the envelope heat step's angle grid over one fundamental period
 _GRID_ANGLES = 32
+_DEVICE_ROWS = np.arange(N_DEVICES)[:, None]
 # the averaged engine keeps every this many steps' waveform row
 _WAVEFORM_STRIDE = 8
 
@@ -287,7 +288,7 @@ class DeviceBank:
         # coefficients
         self.r_th_version = 0
 
-    def conduction(self, cur) -> tuple:
+    def conduction(self, cur, out: Optional[np.ndarray] = None) -> tuple:
         """Signed conduction drops, with the channel held on (synchronous
         rectification across both bridges); an injected short reads the
         desaturated drop in its row.
@@ -298,7 +299,7 @@ class DeviceBank:
         once per device, so that the on-resistance of row k at current i is
         r_t[k] + current_slope(i). For one current per device both are
         lists of Python floats (device.conduction_rows); for a grid, v is
-        (12, g) and r_t (12, 1).
+        (12, g), written to out when one is given, and r_t (12, 1).
 
         A grid with no zero current whose every row's channel conducts
         alone, checked in the row form against the row's largest reverse
@@ -312,7 +313,7 @@ class DeviceBank:
                              "current per device as a list of floats")
         p = self.params
         r_t, knee = dev_mod.temperature_rows(
-            p, self.t_j.tolist(), self.delta_pkg.tolist(),
+            p, self.t_j, self.delta_pkg.tolist(),
             self.delta_vth.tolist(), self.delta_vsd.tolist())
         if grid:
             # a row's channel conducts alone when its largest reverse
@@ -328,10 +329,12 @@ class DeviceBank:
             # broadcasts that read these columns
             r_t = np.array(r_t).reshape(-1, 1)
             if alone:
-                v = cur.i * (r_t + cur.slope)
+                v = np.multiply(cur.i, np.add(r_t, cur.slope, out), out)
             else:
                 v = dev_mod.conduction_from_halves(
                     p, cur, r_t, np.array(knee).reshape(-1, 1))
+                if out is not None:
+                    out[...], v = v, out
             if np.count_nonzero(self.shorted):
                 np.copyto(v, self.desat_fault_v, where=self.shorted[:, None])
             return v, r_t
@@ -458,10 +461,12 @@ class _EnvelopeGrid(NamedTuple):
     slot_i: np.ndarray      # (12, n) current at each trigger slot, A
     slot_slope: np.ndarray  # (12, n) current half of R at slot_i, ohm
     conducting: np.ndarray  # (12, g) i_dev > 0, the DESAT comparator's gate
-    p_sw: np.ndarray        # (12,) switching loss at the mean |i_dev|, W
+    p_sw: np.ndarray        # (12, 1) switching loss at the mean |i_dev|, W
     p_sw_sum: float         # W
     p_link: float           # link-resistance loss, W
     i_win: np.ndarray       # (12, taps) slot currents of the FIR windows, A
+    slot_r: np.ndarray      # (12, n) each slot's columns in a _HeatFill's
+    slot_z: np.ndarray      # r and z rows (TestBench._fill_slots)
     i_pk: list              # window-center current of each device, A
 
 
@@ -489,13 +494,13 @@ class _HeatFill(NamedTuple):
     """A heat block's acquisition (TestBench._envelope_fill_batched): the
     windows it completes are already finished, and its commit
     (TestBench._commit_fill) takes the rest to a step of the block. A
-    window is ceil(N / b) steps of b slots, so the fill count after any
-    step follows from the count before the block."""
+    window is q = ceil(N / b) steps of b slots, so the fill count after
+    any step follows from the count before the block. Its sources hold a
+    row per window it fills, the one in progress at its start first, from
+    which TestBench._fill_slots computes the slots an output reads."""
 
-    v: np.ndarray         # (12, windows * n) readings of the windows the
-                          # block fills, the one in progress at its start
-                          # from slot 0
-    truth: Optional[np.ndarray]  # the same slots' true ratios, or None
+    r: np.ndarray         # (windows, 12q) r_t of the step at place p, 12p + k
+    z: Optional[np.ndarray]  # (windows, 12N) the normals, None without noise
     slots: list           # slots filled through each step
     done: list            # the step that completes each window
     est: np.ndarray       # (windows, 12) the windows' estimates, ohm
@@ -698,8 +703,8 @@ class TestBench:
         self._envelope_cache = None
         # the envelope fill's slot readings (the window in progress over the
         # last complete one), slot truths and count
-        self._env_v = np.empty((N_DEVICES, s.sampler_n))
-        self._env_truth = np.empty((N_DEVICES, s.sampler_n))
+        self._env_v = np.full((N_DEVICES, s.sampler_n), np.nan)
+        self._env_truth = np.full((N_DEVICES, s.sampler_n), np.nan)
         self._env_filled = 0
         self._env_tj_cols = None  # R(T) columns at each window-center current
         self._lut_t_axis = self._base_lut.t_axis.tolist()
@@ -1023,9 +1028,13 @@ class TestBench:
         over one fundamental period (12, g), and the current at each
         trigger slot (12, n), which give each FIR window's currents. The
         current half of the conduction law is bound here, at both the grid
-        and the slot currents."""
+        and the slot currents. Slot j, at place p = min(j // b, q - 1), is
+        the u-th of its step's m = min(b, n - bp): device k's r_t and normal
+        sit at columns 12p + k and 12bp + km + u of _HeatFill's rows."""
         cfg = self.cfg
         p = self.bank.params
+        b, j = self._env_b, np.arange(slot_i.shape[1])
+        place = np.minimum(j // b, self._env_q - 1)
         p_sw = dev_mod.switching_loss(p, cfg.f_sw, cfg.v_dc,
                                       np.abs(i_dev).mean(axis=1))
         i_win = slot_i.take(self._win_flat)
@@ -1033,10 +1042,13 @@ class TestBench:
             i_dev=i_dev, cur=dev_mod.conduction_current(p, i_dev), duty=duty,
             slot_i=slot_i, slot_slope=dev_mod.current_slope(p, slot_i),
             conducting=i_dev > 0,
-            p_sw=p_sw, p_sw_sum=float(p_sw.sum()),
+            p_sw=p_sw.reshape(-1, 1), p_sw_sum=float(p_sw.sum()),
             p_link=cfg.link_resistance
             * float((i_dev[0:6:2] ** 2).mean(axis=1).sum()),
-            i_win=i_win, i_pk=i_win[:, i_win.shape[1] // 2].tolist())
+            i_win=i_win, i_pk=i_win[:, i_win.shape[1] // 2].tolist(),
+            slot_r=N_DEVICES * place + _DEVICE_ROWS,
+            slot_z=j + (N_DEVICES - 1) * b * place + _DEVICE_ROWS * np.minimum(
+                b, slot_i.shape[1] - b * place))
 
     def _block_times(self, n: int, t0: float, cap_s: float,
                      done: Optional[Callable[[float], bool]]) -> tuple:
@@ -1155,45 +1167,45 @@ class TestBench:
         temps = np.empty((len(ts) + 1, *a.shape))
         temps[0] = self._stage_temps
         t_j = np.empty((len(ts), N_DEVICES))
-        heat = np.empty_like(a)
+        heat, p_in = np.empty_like(a), np.empty((N_DEVICES, 1))
         ref = np.full(N_DEVICES, t_ref_t)
         ref[6:] = t_ref_l
         r_b_load = r_b[6:]
         test_plate = (ct.overload_rise, ct.capacity_exceeded)
         t_j0 = bank.t_j
-        v_cond, r_t, p_cond, t_ref, plates = [], [], [], [], []
+        # each step's drops, which the DESAT counts read, and period loss
+        v_cond = np.empty((len(ts), N_DEVICES, g))
+        p_dev, prod = np.empty((len(ts), N_DEVICES, 1)), np.empty_like(v_cond[0])
+        r_t, t_ref, plates = [], [], []
         for i in range(len(ts)):
             if i:
                 t_ref_l = th.cooling_step(cl, True, amb)[0]
                 if t_ref_l != ref[6]:
                     ref[6:] = t_ref_l
             t_ref.append((t_ref_t, t_ref_l))
-            v, r = bank.conduction(grid.cur)
+            v = v_cond[i]
+            r_t.append(bank.conduction(grid.cur, v)[1])
             # np.add.reduce(x, axis=1) / g is x.mean(axis=1) bit for bit
-            p = np.add.reduce(grid.duty * v * grid.i_dev, axis=1) / g
+            np.multiply(np.multiply(grid.duty, v, prod), grid.i_dev, prod)
+            p = np.add.reduce(prod, axis=1, keepdims=True, out=p_dev[i])
+            np.divide(p, g, p)
             # temps * a + p_dev[:, None] * gain, as _thermal_step
             row = temps[i + 1]
             np.multiply(temps[i], a, row)
-            np.add(row, np.multiply((p + grid.p_sw)[:, None], gain, heat),
-                   row)
+            np.add(row, np.multiply(np.add(p, grid.p_sw, p_in), gain, heat), row)
             bank.t_j = np.add(ref, np.add.reduce(row, axis=1), t_j[i])
             # heat into the load plate (a row's reduce is its slice's)
             th.cooling_absorb(cl, float(np.add.reduce(row[6:, -1] / r_b_load)),
                               dt)
             plates.append((test_plate,
                            (cl.overload_rise, cl.capacity_exceeded)))
-            v_cond.append(v)
-            r_t.append(r)
-            p_cond.append(p)
             if np.maximum.reduce(bank.t_j) > T_J_ENVELOPE_MAX:
                 break
-        n = len(p_cond)
+        n = len(r_t)
         ts, temps, t_j = ts[:n], temps[:n + 1], t_j[:n]
-        # the time and junction temperatures at each step's start
-        t_start = [self.t, *ts[:-1]]
-        tj_start = np.vstack([t_j0[None], t_j[:-1]])
-        fill = self._envelope_fill_batched(grid, np.hstack(r_t), t_start,
-                                           tj_start)
+        fill = self._envelope_fill_batched(
+            grid, np.hstack(r_t), [self.t, *ts[:-1]],
+            np.vstack([t_j0[None], t_j[:-1]]))
         # the estimates after each step: the last window's from the step
         # that completes it
         r_on, tj_est, _ = fill.before
@@ -1204,8 +1216,8 @@ class TestBench:
             est[:, :m] = sets[np.searchsorted(fill.done, np.arange(n),
                                               side="right")]
         return self._block(
-            ts, temps, t_j, t_ref, plates, ntc_gain, v_cond=np.array(v_cond),
-            p_cond=np.add.reduce(np.array(p_cond), axis=1).tolist(),
+            ts, temps, t_j, t_ref, plates, ntc_gain, v_cond=v_cond[:n],
+            p_cond=np.add.reduce(p_dev[:n, :, 0], axis=1).tolist(),
             tj_est=est, fill=fill)
 
     def _envelope_fill_batched(self, grid: "_EnvelopeGrid", r_t: np.ndarray,
@@ -1220,82 +1232,75 @@ class TestBench:
         the twelve windows fill the same slots, in slot order, and complete
         at the same step: one fill count serves them all. A step fills
         b = min(budget, N) slots, except a window's last, its q-th for
-        q = ceil(N / b), which fills the N - b(q - 1) left; so a window is
-        q steps, and the step after f0 filled slots is place f0 // b of
-        its window. The block's noise is one draw, and _finish_window
-        estimates every window the block completes at once (one a step
-        when the budget covers the trigger set, as in the campaign
-        configuration). The slot truths are kept only while windows are
-        collected. _commit_fill drops what steps past the commit finished
-        and drew.
+        q = ceil(N / b), which fills the N - b(q - 1) left; so the step
+        after f0 filled slots is place f0 // b of its window. The noise is
+        one draw. _finish_window estimates the windows the block completes
+        from the readings at their FIR slots alone (_fill_slots; the
+        reading buffer's for slots filled before the block), and
+        _commit_fill computes the rest the bench keeps.
         """
-        s = self.s
-        n_slots = s.sampler_n
-        b, q = self._env_b, self._env_q
-        f0 = self._env_filled
-        last = (f0 // b + np.arange(r_t.shape[1])) % q == q - 1
-        per_step = np.where(last, n_slots - b * (q - 1), b)
-        slots = np.cumsum(per_step).tolist()
+        s, n = self.s, r_t.shape[1]
+        b, q, f0 = self._env_b, self._env_q, self._env_filled
+        last = (f0 // b + np.arange(n)) % q == q - 1
+        slots = np.cumsum(np.where(last, s.sampler_n - b * (q - 1), b)
+                          ).tolist()
         done = np.flatnonzero(last).tolist()
-        # the block's slots, window after window from slot f0 on, in whole
-        # windows so that the slot rows broadcast over a (12, W, n) view;
-        # the slots outside [f0, f0 + total) hold what no window reads
-        total = slots[-1]
-        n_win = -(-(f0 + total) // n_slots)
-        r_true = np.zeros((N_DEVICES, n_win * n_slots))
-        r_true[:, f0:f0 + total] = np.repeat(r_t, per_step, axis=1)
-        r_win = r_true.reshape(N_DEVICES, n_win, n_slots)
-        r_win += grid.slot_slope[:, None, :]  # on_resistance
-        v = (grid.slot_i[:, None, :] * r_win).reshape(N_DEVICES, -1)
-        v[:, :f0] = self._env_v[:, :f0]
-        new = v[:, f0:f0 + total]
-        new += self.e_d[:, None]
-        sigma = s.sense_params.noise_sigma
-        rng_state = None
-        if sigma > 0:
+        n_win = -(-(f0 // b + n) // q)  # the sources' windows
+        r = np.zeros((n_win * q, N_DEVICES))
+        r[f0 // b:f0 // b + n] = r_t.T
+        rng_state = z = None
+        if s.sense_params.noise_sigma > 0:
             # rng.normal(0.0, sigma) draws 0.0 + sigma * z: the same bits.
             # Each step drew a (12, m) array of its m slots, in turn.
             rng_state = self.rng.bit_generator.state
-            z = self.rng.standard_normal(N_DEVICES * total)
-            z *= sigma
-            p = 0
-            for m, run in itertools.groupby(per_step.tolist()):
-                # k steps that fill m slots each: a (12, k, m) view
-                k = len(list(run))
-                seg = new[:, p:p + k * m].reshape(N_DEVICES, k, m)
-                np.add(seg, z[N_DEVICES * p:N_DEVICES * (p + k * m)].reshape(
-                    k, N_DEVICES, m).transpose(1, 0, 2), out=seg)
-                p += k * m
-        truth = None
-        if self.collect_windows:
-            truth = r_true
-            truth[:, :f0] = self._env_truth[:, :f0]
+            z = np.zeros((n_win, N_DEVICES * s.sampler_n))
+            self.rng.standard_normal(out=z.reshape(-1)[
+                N_DEVICES * f0:N_DEVICES * (f0 + slots[-1])])
         before = (self.r_on_last.copy(), self.tj_est.copy(), len(self.windows))
-        est, tj = None, []
-        if done:
-            if self._env_tj_cols is None:
-                self._env_tj_cols = [self.luts[k].column(grid.i_pk[k]).tolist()
-                                     for k in range(N_DEVICES)]
-            # window w's FIR slots in the (12, f0 + total) readings
-            idx = (n_slots * np.arange(len(done)))[:, None, None] \
-                + self._win_idx + v.shape[1] * np.arange(N_DEVICES)[:, None]
-            est, tj = self._finish_window(
-                0, v.take(idx), grid.i_win,
-                truth.take(idx) if truth is not None else None,
-                self._env_tj_cols, [q] * len(done),
-                [t_start[j] for j in done], tj_start[done])
-        return _HeatFill(v=v, truth=truth, slots=slots, done=done, est=est,
-                         tj=tj, before=before, rng_state=rng_state)
+        fill = _HeatFill(r=r.reshape(n_win, -1), z=z, slots=slots, done=done,
+                         est=None, tj=[], before=before, rng_state=rng_state)
+        if not done:
+            return fill
+        if self._env_tj_cols is None:
+            self._env_tj_cols = [self.luts[k].column(grid.i_pk[k]).tolist()
+                                 for k in range(N_DEVICES)]
+        sel = (_DEVICE_ROWS, self._win_idx)
+        v, truth = self._fill_slots(grid, fill, slice(len(done)), sel)
+        if f0:  # window 0's slots filled before the block
+            old = self._win_idx < f0
+            v[0] = np.where(old, self._env_v[sel], v[0])
+            truth[0] = np.where(old, self._env_truth[sel], truth[0])
+        est, tj = self._finish_window(
+            0, v, grid.i_win, truth if self.collect_windows else None,
+            self._env_tj_cols, [q] * len(done), [t_start[j] for j in done],
+            tj_start[done])
+        return fill._replace(est=est, tj=tj)
+
+    def _fill_slots(self, grid: "_EnvelopeGrid", fill: _HeatFill,
+                    windows, sel: tuple) -> tuple:
+        """The readings and truths ([windows,] 12, slots) of the block's
+        windows (a slice or an index) at the slots sel of a (12, N) table:
+        slot_i * (r_t + slot_slope) + e_d + sigma * z in a lone step's order
+        of operations, and the bracket; pre-block slots read unset."""
+        truth = fill.r[windows].take(grid.slot_r[sel], axis=-1) \
+            + grid.slot_slope[sel]
+        v = grid.slot_i[sel] * truth
+        v += self.e_d[:, None]
+        if fill.z is not None:
+            noise = fill.z[windows].take(grid.slot_z[sel], axis=-1)
+            noise *= self.s.sense_params.noise_sigma
+            v += noise
+        return v, truth
 
     def _commit_fill(self, grid: "_EnvelopeGrid", fill: _HeatFill, m: int,
                      n: int):
         """Take the acquisition to the state after the first m of the
         block's n steps: undo the windows of later steps, leave the noise
         generator where the first m steps' draws leave it, and put the
-        readings of the last complete window, then those of the window in
-        progress over its start, in the reading buffer. last_window_trace
-        keeps a copy of device 0's complete window.
-        """
+        readings (and truths, while windows are collected) of the last
+        complete window, then of the window in progress over its start, in
+        the reading buffer, computed (_fill_slots) at the slots the block
+        filled. last_window_trace keeps device 0's complete window."""
         w = bisect_left(fill.done, m)  # the windows of the first m steps
         if w < len(fill.done):
             r_on, tj_est, count = fill.before
@@ -1306,24 +1311,19 @@ class TestBench:
         if m < n and fill.rng_state is not None:
             self.rng.bit_generator.state = fill.rng_state
             self.rng.standard_normal(N_DEVICES * fill.slots[m - 1])
-        n_slots = self.s.sampler_n
-        f0 = self._env_filled
-        end = f0 + fill.slots[m - 1]
-
-        def put(u: int, stop: int):
-            """Window u's slots of the block, up to stop."""
-            start = max(n_slots * u, f0)
-            sl = slice(start - n_slots * u, stop - n_slots * u)
-            self._env_v[:, sl] = fill.v[:, start:stop]
-            if fill.truth is not None:
-                self._env_truth[:, sl] = fill.truth[:, start:stop]
-
-        if w:
-            put(w - 1, n_slots * w)
-            self.last_window_trace = (self.samplers[0].triggers.angles,
-                                      grid.slot_i[0], self._env_v[0].copy())
-        if end > n_slots * w:
-            put(w, end)
+        n_slots, f0 = self.s.sampler_n, self._env_filled
+        end = f0 + fill.slots[m - 1] - n_slots * w  # window w's slots
+        for u, sl in ((w - 1, slice(f0 if w == 1 else 0, n_slots)),
+                      (w, slice(f0 if w == 0 else 0, end))):
+            if u < 0 or sl.start >= sl.stop:
+                continue
+            v, truth = self._fill_slots(grid, fill, u, (slice(None), sl))
+            self._env_v[:, sl] = v
+            if self.collect_windows:
+                self._env_truth[:, sl] = truth
+            if u < w:  # the last complete window
+                self.last_window_trace = (self.samplers[0].triggers.angles,
+                                          grid.slot_i[0], self._env_v[0].copy())
         self._env_filled = (f0 // self._env_b + m) % self._env_q * self._env_b
 
     # -- idle (converter off) steps ------------------------------------------

@@ -219,7 +219,8 @@ def temperature_rows(p: DeviceParams, t_j, delta_pkg, delta_vth,
                      delta_vsd) -> tuple:
     """The row form of temperature_half, one value per device, with the
     channel held on at p.gate_on_v: (r_t, knee), lists of Python floats,
-    from sequences of Python floats.
+    from the junction temperatures t_j, an array, and sequences of Python
+    floats.
 
     Every expression keeps the array form's order of operations, so each
     value is the array form's to the bit: the drift power is one numpy
@@ -227,8 +228,8 @@ def temperature_rows(p: DeviceParams, t_j, delta_pkg, delta_vth,
     Python float power need not).
     """
     t0, v_gs, t0_kelvin = p.t0, p.gate_on_v, p.t0 + KELVIN
-    growth = (np.array([(t + KELVIN) / t0_kelvin for t in t_j])
-              ** p.alpha_drift).tolist()
+    growth = (((t_j + KELVIN) / t0_kelvin) ** p.alpha_drift).tolist()
+    t_j = t_j.tolist()
     r_drift0, k_ch, v_th0, rho_vth = p.r_drift0, p.k_ch, p.v_th0, p.rho_vth
     v_j0, rho_sd_lo = p.v_j0, p.rho_sd_lo
     r_t, knee = [], []

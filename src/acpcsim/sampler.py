@@ -283,6 +283,13 @@ class TjEstimate(NamedTuple):
     out_of_grid: bool
 
 
+# the scenario keys that set R(T)'s temperature slope on the table's axis:
+# the drift term's rise against the channel term's fall
+_R_T_SLOPE_KEYS = ("device.profile, device.r_drift0, device.alpha_drift, "
+                  "device.t0, device.k_ch, device.v_th0, device.rho_vth, "
+                  "device.gate_on_v, lut.t_axis")
+
+
 @dataclass
 class RonLut:
     """Rectangular R(T, I) grid with recalibration corrections.
@@ -318,7 +325,9 @@ class RonLut:
         if np.any(np.diff(self.t_axis) <= 0) or np.any(np.diff(self.i_axis) <= 0):
             raise ValueError("axes must be strictly increasing")
         if np.any(np.diff(self.grid, axis=0) <= 0):
-            raise ValueError("R must increase along the temperature axis")
+            # the inversion needs R(T) rising at every current on the axis
+            raise ConfigError(
+                _R_T_SLOPE_KEYS, "R must increase along the temperature axis")
         # the two recalibration corrections over t_axis, which column adds
         t, ch = self.t_axis, self.channel
         self._oxide = dev_mod.channel_shift(ch, t, ch.gate_on_v,

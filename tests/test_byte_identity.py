@@ -558,12 +558,12 @@ def _heat_run(case: str):
         bank = bench.bank
         conduction = bank.conduction
 
-        def failing(cur):
+        def failing(cur, out=None):
             # device 3 reads shorted at the steps that start with a junction
             # above 90 degC in a heat phase after the first, whose package
             # has begun to age
             bank.shorted[3] = bank.delta_pkg[0] > 0.0 and bank.t_j.max() > 90.0
-            return conduction(cur)
+            return conduction(cur, out)
 
         bank.conduction = failing
     return bench, bench.run_campaign(collect_windows=collect)

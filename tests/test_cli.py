@@ -23,6 +23,12 @@ from acpcsim.device import vendor_a
 from acpcsim.thermal import cooling_step
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_scenarios"
+FLOAT_KEYS = [k for k, (convert, _) in SCHEMA.items()
+              if convert in (cli._float, cli._unbounded)]
+# the float keys that take inf as no bound (cli._unbounded)
+UNBOUNDED_KEYS = ["thermal.max_heat", "thermal.reservoir_c",
+                  "policy.r_on_rel_threshold", "policy.v_th_shift_threshold",
+                  "policy.v_sd_shift_threshold"]
 
 FAST_SCENARIO = """
 # three quick envelope cycles
@@ -334,6 +340,10 @@ class TestRun:
          "run.i_cal"),
         ("bench.mode = envelope\nbench.n_cycles = 1\nrun.i_cal = inf\n",
          "run.i_cal"),
+        # a channel constant that outweighs the drift term's rise makes
+        # R(T) fall, which the lookup table's inversion cannot take; the
+        # message names the keys that set R(T)'s slope
+        ("device.k_ch = 0.5\n", "device.k_ch"),
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "bench_gate_on_v", "bench_gate_off_v",
             "device_gate_off_v",
@@ -352,7 +362,7 @@ class TestRun:
             "nan_v_th0", "nan_vth_timeout", "n_points_zero", "heat_cap_inf",
             "cool_cap_inf", "heat_cap_zero", "heat_cap_negative",
             "cool_cap_zero", "cool_cap_negative", "i_cal_zero",
-            "i_cal_negative", "i_cal_inf"])
+            "i_cal_negative", "i_cal_inf", "r_t_falls_with_temperature"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -366,11 +376,10 @@ class TestRun:
         assert key in named.split(", ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", [k for k, (convert, _) in SCHEMA.items()
-                                     if convert is cli._float])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_nan_float_exits_2_naming_its_key(self, key, tmp_path, capsys):
         # a NaN passes the models' comparisons, so the parser refuses it
-        # for every float key; an infinity still reaches the models
+        # for every float key
         path = tmp_path / "nan.txt"
         path.write_text(f"bench.mode = envelope\nbench.n_cycles = 1\n"
                         f"{key} = nan\n")
@@ -380,7 +389,38 @@ class TestRun:
         assert err.startswith(f"configuration error: {key}: expected a "
                               f"number, got 'nan'")
         assert not out.exists()
-        assert cli._float(key, "inf") == float("inf")
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_inf_float_exits_2_unless_its_key_is_unbounded(
+            self, key, tmp_path, capsys):
+        # an infinity reached the models (device.r_drift0 = inf tripped
+        # DESAT at t = 0 and exited 3 with its outputs written), so the
+        # parser refuses +-inf for every float key but the unbounded ones,
+        # which take inf as no bound: a cooling capacity or a warning
+        # threshold
+        assert (SCHEMA[key][0] is cli._unbounded) == (key in UNBOUNDED_KEYS)
+        for value in ("inf", "-inf"):
+            path = tmp_path / "inf.txt"
+            path.write_text(f"bench.mode = envelope\nbench.n_cycles = 1\n"
+                            f"{key} = {value}\n")
+            out = tmp_path / "never"
+            if value == "inf" and key in UNBOUNDED_KEYS:
+                assert SCHEMA[key][0](key, value) == float("inf")
+                continue
+            assert run(path, out) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {key}: expected a "
+                                  f"finite number, got '{value}'")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key", UNBOUNDED_KEYS)
+    def test_unbounded_key_runs_at_inf(self, key, tmp_path):
+        # two junction-swing cycles with no bound on the key run to the end
+        path = tmp_path / "inf.txt"
+        path.write_text((EXAMPLES / "junction_swing_campaign.txt").read_text()
+                        .replace("bench.n_cycles = 200", "bench.n_cycles = 2")
+                        + f"{key} = inf\n")
+        assert run(path, tmp_path / "out") == 0
 
     def test_r_th_factor_multiplies_the_thermal_resistance(self, scenario,
                                                             tmp_path):

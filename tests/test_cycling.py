@@ -1,7 +1,10 @@
+import copy
+import functools
 import itertools
 import math
 from dataclasses import astuple, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,7 +272,8 @@ class TestBankConsistency:
     def grid_drops(monkeypatch, bank, cur, i) -> tuple:
         """bank.conduction(cur) on the grid of currents i: whether it took
         the masked law (device.conduction_from_halves), and whether its
-        drops are conduction_voltage's bits."""
+        drops are conduction_voltage's bits; given an output array, it
+        writes the same drops there."""
         p = bank.params
         cols = [a[:, None] for a in (bank.t_j, bank.delta_pkg,
                                      bank.delta_vth, bank.delta_vsd)]
@@ -283,7 +287,10 @@ class TestBankConsistency:
         from_halves = dev_mod.conduction_from_halves
         monkeypatch.setattr(dev_mod, "conduction_from_halves", spy)
         v, _ = bank.conduction(cur)
+        out = np.empty_like(v)
+        assert bank.conduction(cur, out)[0] is out
         monkeypatch.undo()
+        assert out.tobytes() == v.tobytes()
         return bool(calls), v.tobytes() == law.tobytes()
 
     def test_example_grid_takes_the_channel_alone_path(self, monkeypatch):
@@ -351,9 +358,9 @@ class TestHeatBlock:
         if short_at is not None:
             bank, conduction = b.bank, b.bank.conduction
 
-            def failing(cur):
+            def failing(cur, out=None):
                 bank.shorted[3] = bank.t_j.max() > short_at
-                return conduction(cur)
+                return conduction(cur, out)
 
             bank.conduction = failing
         return b, b.run_campaign(collect_windows=collect)
@@ -372,10 +379,10 @@ class TestHeatBlock:
             b.bank.t_j.tobytes(), b._t_case.tobytes(),
             b.ntc_readings.tobytes(), b._ntc_prev.tobytes(),
             repr(astuple(b.cool_test)), repr(astuple(b.cool_load)),
-            b._env_filled,
-            b._env_v[:, :b._env_filled].tobytes(),
-            b._env_truth[:, :b._env_filled].tobytes()
-            if b.collect_windows else None]
+            # the reading buffer: the window in progress over the last
+            # complete one (NaN before the first), and their truths
+            b._env_filled, b._env_v.tobytes(),
+            b._env_truth.tobytes() if b.collect_windows else None]
 
     @settings(deadline=None, max_examples=60,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -396,6 +403,159 @@ class TestHeatBlock:
         blocks = self.state(*self.run(technique, budget, sizes, *args[2:]))
         ones = self.state(*self.run(technique, budget, [1], *args[2:]))
         assert blocks == ones
+
+
+def full_fill(b, grid, r_t, t_start, tj_start) -> SimpleNamespace:
+    """The envelope fill as it was before it computed only the slots an
+    output reads: every slot's reading and truth of the windows the block
+    fills, as (12, windows * N) arrays, with the noise added step run by
+    step run. The oracle of TestEnvelopeFill."""
+    n_slots = b.s.sampler_n
+    q, f0 = b._env_q, b._env_filled
+    last = (f0 // b._env_b + np.arange(r_t.shape[1])) % q == q - 1
+    per_step = np.where(last, n_slots - b._env_b * (q - 1), b._env_b)
+    slots = np.cumsum(per_step).tolist()
+    done = np.flatnonzero(last).tolist()
+    total = slots[-1]
+    n_win = -(-(f0 + total) // n_slots)
+    r_true = np.zeros((N_DEVICES, n_win * n_slots))
+    r_true[:, f0:f0 + total] = np.repeat(r_t, per_step, axis=1)
+    r_win = r_true.reshape(N_DEVICES, n_win, n_slots)
+    r_win += grid.slot_slope[:, None, :]
+    v = (grid.slot_i[:, None, :] * r_win).reshape(N_DEVICES, -1)
+    v[:, :f0] = b._env_v[:, :f0]
+    new = v[:, f0:f0 + total]
+    new += b.e_d[:, None]
+    sigma = b.s.sense_params.noise_sigma
+    rng_state = None
+    if sigma > 0:
+        rng_state = b.rng.bit_generator.state
+        z = b.rng.standard_normal(N_DEVICES * total)
+        z *= sigma
+        p = 0
+        for m, run in itertools.groupby(per_step.tolist()):
+            k = len(list(run))
+            seg = new[:, p:p + k * m].reshape(N_DEVICES, k, m)
+            np.add(seg, z[N_DEVICES * p:N_DEVICES * (p + k * m)].reshape(
+                k, N_DEVICES, m).transpose(1, 0, 2), out=seg)
+            p += k * m
+    truth = None
+    if b.collect_windows:
+        truth = r_true
+        truth[:, :f0] = b._env_truth[:, :f0]
+    before = (b.r_on_last.copy(), b.tj_est.copy(), len(b.windows))
+    est, tj = None, []
+    if done:
+        if b._env_tj_cols is None:
+            b._env_tj_cols = [b.luts[k].column(grid.i_pk[k]).tolist()
+                              for k in range(N_DEVICES)]
+        idx = (n_slots * np.arange(len(done)))[:, None, None] \
+            + b._win_idx + v.shape[1] * np.arange(N_DEVICES)[:, None]
+        est, tj = b._finish_window(
+            0, v.take(idx), grid.i_win,
+            truth.take(idx) if truth is not None else None,
+            b._env_tj_cols, [q] * len(done), [t_start[j] for j in done],
+            tj_start[done])
+    return SimpleNamespace(v=v, truth=truth, slots=slots, done=done, est=est,
+                           tj=tj, before=before, rng_state=rng_state)
+
+
+def full_commit(b, grid, fill: SimpleNamespace, m: int, n: int):
+    """The commit of full_fill's block at its step m: the readings and
+    truths of the last complete window and of the window in progress go to
+    the reading buffer from the full arrays."""
+    w = int(np.searchsorted(fill.done, m))
+    if w < len(fill.done):
+        r_on, tj_est, count = fill.before
+        k = len(fill.tj[0])
+        b.r_on_last[:] = fill.est[w - 1] if w else r_on
+        b.tj_est[:k] = fill.tj[w - 1] if w else tj_est[:k]
+        del b.windows[count + N_DEVICES * w:]
+    if m < n and fill.rng_state is not None:
+        b.rng.bit_generator.state = fill.rng_state
+        b.rng.standard_normal(N_DEVICES * fill.slots[m - 1])
+    n_slots = b.s.sampler_n
+    f0 = b._env_filled
+    end = f0 + fill.slots[m - 1]
+
+    def put(u: int, stop: int):
+        start = max(n_slots * u, f0)
+        sl = slice(start - n_slots * u, stop - n_slots * u)
+        b._env_v[:, sl] = fill.v[:, start:stop]
+        if fill.truth is not None:
+            b._env_truth[:, sl] = fill.truth[:, start:stop]
+
+    if w:
+        put(w - 1, n_slots * w)
+        b.last_window_trace = (b.samplers[0].triggers.angles,
+                               grid.slot_i[0], b._env_v[0].copy())
+    if end > n_slots * w:
+        put(w, end)
+    b._env_filled = (f0 // b._env_b + m) % b._env_q * b._env_b
+
+
+class TestEnvelopeFill:
+    """The envelope fill, which computes readings only at the slots an
+    output reads (TestBench._envelope_fill_batched, _fill_slots and
+    _commit_fill), against the full-array fill and commit (full_fill,
+    full_commit) on the same block inputs, bit for bit."""
+
+    @staticmethod
+    def state(b, fill_est, fill_tj) -> list:
+        """The fill's results and every state its commit leaves."""
+        return [None if fill_est is None else fill_est.tobytes(),
+                repr(fill_tj), repr([tuple(w.values()) for w in b.windows]),
+                b.r_on_last.tobytes(), b.tj_est.tobytes(),
+                repr(b.rng.bit_generator.state), b._env_filled,
+                b._env_v.tobytes(), b._env_truth.tobytes(),
+                repr(b.last_window_trace)]
+
+    @settings(deadline=None, max_examples=40,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(budget=st.sampled_from([5, 7, 60, 300]), n=st.integers(1, 40),
+           noisy=st.booleans(), collect=st.booleans(),
+           place=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # a block that starts mid-window and completes two windows, and one
+    # whose only window completes at its first step
+    @example(7, 25, True, True, 0.5, 1)
+    @example(5, 1, True, False, 0.99, 2)
+    @example(300, 40, True, True, 0.0, 3)
+    def test_fill_and_commit_at_every_step_match_the_full_arrays(
+            self, budget, n, noisy, collect, place, seed):
+        sense = sns.SenseCircuitParams() if noisy \
+            else sns.SenseCircuitParams(noise_sigma=0.0)
+        b = TestBench(default_settings(
+            envelope_cfg(), budget_per_cycle=budget, sampler_n=60,
+            sense_params=sense, **fast_thermal()))
+        grid = b._envelope_grid()
+        b.collect_windows = collect
+        rng = np.random.default_rng(seed)
+        # a start mid-window, with earlier windows' readings and estimates
+        b._env_filled = int(place * b._env_q) * b._env_b
+        b._env_v[:] = rng.uniform(0.5, 1.5, b._env_v.shape)
+        b._env_truth[:] = rng.uniform(3e-3, 6e-3, b._env_truth.shape)
+        b.r_on_last[:] = rng.uniform(3e-3, 6e-3, N_DEVICES)
+        b.tj_est[:] = rng.uniform(40.0, 120.0, N_DEVICES)
+        b.rng.standard_normal(int(rng.integers(0, 50)))
+        # the block's inputs: the temperature half of R at 25 to 150 degC
+        r_t = rng.uniform(2.5e-3, 5.5e-3, (N_DEVICES, n))
+        t_start = np.cumsum(rng.uniform(0.01, 0.03, n)).tolist()
+        tj_start = rng.uniform(25.0, 150.0, (n, N_DEVICES))
+        saved = copy.deepcopy({k: getattr(b, k) for k in (
+            "_env_filled", "_env_v", "_env_truth", "r_on_last", "tj_est",
+            "windows", "rng", "last_window_trace")})
+        for m in range(1, n + 1):
+            runs = []
+            for fill_at, commit in ((b._envelope_fill_batched, b._commit_fill),
+                                    (functools.partial(full_fill, b),
+                                     functools.partial(full_commit, b))):
+                for k, value in copy.deepcopy(saved).items():
+                    setattr(b, k, value)
+                fill = fill_at(grid, r_t, t_start, tj_start)
+                commit(grid, fill, m, n)
+                runs.append(self.state(b, fill.est, fill.tj))
+            assert runs[0] == runs[1], m
 
 
 def example_block_counts(tmp_path, monkeypatch, cycles) -> dict:
