@@ -71,7 +71,7 @@ from acpcsim.core import (BenchConfig, Fidelity, PfMode, Technique,
                           validate_scenario)
 from acpcsim.cycling import (DEVICE_IDS, N_DEVICES, CycleRecord, EnergyTally,
                              TestBench, default_settings)
-from acpcsim.device import PROFILES, on_resistance
+from acpcsim.device import PROFILES, AgingTrajectory, on_resistance
 from acpcsim.sampler import build_ron_lut, fir_filter
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples_scenarios"
@@ -598,3 +598,127 @@ def test_heat_run_state_unchanged(case, tmp_path):
     assert result.status == status
     assert _whole_run_digest(bench, result, tmp_path) \
         == HEAT_RUN_STATE_SHA256[case]
+
+
+# -- averaged heat phases, whole run state ----------------------------------
+
+# averaged campaigns whose heat phases end in every way, on a thermal scale
+# about 30 times faster than the campaign example's so that each run takes a
+# fraction of a second: a junction swing at budget 300 and a case swing,
+# with windows collected; fixed times at budget 5, whose budget stops
+# devices; two short heat phases of the switched engine; and runs that end
+# inside a heat phase by a DESAT trip (device 3 reads shorted once a
+# junction passes 70 degC in a heat phase whose package has begun to age),
+# by thermal runaway and by run.heat_cap_s. Each digest covers the envelope
+# runs' whole run state above, and the state only the averaged engine keeps:
+# the waveform rows, the link currents, both PI integrators, the current
+# filter, every sampler's slots and counters, the last sweep angle, the
+# fundamental cycle, the DESAT run counters, and the thermal state with both
+# plates. Pinned before the averaged heat phases came to run in blocks.
+AVERAGED_HEAT_RUN_STATE_SHA256 = {
+    "junction_swing":
+        "e05ddf36e25e3e059a13d13fd6805ea57b90ea8e24dd484cc28cf62e2d68bea3",
+    "case_swing":
+        "9cbf196e7cf67695bf611ab56cc8b2eaa79c8541129855e437f52c9d8be1e85e",
+    "fixed_times":
+        "7f9e3602278024d2bb3c3526249956658e64e1beb5f82b0146b3cb8752145dbb",
+    "desat_trip":
+        "1c177d58b3f9caa3eac903720f6ee69cd98cecbb21cabe2cb8544503d2df163b",
+    "thermal_runaway":
+        "7b03234fe1fc5d85d39ce21a3256ce29abcae005c1eb0249913f9ec64916795d",
+    "switched":
+        "c5458531744532f512a68cc4b35776e860575d92eac780d8dc9db648d6f70acf",
+    "heat_cap":
+        "736bf32f5014a780cdabbddc2a6183483427a9addcca067420b904ffcababee9",
+}
+
+
+def _quick_thermal(r_jc=(0.0198, 0.0405, 0.0297), r_on=0.12, r_off=2.0,
+                   boundary_c=0.25) -> dict:
+    """Foster stages of the given resistances with taus of 0.2, 2 and
+    10 ms, and plates whose boundary stage holds boundary_c."""
+    return dict(network=th.FosterNetwork([
+        th.FosterStage(r, tau / r) for r, tau in zip(r_jc, (2e-4, 2e-3, 1e-2))]),
+        cooling=th.CoolingState(r_boundary_on=r_on, r_boundary_off=r_off,
+                                boundary_c=boundary_c),
+        ntc=th.NtcModel(bias=0.0, time_constant=0.002))
+
+
+AVERAGED_HEAT_CASES = {
+    # (scenario, settings overrides, windows collected)
+    "junction_swing": (dict(technique=Technique.JUNCTION_SWING, t_j_max=95.0,
+                            t_j_min=45.0, n_cycles=3, rng_seed=5),
+                       dict(budget_per_cycle=300, sampler_n=60), True),
+    "case_swing": (dict(technique=Technique.CASE_SWING, t_case_max=45.0,
+                        t_case_min=35.0, n_cycles=3, rng_seed=6),
+                   dict(budget_per_cycle=300, sampler_n=60), True),
+    "fixed_times": (dict(technique=Technique.FIXED_TIMES, t_on=0.06,
+                         t_off=0.03, n_cycles=5, rng_seed=7),
+                    dict(budget_per_cycle=5, sampler_n=60), True),
+    "desat_trip": (dict(technique=Technique.FIXED_TIMES, t_on=0.04,
+                        t_off=0.03, n_cycles=3, rng_seed=10),
+                   dict(budget_per_cycle=300, sampler_n=60,
+                        trajectory=AgingTrajectory(
+                            delta_pkg=((0.0, 0.0), (2.0, 0.1)))), True),
+    "thermal_runaway": (dict(technique=Technique.FIXED_TIMES, t_on=5.0,
+                             t_off=0.03, n_cycles=1, rng_seed=8),
+                        dict(budget_per_cycle=300, sampler_n=60,
+                             **_quick_thermal((0.1, 0.2, 0.2), 1.0, 3.0,
+                                              0.02)), False),
+    # the switched engine's sub-PWM plant, two short heat phases
+    "switched": (dict(technique=Technique.FIXED_TIMES, t_on=0.01, t_off=0.03,
+                      n_cycles=2, rng_seed=4, fidelity=Fidelity.SWITCHED),
+                 dict(budget_per_cycle=300, sampler_n=60), True),
+    "heat_cap": (dict(technique=Technique.JUNCTION_SWING, t_j_max=150.0,
+                      t_j_min=60.0, n_cycles=2, rng_seed=9, i_ref_peak=100.0),
+                 dict(budget_per_cycle=300, sampler_n=60, heat_cap_s=0.05),
+                 False),
+}
+
+
+def _averaged_heat_run(case: str):
+    """The named run of AVERAGED_HEAT_RUN_STATE_SHA256: (bench, result)."""
+    cfg, overrides, collect = AVERAGED_HEAT_CASES[case]
+    overrides = {**_quick_thermal(), **overrides}
+    bench = TestBench(default_settings(validate_scenario(BenchConfig(**cfg)),
+                                       startup_every=0, **overrides))
+    bench.collect_waveforms = True
+    if case == "desat_trip":
+        bank = bench.bank
+        conduction = bank.conduction
+
+        def failing(cur, out=None):
+            bank.shorted[3] = bank.delta_pkg[0] > 0.0 and bank.t_j.max() > 70.0
+            return conduction(cur, out)
+
+        bank.conduction = failing
+    return bench, bench.run_campaign(collect_windows=collect)
+
+
+def _averaged_run_digest(bench, result, tmp_path) -> str:
+    ctl = bench.ctl
+    samplers = [(s.v_on, s.i, s.truth, s.filled_mask,
+                 [s.filled, s.cycles_elapsed, s.budget_used])
+                for s in bench.samplers]
+    h = hashlib.sha256(_whole_run_digest(bench, result, tmp_path).encode())
+    h.update(_sha(
+        bench.waveform_rows, bench.plant.i_abc,
+        [ctl.pi_d.integrator, ctl.pi_q.integrator], ctl.current_filter.y,
+        *[a for row in samplers for a in row],
+        [bench.theta_prev, bench._fund_cycle, bench._wave_count],
+        bench._desat_run, bench._stage_temps, bench.bank.t_j, bench._t_case,
+        bench.ntc_readings, bench._ntc_prev,
+        [[c.overload_rise, c.capacity_exceeded, c.pump_on]
+         for c in (bench.cool_test, bench.cool_load)]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(AVERAGED_HEAT_RUN_STATE_SHA256))
+def test_averaged_heat_run_state_unchanged(case, tmp_path):
+    bench, result = _averaged_heat_run(case)
+    status = {"desat_trip": "protection_trip",
+              "thermal_runaway": "thermal_runaway",
+              "heat_cap": "thermal_runaway"}.get(case, "ok")
+    assert result.status == status
+    assert _averaged_run_digest(bench, result, tmp_path) \
+        == AVERAGED_HEAT_RUN_STATE_SHA256[case]
