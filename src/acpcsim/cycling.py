@@ -45,9 +45,8 @@ T_J_ENVELOPE_MAX = 200.0  # degC simulation envelope
 # ambient, or for at most the cap
 COOL_TO_AMBIENT_TOL = 0.75  # degC
 COOL_TO_AMBIENT_CAP_S = 900.0
-# a converter-off phase and an envelope heat phase advance in blocks of
-# steps (TestBench._phase, through _step_idle and _step_envelope): the first
-# of a phase as long as the last phase of its kind, a converter-off phase's
+# every phase advances in blocks of steps (TestBench._phase, through
+# _step_idle, _step_envelope and _step_conducting): the first of a phase as long as the last phase of its kind, a converter-off phase's
 # a quarter longer, then blocks doubling from the kind's small one. A
 # junction-swing heat phase with no last length begun as it was (at the
 # ambient or not) sizes its blocks after the first from the hottest test
@@ -277,9 +276,10 @@ class DeviceBank:
     def __init__(self, params: DeviceParams, ambient: float):
         self.params = params
         self.n = N_DEVICES
-        self.delta_pkg = np.zeros(self.n)
-        self.delta_vth = np.zeros(self.n)
-        self.delta_vsd = np.zeros(self.n)
+        # the aging deltas are the rows of one array, which the law reads
+        # with one tolist
+        self._deltas = np.zeros((3, self.n))
+        self.delta_pkg, self.delta_vth, self.delta_vsd = self._deltas
         self.t_j = np.full(self.n, ambient)
         self.r_th_factor = np.ones(self.n)
         self.shorted = np.zeros(self.n, dtype=bool)
@@ -312,9 +312,8 @@ class DeviceBank:
             raise ValueError("the array path takes a (12, g) grid; pass one "
                              "current per device as a list of floats")
         p = self.params
-        r_t, knee = dev_mod.temperature_rows(
-            p, self.t_j, self.delta_pkg.tolist(),
-            self.delta_vth.tolist(), self.delta_vsd.tolist())
+        r_t, knee = dev_mod.temperature_rows(p, self.t_j,
+                                             *self._deltas.tolist())
         if grid:
             # a row's channel conducts alone when its largest reverse
             # magnitude times the resistance at its largest reverse slope
@@ -471,10 +470,13 @@ class _EnvelopeGrid(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """n converter-off or envelope heat steps from the bench's state
-    (TestBench._idle_block, TestBench._heat_block), whose thermal rows
-    _commit_thermal commits; row i of each per-step field holds the state
-    after step i. The last four fields are a heat block's only."""
+    """n converter-off or heat steps from the bench's state
+    (TestBench._idle_block, TestBench._heat_block,
+    TestBench._conducting_block), whose thermal rows _commit_thermal
+    commits; row i of each per-step field holds the state after step i.
+    The fields after plates are a heat block's only: tj_est every heat
+    block's, rows an averaged or switched block's, the others an envelope
+    block's."""
 
     t: list               # time after each step, s, accumulated step by step
     temps: np.ndarray     # (n + 1, 12, stages) stage rises, row 0 before
@@ -488,6 +490,7 @@ class _Block(NamedTuple):
     p_cond: Optional[list] = None  # each step's summed conduction loss, W
     tj_est: Optional[np.ndarray] = None  # (n, 12) estimates after, degC
     fill: Optional["_HeatFill"] = None
+    rows: Optional["_ConductingRows"] = None
 
 
 class _HeatFill(NamedTuple):
@@ -507,6 +510,92 @@ class _HeatFill(NamedTuple):
     tj: list              # the windows' inverted junction temperatures
     before: tuple         # (r_on_last, tj_est, window count) before
     rng_state: Optional[dict]  # the noise generator's state before
+
+
+class _ConductingRows(NamedTuple):
+    """The per-step rows of an averaged or switched heat block
+    (TestBench._conducting_block), Python floats: row i is step i's. A
+    block that stops at a step's runaway check, as the junctions it starts
+    from are past the simulation envelope, has one row more in the fields
+    up to ctl: that step's control step and device rows."""
+
+    t: list        # the time each step starts at, s
+    theta: list    # its angle, rad
+    i0: list       # the link currents it starts from, (a, b, c)
+    d_test: list   # the duties of its control step, (a, b, c) per bridge
+    d_load: list
+    i_dev: list    # its device rows, one value per device: currents,
+    duty: list     # duties and conduction drops
+    v_cond: list
+    ctl: list      # the current filter and both PI integrators after it
+    res: list      # its plant result
+    pole: list     # its test-bridge pole voltages, (a, b, c)
+    losses: np.ndarray  # (n, 2, 12) conduction and switching loss, W
+
+
+class _HeatRecursion:
+    """The thermal recursion of up to n heat steps of dt from the bench's
+    thermal state, step by step: each step's stage update under its
+    losses, its junction temperatures and its plates, both pumps as
+    pump_test and the load plate's on, with the coefficients and the
+    references _thermal_coeffs gives. Every heat step runs here (the
+    envelope's _heat_block, the averaged and switched _conducting_block,
+    and _thermal_step's single step). A step sets bank.t_j, which the next
+    step's law reads; the bench's stage temperatures and sensors stay, and
+    the plates are left at the last step, which _commit_thermal takes
+    back."""
+
+    def __init__(self, bench: "TestBench", n: int, dt: float,
+                 pump_test: bool):
+        t_ref, (a, gain, r_b, ntc_gain) = bench._thermal_coeffs(dt,
+                                                                pump_test)
+        self.bench, self.dt, self.pump_test = bench, dt, pump_test
+        self.a, self.gain, self.ntc_gain = a, gain, ntc_gain
+        self.r_b = r_b.reshape(2, -1)
+        self.temps = np.empty((n + 1, *a.shape))
+        self.temps[0] = bench._stage_temps
+        self.t_j = np.empty((n, N_DEVICES))
+        self.heat = np.empty_like(a)
+        self.ref = np.repeat(t_ref, N_DEVICES // 2)  # each device's plate's
+        self.now = t_ref
+        self.t_ref, self.plates = [], []
+
+    def step(self, i: int, p: np.ndarray) -> bool:
+        """Step i under the losses p, a (12, 1) column of W; True when it
+        takes a junction past the simulation envelope."""
+        b = self.bench
+        ct, cl = b.cool_test, b.cool_load
+        if i:  # the plates' references follow their overload
+            t_ref_t = th.cooling_step(ct, True, b.ambient)[0] \
+                if self.pump_test else self.now[0]
+            now = t_ref_t, th.cooling_step(cl, True, b.ambient)[0]
+            if now != self.now:
+                self.now = now
+                self.ref[:6], self.ref[6:] = now
+        self.t_ref.append(self.now)
+        # temps * a + p * gain, as the closed form of each stage
+        row = self.temps[i + 1]
+        np.multiply(self.temps[i], self.a, row)
+        np.add(row, np.multiply(p, self.gain, self.heat), row)
+        t_j = b.bank.t_j = np.add(self.ref, np.add.reduce(row, axis=1),
+                                  self.t_j[i])
+        # heat into each plate whose pump runs (a row's reduce is its
+        # slice's)
+        if self.pump_test:
+            th.cooling_absorb(ct, float(np.add.reduce(
+                row[:6, -1] / self.r_b[0])), self.dt)
+        th.cooling_absorb(cl, float(np.add.reduce(row[6:, -1] / self.r_b[1])),
+                          self.dt)
+        self.plates.append(((ct.overload_rise, ct.capacity_exceeded),
+                            (cl.overload_rise, cl.capacity_exceeded)))
+        return bool(np.maximum.reduce(t_j) > T_J_ENVELOPE_MAX)
+
+    def block(self, ts: list, **heat) -> "_Block":
+        """The record of the first len(ts) steps, ts their times after."""
+        n = len(ts)
+        return self.bench._block(ts, self.temps[:n + 1], self.t_j[:n],
+                                 self.t_ref[:n], self.plates[:n],
+                                 self.ntc_gain, **heat)
 
 
 class TestBench:
@@ -586,13 +675,12 @@ class TestBench:
         self.e_d = rng_ed.uniform(*sns.E_D_RANGE, size=N_DEVICES)
         self._e_d_row = self.e_d.tolist()  # for the averaged capture
 
-        # the network's junction-side Foster stages; _thermal_step advances
+        # the network's junction-side Foster stages; _HeatRecursion advances
         # them per device with the boundary stage of the device's plate,
         # which the cooling state owns, as the last column
         self._stage_r = np.array([st.r_th for st in s.network.stages])
         self._stage_c = np.array([st.c_th for st in s.network.stages])
         self._stage_temps = np.zeros((N_DEVICES, len(s.network.stages) + 1))
-        self._stage_heat = np.empty_like(self._stage_temps)
         self.cool_test = replace(s.cooling)
         self.cool_load = replace(s.cooling)
         self.ntc_readings = np.full(N_DEVICES, self.ambient, dtype=float)
@@ -656,11 +744,7 @@ class TestBench:
             thr = sns.desat_voltage(s.sense_params, v_fresh + s.desat_margin_v)
             self.desat_base = replace(s.desat, threshold=thr)
         self.desat_thr = np.full(N_DEVICES, self.desat_base.threshold)
-        # the averaged check's thresholds, rebuilt where a start-up writes
-        # desat_thr
-        self._desat_thr_row = self.desat_thr.tolist()
         self._desat_run = np.full(N_DEVICES, -1)
-        self._desat_idle = True  # every run counter reads -1
         self._desat_bias = sns.desat_voltage(s.sense_params, 0.0)
         # the envelope step's threshold column and trip count, built on use
         self._env_desat = None
@@ -710,17 +794,23 @@ class TestBench:
         self._lut_t_axis = self._base_lut.t_axis.tolist()
         self._trigger_index = None
         self._thermal_cache: dict = {}
-        self._t_ref_key = None
-        self._t_ref = np.empty(N_DEVICES)
         # whether the last phase of each kind ("heat", "cool", "ambient")
         # began at the ambient as a junction-swing heat phase, and its step
-        # count; and the longest blocks whose arrays stay under _BLOCK_BYTES
+        # count; and the longest blocks whose arrays stay under _BLOCK_BYTES,
+        # counted in floats per device and step: an idle block's stage,
+        # junction, case, sensor and reference rows; an envelope block's
+        # also its grid drops, loss, temperature half, estimates and the
+        # fill's b normals; an averaged block's also its loss rows, the
+        # DESAT check's drops and currents, and its rows of drops, currents
+        # and duties as Python floats, four words each
         self._phase_steps: dict = {}
         stages = self._stage_temps.shape[1]
         self._idle_block_max = max(1, _BLOCK_BYTES // (
             8 * N_DEVICES * (stages + 6)))
         self._heat_block_max = max(1, _BLOCK_BYTES // (8 * N_DEVICES * (
-            _GRID_ANGLES + stages + 6 + 2 * self._env_b)))
+            _GRID_ANGLES + stages + 6 + self._env_b)))
+        self._conducting_block_max = max(1, _BLOCK_BYTES // (
+            8 * N_DEVICES * (stages + 6 + 2 + 2 + 3 * 4)))
         self.cool_phases_capped = 0
         self.startup_idles_capped = 0
 
@@ -730,36 +820,39 @@ class TestBench:
     def theta(self) -> float:
         return (TWO_PI * self.cfg.f_fund * self.t) % TWO_PI
 
-    def _soft_scale(self) -> float:
-        ramp = self.s.soft_start_cycles / self.cfg.f_fund
-        if ramp <= 0:
-            return 1.0
-        return min(1.0, max(0.0, (self.t - self._soft_t0) / ramp))
-
     # -- protection ------------------------------------------------------------
 
     def _protection(self, v_cond, i_dev, dt: float):
-        """Blanked DESAT comparator, one sample per step of dt: a device
-        trips once its pin has stayed above its threshold for
-        blanking_runs(dt, blanking) consecutive conducting steps. v_cond
-        and i_dev are the step's rows, one drop and one current per device.
+        """Blanked DESAT comparator, one sample per step of dt, over one
+        step's rows or a block's ((12,) or (n, 12) drops and currents): a
+        device trips once its pin has stayed above its threshold for
+        blanking_runs(dt, blanking) consecutive conducting steps. Advances
+        the run counters through the rows, and raises at the first step at
+        which a device trips, with the counters at that step."""
+        trip, k, self._desat_run = self._desat_runs(v_cond, i_dev, dt)
+        if trip is not None:
+            raise ProtectionTrip(DEVICE_IDS[k], self.t)
 
-        The run counters read -1 while a device is not over; they are
-        rebuilt only while some device is over or a run is still open."""
-        bias = self._desat_bias
-        over = [i > 0.0 and bias + v > thr for v, i, thr
-                in zip(v_cond, i_dev, self._desat_thr_row)]
-        if any(over):
-            run = self._desat_run = np.where(over, self._desat_run + 1, -1)
-            self._desat_idle = False
-            n_trip = blanking_runs(dt, self.desat_base.blanking)
+    def _desat_runs(self, v_cond, i_dev, dt: float) -> tuple:
+        """(trip, device, runs): the first row of _protection's rows at
+        which a device trips, and the first such device (None, None when
+        none trips), and the run counters after that row or the last. A
+        counter reads -1 while its device is not over its threshold."""
+        over = ((np.asarray(i_dev) > 0.0)
+                & (self._desat_bias + np.asarray(v_cond) > self.desat_thr)
+                ).reshape(-1, N_DEVICES)
+        hit = np.flatnonzero(np.logical_or.reduce(over, axis=1))
+        if not hit.size:
+            return None, None, np.full(N_DEVICES, -1) if len(over) \
+                else self._desat_run
+        # a row with no device over ends every run
+        run = np.full(N_DEVICES, -1) if hit[0] else self._desat_run
+        n_trip = blanking_runs(dt, self.desat_base.blanking)
+        for i in range(int(hit[0]), len(over)):
+            run = np.where(over[i], run + 1, -1)
             if np.maximum.reduce(run) >= n_trip:
-                k = int(np.flatnonzero(run >= n_trip)[0])
-                raise ProtectionTrip(DEVICE_IDS[k], self.t)
-        elif not self._desat_idle:
-            self._desat_run = np.full(N_DEVICES, -1)
-            self._desat_idle = True
-        self._check_runaway()
+                return i, int(np.flatnonzero(run >= n_trip)[0]), run
+        return None, None, run
 
     def _check_runaway(self):
         """End the run once a junction leaves the simulation envelope."""
@@ -771,56 +864,120 @@ class TestBench:
 
     # -- capture ----------------------------------------------------------------
 
-    def _capture(self, theta_now: float, i_dev, v_cond, duty):
-        """Store the step's readings in the windows whose triggers the sweep
-        from theta_prev to theta_now crossed; i_dev, v_cond and duty are the
-        step's rows, one value per device."""
-        cyc = int(self.cfg.f_fund * self.t + 1e-9)
-        if cyc != self._fund_cycle:
-            self._fund_cycle = cyc
-            for sstate in self.samplers:
-                sstate.start_cycle()
+    def _capture(self, theta, i_dev, v_cond, duty, t=None, t_j=None
+                 ) -> list:
+        """Store each step's readings in the windows whose triggers its
+        sweep, from the last captured step's angle to its own, crossed.
 
+        theta is one step's angle and i_dev, v_cond and duty its rows, one
+        value per device, at the bench's time and junction temperatures;
+        or, for a block, lists of the steps' angles and rows, with t the
+        times they start at and t_j (n, 12) the junction temperatures they
+        start from. Only the steps whose sweep crosses a trigger replay the
+        store (smp.sampler_update_interval); their normals are one draw,
+        value for value the draws of the steps taken alone. Returns the
+        (step, tj_est after it) of each step that completed a window.
+        """
+        if np.ndim(theta) == 0:
+            theta, i_dev, v_cond, duty = [theta], [i_dev], [v_cond], [duty]
+        if t is None:
+            t, t_j = [self.t], self.bank.t_j[None]
         if self._trigger_index is None:
             self._trigger_index = smp.TriggerIndex(
                 [st.triggers for st in self.samplers])
-        theta_prev, self.theta_prev = self.theta_prev, theta_now
-        crossed = self._trigger_index.crossed(theta_prev, theta_now)
-        if not crossed:
-            return
+        index = self._trigger_index
+        prev = [self.theta_prev, *theta[:-1]]
+        # the steps whose sweep crosses a trigger: one search of the merged
+        # angles for every step, as TriggerIndex.crossed searches
+        t1 = np.array([wrap_angle(x) for x in theta])
+        t0 = np.concatenate([[wrap_angle(prev[0])], t1[:-1]])
+        lo = np.searchsorted(index.angle_array, t0, side="right")
+        hi = np.searchsorted(index.angle_array, t1, side="right")
+        steps = np.flatnonzero(np.where(
+            t1 > t0, hi > lo,
+            (t1 < t0) & ((lo < len(index.angles)) | (hi > 0)))).tolist()
         floor = self.i_floor
         samplers = self.samplers
-        # the devices whose triggers the sweep crossed, in ascending order,
-        # that the budget and the gates let store, so the noise draws run
-        # as a scan of all twelve would
-        store = [k for k in crossed
-                 if samplers[k].budget_used < samplers[k].budget_per_cycle
-                 and not i_dev[k] <= floor and not duty[k] < 0.02]
-        if not store:
-            return
+        # the devices each of those sweeps crossed, in ascending order, that
+        # the gates let store; the budget may stop some of them
+        gated = [[k for k in index.crossed(prev[i], theta[i])
+                  if not i_dev[i][k] <= floor and not duty[i][k] < 0.02]
+                 for i in steps]
+        bound = sum(map(len, gated))
         sigma = self.s.sense_params.noise_sigma
-        # one draw of m normals is m scalar draws, value for value, and
-        # leaves the stream where they would
-        noise = self.rng.normal(0.0, sigma, len(store)).tolist() \
-            if sigma > 0 else [0.0] * len(store)
-        e_d = self._e_d_row
-        for k, z in zip(store, noise):
-            sstate = samplers[k]
-            v, i = v_cond[k], i_dev[k]
-            smp.sampler_update_interval(sstate, theta_prev, theta_now,
-                                        v + e_d[k] + z, i, truth=v / i)
-            if sstate.complete:
-                idx = self._win_idx[None, k:k + 1]
-                i_pk = float(sstate.i[sstate.triggers.center_index])
-                self._finish_window(
-                    k, sstate.v_on[idx], sstate.i[idx], sstate.truth[idx],
-                    [self.luts[k].column(i_pk).tolist()],
-                    [sstate.cycles_elapsed], [self.t], self.bank.t_j[None])
-                if k == 0:  # the window's slots are reused from here on
-                    self.last_window_trace = (sstate.triggers.angles,
-                                              sstate.i.copy(),
-                                              sstate.v_on.copy())
-                sstate.reset_window()
+        state = noise = None
+        if sigma > 0 and bound:
+            # one draw of m normals is m scalar draws, value for value, and
+            # leaves the stream where they would
+            state = self.rng.bit_generator.state
+            noise = self.rng.normal(0.0, sigma, bound).tolist()
+        used, done = 0, []
+        f_fund, e_d = self.cfg.f_fund, self._e_d_row
+        for i, cand in zip(steps, gated):
+            cyc = int(f_fund * t[i] + 1e-9)
+            if cyc != self._fund_cycle:
+                self._fund_cycle = cyc
+                for sstate in samplers:
+                    sstate.start_cycle()
+            store = [k for k in cand
+                     if samplers[k].budget_used < samplers[k].budget_per_cycle]
+            theta_prev, theta_now = prev[i], theta[i]
+            v_row, i_row = v_cond[i], i_dev[i]
+            completed = False
+            for k in store:
+                z = noise[used] if noise is not None else 0.0
+                used += 1
+                sstate = samplers[k]
+                v, i_k = v_row[k], i_row[k]
+                smp.sampler_update_interval(sstate, theta_prev, theta_now,
+                                            v + e_d[k] + z, i_k, truth=v / i_k)
+                if sstate.complete:
+                    idx = self._win_idx[None, k:k + 1]
+                    i_pk = float(sstate.i[sstate.triggers.center_index])
+                    self._finish_window(
+                        k, sstate.v_on[idx], sstate.i[idx], sstate.truth[idx],
+                        [self.luts[k].column(i_pk).tolist()],
+                        [sstate.cycles_elapsed], [t[i]], t_j[i][None])
+                    if k == 0:  # the window's slots are reused from here on
+                        self.last_window_trace = (sstate.triggers.angles,
+                                                  sstate.i.copy(),
+                                                  sstate.v_on.copy())
+                    sstate.reset_window()
+                    completed = True
+            if completed:
+                done.append((i, self.tj_est.copy()))
+        if state is not None and used < bound:
+            # the budget stopped some: draw only the normals the stores took
+            self.rng.bit_generator.state = state
+            self.rng.normal(0.0, sigma, used)
+        cyc = int(f_fund * t[-1] + 1e-9)
+        if cyc != self._fund_cycle:
+            self._fund_cycle = cyc
+            for sstate in samplers:
+                sstate.start_cycle()
+        self.theta_prev = theta[-1]
+        return done
+
+    def _capture_state(self) -> tuple:
+        """Everything _capture changes, for _restore_capture."""
+        return ([(s.v_on.copy(), s.i.copy(), s.truth.copy(),
+                  s.filled_mask.copy(), s.filled, s.cycles_elapsed,
+                  s.budget_used) for s in self.samplers],
+                len(self.windows), self.r_on_last.copy(), self.tj_est.copy(),
+                self.last_window_trace, self.theta_prev, self._fund_cycle,
+                self.rng.bit_generator.state)
+
+    def _restore_capture(self, state: tuple):
+        (samplers, count, r_on, tj_est, self.last_window_trace,
+         self.theta_prev, self._fund_cycle, self.rng.bit_generator.state) = \
+            state
+        for s, (v, i, truth, mask, filled, cycles, used) in zip(
+                self.samplers, samplers):
+            s.v_on, s.i, s.truth, s.filled_mask = v, i, truth, mask
+            s.filled, s.cycles_elapsed, s.budget_used = filled, cycles, used
+        del self.windows[count:]
+        self.r_on_last[:] = r_on
+        self.tj_est[:] = tj_est
 
     def _finish_window(self, k0: int, v_win: np.ndarray, i_win: np.ndarray,
                        truth_win: Optional[np.ndarray], cols: list,
@@ -869,78 +1026,204 @@ class TestBench:
 
     # -- averaged / switched conducting step -------------------------------------
 
-    def _step_conducting(self):
-        cfg = self.cfg
-        dt = 1.0 / cfg.f_sw
-        theta = self.theta
-        scale = self._soft_scale()
+    def _step_conducting(self, n: int = 1, t0: float = 0.0,
+                         cap_s: float = math.inf,
+                         rule: Optional[Callable] = None,
+                         done: Optional[Callable[[float], bool]] = None):
+        """Advance up to n averaged (or switched) PWM steps as one block and
+        commit them through the first step that ends the heat phase begun
+        at t0, trips or runs away; returns (block, stop, capped) as
+        _step_envelope does.
 
-        v_test_dq = (self.v_test_mag * scale, 0.0)
-        i_ref = (self.i_ref_dq[0] * scale, self.i_ref_dq[1] * scale)
-        (dta, dtb, dtc, _), (dla, dlb, dlc, _) = control_step(
-            self.ctl, self.plant.i_abc, theta, dt, v_test_dq, i_ref, cfg.v_dc)
-        d_test, d_load = (dta, dtb, dtc), (dla, dlb, dlc)
-
-        # the step's rows, one Python float per device: currents, duties
-        # and conduction drops
-        i0 = self.plant.i_abc
-        i_a, i_b, i_c = i0
-        i_dev = _device_values(i_a, i_b, i_c)
-        duty = [dta, 1.0 - dta, dtb, 1.0 - dtb, dtc, 1.0 - dtc,
-                dla, 1.0 - dla, dlb, 1.0 - dlb, dlc, 1.0 - dlc]
-        vc, _ = self.bank.conduction(i_dev)
-
-        self._capture(theta, i_dev, vc, duty)
-        self._protection(vc, i_dev, dt)
-
-        v_hi_t, v_lo_t = vc[0:6:2], vc[1:6:2]
-        v_hi_l, v_lo_l = vc[6:12:2], vc[7:12:2]
-        pole_test = _pole_voltages(d_test, v_hi_t, v_lo_t, cfg.v_dc)
-
-        if cfg.fidelity is Fidelity.SWITCHED:
-            res = self._plant_switched(d_test, d_load, v_hi_t, v_lo_t,
-                                       v_hi_l, v_lo_l, dt)
+        Each step keeps the order of a step taken alone: the control step,
+        the device rows and their drops, the capture, the DESAT check, the
+        runaway check on the junction temperatures the step starts from,
+        the pole voltages and the plant, the loss rows and the thermal
+        step, the tally, the waveform row and the clock with its trace row;
+        then the stop test, done(t) or rule(ntc, tj_est) on the rows after
+        the step, then t - t0 > cap_s. Only the recursion runs step by step
+        (_conducting_block); the DESAT counters, the capture, the stop
+        test, the tally and the rows run once per block, over the steps it
+        commits. A trip or a runaway raises as the step taken alone does:
+        its capture and DESAT check are committed, its plant and thermal
+        step are not.
+        """
+        dt = 1.0 / self.cfg.f_sw
+        ts, _, timed = self._block_times(n, t0, cap_s, done, dt)
+        t_j0 = self.bank.t_j
+        plates0 = [dict(vars(c)) for c in (self.cool_test, self.cool_load)]
+        blk = self._conducting_block(ts, dt)
+        rows = blk.rows
+        n, k = len(blk.t), len(rows.theta)
+        v, i_dev = np.array(rows.v_cond), np.array(rows.i_dev)
+        # the step that raises: the first trip, else the step the block
+        # stopped at its runaway check
+        last = self._desat_runs(v, i_dev, dt)[0]
+        if last is None and k > n:
+            last = n
+        end = n if last is None else last  # the steps the stop test reads
+        m = end + (last is not None)  # the steps the capture reads
+        t_j = np.vstack([t_j0[None], blk.t_j[:m - 1]])
+        saved = est = None
+        if rule is not None:
+            saved = self._capture_state()
+            est = np.repeat(self.tj_est[None], end, axis=0)
+        done_at = self._capture(rows.theta[:m], rows.i_dev[:m],
+                                rows.v_cond[:m], rows.duty[:m], rows.t[:m],
+                                t_j)
+        stop = None
+        if rule is not None and end:
+            for i, tj_est in done_at:  # the estimates after each step
+                est[i:] = tj_est
+            stop = rule(blk.ntc[1:end + 1], est)
+            blk = blk._replace(tj_est=est)
+        capped = False
+        if stop is None and last is None and timed:
+            stop = n - 1
+            capped = done is None or not done(blk.t[-1])
+        if stop is not None:
+            last = None
+            if stop + 1 < m:  # the capture ran past the stop: replay it
+                self._restore_capture(saved)
+                m = stop + 1
+                self._capture(rows.theta[:m], rows.i_dev[:m], rows.v_cond[:m],
+                              rows.duty[:m], rows.t[:m], t_j[:m])
+            heated = stop + 1
         else:
-            pole_load = _pole_voltages(d_load, v_hi_l, v_lo_l, cfg.v_dc)
-            res = plant_step(self.plant, pole_test, pole_load,
-                             cfg.link_resistance, cfg.link_inductance, dt)
+            heated = n if last is None else last
+        # the controller after the last captured step's control step, the
+        # plant and the thermal state after the last heated step
+        ctl = self.ctl
+        ctl.current_filter.y, ctl.pi_d.integrator, ctl.pi_q.integrator = \
+            rows.ctl[m - 1]
+        if heated < k:
+            self.plant.i_abc = rows.i0[heated]
+        if heated:
+            self._commit_thermal(blk, heated, dt, heated)
+        else:  # a trip or runaway at the first step heats nothing
+            self.bank.t_j = t_j0
+            for cool, state in zip((self.cool_test, self.cool_load), plates0):
+                vars(cool).update(state)
+        self._tally_rows(rows, heated, dt)
+        self._protection(v[:m], i_dev[:m], dt)  # raises a trip at step m - 1
+        if last is not None:
+            self._check_runaway()
+        return blk, stop, capped
 
-        # the loss rows: conduction, and the switching-loss law on each
-        # device's |mean current|, its phase's
-        s_a, s_b, s_c = [dev_mod.switching_loss(self.bank.params, cfg.f_sw,
-                                                cfg.v_dc, abs(i))
-                         for i in res.i_mean]
-        losses = np.array([[d * v * i for d, v, i
-                            in zip(duty, vc, _device_values(*res.i_mean))],
-                           [s_a, s_a, s_b, s_b, s_c, s_c] * 2])
-        self._thermal_step(losses[0] + losses[1], dt, pump_test=False)
+    def _conducting_block(self, ts: list, dt: float) -> _Block:
+        """The recursion of len(ts) averaged or switched PWM steps of dt
+        from the bench's state, bit for bit that of as many steps taken
+        alone: the soft-start scales, control_step, the device rows and
+        DeviceBank.conduction (called at every step, so that a short set
+        between steps reaches the drops), the pole voltages, plant_step or
+        _plant_switched, the loss rows and the thermal step
+        (_HeatRecursion). It stops at the first step whose junctions start
+        past the simulation envelope, after that step's control step and
+        device rows. The controller, the plant, the plates and bank.t_j are
+        left at the block's last step; _step_conducting takes them back.
+        Returns the block with its rows (_ConductingRows)."""
+        cfg, bank, ctl, plant = self.cfg, self.bank, self.ctl, self.plant
+        f_fund, v_dc = cfg.f_fund, cfg.v_dc
+        r_link, l_link = cfg.link_resistance, cfg.link_inductance
+        switched = cfg.fidelity is Fidelity.SWITCHED
+        ramp, t_soft = self.s.soft_start_cycles / f_fund, self._soft_t0
+        v_mag, (i_ref_d, i_ref_q) = self.v_test_mag, self.i_ref_dq
+        p, f_sw = bank.params, cfg.f_sw
+        heat = _HeatRecursion(self, len(ts), dt, False)
+        losses = np.empty((len(ts), 2, N_DEVICES))
+        p_in = np.empty((N_DEVICES, 1))
+        rows = _ConductingRows([self.t, *ts], [], [], [], [], [], [], [], [],
+                               [], [], losses)
+        hot = np.maximum.reduce(bank.t_j) > T_J_ENVELOPE_MAX
+        for i, t in enumerate(rows.t[:len(ts)]):
+            theta = (TWO_PI * f_fund * t) % TWO_PI
+            scale = 1.0 if ramp <= 0 else min(1.0, max(0.0, (t - t_soft) / ramp))
+            i0 = plant.i_abc
+            d_test, d_load = control_step(
+                ctl, i0, theta, dt, (v_mag * scale, 0.0),
+                (i_ref_d * scale, i_ref_q * scale), v_dc)
+            d_test, d_load = d_test[:3], d_load[:3]
+            dta, dtb, dtc = d_test
+            dla, dlb, dlc = d_load
+            i_a, i_b, i_c = i0
+            i_row = _device_values(i_a, i_b, i_c)
+            duty = [dta, 1.0 - dta, dtb, 1.0 - dtb, dtc, 1.0 - dtc,
+                    dla, 1.0 - dla, dlb, 1.0 - dlb, dlc, 1.0 - dlc]
+            vc, _ = bank.conduction(i_row)
+            rows.theta.append(theta)
+            rows.i0.append(i0)
+            rows.d_test.append(d_test)
+            rows.d_load.append(d_load)
+            rows.i_dev.append(i_row)
+            rows.duty.append(duty)
+            rows.v_cond.append(vc)
+            rows.ctl.append((ctl.current_filter.y, ctl.pi_d.integrator,
+                             ctl.pi_q.integrator))
+            if hot:  # the step ends at its runaway check
+                break
+            v_hi_t, v_lo_t = vc[0:6:2], vc[1:6:2]
+            v_hi_l, v_lo_l = vc[6:12:2], vc[7:12:2]
+            pole = _pole_voltages(d_test, v_hi_t, v_lo_t, v_dc)
+            if switched:
+                res = self._plant_switched(d_test, d_load, v_hi_t, v_lo_t,
+                                           v_hi_l, v_lo_l, dt)
+            else:
+                res = plant_step(plant, pole,
+                                 _pole_voltages(d_load, v_hi_l, v_lo_l, v_dc),
+                                 r_link, l_link, dt)
+            rows.res.append(res)
+            rows.pole.append(pole)
+            # the loss rows: conduction, and the switching-loss law on each
+            # device's |mean current|, its phase's
+            s_a, s_b, s_c = [dev_mod.switching_loss(p, f_sw, v_dc, abs(x))
+                             for x in res.i_mean]
+            row = losses[i]
+            row[0] = [d * v * x for d, v, x
+                      in zip(duty, vc, _device_values(*res.i_mean))]
+            row[1] = [s_a, s_a, s_b, s_b, s_c, s_c] * 2
+            np.add(row[0], row[1], p_in[:, 0])
+            hot = heat.step(i, p_in)
+        n = len(rows.res)
+        return heat.block(ts[:n], rows=rows._replace(t=rows.t[:len(rows.theta)],
+                                                      losses=losses[:n]))
+
+    def _tally_rows(self, rows: "_ConductingRows", n: int, dt: float):
+        """Book the first n steps of an averaged block in the energy tally
+        and, while they are collected, its waveform rows: each sum grows
+        step by step, as np.add.accumulate adds, from terms in a lone
+        step's order of operations (np.vecdot is np.dot row by row)."""
+        if not n:
+            return
+        cfg, tl = self.cfg, self.tally
+
+        def grown(total: float, terms) -> float:
+            return float(np.add.accumulate(np.append(total, terms))[-1])
 
         # numpy's pairwise sum of each row of twelve
-        p_cond_total, p_sw_total = np.add.reduce(losses, axis=1).tolist()
-        tl = self.tally
-        d_diff = np.array([dta - dla, dtb - dlb, dtc - dlc])
-        tl.e_supply += (cfg.v_dc * float(np.dot(d_diff, res.i_mean))
-                        + p_sw_total) * dt
-        tl.e_cond += p_cond_total * dt
-        tl.e_sw += p_sw_total * dt
-        s_a, s_b, s_c = res.i_sq_mean
-        tl.e_link += cfg.link_resistance * (s_a + s_b + s_c) * dt
-        tl.duration += dt
-        v_a, v_b, v_c = pole_test
+        p_cond, p_sw = np.add.reduce(rows.losses[:n], axis=2).T
+        d = np.subtract(rows.d_test[:n], rows.d_load[:n])
+        i_mean = np.array([r.i_mean for r in rows.res[:n]])
+        s_a, s_b, s_c = np.array([r.i_sq_mean for r in rows.res[:n]]).T
+        tl.e_supply = grown(tl.e_supply, (cfg.v_dc * np.vecdot(d, i_mean)
+                                          + p_sw) * dt)
+        tl.e_cond = grown(tl.e_cond, p_cond * dt)
+        tl.e_sw = grown(tl.e_sw, p_sw * dt)
+        tl.e_link = grown(tl.e_link,
+                          cfg.link_resistance * (s_a + s_b + s_c) * dt)
+        tl.duration = grown(tl.duration, np.full(n, dt))
+        v_a, v_b, v_c = np.array(rows.pole[:n]).T
         v0 = (v_a + v_b + v_c) / 3
         v_a, v_b, v_c = v_a - v0, v_b - v0, v_c - v0
-        tl.sum_v2 += v_a * v_a + v_b * v_b + v_c * v_c
-        tl.sum_i2 += i_a * i_a + i_b * i_b + i_c * i_c
-        tl.samples += 1
-
+        tl.sum_v2 = grown(tl.sum_v2, v_a * v_a + v_b * v_b + v_c * v_c)
+        i_a, i_b, i_c = np.array(rows.i0[:n]).T
+        tl.sum_i2 = grown(tl.sum_i2, i_a * i_a + i_b * i_b + i_c * i_c)
+        tl.samples += n
         if self.collect_waveforms:
-            self._wave_count += 1
-            if self._wave_count % _WAVEFORM_STRIDE == 0:
-                self.waveform_rows.append((self.t, theta, *i0, *vc))
-
-        self.t += dt
-        self._trace_point()
-        return d_test, d_load, res
+            for j in range(n):
+                self._wave_count += 1
+                if self._wave_count % _WAVEFORM_STRIDE == 0:
+                    self.waveform_rows.append((rows.t[j], rows.theta[j],
+                                               *rows.i0[j], *rows.v_cond[j]))
 
     def _plant_switched(self, d_test, d_load, v_hi_t, v_lo_t, v_hi_l, v_lo_l,
                         dt_period) -> PlantStepResult:
@@ -1051,12 +1334,12 @@ class TestBench:
                 b, slot_i.shape[1] - b * place))
 
     def _block_times(self, n: int, t0: float, cap_s: float,
-                     done: Optional[Callable[[float], bool]]) -> tuple:
-        """The times after up to n steps of one fundamental period from
-        now, accumulated step by step, through the first where done(t) or
-        t - t0 > cap_s holds; returns (times, dt, timed), timed True when
-        one of them ends the block."""
-        dt = 1.0 / self.cfg.f_fund
+                     done: Optional[Callable[[float], bool]], dt: float
+                     ) -> tuple:
+        """The times after up to n steps of dt from now, accumulated step
+        by step, through the first where done(t) or t - t0 > cap_s holds;
+        returns (times, dt, timed), timed True when one of them ends the
+        block."""
         ts = []
         t = self.t
         for _ in range(n):
@@ -1082,7 +1365,8 @@ class TestBench:
         is committed as far as that step taken alone gets. Returns (block,
         stop, capped) as _step_idle does.
         """
-        ts, dt, timed = self._block_times(n, t0, cap_s, done)
+        ts, dt, timed = self._block_times(n, t0, cap_s, done,
+                                          1.0 / self.cfg.f_fund)
         t_j0 = self.bank.t_j
         plates0 = [dict(vars(c)) for c in (self.cool_test, self.cool_load)]
         blk = self._heat_block(ts, dt)
@@ -1150,62 +1434,38 @@ class TestBench:
         Only the junction recursion runs step by step: the law on the grid
         (DeviceBank.conduction, called at every step so that a short set
         between steps reaches the drops; on the campaign grids it takes the
-        channel-alone path), the period loss, the stage update and the
-        load plate's overload. It ends at the first step that takes a
+        channel-alone path), the period loss, and the stage update and the
+        load plate's overload (_HeatRecursion). It ends at the first step that takes a
         junction past the simulation envelope. The plates and bank.t_j are
         left at the block's last step; the commit takes them back.
         """
         grid = self._envelope_grid()
         g = grid.i_dev.shape[1]
         bank = self.bank
-        ct, cl, amb = self.cool_test, self.cool_load, self.ambient
         # the test plate's pump is off while heating, so its reference is
         # the ambient and it absorbs nothing (th.cooling_absorb); the load
         # plate's reference follows its overload step by step
-        (t_ref_t, t_ref_l), (a, gain, r_b, ntc_gain) = self._thermal_coeffs(
-            dt, False)
-        temps = np.empty((len(ts) + 1, *a.shape))
-        temps[0] = self._stage_temps
-        t_j = np.empty((len(ts), N_DEVICES))
-        heat, p_in = np.empty_like(a), np.empty((N_DEVICES, 1))
-        ref = np.full(N_DEVICES, t_ref_t)
-        ref[6:] = t_ref_l
-        r_b_load = r_b[6:]
-        test_plate = (ct.overload_rise, ct.capacity_exceeded)
+        heat = _HeatRecursion(self, len(ts), dt, False)
         t_j0 = bank.t_j
         # each step's drops, which the DESAT counts read, and period loss
         v_cond = np.empty((len(ts), N_DEVICES, g))
         p_dev, prod = np.empty((len(ts), N_DEVICES, 1)), np.empty_like(v_cond[0])
-        r_t, t_ref, plates = [], [], []
+        p_in = np.empty((N_DEVICES, 1))
+        r_t = []
         for i in range(len(ts)):
-            if i:
-                t_ref_l = th.cooling_step(cl, True, amb)[0]
-                if t_ref_l != ref[6]:
-                    ref[6:] = t_ref_l
-            t_ref.append((t_ref_t, t_ref_l))
             v = v_cond[i]
             r_t.append(bank.conduction(grid.cur, v)[1])
             # np.add.reduce(x, axis=1) / g is x.mean(axis=1) bit for bit
             np.multiply(np.multiply(grid.duty, v, prod), grid.i_dev, prod)
             p = np.add.reduce(prod, axis=1, keepdims=True, out=p_dev[i])
             np.divide(p, g, p)
-            # temps * a + p_dev[:, None] * gain, as _thermal_step
-            row = temps[i + 1]
-            np.multiply(temps[i], a, row)
-            np.add(row, np.multiply(np.add(p, grid.p_sw, p_in), gain, heat), row)
-            bank.t_j = np.add(ref, np.add.reduce(row, axis=1), t_j[i])
-            # heat into the load plate (a row's reduce is its slice's)
-            th.cooling_absorb(cl, float(np.add.reduce(row[6:, -1] / r_b_load)),
-                              dt)
-            plates.append((test_plate,
-                           (cl.overload_rise, cl.capacity_exceeded)))
-            if np.maximum.reduce(bank.t_j) > T_J_ENVELOPE_MAX:
+            if heat.step(i, np.add(p, grid.p_sw, p_in)):
                 break
         n = len(r_t)
-        ts, temps, t_j = ts[:n], temps[:n + 1], t_j[:n]
+        ts = ts[:n]
         fill = self._envelope_fill_batched(
             grid, np.hstack(r_t), [self.t, *ts[:-1]],
-            np.vstack([t_j0[None], t_j[:-1]]))
+            np.vstack([t_j0[None], heat.t_j[:n - 1]]))
         # the estimates after each step: the last window's from the step
         # that completes it
         r_on, tj_est, _ = fill.before
@@ -1215,8 +1475,8 @@ class TestBench:
             sets = np.vstack([tj_est[None, :m], fill.tj])
             est[:, :m] = sets[np.searchsorted(fill.done, np.arange(n),
                                               side="right")]
-        return self._block(
-            ts, temps, t_j, t_ref, plates, ntc_gain, v_cond=v_cond[:n],
+        return heat.block(
+            ts, v_cond=v_cond[:n],
             p_cond=np.add.reduce(p_dev[:n, :, 0], axis=1).tolist(),
             tj_est=est, fill=fill)
 
@@ -1341,7 +1601,8 @@ class TestBench:
         (None when none of the block's steps ends the idle), and capped is
         True when cap_s ended it while neither done nor rule held.
         """
-        ts, dt, timed = self._block_times(n, t0, cap_s, done)
+        ts, dt, timed = self._block_times(n, t0, cap_s, done,
+                                          1.0 / self.cfg.f_fund)
         blk = self._idle_block(ts, dt)
         stop = None if rule is None else rule(blk)
         capped = False
@@ -1401,16 +1662,16 @@ class TestBench:
         is the step's (_thermal_coeffs)."""
         n = len(ts)
         rise = temps[1:, :, -1]  # the boundary stage: case over reference
-        t_case = (np.array(t_ref)[:, :, None] + rise.reshape(n, 2, -1)
-                  ).reshape(n, -1)
+        t_case = (np.array(t_ref).reshape(n, 2, 1)
+                  + rise.reshape(n, 2, N_DEVICES // 2)).reshape(n, N_DEVICES)
         bias = self.s.ntc.bias
         if ntc_gain is None:
             ntc = np.empty((n + 1, N_DEVICES))
             ntc[0] = self.ntc_readings
             np.add(t_case, bias, out=ntc[1:])
         else:
-            # the sensors' lag on Python floats, one sensor at a time ("a
-            # zero bias moves no bit" as in _thermal_step)
+            # the sensors' lag on Python floats, one sensor at a time; a zero
+            # bias moves no bit of the target's difference
             target = t_case + bias if bias else t_case
             g = float(ntc_gain[0])
             cols = []
@@ -1437,8 +1698,6 @@ class TestBench:
         for cool, (rise, exceeded) in zip((self.cool_test, self.cool_load),
                                           blk.plates[i]):
             cool.overload_rise, cool.capacity_exceeded = rise, exceeded
-        self._t_ref_key = blk.t_ref[i]
-        self._t_ref[:6], self._t_ref[6:] = blk.t_ref[i]
         for t, row, case in zip(blk.t, blk.t_j[:clocked].tolist(),
                                 blk.t_case[:clocked, 0].tolist()):
             if t + 1e-12 >= self._trace_next_t:
@@ -1448,10 +1707,10 @@ class TestBench:
 
     def _phase(self, kind: str, t0: float, cap_s: float, rule=None,
                done=None, fold: Optional[np.ndarray] = None) -> bool:
-        """Run the phase begun at t0 in blocks until a step ends it, an
-        envelope heat phase ("heat") through _step_envelope and an idle
-        ("cool", "ambient") through _step_idle, which take rule, done and
-        cap_s; folds each committed step's junction temperatures into fold
+        """Run the phase begun at t0 in blocks until a step ends it, a heat
+        phase ("heat") through the engine's block entry, _step_envelope or
+        _step_conducting, and an idle ("cool", "ambient") through
+        _step_idle, which take rule, done and cap_s; folds each committed step's junction temperatures into fold
         when given (a heat phase's maxima, an idle's minima). Returns True
         when the cap ended it; a trip or a runaway raises from its block.
 
@@ -1466,10 +1725,15 @@ class TestBench:
         computes wasted steps and makes _commit_fill redraw the block's
         noise."""
         heat = kind == "heat"
-        step, most, small = (
-            (self._step_envelope, self._heat_block_max, _HEAT_BLOCK_MIN)
-            if heat else (self._step_idle, self._idle_block_max,
-                          _IDLE_BLOCK_MIN))
+        if not heat:
+            step, most, small = (self._step_idle, self._idle_block_max,
+                                 _IDLE_BLOCK_MIN)
+        elif self.cfg.fidelity is Fidelity.ENVELOPE:
+            step, most, small = (self._step_envelope, self._heat_block_max,
+                                 _HEAT_BLOCK_MIN)
+        else:
+            step, most, small = (self._step_conducting,
+                                 self._conducting_block_max, _HEAT_BLOCK_MIN)
         swing = (heat and done is None
                  and self.cfg.technique is Technique.JUNCTION_SWING)
         fresh = swing and not np.maximum.reduce(
@@ -1539,47 +1803,21 @@ class TestBench:
 
     def _thermal_step(self, p_dev: np.ndarray, dt: float, pump_test: bool):
         """Advance every device's Foster stages, the two cooling boundaries
-        and the case sensors by dt under the constant losses p_dev.
+        and the case sensors by dt under the constant losses p_dev, one
+        step of the heat recursion every engine runs (_HeatRecursion),
+        committed; the time and the trace stay.
 
         The exact update holds for any dt under piecewise-constant loss, so
         no step size is refused; envelope steps of a whole fundamental
         period rely on that. The sensors' rate is left to
-        _ntc_case_estimate, its one reader. Converter-off and envelope
-        heat steps run in blocks (_idle_block, _heat_block, through
-        _phase), to the same bits; the averaged and switched steps come
-        here. All take their coefficients from _thermal_coeffs.
+        _ntc_case_estimate, its one reader. Heat steps run in blocks of
+        _HeatRecursion steps (_heat_block, _conducting_block) and
+        converter-off steps as _idle_block's closed form, through _phase,
+        to the same bits. All take their coefficients from _thermal_coeffs.
         """
-        t_ref, (a, gain, r_b, ntc_gain) = self._thermal_coeffs(dt, pump_test)
-        m = self.s.ntc
-        if self._t_ref_key != t_ref:
-            self._t_ref_key = t_ref
-            self._t_ref[:6], self._t_ref[6:] = t_ref
-        # temps * a + p_dev[:, None] * gain, in place
-        temps = self._stage_temps
-        np.multiply(temps, a, temps)
-        np.add(temps, np.multiply(p_dev[:, None], gain, self._stage_heat),
-               temps)
-        rise = temps[:, -1]  # the boundary stage: case over reference
-        self.bank.t_j = self._t_ref + np.add.reduce(temps, axis=1)
-        np.add(self._t_ref, rise, self._t_case)
-        # heat into each bridge's plate (a row's reduce is its slice's)
-        q_t, q_l = np.add.reduce((rise / r_b).reshape(2, -1), axis=1).tolist()
-        th.cooling_absorb(self.cool_test, q_t, dt)
-        th.cooling_absorb(self.cool_load, q_l, dt)
-        # vectorized case sensors (shared model)
-        prev = self._ntc_prev = self.ntc_readings
-        self._ntc_dt = dt
-        if ntc_gain is None:
-            self.ntc_readings = self._t_case + m.bias
-        else:
-            # a zero bias moves no bit of the target's difference
-            target = self._t_case + m.bias if m.bias else self._t_case
-            self.ntc_readings = prev + ntc_gain * (target - prev)
-
-    def _trace_point(self):
-        if self.t + 1e-12 >= self._trace_next_t:
-            self._trace_append(
-                (self.t, *self.bank.t_j.tolist(), float(self._t_case[0])))
+        heat = _HeatRecursion(self, 1, dt, pump_test)
+        heat.step(0, np.reshape(p_dev, (N_DEVICES, 1)))
+        self._commit_thermal(heat.block([self.t]), 1, dt, 0)
 
     def _trace_append(self, row: tuple):
         """Append a trace row (t, twelve junctions, the first case)."""
@@ -1598,28 +1836,11 @@ class TestBench:
         if self.tally.duration == 0.0:
             self.tally.e_l_start = self._stored_link_energy()
         t_end = self.t + duration_s
-        if self.cfg.fidelity is not Fidelity.ENVELOPE:
-            while self.t < t_end - 1e-12:
-                self._step_conducting()
-        elif self.t < t_end - 1e-12:
+        if self.t < t_end - 1e-12:
             self._phase("heat", self.t, math.inf,
                         done=lambda t: not t < t_end - 1e-12)
         self.tally.e_l_end = self._stored_link_energy()
         return self.tally
-
-    def _heat_stepped(self, t0: float, cap_s: float, rule, done,
-                      tj_max: np.ndarray) -> bool:
-        """The averaged and switched engines' heat phase, one PWM step at a
-        time, with _step_envelope's stop test on each step's rows; returns
-        True when cap_s ended it."""
-        while True:
-            self._step_conducting()
-            np.maximum(tj_max, self.bank.t_j, out=tj_max)
-            if (done(self.t) if rule is None else rule(
-                    self.ntc_readings[None], self.tj_est[None]) is not None):
-                return False
-            if self.t - t0 > cap_s:
-                return True
 
     def _stored_link_energy(self) -> float:
         i_a, i_b, i_c = self.plant.i_abc
@@ -1628,7 +1849,7 @@ class TestBench:
 
     def _heat_rule(self, t0: float, pred: "_CrossingPredictor") -> tuple:
         """The stop of the heat phase begun at t0, as the (rule, done) pair
-        of _step_envelope: fixed times end on the time alone, a case swing
+        of the heat block entries (_step_envelope, _step_conducting): fixed times end on the time alone, a case swing
         on the hottest test sensor, a junction swing on the hottest finite
         test-bridge estimate through pred, fed step by step but not while
         no estimate is finite."""
@@ -1737,9 +1958,7 @@ class TestBench:
         tj_max = self.bank.t_j.copy()
         t0 = self.t
         rule, done = self._heat_rule(t0, _CrossingPredictor())
-        heat = self._heat_stepped if cfg.fidelity is not Fidelity.ENVELOPE \
-            else lambda *args: self._phase("heat", *args)
-        if heat(t0, s.heat_cap_s, rule, done, tj_max):
+        if self._phase("heat", t0, s.heat_cap_s, rule, done, tj_max):
             raise ThermalRunaway(
                 f"heat phase exceeded {s.heat_cap_s} s without reaching its "
                 "target")
@@ -1824,9 +2043,7 @@ class TestBench:
                             lut_offsets_pkg=offs_pkg)
         self.startup_log.append(res)
         self._env_tj_cols = None  # recalibrated tables invalidate cached columns
-        # and new thresholds the averaged row and the envelope's column
-        self._desat_thr_row = self.desat_thr.tolist()
-        self._env_desat = None
+        self._env_desat = None  # and new thresholds the envelope's column
         return res
 
     # -- campaign -----------------------------------------------------------------
@@ -1870,10 +2087,8 @@ class TestBench:
         steps = int(round(n_cycles * cfg.f_sw / cfg.f_fund))
         sv = np.zeros(2)
         si = np.zeros(2)
-        for _ in range(steps):
-            theta = self.theta
-            i0 = self.plant.i_abc
-            d_test, _, _ = self._step_conducting()
+        rows = self._step_conducting(steps)[0].rows
+        for theta, i0, d_test in zip(rows.theta, rows.i0, rows.d_test):
             v_a, v_b, v_c = (d * cfg.v_dc for d in d_test)
             v0 = (v_a + v_b + v_c) / 3
             sv += park(v_a - v0, v_b - v0, v_c - v0, theta)

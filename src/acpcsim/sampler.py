@@ -100,7 +100,8 @@ class TriggerIndex:
         angles = np.concatenate([s.angles for s in sets])
         owner = np.repeat(np.arange(len(sets)), [s.n for s in sets])
         order = np.argsort(angles, kind="stable")
-        self.angles = angles[order].tolist()
+        self.angle_array = angles[order]
+        self.angles = self.angle_array.tolist()
         self.owner = owner[order].tolist()
 
     def crossed(self, theta_from: float, theta_to: float) -> list[int]:

@@ -4,21 +4,22 @@ finite transfer capacity, and the parameters of the lagged case-temperature
 (NTC) sensor.
 
 The bench advances all twelve devices at once in
-cycling.TestBench._thermal_step: the network's junction-side stages (with
+cycling._HeatRecursion: the network's junction-side stages (with
 die-attach aging on the first), then the case-to-reference boundary stage of
 the device's plate, which the plate's CoolingState owns and whose resistance
 follows the pump. Each stage takes the exact single-pole update
 T <- T*exp(-dt/tau) + P*R*(1 - exp(-dt/tau)), which is unconditionally
-stable and makes the per-stage energy balance analytic. With the converter
-off, and in the envelope engine's heat phases, the bench runs a whole block
-of those steps at once (TestBench._idle_block, TestBench._heat_block, which
-one driver, TestBench._phase, runs), to the same bits whatever the block
-sizes, which only set the time: the driver sizes a heat phase's blocks from
-the last comparable phase's length, or from the estimate's rise toward its
-stop. Within a heat block only the junction recursion runs step by step, its
-law on the channel-alone path while no reverse drop reaches a knee
-(DeviceBank.conduction); cooling_step and cooling_absorb still advance the
-plates one step at a time. Every step
+stable and makes the per-stage energy balance analytic. Every phase runs
+as blocks of those steps (TestBench._idle_block with the converter off;
+TestBench._heat_block and TestBench._conducting_block in the envelope's and
+the averaged and switched engines' heat phases), which one driver,
+TestBench._phase, runs, to the same bits whatever the block sizes, which
+only set the time: the driver sizes a heat phase's blocks from the last
+comparable phase's length, or from the estimate's rise toward its stop.
+Within a heat block only the electro-thermal recursion runs step by step
+(the envelope's law on the channel-alone path while no reverse drop reaches
+a knee, DeviceBank.conduction); cooling_step and cooling_absorb still
+advance the plates one step at a time. Every step
 takes its pump commands and its coefficients from one owner,
 TestBench._thermal_coeffs.
 """
@@ -81,6 +82,12 @@ class CoolingState:
             raise ValueError("pump-on boundary resistance must be positive")
         if not self.r_boundary_on < self.r_boundary_off:
             raise ValueError("pump-on boundary must be the lower resistance")
+        # cooling_absorb divides by the loop's capacity; inf is a loop that
+        # no excess warms, and a max_heat of inf a plate rated for any heat
+        if not self.reservoir_c > 0:  # a NaN fails too
+            raise ValueError("reservoir_c must be positive")
+        if not self.max_heat >= 0:  # a NaN fails too
+            raise ValueError("max_heat must be at least 0")
 
 
 def cooling_step(state: CoolingState, pump_on: bool, ambient: float

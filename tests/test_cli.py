@@ -344,6 +344,13 @@ class TestRun:
         # R(T) fall, which the lookup table's inversion cannot take; the
         # message names the keys that set R(T)'s slope
         ("device.k_ch = 0.5\n", "device.k_ch"),
+        # the coolant loop's capacity divides each overload step: 0 exited 1
+        # with a ZeroDivisionError and an empty output directory, and a
+        # negative capacity or rating ran to exit 0
+        ("thermal.reservoir_c = 0\nthermal.max_heat = 1e-3\n",
+         "thermal.reservoir_c"),
+        ("thermal.reservoir_c = -20\n", "thermal.reservoir_c"),
+        ("thermal.max_heat = -1\n", "thermal.max_heat"),
     ], ids=["unknown_key", "window_below_floor", "fractional_int",
             "zero_stage_tau", "bench_gate_on_v", "bench_gate_off_v",
             "device_gate_off_v",
@@ -362,7 +369,8 @@ class TestRun:
             "nan_v_th0", "nan_vth_timeout", "n_points_zero", "heat_cap_inf",
             "cool_cap_inf", "heat_cap_zero", "heat_cap_negative",
             "cool_cap_zero", "cool_cap_negative", "i_cal_zero",
-            "i_cal_negative", "i_cal_inf", "r_t_falls_with_temperature"])
+            "i_cal_negative", "i_cal_inf", "r_t_falls_with_temperature",
+            "reservoir_c_zero", "reservoir_c_negative", "max_heat_negative"])
     def test_config_error_exits_2_before_the_output_directory(
             self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -405,6 +405,109 @@ class TestHeatBlock:
         assert blocks == ones
 
 
+def quick_thermal(r_jc=(0.0198, 0.0405, 0.0297), r_on=0.12, r_off=2.0,
+                  boundary_c=0.25) -> dict:
+    """Foster stages of the given resistances with taus of 0.2, 2 and
+    10 ms, plates whose boundary stage holds boundary_c and a 2 ms sensor:
+    a thermal scale on which an averaged heat phase takes tens of ms."""
+    return dict(network=th.FosterNetwork([
+        th.FosterStage(r, tau / r) for r, tau in zip(r_jc, (2e-4, 2e-3, 1e-2))]),
+        cooling=th.CoolingState(r_boundary_on=r_on, r_boundary_off=r_off,
+                                boundary_c=boundary_c),
+        ntc=th.NtcModel(bias=0.0, time_constant=0.002))
+
+
+class TestConductingBlock:
+    """Averaged and switched heat phases advanced in blocks of any sizes
+    (TestBench._step_conducting) against blocks of one step, bit for bit."""
+
+    LIMITS = {Technique.FIXED_TIMES: dict(t_on=0.02, t_off=0.03),
+              Technique.CASE_SWING: dict(t_case_max=42.0, t_case_min=38.0),
+              Technique.JUNCTION_SWING: dict(t_j_max=80.0, t_j_min=45.0)}
+
+    @classmethod
+    def run(cls, sizes, technique, budget, short_at, collect, heat_cap_s,
+            runaway, fidelity):
+        """Two cycles whose heat phases take blocks of the given sizes in
+        turn; device 3 reads shorted at the steps that start with a junction
+        above short_at, and with runaway the plates' weak cooling takes a
+        junction past the simulation envelope in the first heat phase."""
+        cfg = validate_scenario(BenchConfig(
+            technique=technique, n_cycles=2, rng_seed=7, fidelity=fidelity,
+            **cls.LIMITS[technique]))
+        thermal = quick_thermal((0.1, 0.2, 0.2), 1.0, 3.0, 0.02) if runaway \
+            else quick_thermal()
+        b = TestBench(default_settings(
+            cfg, budget_per_cycle=budget, sampler_n=60, startup_every=1,
+            heat_cap_s=heat_cap_s, **thermal))
+        b.collect_waveforms = True
+        blocks = itertools.cycle(sizes)
+        step = b._step_conducting
+
+        def sized(n, *args):
+            # the phase driver's blocks, each of the next drawn size
+            return step(next(blocks), *args)
+
+        b._step_conducting = sized
+        if short_at is not None:
+            bank, conduction = b.bank, b.bank.conduction
+
+            def failing(cur, out=None):
+                bank.shorted[3] = bank.t_j.max() > short_at
+                return conduction(cur, out)
+
+            bank.conduction = failing
+        return b, b.run_campaign(collect_windows=collect)
+
+    @classmethod
+    @functools.cache
+    def state_of_ones(cls, *args) -> list:
+        return cls.state(*cls.run([1], *args))
+
+    @staticmethod
+    def state(b, res) -> list:
+        """TestHeatBlock's state, and the state only the averaged and
+        switched engines keep."""
+        ctl = b.ctl
+        return TestHeatBlock.state(b, res) + [
+            repr(b.waveform_rows), b._wave_count, repr(b.plant.i_abc),
+            repr((ctl.current_filter.y, ctl.pi_d.integrator,
+                  ctl.pi_q.integrator)),
+            repr(b.theta_prev), b._fund_cycle, b._desat_run.tobytes(),
+            repr([(s.v_on.tobytes(), s.i.tobytes(), s.truth.tobytes(),
+                   s.filled_mask.tobytes(), s.filled, s.cycles_elapsed,
+                   s.budget_used) for s in b.samplers])]
+
+    @settings(deadline=None, max_examples=12,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+           technique=st.sampled_from(list(LIMITS)),
+           budget=st.sampled_from([5, 300]),
+           short_at=st.none() | st.floats(40.0, 70.0),
+           collect=st.booleans(), heat_cap_s=st.sampled_from([120.0, 0.01]),
+           runaway=st.booleans())
+    # a trip inside a block, and the stops of each technique inside blocks
+    @example([97], Technique.FIXED_TIMES, 300, 45.0, True, 120.0, False)
+    @example([40, 7], Technique.JUNCTION_SWING, 300, None, True, 120.0,
+             False)
+    @example([13], Technique.CASE_SWING, 5, None, False, 120.0, False)
+    # the heat cap and a runaway inside a block
+    @example([150], Technique.JUNCTION_SWING, 300, None, False, 0.01, False)
+    @example([64, 3], Technique.FIXED_TIMES, 300, None, True, 120.0, True)
+    def test_blocks_of_any_size_leave_the_bits_of_blocks_of_one(
+            self, sizes, technique, budget, short_at, collect, heat_cap_s,
+            runaway):
+        args = (technique, budget, short_at, collect, heat_cap_s, runaway,
+                Fidelity.AVERAGED)
+        assert self.state(*self.run(sizes, *args)) == self.state_of_ones(*args)
+
+    def test_switched_blocks_leave_the_bits_of_blocks_of_one(self):
+        args = (Technique.FIXED_TIMES, 300, None, True, 120.0, False,
+                Fidelity.SWITCHED)
+        assert self.state(*self.run([37, 5], *args)) \
+            == self.state_of_ones(*args)
+
+
 def full_fill(b, grid, r_t, t_start, tj_start) -> SimpleNamespace:
     """The envelope fill as it was before it computed only the slots an
     output reads: every slot's reading and truth of the windows the block

@@ -284,7 +284,7 @@ class TestLosses:
         for _ in range(50):
             bench._step_conducting()
         bench.tally = EnergyTally()
-        _, _, res = bench._step_conducting()
+        res, = bench._step_conducting()[0].rows.res
         p_sw = switching_loss(bench.bank.params, cfg.f_sw, cfg.v_dc,
                               np.abs(np.asarray(res.i_mean)[_PHASE] * _SIGN))
         assert np.all(p_sw > 0.0)

@@ -111,10 +111,14 @@ class TestFosterStep:
         # lifts its reference; the test bridge cools in still air
         b = bench()
         for _ in range(5000):
+            # each plate's reference for the step: the ambient in still air,
+            # the coolant supply plus its overload rise under the pump
+            ref = np.repeat([b.ambient, b.ambient + b.cool_load.overload_rise],
+                            6)
             b._thermal_step(np.full(N_DEVICES, 300.0), 2e-3, pump_test=False)
             assert (b.bank.t_j >= b._t_case).all()
-            assert (b._t_case >= b._t_ref).all()
-        assert b.cool_load.capacity_exceeded and b._t_ref[6] > 25.0
+            assert (b._t_case >= ref).all()
+        assert b.cool_load.capacity_exceeded and ref[6] > 25.0
 
     def test_die_attach_aging_raises_junction_to_case_gap(self):
         # the bench's step cache is keyed on r_th_version, so one fresh
@@ -260,13 +264,20 @@ def test_zero_loss_step_only_decays_the_stages():
     assert (b._stage_temps > 0).all()
 
 
+def clock(b: TestBench, dt: float):
+    """Advance the bench's time by dt and append a trace row when one is
+    due, as a clocked step does."""
+    b.t += dt
+    if b.t + 1e-12 >= b._trace_next_t:
+        b._trace_append((b.t, *b.bank.t_j.tolist(), float(b._t_case[0])))
+
+
 class TestIdleBlock:
     """Converter-off steps as one block (TestBench._step_idle) against as
     many zero-loss _thermal_step calls with both pumps on, each followed by
-    t += dt and _trace_point, bit for bit."""
+    clock (t += dt and a due trace row), bit for bit."""
 
-    THERMAL_FIELDS = ("_stage_temps", "_t_case", "ntc_readings", "_ntc_prev",
-                      "_t_ref")
+    THERMAL_FIELDS = ("_stage_temps", "_t_case", "ntc_readings", "_ntc_prev")
 
     @settings(deadline=None, max_examples=150,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -296,8 +307,7 @@ class TestIdleBlock:
         for _ in range(draw(st.integers(1, 30), label="heat steps")):
             b._thermal_step(rng.uniform(0.0, 400.0, N_DEVICES), dt,
                             pump_test=bool(rng.integers(2)))
-            b.t += dt
-            b._trace_point()
+            clock(b, dt)
         for cool in (b.cool_test, b.cool_load):
             cool.overload_rise = draw(st.sampled_from([0.0, 0.0, 2.5]))
         n = draw(st.integers(1, 60), label="n")
@@ -309,8 +319,7 @@ class TestIdleBlock:
         assert stop == cut and not capped and len(blk.t) == n
         for _ in range(n if cut is None else cut + 1):
             ref._thermal_step(np.zeros(N_DEVICES), dt, pump_test=True)
-            ref.t += dt
-            ref._trace_point()
+            clock(ref, dt)
 
         for name in self.THERMAL_FIELDS:
             assert getattr(b, name).tobytes() == getattr(ref, name).tobytes()
@@ -318,8 +327,8 @@ class TestIdleBlock:
         for cool in ("cool_test", "cool_load"):
             assert repr(astuple(getattr(b, cool))) == \
                 repr(astuple(getattr(ref, cool)))
-        for name in ("t", "_ntc_dt", "_t_ref_key", "_trace_next_t",
-                     "trace_stride_s", "thermal_trace"):
+        for name in ("t", "_ntc_dt", "_trace_next_t", "trace_stride_s",
+                     "thermal_trace"):
             assert repr(getattr(b, name)) == repr(getattr(ref, name))
 
 
@@ -335,3 +344,13 @@ def test_invalid_stage_rejected():
     for r in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError):
             CoolingState(r_boundary_on=r)
+    # the coolant loop's capacity divides each overload step, and a plate
+    # rated below 0 W has no meaning; inf is a loop or a plate without bound
+    for c in (0.0, -20.0, math.nan):
+        with pytest.raises(ValueError, match="reservoir_c"):
+            CoolingState(reservoir_c=c)
+    for q in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="max_heat"):
+            CoolingState(max_heat=q)
+    CoolingState(reservoir_c=math.inf, max_heat=math.inf)
+    CoolingState(max_heat=0.0)
