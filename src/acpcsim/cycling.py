@@ -92,9 +92,13 @@ def _device_values(x_a: float, x_b: float, x_c: float) -> list:
 def _pole_voltages(d, v_hi, v_lo, v_dc: float) -> tuple:
     """Average pole voltage of each leg over an ON share d of the upper
     switch: v_dc less the upper drop while it conducts, the lower drop
-    otherwise."""
-    return tuple([d_k * (v_dc - h_k) + (1.0 - d_k) * l_k
-                  for d_k, h_k, l_k in zip(d, v_hi, v_lo)])
+    otherwise; each argument holds the three legs."""
+    d_a, d_b, d_c = d
+    h_a, h_b, h_c = v_hi
+    l_a, l_b, l_c = v_lo
+    return (d_a * (v_dc - h_a) + (1.0 - d_a) * l_a,
+            d_b * (v_dc - h_b) + (1.0 - d_b) * l_b,
+            d_c * (v_dc - h_c) + (1.0 - d_c) * l_c)
 
 
 def _first(hit: np.ndarray) -> Optional[int]:
