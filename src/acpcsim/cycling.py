@@ -46,12 +46,13 @@ T_J_ENVELOPE_MAX = 200.0  # degC simulation envelope
 COOL_TO_AMBIENT_TOL = 0.75  # degC
 COOL_TO_AMBIENT_CAP_S = 900.0
 # every phase advances in blocks of steps (TestBench._phase, through
-# _step_idle, _step_envelope and _step_conducting): the first of a phase as long as the last phase of its kind, a converter-off phase's
-# a quarter longer, then blocks doubling from the kind's small one. A
-# junction-swing heat phase with no last length begun as it was (at the
-# ambient or not) sizes its blocks after the first from the hottest test
-# estimate's rise per step, over up to _RISE_STEPS steps, toward t_j_max.
-# Each block is sized so that its arrays stay under about a megabyte.
+# _step_idle, _step_envelope and _step_conducting): the first of a phase as
+# long as the last phase of its kind, a converter-off phase's a quarter
+# longer, then blocks doubling from the kind's small one. A junction-swing
+# heat phase with no last length begun as it was (at the ambient or not)
+# sizes its blocks after the first from the hottest test estimate's rise per
+# step, over up to _RISE_STEPS steps, toward t_j_max. Each block is sized so
+# that its arrays stay under about a megabyte.
 _IDLE_BLOCK_MIN = 8
 _HEAT_BLOCK_MIN = 2
 _RISE_STEPS = 3
@@ -1141,7 +1142,8 @@ class TestBench:
         hot = np.maximum.reduce(bank.t_j) > T_J_ENVELOPE_MAX
         for i, t in enumerate(rows.t[:len(ts)]):
             theta = (TWO_PI * f_fund * t) % TWO_PI
-            scale = 1.0 if ramp <= 0 else min(1.0, max(0.0, (t - t_soft) / ramp))
+            scale = 1.0 if ramp <= 0 \
+                else min(1.0, max(0.0, (t - t_soft) / ramp))
             i0 = plant.i_abc
             d_test, d_load = control_step(
                 ctl, i0, theta, dt, (v_mag * scale, 0.0),
@@ -1188,8 +1190,8 @@ class TestBench:
             np.add(row[0], row[1], p_in[:, 0])
             hot = heat.step(i, p_in)
         n = len(rows.res)
-        return heat.block(ts[:n], rows=rows._replace(t=rows.t[:len(rows.theta)],
-                                                      losses=losses[:n]))
+        return heat.block(ts[:n], rows=rows._replace(
+            t=rows.t[:len(rows.theta)], losses=losses[:n]))
 
     def _tally_rows(self, rows: "_ConductingRows", n: int, dt: float):
         """Book the first n steps of an averaged block in the energy tally
@@ -1439,9 +1441,10 @@ class TestBench:
         (DeviceBank.conduction, called at every step so that a short set
         between steps reaches the drops; on the campaign grids it takes the
         channel-alone path), the period loss, and the stage update and the
-        load plate's overload (_HeatRecursion). It ends at the first step that takes a
-        junction past the simulation envelope. The plates and bank.t_j are
-        left at the block's last step; the commit takes them back.
+        load plate's overload (_HeatRecursion). It ends at the first step
+        that takes a junction past the simulation envelope. The plates and
+        bank.t_j are left at the block's last step; the commit takes them
+        back.
         """
         grid = self._envelope_grid()
         g = grid.i_dev.shape[1]
@@ -1453,8 +1456,8 @@ class TestBench:
         t_j0 = bank.t_j
         # each step's drops, which the DESAT counts read, and period loss
         v_cond = np.empty((len(ts), N_DEVICES, g))
-        p_dev, prod = np.empty((len(ts), N_DEVICES, 1)), np.empty_like(v_cond[0])
-        p_in = np.empty((N_DEVICES, 1))
+        p_dev = np.empty((len(ts), N_DEVICES, 1))
+        prod, p_in = np.empty_like(v_cond[0]), np.empty((N_DEVICES, 1))
         r_t = []
         for i in range(len(ts)):
             v = v_cond[i]

@@ -638,7 +638,8 @@ def _quick_thermal(r_jc=(0.0198, 0.0405, 0.0297), r_on=0.12, r_off=2.0,
     """Foster stages of the given resistances with taus of 0.2, 2 and
     10 ms, and plates whose boundary stage holds boundary_c."""
     return dict(network=th.FosterNetwork([
-        th.FosterStage(r, tau / r) for r, tau in zip(r_jc, (2e-4, 2e-3, 1e-2))]),
+        th.FosterStage(r, tau / r)
+        for r, tau in zip(r_jc, (2e-4, 2e-3, 1e-2))]),
         cooling=th.CoolingState(r_boundary_on=r_on, r_boundary_off=r_off,
                                 boundary_c=boundary_c),
         ntc=th.NtcModel(bias=0.0, time_constant=0.002))
