@@ -541,9 +541,9 @@ class _ConductingRows(NamedTuple):
 class _HeatRecursion:
     """The thermal recursion of up to n heat steps of dt from the bench's
     thermal state, step by step: each step's stage update under its
-    losses, its junction temperatures and its plates, both pumps as
-    pump_test and the load plate's on, with the coefficients and the
-    references _thermal_coeffs gives. Every heat step runs here (the
+    losses, its junction temperatures and its plates, the test plate's
+    pump as pump_test and the load plate's on, with the coefficients and
+    the references _thermal_coeffs gives. Every heat step runs here (the
     envelope's _heat_block, the averaged and switched _conducting_block,
     and _thermal_step's single step). A step sets bank.t_j, which the next
     step's law reads; the bench's stage temperatures and sensors stay, and
@@ -802,12 +802,14 @@ class TestBench:
         # whether the last phase of each kind ("heat", "cool", "ambient")
         # began at the ambient as a junction-swing heat phase, and its step
         # count; and the longest blocks whose arrays stay under _BLOCK_BYTES,
-        # counted in floats per device and step: an idle block's stage,
+        # counted in words per device and step: an idle block's stage,
         # junction, case, sensor and reference rows; an envelope block's
         # also its grid drops, loss, temperature half, estimates and the
-        # fill's b normals; an averaged block's also its loss rows, the
-        # DESAT check's drops and currents, and its rows of drops, currents
-        # and duties as Python floats, four words each
+        # fill's b normals; an averaged block's thermal rows, its two loss
+        # rows and the DESAT check's drops and currents, its rows of drops,
+        # currents and duties and the sensor lag's two rows as Python
+        # floats, four words each, and its per-step tuples, about ten words
+        # a device (tracemalloc reads 39 words in all at four stages)
         self._phase_steps: dict = {}
         stages = self._stage_temps.shape[1]
         self._idle_block_max = max(1, _BLOCK_BYTES // (
@@ -815,7 +817,7 @@ class TestBench:
         self._heat_block_max = max(1, _BLOCK_BYTES // (8 * N_DEVICES * (
             _GRID_ANGLES + stages + 6 + self._env_b)))
         self._conducting_block_max = max(1, _BLOCK_BYTES // (
-            8 * N_DEVICES * (stages + 6 + 2 + 2 + 3 * 4)))
+            8 * N_DEVICES * (stages + 4 + 2 + 2 + 5 * 4 + 10)))
         self.cool_phases_capped = 0
         self.startup_idles_capped = 0
 
