@@ -28,14 +28,14 @@ from . import sense as sns
 from . import thermal as th
 from .core import (SWITCHED_SUBSTEPS, TWO_PI, BenchConfig, ConfigError,
                    Fidelity, Technique, validate_scenario, wrap_angle)
-from .device import AgingTrajectory, DeviceParams, _piecewise
+from .device import (N_DEVICES, AgingTrajectory, DeviceBank, DeviceParams,
+                     _piecewise)
 from .electrical import (PlantState, PlantStepResult, control_step,
                          dq_phase_deg, inverse_park, inverse_park_phase,
                          make_controller, park, plant_step, svpwm_duties)
 
 _SQRT3 = math.sqrt(3.0)
 
-N_DEVICES = 12
 DEVICE_IDS = tuple(
     f"{inv}_{ph}_{pos}"
     for inv in ("test", "load") for ph in ("a", "b", "c") for pos in ("hi", "lo")
@@ -264,107 +264,6 @@ def energy_audit(tally: EnergyTally) -> EnergyAudit:
     )
 
 
-# ---------------------------------------------------------------------------
-# Vectorized device bank
-# ---------------------------------------------------------------------------
-
-class DeviceBank:
-    """All twelve switches evaluated together with per-device aging state.
-
-    Conduction drops come from the conduction law with each device's
-    temperature and aging deltas; conduction is the bench's one entry to
-    it. It evaluates the law's temperature half once per device in the row
-    form, then the drops with one path per shape: the row form for one
-    current per device, the array form for a (12, g) grid.
-    """
-
-    def __init__(self, params: DeviceParams, ambient: float):
-        self.params = params
-        self.n = N_DEVICES
-        # the aging deltas are the rows of one array, which the law reads
-        # with one tolist
-        self._deltas = np.zeros((3, self.n))
-        self.delta_pkg, self.delta_vth, self.delta_vsd = self._deltas
-        self.t_j = np.full(self.n, ambient)
-        self.r_th_factor = np.ones(self.n)
-        self.shorted = np.zeros(self.n, dtype=bool)
-        self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
-        # counts the changes of r_th_factor, which key the thermal step's
-        # coefficients
-        self.r_th_version = 0
-
-    def conduction(self, cur, out: Optional[np.ndarray] = None) -> tuple:
-        """Signed conduction drops, with the channel held on (synchronous
-        rectification across both bridges); an injected short reads the
-        desaturated drop in its row.
-
-        cur is one current per device, a list of twelve Python floats, or
-        the current half of a (12, g) grid (device.conduction_current).
-        Returns (v, r_t): the drops and the temperature half of R evaluated
-        once per device, so that the on-resistance of row k at current i is
-        r_t[k] + current_slope(i). For one current per device both are
-        lists of Python floats (device.conduction_rows); for a grid, v is
-        (12, g), written to out when one is given, and r_t (12, 1).
-
-        A grid with no zero current whose every row's channel conducts
-        alone, checked in the row form against the row's largest reverse
-        magnitude and slope that the grid binds, takes the channel-alone
-        path, i * (r_t + slope); any other grid takes the masked law
-        (device.conduction_from_halves). Both give the law's bits.
-        """
-        grid = isinstance(cur, dev_mod.ConductionCurrent)
-        if grid and cur.mag.ndim != 2:
-            raise ValueError("the array path takes a (12, g) grid; pass one "
-                             "current per device as a list of floats")
-        p = self.params
-        r_t, knee = dev_mod.temperature_rows(p, self.t_j,
-                                             *self._deltas.tolist())
-        if grid:
-            # a row's channel conducts alone when its largest reverse
-            # magnitude times the resistance at its largest reverse slope
-            # is at most a knee of at least 0: rounding is monotone, so no
-            # reverse drop of the row passes the knee. The drops are then
-            # i * (r_t + slope), the masked law's bits, as rounding is
-            # sign-symmetric and the law's multiply by +-1 exact
-            alone = cur.zero is None and all(
-                m * (r + s) <= k and k >= 0.0 for m, s, r, k in zip(
-                    cur.rev_mag, cur.rev_slope, r_t, knee))
-            # reshape, not [:, None], whose zero stride slows the
-            # broadcasts that read these columns
-            r_t = np.array(r_t).reshape(-1, 1)
-            if alone:
-                v = np.multiply(cur.i, np.add(r_t, cur.slope, out), out)
-            else:
-                v = dev_mod.conduction_from_halves(
-                    p, cur, r_t, np.array(knee).reshape(-1, 1))
-                if out is not None:
-                    out[...], v = v, out
-            if np.count_nonzero(self.shorted):
-                np.copyto(v, self.desat_fault_v, where=self.shorted[:, None])
-            return v, r_t
-        v = dev_mod.conduction_rows(p, cur, r_t, knee)
-        if np.count_nonzero(self.shorted):
-            fault = float(self.desat_fault_v)
-            for k in np.flatnonzero(self.shorted).tolist():
-                v[k] = fault
-        return v, r_t
-
-    def apply_trajectories(self, trajectory: AgingTrajectory, r_th_points,
-                           cycle: int, device_mask: np.ndarray):
-        pkg = _piecewise(trajectory.delta_pkg, cycle)
-        vth = _piecewise(trajectory.delta_vth, cycle)
-        vsd = _piecewise(trajectory.delta_vsd, cycle)
-        rth = 1.0 + _piecewise(tuple(r_th_points), cycle)
-        m = device_mask
-        self.delta_pkg[m] = np.maximum(self.delta_pkg[m], pkg)
-        self.delta_vth[m] = np.maximum(self.delta_vth[m], vth)
-        self.delta_vsd[m] = np.maximum(self.delta_vsd[m], vsd)
-        r_th = np.maximum(self.r_th_factor[m], rth)
-        if (r_th != self.r_th_factor[m]).any():
-            self.r_th_factor[m] = r_th
-            self.r_th_version += 1
-
-
 class _CrossingPredictor:
     """Half-step lookahead on a sampled monotone signal.
 
@@ -554,44 +453,46 @@ class _HeatRecursion:
                  pump_test: bool):
         t_ref, (a, gain, r_b, ntc_gain) = bench._thermal_coeffs(dt,
                                                                 pump_test)
-        self.bench, self.dt, self.pump_test = bench, dt, pump_test
-        self.a, self.gain, self.ntc_gain = a, gain, ntc_gain
-        self.r_b = r_b.reshape(2, -1)
+        self.bench, self.ntc_gain = bench, ntc_gain
         self.temps = np.empty((n + 1, *a.shape))
         self.temps[0] = bench._stage_temps
         self.t_j = np.empty((n, N_DEVICES))
-        self.heat = np.empty_like(a)
-        self.ref = np.repeat(t_ref, N_DEVICES // 2)  # each device's plate's
-        self.now = t_ref
         self.t_ref, self.plates = [], []
+        ref = np.empty(N_DEVICES)  # each device's plate's reference
+        ref[:6], ref[6:] = self.now = t_ref
+        ct = bench.cool_test
+        self.test = ct.overload_rise, ct.capacity_exceeded
+        # what every step reads, unpacked at once
+        self._k = (bench.bank, ct, bench.cool_load, bench.ambient, a, gain,
+                   np.empty_like(a), ref, r_b[:6], r_b[6:], dt, pump_test)
 
     def step(self, i: int, p: np.ndarray) -> bool:
         """Step i under the losses p, a (12, 1) column of W; True when it
         takes a junction past the simulation envelope."""
-        b = self.bench
-        ct, cl = b.cool_test, b.cool_load
+        bank, ct, cl, amb, a, gain, heat, ref, r_b_t, r_b_l, dt, pump_test = \
+            self._k
         if i:  # the plates' references follow their overload
-            t_ref_t = th.cooling_step(ct, True, b.ambient)[0] \
-                if self.pump_test else self.now[0]
-            now = t_ref_t, th.cooling_step(cl, True, b.ambient)[0]
-            if now != self.now:
-                self.now = now
-                self.ref[:6], self.ref[6:] = now
+            now = self.now
+            t_ref_t = th.cooling_step(ct, True, amb)[0] if pump_test \
+                else now[0]
+            t_ref_l = th.cooling_step(cl, True, amb)[0]
+            if t_ref_t != now[0] or t_ref_l != now[1]:
+                ref[:6], ref[6:] = self.now = t_ref_t, t_ref_l
         self.t_ref.append(self.now)
         # temps * a + p * gain, as the closed form of each stage
-        row = self.temps[i + 1]
-        np.multiply(self.temps[i], self.a, row)
-        np.add(row, np.multiply(p, self.gain, self.heat), row)
-        t_j = b.bank.t_j = np.add(self.ref, np.add.reduce(row, axis=1),
-                                  self.t_j[i])
+        temps = self.temps
+        row = temps[i + 1]
+        np.multiply(temps[i], a, row)
+        np.add(row, np.multiply(p, gain, heat), row)
+        t_j = bank.t_j = np.add(ref, np.add.reduce(row, axis=1), self.t_j[i])
         # heat into each plate whose pump runs (a row's reduce is its
         # slice's)
-        if self.pump_test:
-            th.cooling_absorb(ct, float(np.add.reduce(
-                row[:6, -1] / self.r_b[0])), self.dt)
-        th.cooling_absorb(cl, float(np.add.reduce(row[6:, -1] / self.r_b[1])),
-                          self.dt)
-        self.plates.append(((ct.overload_rise, ct.capacity_exceeded),
+        if pump_test:
+            th.cooling_absorb(ct, float(np.add.reduce(row[:6, -1] / r_b_t)),
+                              dt)
+            self.test = ct.overload_rise, ct.capacity_exceeded
+        th.cooling_absorb(cl, float(np.add.reduce(row[6:, -1] / r_b_l)), dt)
+        self.plates.append((self.test,
                             (cl.overload_rise, cl.capacity_exceeded)))
         return bool(np.maximum.reduce(t_j) > T_J_ENVELOPE_MAX)
 
@@ -1056,7 +957,7 @@ class TestBench:
         step are not.
         """
         dt = 1.0 / self.cfg.f_sw
-        ts, _, timed = self._block_times(n, t0, cap_s, done, dt)
+        ts, timed = self._block_times(n, t0, cap_s, done, dt)
         t_j0 = self.bank.t_j
         plates0 = [dict(vars(c)) for c in (self.cool_test, self.cool_load)]
         blk = self._conducting_block(ts, dt)
@@ -1346,7 +1247,7 @@ class TestBench:
                      ) -> tuple:
         """The times after up to n steps of dt from now, accumulated step
         by step, through the first where done(t) or t - t0 > cap_s holds;
-        returns (times, dt, timed), timed True when one of them ends the
+        returns (times, timed), timed True when one of them ends the
         block."""
         ts = []
         t = self.t
@@ -1354,8 +1255,8 @@ class TestBench:
             t += dt
             ts.append(t)
             if (done is not None and done(t)) or t - t0 > cap_s:
-                return ts, dt, True
-        return ts, dt, False
+                return ts, True
+        return ts, False
 
     def _step_envelope(self, n: int, t0: float, cap_s: float,
                        rule: Optional[Callable] = None,
@@ -1373,8 +1274,8 @@ class TestBench:
         is committed as far as that step taken alone gets. Returns (block,
         stop, capped) as _step_idle does.
         """
-        ts, dt, timed = self._block_times(n, t0, cap_s, done,
-                                          1.0 / self.cfg.f_fund)
+        dt = 1.0 / self.cfg.f_fund
+        ts, timed = self._block_times(n, t0, cap_s, done, dt)
         t_j0 = self.bank.t_j
         plates0 = [dict(vars(c)) for c in (self.cool_test, self.cool_load)]
         blk = self._heat_block(ts, dt)
@@ -1610,8 +1511,8 @@ class TestBench:
         (None when none of the block's steps ends the idle), and capped is
         True when cap_s ended it while neither done nor rule held.
         """
-        ts, dt, timed = self._block_times(n, t0, cap_s, done,
-                                          1.0 / self.cfg.f_fund)
+        dt = 1.0 / self.cfg.f_fund
+        ts, timed = self._block_times(n, t0, cap_s, done, dt)
         blk = self._idle_block(ts, dt)
         stop = None if rule is None else rule(blk)
         capped = False
@@ -1719,9 +1620,10 @@ class TestBench:
         """Run the phase begun at t0 in blocks until a step ends it, a heat
         phase ("heat") through the engine's block entry, _step_envelope or
         _step_conducting, and an idle ("cool", "ambient") through
-        _step_idle, which take rule, done and cap_s; folds each committed step's junction temperatures into fold
-        when given (a heat phase's maxima, an idle's minima). Returns True
-        when the cap ended it; a trip or a runaway raises from its block.
+        _step_idle, which take rule, done and cap_s; folds each committed
+        step's junction temperatures into fold when given (a heat phase's
+        maxima, an idle's minima). Returns True when the cap ended it; a
+        trip or a runaway raises from its block.
 
         Blocks set only the time, never the bits. A junction-swing heat
         phase begun at the ambient (the first, and the first after a
@@ -1858,10 +1760,11 @@ class TestBench:
 
     def _heat_rule(self, t0: float, pred: "_CrossingPredictor") -> tuple:
         """The stop of the heat phase begun at t0, as the (rule, done) pair
-        of the heat block entries (_step_envelope, _step_conducting): fixed times end on the time alone, a case swing
-        on the hottest test sensor, a junction swing on the hottest finite
-        test-bridge estimate through pred, fed step by step but not while
-        no estimate is finite."""
+        of the heat block entries (_step_envelope, _step_conducting):
+        fixed times end on the time alone, a case swing on the hottest test
+        sensor, a junction swing on the hottest finite test-bridge estimate
+        through pred, fed step by step but not while no estimate is
+        finite."""
         cfg = self.cfg
         if cfg.technique is Technique.FIXED_TIMES:
             return None, lambda t: t - t0 >= cfg.t_on - 1e-9

@@ -32,12 +32,12 @@ form for the averaged and switched engines' one current per device, or in
 the array form for the envelope engine's (12, g) grids, whose current half
 it binds once per run. A grid whose channel conducts alone in every row
 needs no masks: its drops are i * (r_t + slope), to the same bits
-(cycling.DeviceBank.conduction).
+(DeviceBank.conduction).
 
 There is no per-device state object: every law takes DeviceParams plus the
 junction temperature and aging values (delta_pkg, delta_vth, delta_vsd) as
 scalars or arrays, and the bench passes the twelve values of its
-DeviceBank.
+DeviceBank, which holds them and is the bench's one entry to the law.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 KELVIN = 273.15
+N_DEVICES = 12  # the bench's switches: two three-phase bridges
 
 
 @dataclass
@@ -346,6 +347,106 @@ def _piecewise(points: Breakpoints, x: float) -> float:
     if x1 == x0:
         return y1
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+# ---------------------------------------------------------------------------
+# Vectorized device bank
+# ---------------------------------------------------------------------------
+
+class DeviceBank:
+    """All twelve switches evaluated together with per-device aging state.
+
+    Conduction drops come from the conduction law with each device's
+    temperature and aging deltas; conduction is the bench's one entry to
+    it. It evaluates the law's temperature half once per device in the row
+    form, then the drops with one path per shape: the row form for one
+    current per device, the array form for a (12, g) grid.
+    """
+
+    def __init__(self, params: DeviceParams, ambient: float):
+        self.params = params
+        self.n = N_DEVICES
+        # the aging deltas are the rows of one array, which the law reads
+        # with one tolist
+        self._deltas = np.zeros((3, self.n))
+        self.delta_pkg, self.delta_vth, self.delta_vsd = self._deltas
+        self.t_j = np.full(self.n, ambient)
+        self.r_th_factor = np.ones(self.n)
+        self.shorted = np.zeros(self.n, dtype=bool)
+        self.desat_fault_v = 40.0  # desaturated drop used for injected shorts, V
+        # counts the changes of r_th_factor, which key the thermal step's
+        # coefficients
+        self.r_th_version = 0
+
+    def conduction(self, cur, out: Optional[np.ndarray] = None) -> tuple:
+        """Signed conduction drops, with the channel held on (synchronous
+        rectification across both bridges); an injected short reads the
+        desaturated drop in its row.
+
+        cur is one current per device, a list of twelve Python floats, or
+        the current half of a (12, g) grid (conduction_current).
+        Returns (v, r_t): the drops and the temperature half of R evaluated
+        once per device, so that the on-resistance of row k at current i is
+        r_t[k] + current_slope(i). For one current per device both are
+        lists of Python floats (conduction_rows); for a grid, v is
+        (12, g), written to out when one is given, and r_t (12, 1).
+
+        A grid with no zero current whose every row's channel conducts
+        alone, checked in the row form against the row's largest reverse
+        magnitude and slope that the grid binds, takes the channel-alone
+        path, i * (r_t + slope); any other grid takes the masked law
+        (conduction_from_halves). Both give the law's bits.
+        """
+        grid = isinstance(cur, ConductionCurrent)
+        if grid and cur.mag.ndim != 2:
+            raise ValueError("the array path takes a (12, g) grid; pass one "
+                             "current per device as a list of floats")
+        p = self.params
+        r_t, knee = temperature_rows(p, self.t_j, *self._deltas.tolist())
+        if grid:
+            # a row's channel conducts alone when its largest reverse
+            # magnitude times the resistance at its largest reverse slope
+            # is at most a knee of at least 0: rounding is monotone, so no
+            # reverse drop of the row passes the knee. The drops are then
+            # i * (r_t + slope), the masked law's bits, as rounding is
+            # sign-symmetric and the law's multiply by +-1 exact
+            alone = cur.zero is None and all(
+                m * (r + s) <= k and k >= 0.0 for m, s, r, k in zip(
+                    cur.rev_mag, cur.rev_slope, r_t, knee))
+            # reshape, not [:, None], whose zero stride slows the
+            # broadcasts that read these columns
+            r_t = np.array(r_t).reshape(-1, 1)
+            if alone:
+                v = np.multiply(cur.i, np.add(r_t, cur.slope, out), out)
+            else:
+                v = conduction_from_halves(
+                    p, cur, r_t, np.array(knee).reshape(-1, 1))
+                if out is not None:
+                    out[...], v = v, out
+            if np.count_nonzero(self.shorted):
+                np.copyto(v, self.desat_fault_v, where=self.shorted[:, None])
+            return v, r_t
+        v = conduction_rows(p, cur, r_t, knee)
+        if np.count_nonzero(self.shorted):
+            fault = float(self.desat_fault_v)
+            for k in np.flatnonzero(self.shorted).tolist():
+                v[k] = fault
+        return v, r_t
+
+    def apply_trajectories(self, trajectory: AgingTrajectory, r_th_points,
+                           cycle: int, device_mask: np.ndarray):
+        pkg = _piecewise(trajectory.delta_pkg, cycle)
+        vth = _piecewise(trajectory.delta_vth, cycle)
+        vsd = _piecewise(trajectory.delta_vsd, cycle)
+        rth = 1.0 + _piecewise(tuple(r_th_points), cycle)
+        m = device_mask
+        self.delta_pkg[m] = np.maximum(self.delta_pkg[m], pkg)
+        self.delta_vth[m] = np.maximum(self.delta_vth[m], vth)
+        self.delta_vsd[m] = np.maximum(self.delta_vsd[m], vsd)
+        r_th = np.maximum(self.r_th_factor[m], rth)
+        if (r_th != self.r_th_factor[m]).any():
+            self.r_th_factor[m] = r_th
+            self.r_th_version += 1
 
 
 # ---------------------------------------------------------------------------
