@@ -460,8 +460,10 @@ class _HeatRecursion:
         self.t_ref, self.plates = [], []
         ref = np.empty(N_DEVICES)  # each device's plate's reference
         ref[:6], ref[6:] = self.now = t_ref
+        # the test plate's (overload_rise, capacity_exceeded), which move
+        # only while its pump runs
         ct = bench.cool_test
-        self.test = ct.overload_rise, ct.capacity_exceeded
+        self.test_plate = ct.overload_rise, ct.capacity_exceeded
         # what every step reads, unpacked at once
         self._k = (bench.bank, ct, bench.cool_load, bench.ambient, a, gain,
                    np.empty_like(a), ref, r_b[:6], r_b[6:], dt, pump_test)
@@ -490,9 +492,9 @@ class _HeatRecursion:
         if pump_test:
             th.cooling_absorb(ct, float(np.add.reduce(row[:6, -1] / r_b_t)),
                               dt)
-            self.test = ct.overload_rise, ct.capacity_exceeded
+            self.test_plate = ct.overload_rise, ct.capacity_exceeded
         th.cooling_absorb(cl, float(np.add.reduce(row[6:, -1] / r_b_l)), dt)
-        self.plates.append((self.test,
+        self.plates.append((self.test_plate,
                             (cl.overload_rise, cl.capacity_exceeded)))
         return bool(np.maximum.reduce(t_j) > T_J_ENVELOPE_MAX)
 
