@@ -17,8 +17,8 @@ from acpcsim import sense as sns
 from acpcsim import thermal as th
 from acpcsim.cli import build_settings, parse_scenario
 from acpcsim.cli import run as cli_run
-from acpcsim.core import (BenchConfig, ConfigError, Fidelity, PfMode,
-                          Technique, validate_scenario)
+from acpcsim.core import (TWO_PI, BenchConfig, ConfigError, Fidelity,
+                          PfMode, Technique, validate_scenario)
 from acpcsim.cycling import (BODY_DIODE_WARNING, COOL_TO_AMBIENT_CAP_S,
                              DEVICE_IDS, GATE_OXIDE_WARNING, PACKAGE_WARNING,
                              CycleRecord, DeviceBank, EnergyTally, N_DEVICES,
@@ -507,6 +507,197 @@ class TestConductingBlock:
                 Fidelity.SWITCHED)
         assert self.state(*self.run([37, 5], *args)) \
             == self.state_of_ones(*args)
+
+
+def per_store_slots(s, idx, v_on, i_meas, truth) -> int:
+    """smp.store_slots as it stored one reading on numpy slots: the filled
+    slots of idx skipped, the rest of the cycle budget capping the count,
+    in idx's order."""
+    idx = np.asarray(idx, dtype=int)
+    idx = idx[~s.filled_mask[idx]][:max(s.budget_per_cycle - s.budget_used,
+                                        0)]
+    s.v_on[idx] = v_on
+    s.i[idx] = i_meas
+    s.truth[idx] = truth
+    s.filled_mask[idx] = True
+    s.filled += len(idx)
+    if len(idx) and not s.budget_used:  # the window's first store this cycle
+        s.cycles_elapsed += 1
+    s.budget_used += len(idx)
+    return len(idx)
+
+
+def per_store_capture(b, theta, i_dev, v_cond, duty, t=None, t_j=None
+                      ) -> list:
+    """TestBench._capture as it stored one reading at a time: each step
+    whose sweep crosses a trigger replays the store of every gated device
+    with budget left (per_store_slots over its triggers_in_interval), in
+    (step, device) order, and finishes a window as it completes. The sets
+    a sweep crossed are the devices whose triggers_in_interval is
+    non-empty."""
+    if np.ndim(theta) == 0:
+        theta, i_dev, v_cond, duty = [theta], [i_dev], [v_cond], [duty]
+    if t is None:
+        t, t_j = [b.t], b.bank.t_j[None]
+    samplers = b.samplers
+    prev = [b.theta_prev, *theta[:-1]]
+    crossed = [[k for k in range(N_DEVICES) if len(smp.triggers_in_interval(
+        samplers[k].triggers, prev[i], theta[i]))] for i in range(len(theta))]
+    steps = [i for i in range(len(theta)) if crossed[i]]
+    floor = b.i_floor
+    gated = [[k for k in crossed[i]
+              if not i_dev[i][k] <= floor and not duty[i][k] < 0.02]
+             for i in steps]
+    bound = sum(map(len, gated))
+    sigma = b.s.sense_params.noise_sigma
+    state = noise = None
+    if sigma > 0 and bound:
+        state = b.rng.bit_generator.state
+        noise = b.rng.normal(0.0, sigma, bound).tolist()
+    used, done = 0, []
+    f_fund, e_d = b.cfg.f_fund, b.e_d.tolist()
+    for i, cand in zip(steps, gated):
+        cyc = int(f_fund * t[i] + 1e-9)
+        if cyc != b._fund_cycle:
+            b._fund_cycle = cyc
+            for sstate in samplers:
+                sstate.start_cycle()
+        store = [k for k in cand
+                 if samplers[k].budget_used < samplers[k].budget_per_cycle]
+        completed = False
+        for k in store:
+            z = noise[used] if noise is not None else 0.0
+            used += 1
+            sstate = samplers[k]
+            v, i_k = float(v_cond[i][k]), float(i_dev[i][k])
+            per_store_slots(sstate, smp.triggers_in_interval(
+                sstate.triggers, prev[i], theta[i]), v + e_d[k] + z, i_k,
+                v / i_k)
+            if sstate.complete:
+                idx = b._win_idx[None, k:k + 1]
+                i_pk = float(sstate.i[sstate.triggers.center_index])
+                b._finish_window(
+                    k, sstate.v_on[idx], sstate.i[idx], sstate.truth[idx],
+                    [b.luts[k].column(i_pk).tolist()],
+                    [sstate.cycles_elapsed], [t[i]], t_j[i][None])
+                if k == 0:
+                    b.last_window_trace = (sstate.triggers.angles,
+                                           sstate.i.copy(), sstate.v_on.copy())
+                sstate.reset_window()
+                completed = True
+        if completed:
+            done.append((i, b.tj_est.copy()))
+    if state is not None and used < bound:
+        b.rng.bit_generator.state = state
+        b.rng.normal(0.0, sigma, used)
+    cyc = int(f_fund * t[-1] + 1e-9)
+    if cyc != b._fund_cycle:
+        b._fund_cycle = cyc
+        for sstate in samplers:
+            sstate.start_cycle()
+    b.theta_prev = theta[-1]
+    return done
+
+
+class TestCapture:
+    """The averaged capture (TestBench._capture) against per_store_capture,
+    its one-reading-at-a-time form, on the same rows and state, bit for
+    bit: budgets that stop stores and ones that do not, windows that span
+    several blocks or complete several times in one, the window of device
+    0 wrapping through 0 rad, gated stores, with and without noise."""
+
+    @staticmethod
+    def state(b, done) -> list:
+        """Everything the capture changes, and what it returned."""
+        trace = b.last_window_trace
+        return [
+            repr([(s.v_on.tobytes(), s.i.tobytes(), s.truth.tobytes(),
+                   s.filled_mask.tobytes(), s.filled, s.cycles_elapsed,
+                   s.budget_used) for s in b.samplers]),
+            repr([tuple(w.values()) for w in b.windows]),
+            b.r_on_last.tobytes(), b.tj_est.tobytes(),
+            None if trace is None else [a.tobytes() for a in trace],
+            repr(b.theta_prev), b._fund_cycle,
+            repr(b.rng.bit_generator.state),
+            [(i, est.tobytes()) for i, est in done]]
+
+    @staticmethod
+    def rows(b, rng, n: int, t0: float, dt: float, floor_share: float,
+             low_duty: float) -> tuple:
+        """n steps of dt from t0: the angles and times a block records, and
+        device rows around a 400 A sinusoid whose currents fall under the
+        capture floor on floor_share of the rows and whose duties fall
+        under 0.02 on low_duty of them."""
+        t = (t0 + dt * np.arange(n)).tolist()
+        theta = [(TWO_PI * b.cfg.f_fund * x) % TWO_PI for x in t]
+        phase = np.array(theta)[:, None] - np.array(
+            [s.triggers.angles[s.triggers.center_index] for s in b.samplers])
+        i_dev = 400.0 * np.cos(phase) + rng.normal(0.0, 5.0, phase.shape)
+        low = rng.random(phase.shape) < floor_share
+        i_dev[low] = rng.uniform(-50.0, b.i_floor, int(low.sum()))
+        duty = rng.uniform(0.02, 1.0, phase.shape)
+        low = rng.random(phase.shape) < low_duty
+        duty[low] = rng.uniform(0.0, 0.02, int(low.sum()))
+        v_cond = i_dev * rng.uniform(3e-3, 6e-3, phase.shape)
+        t_j = rng.uniform(25.0, 150.0, phase.shape)
+        return theta, i_dev, v_cond, duty, t, t_j
+
+    @settings(deadline=None, max_examples=40,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(n_slots=st.sampled_from([7, 60, 300]),
+           budget=st.sampled_from([1, 5, 7, 300]),
+           sizes=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+           per_step=st.sampled_from([1.0, 0.3, 7.0, 400.0]),
+           floor=st.sampled_from([None, 200.0]),
+           low_duty=st.sampled_from([0.0, 0.3]),
+           noisy=st.booleans(), collect=st.booleans(),
+           start=st.floats(0.0, 0.04), seed=st.integers(0, 2 ** 32 - 1))
+    # the averaged_steady bench: a window per cycle, started mid-window
+    @example(300, 300, [260, 260, 13], 1.0, None, 0.0, True, True, 0.013, 1)
+    # budgets that stop stores, and windows that complete several times in
+    # one block
+    @example(60, 5, [300, 1, 277], 7.0, 200.0, 0.3, True, False, 0.0, 2)
+    @example(7, 1, [300, 300], 7.0, None, 0.0, False, True, 0.0199, 3)
+    @example(7, 7, [150, 150], 7.0, 200.0, 0.3, True, True, 0.005, 4)
+    @example(7, 5, [300, 2], 0.3, None, 0.0, True, True, 0.0, 6)
+    # sweeps of most of a turn, each crossing every window
+    @example(300, 7, [40, 30], 400.0, None, 0.3, True, True, 0.001, 5)
+    def test_block_capture_matches_the_per_store_capture(
+            self, n_slots, budget, sizes, per_step, floor, low_duty, noisy,
+            collect, start, seed):
+        sense = sns.SenseCircuitParams() if noisy \
+            else sns.SenseCircuitParams(noise_sigma=0.0)
+        b = TestBench(default_settings(
+            validate_scenario(BenchConfig()), budget_per_cycle=budget,
+            sampler_n=n_slots, sense_params=sense, i_floor=floor,
+            fir_taps=smp.default_fir_taps(min(31, 2 * n_slots + 1))))
+        b.collect_windows = collect
+        rng = np.random.default_rng(seed)
+        dt = per_step / b.cfg.f_sw
+        # an untimed block first, so the drawn blocks start mid-window
+        t0 = start
+        warm = self.rows(b, rng, int(rng.integers(1, 200)), t0, dt, 0.1, 0.0)
+        per_store_capture(b, *warm)
+        t0 = warm[4][-1] + dt
+        ref = copy.deepcopy(b)
+        for n in sizes:
+            rows = self.rows(b, rng, n, t0, dt, 0.1, low_duty)
+            t0 = rows[4][-1] + dt
+            got = self.state(b, b._capture(*rows))
+            assert got == self.state(ref, per_store_capture(ref, *rows)), n
+
+    def test_one_step_form_matches_the_per_store_capture(self):
+        # a lone step at the bench's time and junction temperatures, whose
+        # sweep, a whole turn, crosses every trigger
+        b = TestBench(default_settings(validate_scenario(BenchConfig()),
+                                       budget_per_cycle=300))
+        b.theta_prev = math.radians(30.0)
+        i_dev = np.linspace(-100.0, 300.0, N_DEVICES)
+        args = (b.theta_prev + TWO_PI - 1e-6, i_dev, 1e-2 * i_dev,
+                np.full(N_DEVICES, 0.5))
+        ref = copy.deepcopy(b)
+        assert self.state(b, b._capture(*args)) \
+            == self.state(ref, per_store_capture(ref, *args))
 
 
 def full_fill(b, grid, r_t, t_start, tj_start) -> SimpleNamespace:
