@@ -59,8 +59,9 @@ run_manifest.json    inputs, seed, emitted-file hashes, wall duration, and
 Exit codes: 0 completed, 1 a scenario failed with an unexpected error
 (reported as ``<scenario>: <error>`` on stderr; the other scenarios of the
 command still run), 2 configuration error (found before the output
-directory is created), 3 run ended early by protection trip or thermal
-runaway. With several scenarios the exit code is the highest of theirs.
+directory is created), 3 run ended early by protection trip, thermal
+runaway or a start-up measurement that failed. With several scenarios the
+exit code is the highest of theirs.
 """
 
 from __future__ import annotations
@@ -435,7 +436,8 @@ def write_sampling_trace(path: Path, bench: TestBench) -> str:
 # Run orchestration
 # ---------------------------------------------------------------------------
 
-_EXIT_BY_STATUS = {"ok": 0, "protection_trip": 3, "thermal_runaway": 3}
+_EXIT_BY_STATUS = {"ok": 0, "protection_trip": 3, "thermal_runaway": 3,
+                   "measurement_failed": 3}
 
 
 def run(scenario_path, out_dir, seed: Optional[int] = None,

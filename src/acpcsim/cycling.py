@@ -342,7 +342,8 @@ class StartupResult:
 @dataclass
 class RunResult:
     records: list
-    status: str             # "ok" | "protection_trip" | "thermal_runaway"
+    # "ok" | "protection_trip" | "thermal_runaway" | "measurement_failed"
+    status: str
     reason: str = ""
     cycles_completed: int = 0
     # idles that ended at their cap before their rule: cool phases at
@@ -418,22 +419,24 @@ class _HeatFill(NamedTuple):
 
 class _ConductingRows(NamedTuple):
     """The per-step rows of an averaged or switched heat block
-    (TestBench._conducting_block), Python floats: row i is step i's. A
-    block that stops at a step's runaway check, as the junctions it starts
-    from are past the simulation envelope, has one row more in the fields
-    up to ctl: that step's control step and device rows."""
+    (TestBench._conducting_block), Python floats recorded flat: a field of
+    k values a step holds step i's at k * i to k * i + k - 1. A block that
+    stops at a step's runaway check, as the junctions it starts from are
+    past the simulation envelope, has one row more in the fields up to
+    ctl: that step's control step and device rows."""
 
     t: list        # the time each step starts at, s
     theta: list    # its angle, rad
-    i0: list       # the link currents it starts from, (a, b, c)
-    d_test: list   # the duties of its control step, (a, b, c) per bridge
+    i0: list       # the link currents it starts from, a, b, c
+    d_test: list   # the duties of its control step, a, b, c per bridge
     d_load: list
-    i_dev: list    # its device rows, one value per device: currents,
-    duty: list     # duties and conduction drops
+    i_dev: list    # its device rows, 12 values each: currents, duties and
+    duty: list     # conduction drops
     v_cond: list
     ctl: list      # the current filter and both PI integrators after it
-    res: list      # its plant result
-    pole: list     # its test-bridge pole voltages, (a, b, c)
+    i_mean: list   # its plant result, a, b, c: the mean currents and the
+    i_sq_mean: list  # mean squared currents
+    pole: list     # its test-bridge pole voltages, a, b, c
     losses: np.ndarray  # (n, 2, 12) conduction and switching loss, W
 
 
@@ -581,7 +584,6 @@ class TestBench:
                 f"current, whose ratio is undefined; use at least 0")
         # blocking-diode mismatch of each device's sense path, V
         self.e_d = rng_ed.uniform(*sns.E_D_RANGE, size=N_DEVICES)
-        self._e_d_row = self.e_d.tolist()  # for the averaged capture
 
         # the network's junction-side Foster stages; _HeatRecursion advances
         # them per device with the boundary stage of the device's plate,
@@ -617,6 +619,11 @@ class TestBench:
                 f"least 1")
         self.samplers = [smp.SamplerState(
             sets[c], budget_per_cycle=s.budget_per_cycle) for c in centers]
+        # the distinct sets, which the averaged capture searches, and each
+        # device's among them
+        self._capture_sets = list(sets.values())
+        self._capture_set_of = np.array([list(sets).index(c)
+                                         for c in centers])
         # the envelope fill stores b slots a step, so ceil(N / b) steps
         # complete a window
         self._env_b = min(s.budget_per_cycle, s.sampler_n)
@@ -699,8 +706,6 @@ class TestBench:
         self._env_truth = np.full((N_DEVICES, s.sampler_n), np.nan)
         self._env_filled = 0
         self._env_tj_cols = None  # R(T) columns at each window-center current
-        self._lut_t_axis = self._base_lut.t_axis.tolist()
-        self._trigger_index = None
         self._thermal_cache: dict = {}
         # whether the last phase of each kind ("heat", "cool", "ambient")
         # began at the ambient as a junction-swing heat phase, and its step
@@ -780,93 +785,74 @@ class TestBench:
         sweep, from the last captured step's angle to its own, crossed.
 
         theta is one step's angle and i_dev, v_cond and duty its rows, one
-        value per device, at the bench's time and junction temperatures;
-        or, for a block, lists of the steps' angles and rows, with t the
-        times they start at and t_j (n, 12) the junction temperatures they
-        start from. Only the steps whose sweep crosses a trigger replay the
-        store (smp.sampler_update_interval); their normals are one draw,
-        value for value the draws of the steps taken alone. Returns the
-        (step, tj_est after it) of each step that completed a window.
+        value per device, at the bench's time and junction temperatures
+        when t is None; or, for a block, the steps' angles and (n, 12)
+        rows, with t the times they start at and t_j (n, 12) the junction
+        temperatures they start from.
+
+        The block is worked out by device and window, with the bits of its
+        steps taken alone: each distinct trigger set finds every step's
+        slot run with one search (smp.sweep_slots), the floor and duty
+        gates take whole rows, and each device's events then take the
+        budget, skip filled slots and complete windows in one pass
+        (smp.store_block). A reading that found budget takes the next
+        normal of one draw in (step, device) order; each window's
+        readings are written with one index (smp.write_block), and the
+        windows finish in (step, device) order. Returns the (step, tj_est
+        after it) of each step that completed a window.
         """
-        if np.ndim(theta) == 0:
-            theta, i_dev, v_cond, duty = [theta], [i_dev], [v_cond], [duty]
-        if t is None:
+        if t is None:  # one step
+            theta, i_dev, v_cond, duty = [theta], *(
+                np.reshape(x, (1, N_DEVICES)) for x in (i_dev, v_cond, duty))
             t, t_j = [self.t], self.bank.t_j[None]
-        if self._trigger_index is None:
-            self._trigger_index = smp.TriggerIndex(
-                [st.triggers for st in self.samplers])
-        index = self._trigger_index
-        prev = [self.theta_prev, *theta[:-1]]
-        # the steps whose sweep crosses a trigger: one search of the merged
-        # angles for every step, as TriggerIndex.crossed searches
-        t1 = np.array([wrap_angle(x) for x in theta])
-        t0 = np.concatenate([[wrap_angle(prev[0])], t1[:-1]])
-        lo = np.searchsorted(index.angle_array, t0, side="right")
-        hi = np.searchsorted(index.angle_array, t1, side="right")
-        steps = np.flatnonzero(np.where(
-            t1 > t0, hi > lo,
-            (t1 < t0) & ((lo < len(index.angles)) | (hi > 0)))).tolist()
-        floor = self.i_floor
-        samplers = self.samplers
-        # the devices each of those sweeps crossed, in ascending order, that
-        # the gates let store; the budget may stop some of them
-        gated = [[k for k in index.crossed(prev[i], theta[i])
-                  if not i_dev[i][k] <= floor and not duty[i][k] < 0.02]
-                 for i in steps]
-        bound = sum(map(len, gated))
-        sigma = self.s.sense_params.noise_sigma
-        state = noise = None
-        if sigma > 0 and bound:
-            # one draw of m normals is m scalar draws, value for value, and
-            # leaves the stream where they would
-            state = self.rng.bit_generator.state
-            noise = self.rng.normal(0.0, sigma, bound).tolist()
-        used, done = 0, []
-        f_fund, e_d = self.cfg.f_fund, self._e_d_row
-        for i, cand in zip(steps, gated):
-            cyc = int(f_fund * t[i] + 1e-9)
-            if cyc != self._fund_cycle:
-                self._fund_cycle = cyc
-                for sstate in samplers:
-                    sstate.start_cycle()
-            store = [k for k in cand
-                     if samplers[k].budget_used < samplers[k].budget_per_cycle]
-            theta_prev, theta_now = prev[i], theta[i]
-            v_row, i_row = v_cond[i], i_dev[i]
-            completed = False
-            for k in store:
-                z = noise[used] if noise is not None else 0.0
-                used += 1
-                sstate = samplers[k]
-                v, i_k = v_row[k], i_row[k]
-                smp.sampler_update_interval(sstate, theta_prev, theta_now,
-                                            v + e_d[k] + z, i_k, truth=v / i_k)
-                if sstate.complete:
-                    idx = self._win_idx[None, k:k + 1]
-                    i_pk = float(sstate.i[sstate.triggers.center_index])
-                    self._finish_window(
-                        k, sstate.v_on[idx], sstate.i[idx], sstate.truth[idx],
-                        [self.luts[k].column(i_pk).tolist()],
-                        [sstate.cycles_elapsed], [t[i]], t_j[i][None])
-                    if k == 0:  # the window's slots are reused from here on
-                        self.last_window_trace = (sstate.triggers.angles,
-                                                  sstate.i.copy(),
-                                                  sstate.v_on.copy())
-                    sstate.reset_window()
-                    completed = True
-            if completed:
-                done.append((i, self.tj_est.copy()))
-        if state is not None and used < bound:
-            # the budget stopped some: draw only the normals the stores took
-            self.rng.bit_generator.state = state
-            self.rng.normal(0.0, sigma, used)
-        cyc = int(f_fund * t[-1] + 1e-9)
-        if cyc != self._fund_cycle:
-            self._fund_cycle = cyc
-            for sstate in samplers:
-                sstate.start_cycle()
+        lo, end = smp.sweep_slots(self._capture_sets,
+                                  np.array([self.theta_prev, *theta]))
+        # each device's events, device by device: the steps whose sweep
+        # crossed its triggers and whose rows its gates let store
+        lo, end = lo[self._capture_set_of], end[self._capture_set_of]
+        blocked = (i_dev <= self.i_floor) | (duty < 0.02)
+        events = (end > lo) & ~blocked.T
+        dev, at = np.nonzero(events)
+        lo, end = lo[events].tolist(), end[events].tolist()
+        # each step's fundamental cycle; time only grows, so a budget
+        # refills where an event's cycle is new to its device
+        cyc = (self.cfg.f_fund * np.asarray(t) + 1e-9).astype(int)
+        end_cycle = int(cyc[-1])
+        skipped, stored, plans = smp.store_block(
+            self.samplers, dev, lo, end, cyc[at].tolist(), self._fund_cycle,
+            end_cycle)
+        self._fund_cycle = end_cycle
+        # each event's reading (its drop plus the sense path's offset and,
+        # if it found budget, the next normal of one draw in (step, device)
+        # order), current and true ratio
+        sigma, z = self.s.sense_params.noise_sigma, 0.0
+        if sigma > 0:
+            if skipped:
+                events[dev[skipped], at[skipped]] = False
+            z = np.zeros(events.T.shape)
+            z[events.T] = self.rng.normal(0.0, sigma, len(at) - len(skipped))
+            z = z.T[dev, at]
+        v, cur = v_cond[at, dev], i_dev[at, dev]
+        at, finished = at.tolist(), []
+        for k, event, cycles in smp.write_block(
+                self.samplers, stored, plans,
+                np.array([v + self.e_d[dev] + z, cur, v / cur])):
+            s, idx = self.samplers[k], self._win_idx[None, k:k + 1]
+            finished.append((at[event], cycles, k, s.v_on[idx], s.i[idx],
+                             s.truth[idx],
+                             float(s.i[s.triggers.center_index])))
+            if k == 0:  # the window's slots are reused from here on
+                self.last_window_trace = (s.triggers.angles, s.i.copy(),
+                                          s.v_on.copy())
+        estimates = {}
+        for i, cycles, k, v_win, i_win, truth_win, i_pk in sorted(
+                finished, key=lambda f: (f[0], f[2])):
+            self._finish_window(k, v_win, i_win, truth_win,
+                                [self.luts[k].column(i_pk)], [cycles], [t[i]],
+                                t_j[i][None])
+            estimates[i] = self.tj_est.copy()
         self.theta_prev = theta[-1]
-        return done
+        return list(estimates.items())
 
     def _capture_state(self) -> tuple:
         """Everything _capture changes, for _restore_capture."""
@@ -899,8 +885,8 @@ class TestBench:
         Row j of set w of v_win, i_win and truth_win, each (sets, rows,
         taps), holds device k0 + j's readings, currents and true ratios at
         the slots of its FIR window (self._win_idx); one (rows, taps) i_win
-        serves every set. cols[j] is device k0 + j's R(T) column, a list, at
-        the window-center current. cycles[w], t[w] and the (12,) row
+        serves every set. cols[j] is device k0 + j's R(T) column at the
+        window-center current. cycles[w], t[w] and the (12,) row
         tj_true[w] are set w's fill cycles, its time and the junction
         temperatures then. truth_win is read only while windows are
         collected, and may be None otherwise. r_on_last and tj_est keep the
@@ -912,23 +898,24 @@ class TestBench:
         r_est = smp.estimate_ron(v_win, i_win, taps)
         k1 = k0 + r_est.shape[1]
         self.r_on_last[k0:k1] = r_est[-1]
-        t_ax = self._lut_t_axis
+        t_ax = self._base_lut.t_axis
         # only the test-bridge estimates drive control
         m = k1 - k0 if self.collect_windows else max(0, min(k1, 6) - k0)
         # each device's sets at once: np.interp is invert_column at every
         # point, bit for bit
-        tj = np.array([np.interp(r_est[:, j], cols[j], t_ax)
-                       for j in range(m)]).T.tolist() if m else [[]] * len(r_est)
+        tj = [list(x) for x in zip(*(np.interp(r_est[:, j], cols[j], t_ax)
+                                     .tolist() for j in range(m)))] \
+            if m else [[]] * len(r_est)
         self.tj_est[k0:k0 + m] = tj[-1]
         if self.collect_windows:
-            i_pk = np.broadcast_to(i_win[..., len(taps) // 2],
-                                   r_est.shape).tolist()
+            # the center currents of the rows, which every set shares
+            i_pk = i_win[..., len(taps) // 2].reshape(-1).tolist()
             est = r_est.tolist()
             r_true = (truth_win @ taps).tolist()
-            true = np.asarray(tj_true)[:, k0:k1].tolist()
+            true = tj_true[:, k0:k1].tolist()
             self.windows += [{
                 "t": t[w], "device": k0 + j, "r_est": est[w][j],
-                "i_pk": i_pk[w][j], "r_true": r_true[w][j],
+                "i_pk": i_pk[j], "r_true": r_true[w][j],
                 "tj_est": tj[w][j], "tj_true": true[w][j],
                 "cycles_used": cycles[w],
             } for w in range(len(est)) for j in range(k1 - k0)]
@@ -965,7 +952,8 @@ class TestBench:
         blk = self._conducting_block(ts, dt)
         rows = blk.rows
         n, k = len(blk.t), len(rows.theta)
-        v, i_dev = np.array(rows.v_cond), np.array(rows.i_dev)
+        v, i_dev, duty = (np.fromiter(x, float, len(x)).reshape(-1, N_DEVICES)
+                          for x in (rows.v_cond, rows.i_dev, rows.duty))
         # the step that raises: the first trip, else the step the block
         # stopped at its runaway check
         last = self._desat_runs(v, i_dev, dt)[0]
@@ -978,9 +966,8 @@ class TestBench:
         if rule is not None:
             saved = self._capture_state()
             est = np.repeat(self.tj_est[None], end, axis=0)
-        done_at = self._capture(rows.theta[:m], rows.i_dev[:m],
-                                rows.v_cond[:m], rows.duty[:m], rows.t[:m],
-                                t_j)
+        done_at = self._capture(rows.theta[:m], i_dev[:m], v[:m], duty[:m],
+                                rows.t[:m], t_j)
         stop = None
         if rule is not None and end:
             for i, tj_est in done_at:  # the estimates after each step
@@ -996,8 +983,8 @@ class TestBench:
             if stop + 1 < m:  # the capture ran past the stop: replay it
                 self._restore_capture(saved)
                 m = stop + 1
-                self._capture(rows.theta[:m], rows.i_dev[:m], rows.v_cond[:m],
-                              rows.duty[:m], rows.t[:m], t_j[:m])
+                self._capture(rows.theta[:m], i_dev[:m], v[:m], duty[:m],
+                              rows.t[:m], t_j[:m])
             heated = stop + 1
         else:
             heated = n if last is None else last
@@ -1007,7 +994,7 @@ class TestBench:
         ctl.current_filter.y, ctl.pi_d.integrator, ctl.pi_q.integrator = \
             rows.ctl[m - 1]
         if heated < k:
-            self.plant.i_abc = rows.i0[heated]
+            self.plant.i_abc = tuple(rows.i0[3 * heated:3 * heated + 3])
         if heated:
             self._commit_thermal(blk, heated, dt, heated)
         else:  # a trip or runaway at the first step heats nothing
@@ -1043,7 +1030,7 @@ class TestBench:
         losses = np.empty((len(ts), 2, N_DEVICES))
         p_in = np.empty((N_DEVICES, 1))
         rows = _ConductingRows([self.t, *ts], [], [], [], [], [], [], [], [],
-                               [], [], losses)
+                               [], [], [], losses)
         hot = np.maximum.reduce(bank.t_j) > T_J_ENVELOPE_MAX
         for i, t in enumerate(rows.t[:len(ts)]):
             theta = (TWO_PI * f_fund * t) % TWO_PI
@@ -1062,12 +1049,12 @@ class TestBench:
                     dla, 1.0 - dla, dlb, 1.0 - dlb, dlc, 1.0 - dlc]
             vc, _ = bank.conduction(i_row)
             rows.theta.append(theta)
-            rows.i0.append(i0)
-            rows.d_test.append(d_test)
-            rows.d_load.append(d_load)
-            rows.i_dev.append(i_row)
-            rows.duty.append(duty)
-            rows.v_cond.append(vc)
+            rows.i0.extend(i0)
+            rows.d_test.extend(d_test)
+            rows.d_load.extend(d_load)
+            rows.i_dev.extend(i_row)
+            rows.duty.extend(duty)
+            rows.v_cond.extend(vc)
             rows.ctl.append((ctl.current_filter.y, ctl.pi_d.integrator,
                              ctl.pi_q.integrator))
             if hot:  # the step ends at its runaway check
@@ -1082,8 +1069,9 @@ class TestBench:
                 res = plant_step(plant, pole,
                                  _pole_voltages(d_load, v_hi_l, v_lo_l, v_dc),
                                  r_link, l_link, dt)
-            rows.res.append(res)
-            rows.pole.append(pole)
+            rows.i_mean.extend(res.i_mean)
+            rows.i_sq_mean.extend(res.i_sq_mean)
+            rows.pole.extend(pole)
             # the loss rows: conduction, and the switching-loss law on each
             # device's |mean current|, its phase's
             s_a, s_b, s_c = [dev_mod.switching_loss(p, f_sw, v_dc, abs(x))
@@ -1094,7 +1082,7 @@ class TestBench:
             row[1] = [s_a, s_a, s_b, s_b, s_c, s_c] * 2
             np.add(row[0], row[1], p_in[:, 0])
             hot = heat.step(i, p_in)
-        n = len(rows.res)
+        n = len(rows.pole) // 3
         return heat.block(ts[:n], rows=rows._replace(
             t=rows.t[:len(rows.theta)], losses=losses[:n]))
 
@@ -1110,11 +1098,14 @@ class TestBench:
         def grown(total: float, terms) -> float:
             return float(np.add.accumulate(np.append(total, terms))[-1])
 
+        d_test, d_load, i_mean, i_sq, pole, i0 = (
+            np.fromiter(x, float, 3 * n).reshape(n, 3) for x in (
+                rows.d_test, rows.d_load, rows.i_mean, rows.i_sq_mean,
+                rows.pole, rows.i0))
         # numpy's pairwise sum of each row of twelve
         p_cond, p_sw = np.add.reduce(rows.losses[:n], axis=2).T
-        d = np.subtract(rows.d_test[:n], rows.d_load[:n])
-        i_mean = np.array([r.i_mean for r in rows.res[:n]])
-        s_a, s_b, s_c = np.array([r.i_sq_mean for r in rows.res[:n]]).T
+        d = d_test - d_load
+        s_a, s_b, s_c = i_sq.T
         tl.e_supply = grown(tl.e_supply, (cfg.v_dc * np.vecdot(d, i_mean)
                                           + p_sw) * dt)
         tl.e_cond = grown(tl.e_cond, p_cond * dt)
@@ -1122,19 +1113,20 @@ class TestBench:
         tl.e_link = grown(tl.e_link,
                           cfg.link_resistance * (s_a + s_b + s_c) * dt)
         tl.duration = grown(tl.duration, np.full(n, dt))
-        v_a, v_b, v_c = np.array(rows.pole[:n]).T
+        v_a, v_b, v_c = pole.T
         v0 = (v_a + v_b + v_c) / 3
         v_a, v_b, v_c = v_a - v0, v_b - v0, v_c - v0
         tl.sum_v2 = grown(tl.sum_v2, v_a * v_a + v_b * v_b + v_c * v_c)
-        i_a, i_b, i_c = np.array(rows.i0[:n]).T
+        i_a, i_b, i_c = i0.T
         tl.sum_i2 = grown(tl.sum_i2, i_a * i_a + i_b * i_b + i_c * i_c)
         tl.samples += n
         if self.collect_waveforms:
             for j in range(n):
                 self._wave_count += 1
                 if self._wave_count % _WAVEFORM_STRIDE == 0:
-                    self.waveform_rows.append((rows.t[j], rows.theta[j],
-                                               *rows.i0[j], *rows.v_cond[j]))
+                    self.waveform_rows.append((
+                        rows.t[j], rows.theta[j], *rows.i0[3 * j:3 * j + 3],
+                        *rows.v_cond[N_DEVICES * j:N_DEVICES * (j + 1)]))
 
     def _plant_switched(self, d_test, d_load, v_hi_t, v_lo_t, v_hi_l, v_lo_l,
                         dt_period) -> PlantStepResult:
@@ -1434,7 +1426,7 @@ class TestBench:
         if not done:
             return fill
         if self._env_tj_cols is None:
-            self._env_tj_cols = [self.luts[k].column(grid.i_pk[k]).tolist()
+            self._env_tj_cols = [self.luts[k].column(grid.i_pk[k])
                                  for k in range(N_DEVICES)]
         sel = (_DEVICE_ROWS, self._win_idx)
         v, truth = self._fill_slots(grid, fill, slice(len(done)), sel)
@@ -1985,6 +1977,11 @@ class TestBench:
             except ThermalRunaway as e:
                 status, reason = "thermal_runaway", str(e)
                 break
+            except (smp.AmbientMismatch, sns.VthMeasureTimeout,
+                    sns.NotAtAmbient, sns.OverdriveCollapse) as e:
+                status = "measurement_failed"
+                reason = f"{type(e).__name__}: {e}"
+                break
             rec.warnings = tuple(sorted(tracker.update(rec)))
             records.append(rec)
         return RunResult(records=records, status=status, reason=reason,
@@ -2002,7 +1999,9 @@ class TestBench:
         sv = np.zeros(2)
         si = np.zeros(2)
         rows = self._step_conducting(steps)[0].rows
-        for theta, i0, d_test in zip(rows.theta, rows.i0, rows.d_test):
+        for theta, i0, d_test in zip(rows.theta,
+                                     np.reshape(rows.i0, (-1, 3)).tolist(),
+                                     np.reshape(rows.d_test, (-1, 3)).tolist()):
             v_a, v_b, v_c = (d * cfg.v_dc for d in d_test)
             v0 = (v_a + v_b + v_c) / 3
             sv += park(v_a - v0, v_b - v0, v_c - v0, theta)

@@ -10,6 +10,13 @@ the capture floor, so a completed window's estimate is the FIR product of
 its slot ratios v/i over the filter window around its center slot
 (estimate_ron, fir_window), which invert_column turns into a junction
 temperature on the R(T, I) table's column at the center current.
+
+The bench stores a block of steps at once: sweep_slots finds every step's
+slot run in each trigger set with one search, store_events applies the
+budget, the filled-slot skip and the window completion to one device's
+events on Python ints (the one implementation of the store rule;
+store_block runs it device by device), and write_block writes each
+window's readings with one index.
 """
 
 from __future__ import annotations
@@ -92,37 +99,21 @@ def triggers_in_interval(tset: TriggerSet, theta_from: float, theta_to: float
     return [*range(lo, len(a)), *range(hi)]
 
 
-class TriggerIndex:
-    """The angles of several trigger sets merged into one sorted list, so a
-    single search finds every set that a sweep crossed."""
+def sweep_slots(sets: Sequence[TriggerSet], theta: np.ndarray) -> tuple:
+    """The slots of each trigger set that each sweep between consecutive
+    angles of theta crossed: (lo, end), each (sets, len(theta) - 1). The
+    sweep from theta[i] to theta[i + 1] crossed slots lo to end - 1 of an
+    n-slot set, on past slot n - 1 to slot end - n - 1 when it wraps
+    through 0 rad, and some slot if end > lo.
 
-    def __init__(self, sets: Sequence[TriggerSet]):
-        angles = np.concatenate([s.angles for s in sets])
-        owner = np.repeat(np.arange(len(sets)), [s.n for s in sets])
-        order = np.argsort(angles, kind="stable")
-        self.angle_array = angles[order]
-        self.angles = self.angle_array.tolist()
-        self.owner = owner[order].tolist()
-
-    def crossed(self, theta_from: float, theta_to: float) -> list[int]:
-        """Ascending indices of the sets for which triggers_in_interval over
-        the same sweep is non-empty.
-
-        bisect_right splits the list where searchsorted(side="right") does,
-        so the predicate, the wrapped case and an empty sweep included, is
-        triggers_in_interval's.
-        """
-        t0 = wrap_angle(theta_from)
-        t1 = wrap_angle(theta_to)
-        if t1 == t0:
-            return []
-        lo = bisect_right(self.angles, t0)
-        hi = bisect_right(self.angles, t1)
-        if t1 > t0:
-            hit = self.owner[lo:hi]
-        else:
-            hit = self.owner[lo:] + self.owner[:hi]
-        return sorted(set(hit))
+    triggers_in_interval's slots, in its order, and its predicate, an
+    empty sweep included: the angles wrap as wrap_angle wraps them, and
+    searchsorted (side="right") splits them where bisect_right does.
+    """
+    w = np.remainder(theta, TWO_PI)
+    pos = np.array([np.searchsorted(s.angles, w, side="right") for s in sets])
+    n = np.array([[s.n] for s in sets])
+    return pos[:, :-1], pos[:, 1:] + n * (w[1:] < w[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -166,47 +157,158 @@ class SamplerState:
         self.budget_used = 0
 
 
-def store_slots(s: SamplerState, idx, v_on: float, i_meas: float,
-                truth: float) -> int:
-    """Store one reading into the distinct slots idx, taken in arrival order.
+def store_events(s: SamplerState, lo: Sequence[int], end: Sequence[int],
+                 at_cycle: Sequence[int], cycle: int = 0, end_cycle: int = 0,
+                 first: int = 0) -> tuple:
+    """Store one device's events in arrival order: the one implementation
+    of the store rule, on Python ints.
 
-    Filled slots are skipped, and the rest of the cycle budget caps the
-    count. Returns the number of slots stored.
+    Event j, numbered from first, may fill the slots its sweep crossed,
+    lo[j] to end[j] - 1 in that order, on past the last slot n - 1 to slot
+    end[j] - n - 1 when the sweep wraps (sweep_slots). at_cycle[j] is the
+    fundamental cycle it arrives in, cycle the one before the first event
+    and end_cycle the one after the last; the budget refills at each new
+    cycle. An event with budget left takes its reading and stores it into
+    the empty slots it crossed, in order, until the budget is spent. A
+    window that an event completes stays complete until the device's next
+    event, which starts the next window; the caller reads and resets the
+    last one.
+
+    Returns (skipped, runs, ends, done): the events that found no budget;
+    the stored runs, flat as (start, length, event) triples; the count of
+    slots stored by each window's end; and (event, cycles in which the
+    window stored a slot) of each window completed, the first len(done).
     """
-    room = s.budget_per_cycle - s.budget_used
-    if (type(idx) is range and idx.step == 1 and len(idx) <= room
-            and not any(s.filled_mask[idx.start:idx.stop].tolist())):
-        # a contiguous run of empty slots that fits the budget: all stored
-        n = len(idx)
-        idx = slice(idx.start, idx.stop)
-    else:
-        idx = np.asarray(idx, dtype=int)
-        if len(idx) > room or s.filled_mask[idx].nonzero()[0].size:
-            # drop what may not be stored
-            idx = idx[~s.filled_mask[idx]][:max(room, 0)]
-        n = len(idx)
-    s.v_on[idx] = v_on
-    s.i[idx] = i_meas
-    s.truth[idx] = truth
-    s.filled_mask[idx] = True
-    s.filled += n
-    if n and not s.budget_used:  # the window's first store in this cycle
-        s.cycles_elapsed += 1
-    s.budget_used += n
-    return n
+    n, budget = s.triggers.n, s.budget_per_cycle
+    mask = bytearray(s.filled_mask.tobytes())
+    filled, cycles, used = s.filled, s.cycles_elapsed, s.budget_used
+    skipped, runs, ends, done = [], [], [], []
+    total, complete = 0, False
+    for j, (a, b, ep) in enumerate(zip(lo, end, at_cycle), first):
+        if complete:  # the last event completed a window: start the next
+            ends.append(total)
+            mask = bytearray(n)
+            filled = cycles = used = 0
+            complete = False
+        if ep != cycle:
+            cycle, used = ep, 0
+        room = budget - used
+        if room <= 0:
+            skipped.append(j)
+            continue
+        stored = b - a
+        if b <= n and stored <= room and mask.find(1, a, b) < 0:
+            # an empty run that fits the budget: all of it
+            mask[a:b] = b"\x01" * stored
+            runs += a, stored, j
+        else:
+            stored = 0
+            while stored < room and a < b:
+                if a == n:  # on past the last slot, from slot 0
+                    a, b = 0, b - n
+                    continue
+                a = mask.find(0, a, min(b, n))  # the next empty slot
+                if a < 0:
+                    a = n
+                    continue
+                stop = min(b, n, a + room - stored)
+                e = mask.find(1, a, stop)
+                e = stop if e < 0 else e
+                mask[a:e] = b"\x01" * (e - a)
+                runs += a, e - a, j
+                stored += e - a
+                a = e
+        if stored:
+            total += stored
+            if not used:  # the window's first store in this cycle
+                cycles += 1
+            used += stored
+            filled += stored
+            if filled == n:
+                complete = True
+                done.append((j, cycles))
+    ends.append(total)
+    if runs:
+        s.filled_mask[:] = np.frombuffer(mask, dtype=bool)
+    s.filled, s.cycles_elapsed, s.budget_used = filled, cycles, used
+    if end_cycle != cycle:  # a cycle begins after the last event
+        s.start_cycle()
+    return skipped, runs, ends, done
+
+
+def store_block(samplers: Sequence[SamplerState], dev: np.ndarray,
+                lo: list, end: list, at_cycle: list, cycle: int,
+                end_cycle: int) -> tuple:
+    """store_events for every device of a block in turn: the events come
+    device by device, dev[j] the device of event j, and lo, end and
+    at_cycle hold them all as store_events takes them.
+
+    Returns (skipped, runs, plans): the events that found no budget, every
+    device's stored runs in turn, flat as (start, length, event) triples,
+    and per device (ends, done): the count of slots that the runs of this
+    and earlier devices stored by each of its windows' ends, and
+    store_events' done.
+    """
+    skipped, runs, plans = [], [], []
+    j = base = 0
+    for s, count in zip(samplers, np.bincount(
+            dev, minlength=len(samplers)).tolist()):
+        e = slice(j, j + count)
+        skip, stored, ends, done = store_events(
+            s, lo[e], end[e], at_cycle[e], cycle, end_cycle, j)
+        plans.append(([base + x for x in ends], done))
+        skipped += skip
+        runs += stored
+        base += ends[-1]
+        j += count
+    return skipped, runs, plans
+
+
+def write_block(samplers: Sequence[SamplerState], runs: list, plans: list,
+                readings: np.ndarray):
+    """Write store_block's runs into each device's slots, window by window:
+    readings[:, j] holds event j's reading, current and true ratio.
+
+    Yields (device, event, cycles) of each window completed, device by
+    device, while the device's slots hold it; a device's complete last
+    window is reset after it.
+    """
+    a, m, q = np.array(runs, dtype=int).reshape(-1, 3).T
+    slots = np.repeat(a - np.cumsum(m) + m, m) + np.arange(m.sum())
+    v_on, i, truth = np.repeat(readings[:, q], m, axis=1)
+    j = 0
+    for k, (s, (ends, done)) in enumerate(zip(samplers, plans)):
+        for w, stop in enumerate(ends):
+            if stop > j:
+                idx = slots[j:stop]
+                s.v_on[idx], s.i[idx], s.truth[idx] = \
+                    v_on[j:stop], i[j:stop], truth[j:stop]
+            j = stop
+            if w < len(done):
+                yield (k, *done[w])
+        if s.complete:
+            s.reset_window()
 
 
 def sampler_update_interval(s: SamplerState, theta_prev: float,
-                            theta_now: float, v_on: float, i_meas: float,
-                            truth: float = math.nan) -> int:
+                            theta_now: float, v_on: float,
+                            i_meas: float) -> int:
     """Capture for every trigger crossed during the last angle step.
 
     All crossed slots receive the same synchronized (v_on, i_meas) pair,
     which keeps their ratio an on-resistance sample taken at a single
-    instant. Returns the number of slots stored.
+    instant; their true ratio is unknown (NaN). One event of store_events,
+    which stores the bench's readings a block at a time. Returns the
+    number of slots stored.
     """
-    return store_slots(s, triggers_in_interval(s.triggers, theta_prev, theta_now),
-                       v_on, i_meas, truth)
+    (lo,), (end,) = sweep_slots([s.triggers], np.array([theta_prev,
+                                                        theta_now]))
+    runs = store_events(s, lo.tolist(), end.tolist(), [0])[1]
+    slots = [k for a, m in zip(runs[::3], runs[1::3]) for k in range(a, a + m)]
+    s.v_on[slots] = v_on
+    s.i[slots] = i_meas
+    s.truth[slots] = math.nan
+    return len(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +438,19 @@ class RonLut:
         ref = float(np.interp(self.t_cal, t, self.drift_profile))
         self._pkg = self.offset_pkg * (np.interp(t, t, self.drift_profile)
                                        / ref)
+        # the current axis as Python floats and the grid's columns as rows,
+        # for column's scalar search
+        self._i_list = self.i_axis.tolist()
+        self._grid_cols = self.grid.T.copy()
 
     def column(self, i_d: float) -> np.ndarray:
         """Corrected R(T) profile at drain current i_d (linear across the
         current axis, clamped at the grid edges)."""
-        i_c = float(np.clip(i_d, self.i_axis[0], self.i_axis[-1]))
-        j = int(np.searchsorted(self.i_axis, i_c, side="right")) - 1
-        j = min(max(j, 0), len(self.i_axis) - 2)
-        w = (i_c - self.i_axis[j]) / (self.i_axis[j + 1] - self.i_axis[j])
-        base = self.grid[:, j] * (1.0 - w) + self.grid[:, j + 1] * w
-        return base + self._oxide + self._pkg
+        ax, cols = self._i_list, self._grid_cols
+        i_c = min(max(i_d, ax[0]), ax[-1])  # NaN stays NaN, as np.clip
+        j = min(max(bisect_right(ax, i_c) - 1, 0), len(ax) - 2)
+        w = (i_c - ax[j]) / (ax[j + 1] - ax[j])
+        return cols[j] * (1.0 - w) + cols[j + 1] * w + self._oxide + self._pkg
 
     def value(self, t_j: float, i_d: float) -> float:
         col = self.column(i_d)

@@ -19,7 +19,8 @@ from acpcsim.device import (AgingTrajectory, delta_vth_for_vds_shift,
                             v_sd, vgs_at_channel_current)
 from acpcsim.electrical import inverse_park, park, svpwm_duties
 from acpcsim.sampler import (SamplerState, build_trigger_set,
-                             invert_column, sampler_update_interval)
+                             invert_column, sampler_update_interval,
+                             sweep_slots)
 from acpcsim.sense import (DesatConfig, SenseCircuitParams, desat_voltage,
                            measure_vth)
 
@@ -307,7 +308,6 @@ def test_ac9_conservation_and_oracles():
     # the trigger search the energy run's capture used equals a linear
     # scan of its twelve trigger sets: random sweeps, short and long, some
     # starting or ending exactly on a trigger, many wrapping through 0 rad
-    index = bench._trigger_index
     angles = np.stack([st.triggers.angles for st in bench.samplers])
     n = 100_000
     t0 = rng.uniform(-TWO_PI, 2 * TWO_PI, n)
@@ -318,16 +318,16 @@ def test_ac9_conservation_and_oracles():
         t[on] = rng.choice(angles.ravel(), int(on.sum()))
     w0 = t0 % TWO_PI
     w1 = t1 % TWO_PI
+    lo, end = sweep_slots([st.triggers for st in bench.samplers],
+                          np.stack([t0, t1], 1).ravel())
+    got = (end > lo)[:, ::2].T
     same = True
     for lo in range(0, n, 5000):
         a0 = w0[lo:lo + 5000, None, None]
         a1 = w1[lo:lo + 5000, None, None]
         hit = np.where(a1 > a0, (angles > a0) & (angles <= a1),
                        (a1 < a0) & ((angles > a0) | (angles <= a1)))
-        want = hit.any(axis=2)
-        for j in range(len(want)):
-            got = index.crossed(float(t0[lo + j]), float(t1[lo + j]))
-            same &= got == np.flatnonzero(want[j]).tolist()
+        same &= bool((got[lo:lo + 5000] == hit.any(axis=2)).all())
     ok &= same
     notes.append(f"binary search == linear scan on 1e5 sweeps "
                  f"({int((w1 < w0).sum())} wrapped)")

@@ -509,6 +509,44 @@ class TestRun:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["status"] == "thermal_runaway"
 
+    # a fixed-times envelope campaign that runs a start-up before each cycle
+    _STARTUP_EACH_CYCLE = (
+        "bench.technique = fixed_times\nbench.t_off = 0.3\n"
+        "bench.mode = envelope\nthermal.stage_r = 0.0198, 0.0405, 0.0297\n"
+        "thermal.stage_tau = 0.001, 0.03, 0.3\nsampler.n_points = 60\n"
+        "sampler.budget_per_cycle = 300\nrun.startup_every = 1\n")
+
+    @pytest.mark.parametrize("error, text, cycles", [
+        # the ambient on-resistance reads below the fresh table
+        ("AmbientMismatch", "sense.noise_sigma = 7\n", 0),
+        # the threshold bias never turns the channel on
+        ("VthMeasureTimeout", "sense.i_desat_vth = 1e9\n", 0),
+        # a plate that the start-up's 900 s idle leaves 1.8 degC warm
+        ("NotAtAmbient", _STARTUP_EACH_CYCLE + "bench.t_on = 20\n"
+         "thermal.boundary_r_on = 1.0\nthermal.boundary_c = 1000\n", 1),
+        # a threshold shift that leaves 0.5 V of overdrive at cycle 1
+        ("OverdriveCollapse", _STARTUP_EACH_CYCLE + "bench.t_on = 0.5\n"
+         "desat.compensated = true\naging.delta_vth = 0:0.0, 1:11.8\n", 1),
+    ])
+    def test_failed_start_up_measurement_exits_3(self, tmp_path, error, text,
+                                                 cycles):
+        # the run ends with the completed cycles' files and the reason in
+        # the manifest, as a trip does
+        p = tmp_path / "s.txt"
+        base = "" if cycles else \
+            (EXAMPLES / "junction_swing_campaign.txt").read_text()
+        p.write_text(base + text)
+        out = tmp_path / "out"
+        assert run(p, out, cycles=2) == 3
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "measurement_failed"
+        assert manifest["reason"].startswith(f"{error}: ")
+        assert manifest["cycles_completed"] == cycles
+        assert set(manifest["files"]) == {
+            "precursors.csv", "trace_thermal.csv", "trace_sampling.csv"}
+        rows = (out / "precursors.csv").read_text().splitlines()
+        assert len(rows) == 1 + 12 * cycles
+
     def test_waveforms_emitted_on_request(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("bench.t_on = 0.05\nbench.t_off = 0.05\n"

@@ -100,6 +100,13 @@ _UNCALLED_BY_DESIGN = {
                     "tests",
     "estimate_tj": "out-of-grid reference for the bench's table inversion "
                    "and a perfbench tracer site",
+    "sampler_update_interval": "one reading's store through its sweep, the "
+                               "perfbench tracer's sampler.update_interval "
+                               "site (ROADMAP item 1)",
+    "triggers_in_interval": "one sweep's crossed slots by bisection, the "
+                            "oracle of sweep_slots and the perfbench "
+                            "tracer's sampler.triggers_in_interval site "
+                            "(ROADMAP item 1)",
 }
 
 

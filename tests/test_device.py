@@ -284,9 +284,9 @@ class TestLosses:
         for _ in range(50):
             bench._step_conducting()
         bench.tally = EnergyTally()
-        res, = bench._step_conducting()[0].rows.res
+        i_mean = bench._step_conducting()[0].rows.i_mean
         p_sw = switching_loss(bench.bank.params, cfg.f_sw, cfg.v_dc,
-                              np.abs(np.asarray(res.i_mean)[_PHASE] * _SIGN))
+                              np.abs(np.asarray(i_mean)[_PHASE] * _SIGN))
         assert np.all(p_sw > 0.0)
         assert bench.tally.e_sw == float(np.add.reduce(p_sw)) * (1.0 / cfg.f_sw)
 

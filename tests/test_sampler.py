@@ -10,11 +10,11 @@ from acpcsim.core import TWO_PI, BenchConfig, ConfigError, validate_scenario
 from acpcsim.cycling import N_DEVICES, TestBench, default_settings
 from acpcsim.device import PROFILES, module_400a, on_resistance
 from acpcsim.sampler import (AmbientMismatch, RonLut, SamplerState,
-                             TriggerIndex, build_ron_lut, build_trigger_set,
+                             build_ron_lut, build_trigger_set,
                              default_fir_taps, estimate_ron, estimate_tj,
                              fir_filter, fir_window, invert_column,
                              recalibrate_lut, sampler_update_interval,
-                             store_slots, triggers_in_interval)
+                             store_events, sweep_slots, triggers_in_interval)
 
 
 def capture_at(s, k, v, i):
@@ -61,14 +61,15 @@ class TestMatchTrigger:
     def test_exact_hit(self):
         # a sweep that ends on trigger k stores slot k alone
         ts = build_trigger_set(1.0, 101, 0.2)
-        index = TriggerIndex([ts])
         for k in (0, 17, 50, 100):
             s = SamplerState(ts, budget_per_cycle=101)
             assert capture_at(s, k, 1.0, 10.0) == 1
             assert np.flatnonzero(s.filled_mask).tolist() == [k]
             a = float(ts.angles[k])
-            assert index.crossed(a - 1e-6, a) == [0]
-            assert index.crossed(a, a + 1e-6) == []
+            (lo,), (end,) = sweep_slots([ts], np.array([a - 1e-6, a,
+                                                       a + 1e-6]))
+            assert (end > lo).tolist() == [True, False]
+            assert (lo[0], end[0]) == (k, k + 1)
 
     def test_equivalent_to_linear_scan(self):
         # the documented oracle: a linear scan of the trigger angles, over
@@ -76,16 +77,15 @@ class TestMatchTrigger:
         rng = np.random.default_rng(21)
         for center in (0.0, math.pi / 2, 6.2):
             ts = build_trigger_set(center, 300, math.radians(10))
-            index = TriggerIndex([ts])
             t0 = rng.uniform(-TWO_PI, 2 * TWO_PI, size=100_000)
             t1 = t0 + np.where(rng.random(len(t0)) < 0.5,
                                rng.uniform(0.0, 0.05, len(t0)),
                                rng.uniform(0.0, TWO_PI, len(t0)))
             t1[::7] = rng.choice(ts.angles, len(t1[::7]))
             want = crossed_by_scan(ts, t0, t1)
-            got = np.array([bool(index.crossed(a, b))
-                            for a, b in zip(t0.tolist(), t1.tolist())])
-            assert (got == want).all()
+            # one sweep from each t0 to its t1, and one back to the next t0
+            (lo,), (end,) = sweep_slots([ts], np.stack([t0, t1], 1).ravel())
+            assert ((end[::2] > lo[::2]) == want).all()
             for a, b, w in zip(t0[:2000], t1[:2000], want[:2000]):
                 assert bool(len(triggers_in_interval(ts, a, b))) == w
 
@@ -116,9 +116,10 @@ class TestMatchTrigger:
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
-    def test_index_finds_the_sets_a_sweep_crossed(self, data):
+    def test_search_finds_the_slots_a_sweep_crossed(self, data):
         # windows anywhere on the circle (wrapping ones too); sweeps that are
-        # empty, wrap through 0 rad, or start or end exactly on a trigger
+        # empty, wrap through 0 rad, or start or end exactly on a trigger:
+        # each set's runs hold triggers_in_interval's slots, in its order
         sets = [build_trigger_set(data.draw(st.floats(-10.0, 10.0)),
                                   data.draw(st.integers(1, 40)),
                                   data.draw(st.floats(1e-3, math.pi / 2)))
@@ -129,9 +130,11 @@ class TestMatchTrigger:
                           on_trigger.map(lambda a: a + TWO_PI))
         t0 = data.draw(angle)
         t1 = data.draw(st.one_of(angle, st.just(t0)))
-        want = [k for k, s in enumerate(sets)
-                if len(triggers_in_interval(s, t0, t1))]
-        assert TriggerIndex(sets).crossed(t0, t1) == want
+        lo, end = sweep_slots(sets, np.array([t0, t1]))
+        for s, (a,), (b,) in zip(sets, lo, end):
+            want = list(triggers_in_interval(s, t0, t1))
+            assert [k % s.n for k in range(a, b)] == want
+            assert (b > a) == bool(want)
 
 
 class TestSamplerBudget:
@@ -229,36 +232,80 @@ class TestSamplerBudget:
                     theta = nxt
             assert windows >= 1 and stored >= 100
 
-    def test_store_slots_keeps_values_aligned_with_slots(self):
-        ts = build_trigger_set(1.0, 12, 0.2)
-        s = SamplerState(ts, budget_per_cycle=2)
-        store_slots(s, [2], 0.5, 10.0, 0.05)
-        n = store_slots(s, [4, 2, 9, 7], 1.0, 11.0, 0.1)
-        assert n == 1 and s.budget_used == 2
-        assert (s.v_on[[2, 4, 9]] == [0.5, 1.0, 0.0]).all()
-        assert (s.i[[2, 4]] == [10.0, 11.0]).all()
-        assert not s.filled_mask[9]
+    @staticmethod
+    def per_slot_events(s, lo, end, at_cycle, cycle, end_cycle) -> tuple:
+        """store_events by the per-slot rule on the sampler's own arrays:
+        each event's crossed slots in turn, a filled one skipped, until the
+        budget is spent; a completed window reset at the device's next
+        event. Returns (skipped, each window's (slot, event) stores,
+        done)."""
+        n, budget = s.triggers.n, s.budget_per_cycle
+        skipped, windows, done = [], [[]], []
+        for j, (a, b, ep) in enumerate(zip(lo, end, at_cycle)):
+            if s.complete:
+                s.reset_window()
+                windows.append([])
+            if ep != cycle:
+                cycle = ep
+                s.start_cycle()
+            if s.budget_used >= budget:
+                skipped.append(j)
+                continue
+            stored = 0
+            for k in range(a, b):
+                if s.budget_used < budget and not s.filled_mask[k % n]:
+                    s.filled_mask[k % n] = True
+                    s.filled += 1
+                    s.budget_used += 1
+                    stored += 1
+                    windows[-1].append((k % n, j))
+            if stored and s.budget_used == stored:
+                s.cycles_elapsed += 1
+            if s.complete:
+                done.append((j, s.cycles_elapsed))
+        if end_cycle != cycle:
+            s.start_cycle()
+        return skipped, windows, done
 
-    def test_store_slots_takes_a_range_as_its_slots(self):
-        # a range of slots stores as the same list of slots would: the
-        # contiguous empty run that fits the budget at once, any other
-        # through the per-slot rule
-        ts = build_trigger_set(1.0, 12, 0.2)
-        cases = [(range(2, 5), ()), (range(2, 5), (3,)), (range(0, 9), ()),
-                 (range(1, 9, 2), ()), (range(4, 4), ()), (range(0, 2), (0, 1))]
-        for idx, filled in cases:
-            got = SamplerState(ts, budget_per_cycle=6)
-            ref = SamplerState(ts, budget_per_cycle=6)
-            for s in (got, ref):
-                for k in filled:
-                    store_slots(s, [k], 0.5, 10.0, 0.05)
-            n = store_slots(got, idx, 1.0, 11.0, 0.1)
-            assert n == store_slots(ref, list(idx), 1.0, 11.0, 0.1)
-            for name in ("v_on", "i", "truth", "filled_mask"):
-                assert (getattr(got, name).tobytes()
-                        == getattr(ref, name).tobytes())
-            assert (got.filled, got.budget_used) == \
-                (ref.filled, ref.budget_used)
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_store_events_is_the_per_slot_rule(self, data):
+        # one device's events from a window in progress: runs that wrap
+        # past the last slot, cycles that refill the budget, windows that
+        # complete mid-call, events the budget or the filled slots stop
+        n = data.draw(st.integers(1, 40))
+        budget = data.draw(st.integers(1, n + 2))
+        ts = build_trigger_set(1.0, n, 0.2)
+        got, ref = (SamplerState(ts, budget_per_cycle=budget)
+                    for _ in range(2))
+        filled = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        assume(not all(filled))
+        used = data.draw(st.integers(0, budget))
+        for s in (got, ref):
+            s.filled_mask[:] = filled
+            s.filled, s.budget_used = sum(filled), used
+            s.cycles_elapsed = int(any(filled))
+        cycle = data.draw(st.integers(0, 3))
+        lo, end, at_cycle = [], [], []
+        c = cycle
+        for _ in range(data.draw(st.integers(0, 30))):
+            a = data.draw(st.integers(0, n))
+            lo.append(a)
+            end.append(a + data.draw(st.integers(1, n)))
+            c += data.draw(st.sampled_from([0, 0, 0, 1, 2]))
+            at_cycle.append(c)
+        end_cycle = c + data.draw(st.integers(0, 1))
+        skipped, runs, ends, done = store_events(got, lo, end, at_cycle,
+                                                 cycle, end_cycle)
+        stores = [(k, j) for a, m, j in zip(runs[::3], runs[1::3],
+                                            runs[2::3])
+                  for k in range(a, a + m)]
+        windows = [stores[i:k] for i, k in zip([0, *ends], ends)]
+        assert (skipped, windows, done) == self.per_slot_events(
+            ref, lo, end, at_cycle, cycle, end_cycle)
+        assert got.filled_mask.tobytes() == ref.filled_mask.tobytes()
+        assert (got.filled, got.cycles_elapsed, got.budget_used) == \
+            (ref.filled, ref.cycles_elapsed, ref.budget_used)
 
     def test_order_independence(self):
         # any arrival order reconstructs the same slot array
