@@ -510,7 +510,7 @@ class TestConductingBlock:
 
 
 def per_store_slots(s, idx, v_on, i_meas, truth) -> int:
-    """smp.store_slots as it stored one reading on numpy slots: the filled
+    """One reading's store into the slots idx on numpy arrays: the filled
     slots of idx skipped, the rest of the cycle budget capping the count,
     in idx's order."""
     idx = np.asarray(idx, dtype=int)

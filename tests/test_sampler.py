@@ -194,9 +194,9 @@ class TestSamplerBudget:
             assert bench.rng.bit_generator.state == ref.bit_generator.state
 
     def test_interval_store_matches_one_slot_at_a_time(self):
-        # store_slots against the per-slot rule: skip filled slots, stop
-        # when the budget is spent; the window wraps through 0 rad, so sweeps
-        # cross the wrap too
+        # sampler_update_interval against the per-slot rule: skip filled
+        # slots, stop when the budget is spent; the window wraps through
+        # 0 rad, so sweeps cross the wrap too
         ts = build_trigger_set(0.1, 40, 0.3)
         rng = np.random.default_rng(8)
         for budget in (1, 3, 7, 40):
