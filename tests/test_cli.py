@@ -527,7 +527,8 @@ class TestRun:
         # a threshold shift that leaves 0.5 V of overdrive at cycle 1
         ("OverdriveCollapse", _STARTUP_EACH_CYCLE + "bench.t_on = 0.5\n"
          "desat.compensated = true\naging.delta_vth = 0:0.0, 1:11.8\n", 1),
-    ])
+    ], ids=["AmbientMismatch", "VthMeasureTimeout", "NotAtAmbient",
+            "OverdriveCollapse"])
     def test_failed_start_up_measurement_exits_3(self, tmp_path, error, text,
                                                  cycles):
         # the run ends with the completed cycles' files and the reason in
